@@ -53,12 +53,12 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
 	"craid/internal/experiments"
 	"craid/internal/fabric"
+	"craid/internal/prof"
 	"craid/internal/sim"
 	"craid/internal/workload"
 )
@@ -96,7 +96,11 @@ func main() {
 		experiments.SetExecutor(fabric.NewClient(*remote))
 	}
 
-	stopProfiles := startProfiles(*cpuprofile, *memprofile)
+	stopProfiles, err := prof.Start(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "craidbench:", err)
+		os.Exit(1)
+	}
 
 	r := runner{budget: *budget, trace: *traceName}
 	switch {
@@ -111,46 +115,11 @@ func main() {
 		}
 	}
 
-	stopProfiles() // flush before any exit path
+	if err := stopProfiles(); err != nil { // flush before any exit path
+		fmt.Fprintln(os.Stderr, "craidbench:", err)
+	}
 	if r.failed {
 		os.Exit(1)
-	}
-}
-
-// startProfiles begins CPU profiling and arms heap profiling per the
-// flags; the returned func stops/writes them (callable exactly once,
-// and before os.Exit, which would skip deferred writes).
-func startProfiles(cpuPath, memPath string) func() {
-	var cpuFile *os.File
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "craidbench:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "craidbench:", err)
-			os.Exit(1)
-		}
-		cpuFile = f
-	}
-	return func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "craidbench:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize the final live set
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "craidbench:", err)
-			}
-		}
 	}
 }
 

@@ -12,6 +12,7 @@
 //	craidsim -file msr.csv -format msr -pervolume -dataset-gb 4
 //	craidsim -trace wdev -remote http://host:8440
 //	craidsim -trace wdev -out result.json
+//	craidsim -file msr.csv -format msr -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
 //
 // With -file, the named trace file replaces the preset generator:
 // -format picks the parser (native, msr, blk), -dataset-gb sizes the
@@ -36,6 +37,10 @@
 // recomputing — the printed result is identical either way. -out
 // writes the full JSON result to a file while the human-readable
 // stats still print to stdout (use -json for JSON on stdout instead).
+//
+// -cpuprofile and -memprofile write pprof profiles covering the
+// simulation itself (not flag handling or result printing), the same
+// flags craidbench has, so a trace-file replay can be profiled as is.
 package main
 
 import (
@@ -48,6 +53,7 @@ import (
 	"craid/internal/experiments"
 	"craid/internal/fabric"
 	"craid/internal/metrics"
+	"craid/internal/prof"
 )
 
 func main() {
@@ -87,6 +93,8 @@ func main() {
 		"also write the full JSON result to this file (stdout keeps the human-readable stats)")
 	remote := flag.String("remote", "",
 		"run the cell on the craidd fabric at this URL instead of in-process")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
+	memprofile := flag.String("memprofile", "", "write an allocation profile of the simulation to this file")
 	flag.Parse()
 
 	cfg := experiments.RunConfig{
@@ -143,7 +151,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, "craidsim: -pervolume replays every volume; drop -volume or drop -pervolume")
 			os.Exit(1)
 		}
+		stopProfiles := startProfiles(*cpuprofile, *memprofile)
 		results, err := experiments.RunMSRVolumes(*file, cfg)
+		stopProfiles()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "craidsim:", err)
 			os.Exit(1)
@@ -167,11 +177,13 @@ func main() {
 
 	var res experiments.RunResult
 	var err error
+	stopProfiles := startProfiles(*cpuprofile, *memprofile)
 	if *remote != "" {
 		res, err = fabric.NewClient(*remote).Run(cfg)
 	} else {
 		res, err = experiments.Run(cfg)
 	}
+	stopProfiles()
 	if err != nil {
 		// Includes a dying mapping-log device (LogRing.Err surfaces at
 		// each apply-step flush) and data lost beyond redundancy.
@@ -257,6 +269,22 @@ func main() {
 	fmt.Printf("sequential:   mean per-second fraction %.3f\n", metrics.Mean(res.SeqFracs))
 	fmt.Printf("queues:       mean %.2f, p99 %d, max %d; concurrent devices mean %.1f max %d\n",
 		res.QueueMean, res.QueueP99, res.QueueMax, res.ConcMean, res.ConcMax)
+}
+
+// startProfiles starts the requested profiles or exits; the returned
+// func flushes them, and is called as soon as the simulation returns so
+// that no later os.Exit can skip it.
+func startProfiles(cpuPath, memPath string) func() {
+	stop, err := prof.Start(cpuPath, memPath)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "craidsim:", err)
+		os.Exit(1)
+	}
+	return func() {
+		if err := stop(); err != nil {
+			fmt.Fprintln(os.Stderr, "craidsim:", err)
+		}
+	}
 }
 
 func ratioOf(a, b int64) float64 {

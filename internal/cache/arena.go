@@ -206,14 +206,6 @@ func (l *slotList) remove(slots []slot, s int32) {
 	l.size--
 }
 
-func (l *slotList) moveFront(slots []slot, s int32) {
-	if l.head == s {
-		return
-	}
-	l.remove(slots, s)
-	l.pushFront(slots, s)
-}
-
 // unlinkChain detaches the already-linked segment first..last
 // (front-to-back order) without touching the segment's inner links.
 func (l *slotList) unlinkChain(slots []slot, first, last int32, n int) {

@@ -58,7 +58,7 @@ type Policy interface {
 
 // DirtyFunc reports whether a key's cached copy is dirty. WLRU consults
 // it to prefer clean victims (a dirty eviction costs CRAID four extra
-// parity I/Os).
+// parity I/Os). See Config.Dirty for what it must guarantee.
 type DirtyFunc func(Key) bool
 
 // Config carries optional policy parameters.
@@ -67,6 +67,15 @@ type Config struct {
 	// scanned for a clean victim before falling back to plain LRU.
 	WLRUWindow float64
 	// Dirty is consulted by WLRU; nil means "never dirty".
+	//
+	// Contract: while a key is resident in the policy its answer may
+	// change from clean to dirty but never back. A dirty copy becomes
+	// clean only by leaving the policy (eviction, Remove, Clear) or by
+	// the owner building a new policy, and a key inserted again starts
+	// over. WLRU relies on this to remember which LRU-end entries it
+	// has already found dirty instead of probing them again on every
+	// eviction. The function must be pure otherwise: how often and for
+	// which resident keys it is called is unspecified.
 	Dirty DirtyFunc
 }
 

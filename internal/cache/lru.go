@@ -5,8 +5,8 @@ import "strconv"
 // lruCore is the slot-arena recency engine shared by LRU and WLRU: a
 // flat []slot arena, a keyIndex resolving residency, and one intrusive
 // recency list (front = MRU). The two policies differ only in victim
-// choice, injected through the victim func (bound once at construction
-// so the eviction path stays allocation-free).
+// choice: plain LRU takes the list's back, WLRU hangs its dirtyTail
+// cursor here and is told whenever an entry leaves its list position.
 //
 // Run-native hot loops: AccessRun resolves a whole run with ONE index
 // probe when the run's entries already form a consecutive-key chain in
@@ -21,9 +21,9 @@ type lruCore struct {
 	slots    []slot
 	idx      keyIndex
 	list     slotList
-	free     int32 // freelist head, threaded through slot.next
-	used     int32 // bump high-water into slots
-	victim   func() int32
+	free     int32      // freelist head, threaded through slot.next
+	used     int32      // bump high-water into slots
+	tail     *dirtyTail // WLRU's victim cursor; nil for plain LRU
 }
 
 func (c *lruCore) initCore(capacity int) {
@@ -54,10 +54,35 @@ func (c *lruCore) Len() int { return c.list.size }
 // Contains implements Policy.
 func (c *lruCore) Contains(k Key) bool { return c.idx.get(k) != nilSlot }
 
+// victim picks the entry the next insert displaces.
+func (c *lruCore) victim() int32 {
+	if c.tail == nil {
+		return c.list.back()
+	}
+	return c.tail.pick(c)
+}
+
+// unlink detaches s from the recency list.
+func (c *lruCore) unlink(s int32) {
+	if c.tail != nil {
+		c.tail.leave(c.slots, s)
+	}
+	c.list.remove(c.slots, s)
+}
+
+// touch moves s to the MRU position.
+func (c *lruCore) touch(s int32) {
+	if c.list.head == s {
+		return
+	}
+	c.unlink(s)
+	c.list.pushFront(c.slots, s)
+}
+
 // Access implements Policy.
 func (c *lruCore) Access(k Key, _ int64) {
 	if s := c.idx.get(k); s != nilSlot {
-		c.list.moveFront(c.slots, s)
+		c.touch(s)
 	}
 }
 
@@ -65,13 +90,13 @@ func (c *lruCore) Access(k Key, _ int64) {
 func (c *lruCore) Insert(k Key, size int64) (Key, bool) {
 	cell, s := c.idx.findCell(k)
 	if s != nilSlot {
-		c.list.moveFront(c.slots, s)
+		c.touch(s)
 		return 0, false
 	}
 	if c.list.size >= c.capacity {
 		v := c.victim()
 		vk := c.slots[v].key
-		c.list.remove(c.slots, v)
+		c.unlink(v)
 		c.idx.del(vk)
 		c.slots[v].key = k // reuse the victim's slot for the newcomer
 		c.idx.put(k, v)    // re-probe: del may have shifted the cell
@@ -101,6 +126,9 @@ func (c *lruCore) AccessRun(k Key, n, size int64) {
 			}
 			if ok {
 				if c.list.head != first { // already MRU: the loop is a no-op
+					if c.tail != nil {
+						c.tail.leaveChain(c.slots, first, last)
+					}
 					c.list.unlinkChain(c.slots, first, last, int(n))
 					c.list.pushFrontChain(c.slots, first, last, int(n))
 				}
@@ -110,7 +138,7 @@ func (c *lruCore) AccessRun(k Key, n, size int64) {
 	}
 	for i := int64(0); i < n; i++ {
 		if s := c.idx.get(k + i); s != nilSlot {
-			c.list.moveFront(c.slots, s)
+			c.touch(s)
 		}
 	}
 }
@@ -134,7 +162,7 @@ func (c *lruCore) InsertRun(k Key, n, size int64, evicted func(Key)) {
 				c.list.pushFrontChain(c.slots, segFirst, segLast, segN)
 				segFirst, segLast, segN = nilSlot, nilSlot, 0
 			}
-			c.list.moveFront(c.slots, s)
+			c.touch(s)
 			continue
 		}
 		if c.list.size+segN >= c.capacity {
@@ -147,7 +175,7 @@ func (c *lruCore) InsertRun(k Key, n, size int64, evicted func(Key)) {
 			}
 			v := c.victim()
 			vk := c.slots[v].key
-			c.list.remove(c.slots, v)
+			c.unlink(v)
 			c.idx.del(vk)
 			c.slots[v].key = key
 			c.idx.put(key, v)
@@ -178,7 +206,7 @@ func (c *lruCore) Remove(k Key) bool {
 	if s == nilSlot {
 		return false
 	}
-	c.list.remove(c.slots, s)
+	c.unlink(s)
 	c.idx.del(k)
 	c.release(s)
 	return true
@@ -190,6 +218,9 @@ func (c *lruCore) Clear() {
 	c.list.init()
 	c.free = nilSlot
 	c.used = 0
+	if c.tail != nil {
+		c.tail.reset()
+	}
 }
 
 // Keys implements Policy.
@@ -208,7 +239,6 @@ type LRU struct{ lruCore }
 func NewLRU(capacity int) *LRU {
 	l := &LRU{}
 	l.initCore(capacity)
-	l.victim = l.list.back
 	return l
 }
 
@@ -216,25 +246,34 @@ func NewLRU(capacity int) *LRU {
 func (l *LRU) Name() string { return "LRU" }
 
 // WLRU is the paper's Weighted LRU: LRU that prefers evicting a clean
-// entry, scanning at most w·capacity candidates from the LRU end before
-// falling back to the plain LRU victim (§4.1). Evicting clean entries
-// saves CRAID the four parity I/Os a dirty write-back costs.
+// entry, considering at most w·capacity candidates from the LRU end
+// before falling back to the plain LRU victim (§4.1). Evicting clean
+// entries saves CRAID the four parity I/Os a dirty write-back costs.
 type WLRU struct {
 	lruCore
 	window float64
-	dirty  DirtyFunc
+	cursor dirtyTail
 }
 
 // NewWLRU returns a WLRU policy with scan window w (fraction of
 // capacity, typically 0.5). dirty may be nil, meaning no entry is ever
-// dirty (WLRU then degenerates to LRU).
+// dirty (WLRU then degenerates to LRU); otherwise it must honour the
+// Config.Dirty contract.
 func NewWLRU(capacity int, w float64, dirty DirtyFunc) *WLRU {
 	if w < 0 || w > 1 {
 		panic("cache: WLRU window must be in [0,1]")
 	}
-	l := &WLRU{window: w, dirty: dirty}
+	l := &WLRU{window: w}
 	l.initCore(capacity)
-	l.victim = l.pickVictim
+	if dirty != nil {
+		l.cursor = dirtyTail{
+			dirty: dirty,
+			limit: int(w * float64(capacity)),
+			edge:  nilSlot,
+			known: make([]uint64, (capacity+63)/64),
+		}
+		l.tail = &l.cursor
+	}
 	return l
 }
 
@@ -243,20 +282,91 @@ func (l *WLRU) Name() string {
 	return "WLRU" + strconv.FormatFloat(l.window, 'g', -1, 64)
 }
 
-// pickVictim scans up to window·capacity entries from the LRU end for
-// the first clean one; if none is found the plain LRU entry loses.
-func (l *WLRU) pickVictim() int32 {
-	lru := l.list.back()
-	if l.dirty == nil {
-		return lru
-	}
-	limit := int(l.window * float64(l.capacity))
+// dirtyTail is WLRU's resumable victim cursor. The paper's victim scan
+// walks from the LRU end toward the front, up to limit entries, and
+// takes the first clean one. Restarting that walk at the LRU end on
+// every eviction re-probes the same dirty entries each time; dirtyTail
+// remembers them instead.
+//
+// Invariant: the last n entries of the recency list — edge back to the
+// LRU end — have each been probed dirty since they last moved, and
+// exactly those have their known bit set. Because a resident key never
+// goes dirty→clean (the Config.Dirty contract) a full rescan would find
+// all of them dirty again, so pick resumes at the entry in front of
+// edge and returns what the full scan would. n moves only when a scan
+// extends the run (n++) or a known entry leaves its position — access,
+// Remove, eviction, a chain splice — which leave/leaveChain observe
+// (n--). New and re-accessed entries arrive at the front, outside the
+// run, so each entry is probed once per stay in the tail.
+type dirtyTail struct {
+	dirty DirtyFunc
+	limit int      // window·capacity: how many LRU-end entries a scan may consider
+	edge  int32    // front-most known-dirty entry; nilSlot when n == 0
+	n     int      // length of the known-dirty run at the LRU end
+	known []uint64 // by slot: entry belongs to the run
+}
+
+func (t *dirtyTail) isKnown(s int32) bool { return t.known[s>>6]&(1<<(s&63)) != 0 }
+
+// forget takes s, a member, out of the run; the caller moves edge.
+func (t *dirtyTail) forget(s int32) {
+	t.known[s>>6] &^= 1 << (s & 63)
+	t.n--
+}
+
+// pick returns the first clean entry among the limit least recent, or
+// the LRU entry when all of them are dirty.
+func (t *dirtyTail) pick(c *lruCore) int32 {
+	lru := c.list.back()
 	s := lru
-	for i := 0; i < limit && s != nilSlot; i++ {
-		if !l.dirty(l.slots[s].key) {
+	if t.n > 0 {
+		s = c.slots[t.edge].prev
+	}
+	for t.n < t.limit && s != nilSlot {
+		if !t.dirty(c.slots[s].key) {
 			return s
 		}
-		s = l.slots[s].prev
+		t.known[s>>6] |= 1 << (s & 63)
+		t.edge = s
+		t.n++
+		s = c.slots[s].prev
 	}
 	return lru
+}
+
+// leave is called before s is unlinked from the list.
+func (t *dirtyTail) leave(slots []slot, s int32) {
+	if t.n == 0 || !t.isKnown(s) {
+		return
+	}
+	t.forget(s)
+	if s == t.edge {
+		t.edge = slots[s].next
+	}
+}
+
+// leaveChain is leave for the linked segment first..last (front-to-back
+// order), called before it is unlinked. The run is a suffix of the
+// list, so its members within the segment are a suffix of the segment:
+// walk from last toward first until an entry outside the run.
+func (t *dirtyTail) leaveChain(slots []slot, first, last int32) {
+	if t.n == 0 {
+		return
+	}
+	for s := last; t.isKnown(s); s = slots[s].prev {
+		t.forget(s)
+		if s == t.edge {
+			t.edge = slots[last].next
+			return
+		}
+		if s == first {
+			return
+		}
+	}
+}
+
+// reset forgets the run (the list was cleared).
+func (t *dirtyTail) reset() {
+	t.edge, t.n = nilSlot, 0
+	clear(t.known)
 }

@@ -116,6 +116,11 @@ func (l *refLRU) Access(k Key, _ int64) {
 	}
 }
 
+// pickVictim is the paper's §4.1 victim scan exactly as WLRU ran it
+// before the dirtyTail cursor: restart at the LRU end on every
+// eviction, probe up to window·capacity entries, take the first clean
+// one. It survives here as the specification the cursor is pinned to
+// (wlru_cursor_test.go).
 func (l *refLRU) pickVictim() *refEntry {
 	lru := l.list.back()
 	if l.window < 0 || l.dirty == nil {

@@ -70,6 +70,48 @@ func TestReplayAllocsPerRecordZero(t *testing.T) {
 	}
 }
 
+// replayAllocsHDD is replayAllocs on five Cheetah models with a P_C of
+// 256 blocks under a 12000-block working set: nearly every record
+// misses, so the replay is inserts, evictions, dirty write-backs and
+// parity read-modify-write against devices that queue, absorb writes
+// and destage. Arrivals are paced so the device queues stay bounded.
+func replayAllocsHDD(t *testing.T, n int) float64 {
+	t.Helper()
+	recs := pacedWorkload(5, n, 50*sim.Millisecond)
+	return testing.AllocsPerRun(3, func() {
+		eng := sim.NewEngine()
+		devs := make([]disk.Device, 5)
+		for i := range devs {
+			devs[i] = smallCheetah(eng, i, 1024)
+		}
+		c := fiveHDDCRAID(NewArray(eng, devs))
+		if _, _, err := ReplayWith(eng, c, trace.NewSlice(recs), ReplayConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		if st := c.Stats(); st.DirtyEvictions == 0 || st.ReadHits+st.WriteHits > (st.ReadBlocks+st.WriteBlocks)/2 {
+			t.Fatalf("replay is not miss-heavy with write-backs: %+v", *st)
+		}
+	})
+}
+
+// TestReplayAllocsPerRecordZeroHDD is TestReplayAllocsPerRecordZero on
+// the device model that queues. The null-device gate above cannot see
+// what a queued device does with a request: it read "0 allocs/record"
+// while every HDD submission heap-allocated its Request. Mechanical
+// service times make bursts, so the pools' high-water marks (joins, RMW
+// ops, absorb ops, queue capacity) still creep up a few dozen objects
+// over thousands of records; the bound sits far below the one
+// allocation per I/O — tens per record — that any unpooled structure
+// costs.
+func TestReplayAllocsPerRecordZeroHDD(t *testing.T) {
+	small := replayAllocsHDD(t, 2000)
+	large := replayAllocsHDD(t, 6000)
+	if large-small > 0.05*4000 {
+		t.Fatalf("HDD replay allocations scale with the trace: %.1f for 2000 records, %.1f for 6000 (%.4f per record, want ~0)",
+			small, large, (large-small)/4000)
+	}
+}
+
 // TestSubmitWarmAllocFree is the monitor's steady-state allocation
 // gate: on a warm cache, a whole Submit — classification, policy
 // access, dirty-flip logging hooks, redirected I/O, latency recording,

@@ -40,10 +40,18 @@ type Array struct {
 	queueHist *metrics.LatencyHist // sample unit: queue depth, abusing ns=depth
 	concHist  *metrics.LatencyHist // concurrent busy devices per submit
 
-	// retains[i] reports whether device i keeps the *Request beyond
-	// Submit; devices that don't (instant models) are fed the shared
-	// scratch request, so hot instant-mode runs allocate no requests.
-	retains []bool
+	// queued[i] is device i's queue-state view, nil for models without
+	// one (instant devices). The busy-device census behind concHist is
+	// kept incrementally: devices that can push their idle<->busy flips
+	// (disk.BusyCounter) maintain busy; the rest — models whose busy
+	// state is a function of the clock — are in polled and asked per
+	// sample.
+	queued []queuer
+	busy   int
+	polled []queuer
+
+	// scratch is the one Request every submission reuses: devices never
+	// retain it (the disk.Device contract).
 	scratch disk.Request
 
 	// freelists for the per-I/O control structures. The array (like
@@ -57,17 +65,6 @@ type Array struct {
 	// hot-path check reduces to one nil test, keeping the healthy
 	// submit path's cost (and allocation count) unchanged.
 	faults *faultState
-}
-
-// nonRetaining is implemented by device models that drop the *Request
-// before Submit returns.
-type nonRetaining interface{ RetainsRequests() bool }
-
-func retainsRequests(d disk.Device) bool {
-	if nr, ok := d.(nonRetaining); ok {
-		return nr.RetainsRequests()
-	}
-	return true
 }
 
 // queuer is implemented by device models that expose queue state.
@@ -84,10 +81,33 @@ func NewArray(eng *sim.Engine, devices []disk.Device) *Array {
 		queueHist: metrics.NewLatencyHist(),
 		concHist:  metrics.NewLatencyHist(),
 	}
-	for _, d := range devices {
-		a.retains = append(a.retains, retainsRequests(d))
-	}
+	a.watch(devices)
 	return a
+}
+
+// watch registers newly attached devices with the queue and
+// busy-device instrumentation.
+func (a *Array) watch(devs []disk.Device) {
+	for _, d := range devs {
+		q, _ := d.(queuer)
+		a.queued = append(a.queued, q)
+		if bc, ok := d.(disk.BusyCounter); ok {
+			bc.CountBusyIn(&a.busy)
+		} else if q != nil {
+			a.polled = append(a.polled, q)
+		}
+	}
+}
+
+// busyDevices returns how many devices are busy right now.
+func (a *Array) busyDevices() int {
+	n := a.busy
+	for _, q := range a.polled {
+		if q.Busy() {
+			n++
+		}
+	}
+	return n
 }
 
 // Devices returns the device count.
@@ -100,9 +120,7 @@ func (a *Array) Device(i int) disk.Device { return a.devices[i] }
 // widens the load tracker.
 func (a *Array) AddDevices(devs []disk.Device) {
 	a.devices = append(a.devices, devs...)
-	for _, d := range devs {
-		a.retains = append(a.retains, retainsRequests(d))
-	}
+	a.watch(devs)
 	if a.Load != nil {
 		a.Load.Resize(len(a.devices))
 	}
@@ -154,19 +172,9 @@ func (a *Array) issue(dev int, op disk.Op, block, count int64, trackSeq bool, do
 	if a.Seq != nil && trackSeq {
 		a.Seq.Add(now, dev, block, count)
 	}
-	if q, ok := a.devices[dev].(queuer); ok {
+	if q := a.queued[dev]; q != nil {
 		a.queueHist.Add(sim.Time(q.QueueDepth()))
-		busy := 0
-		for _, d := range a.devices {
-			if qd, ok := d.(queuer); ok && qd.Busy() {
-				busy++
-			}
-		}
-		a.concHist.Add(sim.Time(busy))
-	}
-	if a.retains[dev] {
-		a.devices[dev].Submit(&disk.Request{Op: op, Block: block, Count: count, Done: done, Fail: fail})
-		return
+		a.concHist.Add(sim.Time(a.busyDevices()))
 	}
 	a.scratch = disk.Request{Op: op, Block: block, Count: count, Done: done, Fail: fail}
 	a.devices[dev].Submit(&a.scratch)

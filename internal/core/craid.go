@@ -507,10 +507,10 @@ func (c *CRAID) buildPC() error {
 	c.pcData = layout.DataBlocks()
 	policy, err := cache.New(c.cfg.Policy, int(c.pcData), cache.Config{
 		WLRUWindow: c.cfg.WLRUWindow,
-		// The WLRU victim scan probes dirtiness for a whole window of
-		// LRU-tail candidates per eviction; the O(1) membership set
-		// keeps that scan off the tree (a Lookup descent per candidate
-		// was >50% of replay CPU).
+		// Honours the cache.Config.Dirty contract: the monitor only ever
+		// sets dirty flags (SetDirtyRun(…, true)); a dirty copy turns
+		// clean by being evicted, and Expand, ExpandRetain and
+		// CrashRestart come back through here for a new policy.
 		Dirty: func(k cache.Key) bool {
 			return c.table.IsDirty(k)
 		},

@@ -50,6 +50,17 @@ func randomWorkload(seed int64, n int, span int64) []trace.Record {
 	return recs
 }
 
+// pacedWorkload is randomWorkload slowed to one record per gap: HDDs
+// serve in milliseconds, and at randomWorkload's 10 µs spacing their
+// LOOK queues and the controller's pools grow with the trace.
+func pacedWorkload(seed int64, n int, gap sim.Time) []trace.Record {
+	recs := randomWorkload(seed, n, 12000)
+	for i := range recs {
+		recs[i].Time = sim.Time(i) * gap
+	}
+	return recs
+}
+
 // TestShardCountStatsBitIdentical is the PR's acceptance property at
 // the controller level: hit, replacement and eviction ratios — indeed
 // the entire Stats struct and every device counter — are bit-identical

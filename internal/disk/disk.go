@@ -60,10 +60,6 @@ type Request struct {
 	// device. When Fail is nil the device falls back to Done, so
 	// fault-unaware callers still observe exactly one completion.
 	Fail func(at sim.Time)
-
-	arrive sim.Time
-	fail   bool    // verdict drawn at submit: complete with an error
-	latX   float64 // service-time multiplier drawn at submit (<=1 = none)
 }
 
 // Injector decides the fate of individual requests on behalf of a
@@ -89,6 +85,10 @@ type Device interface {
 	// Submit enqueues the request. Completion is reported through
 	// r.Done. Submit panics if the request is out of range: device
 	// models cannot repair addressing bugs in upper layers.
+	//
+	// Submit must not retain r or write to it: everything the model
+	// needs later is copied out before Submit returns, so a caller may
+	// reuse one Request value for every submission.
 	Submit(r *Request)
 	// CapacityBlocks is the number of addressable logical blocks.
 	CapacityBlocks() int64
@@ -97,6 +97,17 @@ type Device interface {
 	// Stats returns the device's accumulated counters. The returned
 	// pointer stays valid and live for the device's lifetime.
 	Stats() *Stats
+}
+
+// BusyCounter is implemented by device models whose busy state changes
+// only at their own events (never by the clock merely advancing), so an
+// owner can keep a count of busy devices without polling them.
+type BusyCounter interface {
+	// CountBusyIn makes the device keep *n in step with its busy
+	// state from now on: it adds 1 at once if it is busy, 1 whenever
+	// it turns busy and -1 whenever it turns idle. A device counts in
+	// one place at a time.
+	CountBusyIn(n *int)
 }
 
 // Stats holds per-device counters maintained by every model.
@@ -160,19 +171,18 @@ func (f *faultState) SetFailed(failed bool) { f.failed = failed }
 // Failed implements Faultable.
 func (f *faultState) Failed() bool { return f.failed }
 
-// draw consults the injector and stamps the verdict on the request.
-func (f *faultState) draw(r *Request) {
+// draw consults the injector for r's verdict: whether it completes with
+// an error, and its service-time multiplier (<=1 = none).
+func (f *faultState) draw(r *Request) (fail bool, latX float64) {
 	if f.inj == nil {
-		r.fail, r.latX = false, 0
-		return
+		return false, 0
 	}
-	r.fail, r.latX = f.inj.Verdict(r.Op, r.Block, r.Count)
+	return f.inj.Verdict(r.Op, r.Block, r.Count)
 }
 
 // completeFault completes r with an error after delay: through Fail
 // when set, falling back to Done so fault-unaware callers still get
-// exactly one completion. The callback is captured immediately because
-// non-retaining devices let callers reuse the request structure.
+// exactly one completion.
 func completeFault(eng *sim.Engine, delay sim.Time, r *Request) {
 	cb := r.Fail
 	if cb == nil {
@@ -211,8 +221,7 @@ func (d *NullDevice) Submit(r *Request) {
 		completeFault(d.eng, 0, r)
 		return
 	}
-	d.draw(r)
-	if r.fail {
+	if fail, _ := d.draw(r); fail {
 		// An instant device has no service time to scale, so a latency
 		// multiplier is moot; the error verdict still applies.
 		d.stats.Errors++
@@ -232,10 +241,6 @@ func (d *NullDevice) Submit(r *Request) {
 		d.eng.AfterTimed(0, r.Done)
 	}
 }
-
-// RetainsRequests reports that NullDevice never keeps a *Request past
-// Submit, so callers may reuse the request structure immediately.
-func (d *NullDevice) RetainsRequests() bool { return false }
 
 // CapacityBlocks implements Device.
 func (d *NullDevice) CapacityBlocks() int64 { return d.capacity }

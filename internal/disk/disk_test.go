@@ -86,6 +86,43 @@ func TestHDDGeometryCoversCapacity(t *testing.T) {
 	}
 }
 
+// TestHDDTinyDiskGeometry is the regression test for disks with fewer
+// cylinders than cfg.Zones (a heavily scaled-down testbed: ~1,150
+// blocks is 3 cylinders against 16 zones). The one-cylinder outer zones
+// used to overshoot the capacity, the last zone came out with a
+// negative cylinder count, and the first I/O near the end of the disk
+// panicked the engine with a negative service time.
+func TestHDDTinyDiskGeometry(t *testing.T) {
+	capacities := []int64{1, 2, 71, 487, 488, 489, 1150, 3000, 7000, 7720, 7721, 10000}
+	for c := int64(100); c < 9000; c += 173 {
+		capacities = append(capacities, c)
+	}
+	for _, capacity := range capacities {
+		cfg := CheetahConfig("tiny")
+		cfg.CapacityBlocks = capacity
+		eng := sim.NewEngine()
+		d := NewHDD(eng, cfg)
+		var next, cyls int64
+		for i, z := range d.zones {
+			if z.cylinders < 1 || z.firstBlock != next || z.firstCyl != cyls {
+				t.Fatalf("capacity %d: zone %d = %+v, want >=1 cylinders starting at block %d, cylinder %d",
+					capacity, i, z, next, cyls)
+			}
+			next += z.cylinders * z.blocksPCyl
+			cyls += z.cylinders
+		}
+		if last := d.zones[len(d.zones)-1]; last.firstBlock >= capacity || next < capacity || cyls != d.totalCyls {
+			t.Fatalf("capacity %d: %d zones cover [0,%d) over %d cylinders (totalCyls %d), last starts at %d",
+				capacity, len(d.zones), next, cyls, d.totalCyls, last.firstBlock)
+		}
+		for _, b := range []int64{capacity - 1, 0, capacity / 2, capacity - 1} {
+			if got := runOne(t, eng, d, OpRead, b, 1); got <= 0 {
+				t.Fatalf("capacity %d: read of block %d took %v", capacity, b, got)
+			}
+		}
+	}
+}
+
 func TestHDDZonedDensityDecreasesInward(t *testing.T) {
 	eng := sim.NewEngine()
 	d := NewHDD(eng, CheetahConfig("hdd0"))

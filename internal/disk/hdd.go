@@ -98,11 +98,16 @@ type HDD struct {
 	seekC     float64  // linear coefficient of the seek curve (ns)
 	totalCyls int64
 
-	queue    []*Request
-	busy     bool
-	curCyl   int64
-	sweepUp  bool // LOOK sweep direction
-	fcfsHead int  // index of next FCFS request (queue is appended-to)
+	queue   []hddReq
+	busy    bool
+	curCyl  int64
+	sweepUp bool // LOOK sweep direction
+
+	// busyDevs, when set by CountBusyIn, is the owner's count of busy
+	// devices: +1 when busy||destaging turns true, -1 when it turns
+	// false. kick starts media service or a destage only from idle, so
+	// the two flags are never set together and each flip is one step.
+	busyDevs *int
 
 	// Read cache: fixed number of segments, each holding one
 	// contiguous block range; LRU replacement.
@@ -113,7 +118,7 @@ type HDD struct {
 	dirty       int64 // blocks waiting for destage
 	dirtyRanges []blockRange
 	destaging   bool
-	stalled     []*Request // writes waiting for write-cache space
+	stalled     []hddReq // writes waiting for write-cache space
 
 	// In-service completion, parked in fields rather than a closure:
 	// the busy flag admits exactly one request to the media at a time,
@@ -134,6 +139,18 @@ type HDD struct {
 	absorbFree *absorbOp
 
 	faultState
+}
+
+// hddReq is what the HDD keeps of a submitted request while it waits in
+// queue or stalled: Submit copies it out, so the caller's *Request is
+// free for reuse as soon as Submit returns.
+type hddReq struct {
+	op    Op
+	block int64
+	count int64
+	done  func(at sim.Time) // completion: Request.Fail on an injected error when set, else Request.Done
+	fail  bool              // verdict drawn at submit: complete with an error
+	latX  float64           // service-time multiplier drawn at submit (<=1 = none)
 }
 
 // absorbOp is one write-back cache absorption waiting out the
@@ -200,7 +217,9 @@ func NewHDD(eng *sim.Engine, cfg HDDConfig) *HDD {
 
 // buildZones lays out cfg.Zones zones whose per-track density falls
 // linearly from OuterBlocksPT to InnerBlocksPT and whose total capacity
-// is exactly cfg.CapacityBlocks (the last zone absorbs rounding).
+// is exactly cfg.CapacityBlocks (the last zone absorbs rounding). A
+// disk with fewer cylinders than cfg.Zones keeps the outer zones of
+// that profile, one cylinder each, and ends where its capacity does.
 func (d *HDD) buildZones() {
 	cfg := &d.cfg
 	// First pass: provisional equal-cylinder zones to estimate how many
@@ -225,14 +244,22 @@ func (d *HDD) buildZones() {
 			blocksPT:   pt,
 			blocksPCyl: pt * int64(cfg.Heads),
 		}
-		if z == cfg.Zones-1 {
-			// Stretch the last zone to cover the remaining capacity.
+		// The zone that reaches the capacity is the last, whatever its
+		// index: on a tiny disk the dense outer zones can use the blocks
+		// up before cfg.Zones of them exist, and laying out the rest
+		// would leave the final zone a negative cylinder count.
+		last := z == cfg.Zones-1 || block+zn.cylinders*zn.blocksPCyl >= cfg.CapacityBlocks
+		if last {
+			// Size the last zone to cover the remaining capacity.
 			remaining := cfg.CapacityBlocks - block
 			zn.cylinders = (remaining + zn.blocksPCyl - 1) / zn.blocksPCyl
 		}
 		d.zones = append(d.zones, zn)
 		block += zn.cylinders * zn.blocksPCyl
 		cyl += zn.cylinders
+		if last {
+			break
+		}
 	}
 	d.totalCyls = cyl
 }
@@ -301,10 +328,24 @@ func (d *HDD) QueueDepth() int {
 // destaging its write cache.
 func (d *HDD) Busy() bool { return d.busy || d.destaging }
 
+// CountBusyIn implements BusyCounter.
+func (d *HDD) CountBusyIn(n *int) {
+	d.busyDevs = n
+	if d.Busy() {
+		*n++
+	}
+}
+
+// countBusy reports one idle<->busy flip to the owner's counter.
+func (d *HDD) countBusy(delta int) {
+	if d.busyDevs != nil {
+		*d.busyDevs += delta
+	}
+}
+
 // Submit implements Device.
 func (d *HDD) Submit(r *Request) {
 	checkRange(d, r)
-	r.arrive = d.eng.Now()
 	d.stats.observeQueue(d.QueueDepth())
 
 	if d.failed {
@@ -315,41 +356,48 @@ func (d *HDD) Submit(r *Request) {
 		completeFault(d.eng, d.cfg.ControllerOver, r)
 		return
 	}
-	d.draw(r)
+	q := hddReq{op: r.Op, block: r.Block, count: r.Count, done: r.Done}
+	q.fail, q.latX = d.draw(r)
+	if q.fail && r.Fail != nil {
+		q.done = r.Fail
+	}
 
-	if r.Op == OpWrite && d.cfg.WriteCacheBlocks > 0 {
+	if q.op == OpWrite && d.cfg.WriteCacheBlocks > 0 {
 		// Write-back path: absorb into the cache if space allows.
-		if d.dirty+r.Count <= int64(d.cfg.WriteCacheBlocks) {
-			d.absorbWrite(r)
+		if d.dirty+q.count <= int64(d.cfg.WriteCacheBlocks) {
+			d.absorbWrite(q)
 			return
 		}
 		// No space: the write stalls until destaging frees room.
-		d.stalled = append(d.stalled, r)
+		d.stalled = append(d.stalled, q)
 		d.kick()
 		return
 	}
 
-	d.queue = append(d.queue, r)
+	d.queue = append(d.queue, q)
 	d.kick()
 }
 
 // absorbWrite completes a write from the write-back cache after the
 // controller overhead and records its blocks for later destage.
-func (d *HDD) absorbWrite(r *Request) {
+func (d *HDD) absorbWrite(r hddReq) {
 	if r.fail {
 		// The write dies in the controller: no dirty data, no readable
 		// segment, just overhead and an error completion.
-		d.stats.BusyTime += d.scaled(d.cfg.ControllerOver, r)
+		over := scaled(d.cfg.ControllerOver, r.latX)
+		d.stats.BusyTime += over
 		d.stats.Errors++
-		completeFault(d.eng, d.scaled(d.cfg.ControllerOver, r), r)
+		if r.done != nil {
+			d.eng.AfterTimed(over, r.done)
+		}
 		d.kick()
 		return
 	}
-	d.dirty += r.Count
-	d.addDirtyRange(r.Block, r.Block+r.Count)
+	d.dirty += r.count
+	d.addDirtyRange(r.block, r.block+r.count)
 	// Freshly written data is also readable from the cache.
-	d.installSegment(r.Block, r.Block+r.Count)
-	a := d.newAbsorb(r.Count, r.Done)
+	d.installSegment(r.block, r.block+r.count)
+	a := d.newAbsorb(r.count, r.done)
 	d.eng.After(d.cfg.ControllerOver, a.fn)
 	d.kick()
 }
@@ -387,16 +435,14 @@ func (d *HDD) kick() {
 }
 
 // pickNext removes and returns the next request per the scheduler.
-func (d *HDD) pickNext() *Request {
+func (d *HDD) pickNext() hddReq {
+	best := 0
 	switch d.cfg.Sched {
-	case FCFS:
-		r := d.queue[0]
-		d.queue = d.queue[1:]
-		return r
+	case FCFS: // the head of the queue
 	case SSTF:
-		best, bestDist := 0, int64(math.MaxInt64)
-		for i, r := range d.queue {
-			_, cyl, _ := d.locate(r.Block)
+		bestDist := int64(math.MaxInt64)
+		for i := range d.queue {
+			_, cyl, _ := d.locate(d.queue[i].block)
 			dist := cyl - d.curCyl
 			if dist < 0 {
 				dist = -dist
@@ -405,15 +451,12 @@ func (d *HDD) pickNext() *Request {
 				best, bestDist = i, dist
 			}
 		}
-		r := d.queue[best]
-		d.queue = append(d.queue[:best], d.queue[best+1:]...)
-		return r
 	default: // LOOK
-		best := -1
+		best = -1
 		var bestCyl int64
 		for pass := 0; pass < 2; pass++ {
-			for i, r := range d.queue {
-				_, cyl, _ := d.locate(r.Block)
+			for i := range d.queue {
+				_, cyl, _ := d.locate(d.queue[i].block)
 				if d.sweepUp && cyl < d.curCyl || !d.sweepUp && cyl > d.curCyl {
 					continue
 				}
@@ -427,53 +470,60 @@ func (d *HDD) pickNext() *Request {
 			}
 			d.sweepUp = !d.sweepUp // reverse at the end of the sweep
 		}
-		r := d.queue[best]
-		d.queue = append(d.queue[:best], d.queue[best+1:]...)
-		return r
 	}
+	// Close the gap by copying down, whichever end it is at: reslicing
+	// the head off (queue[1:]) would strand the backing array's front
+	// and make every later append walk toward a reallocation.
+	r := d.queue[best]
+	last := len(d.queue) - 1
+	copy(d.queue[best:], d.queue[best+1:])
+	d.queue[last] = hddReq{} // drop the vacated copy's callback
+	d.queue = d.queue[:last]
+	return r
 }
 
 // startNext begins servicing one queued request.
 func (d *HDD) startNext() {
 	r := d.pickNext()
 	d.busy = true
+	d.countBusy(+1)
 
 	if r.fail {
 		// Injected media error: the head still travels (seek, rotation,
 		// transfer happen before the error is detected), but no data
 		// moves — the cache is neither consulted nor filled.
-		service := d.mediaTime(r.Block, r.Count, r.Op == OpWrite)
-		d.finish(r, d.scaled(d.cfg.ControllerOver+service, r))
+		service := d.mediaTime(r.block, r.count, r.op == OpWrite)
+		d.finish(r, scaled(d.cfg.ControllerOver+service, r.latX))
 		return
 	}
-	if r.Op == OpRead && d.cacheCovers(r.Block, r.Block+r.Count) {
+	if r.op == OpRead && d.cacheCovers(r.block, r.block+r.count) {
 		// Full cache hit: controller overhead only.
 		d.stats.CacheHits++
-		d.finish(r, d.scaled(d.cfg.ControllerOver, r))
+		d.finish(r, scaled(d.cfg.ControllerOver, r.latX))
 		return
 	}
-	if r.Op == OpRead {
+	if r.op == OpRead {
 		d.stats.CacheMisses++
 	}
 
-	service := d.mediaTime(r.Block, r.Count, r.Op == OpWrite)
-	if r.Op == OpRead {
+	service := d.mediaTime(r.block, r.count, r.op == OpWrite)
+	if r.op == OpRead {
 		// Read-ahead: the segment fills with the request plus trailing
 		// blocks (time cost of read-ahead is hidden in idle rotation).
-		end := r.Block + int64(d.cfg.SegmentBlocks)
+		end := r.block + int64(d.cfg.SegmentBlocks)
 		if end > d.cfg.CapacityBlocks {
 			end = d.cfg.CapacityBlocks
 		}
-		d.installSegment(r.Block, end)
+		d.installSegment(r.block, end)
 	}
-	d.finish(r, d.scaled(d.cfg.ControllerOver+service, r))
+	d.finish(r, scaled(d.cfg.ControllerOver+service, r.latX))
 }
 
-// scaled applies the request's injected latency multiplier to a
-// service time.
-func (d *HDD) scaled(t sim.Time, r *Request) sim.Time {
-	if r.latX > 1 {
-		t = sim.Time(float64(t) * r.latX)
+// scaled applies a request's injected latency multiplier to a service
+// time.
+func scaled(t sim.Time, latX float64) sim.Time {
+	if latX > 1 {
+		t = sim.Time(float64(t) * latX)
 	}
 	return t
 }
@@ -482,13 +532,9 @@ func (d *HDD) scaled(t sim.Time, r *Request) sim.Time {
 // with the next queued operation. The pending completion lives in the
 // fin* fields (single-flight under the busy flag) and fires through the
 // cached finishFn, so the media path schedules no closures.
-func (d *HDD) finish(r *Request, service sim.Time) {
+func (d *HDD) finish(r hddReq, service sim.Time) {
 	d.stats.BusyTime += service
-	done := r.Done
-	if r.fail && r.Fail != nil {
-		done = r.Fail
-	}
-	d.finDone, d.finFail, d.finOp, d.finCount = done, r.fail, r.Op, r.Count
+	d.finDone, d.finFail, d.finOp, d.finCount = r.done, r.fail, r.op, r.count
 	d.eng.After(service, d.finishFn)
 }
 
@@ -499,6 +545,7 @@ func (d *HDD) finished() {
 	done, fail, op, count := d.finDone, d.finFail, d.finOp, d.finCount
 	d.finDone = nil
 	d.busy = false
+	d.countBusy(-1)
 	if fail {
 		d.stats.Errors++
 	} else if op == OpRead {
@@ -568,6 +615,7 @@ func (d *HDD) startDestage() {
 	r := d.dirtyRanges[best]
 	d.dirtyRanges = append(d.dirtyRanges[:best], d.dirtyRanges[best+1:]...)
 	d.destaging = true
+	d.countBusy(+1)
 	service := d.mediaTime(r.start, r.end-r.start, true)
 	d.stats.BusyTime += service
 	d.destageN = r.end - r.start
@@ -578,6 +626,7 @@ func (d *HDD) startDestage() {
 // destaging flag, fired through the cached destageFn).
 func (d *HDD) destaged() {
 	d.destaging = false
+	d.countBusy(-1)
 	d.dirty -= d.destageN
 	if d.dirty < 0 {
 		d.dirty = 0
@@ -592,12 +641,16 @@ func (d *HDD) admitStalled() {
 	i := 0
 	for ; i < len(d.stalled); i++ {
 		r := d.stalled[i]
-		if d.dirty+r.Count > int64(d.cfg.WriteCacheBlocks) {
+		if d.dirty+r.count > int64(d.cfg.WriteCacheBlocks) {
 			break
 		}
 		d.absorbWrite(r)
 	}
-	d.stalled = d.stalled[i:]
+	// Copy the rest down instead of reslicing the head off, for the
+	// reason pickNext gives.
+	n := copy(d.stalled, d.stalled[i:])
+	clear(d.stalled[n:]) // drop the vacated copies' callbacks
+	d.stalled = d.stalled[:n]
 }
 
 // cacheCovers reports whether [start,end) is entirely inside one read

@@ -45,6 +45,10 @@ type SSD struct {
 	// idle. FIFO per channel; requests reserve all their channels.
 	chanFree []sim.Time
 
+	// busyUntil is the latest chanFree: some channel is busy exactly
+	// while busyUntil > now.
+	busyUntil sim.Time
+
 	// pages is the per-submit channel page-count scratch; Submit fully
 	// consumes it before returning, so one buffer serves every request.
 	pages []int64
@@ -68,7 +72,7 @@ type ssdOp struct {
 	next  *ssdOp
 }
 
-func (d *SSD) newOp(r *Request, done func(at sim.Time)) *ssdOp {
+func (d *SSD) newOp(r *Request, fail bool, done func(at sim.Time)) *ssdOp {
 	o := d.opFree
 	if o == nil {
 		o = &ssdOp{d: d}
@@ -77,7 +81,7 @@ func (d *SSD) newOp(r *Request, done func(at sim.Time)) *ssdOp {
 		d.opFree = o.next
 		o.next = nil
 	}
-	o.fail, o.op, o.count, o.done = r.fail, r.Op, r.Count, done
+	o.fail, o.op, o.count, o.done = fail, r.Op, r.Count, done
 	return o
 }
 
@@ -115,10 +119,6 @@ func NewSSD(eng *sim.Engine, cfg SSDConfig) *SSD {
 	}
 }
 
-// RetainsRequests reports that the SSD copies everything it needs out
-// of the request during Submit, so callers may reuse the structure.
-func (d *SSD) RetainsRequests() bool { return false }
-
 // CapacityBlocks implements Device.
 func (d *SSD) CapacityBlocks() int64 { return d.cfg.CapacityBlocks }
 
@@ -142,7 +142,7 @@ func (d *SSD) QueueDepth() int {
 }
 
 // Busy reports whether any channel is busy.
-func (d *SSD) Busy() bool { return d.QueueDepth() > 0 }
+func (d *SSD) Busy() bool { return d.busyUntil > d.eng.Now() }
 
 // Submit implements Device. Blocks are spread over channels
 // round-robin; the request completes when its slowest channel finishes.
@@ -156,15 +156,13 @@ func (d *SSD) Submit(r *Request) {
 		completeFault(d.eng, d.cfg.ControllerOver, r)
 		return
 	}
-	d.draw(r)
+	fail, latX := d.draw(r)
 
 	per := d.cfg.ReadLatency
 	if r.Op == OpWrite {
 		per = d.cfg.WriteLatency
 	}
-	if r.latX > 1 {
-		per = sim.Time(float64(per) * r.latX)
-	}
+	per = scaled(per, latX)
 
 	// Count pages per channel for this request.
 	pages := d.pages
@@ -190,13 +188,16 @@ func (d *SSD) Submit(r *Request) {
 			latest = end
 		}
 	}
+	if latest > d.busyUntil {
+		d.busyUntil = latest
+	}
 	finish := latest + d.cfg.ControllerOver
 	d.stats.BusyTime += finish - now
 
 	done := r.Done
-	if r.fail && r.Fail != nil {
+	if fail && r.Fail != nil {
 		done = r.Fail
 	}
-	o := d.newOp(r, done)
+	o := d.newOp(r, fail, done)
 	d.eng.Schedule(finish, o.fn)
 }

@@ -63,40 +63,40 @@ func TestParsePlanDefaults(t *testing.T) {
 
 func TestParsePlanErrors(t *testing.T) {
 	bad := []string{
-		"fail:1",                 // no @time
-		"fail@5s",                // missing device
-		"crash:2@5s",             // crash takes no device
-		"bogus:1@2s",             // unknown kind
-		"fail:-1@1s",             // negative device
-		"fail:x@1s",              // non-numeric device
-		"seed=x",                 // bad seed
-		"transient:1@5s-2s",      // window end before start
-		"transient:1@1s,rate=2",  // rate outside [0,1]
-		"transient:1@1s,lat=0.5", // lat below 1
-		"transient:1@1s,rate",    // option without value
-		"rebuild:1@1s,rate=-1",   // non-positive rebuild rate
-		"fail:1@1s,rate=2",       // option on wrong kind
-		"fail:1@1s-2s",           // window on non-transient
-		"fail:1@notatime",        // unparseable time
-		"transient:1@1s,bogus=3", // unknown option
-		"fail:1@",                // empty time
-		"expand@5s",              // expand without disks
-		"expand@5s,disks=0",      // expand with no devices
-		"expand:2@5s,disks=1",    // expand takes no device
-		"fail:1@5s,retain",       // retain only applies to expand
-		"storm@5s,n=2,every=1s",  // storm without a sub-kind
-		"storm:fail@5s,n=2,every=1s", // only crash storms are defined
-		"storm:crash@5s,every=1s",    // storm without n
-		"storm:crash@5s,n=2",         // storm without every
-		"storm:crash@5s,n=0,every=1s", // empty storm
-		"dev:3{fail@1s",          // unbalanced brace
-		"dev:3{fail@1s}}",        // unbalanced brace
-		"dev:x{fail@1s}",         // bad device
-		"dev:3{crash@1s}",        // device-less kind in a dev block
-		"dev:3{expand@1s,disks=1}", // device-less kind in a dev block
+		"fail:1",                             // no @time
+		"fail@5s",                            // missing device
+		"crash:2@5s",                         // crash takes no device
+		"bogus:1@2s",                         // unknown kind
+		"fail:-1@1s",                         // negative device
+		"fail:x@1s",                          // non-numeric device
+		"seed=x",                             // bad seed
+		"transient:1@5s-2s",                  // window end before start
+		"transient:1@1s,rate=2",              // rate outside [0,1]
+		"transient:1@1s,lat=0.5",             // lat below 1
+		"transient:1@1s,rate",                // option without value
+		"rebuild:1@1s,rate=-1",               // non-positive rebuild rate
+		"fail:1@1s,rate=2",                   // option on wrong kind
+		"fail:1@1s-2s",                       // window on non-transient
+		"fail:1@notatime",                    // unparseable time
+		"transient:1@1s,bogus=3",             // unknown option
+		"fail:1@",                            // empty time
+		"expand@5s",                          // expand without disks
+		"expand@5s,disks=0",                  // expand with no devices
+		"expand:2@5s,disks=1",                // expand takes no device
+		"fail:1@5s,retain",                   // retain only applies to expand
+		"storm@5s,n=2,every=1s",              // storm without a sub-kind
+		"storm:fail@5s,n=2,every=1s",         // only crash storms are defined
+		"storm:crash@5s,every=1s",            // storm without n
+		"storm:crash@5s,n=2",                 // storm without every
+		"storm:crash@5s,n=0,every=1s",        // empty storm
+		"dev:3{fail@1s",                      // unbalanced brace
+		"dev:3{fail@1s}}",                    // unbalanced brace
+		"dev:x{fail@1s}",                     // bad device
+		"dev:3{crash@1s}",                    // device-less kind in a dev block
+		"dev:3{expand@1s,disks=1}",           // device-less kind in a dev block
 		"dev:3{storm:crash@1s,n=2,every=1s}", // generator in a dev block
-		"dev:3{fail:2@1s}",       // inner item with its own device
-		"dev:3fail@1s}",          // stray brace
+		"dev:3{fail:2@1s}",                   // inner item with its own device
+		"dev:3fail@1s}",                      // stray brace
 	}
 	for _, spec := range bad {
 		if _, err := ParsePlan(spec); err == nil {

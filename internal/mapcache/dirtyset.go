@@ -1,9 +1,9 @@
 package mapcache
 
 // dirtySet is the growable open-addressing hash set behind
-// Table.IsDirty. The eviction victim scan probes it for a whole window
-// of candidates per eviction — millions of probes per replay — so the
-// probe path is built like cache's keyIndex: Fibonacci multiplicative
+// Table.IsDirty. WLRU's victim scan probes it once per entry reaching
+// the LRU end and every write hit updates it, so the probe path is
+// built like cache's keyIndex: Fibonacci multiplicative
 // hashing, linear probing at <= 0.5 load, backward-shift deletion (no
 // tombstones, so probe chains never rot under write-back churn). A Go
 // map here was measurably the single hottest function of a replay.
