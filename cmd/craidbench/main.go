@@ -14,7 +14,6 @@
 //	craidbench -workers 4 -lookahead 1   # overlap planning with apply (ratios unchanged)
 //	craidbench -workers 4 -affinity      # pin shard groups to long-lived workers (ratios unchanged)
 //	craidbench -remote http://host:8440  # run every cell through a craidd fabric
-//	craidbench -scheduler heap  # A/B the event engine (default: wheel)
 //	craidbench -cpuprofile cpu.pb.gz -table 2   # attach pprof evidence
 //
 // The -budget flag scales each workload so roughly that many gigabytes
@@ -75,18 +74,9 @@ func main() {
 	affinity := flag.Bool("affinity", false, "pin each shard group to one long-lived monitor worker (ratios unchanged)")
 	remote := flag.String("remote", "",
 		"run simulation cells through the craidd fabric at this URL instead of in-process")
-	scheduler := flag.String("scheduler", "", "event engine for every cell: 'wheel' or 'heap' (default: wheel)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file")
 	flag.Parse()
-	if *scheduler != "" {
-		kind, err := sim.ParseScheduler(*scheduler)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "craidbench:", err)
-			os.Exit(2)
-		}
-		sim.SetDefaultScheduler(kind)
-	}
 	experiments.SetParallelism(*parallel)
 	experiments.SetDefaultMapShards(*shards)
 	experiments.SetDefaultMonitorWorkers(*workers)
@@ -206,11 +196,11 @@ func (r *runner) figure(which string) {
 // time plus ns/record and allocs/record over the records the experiment
 // replayed, so hot-loop regressions (time OR garbage) are visible right
 // in the tables a perf PR quotes. A second footer line reports the
-// event engine: events/sec across every cell's engine plus scheduler
-// occupancy (same-instant ring share, timing-wheel placements per
-// level, overflow-heap deferrals/promotions), so a scheduling
-// regression — events leaking into the overflow heap, cascade storms —
-// shows up in the same place as a time regression.
+// event engine: events/sec across every cell's engine, the share that
+// took the same-instant ring, and the most events any engine's timed
+// queue has held — the size its O(pending) insertion is paid on, so a
+// workload that outgrows the queue's design point shows up in the same
+// place as a time regression.
 func (r *runner) timed(label string, fn func()) {
 	var m0, m1 runtime.MemStats
 	rec0 := experiments.ReplayedRecords()
@@ -241,20 +231,11 @@ func printSchedFooter(label string, wall time.Duration, s0, s1 sim.SchedStats) {
 		return // remote runs: the fabric's engines fire, not ours
 	}
 	ring := s1.Ring - s0.Ring
-	deferred := s1.Deferred - s0.Deferred
-	promoted := s1.Promoted - s0.Promoted
-	cascaded := s1.Cascaded - s0.Cascaded
-	var levels strings.Builder
-	for i := range s1.Level {
-		if i > 0 {
-			levels.WriteByte('/')
-		}
-		fmt.Fprintf(&levels, "%d", s1.Level[i]-s0.Level[i])
-	}
-	fmt.Printf("-- %s: %.2fM events/s (%d events, ring %.1f%%), wheel L0/L1/L2 %s, overflow %d deferred %d promoted %d cascaded\n",
+	// MaxPending is a high-water mark, not a counter: it reports the
+	// process so far, which is this table when one table runs.
+	fmt.Printf("-- %s: %.2fM events/s (%d events, ring %.1f%%), timed queue max %d pending\n",
 		label, float64(fired)/wall.Seconds()/1e6, fired,
-		100*float64(ring)/float64(fired), levels.String(),
-		deferred, promoted, cascaded)
+		100*float64(ring)/float64(fired), s1.MaxPending)
 }
 
 func header(title string) {

@@ -682,7 +682,25 @@ type rebuildJob struct {
 	walks    []spanWalk
 	cur      int
 	lostRows int64 // rows this job declared unrecoverable
-	stepFn   func()
+
+	// The batch in flight. A job runs one batch at a time (the write's
+	// completion schedules the next step), so the batch lives in fields
+	// and its three stages are method values bound once at launch: a
+	// rebuild walks millions of rows and allocates nothing per batch.
+	batch     rebuildBatch
+	stepFn    func()
+	readFn    func(sim.Time)
+	decodedFn func()
+	writtenFn func(sim.Time)
+}
+
+// rebuildBatch is one run of consecutive stripe rows being rebuilt.
+type rebuildBatch struct {
+	s       *span
+	blk, n  int64 // device block range of the run
+	rows    int64
+	missing int      // units the decode solves for: the spare plus later erasures
+	start   sim.Time // batch start, which the rate limit paces from
 }
 
 type spanWalk struct {
@@ -721,7 +739,7 @@ func (rt *FaultRuntime) startRebuild(dev int, rateMBps float64) {
 // the rebuilt geometry.
 func (rt *FaultRuntime) launchRebuild(dev int, rateMBps float64) {
 	job := &rebuildJob{rt: rt, dev: dev, rateMBps: rateMBps, epoch: rt.epoch}
-	job.stepFn = job.step
+	job.stepFn, job.readFn, job.decodedFn, job.writtenFn = job.step, job.peersRead, job.decoded, job.written
 	for _, s := range rt.spans() {
 		if s.red == nil {
 			continue
@@ -792,7 +810,6 @@ func (r *rebuildJob) run(sw spanWalk, blk, n, rows int64, peers []int) {
 	rt := r.rt
 	f := rt.arr.faults
 	eng := rt.arr.Eng
-	start := eng.Now()
 	s := sw.s
 	dev := r.dev
 	// Re-plan around erasures that arrived since the rebuild began: every
@@ -811,31 +828,8 @@ func (r *rebuildJob) run(sw spanWalk, blk, n, rows int64, peers []int) {
 		r.abortWalk(sw, rows)
 		return
 	}
-	pace := sim.Time(float64(n*disk.BlockSize) * 1000 / r.rateMBps)
-	sub := rt.arr.newJoin(func(sim.Time) {
-		if r.epoch != rt.epoch {
-			return
-		}
-		eng.After(f.reconPerBlock*sim.Time(n)*sim.Time(missing), func() {
-			if r.epoch != rt.epoch {
-				return
-			}
-			wr := rt.arr.newJoin(func(sim.Time) {
-				if r.epoch != rt.epoch {
-					return
-				}
-				f.stats.RebuildRows += rows
-				f.stats.RebuildBlocks += n
-				next := start + pace
-				if next < eng.Now() {
-					next = eng.Now()
-				}
-				eng.Schedule(next, r.stepFn)
-			})
-			rt.arr.submit(dev, disk.OpWrite, s.base+blk, n, false, wr.branch())
-			wr.seal(eng.Now())
-		})
-	})
+	r.batch = rebuildBatch{s: s, blk: blk, n: n, rows: rows, missing: missing, start: eng.Now()}
+	sub := rt.arr.newJoin(r.readFn)
 	for _, p := range peers {
 		d := s.disks[p]
 		if rt.arr.deviceDown(d) || d == dev {
@@ -845,6 +839,41 @@ func (r *rebuildJob) run(sw spanWalk, blk, n, rows int64, peers []int) {
 		rt.arr.submit(d, disk.OpRead, s.base+blk, n, false, sub.branch())
 	}
 	sub.seal(eng.Now())
+}
+
+// peersRead runs when the batch's peer reads are in: pay the decode.
+func (r *rebuildJob) peersRead(sim.Time) {
+	if r.epoch != r.rt.epoch {
+		return
+	}
+	b := &r.batch
+	r.rt.arr.Eng.After(r.rt.arr.faults.reconPerBlock*sim.Time(b.n)*sim.Time(b.missing), r.decodedFn)
+}
+
+// decoded writes the reconstructed run onto the spare.
+func (r *rebuildJob) decoded() {
+	if r.epoch != r.rt.epoch {
+		return
+	}
+	arr, b := r.rt.arr, &r.batch
+	wr := arr.newJoin(r.writtenFn)
+	arr.submit(r.dev, disk.OpWrite, b.s.base+b.blk, b.n, false, wr.branch())
+	wr.seal(arr.Eng.Now())
+}
+
+// written counts the batch and schedules the next step.
+func (r *rebuildJob) written(sim.Time) {
+	if r.epoch != r.rt.epoch {
+		return
+	}
+	eng, f, b := r.rt.arr.Eng, r.rt.arr.faults, &r.batch
+	f.stats.RebuildRows += b.rows
+	f.stats.RebuildBlocks += b.n
+	next := b.start + sim.Time(float64(b.n*disk.BlockSize)*1000/r.rateMBps)
+	if next < eng.Now() {
+		next = eng.Now()
+	}
+	eng.Schedule(next, r.stepFn)
 }
 
 // abortWalk declares the current span walk unrecoverable — a further

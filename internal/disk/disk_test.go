@@ -401,8 +401,38 @@ func TestSSDChannelContention(t *testing.T) {
 	}
 }
 
-// Property: HDD response time is always at least the controller
-// overhead and the device never loses a request.
+// TestHDDStalledWriteNotStranded is the regression test for a write
+// stranded in the stall queue: (0,512) and (0,504) merge into one dirty
+// range but count 1016 dirty blocks, so after that range destages the
+// counter still reads 504 with nothing left to flush — and the 600-block
+// write stalled behind it used to wait for a destage that never came.
+func TestHDDStalledWriteNotStranded(t *testing.T) {
+	eng := sim.NewEngine()
+	d := NewHDD(eng, CheetahConfig("hdd0"))
+	writes := [][2]int64{{100000, 8}, {0, 512}, {0, 504}, {200000, 600}}
+	done := make([]bool, len(writes))
+	for i, w := range writes {
+		i := i
+		d.Submit(&Request{Op: OpWrite, Block: w[0], Count: w[1],
+			Done: func(sim.Time) { done[i] = true }})
+	}
+	if d.QueueDepth() != 1 {
+		t.Fatalf("queue depth %d after the burst; the scenario needs exactly the last write stalled", d.QueueDepth())
+	}
+	eng.Run()
+	for i, ok := range done {
+		if !ok {
+			t.Errorf("write %v never completed", writes[i])
+		}
+	}
+	if d.QueueDepth() != 0 {
+		t.Errorf("queue depth %d after the engine drained", d.QueueDepth())
+	}
+}
+
+// Property: the device never loses a request — reads, and writes of
+// every size the write cache admits, overlapping on a small hot area so
+// that dirty ranges merge, the cache fills and writes stall.
 func TestPropertyHDDAlwaysCompletes(t *testing.T) {
 	cfg := smallHDDConfig("hdd0")
 	f := func(seed int64, n uint8) bool {
@@ -413,22 +443,81 @@ func TestPropertyHDDAlwaysCompletes(t *testing.T) {
 		got := 0
 		for i := 0; i < want; i++ {
 			op := OpRead
+			count := int64(rng.Intn(32) + 1)
 			if rng.Intn(2) == 1 {
 				op = OpWrite
+				if rng.Intn(2) == 1 {
+					count = int64(rng.Intn(cfg.WriteCacheBlocks) + 1)
+				}
 			}
-			count := int64(rng.Intn(32) + 1)
-			block := rng.Int63n(cfg.CapacityBlocks - count)
-			at := sim.Time(rng.Int63n(int64(sim.Second)))
+			span := cfg.CapacityBlocks
+			if rng.Intn(2) == 1 {
+				span = 4 * int64(cfg.WriteCacheBlocks) // hot area: writes overlap
+			}
+			block := rng.Int63n(span - count)
+			// Bursts: a few instants, so writes pile up faster than they destage.
+			at := sim.Time(rng.Intn(4)) * 100 * sim.Millisecond
 			eng.Schedule(at, func() {
 				d.Submit(&Request{Op: op, Block: block, Count: count,
 					Done: func(sim.Time) { got++ }})
 			})
 		}
 		eng.Run()
-		return got == want
+		return got == want && d.QueueDepth() == 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestHDDLocateMatchesZoneScan pins the zone-table search against a
+// plain scan of the zones, at every zone edge and at random blocks.
+func TestHDDLocateMatchesZoneScan(t *testing.T) {
+	for _, cfg := range []HDDConfig{CheetahConfig("big"), smallHDDConfig("small")} {
+		d := NewHDD(sim.NewEngine(), cfg)
+		blocks := []int64{0, cfg.CapacityBlocks - 1}
+		for _, z := range d.zones {
+			for _, b := range []int64{z.firstBlock - 1, z.firstBlock, z.firstBlock + 1} {
+				if b >= 0 && b < cfg.CapacityBlocks {
+					blocks = append(blocks, b)
+				}
+			}
+		}
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 1000; i++ {
+			blocks = append(blocks, rng.Int63n(cfg.CapacityBlocks))
+		}
+		for _, b := range blocks {
+			var want *zone
+			for i := range d.zones {
+				if z := &d.zones[i]; b >= z.firstBlock && b < z.firstBlock+z.cylinders*z.blocksPCyl {
+					want = z
+				}
+			}
+			zn, cyl, pos := d.locate(b)
+			rel := b - want.firstBlock
+			if zn != want || cyl != want.firstCyl+rel/want.blocksPCyl || pos != rel%want.blocksPT {
+				t.Fatalf("%s: locate(%d) = zone@%d cyl %d pos %d, scan says zone@%d",
+					cfg.Name, b, zn.firstBlock, cyl, pos, want.firstBlock)
+			}
+		}
+	}
+}
+
+// TestHDDHeadEndsAtLastBlock: after a media access the head sits on the
+// cylinder of the access's last block, whether the access stays inside
+// one zone or runs across a zone boundary.
+func TestHDDHeadEndsAtLastBlock(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := smallHDDConfig("hdd0")
+	cfg.CacheSegments = 0
+	d := NewHDD(eng, cfg)
+	edge := d.zones[1].firstBlock
+	for _, acc := range [][2]int64{{edge - 4, 8}, {edge, 8}, {edge + 10, 1000}, {edge - 1000, 1000}, {edge - 1000, 1001}} {
+		runOne(t, eng, d, OpRead, acc[0], acc[1])
+		if _, want, _ := d.locate(acc[0] + acc[1] - 1); d.curCyl != want {
+			t.Errorf("read %d+%d left the head on cylinder %d, last block is on %d", acc[0], acc[1], d.curCyl, want)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package disk
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"craid/internal/sim"
 )
@@ -78,6 +77,7 @@ func CheetahConfig(name string) HDDConfig {
 // zone is a contiguous run of cylinders with a common track density.
 type zone struct {
 	firstBlock int64 // first logical block of the zone
+	endBlock   int64 // first logical block past the zone
 	firstCyl   int64
 	cylinders  int64
 	blocksPT   int64 // blocks per track
@@ -87,6 +87,11 @@ type zone struct {
 // HDD is an event-driven hard-disk model: a single mechanical arm, a
 // rotating platter stack with zoned density, a segmented read cache
 // with read-ahead, an optional write-back buffer, and a queue scheduler.
+//
+// A request's cylinder is resolved once, when it joins the media queue
+// (hddReq.cyl): the SSTF and LOOK schedulers compare every queued
+// request on every dispatch, and must not search the zone table each
+// time they do.
 type HDD struct {
 	eng   *sim.Engine
 	cfg   HDDConfig
@@ -148,6 +153,7 @@ type hddReq struct {
 	op    Op
 	block int64
 	count int64
+	cyl   int64             // cylinder of block; set for media-queue entries only
 	done  func(at sim.Time) // completion: Request.Fail on an injected error when set, else Request.Done
 	fail  bool              // verdict drawn at submit: complete with an error
 	latX  float64           // service-time multiplier drawn at submit (<=1 = none)
@@ -230,6 +236,7 @@ func (d *HDD) buildZones() {
 	if perZone == 0 {
 		perZone = 1
 	}
+	d.zones = make([]zone, 0, cfg.Zones)
 	var block, cyl int64
 	for z := 0; z < cfg.Zones; z++ {
 		frac := float64(z) / float64(cfg.Zones-1)
@@ -254,8 +261,9 @@ func (d *HDD) buildZones() {
 			remaining := cfg.CapacityBlocks - block
 			zn.cylinders = (remaining + zn.blocksPCyl - 1) / zn.blocksPCyl
 		}
-		d.zones = append(d.zones, zn)
 		block += zn.cylinders * zn.blocksPCyl
+		zn.endBlock = block
+		d.zones = append(d.zones, zn)
 		cyl += zn.cylinders
 		if last {
 			break
@@ -294,11 +302,17 @@ func (d *HDD) seekTime(dist int64) sim.Time {
 
 // locate maps a block to its zone, cylinder and position on track.
 func (d *HDD) locate(block int64) (zn *zone, cyl, posOnTrack int64) {
-	i := sort.Search(len(d.zones), func(i int) bool {
-		z := d.zones[i]
-		return block < z.firstBlock+z.cylinders*z.blocksPCyl
-	})
-	z := &d.zones[i]
+	// The first zone ending past block, by binary search.
+	lo, hi := 0, len(d.zones)-1
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if block < d.zones[m].endBlock {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	z := &d.zones[lo]
 	rel := block - z.firstBlock
 	cyl = z.firstCyl + rel/z.blocksPCyl
 	posOnTrack = rel % z.blocksPT
@@ -374,6 +388,7 @@ func (d *HDD) Submit(r *Request) {
 		return
 	}
 
+	_, q.cyl, _ = d.locate(q.block)
 	d.queue = append(d.queue, q)
 	d.kick()
 }
@@ -442,8 +457,7 @@ func (d *HDD) pickNext() hddReq {
 	case SSTF:
 		bestDist := int64(math.MaxInt64)
 		for i := range d.queue {
-			_, cyl, _ := d.locate(d.queue[i].block)
-			dist := cyl - d.curCyl
+			dist := d.queue[i].cyl - d.curCyl
 			if dist < 0 {
 				dist = -dist
 			}
@@ -456,7 +470,7 @@ func (d *HDD) pickNext() hddReq {
 		var bestCyl int64
 		for pass := 0; pass < 2; pass++ {
 			for i := range d.queue {
-				_, cyl, _ := d.locate(d.queue[i].block)
+				cyl := d.queue[i].cyl
 				if d.sweepUp && cyl < d.curCyl || !d.sweepUp && cyl > d.curCyl {
 					continue
 				}
@@ -593,16 +607,25 @@ func (d *HDD) mediaTime(block, count int64, isWrite bool) sim.Time {
 	tracksCrossed := (pos + count - 1) / zn.blocksPT
 	transfer += sim.Time(tracksCrossed) * d.cfg.HeadSwitch
 
-	// Head ends at the cylinder holding the last block.
-	_, endCyl, _ := d.locate(block + count - 1)
-	d.curCyl = endCyl
+	// Head ends at the cylinder holding the last block: almost always in
+	// the zone the access started in.
+	if last := block + count - 1; last < zn.endBlock {
+		d.curCyl = zn.firstCyl + (last-zn.firstBlock)/zn.blocksPCyl
+	} else {
+		_, d.curCyl, _ = d.locate(last)
+	}
 	return seek + rot + transfer
 }
 
 // startDestage flushes the largest dirty range to media in background.
 func (d *HDD) startDestage() {
 	if len(d.dirtyRanges) == 0 {
+		// Overlapping writes merge into one range but count their blocks
+		// twice, so the last range can drain with dirty still positive.
+		// The cache is in fact empty: say so, and let in the writes that
+		// were waiting for the phantom blocks — nothing else will.
 		d.dirty = 0
+		d.admitStalled()
 		return
 	}
 	// Destage the largest range first: frees the most space per seek.

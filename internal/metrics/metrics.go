@@ -127,7 +127,17 @@ func init() {
 			row[j] = a
 		}
 	}
+	for t := range latSmall {
+		latSmall[t] = uint8(latBucket(sim.Time(t)))
+	}
 }
+
+// latSmall[t] is latBucket(t) for t < 256, filled at init from
+// latBucket itself so the bucket edges cannot differ. The histograms
+// double as counters of small integers — a queue depth and a
+// busy-device count per submitted I/O — and those samples skip
+// latBucket's data-dependent compares.
+var latSmall [256]uint8
 
 // latBucket computes the reference bucket in constant time: locate the
 // octave with bits.Len64, then binary-search the 17 precomputed
@@ -165,7 +175,12 @@ func latBucketValue(b int) sim.Time {
 
 // Add records one latency sample.
 func (h *LatencyHist) Add(t sim.Time) {
-	b := latBucket(t)
+	var b int
+	if uint64(t) < uint64(len(latSmall)) {
+		b = int(latSmall[t])
+	} else {
+		b = latBucket(t)
+	}
 	if b >= len(h.buckets) {
 		grown := make([]int64, b+1)
 		copy(grown, h.buckets)

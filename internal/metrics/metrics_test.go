@@ -300,6 +300,19 @@ func BenchmarkLatencyHistAdd(b *testing.B) {
 	}
 }
 
+// BenchmarkLatencyHistAddSmall measures the samples the array
+// instrumentation adds per I/O: queue depths and busy-device counts,
+// small integers answered from the latSmall table.
+func BenchmarkLatencyHistAddSmall(b *testing.B) {
+	h := NewLatencyHist()
+	h.Add(255)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Add(sim.Time(i & 63))
+	}
+}
+
 // BenchmarkLatencyHistAddRef measures the retained floating-point
 // reference bucketing for comparison with the bits-based path.
 func BenchmarkLatencyHistAddRef(b *testing.B) {
@@ -365,6 +378,20 @@ func TestPropertyLatBucketMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 2_000_000; i++ {
 		check(sim.Time(rng.Int63() + 1))
+	}
+}
+
+// TestLatencyHistSmallSamplesMatchReference pins Add's table path for
+// small samples — and the hand-over to latBucket just past it — to the
+// floating-point reference, bucket for bucket.
+func TestLatencyHistSmallSamplesMatchReference(t *testing.T) {
+	for v := sim.Time(-2); v < 2*sim.Time(len(latSmall)); v++ {
+		h := NewLatencyHist()
+		h.Add(v)
+		want := latBucketRef(v)
+		if len(h.buckets) != want+1 || h.buckets[want] != 1 {
+			t.Fatalf("Add(%d) filed the sample in bucket %d, reference %d", v, len(h.buckets)-1, want)
+		}
 	}
 }
 

@@ -14,11 +14,24 @@ const SpreadGranule = 64
 // that all disks have the same access probability") and is what makes
 // hot data "randomly spread over the entire disk" — the dispersion
 // CRAID's cache partition subsequently undoes (§3, benefit iv).
+//
+// A SpreadLayout carries the state of the walk in progress, so — unlike
+// the layouts it wraps — one value must not run ForEachExtent from two
+// goroutines at once. Each simulation owns its layouts.
 type SpreadLayout struct {
 	inner Layout
 	slots int64 // granule slots in the inner space
 	mult  int64 // modular-bijection multiplier over slots
 	data  int64
+
+	// The walk in progress. Handing inner.ForEachExtent (an interface
+	// call) a fresh closure would heap-allocate it on every walk — every
+	// record of every run; instead relocFn is bound once to relocate,
+	// which reads the caller's callback and the granule's address shift
+	// here.
+	walkFn    func(Extent)
+	walkDelta int64 // dataset address minus inner address, this granule
+	relocFn   func(Extent)
 }
 
 // NewSpreadLayout spreads datasetBlocks over inner's address space.
@@ -41,7 +54,9 @@ func NewSpreadLayout(inner Layout, datasetBlocks int64) *SpreadLayout {
 	for gcd64(mult, slots) != 1 {
 		mult++
 	}
-	return &SpreadLayout{inner: inner, slots: slots, mult: mult, data: datasetBlocks}
+	s := &SpreadLayout{inner: inner, slots: slots, mult: mult, data: datasetBlocks}
+	s.relocFn = s.relocate
+	return s
 }
 
 func gcd64(a, b int64) int64 {
@@ -109,17 +124,26 @@ func (s *SpreadLayout) QParityOf(block int64) (PBA, bool) {
 // stripe-unit boundaries.
 func (s *SpreadLayout) ForEachExtent(block, count int64, fn func(Extent)) {
 	checkBlock(s, block, count)
+	// Saved and restored, not just set: fn may itself walk this layout.
+	prevFn, prevDelta := s.walkFn, s.walkDelta
+	s.walkFn = fn
 	for count > 0 {
 		inGranule := SpreadGranule - block%SpreadGranule
 		if inGranule > count {
 			inGranule = count
 		}
-		base := block
-		s.inner.ForEachExtent(s.spreadAddr(block), inGranule, func(e Extent) {
-			e.Logical = base + (e.Logical - s.spreadAddr(base))
-			fn(e)
-		})
+		addr := s.spreadAddr(block)
+		s.walkDelta = block - addr
+		s.inner.ForEachExtent(addr, inGranule, s.relocFn)
 		block += inGranule
 		count -= inGranule
 	}
+	s.walkFn, s.walkDelta = prevFn, prevDelta
+}
+
+// relocate hands one inner extent to the walk's callback, back in
+// dataset addresses.
+func (s *SpreadLayout) relocate(e Extent) {
+	e.Logical += s.walkDelta
+	s.walkFn(e)
 }

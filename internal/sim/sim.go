@@ -6,12 +6,33 @@
 // The engine is intentionally single-threaded: determinism matters more
 // than parallelism here because experiments assert on exact, repeatable
 // results. Events scheduled for the same instant fire in FIFO order.
+//
+// # Cost
+//
+// Future events wait in one slice kept sorted by instant; firing the
+// earliest is an index increment, and scheduling is an insertion from
+// the back, O(pending). That is the right trade for what runs on it.
+// Every pending event is a request some device has in flight, a trace
+// arrival or a fault-plan trigger, so
+//
+//	pending <= devices x requests in flight per device + one arrival
+//
+// (in flight: an HDD's one media access plus the writes its cache is
+// absorbing, an SSD's overlapped operations). Counted on the benchmark's
+// workloads that is 3-13 events on average when one is scheduled and 93
+// at most, with insertions landing at or near the back (0.8-5.3 element
+// moves each); the largest seen anywhere is 571, while craidbench -table
+// fault rebuilds disks under a compressed trace. A heap would win from a
+// hundred or so events pending at random positions, a timing wheel from
+// a few hundred. Engine.SchedStats().MaxPending reports the high-water
+// mark of every run and BenchmarkEngineTimed records the ns/event curve
+// from 4 to 4,096 pending (README, "Event engine"), so a workload that
+// outgrows the assumption shows up as a number.
 package sim
 
 import (
 	"fmt"
 	"math"
-	"os"
 	"sync/atomic"
 	"time"
 )
@@ -50,118 +71,8 @@ func (t Time) String() string { return fmt.Sprintf("%.3fms", t.Milliseconds()) }
 // without a capturing closure.
 type event struct {
 	at  Time
-	seq uint64 // tie-break: FIFO among events at the same instant
 	fn  func()
 	tfn func(Time)
-}
-
-func eventLess(a, b event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// heapPushEvent adds ev to the binary min-heap in *q.
-func heapPushEvent(q *[]event, ev event) {
-	*q = append(*q, ev)
-	h := *q
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !eventLess(h[i], h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-}
-
-// heapPopEvent removes and returns the earliest event in *q.
-func heapPopEvent(q *[]event) event {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{} // release callback references
-	*q = h[:n]
-	h = *q
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && eventLess(h[l], h[min]) {
-			min = l
-		}
-		if r < n && eventLess(h[r], h[min]) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
-	return top
-}
-
-// SchedulerKind selects the timed-queue implementation behind an
-// Engine. Both schedulers implement the exact same contract — events
-// fire in (instant, schedule order) — so every experiment produces
-// bit-identical results under either; the wheel is simply cheaper per
-// event. The heap remains selectable as an escape hatch for one PR.
-type SchedulerKind uint8
-
-const (
-	// SchedulerWheel is the hierarchical timing wheel (the default):
-	// O(1) schedule, near-O(1) dispatch, overflow heap for far-future
-	// events. See wheel.go.
-	SchedulerWheel SchedulerKind = iota
-	// SchedulerHeap is the original binary heap over event values.
-	SchedulerHeap
-)
-
-// String names the scheduler kind ("wheel" or "heap").
-func (k SchedulerKind) String() string {
-	if k == SchedulerHeap {
-		return "heap"
-	}
-	return "wheel"
-}
-
-// ParseScheduler converts a -scheduler flag value to a SchedulerKind.
-func ParseScheduler(s string) (SchedulerKind, error) {
-	switch s {
-	case "wheel":
-		return SchedulerWheel, nil
-	case "heap":
-		return SchedulerHeap, nil
-	}
-	return SchedulerWheel, fmt.Errorf("sim: unknown scheduler %q (want wheel or heap)", s)
-}
-
-// defaultScheduler holds the process-wide SchedulerKind used by
-// NewEngine. Atomic because experiment workers construct engines on
-// concurrent goroutines.
-var defaultScheduler atomic.Uint32
-
-// SetDefaultScheduler selects the queue implementation NewEngine uses.
-// It is process-wide (like runtime GOMAXPROCS) rather than a RunConfig
-// field so the canonical experiment-config encoding — and every frozen
-// config hash derived from it — is unaffected by A/B runs.
-func SetDefaultScheduler(k SchedulerKind) { defaultScheduler.Store(uint32(k)) }
-
-// DefaultScheduler reports the SchedulerKind NewEngine will use.
-func DefaultScheduler() SchedulerKind { return SchedulerKind(defaultScheduler.Load()) }
-
-func init() {
-	// CRAID_SIM_SCHEDULER=heap|wheel flips the whole process for A/B
-	// runs of the full test suite (CI runs one leg with heap).
-	if v := os.Getenv("CRAID_SIM_SCHEDULER"); v != "" {
-		if k, err := ParseScheduler(v); err == nil {
-			SetDefaultScheduler(k)
-		}
-	}
 }
 
 // SchedStats counts scheduler activity. Engine counters are cumulative
@@ -169,87 +80,61 @@ func init() {
 // process (flushed at the end of each Run/RunUntil), which is what the
 // craidbench per-table footer reports.
 type SchedStats struct {
-	Fired    int64              // events dispatched (timed queue + same-tick ring)
-	Ring     int64              // of Fired, same-instant ring events
-	Level    [wheelLevels]int64 // wheel placements per level (incl. cascade re-placements)
-	Deferred int64              // placements into the far-future overflow heap
-	Promoted int64              // overflow events promoted back into the wheel
-	Cascaded int64              // events redistributed by slot cascades
+	Fired      int64 // events dispatched (timed queue + same-instant ring)
+	Ring       int64 // of Fired, same-instant ring events
+	MaxPending int64 // high-water mark of the timed queue's length
 }
 
 var globalSched struct {
-	fired    atomic.Int64
-	ring     atomic.Int64
-	level    [wheelLevels]atomic.Int64
-	deferred atomic.Int64
-	promoted atomic.Int64
-	cascaded atomic.Int64
+	fired      atomic.Int64
+	ring       atomic.Int64
+	maxPending atomic.Int64
 }
 
 // GlobalSchedStats returns scheduler counters aggregated across every
-// engine in the process. Engines flush when Run/RunUntil returns, so
+// engine in the process: Fired and Ring are sums, MaxPending the
+// largest any engine saw. Engines flush when Run/RunUntil returns, so
 // totals are exact between runs.
 func GlobalSchedStats() SchedStats {
-	s := SchedStats{
-		Fired:    globalSched.fired.Load(),
-		Ring:     globalSched.ring.Load(),
-		Deferred: globalSched.deferred.Load(),
-		Promoted: globalSched.promoted.Load(),
-		Cascaded: globalSched.cascaded.Load(),
+	return SchedStats{
+		Fired:      globalSched.fired.Load(),
+		Ring:       globalSched.ring.Load(),
+		MaxPending: globalSched.maxPending.Load(),
 	}
-	for i := range s.Level {
-		s.Level[i] = globalSched.level[i].Load()
-	}
-	return s
 }
 
 // Engine is a discrete-event simulation loop. The zero value is not
 // usable; create one with NewEngine.
 //
-// The timed queue is either a hierarchical timing wheel (the default;
-// see wheel.go) or the original hand-rolled binary heap over event
-// values — both allocation-free in steady state, both firing events in
-// exactly (instant, schedule order).
+// Future events wait in queue[head:], sorted by instant, with events of
+// one instant in the order they were scheduled. That order — the
+// engine's whole contract — holds by construction: a new event is
+// younger than everything queued, so inserting it from the back after
+// every event with at <= its own is exactly (instant, schedule order),
+// with no sequence number to compare.
 //
 // Events scheduled for the *current* instant bypass the timed queue
 // into a FIFO ring: zero-delay completions (instant devices, same-tick
 // callback chains) dominate many workloads and need no ordering work
 // beyond arrival order. Correctness of the split: once the clock
-// reaches T, every new at=T event lands in the ring with a sequence
-// number above all at=T events still in the timed queue (which were
-// scheduled while now < T), so draining queue-at-T before the ring
-// preserves global FIFO order among same-instant events.
+// reaches T, every new at=T event lands in the ring, after all at=T
+// events still in the timed queue (which were scheduled while now < T),
+// so draining queue-at-T before the ring preserves global FIFO order
+// among same-instant events.
 type Engine struct {
 	now      Time
-	seq      uint64
-	queue    []event // binary heap (SchedulerHeap only)
-	wheel    *wheelQ // timing wheel (SchedulerWheel only)
+	queue    []event // timed events: queue[head:] is live, queue[:head] fired
+	head     int
 	ring     []event // FIFO of events due at the current instant
 	ringHead int
 	stopped  bool
-	kind     SchedulerKind
 	stats    SchedStats // cumulative for this engine
 	flushed  SchedStats // portion already added to the global counters
 }
 
 // NewEngine returns an engine with the clock at zero and no pending
-// events, using the process default scheduler (see SetDefaultScheduler).
-func NewEngine() *Engine {
-	return NewEngineScheduler(DefaultScheduler())
-}
-
-// NewEngineScheduler returns an engine backed by the given queue
-// implementation regardless of the process default.
-func NewEngineScheduler(k SchedulerKind) *Engine {
-	e := &Engine{kind: k}
-	if k == SchedulerWheel {
-		e.wheel = newWheelQ(&e.stats)
-	}
-	return e
-}
-
-// Scheduler reports which queue implementation backs this engine.
-func (e *Engine) Scheduler() SchedulerKind { return e.kind }
+// events.
+func NewEngine() *Engine { return &Engine{} }
 
 // SchedStats returns this engine's cumulative scheduler counters.
 func (e *Engine) SchedStats() SchedStats { return e.stats }
@@ -262,102 +147,83 @@ func (e *Engine) flushStats() {
 	}
 	globalSched.fired.Add(d.Fired - f.Fired)
 	globalSched.ring.Add(d.Ring - f.Ring)
-	globalSched.deferred.Add(d.Deferred - f.Deferred)
-	globalSched.promoted.Add(d.Promoted - f.Promoted)
-	globalSched.cascaded.Add(d.Cascaded - f.Cascaded)
-	for i := range d.Level {
-		globalSched.level[i].Add(d.Level[i] - f.Level[i])
+	for {
+		cur := globalSched.maxPending.Load()
+		if d.MaxPending <= cur || globalSched.maxPending.CompareAndSwap(cur, d.MaxPending) {
+			break
+		}
 	}
 	e.flushed = d
 }
 
-// qPush adds a future event to the timed queue.
-func (e *Engine) qPush(ev event) {
-	if e.wheel != nil {
-		e.wheel.push(ev)
-		return
+// pop removes and returns the earliest timed event; the queue must not
+// be empty.
+func (e *Engine) pop() event {
+	ev := e.queue[e.head]
+	e.queue[e.head] = event{} // release callback references
+	e.head++
+	if e.head == len(e.queue) {
+		e.queue, e.head = e.queue[:0], 0
 	}
-	heapPushEvent(&e.queue, ev)
-}
-
-// qLen reports the number of events in the timed queue.
-func (e *Engine) qLen() int {
-	if e.wheel != nil {
-		return e.wheel.n
-	}
-	return len(e.queue)
-}
-
-// qMin reports the earliest timed-queue instant, if any.
-func (e *Engine) qMin() (Time, bool) {
-	if e.wheel != nil {
-		return e.wheel.min()
-	}
-	if len(e.queue) == 0 {
-		return 0, false
-	}
-	return e.queue[0].at, true
-}
-
-// qPop removes and returns the earliest timed-queue event.
-func (e *Engine) qPop() event {
-	if e.wheel != nil {
-		return e.wheel.pop()
-	}
-	return heapPopEvent(&e.queue)
+	return ev
 }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
 // Pending reports the number of scheduled, not-yet-fired events.
-func (e *Engine) Pending() int { return e.qLen() + len(e.ring) - e.ringHead }
+func (e *Engine) Pending() int { return len(e.queue) - e.head + len(e.ring) - e.ringHead }
 
 // Schedule registers fn to run at the absolute simulated instant at.
 // Scheduling in the past (at < Now) panics: it always indicates a
 // modelling bug, and silently clamping would corrupt causality.
-func (e *Engine) Schedule(at Time, fn func()) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
-	}
-	e.seq++
-	if at == e.now {
-		e.ring = append(e.ring, event{at: at, seq: e.seq, fn: fn})
-		return
-	}
-	e.qPush(event{at: at, seq: e.seq, fn: fn})
-}
+func (e *Engine) Schedule(at Time, fn func()) { e.schedule(event{at: at, fn: fn}) }
 
 // ScheduleTimed registers fn to run at the absolute instant at,
 // receiving that instant as its argument. Completion callbacks of type
 // func(Time) can be scheduled directly, without a capturing closure.
-func (e *Engine) ScheduleTimed(at Time, fn func(Time)) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
-	}
-	e.seq++
-	if at == e.now {
-		e.ring = append(e.ring, event{at: at, seq: e.seq, tfn: fn})
-		return
-	}
-	e.qPush(event{at: at, seq: e.seq, tfn: fn})
-}
+func (e *Engine) ScheduleTimed(at Time, fn func(Time)) { e.schedule(event{at: at, tfn: fn}) }
 
-// After registers fn to run delay nanoseconds after the current instant.
-func (e *Engine) After(delay Time, fn func()) {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", delay))
-	}
-	e.Schedule(e.now+delay, fn)
-}
+// After registers fn to run delay nanoseconds after the current
+// instant; a negative delay is scheduling in the past, and panics.
+func (e *Engine) After(delay Time, fn func()) { e.schedule(event{at: e.now + delay, fn: fn}) }
 
 // AfterTimed registers fn to run delay nanoseconds after the current
 // instant, receiving the firing instant.
 func (e *Engine) AfterTimed(delay Time, fn func(Time)) {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", delay))
+	e.schedule(event{at: e.now + delay, tfn: fn})
+}
+
+// schedule files ev: in the ring if it is due now, else in the timed
+// queue behind every event due at or before it.
+func (e *Engine) schedule(ev event) {
+	if ev.at <= e.now {
+		if ev.at < e.now {
+			panic(fmt.Sprintf("sim: schedule at %v before now %v", ev.at, e.now))
+		}
+		e.ring = append(e.ring, ev)
+		return
 	}
-	e.ScheduleTimed(e.now+delay, fn)
+	q := e.queue
+	if len(q) == cap(q) && e.head > len(q)-e.head {
+		// Out of room with a fired prefix longer than the live part:
+		// copy down instead of growing. Each copy frees more than half
+		// the array, so it costs O(1) per event however long the run.
+		n := copy(q, q[e.head:])
+		clear(q[n:]) // the vacated copies still hold callbacks
+		q, e.head = q[:n], 0
+	}
+	q = append(q, ev)
+	i := len(q) - 1
+	for i > e.head && q[i-1].at > ev.at {
+		q[i] = q[i-1]
+		i--
+	}
+	q[i] = ev
+	e.queue = q
+	if n := int64(len(q) - e.head); n > e.stats.MaxPending {
+		e.stats.MaxPending = n
+	}
 }
 
 // Stop makes the currently running Run/RunUntil return after the event
@@ -368,11 +234,11 @@ func (e *Engine) Stop() { e.stopped = true }
 // returns false if no events remain.
 func (e *Engine) Step() bool {
 	var ev event
-	t, ok := e.qMin()
+	timed := e.head < len(e.queue)
 	switch {
-	case ok && t == e.now:
+	case timed && e.queue[e.head].at == e.now:
 		// Timed-queue events due now predate everything in the ring.
-		ev = e.qPop()
+		ev = e.pop()
 	case e.ringHead < len(e.ring):
 		ev = e.ring[e.ringHead]
 		e.ring[e.ringHead] = event{} // release callback references
@@ -381,8 +247,8 @@ func (e *Engine) Step() bool {
 			e.ring, e.ringHead = e.ring[:0], 0
 		}
 		e.stats.Ring++
-	case ok:
-		ev = e.qPop() // the ring is empty: safe to advance the clock
+	case timed:
+		ev = e.pop() // the ring is empty: safe to advance the clock
 	default:
 		return false
 	}
@@ -414,7 +280,7 @@ func (e *Engine) RunUntil(deadline Time) {
 			e.Step()
 			continue
 		}
-		if t, ok := e.qMin(); ok && t <= deadline {
+		if e.head < len(e.queue) && e.queue[e.head].at <= deadline {
 			e.Step()
 			continue
 		}
