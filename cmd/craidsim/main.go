@@ -6,7 +6,7 @@
 //
 //	craidsim -trace wdev -strategy CRAID-5 -pc 0.008
 //	craidsim -trace cello99 -strategy RAID-5+ -budget 2
-//	craidsim -trace wdev -shards 16 -workers 4 -lookahead 1 -maplog dirty.log
+//	craidsim -trace wdev -maplog dirty.log
 //	craidsim -file wdev.trace -format native -dataset-gb 4 -strategy CRAID-5 -pc 0.01
 //	craidsim -file msr.csv -format msr -volume 2 -dataset-gb 4
 //	craidsim -file msr.csv -format msr -pervolume -dataset-gb 4
@@ -22,14 +22,9 @@
 // against an independent simulation in parallel, one result row per
 // volume (all volumes share one file handle via pread-style reads).
 //
-// -workers turns on the multi-queue monitor, -lookahead additionally
-// overlaps its plan phase with the apply stage, -affinity pins each
-// shard group to one long-lived worker, and -maplog attaches a
-// dirty-translation log written through the batched log ring
-// (-maplog-sync fsyncs the file after every flushed buffer); every
-// monitor ratio and Stats field is identical at any
-// -workers/-lookahead/-affinity setting, and the printed plan-ring and
-// map-log lines report how the pipeline behaved.
+// -maplog attaches a dirty-translation log written through the batched
+// log ring (-maplog-sync fsyncs the file after every flushed buffer);
+// the printed map-log line reports the ring's counters.
 //
 // -remote runs the cell on a craidd experiment fabric (cmd/craidd)
 // instead of in-process: the config travels by value, a fabric worker
@@ -64,13 +59,6 @@ func main() {
 	policy := flag.String("policy", "WLRU", "monitor policy: LRU|LFUDA|GDSF|ARC|WLRU")
 	budget := flag.Float64("budget", 0.5, "replayed GB (scales the workload)")
 	bursty := flag.Bool("bursty", false, "bursty arrivals")
-	shards := flag.Int("shards", 0, "mapping-index shards (0 = single tree)")
-	workers := flag.Int("workers", 0,
-		"multi-queue monitor workers (0 = sequential; ratios identical at any value)")
-	lookahead := flag.Int("lookahead", 0,
-		"plan batches this far ahead of the apply stage (0 = plan between batches; ratios identical at any value)")
-	affinity := flag.Bool("affinity", false,
-		"pin each shard group to one long-lived monitor worker (ratios identical either way)")
 	maplog := flag.String("maplog", "",
 		"write the dirty-translation log to this file through the batched log ring")
 	maplogSync := flag.Bool("maplog-sync", false,
@@ -98,21 +86,17 @@ func main() {
 	flag.Parse()
 
 	cfg := experiments.RunConfig{
-		Trace:          *traceName,
-		Scale:          experiments.ScaleFor(*traceName, *budget),
-		Strategy:       experiments.Strategy(*strategy),
-		PCPct:          *pc,
-		Policy:         *policy,
-		Bursty:         *bursty,
-		MapShards:      *shards,
-		MonitorWorkers: *workers,
-		PlanLookahead:  *lookahead,
-		WorkerAffinity: *affinity,
-		MappingLog:     *maplog,
-		MapLogSync:     *maplogSync,
-		FaultSpec:      *faultSpec,
-		TrackLoad:      true,
-		TrackSeq:       true,
+		Trace:      *traceName,
+		Scale:      experiments.ScaleFor(*traceName, *budget),
+		Strategy:   experiments.Strategy(*strategy),
+		PCPct:      *pc,
+		Policy:     *policy,
+		Bursty:     *bursty,
+		MappingLog: *maplog,
+		MapLogSync: *maplogSync,
+		FaultSpec:  *faultSpec,
+		TrackLoad:  true,
+		TrackSeq:   true,
 	}
 	if *file != "" {
 		cfg.Trace = *file
@@ -222,18 +206,9 @@ func main() {
 		fmt.Printf("evictions:    %d (%.2f%% dirty)  copy-ins: %d blocks  writebacks: %d blocks\n",
 			s.Evictions, 100*ratioOf(s.DirtyEvictions, s.Evictions), s.CopyIns, s.Writebacks)
 	}
-	if res.MQ.Batches > 0 {
-		mq := res.MQ
-		fmt.Printf("multi-queue:  %d batches, %d planned (%d applied, %d replanned, %d mid-record)\n",
-			mq.Batches, mq.Planned, mq.Applied, mq.Replanned, mq.SegReplans)
-	}
 	rp := res.Replay
 	fmt.Printf("replay ring:  high water %d, reader stalls %d, replay stalls %d\n",
 		rp.RingHighWater, rp.ReaderStalls, rp.ReplayStalls)
-	if rp.PlannedBatches > 0 {
-		fmt.Printf("plan ring:    %d batches planned ahead, high water %d, planner stalls %d (plan ready early), plan stalls %d (apply waited)\n",
-			rp.PlannedBatches, rp.PlanHighWater, rp.PlannerStalls, rp.PlanStalls)
-	}
 	if res.MapLog.Records > 0 {
 		ml := res.MapLog
 		fmt.Printf("map log:      %d records (%d bytes), %d ring flushes, %d ring stalls, %d fsyncs\n",

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"craid/internal/disk"
@@ -12,7 +11,7 @@ import (
 
 // warmCRAID builds a CRAID on instant devices and warms a working set
 // that fits entirely in P_C, so subsequent Submits are pure hits.
-func warmCRAID(t *testing.T, policy string, shards int) (*sim.Engine, *CRAID) {
+func warmCRAID(t *testing.T, policy string) (*sim.Engine, *CRAID) {
 	t.Helper()
 	eng := sim.NewEngine()
 	arr := nullArray(eng, 10, 1<<30)
@@ -26,7 +25,6 @@ func warmCRAID(t *testing.T, policy string, shards int) (*sim.Engine, *CRAID) {
 		CachePerDisk: 8192,
 		ParityGroup:  10,
 		StripeUnit:   32,
-		MapShards:    shards,
 	}, true, disks, 0, paLayout, disks, 8192)
 	for b := int64(0); b < 1<<16; b += 256 {
 		c.Submit(trace.Record{Op: disk.OpWrite, Block: b, Count: 256}, nil)
@@ -42,13 +40,16 @@ func warmCRAID(t *testing.T, policy string, shards int) (*sim.Engine, *CRAID) {
 func replayAllocs(t *testing.T, n int) float64 {
 	t.Helper()
 	recs := randomWorkload(5, n, 12000)
-	return testing.AllocsPerRun(5, func() {
+	var c *CRAID
+	allocs := testing.AllocsPerRun(5, func() {
 		eng := sim.NewEngine()
-		c, _ := newMQCRAIDAffinity(eng, 64, 1, 1, 0, false)
-		if _, _, err := ReplayWith(eng, c, trace.NewSlice(recs), ReplayConfig{}); err != nil {
+		c, _ = newTestCRAID(eng, 64)
+		if _, err := Replay(eng, c, trace.NewSlice(recs)); err != nil {
 			t.Fatal(err)
 		}
 	})
+	checkInvariants(t, c) // outside the measurement: the check allocates
+	return allocs
 }
 
 // TestReplayAllocsPerRecordZero pins the whole timed replay path —
@@ -78,20 +79,23 @@ func TestReplayAllocsPerRecordZero(t *testing.T) {
 func replayAllocsHDD(t *testing.T, n int) float64 {
 	t.Helper()
 	recs := pacedWorkload(5, n, 50*sim.Millisecond)
-	return testing.AllocsPerRun(3, func() {
+	var c *CRAID
+	allocs := testing.AllocsPerRun(3, func() {
 		eng := sim.NewEngine()
 		devs := make([]disk.Device, 5)
 		for i := range devs {
 			devs[i] = smallCheetah(eng, i, 1024)
 		}
-		c := fiveHDDCRAID(NewArray(eng, devs))
-		if _, _, err := ReplayWith(eng, c, trace.NewSlice(recs), ReplayConfig{}); err != nil {
+		c = fiveHDDCRAID(NewArray(eng, devs))
+		if _, err := Replay(eng, c, trace.NewSlice(recs)); err != nil {
 			t.Fatal(err)
 		}
 		if st := c.Stats(); st.DirtyEvictions == 0 || st.ReadHits+st.WriteHits > (st.ReadBlocks+st.WriteBlocks)/2 {
 			t.Fatalf("replay is not miss-heavy with write-backs: %+v", *st)
 		}
 	})
+	checkInvariants(t, c) // outside the measurement: the check allocates
+	return allocs
 }
 
 // TestReplayAllocsPerRecordZeroHDD is TestReplayAllocsPerRecordZero on
@@ -115,34 +119,31 @@ func TestReplayAllocsPerRecordZeroHDD(t *testing.T) {
 // TestSubmitWarmAllocFree is the monitor's steady-state allocation
 // gate: on a warm cache, a whole Submit — classification, policy
 // access, dirty-flip logging hooks, redirected I/O, latency recording,
-// the event engine drain — performs zero allocations, for every policy
-// and for both a single-tree and a sharded mapping index. This is what
-// keeps GC entirely out of the hot loop at millions of simulated
-// requests per second.
+// the event engine drain — performs zero allocations, for every
+// policy. This is what keeps GC entirely out of the hot loop at
+// millions of simulated requests per second.
 func TestSubmitWarmAllocFree(t *testing.T) {
 	for _, policy := range []string{"LRU", "WLRU", "LFUDA", "GDSF", "ARC"} {
-		for _, shards := range []int{1, 8} {
-			t.Run(fmt.Sprintf("%s/shards=%d", policy, shards), func(t *testing.T) {
-				eng, c := warmCRAID(t, policy, shards)
-				b := int64(0)
-				read := trace.Record{Op: disk.OpRead, Count: 256}
-				write := trace.Record{Op: disk.OpWrite, Count: 256}
-				if allocs := testing.AllocsPerRun(300, func() {
-					read.Block = b
-					c.Submit(read, nil)
-					eng.Run()
-					write.Block = b
-					c.Submit(write, nil)
-					eng.Run()
-					b = (b + 256) % (1 << 16)
-				}); allocs > 0 {
-					t.Fatalf("warm Submit allocated %.1f per round (policy %s, %d shards), want 0",
-						allocs, policy, shards)
-				}
-				if hits := c.Stats().ReadHits; hits == 0 {
-					t.Fatal("warm workload produced no read hits; gate is not testing the hit path")
-				}
-			})
-		}
+		t.Run(policy, func(t *testing.T) {
+			eng, c := warmCRAID(t, policy)
+			b := int64(0)
+			read := trace.Record{Op: disk.OpRead, Count: 256}
+			write := trace.Record{Op: disk.OpWrite, Count: 256}
+			if allocs := testing.AllocsPerRun(300, func() {
+				read.Block = b
+				c.Submit(read, nil)
+				eng.Run()
+				write.Block = b
+				c.Submit(write, nil)
+				eng.Run()
+				b = (b + 256) % (1 << 16)
+			}); allocs > 0 {
+				t.Fatalf("warm Submit allocated %.1f per round (policy %s), want 0", allocs, policy)
+			}
+			if hits := c.Stats().ReadHits; hits == 0 {
+				t.Fatal("warm workload produced no read hits; gate is not testing the hit path")
+			}
+			checkInvariants(t, c)
+		})
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"craid/internal/fault"
 	"craid/internal/raid"
 	"craid/internal/sim"
-	"craid/internal/trace"
 )
 
 // busyCensus checks, at every submission, the array's event-driven
@@ -112,24 +111,13 @@ func censusCRAID(t *testing.T, eng *sim.Engine, ssds int) (*CRAID, *Array, *busy
 	return mustCRAID(arr, cfg, false, ssdIdx, 0, raid.NewRAID5(hdds, hdds, 4096, 4), hddIdx, 0), arr, c
 }
 
-func replayCensus(t *testing.T, eng *sim.Engine, c *CRAID, recs []trace.Record) {
-	t.Helper()
-	n, _, err := ReplayWith(eng, c, trace.NewSlice(recs), ReplayConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(len(recs)) {
-		t.Fatalf("replayed %d of %d", n, len(recs))
-	}
-}
-
 // TestBusyCountMatchesCensusHDD: pushed devices only, with the write
 // cache absorbing, stalling and destaging (busy without a request in
 // service).
 func TestBusyCountMatchesCensusHDD(t *testing.T) {
 	eng := sim.NewEngine()
 	c, arr, census := censusCRAID(t, eng, 0)
-	replayCensus(t, eng, c, pacedWorkload(21, 1000, 400*sim.Microsecond))
+	replayAll(t, eng, c, pacedWorkload(21, 1000, 400*sim.Microsecond))
 	if census.samples < 1000 || census.max < 2 {
 		t.Fatalf("compared %d submissions, at most %d devices busy: the run exercised nothing", census.samples, census.max)
 	}
@@ -146,7 +134,7 @@ func TestBusyCountMatchesCensusHDD(t *testing.T) {
 func TestBusyCountMatchesCensusMixed(t *testing.T) {
 	eng := sim.NewEngine()
 	c, arr, census := censusCRAID(t, eng, 2)
-	replayCensus(t, eng, c, pacedWorkload(22, 1000, 400*sim.Microsecond))
+	replayAll(t, eng, c, pacedWorkload(22, 1000, 400*sim.Microsecond))
 	if census.samples < 1000 || census.max < 2 {
 		t.Fatalf("compared %d submissions, at most %d devices busy: the run exercised nothing", census.samples, census.max)
 	}
@@ -180,7 +168,7 @@ func TestBusyCountMatchesCensusFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.SetDeviceFactory(func(n int) []disk.Device { return census.censusHDDs(eng, arr.Devices(), n) })
-	replayCensus(t, eng, c, pacedWorkload(23, 1000, 400*sim.Microsecond))
+	replayAll(t, eng, c, pacedWorkload(23, 1000, 400*sim.Microsecond))
 	if err := rt.Err(); err != nil {
 		t.Fatal(err)
 	}

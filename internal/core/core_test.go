@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"craid/internal/disk"
-	"craid/internal/mapcache"
 	"craid/internal/raid"
 	"craid/internal/sim"
 	"craid/internal/trace"
@@ -304,6 +303,7 @@ func TestCRAIDExpandInvalidatesAndUsesNewDisks(t *testing.T) {
 			t.Errorf("new device %d received no writes after expansion", i)
 		}
 	}
+	checkInvariants(t, c)
 }
 
 func TestCRAIDExpandDedicatedCacheKeepsGeometry(t *testing.T) {
@@ -332,28 +332,7 @@ func TestCRAIDTablePolicyLockstep(t *testing.T) {
 		block := rng.Int63n(200)
 		count := rng.Int63n(3) + 1
 		submitAndRun(eng, c, op, block, count)
-
-		if c.table.Len() != c.policy.Len() {
-			t.Fatalf("op %d: table %d entries, policy %d", i, c.table.Len(), c.policy.Len())
-		}
-		if int64(c.table.Len()) > c.CacheDataBlocks() {
-			t.Fatalf("op %d: %d mappings exceed P_C capacity %d",
-				i, c.table.Len(), c.CacheDataBlocks())
-		}
-		// No two mappings may share a cache slot.
-		slots := make(map[int64]bool)
-		dup := false
-		c.table.Walk(func(m mapcache.Mapping) bool {
-			if slots[m.Cache] {
-				dup = true
-				return false
-			}
-			slots[m.Cache] = true
-			return true
-		})
-		if dup {
-			t.Fatalf("op %d: duplicate cache slot", i)
-		}
+		checkInvariants(t, c)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"craid/internal/cache"
 	"craid/internal/disk"
@@ -18,20 +17,16 @@ import (
 //
 // The monitor operates at extent (run) granularity, not block
 // granularity. The load-bearing invariants, relied on throughout
-// readPath/writePath/insertRuns:
+// classify/readExtent/writeExtent/insertRuns:
 //
-//  1. mapcache.Index.LookupRun answers, in one O(log k) descent, either
+//  1. mapcache.Table.LookupRun answers, in one O(log k) descent, either
 //     "the run of mappings starting here that is contiguous in BOTH
 //     Orig and Cache" (a hit extent — servable with one P_C I/O) or
 //     "the gap to the next mapping" (a miss extent). The per-block
 //     loops of the original implementation — one descent plus one
 //     policy-map operation per block of every request — are gone; a
 //     256-block sequential request costs a handful of descents instead
-//     of ~512. The index is sharded by archive-address range
-//     (Config.MapShards): results are bit-identical at every shard
-//     count (runs and gaps are stitched across shard boundaries), and
-//     the disjoint per-shard trees are what a future multi-queue
-//     controller will partition its monitor lookups over.
+//     of ~512.
 //
 //  2. Batched policy traffic must be bit-identical to per-block
 //     traffic: cache.Policy.AccessRun/InsertRun are specified (and
@@ -44,7 +39,7 @@ import (
 //     every replacement policy lives on a dense slot arena with one
 //     open-addressing key index (internal/cache — no map[Key]*entry, no
 //     per-key Go-map hashing, no per-entry heap objects), the mapping
-//     cache recycles tree nodes through freelists, the insertRuns
+//     cache recycles tree nodes through a freelist, the insertRuns
 //     newborn scratch, eviction callback and write-back run buffer live
 //     on the CRAID struct, copy-in and latency-record wrappers pool like
 //     joins/RMW ops on the Array, and the span extent walks reuse bound
@@ -60,30 +55,19 @@ import (
 //     the batch's allocation writes, preserving order on shared disk
 //     queues.
 //
-//  5. Mutation stays single-threaded; classification does not. The
-//     multi-queue pipeline (plan.go) classifies whole replay batches
-//     concurrently — one worker per shard group, read-only against the
-//     sharded index — and a sequential apply stage commits every
-//     record in submission order, re-classifying inline whenever a
-//     per-shard structural version says an earlier mutation
-//     invalidated the plan. With Config.PlanLookahead the plan phase
-//     additionally overlaps the apply stage (batch k+1 classifies
-//     while batch k commits), serialized only by the plan gate: apply
-//     write-locks its mutating regions, planner workers classify a
-//     bounded window of tasks per read lock, and the same version
-//     stamps catch staleness.
-//     The discrete-event engine, all Stats and every device counter
-//     are therefore bit-identical to the sequential controller at any
-//     (MonitorWorkers, PlanLookahead) setting. Outside the plan
-//     pipeline one CRAID (like one sim.Engine) remains confined to a
-//     goroutine; cross-experiment parallelism lives in
-//     internal/experiments.RunAll, which runs whole simulations per
-//     worker.
+//  5. One CRAID, like the sim.Engine driving it, is confined to one
+//     goroutine: the monitor classifies each request inline, in
+//     submission order, as the paper's controller does. What runs beside
+//     it is the replay reader goroutine (replay.go), the mapping log's
+//     background writer (note 6), and other whole simulations —
+//     cross-experiment parallelism lives in
+//     internal/experiments.RunAll, one simulation per worker.
 //
-//  6. Dirty-log appends never issue I/O from the apply path: the
-//     mapping log's records accumulate in memory and, when the log is
-//     a mapcache.LogRing, whole buffers flush through a background
-//     writer at apply-step boundaries — same byte stream, same
+//  6. Dirty-log appends never issue I/O from the monitor: the mapping
+//     log's records accumulate in memory and, when the log is a
+//     mapcache.LogRing, whole buffers flush through a background
+//     writer at apply-step boundaries (the end of each Submit,
+//     background copy-in or expansion) — same byte stream, same
 //     recovery, no synchronous Write per translation.
 
 // PCLevel selects the redundancy of the cache partition.
@@ -127,49 +111,6 @@ type Config struct {
 	StripeUnit int64
 	// Level is the cache partition's redundancy (default RAID-5).
 	Level PCLevel
-	// MapShards shards the mapping index into this many contiguous
-	// archive-address ranges (default 1, the paper's single tree).
-	// Monitor behavior — hit, replacement and eviction ratios — is
-	// bit-identical at every shard count; sharding only changes the
-	// index's internal structure (shallower per-shard trees, per-shard
-	// freelists), and gives the multi-queue planner disjoint shard
-	// groups to classify concurrently.
-	MapShards int
-	// MonitorWorkers classifies replayed batches against the mapping
-	// index concurrently: the plan phase routes each record's address
-	// range to one worker per shard group (cross-shard runs split at
-	// shard boundaries and re-stitched), and the sequential apply phase
-	// commits every plan in submission order, re-classifying inline
-	// whenever an earlier mutation invalidated it. Stats, monitor
-	// ratios and per-device counters are bit-identical at every worker
-	// count. Default 1 (sequential); effective workers are capped at
-	// MapShards, so concurrency needs MapShards > 1. Only Replay
-	// batches are planned — direct Submit calls always run the
-	// sequential path.
-	MonitorWorkers int
-	// PlanLookahead overlaps planning with application: the replay
-	// pipeline plans batch k+1 (still one worker per shard group) while
-	// the apply stage commits batch k, keeping up to this many batches
-	// planned ahead. Classification then runs against the live,
-	// mutating index, serialized at task granularity by the plan gate
-	// and validated by the same per-shard version stamps, so Stats,
-	// ratios, device counters and histograms remain bit-identical to
-	// PlanLookahead 0 at every worker count — only the MQStats
-	// applied/replanned split becomes timing-dependent. Default 0
-	// (plan between apply steps); ineffective unless MonitorWorkers
-	// and MapShards allow concurrent planning at all.
-	PlanLookahead int
-	// WorkerAffinity pins each shard group to one persistent planner
-	// goroutine for a whole replay (beginPlanning..endPlanning) instead
-	// of spawning fresh goroutines per batch: on wide hosts the Go
-	// scheduler then tends to keep worker g on one OS thread, so group
-	// g's index shards stay resident in that core's cache across
-	// batches. Pure scheduling policy — the classification work, its
-	// order and its results are identical, so Stats and every counter
-	// remain bit-identical with the knob on or off. Default off;
-	// ineffective unless MonitorWorkers and MapShards allow concurrent
-	// planning at all.
-	WorkerAffinity bool
 	// MapLogSync asks the mapping log's background writer to fsync the
 	// log device after every flushed buffer (mapcache.LogRing's
 	// SetSyncOnFlush), closing the paper's §4.2 NVRAM assumption down
@@ -195,15 +136,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CachePerDisk < c.StripeUnit {
 		c.CachePerDisk = c.StripeUnit // at least one stripe row
-	}
-	if c.MapShards < 1 {
-		c.MapShards = 1
-	}
-	if c.MonitorWorkers < 1 {
-		c.MonitorWorkers = 1
-	}
-	if c.PlanLookahead < 0 {
-		c.PlanLookahead = 0
 	}
 	return c
 }
@@ -283,7 +215,7 @@ type CRAID struct {
 
 	pa *span // archive partition
 
-	table  mapcache.Index
+	table  *mapcache.Table
 	policy cache.Policy
 
 	free freeRuns
@@ -303,21 +235,6 @@ type CRAID struct {
 	insRun   int64
 	insByOp  disk.Op
 	insEvict func(cache.Key)
-
-	mq      *planner // multi-queue batch planner (nil until first batch)
-	mqStats MQStats
-
-	// gate serializes index mutation against lookahead classification.
-	// gated is true only while a lookahead replay's plan stage is
-	// running (set and cleared by the apply goroutine around the
-	// stage's lifetime): the planner's workers then classify a bounded
-	// window of tasks (classifyWindow) per read-side critical section,
-	// and the apply helpers write-lock their mutating regions —
-	// write-hit dirty flips and the insert/evict path. Read hits, the
-	// steady-state majority, take no lock, and outside lookahead
-	// replays every gate check is a single untaken branch.
-	gate  sync.RWMutex
-	gated bool
 
 	// logFlush, when the mapping log is a batching writer (e.g.
 	// mapcache.LogRing), is called once per apply step so the log's
@@ -465,26 +382,11 @@ func NewCRAID(arr *Array, cfg Config, sharedPC bool, cacheDisks []int, cacheBase
 		pa:         newSpan(arr, archiveLayout, archiveDisks, archiveBase),
 	}
 	c.insEvict = c.insertEvicted
-	c.table = newMapIndex(cfg, archiveLayout.DataBlocks())
+	c.table = mapcache.New()
 	if err := c.buildPC(); err != nil {
 		return nil, err
 	}
 	return c, nil
-}
-
-// newMapIndex builds the mapping index for cfg: a single tree, or one
-// sharded into MapShards contiguous ranges covering the archive's
-// address space (the monitor's keys are archive LBAs, so the archive
-// capacity fixes the key range).
-func newMapIndex(cfg Config, archiveBlocks int64) mapcache.Index {
-	if cfg.MapShards <= 1 {
-		return mapcache.New()
-	}
-	span := (archiveBlocks + int64(cfg.MapShards) - 1) / int64(cfg.MapShards)
-	if span < 1 {
-		span = 1
-	}
-	return mapcache.NewSharded(cfg.MapShards, span)
 }
 
 // buildPC (re)creates the cache partition layout, allocator and policy
@@ -538,98 +440,86 @@ func (c *CRAID) CacheDataBlocks() int64 { return c.pcData }
 // not extra capacity).
 func (c *CRAID) DataBlocks() int64 { return c.pa.layout.DataBlocks() }
 
-// Submit implements Volume, realizing the paper's Fig. 2 control flow.
-// It is submitPlanned without a plan, so the direct and the
-// multi-queue paths share one join choreography.
+// Submit implements Volume, realizing the paper's Fig. 2 control flow:
+// the request's blocks are classified against the mapping cache into
+// hit and miss extents, each served as it is found, and the client
+// completes when every extent's I/O has.
 func (c *CRAID) Submit(rec trace.Record, done func(sim.Time)) error {
-	return c.submitPlanned(rec, nil, done)
+	now := c.arr.Eng.Now()
+	var lost0 int64
+	if f := c.arr.faults; f != nil {
+		lost0 = f.stats.LostExtents
+	}
+	j := c.arr.newJoin(c.record(rec.Op, now, done))
+	if rec.Op == disk.OpRead {
+		c.stats.ReadBlocks += rec.Count
+	} else {
+		c.stats.WriteBlocks += rec.Count
+	}
+	c.classify(rec, j)
+	j.seal(now)
+	if err := c.flushLog(); err != nil {
+		return err
+	}
+	if f := c.arr.faults; f != nil && f.stats.LostExtents > lost0 {
+		return &LostError{Op: rec.Op, Block: rec.Block, Count: rec.Count, Extents: f.stats.LostExtents - lost0}
+	}
+	return nil
 }
 
-// readPath serves reads by classifying hit and miss extents inline —
-// one mapping-cache descent per extent instead of one per block (see
-// the performance notes above) — and applying each as it is found.
-// The multi-queue pipeline performs the same classification ahead of
-// time and concurrently (plan.go); both paths commit through the same
-// applyReadSeg, so their observable behavior is identical by
-// construction.
-func (c *CRAID) readPath(rec trace.Record, j *join) {
-	c.stats.ReadBlocks += rec.Count
-	c.classifyTail(rec, j, rec.Block)
-}
-
-// classifyTail classifies and applies [b, rec.End()) inline — one
-// LookupRun per extent, re-classifying after each application so an
-// extent's side effects (an insertion's evictions can land anywhere,
-// including later in this record) are observed. The sequential paths
-// run it for the whole record; the planner's apply stage enters it
-// mid-record when a plan goes stale against the record's own
-// mutations.
-func (c *CRAID) classifyTail(rec trace.Record, j *join, b int64) {
+// classify walks rec's blocks at extent granularity — one mapping-cache
+// descent per hit run or miss gap instead of one per block (see the
+// performance notes above) — serving each extent before looking up the
+// next, so an extent's side effects (an insertion's evictions can land
+// anywhere, including later in this record) are observed.
+func (c *CRAID) classify(rec trace.Record, j *join) {
 	end := rec.End()
-	for b < end {
-		m, n, ok := c.table.LookupRun(b, end-b)
-		s := planSeg{n: n, cache: m.Cache, hit: ok}
+	for b := rec.Block; b < end; {
+		m, n, hit := c.table.LookupRun(b, end-b)
 		if rec.Op == disk.OpRead {
-			c.applyReadSeg(j, b, s, rec.Count)
+			c.readExtent(j, b, n, m.Cache, hit, rec.Count)
 		} else {
-			c.applyWriteSeg(j, b, s, rec.Count)
+			c.writeExtent(j, b, n, m.Cache, hit, rec.Count)
 		}
 		b += n
 	}
 }
 
-// applyReadSeg commits one classified read extent: hits redirect to
-// P_C; misses are served from P_A and copied into P_C in the
-// background (B.1/B.2 in Fig. 2).
-func (c *CRAID) applyReadSeg(j *join, b int64, s planSeg, reqSize int64) {
-	if s.hit {
-		// A run of hits with contiguous cache addresses.
-		c.policy.AccessRun(b, s.n, reqSize)
-		c.stats.ReadHits += s.n
-		c.trackSeq(c.arr.Eng.Now(), 0, s.cache, s.n)
-		c.pc.read(j, s.cache, s.n)
+// readExtent serves one classified read extent of n blocks from b: a
+// hit run redirects to its copies at cache in P_C; a miss gap is served
+// from P_A and copied into P_C in the background (B.1/B.2 in Fig. 2).
+func (c *CRAID) readExtent(j *join, b, n, cache int64, hit bool, reqSize int64) {
+	if hit {
+		c.policy.AccessRun(b, n, reqSize)
+		c.stats.ReadHits += n
+		c.trackSeq(c.arr.Eng.Now(), 0, cache, n)
+		c.pc.read(j, cache, n)
 		return
 	}
-	// A run of misses: serve the client from P_A; once the data is in
-	// memory, copy it into P_C in the background (pooled ciOp — no
-	// closure per miss extent).
-	c.trackSeq(c.arr.Eng.Now(), 1, b, s.n)
-	o := c.newCIOp(b, s.n, j.branch())
+	// Serve the client from P_A; once the data is in memory, copy it
+	// into P_C in the background (pooled ciOp — no closure per miss
+	// extent).
+	c.trackSeq(c.arr.Eng.Now(), 1, b, n)
+	o := c.newCIOp(b, n, j.branch())
 	sub := c.arr.newJoin(o.fn)
-	c.pa.read(sub, b, s.n)
+	c.pa.read(sub, b, n)
 	sub.seal(c.arr.Eng.Now())
 }
 
-// writePath serves writes: always into P_C (allocate on miss), marking
-// blocks dirty. Parity in P_C is maintained with read-modify-write.
-// Like readPath, hit and miss extents are discovered at run granularity
-// and committed through the shared apply helper.
-func (c *CRAID) writePath(rec trace.Record, j *join) {
-	c.stats.WriteBlocks += rec.Count
-	c.classifyTail(rec, j, rec.Block)
-}
-
-// applyWriteSeg commits one classified write extent: hits are
-// overwritten in place (marked dirty); misses allocate fresh cache
-// slots via insertRuns.
-func (c *CRAID) applyWriteSeg(j *join, b int64, s planSeg, reqSize int64) {
-	if s.hit {
-		c.policy.AccessRun(b, s.n, reqSize)
-		if c.gated {
-			// Dirty flips are version-exempt but still write node
-			// fields a lookahead classification may be reading.
-			c.gate.Lock()
-			c.table.SetDirtyRun(b, s.n, true)
-			c.gate.Unlock()
-		} else {
-			c.table.SetDirtyRun(b, s.n, true)
-		}
-		c.stats.WriteHits += s.n
-		c.trackSeq(c.arr.Eng.Now(), 0, s.cache, s.n)
-		c.pc.write(j, s.cache, s.n)
+// writeExtent serves one classified write extent — writes always go to
+// P_C: a hit run is overwritten in place and marked dirty; a miss gap
+// allocates fresh cache slots via insertRuns. Parity in P_C is
+// maintained with read-modify-write.
+func (c *CRAID) writeExtent(j *join, b, n, cache int64, hit bool, reqSize int64) {
+	if hit {
+		c.policy.AccessRun(b, n, reqSize)
+		c.table.SetDirtyRun(b, n, true)
+		c.stats.WriteHits += n
+		c.trackSeq(c.arr.Eng.Now(), 0, cache, n)
+		c.pc.write(j, cache, n)
 		return
 	}
-	c.insertRuns(j, b, s.n, true, disk.OpWrite, reqSize)
+	c.insertRuns(j, b, n, true, disk.OpWrite, reqSize)
 }
 
 // copyIn inserts [b, b+n) into P_C as clean copies (background; the
@@ -650,13 +540,6 @@ func (c *CRAID) copyIn(b, n int64, byOp disk.Op) {
 // done at extent granularity: one LookupRun per sub-run, one policy
 // InsertRun per batch, one mapcache InsertRun per allocated fragment.
 func (c *CRAID) insertRuns(j *join, b, n int64, dirty bool, byOp disk.Op, reqSize int64) {
-	if c.gated {
-		// The whole body interleaves index reads with the mutations
-		// they steer (insertions, the policy's evictions); a lookahead
-		// classification must observe none of it mid-flight.
-		c.gate.Lock()
-		defer c.gate.Unlock()
-	}
 	for i := int64(0); i < n; {
 		blk := b + i
 		m, run, ok := c.table.LookupRun(blk, n-i)
@@ -745,7 +628,7 @@ func (c *CRAID) insertEvicted(victim cache.Key) {
 // evicted together — replacement sweeps walk blocks that were inserted
 // together, so their runs are long.
 func (c *CRAID) evict(victim cache.Key, byOp disk.Op) {
-	m, ok := c.table.Lookup(victim)
+	m, ok := c.table.Remove(victim)
 	if !ok {
 		// The policy and table are updated in lockstep; a policy entry
 		// without a mapping is a programming error.
@@ -757,7 +640,6 @@ func (c *CRAID) evict(victim cache.Key, byOp disk.Op) {
 	} else {
 		c.stats.WriteEvictions++
 	}
-	c.table.Remove(victim)
 	if m.Dirty {
 		c.stats.DirtyEvictions++
 		c.stats.Writebacks++
@@ -801,10 +683,6 @@ func (c *CRAID) flushWritebacks() {
 // receive I/O from the moment they are added. P_A is left untouched:
 // that is the point of CRAID.
 func (c *CRAID) Expand(newDevs []disk.Device) ExpandStats {
-	if c.gated {
-		c.gate.Lock()
-		defer c.gate.Unlock()
-	}
 	st := ExpandStats{Invalidated: int64(c.table.Len())}
 	for _, m := range c.table.DirtyMappings() {
 		st.DirtyWriteback++
@@ -845,13 +723,6 @@ func (c *CRAID) rebuildPC() {
 // conservative invalidation: every live block moves now, instead of the
 // hot subset re-copying on demand later.
 func (c *CRAID) ExpandRetain(newDevs []disk.Device) ExpandStats {
-	if c.gated {
-		// Mid-replay upgrades (fault-plan expand events) fire while a
-		// lookahead plan stage may be classifying: swapping the policy
-		// and regrowing P_C are structural mutations, same as Expand's.
-		c.gate.Lock()
-		defer c.gate.Unlock()
-	}
 	var st ExpandStats
 	if len(newDevs) > 0 {
 		base := c.arr.Devices()
@@ -995,10 +866,7 @@ func (c *CRAID) flushLog() error {
 // copies are reinstated (they are the only ones differing from the
 // archive), clean entries start cold, exactly as §4.2 prescribes. It
 // must be called on a fresh controller before any I/O; it returns the
-// number of recovered mappings. The log carries no index geometry, so
-// a log written under any MapShards setting recovers into a controller
-// configured with any other — the index rebuilds its own shards as the
-// mappings are re-inserted.
+// number of recovered mappings.
 func (c *CRAID) Recover(r io.Reader) (int, error) {
 	if c.table.Len() != 0 || c.next != 0 {
 		return 0, fmt.Errorf("core: Recover on a non-fresh controller")
@@ -1051,15 +919,9 @@ func (c *CRAID) recoverLog(r io.Reader) (int, error) {
 // requests submitted after the restart see the recovered state. It
 // returns the number of recovered mappings.
 func (c *CRAID) CrashRestart(log io.Reader) (int, error) {
-	if c.gated {
-		// A lookahead plan stage may be classifying: tearing the index
-		// down is the most structural mutation there is.
-		c.gate.Lock()
-		defer c.gate.Unlock()
-	}
 	c.epoch++
 	c.wb = c.wb[:0] // queued write-backs die with the incarnation
-	c.table.Clear() // bumps every shard version: all outstanding plans go stale
+	c.table.Clear()
 	c.rebuildPC()
 	if log == nil {
 		return 0, nil

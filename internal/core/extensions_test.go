@@ -112,6 +112,7 @@ func TestExpandRetainKeepsCachedState(t *testing.T) {
 	if !ok || !m.Dirty {
 		t.Error("dirty flag lost across retain expansion")
 	}
+	checkInvariants(t, c)
 }
 
 func TestExpandRetainDedicatedCacheIsNoop(t *testing.T) {
@@ -178,6 +179,7 @@ func TestCRAIDRecoverRestoresDirtyMappings(t *testing.T) {
 			t.Errorf("allocator reused recovered slot %d", m.Cache)
 		}
 	}
+	checkInvariants(t, c2)
 }
 
 func TestCRAIDRecoverRejectsNonFresh(t *testing.T) {

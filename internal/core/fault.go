@@ -38,8 +38,7 @@ func (o FaultOptions) withDefaults() FaultOptions {
 }
 
 // FaultStats aggregates what the fault fabric did to one run. All
-// counters are deterministic for a given plan + seed at every monitor
-// shards/workers/lookahead setting.
+// counters are deterministic for a given plan + seed.
 type FaultStats struct {
 	Failures   int64 // DiskFail events fired
 	Transients int64 // device completions carrying an injected error
@@ -489,8 +488,8 @@ type FaultRuntime struct {
 // making each draw independent of when transient windows open — and
 // every event schedules its sim-clock callback immediately, before any
 // replay records are scheduled, so same-instant fault transitions
-// order ahead of record submissions at every pipeline setting. Call
-// once, before the replay starts.
+// order ahead of record submissions. Call once, before the replay
+// starts.
 //
 // The plan is validated against the array's width first: an event
 // targeting a device the array does not have (accounting for devices

@@ -8,34 +8,18 @@ import (
 	"craid/internal/trace"
 )
 
-// benchFaultParams resolves the fault benches' pipeline shape from the
-// CRAID_TEST_LOOKAHEAD / CRAID_TEST_AFFINITY knobs (default: the
-// sequential single-shard controller). An overlapped or affinity run
-// needs shard groups for the workers to own, so engaging either knob
-// raises shards and workers too — CI's bench-smoke job uses this to
-// time the degraded path under the deep pipeline.
-func benchFaultParams() (shards, workers, lookahead int, affinity bool) {
-	lookahead, affinity = testLookahead(), testAffinity()
-	shards, workers = 1, 1
-	if lookahead > 0 || affinity {
-		shards, workers = 16, 4
-	}
-	return
-}
-
 // BenchmarkReplayFaultFree is the healthy baseline for
 // BenchmarkReplayDegraded: the identical workload and controller with
 // no fault plan installed (the per-submission fault check is a single
 // nil test).
 func BenchmarkReplayFaultFree(b *testing.B) {
 	recs := randomWorkload(5, 2000, 12000)
-	shards, workers, lookahead, affinity := benchFaultParams()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine()
-		c, _ := newMQCRAIDAffinity(eng, 64, shards, workers, lookahead, affinity)
-		if _, _, err := ReplayWith(eng, c, trace.NewSlice(recs), ReplayConfig{}); err != nil {
+		c, _ := newTestCRAID(eng, 64)
+		if _, err := Replay(eng, c, trace.NewSlice(recs)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -51,17 +35,16 @@ func BenchmarkReplayDegraded(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	shards, workers, lookahead, affinity := benchFaultParams()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine()
-		c, arr := newMQCRAIDAffinity(eng, 64, shards, workers, lookahead, affinity)
+		c, arr := newTestCRAID(eng, 64)
 		rt, err := InstallFaults(arr, c, plan, FaultOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := ReplayWith(eng, c, trace.NewSlice(recs), ReplayConfig{}); err != nil {
+		if _, err := Replay(eng, c, trace.NewSlice(recs)); err != nil {
 			b.Fatal(err)
 		}
 		if err := rt.Err(); err != nil {
@@ -81,17 +64,16 @@ func BenchmarkReplayDoubleFault(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	shards, workers, lookahead, affinity := benchFaultParams()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine()
-		c, arr := newMQCRAID6Affinity(eng, 64, shards, workers, lookahead, affinity)
+		c, arr := newTestCRAID6(eng, 64)
 		rt, err := InstallFaults(arr, c, plan, FaultOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := ReplayWith(eng, c, trace.NewSlice(recs), ReplayConfig{}); err != nil {
+		if _, err := Replay(eng, c, trace.NewSlice(recs)); err != nil {
 			b.Fatal(err)
 		}
 		if err := rt.Err(); err != nil {

@@ -52,23 +52,20 @@ func nullFactory(eng *sim.Engine) func(n int) []disk.Device {
 	}
 }
 
-// replayFaultMQ replays recs on a fresh multi-queue CRAID with spec
-// armed, returning the full outcome fingerprint: controller stats and
+// replayFault replays recs on a fresh controller from rig (64 P_C
+// blocks per disk) with spec armed, checks the controller's invariants,
+// and returns the full outcome fingerprint: controller stats and
 // histograms, fault counters, and every device's counter struct
 // (including Errors and Rejected).
-func replayFaultMQ(t *testing.T, recs []trace.Record, spec string, shards, workers, lookahead int) (mqOutcome, FaultStats, []disk.Stats) {
-	t.Helper()
-	return replayFaultMQAffinity(t, recs, spec, shards, workers, lookahead, testAffinity())
-}
-
-func replayFaultMQAffinity(t *testing.T, recs []trace.Record, spec string, shards, workers, lookahead int, affinity bool) (mqOutcome, FaultStats, []disk.Stats) {
+func replayFault(t *testing.T, rig func(*sim.Engine, int64) (*CRAID, *Array),
+	recs []trace.Record, spec string) (outcome, FaultStats, []disk.Stats) {
 	t.Helper()
 	plan, err := fault.ParsePlan(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := sim.NewEngine()
-	c, arr := newMQCRAIDAffinity(eng, 64, shards, workers, lookahead, affinity)
+	c, arr := rig(eng, 64)
 	rt, err := InstallFaults(arr, c, plan, testFaultOptions)
 	if err != nil {
 		t.Fatal(err)
@@ -76,60 +73,55 @@ func replayFaultMQAffinity(t *testing.T, recs []trace.Record, spec string, shard
 	if plan.HasExpand() {
 		rt.SetDeviceFactory(nullFactory(eng))
 	}
-	n, _, err := ReplayWith(eng, c, trace.NewSlice(recs), ReplayConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(len(recs)) {
-		t.Fatalf("replayed %d of %d", n, len(recs))
-	}
+	replayAll(t, eng, c, recs)
 	if err := rt.Err(); err != nil {
 		t.Fatal(err)
 	}
-	r, w := ioTotals(arr)
 	devs := make([]disk.Stats, arr.Devices())
 	for i := range devs {
 		devs[i] = *arr.Device(i).Stats()
 	}
-	return mqOutcome{
-		stats: *c.Stats(), reads: r, writes: w, maps: c.table.Len(),
-		readLat:  c.ReadLatency().String(),
-		writeLat: c.WriteLatency().String(),
-	}, *rt.Stats(), devs
+	return outcomeOf(c, arr), *rt.Stats(), devs
 }
 
-// TestFaultDeterminismAcrossPipelines is the PR's acceptance property:
-// with an identical fault plan and seed, the whole outcome — Stats,
-// fault counters, per-device counters including injected errors, and
-// the latency histograms — is bit-identical at every monitor shards ×
-// workers × lookahead setting. The plan exercises a transient window
-// (retries with backoff), a disk death (degraded reads and writes),
-// and a rebuild under the live workload.
-func TestFaultDeterminismAcrossPipelines(t *testing.T) {
+// replayFaultTwice is replayFault run twice over, requiring the second
+// run to reproduce the first exactly: the simulation is specified to be
+// a function of (workload, plan, seed), while the replay's reader
+// goroutine runs beside it on a schedule of its own. It returns the
+// first run's fault and device counters.
+func replayFaultTwice(t *testing.T, rig func(*sim.Engine, int64) (*CRAID, *Array),
+	recs []trace.Record, spec string) (FaultStats, []disk.Stats) {
+	t.Helper()
+	ref, refFaults, refDevs := replayFault(t, rig, recs, spec)
+	got, gotFaults, gotDevs := replayFault(t, rig, recs, spec)
+	if got != ref {
+		t.Errorf("controller outcome differs between two runs\n got %+v\nwant %+v", got, ref)
+	}
+	if gotFaults != refFaults {
+		t.Errorf("fault stats differ between two runs\n got %+v\nwant %+v", gotFaults, refFaults)
+	}
+	if !reflect.DeepEqual(gotDevs, refDevs) {
+		t.Errorf("device counters differ between two runs")
+	}
+	return refFaults, refDevs
+}
+
+// TestFaultScenarioDeterministic runs a transient window (retries with
+// backoff), a disk death (degraded reads and writes) and a rebuild
+// under the live workload: the plan must exercise all three, lose
+// nothing, leave the controller's invariants intact, and produce the
+// identical outcome — Stats, fault counters, per-device counters
+// including injected errors, latency histograms — when run again.
+func TestFaultScenarioDeterministic(t *testing.T) {
 	const spec = "seed=9;transient:1@5ms-25ms,rate=0.05,lat=3;fail:2@10ms;rebuild:2@20ms,rate=64"
 	recs := randomWorkload(11, 3000, 12000)
-	ref, refFaults, refDevs := replayFaultMQAffinity(t, recs, spec, 1, 1, 0, false)
-	if refFaults.Failures != 1 || refFaults.RebuildRows == 0 {
-		t.Fatalf("plan did not exercise the fabric: %+v", refFaults)
+	faults, _ := replayFaultTwice(t, newTestCRAID, recs, spec)
+	if faults.Failures != 1 || faults.RebuildRows == 0 {
+		t.Fatalf("plan did not exercise the fabric: %+v", faults)
 	}
-	if refFaults.LostExtents != 0 {
-		t.Fatalf("single failure lost %d extents", refFaults.LostExtents)
+	if faults.LostExtents != 0 {
+		t.Fatalf("single failure lost %d extents", faults.LostExtents)
 	}
-	sweepFaultMatrix(t, "single", func(shards, workers, lookahead int, affinity bool) {
-		got, gotFaults, gotDevs := replayFaultMQAffinity(t, recs, spec, shards, workers, lookahead, affinity)
-		if got != ref {
-			t.Errorf("shards=%d workers=%d lookahead=%d affinity=%v: controller outcome diverged",
-				shards, workers, lookahead, affinity)
-		}
-		if gotFaults != refFaults {
-			t.Errorf("shards=%d workers=%d lookahead=%d affinity=%v: fault stats diverged:\n  %+v\n  %+v",
-				shards, workers, lookahead, affinity, gotFaults, refFaults)
-		}
-		if !reflect.DeepEqual(gotDevs, refDevs) {
-			t.Errorf("shards=%d workers=%d lookahead=%d affinity=%v: device counters diverged",
-				shards, workers, lookahead, affinity)
-		}
-	})
 }
 
 // TestFaultHealthyPlanLeavesRunUntouched pins that arming an empty
@@ -137,8 +129,11 @@ func TestFaultDeterminismAcrossPipelines(t *testing.T) {
 // equals a run with no fault runtime at all.
 func TestFaultHealthyPlanLeavesRunUntouched(t *testing.T) {
 	recs := randomWorkload(5, 2000, 12000)
-	plain, _ := replayMQLookahead(t, recs, 64, 2, 2, testLookahead(), ReplayConfig{})
-	armed, faults, _ := replayFaultMQ(t, recs, "seed=7", 2, 2, testLookahead())
+	eng := sim.NewEngine()
+	c, arr := newTestCRAID(eng, 64)
+	replayAll(t, eng, c, recs)
+	plain := outcomeOf(c, arr)
+	armed, faults, _ := replayFault(t, newTestCRAID, recs, "seed=7")
 	if armed != plain {
 		t.Fatal("empty fault plan changed the run outcome")
 	}
@@ -527,7 +522,7 @@ func TestCrashRestartLogRingMatchesSyncControl(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng := sim.NewEngine()
-		c, arr := newMQCRAID(eng, 64, 16, 8, testLookahead())
+		c, arr := newTestCRAID(eng, 64)
 		var log bytes.Buffer
 		var ring *mapcache.LogRing
 		if useRing {
@@ -548,9 +543,7 @@ func TestCrashRestartLogRingMatchesSyncControl(t *testing.T) {
 			}
 			return bytes.NewReader(log.Bytes()), nil
 		})
-		if _, _, err := ReplayWith(eng, c, trace.NewSlice(recs), ReplayConfig{}); err != nil {
-			t.Fatal(err)
-		}
+		replayAll(t, eng, c, recs)
 		if err := rt.Err(); err != nil {
 			t.Fatal(err)
 		}
@@ -600,12 +593,10 @@ func TestCrashRestartLogRingMatchesSyncControl(t *testing.T) {
 func TestCrashRecoveryMidExpandRetain(t *testing.T) {
 	recs := randomWorkload(29, 2500, 12000)
 	eng := sim.NewEngine()
-	c, arr := newMQCRAID(eng, 64, 4, 2, testLookahead())
+	c, arr := newTestCRAID(eng, 64)
 	var log bytes.Buffer
 	c.SetMappingLog(&log)
-	if _, _, err := ReplayWith(eng, c, trace.NewSlice(recs), ReplayConfig{}); err != nil {
-		t.Fatal(err)
-	}
+	replayAll(t, eng, c, recs)
 	logBytes := append([]byte(nil), log.Bytes()...)
 
 	st := c.ExpandRetain([]disk.Device{disk.NewNullDevice(eng, "spare", 100000)})
@@ -625,6 +616,7 @@ func TestCrashRecoveryMidExpandRetain(t *testing.T) {
 		t.Fatal("restart recovered no mappings")
 	}
 	eng.Run() // drain the stale migration reads
+	checkInvariants(t, c)
 	for i := 0; i < arr.Devices(); i++ {
 		if got := arr.Device(i).Stats().Writes; got != writesBefore[i] {
 			t.Fatalf("device %d: %d stale re-placement writes landed after the crash",
@@ -639,7 +631,6 @@ func TestCrashRecoveryMidExpandRetain(t *testing.T) {
 	paLayout := raid.NewRAID5(4, 4, 4096, 4)
 	c2 := mustCRAID(arr2, Config{
 		Policy: "WLRU", CachePerDisk: 64, ParityGroup: 4, StripeUnit: 4,
-		MapShards: 4, MonitorWorkers: 2, PlanLookahead: testLookahead(),
 	}, true, []int{0, 1, 2, 3, 4}, 0, paLayout, []int{0, 1, 2, 3}, 64)
 	n2, err := c2.Recover(bytes.NewReader(logBytes))
 	if err != nil {
@@ -659,12 +650,8 @@ func TestCrashRecoveryMidExpandRetain(t *testing.T) {
 	for i := range recs2 {
 		recs2[i].Time += sim.Second
 	}
-	if _, _, err := ReplayWith(eng, c, trace.NewSlice(recs2), ReplayConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ReplayWith(eng2, c2, trace.NewSlice(recs2), ReplayConfig{}); err != nil {
-		t.Fatal(err)
-	}
+	replayAll(t, eng, c, recs2)
+	replayAll(t, eng2, c2, recs2)
 	if c.table.Len() != c2.table.Len() ||
 		!reflect.DeepEqual(c.table.DirtyMappings(), c2.table.DirtyMappings()) {
 		t.Fatal("phase-2 mapping state diverged between crash survivor and control")
@@ -699,12 +686,13 @@ func (w *stickyErrLog) Err() error { return w.err }
 func TestMappingLogErrorFailsRun(t *testing.T) {
 	recs := randomWorkload(3, 3000, 12000)
 	eng := sim.NewEngine()
-	c, _ := newMQCRAID(eng, 64, 4, 2, testLookahead())
+	c, _ := newTestCRAID(eng, 64)
 	c.SetMappingLog(&stickyErrLog{limit: 4096})
-	_, _, err := ReplayWith(eng, c, trace.NewSlice(recs), ReplayConfig{})
+	_, err := Replay(eng, c, trace.NewSlice(recs))
 	if err == nil {
 		t.Fatal("replay over a dying mapping log reported success")
 	}
+	checkInvariants(t, c)
 	if !strings.Contains(err.Error(), "mapping log") {
 		t.Fatalf("error does not name the mapping log: %v", err)
 	}

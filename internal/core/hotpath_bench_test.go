@@ -10,9 +10,10 @@ import (
 	"craid/internal/trace"
 )
 
-// benchCRAID builds a larger shared-cache CRAID on null devices so the
-// benchmark measures monitor/redirector CPU cost, not simulated disks.
-func benchCRAID(eng *sim.Engine) *CRAID {
+// benchCRAID builds a larger shared-cache CRAID on null devices (P_C: 9
+// data disks × cachePerDisk blocks) so the benchmark measures
+// monitor/redirector CPU cost, not simulated disks.
+func benchCRAID(eng *sim.Engine, cachePerDisk int64) *CRAID {
 	arr := nullArray(eng, 10, 1<<30)
 	disks := make([]int, 10)
 	for i := range disks {
@@ -21,10 +22,10 @@ func benchCRAID(eng *sim.Engine) *CRAID {
 	paLayout := raid.NewRAID5(10, 10, 400_000, 32)
 	return mustCRAID(arr, Config{
 		Policy:       "LRU",
-		CachePerDisk: 8192,
+		CachePerDisk: cachePerDisk,
 		ParityGroup:  10,
 		StripeUnit:   32,
-	}, true, disks, 0, paLayout, disks, 8192)
+	}, true, disks, 0, paLayout, disks, cachePerDisk)
 }
 
 // benchSubmit replays reqs repeatedly through one warmed CRAID, so the
@@ -36,7 +37,7 @@ func benchSubmit(b *testing.B, reqs []trace.Record) {
 		blocks += r.Count
 	}
 	eng := sim.NewEngine()
-	c := benchCRAID(eng)
+	c := benchCRAID(eng, 8192)
 	for _, r := range reqs { // warm: fill P_C and the mapping cache
 		c.Submit(r, nil)
 		eng.Run()

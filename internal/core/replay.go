@@ -18,13 +18,10 @@ const (
 	replayRingDepth = 4
 )
 
-// ReplayConfig tunes the replay pipeline; zero fields take the
-// defaults above. Oversized simulations (wide MSR hosts, very fast
-// instant-mode replays) can trade resident memory for headroom here
-// and read the effect off ReplayStats.
+// ReplayConfig sizes the replay ring; zero fields take the defaults
+// above. The replay tests use small rings to force back-pressure.
 type ReplayConfig struct {
-	// BatchSize is the record capacity of one ring slot — and the unit
-	// the multi-queue planner classifies concurrently.
+	// BatchSize is the record capacity of one ring slot.
 	BatchSize int
 	// RingDepth is the number of slots the reader may fill ahead of
 	// the simulation.
@@ -42,36 +39,21 @@ func (c ReplayConfig) withDefaults() ReplayConfig {
 }
 
 // ReplayStats reports what the replay pipeline did: throughput shape
-// and back-pressure at each stage boundary.
+// and back-pressure between the reader goroutine and the simulation.
 //
-// Reader ↔ ring: ReaderStalls counts the reader finding the ring full
+// ReaderStalls counts the reader finding the ring full
 // (the simulation is the bottleneck — the healthy steady state);
 // ReplayStalls counts the ring's consumer finding it empty after at
 // least one batch was consumed (parsing is the bottleneck — consider a
 // deeper ring, bigger batches, or a per-volume split; the initial
 // pipeline-filling wait is exempt). RingHighWater is the most filled
 // batches resident at once, bounded by the ring depth.
-//
-// Planner ↔ apply (populated only when the volume planned ahead,
-// i.e. Config.PlanLookahead > 0 with an effective multi-queue
-// planner): PlannerStalls counts plans that were ready before the
-// apply stage asked for them (planning is hidden — the healthy
-// overlapped state); PlanStalls counts the apply stage finding the
-// plan ring empty after its first planned batch (planning or parsing
-// is the bottleneck — more workers, or bigger batches, amortize it
-// better). PlanHighWater is the most planned batches resident at once,
-// bounded by the lookahead depth.
 type ReplayStats struct {
 	Records       int64
 	Batches       int64
 	RingHighWater int
 	ReaderStalls  int64
 	ReplayStalls  int64
-
-	PlannedBatches int64
-	PlanHighWater  int
-	PlannerStalls  int64
-	PlanStalls     int64
 }
 
 // replayBatch is one ring slot: records plus the terminal error (io.EOF
@@ -82,24 +64,25 @@ type replayBatch struct {
 }
 
 // recordSource streams pre-parsed batches from a reader goroutine to
-// its consumer — the simulation goroutine, or a plan stage sitting in
-// between. Exhausted batch slices return to the free ring, so
-// steady-state replay recycles the same depth×size records.
+// the simulation goroutine. Exhausted batch slices return to the free
+// ring, so steady-state replay recycles the same depth×size records.
 type recordSource struct {
 	batches chan replayBatch
 	free    chan []trace.Record
 	quit    chan struct{}
 
-	// Cross-goroutine counters; atomics because producer and consumer
-	// may live on different goroutines than the final snapshot reader.
-	// resident counts filled batches handed off but not yet consumed —
-	// tracked explicitly rather than via len(batches), which misses a
-	// send handed directly to an already-blocked receiver.
+	// Counters the reader goroutine writes or shares with the
+	// simulation, hence atomics. resident counts filled batches handed
+	// off but not yet consumed — tracked explicitly rather than via
+	// len(batches), which misses a send handed directly to an
+	// already-blocked receiver.
 	readerStalls atomic.Int64
 	resident     atomic.Int64
 	highWater    atomic.Int64
-	taken        atomic.Int64 // filled batches taken by the consumer
-	replayStalls atomic.Int64
+
+	// Simulation-goroutine only.
+	taken        int64 // filled batches taken
+	replayStalls int64
 }
 
 // startRecordSource launches the reader goroutine pumping r's records
@@ -176,8 +159,8 @@ func (s *recordSource) take() (b replayBatch, ok bool) {
 	select {
 	case b = <-s.batches:
 	default:
-		if s.taken.Load() > 0 {
-			s.replayStalls.Add(1)
+		if s.taken > 0 {
+			s.replayStalls++
 		}
 		select {
 		case b = <-s.batches:
@@ -186,165 +169,51 @@ func (s *recordSource) take() (b replayBatch, ok bool) {
 		}
 	}
 	s.resident.Add(-1)
-	s.taken.Add(1)
+	s.taken++
 	return b, true
 }
 
 // stop terminates the reader goroutine.
 func (s *recordSource) stop() { close(s.quit) }
 
-// plannedBatch pairs one ring batch with its lookahead plans.
-type plannedBatch struct {
-	replayBatch
-	plans []recordPlan
-}
-
-// planStage is the lookahead pipeline stage: a goroutine that takes
-// batches off the record ring, classifies each through the volume's
-// planner, and hands (batch, plans) pairs through a bounded plan ring
-// to the apply stage — so batch k+1 is being planned (and k+2 parsed)
-// while the simulation commits batch k. With depth d the channel
-// buffers d-1 planned batches: one more is always at the rendezvous or
-// under classification, so at most d batches are planned ahead, and
-// the planner's d+1 stitch arenas are never reused while a consumer
-// can still read them.
-type planStage struct {
-	out  chan plannedBatch
-	done chan struct{}
-
-	resident      atomic.Int64
-	highWater     atomic.Int64
-	plannerStalls atomic.Int64
-	planned       atomic.Int64
-	taken         atomic.Int64
-	planStalls    atomic.Int64
-}
-
-// startPlanStage launches the planning goroutine between src and the
-// apply stage. The caller must stop src and then wait on done before
-// disengaging the volume's plan gate.
-func startPlanStage(src *recordSource, bp batchPlanner, depth int) *planStage {
-	ps := &planStage{
-		out:  make(chan plannedBatch, depth-1),
-		done: make(chan struct{}),
-	}
-	go func() {
-		defer close(ps.done)
-		defer close(ps.out)
-		for {
-			b, ok := src.take()
-			if !ok {
-				return
-			}
-			var plans []recordPlan
-			if len(b.recs) > 0 {
-				plans = bp.planBatch(b.recs)
-				ps.planned.Add(1)
-			}
-			occ := ps.resident.Add(1)
-			if depth := int64(cap(ps.out)) + 1; occ > depth {
-				occ = depth // the stage holds the +1 while blocked
-			}
-			select {
-			case ps.out <- plannedBatch{replayBatch: b, plans: plans}:
-				if occ > ps.highWater.Load() {
-					ps.highWater.Store(occ)
-				}
-			default:
-				// The plan was ready before apply wanted it: the
-				// overlapped steady state. Record it, then block until
-				// the apply stage drains batch k.
-				ps.plannerStalls.Add(1)
-				select {
-				case ps.out <- plannedBatch{replayBatch: b, plans: plans}:
-					if occ > ps.highWater.Load() {
-						ps.highWater.Store(occ)
-					}
-				case <-src.quit:
-					return
-				}
-			}
-			if b.err != nil {
-				return // terminal batch delivered: the stream is over
-			}
-		}
-	}()
-	return ps
-}
-
-// take pops the next planned batch for the apply stage, counting a
-// stall when the plan ring is empty after the first planned batch.
-func (ps *planStage) take() (replayBatch, []recordPlan, bool) {
-	var pb plannedBatch
-	var ok bool
-	select {
-	case pb, ok = <-ps.out:
-	default:
-		if ps.taken.Load() > 0 {
-			ps.planStalls.Add(1)
-		}
-		pb, ok = <-ps.out
-	}
-	if !ok {
-		return replayBatch{}, nil, false
-	}
-	ps.resident.Add(-1)
-	ps.taken.Add(1)
-	return pb.replayBatch, pb.plans, true
-}
-
 // batchCursor drains batches one record at a time on the simulation
-// goroutine, recycling drained record slices through the free ring and
-// announcing each fresh batch to the synchronous planner when no plan
-// stage is interposed.
+// goroutine, recycling drained record slices through the free ring.
 type batchCursor struct {
-	take    func() (replayBatch, []recordPlan, bool)
-	free    chan []trace.Record
-	onBatch func(recs []trace.Record) []recordPlan // sync-mode planning
+	src *recordSource
 
 	cur     replayBatch
-	plans   []recordPlan
 	pos     int
 	records int64
 	batches int64
 	err     error // first non-EOF error from the reader
 }
 
-// next returns the next record and its plan (nil when the record was
-// not planned). ok=false means the stream ended — by EOF, teardown, or
-// the error left in err.
-func (cu *batchCursor) next() (trace.Record, *recordPlan, bool) {
+// next returns the next record. ok=false means the stream ended — by
+// EOF, teardown, or the error left in err.
+func (cu *batchCursor) next() (trace.Record, bool) {
 	for {
 		if cu.pos < len(cu.cur.recs) {
 			rec := cu.cur.recs[cu.pos]
-			var p *recordPlan
-			if cu.plans != nil {
-				p = &cu.plans[cu.pos]
-			}
 			cu.pos++
 			cu.records++
-			return rec, p, true
+			return rec, true
 		}
 		if cu.cur.err != nil {
 			if cu.cur.err != io.EOF {
 				cu.err = cu.cur.err
 			}
-			return trace.Record{}, nil, false
+			return trace.Record{}, false
 		}
 		if cu.cur.recs != nil {
-			cu.free <- cu.cur.recs
+			cu.src.free <- cu.cur.recs
 		}
-		b, plans, ok := cu.take()
+		b, ok := cu.src.take()
 		if !ok {
-			return trace.Record{}, nil, false
+			return trace.Record{}, false
 		}
 		cu.cur, cu.pos = b, 0
-		cu.plans = plans
 		if len(b.recs) > 0 {
 			cu.batches++
-			if cu.onBatch != nil {
-				cu.plans = cu.onBatch(b.recs)
-			}
 		}
 	}
 }
@@ -369,63 +238,20 @@ func Replay(eng *sim.Engine, vol Volume, r trace.Reader) (int64, error) {
 // in constant memory without the event loop stalling on the parser
 // between events, and a slow reader only ever blocks the simulation
 // when the whole ring has drained.
-//
-// Volumes implementing batchPlanner (CRAID with MonitorWorkers > 1)
-// additionally get each whole batch handed to their plan phase the
-// moment it leaves the ring: classification against the mapping index
-// runs concurrently, one worker per shard group, while submission —
-// the apply stage — stays strictly in record order. With
-// Config.PlanLookahead > 0 the plan phase moves onto its own pipeline
-// stage and classifies batch k+1 while batch k is being applied,
-// under the volume's plan gate; in every mode the results are
-// bit-identical to a sequential replay.
 func ReplayWith(eng *sim.Engine, vol Volume, r trace.Reader, cfg ReplayConfig) (int64, ReplayStats, error) {
 	src := startRecordSource(r, cfg.withDefaults())
-
-	bp, _ := vol.(batchPlanner)
-	cu := &batchCursor{free: src.free}
-	var ps *planStage
-	if bp != nil {
-		bp.beginPlanning()
-		if depth := bp.planDepth(); depth > 0 {
-			bp.setLookahead(true)
-			ps = startPlanStage(src, bp, depth)
-			cu.take = ps.take
-		} else {
-			cu.onBatch = bp.planBatch
-		}
-	}
-	if cu.take == nil {
-		cu.take = func() (replayBatch, []recordPlan, bool) {
-			b, ok := src.take()
-			return b, nil, ok
-		}
-	}
-	defer func() {
-		src.stop()
-		if ps != nil {
-			// The plan stage must be fully parked before the gate
-			// disengages: its workers read the gated flag.
-			<-ps.done
-			bp.setLookahead(false)
-		}
-		if bp != nil {
-			// After the plan stage (if any) has parked: no classification
-			// can be in flight when the affinity workers are released.
-			bp.endPlanning()
-		}
-	}()
+	defer src.stop()
+	cu := &batchCursor{src: src}
 
 	// The replay keeps exactly one record in flight between schedule and
 	// pump (pump re-schedules only after submitting), so the pending
-	// record parks in captured locals and the same two closures carry the
+	// record parks in a captured local and the same two closures carry the
 	// whole trace — no per-record allocation.
 	var pump func()
-	var pendRec trace.Record
-	var pendPlan *recordPlan
+	var pend trace.Record
 	var subErr error
 	schedule := func() {
-		rec, p, ok := cu.next()
+		rec, ok := cu.next()
 		if !ok {
 			if cu.err != nil {
 				eng.Stop()
@@ -436,18 +262,11 @@ func ReplayWith(eng *sim.Engine, vol Volume, r trace.Reader, cfg ReplayConfig) (
 		if at < eng.Now() {
 			at = eng.Now() // tolerate tiny reordering from parsers
 		}
-		pendRec, pendPlan = rec, p
+		pend = rec
 		eng.Schedule(at, pump)
 	}
 	pump = func() {
-		rec, p := pendRec, pendPlan
-		var err error
-		if bp != nil {
-			err = bp.submitPlanned(rec, p, nil)
-		} else {
-			err = vol.Submit(rec, nil)
-		}
-		if err != nil {
+		if err := vol.Submit(pend, nil); err != nil {
 			// A record the volume could not serve correctly — data lost
 			// beyond redundancy, or a dying mapping log — ends the
 			// replay: the remaining trace would run against a volume
@@ -469,13 +288,7 @@ func ReplayWith(eng *sim.Engine, vol Volume, r trace.Reader, cfg ReplayConfig) (
 		Batches:       cu.batches,
 		RingHighWater: int(src.highWater.Load()),
 		ReaderStalls:  src.readerStalls.Load(),
-		ReplayStalls:  src.replayStalls.Load(),
-	}
-	if ps != nil {
-		st.PlannedBatches = ps.planned.Load()
-		st.PlanHighWater = int(ps.highWater.Load())
-		st.PlannerStalls = ps.plannerStalls.Load()
-		st.PlanStalls = ps.planStalls.Load()
+		ReplayStalls:  src.replayStalls,
 	}
 	if subErr != nil {
 		return st.Records, st, subErr

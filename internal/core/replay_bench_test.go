@@ -41,7 +41,7 @@ func BenchmarkReplayNative(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine()
-		vol := benchCRAID(eng)
+		vol := benchCRAID(eng, 8192)
 		n, err := Replay(eng, vol, trace.NewNativeReader(strings.NewReader(data)))
 		if err != nil {
 			b.Fatal(err)

@@ -37,6 +37,7 @@ func TestReplayParseErrorStopsAndPropagates(t *testing.T) {
 	if n != 10 {
 		t.Fatalf("replayed %d records before the error, want 10", n)
 	}
+	checkInvariants(t, c)
 }
 
 func TestReplayEmptyTrace(t *testing.T) {
@@ -85,6 +86,7 @@ func TestReplayStreamsManyBatches(t *testing.T) {
 	if got := c.Stats().ReadBlocks; got != records {
 		t.Fatalf("volume saw %d blocks, want %d", got, records)
 	}
+	checkInvariants(t, c)
 }
 
 // slowReader paces the parser slower than the simulation to force the
@@ -116,6 +118,7 @@ func TestReplaySurvivesSlowParser(t *testing.T) {
 	if err != nil || n != int64(len(recs)) {
 		t.Fatalf("n=%d err=%v", n, err)
 	}
+	checkInvariants(t, c)
 }
 
 // TestReplayReaderGoroutineExits pins that Replay does not leak its
@@ -194,6 +197,7 @@ func TestReplayWithStatsShape(t *testing.T) {
 	if st.ReaderStalls < 0 || st.ReplayStalls < 0 {
 		t.Fatalf("negative stall counters: %+v", st)
 	}
+	checkInvariants(t, c)
 }
 
 // stallReader yields the first batch instantly, then blocks batch 2
@@ -248,6 +252,7 @@ func TestReplayWithSlowParserCountsStalls(t *testing.T) {
 	if st.ReplayStalls < 1 {
 		t.Errorf("stalled parser produced no replay stalls: %+v", st)
 	}
+	checkInvariants(t, c)
 }
 
 // TestReplayDefaultsUnchanged pins that the zero ReplayConfig keeps

@@ -31,7 +31,7 @@ import (
 // (RunMSRVolumes keeps those cells in-process).
 
 // canonVersion is the canonical-encoding format version.
-const canonVersion = "craid-config/1"
+const canonVersion = "craid-config/2"
 
 // ErrNotCanonical reports a config that cannot be canonically encoded.
 var ErrNotCanonical = fmt.Errorf("experiments: config with TraceAt handle has no canonical form")
@@ -86,15 +86,9 @@ func EncodeConfig(cfg RunConfig) ([]byte, error) {
 		wint("trace_volume", int64(*cfg.TraceVolume))
 	}
 	wint("dataset_blocks", cfg.DatasetBlocks)
-	wint("map_shards", int64(cfg.MapShards))
-	wint("monitor_workers", int64(cfg.MonitorWorkers))
-	wint("plan_lookahead", int64(cfg.PlanLookahead))
-	wbool("worker_affinity", cfg.WorkerAffinity)
 	wstr("fault_spec", cfg.FaultSpec)
 	wstr("mapping_log", cfg.MappingLog)
 	wbool("map_log_sync", cfg.MapLogSync)
-	wint("replay_batch", int64(cfg.ReplayBatch))
-	wint("replay_ring", int64(cfg.ReplayRing))
 	wbool("instant", cfg.Instant)
 	wint("pc_blocks", cfg.PCBlocks)
 	wint("pc_level", int64(cfg.PCLevel))
@@ -208,15 +202,9 @@ func DecodeConfig(data []byte) (RunConfig, error) {
 		}
 	}
 	cfg.DatasetBlocks = rint("dataset_blocks")
-	cfg.MapShards = int(rint("map_shards"))
-	cfg.MonitorWorkers = int(rint("monitor_workers"))
-	cfg.PlanLookahead = int(rint("plan_lookahead"))
-	cfg.WorkerAffinity = rbool("worker_affinity")
 	cfg.FaultSpec = rstr("fault_spec")
 	cfg.MappingLog = rstr("mapping_log")
 	cfg.MapLogSync = rbool("map_log_sync")
-	cfg.ReplayBatch = int(rint("replay_batch"))
-	cfg.ReplayRing = int(rint("replay_ring"))
 	cfg.Instant = rbool("instant")
 	cfg.PCBlocks = rint("pc_blocks")
 	cfg.PCLevel = core.PCLevel(rint("pc_level"))
@@ -243,24 +231,4 @@ func ConfigHash(cfg RunConfig) (string, error) {
 	}
 	sum := sha256.Sum256(enc)
 	return hex.EncodeToString(sum[:]), nil
-}
-
-// ResolveDefaults folds the process-wide matrix defaults
-// (SetDefaultMapShards and friends) into cfg's own fields, returning
-// the configuration Run would effectively execute. Submitting to the
-// fabric requires this: the remote worker's process defaults are not
-// ours, and the content address must capture the knobs that shape the
-// result's pipeline counters.
-func ResolveDefaults(cfg RunConfig) RunConfig {
-	if cfg.MapShards == 0 {
-		cfg.MapShards = defaultMapShards
-	}
-	if cfg.MonitorWorkers == 0 {
-		cfg.MonitorWorkers = defaultMonitorWorkers
-	}
-	if cfg.PlanLookahead == 0 {
-		cfg.PlanLookahead = defaultPlanLookahead
-	}
-	cfg.WorkerAffinity = cfg.WorkerAffinity || defaultWorkerAffinity
-	return cfg
 }

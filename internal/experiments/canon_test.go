@@ -23,9 +23,8 @@ func goldenConfigs() ([]RunConfig, []string) {
 		{},
 		{Trace: "wdev", Scale: 0.002, Strategy: CRAID5, PCPct: 0.008, Policy: "WLRU"},
 		{Trace: "cello99", Scale: 1, Duration: 2 * sim.Hour, Strategy: CRAID5PlusSSD,
-			PCPct: 0.032, Policy: "ARC", MapShards: 16, MonitorWorkers: 4, PlanLookahead: 2,
-			WorkerAffinity: true, FaultSpec: "seed=7;fail:2@5s;rebuild:2@10s,rate=64",
-			MappingLog: "dirty.log", MapLogSync: true, ReplayBatch: 512, ReplayRing: 8,
+			PCPct: 0.032, Policy: "ARC", FaultSpec: "seed=7;fail:2@5s;rebuild:2@10s,rate=64",
+			MappingLog: "dirty.log", MapLogSync: true,
 			Bursty: true, TrackLoad: true, TrackSeq: true},
 		{TraceFile: "msr.csv", TraceFormat: "msr", TraceVolume: &vol, DatasetBlocks: 1 << 20,
 			Scale: 0.25, Strategy: RAID5Plus},
@@ -33,11 +32,11 @@ func goldenConfigs() ([]RunConfig, []string) {
 			PCBlocks: 2000, PCLevel: core.PCLevel(2)},
 	}
 	hashes := []string{
-		"c90b95e8474b20d17a9dce3550d785286bee8bc91545ddc6612cc0e05fd31d83",
-		"dfcaeb7f263199fce9ca8f615aeff848fa654378fc6ea62583764ac0428c5e2d",
-		"4560eb9c50b672b66bab4aa2b5a27ad3bd9ff5aeb499710a9e60038c4a80c327",
-		"394184308f23840f77c8d7d36d90a52b72a1475e5bf8f32f2bdec5e6b447224e",
-		"9816286a7a6813f2706fc8e0ca4d9dff6092b4e656e45ca5541f16b3e6775ba2",
+		"3d442bf3e5e7a02154f2ac4d25ce79863148560c8d48d10bf74dd7ae0afad49b",
+		"9d483e73aa704ec1014d5410a5bd235c45563d0caef7b40f6c9e82a528c02ad4",
+		"3722090c0f64997f5187322176794b1efce5eea2baa4abc539522d13a2f95557",
+		"f78a6d33ba1cbc1afb5337dc301fd4b6f2d7a8fbe6e885029d7ba9fb0ba2f93a",
+		"73ff40674ba6d2b06ecea6cc19b613460c1628e64e787db5832ce3c4059d930a",
 	}
 	return cfgs, hashes
 }
@@ -79,31 +78,25 @@ func TestConfigHashDistinguishesEveryField(t *testing.T) {
 	base := RunConfig{Trace: "wdev", Scale: 0.002, Strategy: CRAID5, PCPct: 0.008}
 	vol := 1
 	muts := map[string]func(*RunConfig){
-		"Trace":          func(c *RunConfig) { c.Trace = "cello99" },
-		"Scale":          func(c *RunConfig) { c.Scale = 0.004 },
-		"Duration":       func(c *RunConfig) { c.Duration = sim.Hour },
-		"Strategy":       func(c *RunConfig) { c.Strategy = CRAID5Plus },
-		"PCPct":          func(c *RunConfig) { c.PCPct = 0.016 },
-		"Policy":         func(c *RunConfig) { c.Policy = "ARC" },
-		"TraceFile":      func(c *RunConfig) { c.TraceFile = "x.trace" },
-		"TraceFormat":    func(c *RunConfig) { c.TraceFormat = "msr" },
-		"TraceVolume":    func(c *RunConfig) { c.TraceVolume = &vol },
-		"DatasetBlocks":  func(c *RunConfig) { c.DatasetBlocks = 1024 },
-		"MapShards":      func(c *RunConfig) { c.MapShards = 8 },
-		"MonitorWorkers": func(c *RunConfig) { c.MonitorWorkers = 2 },
-		"PlanLookahead":  func(c *RunConfig) { c.PlanLookahead = 1 },
-		"WorkerAffinity": func(c *RunConfig) { c.WorkerAffinity = true },
-		"FaultSpec":      func(c *RunConfig) { c.FaultSpec = "seed=7;fail:2@5s" },
-		"MappingLog":     func(c *RunConfig) { c.MappingLog = "d.log" },
-		"MapLogSync":     func(c *RunConfig) { c.MapLogSync = true },
-		"ReplayBatch":    func(c *RunConfig) { c.ReplayBatch = 256 },
-		"ReplayRing":     func(c *RunConfig) { c.ReplayRing = 2 },
-		"Instant":        func(c *RunConfig) { c.Instant = true },
-		"PCBlocks":       func(c *RunConfig) { c.PCBlocks = 100 },
-		"PCLevel":        func(c *RunConfig) { c.PCLevel = core.PCLevel(1) },
-		"Bursty":         func(c *RunConfig) { c.Bursty = true },
-		"TrackLoad":      func(c *RunConfig) { c.TrackLoad = true },
-		"TrackSeq":       func(c *RunConfig) { c.TrackSeq = true },
+		"Trace":         func(c *RunConfig) { c.Trace = "cello99" },
+		"Scale":         func(c *RunConfig) { c.Scale = 0.004 },
+		"Duration":      func(c *RunConfig) { c.Duration = sim.Hour },
+		"Strategy":      func(c *RunConfig) { c.Strategy = CRAID5Plus },
+		"PCPct":         func(c *RunConfig) { c.PCPct = 0.016 },
+		"Policy":        func(c *RunConfig) { c.Policy = "ARC" },
+		"TraceFile":     func(c *RunConfig) { c.TraceFile = "x.trace" },
+		"TraceFormat":   func(c *RunConfig) { c.TraceFormat = "msr" },
+		"TraceVolume":   func(c *RunConfig) { c.TraceVolume = &vol },
+		"DatasetBlocks": func(c *RunConfig) { c.DatasetBlocks = 1024 },
+		"FaultSpec":     func(c *RunConfig) { c.FaultSpec = "seed=7;fail:2@5s" },
+		"MappingLog":    func(c *RunConfig) { c.MappingLog = "d.log" },
+		"MapLogSync":    func(c *RunConfig) { c.MapLogSync = true },
+		"Instant":       func(c *RunConfig) { c.Instant = true },
+		"PCBlocks":      func(c *RunConfig) { c.PCBlocks = 100 },
+		"PCLevel":       func(c *RunConfig) { c.PCLevel = core.PCLevel(1) },
+		"Bursty":        func(c *RunConfig) { c.Bursty = true },
+		"TrackLoad":     func(c *RunConfig) { c.TrackLoad = true },
+		"TrackSeq":      func(c *RunConfig) { c.TrackSeq = true },
 	}
 	// Every serialized RunConfig field except the excluded handle pair
 	// must have a mutation here, so new fields can't dodge the hash.
@@ -152,6 +145,7 @@ func TestDecodeConfigRejectsMangled(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":          nil,
 		"bad version":    []byte("craid-config/999\n"),
+		"old version":    bytes.Replace(enc, []byte("craid-config/2"), []byte("craid-config/1"), 1),
 		"truncated":      enc[:len(enc)/2],
 		"trailing junk":  append(append([]byte{}, enc...), []byte("extra=1\n")...),
 		"swapped fields": bytes.Replace(enc, []byte("trace="), []byte("scale="), 1),
@@ -170,23 +164,20 @@ func TestDecodeConfigRejectsMangled(t *testing.T) {
 // in scope.
 func FuzzConfigEncode(f *testing.F) {
 	f.Add("wdev", 0.002, int64(0), "CRAID-5", 0.008, "WLRU", "", "", -1, int64(0),
-		8, 2, 1, true, "", "", false, 0, 0, false, int64(0), uint8(0), false, false, false)
+		"", "", false, false, int64(0), uint8(0), false, false, false)
 	f.Add("", math.NaN(), int64(-5), "RAID-5", math.Inf(1), "p\x00q", "a.trace", "msr", 3, int64(1<<40),
-		-1, -2, -3, false, "seed=1;crash@2s", "log\n.bin", true, 512, 4, true, int64(77), uint8(255), true, true, false)
+		"seed=1;crash@2s", "log\n.bin", true, true, int64(77), uint8(255), true, true, false)
 	f.Add("héllo\xff", -0.0, int64(1<<62), "s=t\n", 1e-300, "LRU", "=", "native", -100, int64(-1),
-		0, 0, 0, false, "", "", false, 0, 0, false, int64(0), uint8(3), false, false, true)
+		"", "", false, false, int64(0), uint8(3), false, false, true)
 	f.Fuzz(func(t *testing.T, trace string, scale float64, duration int64, strategy string,
 		pcPct float64, policy, traceFile, traceFormat string, traceVolume int, datasetBlocks int64,
-		mapShards, monitorWorkers, planLookahead int, workerAffinity bool,
-		faultSpec, mappingLog string, mapLogSync bool, replayBatch, replayRing int,
+		faultSpec, mappingLog string, mapLogSync bool,
 		instant bool, pcBlocks int64, pcLevel uint8, bursty, trackLoad, trackSeq bool) {
 		cfg := RunConfig{
 			Trace: trace, Scale: scale, Duration: sim.Time(duration),
 			Strategy: Strategy(strategy), PCPct: pcPct, Policy: policy,
 			TraceFile: traceFile, TraceFormat: traceFormat, DatasetBlocks: datasetBlocks,
-			MapShards: mapShards, MonitorWorkers: monitorWorkers, PlanLookahead: planLookahead,
-			WorkerAffinity: workerAffinity, FaultSpec: faultSpec, MappingLog: mappingLog,
-			MapLogSync: mapLogSync, ReplayBatch: replayBatch, ReplayRing: replayRing,
+			FaultSpec: faultSpec, MappingLog: mappingLog, MapLogSync: mapLogSync,
 			Instant: instant, PCBlocks: pcBlocks, PCLevel: core.PCLevel(pcLevel),
 			Bursty: bursty, TrackLoad: trackLoad, TrackSeq: trackSeq,
 		}

@@ -48,7 +48,7 @@ func (c chaosExecutor) Execute(cfgs []RunConfig, emit func(CellResult)) error {
 
 // fakeResult derives a result recognizably tied to (cfg, attempt).
 func fakeResult(cfg RunConfig, attempt int64) RunResult {
-	return RunResult{Cfg: cfg, Requests: int64(cfg.MapShards)*1000 + attempt}
+	return RunResult{Cfg: cfg, Requests: cfg.PCBlocks*1000 + attempt}
 }
 
 // TestRunAllDeterministicOrderUnderChaos pins the scheduling
@@ -58,7 +58,7 @@ func TestRunAllDeterministicOrderUnderChaos(t *testing.T) {
 	const n = 64
 	cfgs := make([]RunConfig, n)
 	for i := range cfgs {
-		cfgs[i] = RunConfig{Trace: fmt.Sprintf("t%d", i), MapShards: i}
+		cfgs[i] = RunConfig{Trace: fmt.Sprintf("t%d", i), PCBlocks: int64(i)}
 	}
 	dup := map[int]bool{3: true, 17: true, 40: true, 63: true}
 	var want []RunResult

@@ -41,7 +41,7 @@ type FaultRow struct {
 
 // RunFault replays cfg twice — once healthy, once with spec installed —
 // and reports the comparison. cfg.FaultSpec is overwritten by spec; all
-// other knobs (strategy, scale, pipeline settings) apply to both runs,
+// other knobs (strategy, scale, cache size) apply to both runs,
 // so the delta isolates the fault fabric's effect.
 func RunFault(name string, cfg RunConfig, spec string) (FaultRow, error) {
 	cfg.FaultSpec = ""

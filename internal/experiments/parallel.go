@@ -22,65 +22,3 @@ func SetParallelism(n int) {
 
 // Parallelism returns the current RunAll worker bound.
 func Parallelism() int { return parallelism }
-
-// defaultMapShards is applied to cells whose RunConfig.MapShards is 0
-// (0 itself defers to core's single-shard default). The table/figure
-// entry points build their RunConfigs internally, so cmd/craidbench
-// threads its -shards flag through here.
-var defaultMapShards = 0
-
-// SetDefaultMapShards sets the mapping-index shard count used by cells
-// that don't specify one. Call before RunAll, not concurrently with it.
-func SetDefaultMapShards(n int) {
-	if n < 0 {
-		n = 0
-	}
-	defaultMapShards = n
-}
-
-// defaultMonitorWorkers is applied to cells whose
-// RunConfig.MonitorWorkers is 0 (0 itself defers to core's sequential
-// monitor). cmd/craidbench and cmd/craidsim thread their -workers
-// flags through here.
-var defaultMonitorWorkers = 0
-
-// SetDefaultMonitorWorkers sets the multi-queue monitor worker count
-// used by cells that don't specify one. Call before RunAll, not
-// concurrently with it. Whole-cell parallelism (SetParallelism) and
-// in-cell monitor concurrency compose: each cell's planner spawns its
-// own workers.
-func SetDefaultMonitorWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	defaultMonitorWorkers = n
-}
-
-// defaultPlanLookahead is applied to cells whose RunConfig.PlanLookahead
-// is 0 (0 itself defers to core's synchronous planning). cmd/craidbench
-// and cmd/craidsim thread their -lookahead flags through here.
-var defaultPlanLookahead = 0
-
-// SetDefaultPlanLookahead sets the plan-pipeline depth used by cells
-// that don't specify one. Call before RunAll, not concurrently with it.
-// Results are bit-identical at every value; only wall-clock and the
-// plan-side ReplayStats change.
-func SetDefaultPlanLookahead(n int) {
-	if n < 0 {
-		n = 0
-	}
-	defaultPlanLookahead = n
-}
-
-// defaultWorkerAffinity is OR-ed with each cell's
-// RunConfig.WorkerAffinity. cmd/craidbench and cmd/craidsim thread
-// their -affinity flags through here.
-var defaultWorkerAffinity = false
-
-// SetDefaultWorkerAffinity pins each shard group to one long-lived
-// planner worker in every cell's monitor (a no-op below 2 workers).
-// Call before RunAll, not concurrently with it. Results are
-// bit-identical either way; only cache residency and wall-clock change.
-func SetDefaultWorkerAffinity(on bool) {
-	defaultWorkerAffinity = on
-}

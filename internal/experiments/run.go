@@ -179,33 +179,11 @@ type RunConfig struct {
 	TraceAt     io.ReaderAt `json:"-"`
 	TraceAtSize int64       `json:"-"`
 
-	// MapShards shards the CRAID mapping index by archive-address
-	// range (0 = core's default single shard). Monitor ratios are
-	// bit-identical at every value.
-	MapShards int
-	// MonitorWorkers classifies replay batches concurrently against
-	// the sharded index, one worker per shard group (0 = core's
-	// default sequential monitor; effective workers are capped at the
-	// shard count). Stats and ratios are bit-identical at every value.
-	MonitorWorkers int
-	// PlanLookahead overlaps the monitor's plan phase with the apply
-	// stage: batch k+1 classifies while batch k commits (0 = core's
-	// default synchronous planning). Stats and ratios are
-	// bit-identical at every value.
-	PlanLookahead int
-	// WorkerAffinity pins each shard group to one long-lived planner
-	// worker for the whole replay instead of handing groups out per
-	// batch, keeping a group's index shards hot in one worker's cache.
-	// Pure scheduling policy: Stats and ratios are bit-identical either
-	// way. Only meaningful with MonitorWorkers > 1.
-	WorkerAffinity bool
-
 	// FaultSpec, when non-empty, installs a deterministic failure plan
 	// (fault.ParsePlan syntax: "seed=7;fail:2@5s;rebuild:2@10s,rate=64")
-	// on the run. The same spec replays bit-identically at every
-	// MapShards/MonitorWorkers/PlanLookahead setting. Plans with a
-	// crash event need a CRAID strategy; the run then keeps an
-	// in-memory mirror of the dirty-translation log to recover from
+	// on the run. The same spec replays bit-identically on every run.
+	// Plans with a crash event need a CRAID strategy; the run then keeps
+	// an in-memory mirror of the dirty-translation log to recover from
 	// (alongside MappingLog's file, if one is configured).
 	FaultSpec string
 
@@ -219,12 +197,6 @@ type RunConfig struct {
 	// stable media instead of merely handed to the OS. The recovery
 	// byte stream is identical at both settings.
 	MapLogSync bool
-
-	// ReplayBatch and ReplayRing tune the replay pipeline's
-	// pre-parsed record ring (0 = core defaults: 1024 × 4). The batch
-	// is also the unit the multi-queue planner classifies at once.
-	ReplayBatch int
-	ReplayRing  int
 
 	Instant  bool  // instant-service devices (§5.1 policy experiments)
 	PCBlocks int64 // Instant mode: direct P_C capacity override
@@ -248,12 +220,9 @@ type RunResult struct {
 
 	CRAID *core.Stats // nil for the plain baselines
 
-	// Replay reports the pipeline's back-pressure counters; MQ the
-	// multi-queue planner's activity (zero for sequential monitors and
-	// the plain baselines); MapLog the dirty-log ring's counters (zero
-	// unless MappingLog was set).
+	// Replay reports the replay ring's back-pressure counters; MapLog
+	// the dirty-log ring's counters (zero unless MappingLog was set).
 	Replay core.ReplayStats
-	MQ     core.MQStats
 	MapLog mapcache.LogRingStats
 
 	// Fault KPIs, populated when FaultSpec installed a plan: the fault
@@ -446,8 +415,7 @@ func Run(cfg RunConfig) (RunResult, error) {
 		}
 	}
 
-	n, rst, err := core.ReplayWith(eng, vol, trace.Clamp(rd, vol.DataBlocks()),
-		core.ReplayConfig{BatchSize: cfg.ReplayBatch, RingDepth: cfg.ReplayRing})
+	n, rst, err := core.ReplayWith(eng, vol, trace.Clamp(rd, vol.DataBlocks()), core.ReplayConfig{})
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -477,7 +445,6 @@ func Run(cfg RunConfig) (RunResult, error) {
 	}
 	if c, ok := vol.(*core.CRAID); ok {
 		res.CRAID = c.Stats()
-		res.MQ = *c.MQ()
 	}
 	if faultRT != nil {
 		res.Fault = faultRT.Stats()
@@ -566,39 +533,13 @@ func buildVolume(eng *sim.Engine, cfg RunConfig, dataset int64) (core.Volume, *c
 		return raid.NewSpreadLayout(inner, dataset), nil
 	}
 
-	shards := cfg.MapShards
-	if shards == 0 {
-		shards = defaultMapShards
-	}
-	workers := cfg.MonitorWorkers
-	if workers == 0 {
-		workers = defaultMonitorWorkers
-	}
-	lookahead := cfg.PlanLookahead
-	if lookahead == 0 {
-		lookahead = defaultPlanLookahead
-	}
-	affinity := cfg.WorkerAffinity || defaultWorkerAffinity
-	if workers > 1 && shards == 0 {
-		// No shard count requested anywhere: concurrency needs
-		// disjoint shard groups to own, so give each worker a few
-		// shards of headroom (ratios are bit-identical at every shard
-		// count, so this changes nothing observable). An explicit
-		// single-tree request (MapShards/-shards 1) is honored — the
-		// planner then degrades to the sequential monitor.
-		shards = 4 * workers
-	}
 	ccfg := core.Config{
-		Policy:         cfg.Policy,
-		CachePerDisk:   pcPerDisk,
-		ParityGroup:    TestbedParityGroup,
-		StripeUnit:     TestbedStripeUnit,
-		Level:          cfg.PCLevel,
-		MapShards:      shards,
-		MonitorWorkers: workers,
-		PlanLookahead:  lookahead,
-		WorkerAffinity: affinity,
-		MapLogSync:     cfg.MapLogSync,
+		Policy:       cfg.Policy,
+		CachePerDisk: pcPerDisk,
+		ParityGroup:  TestbedParityGroup,
+		StripeUnit:   TestbedStripeUnit,
+		Level:        cfg.PCLevel,
+		MapLogSync:   cfg.MapLogSync,
 	}
 	if cfg.Instant && cfg.PCBlocks > 0 {
 		// Policy-quality experiments size P_C directly in blocks.

@@ -135,12 +135,7 @@ func (c *Client) Execute(cfgs []experiments.RunConfig, emit func(experiments.Cel
 	if len(remoteIdx) > 0 {
 		cells := make([]experiments.RunConfig, len(remoteIdx))
 		for j, i := range remoteIdx {
-			// The service and its workers don't share our process-wide
-			// matrix defaults (-shards/-workers/-lookahead/-affinity),
-			// so fold them into the shipped config — which also makes
-			// them part of the content address, as they must be: they
-			// shape the result's pipeline counters.
-			cells[j] = experiments.ResolveDefaults(cfgs[i])
+			cells[j] = cfgs[i]
 		}
 		remoteErr = c.submit(cells, func(line jobLine) {
 			if line.Index < 0 || line.Index >= len(remoteIdx) {

@@ -55,6 +55,16 @@ func cheapCell(policy string, pcBlocks int64) experiments.RunConfig {
 	}
 }
 
+// dropRingTelemetry zeroes the replay ring's back-pressure counters:
+// they are wall-clock telemetry, not simulation output (see
+// TestRunAllDeterministicAcrossParallelism) — under host load two runs
+// of one cell fill the ring differently without any result diverging.
+func dropRingTelemetry(rs ...*experiments.RunResult) {
+	for _, r := range rs {
+		r.Replay.ReaderStalls, r.Replay.ReplayStalls, r.Replay.RingHighWater = 0, 0, 0
+	}
+}
+
 // --- Store ---
 
 func TestStoreRoundTrip(t *testing.T) {
@@ -329,13 +339,7 @@ func TestFabricEndToEndMatchesLocalAndCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range want {
-		// Ring back-pressure is wall-clock telemetry, not simulation
-		// output (see TestRunAllDeterministicAcrossParallelism): under
-		// host load the fabric and local runs can fill the replay ring
-		// differently without any result diverging.
-		got[i].Replay.ReaderStalls, want[i].Replay.ReaderStalls = 0, 0
-		got[i].Replay.ReplayStalls, want[i].Replay.ReplayStalls = 0, 0
-		got[i].Replay.RingHighWater, want[i].Replay.RingHighWater = 0, 0
+		dropRingTelemetry(&got[i], &want[i])
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Errorf("cell %d differs across the fabric:\n got %+v\nwant %+v", i, got[i], want[i])
 		}
@@ -355,9 +359,7 @@ func TestFabricEndToEndMatchesLocalAndCaches(t *testing.T) {
 		t.Fatalf("warm run recomputed cells: total %d, want still 3", n)
 	}
 	for i := range got2 {
-		got2[i].Replay.ReaderStalls = 0
-		got2[i].Replay.ReplayStalls = 0
-		got2[i].Replay.RingHighWater = 0
+		dropRingTelemetry(&got2[i])
 	}
 	if !reflect.DeepEqual(got2, got) {
 		t.Fatal("warm-cache results differ from cold results")
@@ -400,6 +402,7 @@ func TestRemoteWorkerOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dropRingTelemetry(&res, &want)
 	if !reflect.DeepEqual(res, want) {
 		t.Fatalf("remote-worker result differs:\n got %+v\nwant %+v", res, want)
 	}
@@ -426,6 +429,58 @@ func TestFabricCellErrorPropagates(t *testing.T) {
 	// Errors are not cached: the store stays empty.
 	if n, _ := srv.store.Len(); n != 0 {
 		t.Fatalf("failed cell cached: %d entries", n)
+	}
+}
+
+// TestFabricWorkerPanicIsCellError pins that a panicking cell — the
+// simulator panics on invariant violations by design — is an ordinary
+// cell error: the one local worker survives it, the client gets the
+// error for that cell's index, the batch's other cells complete, and
+// the service still serves the next batch.
+func TestFabricWorkerPanicIsCellError(t *testing.T) {
+	runner := func(cfg experiments.RunConfig) (experiments.RunResult, error) {
+		if cfg.Policy == "ARC" {
+			panic("core: policy evicted unmapped block 7")
+		}
+		return experiments.Run(cfg)
+	}
+	srv, err := NewServer(Options{Store: newTestStore(t), Runner: runner, LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.StartLocalWorkers(1) // one worker: if the panic killed it, nothing below would finish
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	client := NewClient(hs.URL)
+
+	cfgs := []experiments.RunConfig{cheapCell("LRU", 500), cheapCell("ARC", 500), cheapCell("LRU", 900)}
+	var mu sync.Mutex
+	cells := make([]experiments.CellResult, len(cfgs))
+	if err := client.Execute(cfgs, func(cr experiments.CellResult) {
+		mu.Lock()
+		defer mu.Unlock()
+		cells[cr.Index] = cr
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 2} {
+		if cells[i].Err != nil || cells[i].Result.Requests == 0 {
+			t.Errorf("cell %d beside the panicking one: err=%v requests=%d", i, cells[i].Err, cells[i].Result.Requests)
+		}
+	}
+	if err := cells[1].Err; err == nil ||
+		!strings.Contains(err.Error(), "panic: core: policy evicted unmapped block 7") ||
+		!strings.Contains(err.Error(), "fabric_test.go") {
+		t.Fatalf("panicking cell's error = %v, want the panic value and the stack frame that raised it", err)
+	}
+	if n, _ := srv.store.Len(); n != 2 {
+		t.Errorf("store holds %d entries, want the 2 cells that succeeded", n)
+	}
+
+	res, err := client.Run(cheapCell("WLRU", 700))
+	if err != nil || res.Requests == 0 {
+		t.Fatalf("batch after the panic: err=%v requests=%d", err, res.Requests)
 	}
 }
 
@@ -482,6 +537,7 @@ func TestFabricRequeueRecoversFromDeadWorker(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		dropRingTelemetry(&res, &want)
 		if !reflect.DeepEqual(res, want) {
 			t.Fatal("requeued result differs from direct run")
 		}
@@ -613,9 +669,7 @@ func TestFabricClientRetriesTransientFailures(t *testing.T) {
 				t.Fatalf("submit did not survive transient failures: %v", err)
 			}
 			for i := range want {
-				got[i].Replay.ReaderStalls, want[i].Replay.ReaderStalls = 0, 0
-				got[i].Replay.ReplayStalls, want[i].Replay.ReplayStalls = 0, 0
-				got[i].Replay.RingHighWater, want[i].Replay.RingHighWater = 0, 0
+				dropRingTelemetry(&got[i], &want[i])
 				if !reflect.DeepEqual(got[i], want[i]) {
 					t.Errorf("cell %d differs after retried submit:\n got %+v\nwant %+v", i, got[i], want[i])
 				}

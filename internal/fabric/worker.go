@@ -1,7 +1,10 @@
 package fabric
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"runtime/debug"
 	"time"
 
 	"craid/internal/experiments"
@@ -38,8 +41,8 @@ type Worker struct {
 }
 
 // Loop pulls and runs cells until ctx is cancelled. Transport errors
-// back off and retry; cell errors are reported to the server and the
-// loop continues.
+// back off and retry; cell errors — a panicking cell included — are
+// reported to the server and the loop continues.
 func (w *Worker) Loop(ctx context.Context) {
 	run := w.Run
 	if run == nil {
@@ -96,11 +99,36 @@ func (w *Worker) process(ctx context.Context, l *Lease, run func(experiments.Run
 			}
 		}
 	}()
-	res, err := run(l.Config)
+	res, errMsg := runCell(run, l.Config)
 	stopHB()
-	errMsg := ""
-	if err != nil {
-		errMsg = err.Error()
-	}
 	w.API.CompleteLease(l.ID, l.Hash, res, errMsg)
+}
+
+// panicStackLines is how much of the panicking goroutine's stack a cell
+// error carries: the first seven lines are the goroutine header,
+// debug.Stack, runCell's deferred function and panic itself, the rest
+// are the seven innermost frames of the simulator.
+const panicStackLines = 21
+
+// runCell runs one cell and returns its result and error message (""
+// = success). A panic becomes the cell's error: core, sim and mapcache
+// panic on invariant violations by design, and left alone one such cell
+// would kill the worker process — in craidd every queued job with it —
+// and, requeued after its lease expired, the next worker too.
+func runCell(run func(experiments.RunConfig) (experiments.RunResult, error), cfg experiments.RunConfig) (res experiments.RunResult, errMsg string) {
+	defer func() {
+		if p := recover(); p != nil {
+			stack := bytes.SplitAfterN(debug.Stack(), []byte("\n"), panicStackLines+1)
+			if len(stack) > panicStackLines {
+				stack = stack[:panicStackLines]
+			}
+			res = experiments.RunResult{}
+			errMsg = fmt.Sprintf("panic: %v\n%s", p, bytes.Join(stack, nil))
+		}
+	}()
+	res, err := run(cfg)
+	if err != nil {
+		return res, err.Error()
+	}
+	return res, ""
 }

@@ -7,10 +7,9 @@
 // Determinism is the design center. Verdicts are drawn by hashing
 // (plan seed, device, per-device submission counter) with the
 // splitmix64 finalizer — no shared RNG stream, no wall clock — and the
-// single-threaded engine submits each device's requests in an order
-// that is bit-identical at every monitor shards/workers/lookahead
-// setting, so the same plan + seed replays the same failures down to
-// the event.
+// single-threaded engine submits each device's requests in the same
+// order on every run, so the same plan + seed replays the same failures
+// down to the event.
 package fault
 
 import (
@@ -482,7 +481,7 @@ func Mix(x uint64) uint64 {
 // The submission counter advances on every Verdict call whether or not
 // a transient window is open, so opening one window never shifts the
 // draws of a later one — and per-device submission order is identical
-// at every pipeline setting, which closes the determinism argument.
+// on every run, which closes the determinism argument.
 type Device struct {
 	seed uint64
 	n    uint64

@@ -13,14 +13,9 @@ import (
 // boundaries the way the controller flushes per I/O request.
 func driveLog(t *testing.T, w interface {
 	Write([]byte) (int, error)
-}, shards int, span int64, steps int, seed int64, stepDone func()) {
+}, steps int, seed int64, stepDone func()) {
 	t.Helper()
-	var tb *Table
-	if shards > 1 {
-		tb = NewSharded(shards, span)
-	} else {
-		tb = New()
-	}
+	tb := New()
 	tb.SetLog(w)
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < steps; i++ {
@@ -49,26 +44,24 @@ func driveLog(t *testing.T, w interface {
 // same records, same order — across buffer rollovers and arbitrary
 // flush boundaries.
 func TestLogRingStreamIdentical(t *testing.T) {
-	for _, shards := range []int{1, 5} {
-		var syncBuf bytes.Buffer
-		driveLog(t, &syncBuf, shards, 1000, 400, 42, func() {})
+	var syncBuf bytes.Buffer
+	driveLog(t, &syncBuf, 400, 42, func() {})
 
-		var ringBuf bytes.Buffer
-		// Tiny buffers force mid-step rollovers.
-		ring := NewLogRing(&ringBuf, 3*recordSize, 2)
-		driveLog(t, ring, shards, 1000, 400, 42, ring.Flush)
-		if err := ring.Close(); err != nil {
-			t.Fatal(err)
-		}
+	var ringBuf bytes.Buffer
+	// Tiny buffers force mid-step rollovers.
+	ring := NewLogRing(&ringBuf, 3*recordSize, 2)
+	driveLog(t, ring, 400, 42, ring.Flush)
+	if err := ring.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-		if !bytes.Equal(syncBuf.Bytes(), ringBuf.Bytes()) {
-			t.Fatalf("shards=%d: ring stream diverged from synchronous stream (%d vs %d bytes)",
-				shards, ringBuf.Len(), syncBuf.Len())
-		}
-		st := ring.Stats()
-		if st.Records == 0 || st.Flushes == 0 || st.Bytes != int64(syncBuf.Len()) {
-			t.Fatalf("shards=%d: implausible ring stats %+v for %d log bytes", shards, st, syncBuf.Len())
-		}
+	if !bytes.Equal(syncBuf.Bytes(), ringBuf.Bytes()) {
+		t.Fatalf("ring stream diverged from synchronous stream (%d vs %d bytes)",
+			ringBuf.Len(), syncBuf.Len())
+	}
+	st := ring.Stats()
+	if st.Records == 0 || st.Flushes == 0 || st.Bytes != int64(syncBuf.Len()) {
+		t.Fatalf("implausible ring stats %+v for %d log bytes", st, syncBuf.Len())
 	}
 }
 
@@ -79,11 +72,11 @@ func TestLogRingStreamIdentical(t *testing.T) {
 // recovers.
 func TestLogRingCrashCutRecovery(t *testing.T) {
 	var syncBuf bytes.Buffer
-	driveLog(t, &syncBuf, 4, 1100, 300, 7, func() {})
+	driveLog(t, &syncBuf, 300, 7, func() {})
 
 	var ringBuf bytes.Buffer
 	ring := NewLogRing(&ringBuf, 64, 3)
-	driveLog(t, ring, 4, 1100, 300, 7, ring.Flush)
+	driveLog(t, ring, 300, 7, ring.Flush)
 	if err := ring.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -164,13 +157,13 @@ func (b *syncBuffer) Sync() error {
 // recovering a synchronous log cut there.
 func TestLogRingSyncOnFlush(t *testing.T) {
 	var plain bytes.Buffer
-	driveLog(t, &plain, 3, 1400, 300, 11, func() {})
+	driveLog(t, &plain, 300, 11, func() {})
 
 	for _, syncOn := range []bool{false, true} {
 		var buf syncBuffer
 		ring := NewLogRing(&buf, 4*recordSize, 2)
 		ring.SetSyncOnFlush(syncOn)
-		driveLog(t, ring, 3, 1400, 300, 11, ring.Flush)
+		driveLog(t, ring, 300, 11, ring.Flush)
 		if err := ring.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -257,12 +250,12 @@ func TestLogRingErrSticky(t *testing.T) {
 // sees the full synchronous stream, mid-run, without closing the ring.
 func TestLogRingBarrierMakesBytesVisible(t *testing.T) {
 	var plain bytes.Buffer
-	driveLog(t, &plain, 3, 1200, 200, 13, func() {})
+	driveLog(t, &plain, 200, 13, func() {})
 
 	var sink bytes.Buffer
 	ring := NewLogRing(&sink, 4*recordSize, 3)
 	step := 0
-	driveLog(t, ring, 3, 1200, 200, 13, func() {
+	driveLog(t, ring, 200, 13, func() {
 		step++
 		if step%7 == 0 { // barrier at scattered mid-run boundaries
 			if err := ring.Barrier(); err != nil {

@@ -12,16 +12,9 @@
 // data — can be located and recovered, while clean entries are simply
 // invalidated.
 //
-// The index is sharded by contiguous archive-address range: shard i of
-// an n-shard table owns [i*span, (i+1)*span) (the last shard is
-// unbounded above), each with a private AVL tree and node freelist.
-// Sharding changes nothing observable — every operation, including the
-// run APIs, behaves exactly as on a single tree (property-tested) — but
-// it bounds each tree's height by its shard's population and gives a
-// future multi-queue controller disjoint structures to lock or own per
-// queue. Run operations that span a shard boundary are stitched: a run
-// contiguous in both Orig and Cache across the boundary is reported
-// whole, and a gap crossing shards is summed until the next mapping.
+// The structure is one AVL tree keyed by archive address (avl.go) with a
+// node freelist, plus an O(1) dirty-membership set (dirtyset.go) kept in
+// step with the dirty flags at the same points that write the log.
 package mapcache
 
 import (
@@ -30,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 )
 
@@ -41,188 +33,39 @@ type Mapping struct {
 	Dirty bool  // cached copy differs from the original
 }
 
-// Index is the mapping-cache contract the CRAID monitor programs
-// against: point and run-granularity translation updates, ordered
-// iteration, and the §4.2 dirty-log hooks. Table is the tree-backed
-// implementation; alternatives (ART, B+-tree, a lock-per-shard
-// concurrent table) only need to satisfy this interface.
-type Index interface {
-	// Len returns the number of mappings; Bytes their memory footprint
-	// per the paper's accounting.
-	Len() int
-	Bytes() int64
-
-	// Lookup returns the mapping for orig. LookupRun additionally
-	// reports, in one descent, the contiguous hit run or miss gap
-	// starting at orig (see Table.LookupRun for the exact contract).
-	Lookup(orig int64) (Mapping, bool)
-	LookupRun(orig, max int64) (Mapping, int64, bool)
-
-	// IsDirty reports whether orig is mapped with its dirty flag set,
-	// in O(1): the eviction path probes dirtiness for a window of
-	// victim candidates per eviction, and a tree descent per probe
-	// dominated whole replays before this existed.
-	IsDirty(orig int64) bool
-
-	// Insert adds or replaces one mapping; InsertRun inserts the n
-	// consecutive translations orig+i → cache+i.
-	Insert(m Mapping)
-	InsertRun(orig, cache, n int64, dirty bool)
-
-	// Remove deletes the mapping for orig; RemoveRun deletes every
-	// mapping in [orig, orig+n), returning how many existed.
-	Remove(orig int64) bool
-	RemoveRun(orig, n int64) int64
-
-	// SetDirty and SetDirtyRun update dirty flags, logging transitions.
-	SetDirty(orig int64, dirty bool) bool
-	SetDirtyRun(orig, n int64, dirty bool) int64
-
-	// Walk visits all mappings in ascending Orig order until fn
-	// returns false. DirtyMappings returns the dirty subset, ascending.
-	Walk(fn func(Mapping) bool)
-	DirtyMappings() []Mapping
-
-	// Clear removes all mappings.
-	Clear()
-
-	// SetLog directs persistent logging of dirty-state transitions to
-	// w (nil disables). The log format is shard-agnostic: a log written
-	// by any Index recovers into any other via Recover.
-	SetLog(w io.Writer)
-
-	// Shards, ShardOf and ShardBound expose the address-range sharding
-	// geometry so a concurrent planner can route lookups: ShardOf(orig)
-	// is the shard owning orig, ShardBound(i) the first address beyond
-	// shard i's range (math.MaxInt64 for the last shard). A single-tree
-	// index reports one shard covering everything.
-	Shards() int
-	ShardOf(orig int64) int
-	ShardBound(i int) int64
-
-	// ShardVersion returns a counter bumped on every *structural*
-	// mutation of shard i — Insert, Remove, RemoveRun, Clear: anything
-	// that can change which addresses are mapped or where they point.
-	// SetDirty/SetDirtyRun are exempt: they flip flags on existing
-	// entries without moving a single Orig→Cache translation, so every
-	// LookupRun classification (run boundaries and cache addresses)
-	// made at version v remains exact while the version stays v. A
-	// planner snapshots versions with its read-only lookups and
-	// re-validates before trusting a plan.
-	ShardVersion(i int) uint64
-}
-
-// Table is the sharded mapping cache. The zero value is an empty
-// single-shard table ready to use. Mutations are single-threaded
-// (CRAID's apply stage is event-driven and sequential, like a real
-// controller's interrupt context), but the lookup path — Lookup,
-// LookupRun, Len, ShardOf/ShardBound/ShardVersion — is pure and safe
-// for any number of concurrent readers *while no mutation runs*: the
-// multi-queue controller's plan phase partitions a batch by address
-// range and classifies shard groups in parallel between apply steps,
-// which is exactly that window.
+// Table is the mapping cache: one AVL tree over archive addresses. The
+// zero value is an empty table ready to use. A Table is confined to one
+// goroutine, like the CRAID controller and sim.Engine that drive it.
 type Table struct {
-	shards []shard
-	span   int64     // addresses per shard; 0 with a single shard
-	size   int       // total mappings across shards
-	log    io.Writer // optional persistent dirty log
+	root *node
+	size int
+	log  io.Writer // optional persistent dirty log
+
+	// free chains removed nodes through right: the monitor continuously
+	// evicts and re-inserts mappings, so steady-state churn allocates
+	// nothing.
+	free *node
+
+	// replaced/existed are the last insert descent's scratch: Insert
+	// learns whether it replaced a dirty mapping without a second
+	// descent.
+	replaced Mapping
+	existed  bool
 
 	// logRec is appendLog's encode scratch. A local array would escape
 	// to the heap at the io.Writer call — one allocation per logged
-	// transition on the apply path; Write contracts not to retain the
-	// slice, so reusing one buffer is safe.
+	// transition; Write contracts not to retain the slice, so reusing
+	// one buffer is safe.
 	logRec [recordSize]byte
 
 	// dirty is the O(1) membership set behind IsDirty: the Orig of
 	// every mapping whose Dirty flag is set. Maintained at the same
-	// choke points that write the persistent dirty log. Mutated only on
-	// the single-threaded apply path; IsDirty runs there too (the
-	// eviction victim scan), never concurrently with a mutation.
+	// choke points that write the persistent dirty log.
 	dirty dirtySet
 }
 
-var _ Index = (*Table)(nil)
-
-// New returns an empty single-shard table.
+// New returns an empty table.
 func New() *Table { return &Table{} }
-
-// NewSharded returns an empty table of n shards, shard i owning
-// addresses [i*span, (i+1)*span) and the last shard unbounded above.
-// span must be positive when n > 1; n < 1 is clamped to 1.
-func NewSharded(n int, span int64) *Table {
-	if n < 1 {
-		n = 1
-	}
-	if n > 1 && span < 1 {
-		panic("mapcache: NewSharded needs a positive span for n > 1 shards")
-	}
-	return &Table{shards: make([]shard, n), span: span}
-}
-
-// Shards returns the shard count.
-func (t *Table) Shards() int {
-	if len(t.shards) == 0 {
-		return 1
-	}
-	return len(t.shards)
-}
-
-// init materializes the single shard of a zero-value Table.
-func (t *Table) init() {
-	if len(t.shards) == 0 {
-		t.shards = make([]shard, 1)
-	}
-}
-
-// idx returns the shard index owning orig.
-func (t *Table) idx(orig int64) int {
-	if len(t.shards) == 1 || orig < t.span {
-		return 0
-	}
-	i := int(orig / t.span)
-	if i >= len(t.shards) {
-		i = len(t.shards) - 1
-	}
-	return i
-}
-
-// bound returns the first address beyond shard i's range.
-func (t *Table) bound(i int) int64 {
-	if i >= len(t.shards)-1 {
-		return math.MaxInt64
-	}
-	return int64(i+1) * t.span
-}
-
-// ShardOf returns the shard index owning orig.
-func (t *Table) ShardOf(orig int64) int {
-	if len(t.shards) == 0 {
-		return 0
-	}
-	return t.idx(orig)
-}
-
-// ShardBound returns the first address beyond shard i's range
-// (math.MaxInt64 for the last shard).
-func (t *Table) ShardBound(i int) int64 { return t.bound(i) }
-
-// ShardVersion returns shard i's structural-mutation counter (see
-// Index.ShardVersion). A zero-value Table reports version 0 for its
-// not-yet-materialized single shard.
-func (t *Table) ShardVersion(i int) uint64 {
-	if i < 0 || i >= len(t.shards) {
-		return 0
-	}
-	return t.shards[i].ver
-}
-
-// capRun limits max to not cross the boundary at bound from orig.
-func capRun(orig, max, bound int64) int64 {
-	if bound != math.MaxInt64 && bound-orig < max {
-		return bound - orig
-	}
-	return max
-}
 
 // SetLog directs persistent logging of dirty-state transitions to w.
 // Passing nil disables logging.
@@ -239,41 +82,48 @@ func (t *Table) Bytes() int64 {
 	return (int64(t.size)*perEntryBits + 7) / 8
 }
 
+// find returns the node holding orig, or nil.
+func (t *Table) find(orig int64) *node {
+	n := t.root
+	for n != nil {
+		switch {
+		case orig < n.m.Orig:
+			n = n.left
+		case orig > n.m.Orig:
+			n = n.right
+		default:
+			return n
+		}
+	}
+	return nil
+}
+
 // Lookup returns the mapping for orig.
 func (t *Table) Lookup(orig int64) (Mapping, bool) {
-	if len(t.shards) == 0 {
-		return Mapping{}, false
+	if n := t.find(orig); n != nil {
+		return n.m, true
 	}
-	return t.shards[t.idx(orig)].lookup(orig)
+	return Mapping{}, false
 }
 
 // IsDirty reports whether orig is mapped with its dirty flag set, in
 // O(1) via the dirty-membership set (equivalent to Lookup + Dirty,
-// property-pinned by the table tests).
+// property-pinned by the table tests): the eviction path probes
+// dirtiness for a window of victim candidates per eviction, and a tree
+// descent per probe dominated whole replays before this existed.
 func (t *Table) IsDirty(orig int64) bool { return t.dirty.has(orig) }
-
-// dirtyAdd records orig as dirty in the membership set.
-func (t *Table) dirtyAdd(orig int64) { t.dirty.add(orig) }
-
-// dirtyDel removes orig from the membership set.
-func (t *Table) dirtyDel(orig int64) { t.dirty.del(orig) }
 
 // Insert adds or replaces the mapping for m.Orig.
 func (t *Table) Insert(m Mapping) {
-	t.init()
-	s := &t.shards[t.idx(m.Orig)]
-	s.existed = false
-	s.ver++
-	before := s.size
-	s.root = s.insert(s.root, m)
-	t.size += s.size - before
+	t.existed = false
+	t.root = t.insert(t.root, m)
 	switch {
 	case m.Dirty:
-		t.dirtyAdd(m.Orig)
+		t.dirty.add(m.Orig)
 		t.appendLog(logInsert, m)
-	case s.existed && s.replaced.Dirty:
+	case t.existed && t.replaced.Dirty:
 		// A clean copy replaced a dirty one: the dirty state is gone.
-		t.dirtyDel(m.Orig)
+		t.dirty.del(m.Orig)
 		t.appendLog(logClean, Mapping{Orig: m.Orig})
 	}
 }
@@ -287,82 +137,131 @@ func (t *Table) InsertRun(orig, cache, n int64, dirty bool) {
 	}
 }
 
-// Remove deletes the mapping for orig, reporting whether it existed.
-func (t *Table) Remove(orig int64) bool {
-	t.init()
-	s := &t.shards[t.idx(orig)]
-	var removed bool
-	s.root, removed = s.remove(s.root, orig)
-	if removed {
-		s.ver++
-		s.size--
+// Remove deletes the mapping for orig and returns it; ok reports
+// whether it existed.
+func (t *Table) Remove(orig int64) (m Mapping, ok bool) {
+	t.root, m, ok = t.remove(t.root, orig)
+	if ok {
 		t.size--
-		t.dirtyDel(orig)
+		t.dirty.del(orig)
 		t.appendLog(logRemove, Mapping{Orig: orig})
 	}
-	return removed
+	return m, ok
 }
+
+// seek descends to orig, pushing onto stack the nodes an in-order walk
+// from orig still has to visit, nearest on top: the node holding orig
+// itself if it is mapped, and every ancestor the search left by going
+// left.
+func (t *Table) seek(orig int64, stack []*node) []*node {
+	cur := t.root
+	for cur != nil {
+		switch {
+		case orig < cur.m.Orig:
+			stack = append(stack, cur)
+			cur = cur.left
+		case orig > cur.m.Orig:
+			cur = cur.right
+		default:
+			return append(stack, cur)
+		}
+	}
+	return stack
+}
+
+// walkStack fits the AVL height of ~2^33 entries.
+type walkStack [48]*node
 
 // RemoveRun deletes every mapping in [orig, orig+n), returning how many
 // existed — equivalent to a loop of Remove over the range, but existing
 // keys are discovered by successor walking so sparse ranges don't pay a
 // descent per absent address.
 func (t *Table) RemoveRun(orig, n int64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	t.init()
 	end := orig + n
 	var removed int64
 	for orig < end {
-		i := t.idx(orig)
-		segEnd := end
-		if b := t.bound(i); b < segEnd {
-			segEnd = b
+		// Collect the next batch of present keys (removal rebalances
+		// the tree, invalidating any in-flight iterator).
+		var keys [64]int64
+		got := 0
+		var buf walkStack
+		stack := t.seek(orig, buf[:0])
+		for len(stack) > 0 && got < len(keys) {
+			cur := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if cur.m.Orig >= end {
+				break
+			}
+			keys[got] = cur.m.Orig
+			got++
+			for next := cur.right; next != nil; next = next.left {
+				stack = append(stack, next)
+			}
 		}
-		removed += t.shards[i].removeRun(t, orig, segEnd)
-		orig = segEnd
+		if got == 0 {
+			break
+		}
+		for _, k := range keys[:got] {
+			if _, ok := t.Remove(k); ok {
+				removed++
+			}
+		}
+		orig = keys[got-1] + 1
 	}
-	t.size -= int(removed)
 	return removed
+}
+
+// setDirty flips n's dirty flag to dirty, logging the transition so
+// dirty blocks stay recoverable.
+func (t *Table) setDirty(n *node, dirty bool) {
+	if n.m.Dirty == dirty {
+		return
+	}
+	n.m.Dirty = dirty
+	if dirty {
+		t.dirty.add(n.m.Orig)
+		t.appendLog(logInsert, n.m)
+	} else {
+		t.dirty.del(n.m.Orig)
+		t.appendLog(logClean, Mapping{Orig: n.m.Orig})
+	}
 }
 
 // SetDirty updates the dirty flag for orig, reporting whether the entry
 // exists. Transitions are logged so dirty blocks are recoverable.
 func (t *Table) SetDirty(orig int64, dirty bool) bool {
-	if len(t.shards) == 0 {
-		return false
+	n := t.find(orig)
+	if n != nil {
+		t.setDirty(n, dirty)
 	}
-	return t.shards[t.idx(orig)].setDirty(t, orig, dirty)
+	return n != nil
 }
 
 // SetDirtyRun updates the dirty flag of every existing mapping in
 // [orig, orig+n) — equivalent to a loop of SetDirty — using one descent
-// per touched shard plus successor walking. It returns how many
-// mappings were found. Transitions are logged so dirty blocks stay
-// recoverable.
+// plus successor walking. It returns how many mappings were found.
+// Transitions are logged so dirty blocks stay recoverable.
 func (t *Table) SetDirtyRun(orig, n int64, dirty bool) int64 {
-	if n <= 0 {
-		return 0
-	}
-	t.init()
 	end := orig + n
+	var buf walkStack
+	stack := t.seek(orig, buf[:0])
 	var found int64
-	for orig < end {
-		i := t.idx(orig)
-		segEnd := end
-		if b := t.bound(i); b < segEnd {
-			segEnd = b
+	for len(stack) > 0 {
+		cur := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if cur.m.Orig >= end {
+			break
 		}
-		found += t.shards[i].setDirtyRun(t, orig, segEnd, dirty)
-		orig = segEnd
+		found++
+		t.setDirty(cur, dirty)
+		for next := cur.right; next != nil; next = next.left {
+			stack = append(stack, next)
+		}
 	}
 	return found
 }
 
-// LookupRun inspects the run starting at orig in a single descent per
-// touched shard (one descent total unless the run or gap crosses a
-// shard boundary, which the capped segment loop stitches seamlessly).
+// LookupRun inspects the run starting at orig in a single descent.
 //
 // If orig is mapped it returns its mapping, ok=true, and n = the length
 // (capped at max) of the contiguous run of mappings starting at orig
@@ -373,60 +272,61 @@ func (t *Table) SetDirtyRun(orig, n int64, dirty bool) int64 {
 // consecutive unmapped addresses starting at orig (capped at max), i.e.
 // the gap to the next mapping.
 //
-// Within a shard the run is discovered by walking in-order successors
-// from the initial descent's search path, so a whole extent costs one
-// O(log k) descent plus O(n) amortized pointer chasing instead of n
-// descents.
+// The run is discovered by walking in-order successors from the initial
+// descent's search path, so a whole extent costs one O(log k) descent
+// plus O(n) amortized pointer chasing instead of n descents.
 func (t *Table) LookupRun(orig, max int64) (m Mapping, n int64, ok bool) {
 	if max <= 0 {
 		return Mapping{}, 0, false
 	}
-	if len(t.shards) == 0 {
+	var buf walkStack
+	stack := t.seek(orig, buf[:0])
+	if len(stack) == 0 {
 		return Mapping{}, max, false
 	}
-	i := t.idx(orig)
-	bound := t.bound(i)
-	m, n, ok = t.shards[i].lookupRun(orig, capRun(orig, max, bound))
-	if ok {
-		// The run filled its shard segment exactly: it may continue in
-		// the next shard — contiguous iff the next shard's first
-		// address is mapped with the expected cache successor.
-		for n < max && orig+n == bound {
-			i++
-			b2 := t.bound(i)
-			m2, n2, ok2 := t.shards[i].lookupRun(bound, capRun(bound, max-n, b2))
-			if !ok2 || m2.Cache != m.Cache+n {
-				break
-			}
-			n += n2
-			bound = b2
+	cur := stack[len(stack)-1]
+	stack = stack[:len(stack)-1]
+	if cur.m.Orig != orig {
+		// orig is unmapped; its successor bounds the gap.
+		if gap := cur.m.Orig - orig; gap < max {
+			return Mapping{}, gap, false
 		}
-		return m, n, true
+		return Mapping{}, max, false
 	}
-	// The gap reached the shard boundary: keep summing gaps until a
-	// mapping bounds it or max is exhausted.
-	for n < max && orig+n == bound {
-		i++
-		b2 := t.bound(i)
-		_, g, ok2 := t.shards[i].lookupRun(bound, capRun(bound, max-n, b2))
-		if ok2 {
+	m = cur.m
+	n = 1
+	prev := cur.m
+	for n < max {
+		// Advance to the in-order successor: leftmost of the right
+		// subtree, else the nearest stacked ancestor.
+		for next := cur.right; next != nil; next = next.left {
+			stack = append(stack, next)
+		}
+		if len(stack) == 0 {
 			break
 		}
-		n += g
-		bound = b2
+		cur = stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if cur.m.Orig != prev.Orig+1 || cur.m.Cache != prev.Cache+1 {
+			break
+		}
+		prev = cur.m
+		n++
 	}
-	return Mapping{}, n, false
+	return m, n, true
 }
 
-// Walk visits all mappings in ascending Orig order (shards own
-// contiguous address ranges, so shard order is address order).
-// Returning false from fn stops the walk.
+// Walk visits all mappings in ascending Orig order. Returning false
+// from fn stops the walk.
 func (t *Table) Walk(fn func(Mapping) bool) {
-	for i := range t.shards {
-		if !t.shards[i].walk(fn) {
-			return
+	var walk func(n *node) bool
+	walk = func(n *node) bool {
+		if n == nil {
+			return true
 		}
+		return walk(n.left) && fn(n.m) && walk(n.right)
 	}
+	walk(t.root)
 }
 
 // DirtyMappings returns all dirty entries in ascending Orig order.
@@ -443,11 +343,7 @@ func (t *Table) DirtyMappings() []Mapping {
 
 // Clear removes all mappings.
 func (t *Table) Clear() {
-	for i := range t.shards {
-		t.shards[i].root = nil
-		t.shards[i].size = 0
-		t.shards[i].ver++
-	}
+	t.root = nil
 	t.size = 0
 	t.dirty.clear()
 }
@@ -479,10 +375,7 @@ func (t *Table) appendLog(kind byte, m Mapping) {
 // Recover replays a dirty log and returns the mappings that were dirty
 // when the log ended — the blocks whose cached copies must be restored
 // after a crash (paper §4.2: clean blocks are invalidated, dirty ones
-// recovered from their logged translations). The log carries no shard
-// geometry: a log written by a single-shard table recovers into a
-// sharded one (and vice versa), with the receiving Index rebuilding its
-// own structure as the mappings are re-inserted.
+// recovered from their logged translations).
 func Recover(r io.Reader) ([]Mapping, error) {
 	br := bufio.NewReader(r)
 	dirty := make(map[int64]int64)

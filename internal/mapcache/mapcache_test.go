@@ -16,7 +16,7 @@ func TestEmptyTable(t *testing.T) {
 	if _, ok := tb.Lookup(42); ok {
 		t.Error("Lookup on empty table returned ok")
 	}
-	if tb.Remove(42) {
+	if _, ok := tb.Remove(42); ok {
 		t.Error("Remove on empty table returned true")
 	}
 	if tb.SetDirty(42, true) {
@@ -61,8 +61,10 @@ func TestRemove(t *testing.T) {
 		tb.Insert(Mapping{Orig: i, Cache: i * 2})
 	}
 	for _, k := range []int64{0, 10, 19, 5} {
-		if !tb.Remove(k) {
-			t.Errorf("Remove(%d) = false", k)
+		// 5 and 10 have two children: the returned mapping must be the
+		// removed one, not the successor that takes over its node.
+		if m, ok := tb.Remove(k); !ok || m != (Mapping{Orig: k, Cache: k * 2}) {
+			t.Errorf("Remove(%d) = %+v, %v", k, m, ok)
 		}
 		if _, ok := tb.Lookup(k); ok {
 			t.Errorf("Lookup(%d) after remove = ok", k)
@@ -200,9 +202,9 @@ func TestAVLInvariantsUnderChurn(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		k := int64(rng.Intn(1000))
 		if rng.Intn(3) == 0 {
-			got := tb.Remove(k)
-			if got != live[k] {
-				t.Fatalf("Remove(%d) = %v, want %v", k, got, live[k])
+			m, got := tb.Remove(k)
+			if got != live[k] || (got && m != (Mapping{Orig: k, Cache: k})) {
+				t.Fatalf("Remove(%d) = %+v, %v, want %v", k, m, got, live[k])
 			}
 			delete(live, k)
 		} else {
@@ -213,7 +215,7 @@ func TestAVLInvariantsUnderChurn(t *testing.T) {
 			t.Fatalf("Len = %d, want %d", tb.Len(), len(live))
 		}
 	}
-	checkAVL(t, tb.shards[0].root, -1, 1<<62)
+	checkAVL(t, tb.root, -1, 1<<62)
 }
 
 // Property: the table behaves exactly like a map reference model.
@@ -229,8 +231,11 @@ func TestPropertyMatchesMapModel(t *testing.T) {
 				tb.Insert(m)
 				model[k] = m
 			case 2:
+				want, mapped := model[k]
 				delete(model, k)
-				tb.Remove(k)
+				if got, ok := tb.Remove(k); ok != mapped || got != want {
+					return false
+				}
 			case 3:
 				if _, ok := model[k]; ok {
 					m := model[k]
@@ -262,7 +267,7 @@ func TestPropertyHeightLogarithmic(t *testing.T) {
 	for i := int64(0); i < 1<<14; i++ {
 		tb.Insert(Mapping{Orig: i}) // worst case: sorted inserts
 	}
-	h := int(height(tb.shards[0].root))
+	h := int(height(tb.root))
 	if h > 21 { // 1.44 * log2(16384) ≈ 20.2
 		t.Errorf("height = %d for 16384 sorted inserts, want <= 21", h)
 	}
@@ -387,60 +392,53 @@ func BenchmarkTableInsertRemove(b *testing.B) {
 
 // TestPropertyIsDirtyMatchesLookup drives randomized operation streams
 // — point and run inserts/removes/dirty flips, clears, log-attached
-// and not — through sharded and single-tree tables and pins IsDirty
-// bit-identical to the Lookup-based definition at every step.
+// and not — through a table and pins IsDirty equal to the Lookup-based
+// definition at every step.
 func TestPropertyIsDirtyMatchesLookup(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		for seed := int64(1); seed <= 4; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			var tb *Table
-			if shards == 1 {
-				tb = New()
-			} else {
-				tb = NewSharded(shards, 256)
-			}
-			if seed%2 == 0 {
-				tb.SetLog(&bytes.Buffer{})
-			}
-			const span = 1024
-			check := func(step int) {
-				for k := int64(0); k < span; k++ {
-					m, ok := tb.Lookup(k)
-					want := ok && m.Dirty
-					if got := tb.IsDirty(k); got != want {
-						t.Fatalf("shards=%d seed=%d step %d: IsDirty(%d)=%v, Lookup says %v",
-							shards, seed, step, k, got, want)
-					}
-				}
-			}
-			for step := 0; step < 400; step++ {
-				k := rng.Int63n(span)
-				n := rng.Int63n(64) + 1
-				switch rng.Intn(8) {
-				case 0:
-					tb.Insert(Mapping{Orig: k, Cache: k + 10000, Dirty: rng.Intn(2) == 0})
-				case 1:
-					tb.InsertRun(k, k+10000, n, rng.Intn(2) == 0)
-				case 2:
-					tb.Remove(k)
-				case 3:
-					tb.RemoveRun(k, n)
-				case 4:
-					tb.SetDirty(k, rng.Intn(2) == 0)
-				case 5:
-					tb.SetDirtyRun(k, n, rng.Intn(2) == 0)
-				case 6:
-					if rng.Intn(20) == 0 {
-						tb.Clear()
-					}
-				default:
-					tb.SetDirtyRun(k, n, true)
-				}
-				if step%40 == 0 {
-					check(step)
-				}
-			}
-			check(400)
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tb := New()
+		if seed%2 == 0 {
+			tb.SetLog(&bytes.Buffer{})
 		}
+		const span = 1024
+		check := func(step int) {
+			for k := int64(0); k < span; k++ {
+				m, ok := tb.Lookup(k)
+				want := ok && m.Dirty
+				if got := tb.IsDirty(k); got != want {
+					t.Fatalf("seed=%d step %d: IsDirty(%d)=%v, Lookup says %v",
+						seed, step, k, got, want)
+				}
+			}
+		}
+		for step := 0; step < 400; step++ {
+			k := rng.Int63n(span)
+			n := rng.Int63n(64) + 1
+			switch rng.Intn(8) {
+			case 0:
+				tb.Insert(Mapping{Orig: k, Cache: k + 10000, Dirty: rng.Intn(2) == 0})
+			case 1:
+				tb.InsertRun(k, k+10000, n, rng.Intn(2) == 0)
+			case 2:
+				tb.Remove(k)
+			case 3:
+				tb.RemoveRun(k, n)
+			case 4:
+				tb.SetDirty(k, rng.Intn(2) == 0)
+			case 5:
+				tb.SetDirtyRun(k, n, rng.Intn(2) == 0)
+			case 6:
+				if rng.Intn(20) == 0 {
+					tb.Clear()
+				}
+			default:
+				tb.SetDirtyRun(k, n, true)
+			}
+			if step%40 == 0 {
+				check(step)
+			}
+		}
+		check(400)
 	}
 }

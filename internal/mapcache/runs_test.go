@@ -70,7 +70,7 @@ func TestRunAPIsMatchPerBlock(t *testing.T) {
 				got := runT.RemoveRun(orig, n)
 				var want int64
 				for i := int64(0); i < n; i++ {
-					if blockT.Remove(orig + i) {
+					if _, ok := blockT.Remove(orig + i); ok {
 						want++
 					}
 				}
