@@ -50,7 +50,7 @@ import (
 )
 
 func main() {
-	table := flag.String("table", "", "regenerate one table: 1-6 or 'migration'")
+	table := flag.String("table", "", "regenerate one table: 1-6, 'migration', 'pclevel', 'rebalance' or 'fault'")
 	figure := flag.String("figure", "", "regenerate one figure: 1, 4, 5, 6 or 7")
 	budget := flag.Float64("budget", 0.5, "replayed GB per trace per simulation")
 	traceName := flag.String("trace", "", "restrict figures to one trace")

@@ -5,7 +5,8 @@
 //
 //   - Array: the physical device set plus instrumentation (per-disk
 //     load for workload-distribution analysis, sequentiality tracking,
-//     queue/concurrency sampling).
+//     queue/concurrency sampling), and the pool of joins — the one
+//     continuation every set of in-flight I/Os completes into.
 //   - RAIDController: a plain volume over one raid.Layout (RAID-5 or
 //     RAID-5+), doing read-modify-write parity updates on writes. These
 //     are the paper's RAID-5 / RAID-5+ baselines in their ideal state.
@@ -54,12 +55,14 @@ type Array struct {
 	// retain it (the disk.Device contract).
 	scratch disk.Request
 
-	// freelists for the per-I/O control structures. The array (like
-	// its engine) is single-threaded, so no locking; fired joins and
-	// completed RMW ops recycle here instead of garbage-collecting at
-	// millions per simulated second.
-	joinFree *join
-	rmwFree  *rmw
+	// joinFree is the freelist of the one per-I/O control structure, the
+	// join. The array (like its engine) is single-threaded, so no
+	// locking; fired joins recycle here instead of garbage-collecting at
+	// millions per simulated second. joinsMade counts the joins ever
+	// allocated: once the engine drains, every one of them is back on
+	// the list, or a completion was lost.
+	joinFree  *join
+	joinsMade int
 
 	// faults is the fault-injection state, nil on healthy runs: every
 	// hot-path check reduces to one nil test, keeping the healthy
@@ -187,40 +190,91 @@ func (a *Array) deviceDown(dev int) bool {
 	return f != nil && dev < len(f.failed) && f.failed[dev]
 }
 
-// join collects the completions of a dynamic set of I/O branches and
-// fires its callback once after all branches finish (with the latest
-// completion time). Branches may be added until seal is called.
+// join is the one pooled continuation: it collects the completions of a
+// dynamic set of I/O branches and, once all of them have finished, takes
+// its step with the latest completion time. Branches may be added until
+// seal is called. Whoever takes a join from the pool sets the step and
+// the arguments it reads; the zero step just tells fn.
 type join struct {
 	pending int
 	sealed  bool
-	fired   bool
 	last    sim.Time
-	fn      func(sim.Time)
+
+	then // what firing does
+	legs // where stepRMW and stepCommit write
 
 	// completeFn caches the j.complete method value so each branch()
 	// hands out the same func instead of allocating a new one. It is
 	// bound to the join's identity, so it survives pool recycling.
 	completeFn func(sim.Time)
 
-	arr  *Array // owning pool; nil for pool-less joins (tests)
+	arr  *Array // owning pool
 	next *join  // freelist link
 }
 
-// newJoin returns an unpooled join calling fn on completion; fn may be
-// nil (detached background work). Hot paths use Array.newJoin instead.
-func newJoin(fn func(sim.Time)) *join { return &join{fn: fn} }
+// step selects what a join does when it fires.
+type step uint8
 
-// newJoin returns a pooled join: once fired, it recycles itself onto
-// the array's freelist.
+const (
+	stepTell      step = iota // tell fn
+	stepRecord                // record the request's response time, then tell fn
+	stepCopyIn                // tell fn (the client), then copy the run read from P_A into P_C
+	stepWriteBack             // update P_A with the run read from P_C, telling fn when that lands
+	stepMigrate               // likewise, but re-place the run on P_C's new geometry (ExpandRetain)
+	stepRMW                   // pre-reads in: wait again, for the final writes to legs
+	stepDecode                // degraded pre-reads in: wait again, for the reconstruction delay
+	stepCommit                // delay over: wait again, for the writes to the surviving legs, if any
+)
+
+// then is a join's continuation: the step and the arguments steps read.
+// It is copied out before a firing join recycles, so a step may reclaim
+// the object it came from.
+type then struct {
+	step step
+	fn   func(sim.Time) // whom to tell afterwards; nil for detached work
+
+	lat   *latencies // stepRecord: where, and the request's
+	op    disk.Op    // direction,
+	deg   bool       // whether it was submitted in a degraded window,
+	start sim.Time   // and when
+
+	c       *CRAID // stepCopyIn, stepWriteBack, stepMigrate: the controller,
+	orig, n int64  // the run to write (n is also every leg's block count)
+	epoch   uint64 // and the incarnation that issued the chain
+
+	delay sim.Time // stepDecode: the reconstruction compute
+}
+
+// legs is the write set of one extent, resolved to array devices and
+// device blocks: the data run first, then its P and Q parity runs as far
+// as the layout has them (and, on a degraded write, as far as they
+// survive).
+type legs struct {
+	dev  [3]int
+	blk  [3]int64
+	nleg int
+}
+
+// newJoin returns a join from the pool that will tell fn when it fires;
+// fn may be nil (detached background work). Once fired for good, it
+// recycles itself onto the array's freelist.
 func (a *Array) newJoin(fn func(sim.Time)) *join {
 	j := a.joinFree
 	if j == nil {
-		return &join{fn: fn, arr: a}
+		a.joinsMade++
+		return &join{then: then{fn: fn}, arr: a}
 	}
 	a.joinFree = j.next
-	j.pending, j.sealed, j.fired, j.last = 0, false, false, 0
-	j.fn, j.next = fn, nil
+	j.next, j.nleg = nil, 0
+	j.then = then{fn: fn}
+	j.rearm(stepTell)
 	return j
+}
+
+// rearm makes a fired (or recycled) join wait again, for next.
+func (j *join) rearm(next step) {
+	j.pending, j.sealed, j.last = 0, false, 0
+	j.step = next
 }
 
 // branch registers one more outstanding I/O and returns its completion
@@ -257,33 +311,104 @@ func (j *join) seal(now sim.Time) {
 	j.maybeFire()
 }
 
+// maybeFire takes the join's step once it is sealed and every branch has
+// completed — once: from then on nothing holds a branch to complete, and
+// seal ignores a sealed join.
 func (j *join) maybeFire() {
-	if j.sealed && j.pending == 0 && !j.fired {
-		j.fired = true
-		fn, last := j.fn, j.last
-		if j.arr != nil {
-			// A fired join can have no outstanding references: every
-			// branch callback has run and seal was called. Recycle
-			// before running fn — fn must not touch j afterwards.
-			j.fn = nil
-			j.next = j.arr.joinFree
-			j.arr.joinFree = j
+	if !j.sealed || j.pending != 0 {
+		return
+	}
+	a, at := j.arr, j.last
+	switch j.step {
+	case stepRMW:
+		j.commit(true)
+		return
+	case stepDecode:
+		// Always a hop through the engine, even at delay 0: a degraded
+		// request goes on from an event of its own, never from inside the
+		// last pre-read's completion.
+		j.rearm(stepCommit)
+		a.Eng.AfterTimed(j.delay, j.branch())
+		j.seal(a.Eng.Now())
+		return
+	case stepCommit:
+		j.commit(false)
+		return
+	}
+	// Every other step ends the join's life. A fired join can have no
+	// outstanding references: every branch callback has run and seal was
+	// called. Recycle before taking the step — it may submit the next
+	// request and reclaim the object — and never touch j afterwards.
+	t := j.then
+	j.fn = nil
+	j.next = a.joinFree
+	a.joinFree = j
+	switch t.step {
+	case stepRecord:
+		t.lat.add(t.op, t.deg, at-t.start)
+	case stepCopyIn:
+		// The client branch always fires (timing), but a stale epoch
+		// skips the copy-in: the mapping state it would mutate belongs to
+		// an incarnation a crash-restart already discarded.
+		t.fn(at)
+		if t.epoch == t.c.epoch {
+			t.c.copyIn(t.orig, t.n, disk.OpRead)
 		}
-		if fn != nil {
-			fn(last)
+		return
+	case stepWriteBack, stepMigrate:
+		// A stale epoch means a crash-restart tore the owning incarnation
+		// down mid-chain: the update is dropped (the dirty mapping was
+		// re-logged or lost with the crash, exactly as a real controller's
+		// in-flight write-back dies with it). fn — an upgrade branch
+		// tracking drain (ExpandWith) — is told either way: on the write's
+		// completion when the chain is live, right now when it is stale.
+		if t.epoch == t.c.epoch {
+			dst := t.c.pa
+			if t.step == stepMigrate {
+				dst = t.c.pc // as rebuilt by now, not as it was at issue
+			}
+			detached := a.newJoin(t.fn)
+			dst.write(detached, t.orig, t.n)
+			detached.seal(a.Eng.Now())
+			return
 		}
 	}
+	if t.fn != nil {
+		t.fn(at)
+	}
+}
+
+// preRead attaches a read of each of j's legs: the old data and parity a
+// read-modify-write cycle starts from. These reads (including the
+// old-data read, which retraces the data position) are RMW mechanics,
+// not access pattern.
+func (j *join) preRead() {
+	for i := 0; i < j.nleg; i++ {
+		j.arr.submit(j.dev[i], disk.OpRead, j.blk[i], j.n, false, j.branch())
+	}
+}
+
+// commit re-arms a join whose pre-reads are in to wait for the final
+// writes to its legs, after which it tells fn. trackData counts the data
+// leg (leg 0 of a healthy extent) in the sequentiality metric.
+func (j *join) commit(trackData bool) {
+	a := j.arr
+	j.rearm(stepTell)
+	for i := 0; i < j.nleg; i++ {
+		a.submit(j.dev[i], disk.OpWrite, j.blk[i], j.n, trackData && i == 0, j.branch())
+	}
+	j.seal(a.Eng.Now())
 }
 
 // span is a raid.Layout bound to concrete array devices and a
 // partition base offset: the unit controllers issue logical I/O
-// against.
+// against, and the redirector's last step — every extent of a walk
+// becomes a device read, or the write of all the legs the extent names.
 type span struct {
 	arr    *Array
 	layout raid.Layout
-	disks  []int           // layout disk index → array device index
-	base   int64           // partition start block on each device
-	dual   raid.DualParity // layout's Q-parity view, nil without one
+	disks  []int // layout disk index → array device index
+	base   int64 // partition start block on each device
 
 	// curJoin is the join the cached walk callbacks attach I/O to.
 	// Passing a fresh closure to ForEachExtent (an interface call) would
@@ -304,7 +429,7 @@ type span struct {
 	// a single reconstruction (one peer read per survivor, one
 	// aggregated decode charge for the whole run) instead of one
 	// fan-out per stripe-row unit. degN == 0 means no run is pending;
-	// flushDegradedRead (fault.go) drains it.
+	// flushDegradedRead drains it.
 	degDisk int   // layout disk index of the run's dead disk
 	degLog  int64 // logical address of the run's first block (geometry probe)
 	degBlk  int64 // device block where the run starts
@@ -316,7 +441,6 @@ func newSpan(arr *Array, layout raid.Layout, disks []int, base int64) *span {
 		panic(fmt.Sprintf("core: span over %d devices, layout wants %d", len(disks), layout.Disks()))
 	}
 	s := &span{arr: arr, layout: layout, disks: disks, base: base}
-	s.dual, _ = layout.(raid.DualParity)
 	if red, ok := layout.(raid.Redundant); ok && red.ParityUnits() > 0 {
 		s.red = red
 	}
@@ -358,46 +482,6 @@ func (s *span) readExtent(e raid.Extent) {
 	s.arr.Submit(dev, disk.OpRead, s.base+e.Data.Block, e.Count, s.curJoin.branch())
 }
 
-// rmw is one extent's read-modify-write cycle in flight: the pre-read
-// locations double as the write locations. Pooled on the Array so the
-// simulator's hottest control structure allocates nothing at steady
-// state; phase2Fn caches the method value across recycles.
-type rmw struct {
-	arr      *Array
-	devs     [3]int
-	blks     [3]int64
-	nloc     int
-	count    int64
-	writes   func(sim.Time) // fires when all final writes complete
-	phase2Fn func(sim.Time)
-	next     *rmw // freelist link
-}
-
-func (a *Array) newRMW() *rmw {
-	r := a.rmwFree
-	if r == nil {
-		r = &rmw{arr: a}
-		r.phase2Fn = r.phase2
-		return r
-	}
-	a.rmwFree = r.next
-	r.next = nil
-	return r
-}
-
-// phase2 runs when the pre-reads finish: issue the final data+parity
-// writes, then recycle the op.
-func (r *rmw) phase2(sim.Time) {
-	inner := r.arr.newJoin(r.writes)
-	for i := 0; i < r.nloc; i++ {
-		r.arr.submit(r.devs[i], disk.OpWrite, r.blks[i], r.count, i == 0, inner.branch())
-	}
-	inner.seal(r.arr.Eng.Now())
-	r.writes = nil
-	r.next = r.arr.rmwFree
-	r.arr.rmwFree = r
-}
-
 // write issues a small-write against the span. Layouts with parity pay
 // the full read-modify-write cycle per extent: read old data and old
 // parity, then write new data and new parity — the paper's 4 I/Os;
@@ -410,34 +494,136 @@ func (s *span) write(j *join, block, count int64) {
 	s.curJoin = nil
 }
 
+// legsOf resolves e's write set — data, P, Q, as far as the layout has
+// them — to array devices and device blocks, keeping the legs whose
+// device is up: n counts them all, and deadData says the data leg is not
+// among the kept.
+func (s *span) legsOf(e raid.Extent) (up legs, n int, deadData bool) {
+	for i, p := range [3]raid.PBA{e.Data, e.Parity, e.Q} {
+		if p.Disk < 0 {
+			break
+		}
+		n++
+		if dev := s.disks[p.Disk]; !s.arr.deviceDown(dev) {
+			up.dev[up.nleg], up.blk[up.nleg] = dev, s.base+p.Block
+			up.nleg++
+		} else if i == 0 {
+			deadData = true
+		}
+	}
+	return up, n, deadData
+}
+
 // writeExtent issues one extent's write (or read-modify-write cycle)
 // against curJoin.
 func (s *span) writeExtent(e raid.Extent) {
-	if s.arr.faults != nil && s.extentDown(e) {
-		s.degradedWrite(e)
+	l, n, deadData := s.legsOf(e)
+	if l.nleg < n {
+		s.degradedWrite(e, l, n, deadData)
 		return
 	}
-	if e.Parity.Disk < 0 {
-		s.arr.Submit(s.disks[e.Data.Disk], disk.OpWrite, s.base+e.Data.Block, e.Count, s.curJoin.branch())
+	if n == 1 {
+		s.arr.Submit(l.dev[0], disk.OpWrite, l.blk[0], e.Count, s.curJoin.branch())
 		return
 	}
-	r := s.arr.newRMW()
-	r.devs[0], r.blks[0] = s.disks[e.Data.Disk], s.base+e.Data.Block
-	r.devs[1], r.blks[1] = s.disks[e.Parity.Disk], s.base+e.Parity.Block
-	r.nloc = 2
-	if s.dual != nil {
-		if q, ok := s.dual.QParityOf(e.Logical); ok {
-			r.devs[2], r.blks[2] = s.disks[q.Disk], s.base+q.Block
-			r.nloc = 3
+	j := s.arr.newJoin(s.curJoin.branch()) // told when all final writes complete
+	j.step, j.legs, j.n = stepRMW, l, e.Count
+	j.preRead()
+	j.seal(s.arr.Eng.Now())
+}
+
+// flushDegradedRead serves the span's pending degraded-read run — one
+// or more device-contiguous extents whose data disk is down (batched by
+// readExtent): read the surviving units of the covered stripe rows in
+// one submission per peer — every group disk holds its units of those
+// rows at the same device block ranges, the uniform-row invariant of
+// the rotation tables — then pay one aggregated XOR/GF(256)
+// reconstruction charge for the whole run before completing the client
+// branch. The peer set and the erasure count are resolved once from the
+// run's first block: for a fixed dead disk they are the same for every
+// row of its group, and device states cannot change mid-walk (fault
+// events are engine events, never re-entrant into a walk). With more
+// failures than parity units the run is lost: it completes immediately,
+// is counted, and the submission that walked it reports a LostError.
+func (s *span) flushDegradedRead() {
+	f := s.arr.faults
+	count, logical, blk := s.degN, s.degLog, s.base+s.degBlk
+	s.degN = 0
+	br := s.curJoin.branch()
+	missing := 1
+	var peers []int
+	if s.red != nil {
+		peers = s.red.RowPeers(logical, f.peerBuf[:0])
+		f.peerBuf = peers[:0]
+		for _, p := range peers {
+			if s.arr.deviceDown(s.disks[p]) {
+				missing++
+			}
 		}
 	}
-	r.count = e.Count
-	r.writes = s.curJoin.branch() // completes when all final writes do
-	phase1 := s.arr.newJoin(r.phase2Fn)
-	// The pre-reads (including the old-data read, which retraces
-	// the data position) are RMW mechanics, not access pattern.
-	for i := 0; i < r.nloc; i++ {
-		s.arr.submit(r.devs[i], disk.OpRead, r.blks[i], r.count, false, phase1.branch())
+	if s.red == nil || missing > s.red.ParityUnits() {
+		f.stats.LostExtents++
+		s.arr.Eng.AfterTimed(0, br)
+		return
 	}
-	phase1.seal(s.arr.Eng.Now())
+	f.stats.DegradedReads++
+	f.stats.DegradedBlocks += count
+	// Reconstruction compute: proportional to the blocks combined and
+	// to how many erasures the decode solves, charged once per run. A
+	// read has no legs to commit afterwards, so the delay over tells br.
+	sub := s.arr.newJoin(br)
+	sub.step, sub.delay = stepDecode, sim.Time(count)*sim.Time(missing)*f.opt.ReconPerBlock
+	s.readPeers(sub, peers, -1, -1, blk, count)
+	sub.seal(s.arr.Eng.Now())
+}
+
+// readPeers attaches to j one read of device blocks [blk, blk+count) on
+// every surviving peer (layout disk indices, from RowPeers or DiskPeers)
+// other than skipP and skipQ; -1 skips nothing.
+func (s *span) readPeers(j *join, peers []int, skipP, skipQ int, blk, count int64) {
+	for _, p := range peers {
+		dev := s.disks[p]
+		if p == skipP || p == skipQ || s.arr.deviceDown(dev) {
+			continue
+		}
+		s.arr.faults.stats.PeerReads++
+		s.arr.submit(dev, disk.OpRead, blk, count, false, j.branch())
+	}
+}
+
+// degradedWrite commits a write extent of n legs of which only those in
+// up survive. A dead parity leg is simply skipped — its content is
+// reconstructible later. A dead data leg turns the update into a
+// reconstruct-write: read the surviving non-parity units of the row,
+// recompute parity with the new data standing in for the dead unit, and
+// write the surviving parity legs — the new data lives on encoded in
+// them. More dead legs than parity units means the write cannot be made
+// durable: it completes (the simulator models timing), is counted lost,
+// and the submission reports a LostError.
+func (s *span) degradedWrite(e raid.Extent, up legs, n int, deadData bool) {
+	f := s.arr.faults
+	br := s.curJoin.branch()
+	if dead, par := n-up.nleg, n-1; dead > par || (deadData && s.red == nil) {
+		f.stats.LostExtents++
+		s.arr.Eng.AfterTimed(0, br)
+		return
+	}
+	f.stats.DegradedWrites++
+
+	// Pre-reads, then the reconstruction compute, then the surviving
+	// writes: one join walks stepDecode → stepCommit → stepTell.
+	j := s.arr.newJoin(br)
+	j.step, j.legs, j.n = stepDecode, up, e.Count
+	if deadData {
+		j.delay = sim.Time(e.Count) * f.opt.ReconPerBlock
+		// Reconstruct-write pre-reads: the surviving *data* units of
+		// the row (parity legs are overwritten, their old content is
+		// not needed).
+		peers := s.red.RowPeers(e.Logical, f.peerBuf[:0])
+		f.peerBuf = peers[:0]
+		s.readPeers(j, peers, e.Parity.Disk, e.Q.Disk, s.base+e.Data.Block, e.Count)
+	} else {
+		j.preRead() // ordinary RMW pre-reads, restricted to the surviving legs
+	}
+	j.seal(s.arr.Eng.Now())
 }

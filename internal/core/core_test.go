@@ -375,7 +375,7 @@ func TestCRAIDMappingBytesGrows(t *testing.T) {
 
 func TestJoinZeroBranches(t *testing.T) {
 	fired := false
-	j := newJoin(func(sim.Time) { fired = true })
+	j := NewArray(sim.NewEngine(), nil).newJoin(func(sim.Time) { fired = true })
 	j.seal(42)
 	if !fired {
 		t.Error("empty join did not fire on seal")
@@ -387,7 +387,7 @@ func TestJoinZeroBranches(t *testing.T) {
 
 func TestJoinWaitsForAllBranches(t *testing.T) {
 	var at sim.Time
-	j := newJoin(func(t sim.Time) { at = t })
+	j := NewArray(sim.NewEngine(), nil).newJoin(func(t sim.Time) { at = t })
 	b1 := j.branch()
 	b2 := j.branch()
 	j.seal(0)

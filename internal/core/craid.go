@@ -41,8 +41,10 @@ import (
 //     per-key Go-map hashing, no per-entry heap objects), the mapping
 //     cache recycles tree nodes through a freelist, the insertRuns
 //     newborn scratch, eviction callback and write-back run buffer live
-//     on the CRAID struct, copy-in and latency-record wrappers pool like
-//     joins/RMW ops on the Array, and the span extent walks reuse bound
+//     on the CRAID struct, every "when these I/Os complete, do X" is a
+//     join from the Array's one pool whose step names X (array.go: one
+//     object per request, per miss extent, per write-back run, per
+//     parity write extent), and the span extent walks reuse bound
 //     callbacks instead of per-call closures. A warm-cache Submit
 //     performs zero allocations (TestSubmitWarmAllocFree pins this);
 //     monitor churn (evict + re-insert) allocates nothing either.
@@ -223,8 +225,6 @@ type CRAID struct {
 
 	pending []bool  // insertRuns newborn scratch, reused across calls
 	wb      []wbRun // pending dirty write-back runs, reused across calls
-	wbFree  *wbOp   // write-back op freelist
-	ciFree  *ciOp   // copy-in op freelist
 
 	// insertRuns' eviction-callback state: the callback handed to
 	// cache.Policy.InsertRun is bound once (insEvict) and reads the
@@ -264,101 +264,25 @@ type CRAID struct {
 // blocks orig..orig+n-1 cached at slots slot..slot+n-1.
 type wbRun struct{ orig, slot, n int64 }
 
-// wbOp is one write-back chain in flight: when the P_C read of the
-// evicted copies completes, done issues the archive update. Pooled on
-// the CRAID (fn caches the method value) so dirty evictions allocate
-// nothing at steady state.
-type wbOp struct {
-	c       *CRAID
-	orig, n int64
-	epoch   uint64
-	up      func(sim.Time) // upgrade-join branch (ExpandWith), else nil
-	fn      func(sim.Time)
-	next    *wbOp // freelist link
+// chain issues one background chain: read [from, from+n) on src and,
+// when that completes, take st (stepCopyIn, stepWriteBack or
+// stepMigrate) over the run [orig, orig+n), telling fn as the step says.
+// The chain is stamped with the current incarnation, so a crash-restart
+// in between leaves only its timing.
+func (c *CRAID) chain(st step, fn func(sim.Time), src *span, from, orig, n int64) {
+	j := c.arr.newJoin(fn)
+	j.step, j.c, j.orig, j.n, j.epoch = st, c, orig, n, c.epoch
+	src.read(j, from, n)
+	j.seal(c.arr.Eng.Now())
 }
 
-func (c *CRAID) newWBOp(orig, n int64) *wbOp {
-	o := c.wbFree
-	if o == nil {
-		o = &wbOp{c: c}
-		o.fn = o.done
-	} else {
-		c.wbFree = o.next
-		o.next = nil
+// upBranch returns a branch of the upgrade join for a chain the running
+// ExpandWith call issues, nil when no caller waits for the drain.
+func (c *CRAID) upBranch() func(sim.Time) {
+	if c.upJoin == nil {
+		return nil
 	}
-	o.orig, o.n, o.epoch = orig, n, c.epoch
-	o.up = nil
-	if c.upJoin != nil {
-		o.up = c.upJoin.branch()
-	}
-	return o
-}
-
-// done runs when the P_C read finishes: update P_A, recycle the op. A
-// stale epoch means a crash-restart tore the owning incarnation down
-// mid-chain: the archive update is dropped (the dirty mapping was
-// re-logged or lost with the crash, exactly as a real controller's
-// in-flight write-back dies with it). An upgrade branch (ExpandWith
-// tracking drain) fires either way — on the archive write's completion
-// when the chain is live, immediately when it is stale.
-func (o *wbOp) done(at sim.Time) {
-	c := o.c
-	up := o.up
-	o.up = nil
-	if o.epoch == c.epoch {
-		detached := c.arr.newJoin(up)
-		c.pa.write(detached, o.orig, o.n)
-		detached.seal(c.arr.Eng.Now())
-		up = nil
-	}
-	o.next = c.wbFree
-	c.wbFree = o
-	if up != nil {
-		up(at)
-	}
-}
-
-// ciOp is one read-miss copy-in in flight: when the P_A read serving
-// the client completes, done releases the client branch and copies the
-// run into P_C in the background. Pooled on the CRAID (fn caches the
-// method value) so the read-miss path allocates no per-extent closure.
-type ciOp struct {
-	c       *CRAID
-	orig, n int64
-	epoch   uint64
-	jb      func(sim.Time) // the client join's branch callback
-	fn      func(sim.Time)
-	next    *ciOp // freelist link
-}
-
-func (c *CRAID) newCIOp(orig, n int64, jb func(sim.Time)) *ciOp {
-	o := c.ciFree
-	if o == nil {
-		o = &ciOp{c: c}
-		o.fn = o.done
-	} else {
-		c.ciFree = o.next
-		o.next = nil
-	}
-	o.orig, o.n, o.jb, o.epoch = orig, n, jb, c.epoch
-	return o
-}
-
-// done runs when the P_A read finishes: complete the client's branch,
-// then copy the data into P_C. Recycled first — copyIn can trigger
-// evictions whose side effects reach back into the submit path. The
-// client branch always fires (timing), but a stale epoch skips the
-// copy-in: the mapping state it would mutate belongs to an incarnation
-// a crash-restart already discarded.
-func (o *ciOp) done(at sim.Time) {
-	c, orig, n, jb, epoch := o.c, o.orig, o.n, o.jb, o.epoch
-	o.jb = nil
-	o.next = c.ciFree
-	c.ciFree = o
-	jb(at)
-	if epoch == c.epoch {
-		c.copyIn(orig, n, disk.OpRead)
-	}
+	return c.upJoin.branch()
 }
 
 // NewCRAID assembles a CRAID volume.
@@ -450,7 +374,7 @@ func (c *CRAID) Submit(rec trace.Record, done func(sim.Time)) error {
 	if f := c.arr.faults; f != nil {
 		lost0 = f.stats.LostExtents
 	}
-	j := c.arr.newJoin(c.record(rec.Op, now, done))
+	j := c.request(c.arr, rec.Op, now, done)
 	if rec.Op == disk.OpRead {
 		c.stats.ReadBlocks += rec.Count
 	} else {
@@ -497,13 +421,10 @@ func (c *CRAID) readExtent(j *join, b, n, cache int64, hit bool, reqSize int64) 
 		return
 	}
 	// Serve the client from P_A; once the data is in memory, copy it
-	// into P_C in the background (pooled ciOp — no closure per miss
+	// into P_C in the background (stepCopyIn — no closure per miss
 	// extent).
 	c.trackSeq(c.arr.Eng.Now(), 1, b, n)
-	o := c.newCIOp(b, n, j.branch())
-	sub := c.arr.newJoin(o.fn)
-	c.pa.read(sub, b, n)
-	sub.seal(c.arr.Eng.Now())
+	c.chain(stepCopyIn, j.branch(), c.pa, b, b, n)
 }
 
 // writeExtent serves one classified write extent — writes always go to
@@ -669,10 +590,7 @@ func (c *CRAID) queueWriteback(orig, slot int64) {
 // additional I/Os", amortized over the run).
 func (c *CRAID) flushWritebacks() {
 	for _, r := range c.wb {
-		o := c.newWBOp(r.orig, r.n)
-		sub := c.arr.newJoin(o.fn)
-		c.pc.read(sub, r.slot, r.n)
-		sub.seal(c.arr.Eng.Now())
+		c.chain(stepWriteBack, c.upBranch(), c.pc, r.slot, r.orig, r.n)
 	}
 	c.wb = c.wb[:0]
 }
@@ -766,7 +684,6 @@ func (c *CRAID) ExpandRetain(newDevs []disk.Device) ExpandStats {
 	// Physically migrate live blocks, coalescing consecutive slots. The
 	// epoch stamp drops the re-placement write if a crash-restart tears
 	// this incarnation down while the old-placement read is in flight.
-	epoch := c.epoch
 	for i := 0; i < len(slots); {
 		j := i + 1
 		for j < len(slots) && slots[j] == slots[j-1]+1 {
@@ -774,23 +691,7 @@ func (c *CRAID) ExpandRetain(newDevs []disk.Device) ExpandStats {
 		}
 		start, n := slots[i], int64(j-i)
 		st.Migrated += n
-		var up func(sim.Time)
-		if c.upJoin != nil {
-			up = c.upJoin.branch()
-		}
-		sub := newJoin(func(at sim.Time) {
-			if c.epoch != epoch {
-				if up != nil {
-					up(at)
-				}
-				return
-			}
-			detached := c.arr.newJoin(up)
-			c.pc.write(detached, start, n)
-			detached.seal(c.arr.Eng.Now())
-		})
-		oldPC.read(sub, start, n)
-		sub.seal(c.arr.Eng.Now())
+		c.chain(stepMigrate, c.upBranch(), oldPC, start, start, n)
 		i = j
 	}
 	return st
@@ -805,21 +706,16 @@ func (c *CRAID) ExpandRetain(newDevs []disk.Device) ExpandStats {
 // Chains torn down by a crash-restart (stale epoch) still count as
 // drained when their timing completes, so done always fires.
 func (c *CRAID) ExpandWith(newDevs []disk.Device, retain bool, done func(sim.Time)) ExpandStats {
-	var up *join
-	if done != nil {
-		up = c.arr.newJoin(done)
-		c.upJoin = up
-	}
+	up := c.arr.newJoin(done)
+	c.upJoin = up
 	var st ExpandStats
 	if retain {
 		st = c.ExpandRetain(newDevs)
 	} else {
 		st = c.Expand(newDevs)
 	}
-	if up != nil {
-		c.upJoin = nil
-		up.seal(c.arr.Eng.Now())
-	}
+	c.upJoin = nil
+	up.seal(c.arr.Eng.Now())
 	return st
 }
 
@@ -876,7 +772,9 @@ func (c *CRAID) Recover(r io.Reader) (int, error) {
 
 // recoverLog reinstates the dirty translations a log image carries
 // into an empty mapping state (fresh construction or post-crash
-// teardown).
+// teardown). The log is input from outside the program (a -maplog
+// file, a crash image), so every record is checked before any state
+// changes: a bad image is an error, never a panic three requests later.
 func (c *CRAID) recoverLog(r io.Reader) (int, error) {
 	ms, err := mapcache.Recover(r)
 	if err != nil {
@@ -885,17 +783,24 @@ func (c *CRAID) recoverLog(r io.Reader) (int, error) {
 	used := make(map[int64]bool, len(ms))
 	var maxSlot int64 = -1
 	for _, m := range ms {
-		if m.Cache >= c.pcData {
-			// The log predates a geometry change; such copies are
-			// unrecoverable from P_C and must be treated as lost.
-			return 0, fmt.Errorf("core: logged slot %d beyond cache capacity %d", m.Cache, c.pcData)
+		switch {
+		case m.Cache < 0 || m.Cache >= c.pcData:
+			// Beyond capacity, the log predates a geometry change; such
+			// copies are unrecoverable from P_C and must be treated as lost.
+			return 0, fmt.Errorf("core: logged slot %d outside cache capacity %d", m.Cache, c.pcData)
+		case m.Orig < 0 || m.Orig >= c.DataBlocks():
+			return 0, fmt.Errorf("core: logged block %d outside volume capacity %d", m.Orig, c.DataBlocks())
+		case used[m.Cache]:
+			return 0, fmt.Errorf("core: log maps two blocks to slot %d", m.Cache)
 		}
-		c.table.Insert(m)
-		c.policy.Insert(m.Orig, 1)
 		used[m.Cache] = true
 		if m.Cache > maxSlot {
 			maxSlot = m.Cache
 		}
+	}
+	for _, m := range ms {
+		c.table.Insert(m)
+		c.policy.Insert(m.Orig, 1)
 	}
 	// Reserve the recovered slots: bump the allocator past the highest
 	// and return the gaps to the free list.
@@ -951,12 +856,6 @@ func (c *CRAID) allocRun(n int64) (start, got int64) {
 		return s, g
 	}
 	panic("core: cache partition allocator exhausted (policy capacity mismatch)")
-}
-
-// alloc returns one free P_C data block.
-func (c *CRAID) alloc() int64 {
-	s, _ := c.allocRun(1)
-	return s
 }
 
 func (c *CRAID) freeSlot(s int64) { c.free.add(s, 1) }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"craid/internal/disk"
+	"craid/internal/mapcache"
 	"craid/internal/raid"
 	"craid/internal/sim"
 )
@@ -206,5 +207,35 @@ func TestCRAIDRecoverRejectsOversizedSlot(t *testing.T) {
 	small, _ := newTinyCRAID(eng2, 2)
 	if _, err := small.Recover(&log); err == nil {
 		t.Error("oversized logged slot not rejected")
+	}
+
+	// The log is outside input: images no controller would have written
+	// are rejected too, by Recover and by CrashRestart, before either
+	// reinstates anything.
+	for name, ms := range map[string][]mapcache.Mapping{
+		"negative slot":       {{Orig: 10, Cache: -5}},
+		"slot claimed twice":  {{Orig: 10, Cache: 3}, {Orig: 20, Cache: 3}},
+		"block beyond volume": {{Orig: 1 << 40, Cache: 3}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var img bytes.Buffer
+			w := mapcache.New()
+			w.SetLog(&img)
+			for _, m := range ms {
+				m.Dirty = true
+				w.Insert(m)
+			}
+			c, _ := newTestCRAID(sim.NewEngine(), 64)
+			if n, err := c.Recover(bytes.NewReader(img.Bytes())); err == nil {
+				t.Errorf("Recover accepted the image (%d mappings)", n)
+			}
+			if n, err := c.CrashRestart(bytes.NewReader(img.Bytes())); err == nil {
+				t.Errorf("CrashRestart accepted the image (%d mappings)", n)
+			}
+			if c.table.Len() != 0 {
+				t.Errorf("%d mappings reinstated from a rejected image", c.table.Len())
+			}
+			checkInvariants(t, c)
+		})
 	}
 }

@@ -94,15 +94,16 @@ func (s *FaultStats) UpgradeLatency() sim.Time {
 // plan is installed; every hot-path check on healthy runs is a single
 // nil test.
 type faultState struct {
-	stats         FaultStats
-	failed        []bool   // device index → routed around
-	retryBase     sim.Time // first retry backoff (doubles per attempt)
-	maxAttempts   int
-	reconPerBlock sim.Time
-	retryFree     *retryOp
-	reconFree     *reconOp
-	degFree       *degWriteOp
-	peerBuf       []int // scratch for Redundant.RowPeers
+	stats   FaultStats
+	failed  []bool       // device index → routed around
+	opt     FaultOptions // with defaults applied
+	peerBuf []int        // scratch for Redundant.RowPeers
+
+	// retryFree pools the retry ops; retriesMade counts the ops ever
+	// allocated, all of which are back on the list once the engine
+	// drains.
+	retryFree   *retryOp
+	retriesMade int
 }
 
 func (f *faultState) ensure(dev int) {
@@ -130,7 +131,8 @@ func (e *LostError) Error() string {
 // retryOp is one logical device submission being shepherded through
 // transient errors: on an error completion it resubmits after an
 // exponentially growing backoff until the attempt budget runs out.
-// Pooled like the array's other per-I/O control structures.
+// Pooled like the array's joins, but a type of its own: it shepherds one
+// submission, has a Fail edge and a timer, and is not a fan-in.
 type retryOp struct {
 	arr      *Array
 	dev      int
@@ -149,6 +151,7 @@ type retryOp struct {
 func (f *faultState) newRetry(a *Array, dev int, op disk.Op, block, count int64, trackSeq bool, done func(sim.Time)) *retryOp {
 	r := f.retryFree
 	if r == nil {
+		f.retriesMade++
 		r = &retryOp{arr: a}
 		r.doneFn = r.complete
 		r.failFn = r.fail
@@ -168,7 +171,7 @@ func (r *retryOp) fail(at sim.Time) {
 	f := r.arr.faults
 	f.stats.Transients++
 	r.attempt++
-	if r.attempt >= f.maxAttempts || r.arr.deviceDown(r.dev) {
+	if r.attempt >= f.opt.MaxAttempts || r.arr.deviceDown(r.dev) {
 		// Budget exhausted, or the disk died under us: give up. The
 		// caller's join still completes — the simulator models timing —
 		// and the loss is visible in the stats.
@@ -177,7 +180,7 @@ func (r *retryOp) fail(at sim.Time) {
 		return
 	}
 	f.stats.Retries++
-	r.arr.Eng.After(f.retryBase<<uint(r.attempt-1), r.retryFn)
+	r.arr.Eng.After(f.opt.RetryBase<<uint(r.attempt-1), r.retryFn)
 }
 
 // retry resubmits the attempt.
@@ -198,262 +201,6 @@ func (r *retryOp) complete(at sim.Time) {
 	}
 }
 
-// reconOp defers a reconstruction's completion by its decode charge:
-// when the peer reads' join fires, it schedules the client branch after
-// the aggregated XOR/GF(256) delay. Pooled like the array's other
-// per-I/O control structures; fireFn caches the method value across
-// recycles.
-type reconOp struct {
-	f      *faultState
-	eng    *sim.Engine
-	delay  sim.Time
-	br     func(sim.Time)
-	fireFn func(sim.Time)
-	next   *reconOp
-}
-
-func (f *faultState) newRecon(eng *sim.Engine, delay sim.Time, br func(sim.Time)) *reconOp {
-	r := f.reconFree
-	if r == nil {
-		r = &reconOp{f: f}
-		r.fireFn = r.fire
-	} else {
-		f.reconFree = r.next
-		r.next = nil
-	}
-	r.eng, r.delay, r.br = eng, delay, br
-	return r
-}
-
-// fire runs when the peer reads complete: recycle, then schedule the
-// client branch after the decode delay (br is copied out first — the op
-// must not be touched once recycled).
-func (r *reconOp) fire(sim.Time) {
-	eng, delay, br := r.eng, r.delay, r.br
-	r.br = nil
-	r.next = r.f.reconFree
-	r.f.reconFree = r
-	eng.AfterTimed(delay, br)
-}
-
-// flushDegradedRead serves the span's pending degraded-read run — one
-// or more device-contiguous extents whose data disk is down (batched by
-// readExtent): read the surviving units of the covered stripe rows in
-// one submission per peer — every group disk holds its units of those
-// rows at the same device block ranges, the uniform-row invariant of
-// the rotation tables — then pay one aggregated XOR/GF(256)
-// reconstruction charge for the whole run before completing the client
-// branch. The peer set and the erasure count are resolved once from the
-// run's first block: for a fixed dead disk they are the same for every
-// row of its group, and device states cannot change mid-walk (fault
-// events are engine events, never re-entrant into a walk). With more
-// failures than parity units the run is lost: it completes immediately,
-// is counted, and the submission that walked it reports a LostError.
-func (s *span) flushDegradedRead() {
-	f := s.arr.faults
-	count, logical, blk := s.degN, s.degLog, s.base+s.degBlk
-	s.degN = 0
-	br := s.curJoin.branch()
-	now := s.arr.Eng.Now()
-	if s.red == nil {
-		f.stats.LostExtents++
-		s.arr.Eng.AfterTimed(0, br)
-		return
-	}
-	peers := s.red.RowPeers(logical, f.peerBuf[:0])
-	f.peerBuf = peers[:0]
-	missing := 1
-	for _, p := range peers {
-		if s.arr.deviceDown(s.disks[p]) {
-			missing++
-		}
-	}
-	if missing > s.red.ParityUnits() {
-		f.stats.LostExtents++
-		s.arr.Eng.AfterTimed(0, br)
-		return
-	}
-	f.stats.DegradedReads++
-	f.stats.DegradedBlocks += count
-	// Reconstruction compute: proportional to the blocks combined and
-	// to how many erasures the decode solves, charged once per run.
-	delay := sim.Time(count) * sim.Time(missing) * f.reconPerBlock
-	ro := f.newRecon(s.arr.Eng, delay, br)
-	sub := s.arr.newJoin(ro.fireFn)
-	for _, p := range peers {
-		dev := s.disks[p]
-		if s.arr.deviceDown(dev) {
-			continue
-		}
-		f.stats.PeerReads++
-		s.arr.submit(dev, disk.OpRead, blk, count, false, sub.branch())
-	}
-	sub.seal(now)
-}
-
-// extentDown reports whether any leg of e's write targets a failed
-// device. Called only when a fault plan is installed.
-func (s *span) extentDown(e raid.Extent) bool {
-	if s.arr.deviceDown(s.disks[e.Data.Disk]) {
-		return true
-	}
-	if e.Parity.Disk >= 0 {
-		if s.arr.deviceDown(s.disks[e.Parity.Disk]) {
-			return true
-		}
-		if s.dual != nil {
-			if q, ok := s.dual.QParityOf(e.Logical); ok && s.arr.deviceDown(s.disks[q.Disk]) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// degWriteOp is one degraded reconstruct-write (or survivor-leg RMW) in
-// flight: phase1 fires when the pre-reads complete and schedules phase2
-// after the reconstruction delay; phase2 issues the surviving final
-// writes and recycles the op. Pooled; both method values are cached
-// across recycles.
-type degWriteOp struct {
-	arr      *Array
-	f        *faultState
-	br       func(sim.Time)
-	count    int64
-	delay    sim.Time
-	nw       int
-	wdev     [3]int
-	wblk     [3]int64
-	phase1Fn func(sim.Time)
-	phase2Fn func()
-	next     *degWriteOp
-}
-
-func (f *faultState) newDegWrite(a *Array) *degWriteOp {
-	d := f.degFree
-	if d == nil {
-		d = &degWriteOp{arr: a, f: f}
-		d.phase1Fn = d.phase1
-		d.phase2Fn = d.phase2
-		return d
-	}
-	f.degFree = d.next
-	d.next = nil
-	return d
-}
-
-// phase1 runs when the pre-reads finish: wait out the reconstruction
-// compute before committing the writes.
-func (d *degWriteOp) phase1(sim.Time) {
-	d.arr.Eng.After(d.delay, d.phase2Fn)
-}
-
-// phase2 issues the surviving data+parity writes, then recycles the op.
-func (d *degWriteOp) phase2() {
-	arr := d.arr
-	inner := arr.newJoin(d.br)
-	for i := 0; i < d.nw; i++ {
-		arr.submit(d.wdev[i], disk.OpWrite, d.wblk[i], d.count, false, inner.branch())
-	}
-	inner.seal(arr.Eng.Now())
-	d.br = nil
-	d.next = d.f.degFree
-	d.f.degFree = d
-}
-
-// degradedWrite commits a write extent with at least one dead leg. A
-// dead parity leg is simply skipped — its content is reconstructible
-// later. A dead data leg turns the update into a reconstruct-write:
-// read the surviving non-parity units of the row, recompute parity
-// with the new data standing in for the dead unit, and write the
-// surviving parity legs — the new data lives on encoded in them. More
-// dead legs than parity units means the write cannot be made durable:
-// it completes (the simulator models timing), is counted lost, and the
-// submission reports a LostError.
-func (s *span) degradedWrite(e raid.Extent) {
-	f := s.arr.faults
-	now := s.arr.Eng.Now()
-	br := s.curJoin.branch()
-
-	// Gather the surviving write legs: data, P, Q.
-	var wdev [3]int
-	var wblk [3]int64
-	nw, dead, par := 0, 0, 0
-	d0 := s.disks[e.Data.Disk]
-	deadData := s.arr.deviceDown(d0)
-	if deadData {
-		dead++
-	} else {
-		wdev[nw], wblk[nw] = d0, s.base+e.Data.Block
-		nw++
-	}
-	qDisk := -1
-	if e.Parity.Disk >= 0 {
-		par = 1
-		pd := s.disks[e.Parity.Disk]
-		if s.arr.deviceDown(pd) {
-			dead++
-		} else {
-			wdev[nw], wblk[nw] = pd, s.base+e.Parity.Block
-			nw++
-		}
-		if s.dual != nil {
-			if q, ok := s.dual.QParityOf(e.Logical); ok {
-				par = 2
-				qDisk = q.Disk
-				qd := s.disks[q.Disk]
-				if s.arr.deviceDown(qd) {
-					dead++
-				} else {
-					wdev[nw], wblk[nw] = qd, s.base+q.Block
-					nw++
-				}
-			}
-		}
-	}
-	if dead > par || (deadData && s.red == nil) {
-		f.stats.LostExtents++
-		s.arr.Eng.AfterTimed(0, br)
-		return
-	}
-	f.stats.DegradedWrites++
-
-	count := e.Count
-	delay := sim.Time(0)
-	if deadData {
-		delay = sim.Time(count) * f.reconPerBlock
-	}
-	arr := s.arr
-	op := f.newDegWrite(arr)
-	op.br, op.count, op.delay = br, count, delay
-	op.nw, op.wdev, op.wblk = nw, wdev, wblk
-	phase1 := arr.newJoin(op.phase1Fn)
-	if deadData {
-		// Reconstruct-write pre-reads: the surviving *data* units of
-		// the row (parity legs are overwritten, their old content is
-		// not needed).
-		peers := s.red.RowPeers(e.Logical, f.peerBuf[:0])
-		f.peerBuf = peers[:0]
-		for _, p := range peers {
-			if p == e.Parity.Disk || p == qDisk {
-				continue
-			}
-			dev := s.disks[p]
-			if arr.deviceDown(dev) {
-				continue
-			}
-			f.stats.PeerReads++
-			arr.submit(dev, disk.OpRead, s.base+e.Data.Block, count, false, phase1.branch())
-		}
-	} else {
-		// Ordinary RMW pre-reads restricted to the surviving legs.
-		for i := 0; i < nw; i++ {
-			arr.submit(wdev[i], disk.OpRead, wblk[i], count, false, phase1.branch())
-		}
-	}
-	phase1.seal(now)
-}
-
 // FaultRuntime binds a fault.Plan to a volume: it owns the per-device
 // injectors, compiles the plan's events onto the simulation clock, and
 // drives rebuild traffic through the same engine — and the same device
@@ -461,7 +208,6 @@ func (s *span) degradedWrite(e raid.Extent) {
 type FaultRuntime struct {
 	arr  *Array
 	vol  Volume
-	opt  FaultOptions
 	seed uint64
 	devs []*fault.Device
 	down int // devices currently routed around
@@ -506,13 +252,8 @@ func InstallFaults(arr *Array, vol Volume, plan fault.Plan, opt FaultOptions) (*
 			return nil, fmt.Errorf("fault: expand events require a CRAID volume")
 		}
 	}
-	opt = opt.withDefaults()
-	rt := &FaultRuntime{arr: arr, vol: vol, opt: opt, seed: plan.Seed}
-	arr.faults = &faultState{
-		retryBase:     opt.RetryBase,
-		maxAttempts:   opt.MaxAttempts,
-		reconPerBlock: opt.ReconPerBlock,
-	}
+	rt := &FaultRuntime{arr: arr, vol: vol, seed: plan.Seed}
+	arr.faults = &faultState{opt: opt.withDefaults()}
 	arr.faults.ensure(arr.Devices() - 1)
 	rt.devs = make([]*fault.Device, arr.Devices())
 	for i := range rt.devs {
@@ -807,7 +548,6 @@ func (r *rebuildJob) step() {
 // batch slowly is simply late, never bursty).
 func (r *rebuildJob) run(sw spanWalk, blk, n, rows int64, peers []int) {
 	rt := r.rt
-	f := rt.arr.faults
 	eng := rt.arr.Eng
 	s := sw.s
 	dev := r.dev
@@ -829,14 +569,7 @@ func (r *rebuildJob) run(sw spanWalk, blk, n, rows int64, peers []int) {
 	}
 	r.batch = rebuildBatch{s: s, blk: blk, n: n, rows: rows, missing: missing, start: eng.Now()}
 	sub := rt.arr.newJoin(r.readFn)
-	for _, p := range peers {
-		d := s.disks[p]
-		if rt.arr.deviceDown(d) || d == dev {
-			continue
-		}
-		f.stats.PeerReads++
-		rt.arr.submit(d, disk.OpRead, s.base+blk, n, false, sub.branch())
-	}
+	s.readPeers(sub, peers, -1, -1, s.base+blk, n)
 	sub.seal(eng.Now())
 }
 
@@ -846,7 +579,7 @@ func (r *rebuildJob) peersRead(sim.Time) {
 		return
 	}
 	b := &r.batch
-	r.rt.arr.Eng.After(r.rt.arr.faults.reconPerBlock*sim.Time(b.n)*sim.Time(b.missing), r.decodedFn)
+	r.rt.arr.Eng.After(r.rt.arr.faults.opt.ReconPerBlock*sim.Time(b.n)*sim.Time(b.missing), r.decodedFn)
 }
 
 // decoded writes the reconstructed run onto the spare.
@@ -854,10 +587,8 @@ func (r *rebuildJob) decoded() {
 	if r.epoch != r.rt.epoch {
 		return
 	}
-	arr, b := r.rt.arr, &r.batch
-	wr := arr.newJoin(r.writtenFn)
-	arr.submit(r.dev, disk.OpWrite, b.s.base+b.blk, b.n, false, wr.branch())
-	wr.seal(arr.Eng.Now())
+	b := &r.batch
+	r.rt.arr.submit(r.dev, disk.OpWrite, b.s.base+b.blk, b.n, false, r.writtenFn)
 }
 
 // written counts the batch and schedules the next step.

@@ -168,6 +168,7 @@ func TestRebuildDoubleFaultRAID6RePlansAroundSecondErasure(t *testing.T) {
 	if st.LostExtents != 0 {
 		t.Fatalf("RAID-6 double fault lost %d extents", st.LostExtents)
 	}
+	checkDrained(t, arr)
 }
 
 // TestRebuildDoubleFaultRAID5AbortsAtParityBudget pins the loss
@@ -226,6 +227,7 @@ func TestRebuildDoubleFaultRAID5AbortsAtParityBudget(t *testing.T) {
 			break
 		}
 	}
+	checkDrained(t, arr)
 }
 
 // TestCrashDuringRebuildRestartsFromRowZero pins the crash/rebuild
@@ -301,6 +303,7 @@ func TestCrashDuringRebuildRestartsFromRowZero(t *testing.T) {
 	if got := submitAndRun(eng, c, disk.OpRead, 0, 1); got != 0 {
 		t.Fatalf("post-rebuild read took %v on instant devices", got)
 	}
+	checkInvariants(t, c)
 }
 
 // TestStormMatchesExplicitCrashes pins the storm generator as pure
@@ -466,5 +469,18 @@ func TestExpandInvalidateMidReplayWritesBackDirty(t *testing.T) {
 	}
 	if faults.ExpandEnd < faults.ExpandStart {
 		t.Fatalf("ExpandEnd %v precedes ExpandStart %v", faults.ExpandEnd, faults.ExpandStart)
+	}
+
+	// A crash at the upgrade's own instant — after it issued its
+	// write-backs, before their P_C reads complete — leaves every chain
+	// stale. None updates the archive, yet each must still tell the
+	// upgrade's drain join: replayFault's invariant check finds that join
+	// missing from the pool if one forgets.
+	_, faults, _ = replayFault(t, newTestCRAID, recs, "seed=3;expand@8ms,disks=1;crash@8ms")
+	if faults.Upgrades != 1 || faults.Restarts != 1 || faults.ExpandWriteback == 0 {
+		t.Fatalf("upgrade and crash did not both fire: %+v", faults)
+	}
+	if faults.ExpandEnd != 8*sim.Millisecond {
+		t.Fatalf("ExpandEnd = %v, want the crash instant 8ms: stale chains drain as timing only", faults.ExpandEnd)
 	}
 }

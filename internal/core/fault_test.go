@@ -180,6 +180,7 @@ func TestDegradedReadRAID5EveryBlockReadable(t *testing.T) {
 	if s := arr.Device(dead).Stats(); s.Reads != 0 || s.Rejected != 0 {
 		t.Fatalf("dead device was consulted: %+v", s)
 	}
+	checkDrained(t, arr)
 }
 
 // TestDegradedReadCoalescesContiguousRows pins the row-batched
@@ -247,6 +248,7 @@ func TestDegradedReadCoalescesContiguousRows(t *testing.T) {
 	if s := arr.Device(dead).Stats(); s.Reads != 0 || s.Rejected != 0 {
 		t.Fatalf("dead device was consulted: %+v", s)
 	}
+	checkDrained(t, arr)
 }
 
 // TestDegradedReadRAID6DoubleFailure extends the pin to two
@@ -285,6 +287,7 @@ func TestDegradedReadRAID6DoubleFailure(t *testing.T) {
 		t.Fatalf("degraded counters %+v, reference wants %d reads / %d peer reads",
 			st, wantDeg, wantPeer)
 	}
+	checkDrained(t, arr)
 }
 
 // TestDegradedWriteRAID5 pins the write-side degraded contract against
@@ -333,6 +336,7 @@ func TestDegradedWriteRAID5(t *testing.T) {
 	if s := arr.Device(dead).Stats(); s.Reads != 0 || s.Writes != 0 || s.Rejected != 0 {
 		t.Fatalf("dead device was touched: %+v", s)
 	}
+	checkDrained(t, arr)
 }
 
 // TestDegradedBeyondRedundancyReportsLost pins the loss contract: a
@@ -374,6 +378,7 @@ func TestDegradedBeyondRedundancyReportsLost(t *testing.T) {
 	if st := rt.Stats(); st.LostExtents != wantLost {
 		t.Fatalf("LostExtents = %d, reference wants %d", st.LostExtents, wantLost)
 	}
+	checkDrained(t, arr)
 }
 
 // TestDegradedRAID5SecondFailureLosesData pins the same boundary on a
@@ -407,6 +412,7 @@ func TestDegradedRAID5SecondFailureLosesData(t *testing.T) {
 	if st := rt.Stats(); st.LostExtents != wantLost || st.DegradedReads != 0 {
 		t.Fatalf("counters %+v, want %d lost and no degraded reads", rt.Stats(), wantLost)
 	}
+	checkDrained(t, arr)
 }
 
 // TestFaultTransientRetryBudget pins the retry machinery exactly: a
@@ -448,6 +454,7 @@ func TestFaultTransientRetryBudget(t *testing.T) {
 	if got := submitAndRun(eng, ctl, disk.OpRead, b1, 1); got != 0 {
 		t.Fatalf("unaffected disk read took %v", got)
 	}
+	checkDrained(t, arr)
 }
 
 // TestFaultRebuildWalksAndRestoresDevice pins the rebuild pipeline on
@@ -498,6 +505,7 @@ func TestFaultRebuildWalksAndRestoresDevice(t *testing.T) {
 	if st.DegradedReads != deg0 {
 		t.Fatal("post-rebuild read still reconstructed")
 	}
+	checkDrained(t, arr)
 }
 
 // TestCrashRestartLogRingMatchesSyncControl is the crash-recovery e2e:

@@ -41,8 +41,6 @@ type latencies struct {
 	degRead   *metrics.LatencyHist
 	degWrite  *metrics.LatencyHist
 	degActive bool
-
-	recFree *recOp // freelist of response-time recorders
 }
 
 func newLatencies() latencies {
@@ -83,56 +81,24 @@ func (l *latencies) trackSeq(at sim.Time, stream int, block, count int64) {
 	}
 }
 
-// recOp is one pending response-time record: the wrapper record hands
-// to a request's join. Pooled on the latencies (fn caches the method
-// value) so Submit allocates nothing per request; the join fires fn
-// exactly once, which recycles the op.
-type recOp struct {
-	l     *latencies
-	op    disk.Op
-	deg   bool // submitted during a degraded window
-	start sim.Time
-	done  func(sim.Time)
-	fn    func(sim.Time)
-	next  *recOp // freelist link
+// request returns the join a client request's I/O attaches to: once
+// sealed and complete it records the response time, then tells done.
+func (l *latencies) request(a *Array, op disk.Op, start sim.Time, done func(sim.Time)) *join {
+	j := a.newJoin(done)
+	j.step, j.lat, j.op, j.start, j.deg = stepRecord, l, op, start, l.degActive
+	return j
 }
 
-// record wraps done to also record the response time.
-func (l *latencies) record(op disk.Op, start sim.Time, done func(sim.Time)) func(sim.Time) {
-	r := l.recFree
-	if r == nil {
-		r = &recOp{l: l}
-		r.fn = r.run
-	} else {
-		l.recFree = r.next
-		r.next = nil
+// add records one response time; deg says the request was submitted
+// during a degraded window.
+func (l *latencies) add(op disk.Op, deg bool, d sim.Time) {
+	all, degraded := l.write, l.degWrite
+	if op == disk.OpRead {
+		all, degraded = l.read, l.degRead
 	}
-	r.op, r.start, r.done = op, start, done
-	r.deg = l.degActive
-	return r.fn
-}
-
-// run fires at request completion: record the latency, recycle the op
-// (before done, which may submit the next request and reclaim it).
-func (r *recOp) run(at sim.Time) {
-	l := r.l
-	if r.op == disk.OpRead {
-		l.read.Add(at - r.start)
-		if r.deg {
-			l.degRead.Add(at - r.start)
-		}
-	} else {
-		l.write.Add(at - r.start)
-		if r.deg {
-			l.degWrite.Add(at - r.start)
-		}
-	}
-	done := r.done
-	r.done = nil
-	r.next = l.recFree
-	l.recFree = r
-	if done != nil {
-		done(at)
+	all.Add(d)
+	if deg {
+		degraded.Add(d)
 	}
 }
 
@@ -162,7 +128,7 @@ func (c *RAIDController) Submit(rec trace.Record, done func(sim.Time)) error {
 		lost0 = arr.faults.stats.LostExtents
 	}
 	c.trackSeq(now, 0, rec.Block, rec.Count)
-	j := arr.newJoin(c.record(rec.Op, now, done))
+	j := c.request(arr, rec.Op, now, done)
 	if rec.Op == disk.OpRead {
 		c.span.read(j, rec.Block, rec.Count)
 	} else {

@@ -99,6 +99,7 @@ func outcomeOf(c *CRAID, arr *Array) outcome {
 // submissions, after a replay, after Expand/ExpandRetain/CrashRestart.
 func checkInvariants(t *testing.T, c *CRAID) {
 	t.Helper()
+	checkDrained(t, c.arr)
 	if c.table.Len() != c.policy.Len() {
 		t.Fatalf("invariant: table holds %d mappings, policy %d keys", c.table.Len(), c.policy.Len())
 	}
@@ -142,5 +143,35 @@ func checkInvariants(t *testing.T, c *CRAID) {
 	}
 	if mapped, free := int64(len(slots)), c.free.size(); mapped+free != c.next {
 		t.Fatalf("invariant: %d mapped + %d free slots, allocator handed out %d", mapped, free, c.next)
+	}
+}
+
+// checkDrained checks that no continuation was ever lost: once the
+// engine has drained, every join the array allocated — and, under a
+// fault plan, every retry op — is back on its freelist. A dropped
+// completion, or a chain that forgets to tell the branch it was handed
+// (a stale-epoch write-back skipping its upgrade branch, say), leaves
+// one missing. With events still pending (the test stopped mid-run)
+// there is nothing to conclude.
+func checkDrained(t *testing.T, a *Array) {
+	t.Helper()
+	if a.Eng.Pending() != 0 {
+		return
+	}
+	free := 0
+	for j := a.joinFree; j != nil; j = j.next {
+		free++
+	}
+	if free != a.joinsMade {
+		t.Fatalf("invariant: %d joins allocated, %d back on the freelist after the engine drained", a.joinsMade, free)
+	}
+	if f := a.faults; f != nil {
+		free = 0
+		for r := f.retryFree; r != nil; r = r.next {
+			free++
+		}
+		if free != f.retriesMade {
+			t.Fatalf("invariant: %d retry ops allocated, %d back on the freelist after the engine drained", f.retriesMade, free)
+		}
 	}
 }

@@ -73,6 +73,16 @@ func (t *Table) freeNode(n *node) {
 	t.free = n
 }
 
+// recycle returns the whole subtree at n to the freelist.
+func (t *Table) recycle(n *node) {
+	for n != nil {
+		t.recycle(n.left)
+		right := n.right
+		t.freeNode(n)
+		n = right
+	}
+}
+
 func (t *Table) insert(n *node, m Mapping) *node {
 	if n == nil {
 		t.size++

@@ -341,8 +341,12 @@ func (t *Table) DirtyMappings() []Mapping {
 	return out
 }
 
-// Clear removes all mappings.
+// Clear removes all mappings. The nodes go to the table's own freelist
+// rather than the garbage collector: a crash-restart or an invalidating
+// expansion refills the tree at once, and would otherwise re-allocate it
+// node by node.
 func (t *Table) Clear() {
+	t.recycle(t.root)
 	t.root = nil
 	t.size = 0
 	t.dirty.clear()

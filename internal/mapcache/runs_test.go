@@ -168,4 +168,15 @@ func TestNodeFreelistReuse(t *testing.T) {
 	if allocs > 0 {
 		t.Fatalf("churn allocated %.1f per op, want 0 (freelist)", allocs)
 	}
+	// Clear keeps the nodes too: a crash-restart or an invalidating
+	// expansion empties the table and refills it at once.
+	allocs = testing.AllocsPerRun(100, func() {
+		tb.Clear()
+		for i := int64(0); i < 100; i++ {
+			tb.Insert(Mapping{Orig: i, Cache: i})
+		}
+	})
+	if allocs > 0 || tb.Len() != 100 {
+		t.Fatalf("clear and refill allocated %.1f per round, want 0 (freelist); %d mappings", allocs, tb.Len())
+	}
 }

@@ -12,9 +12,9 @@ import "fmt"
 type Redundant interface {
 	Layout
 	// ParityUnits reports how many simultaneous device losses a parity
-	// group survives (1 for RAID-5, 2 for RAID-6; 0 means the layout
-	// has no redundancy and callers must treat every loss as data
-	// loss).
+	// group survives (1 for RAID-5, 2 for RAID-6; 0 — RAID-0, bare or
+	// spread — means the layout has no redundancy and callers must
+	// treat every loss as data loss).
 	ParityUnits() int
 	// RowPeers appends to buf the other disks of the parity group row
 	// containing block — the devices a degraded read of block must
@@ -26,26 +26,15 @@ type Redundant interface {
 	DiskPeers(disk int, buf []int) []int
 }
 
-// groupPeers appends the other members of the parity group containing
-// disk.
-func groupPeers(groups []group, disk int, buf []int) []int {
-	for gi := range groups {
-		g := &groups[gi]
-		if disk >= g.firstDisk && disk < g.firstDisk+g.size {
-			for d := 0; d < g.size; d++ {
-				if g.firstDisk+d != disk {
-					buf = append(buf, g.firstDisk+d)
-				}
-			}
-			return buf
-		}
-	}
-	panic(fmt.Sprintf("raid: disk %d outside every parity group", disk))
-}
+// ParityUnits implements Redundant: 0 for RAID-0, which satisfies the
+// interface assertion but survives no losses.
+func (r *Striped) ParityUnits() int { return r.nParity }
 
-// rowPeers appends the group members other than the one holding the
-// block's own data unit.
-func rowPeers(grp *group, row int64, slot int, buf []int) []int {
+// RowPeers implements Redundant: the group members other than the one
+// holding the block's own data unit.
+func (r *Striped) RowPeers(block int64, buf []int) []int {
+	checkBlock(r, block, 1)
+	row, grp, slot := r.locateUnit(block / r.unit)
 	phase := int(row % int64(grp.size))
 	own := grp.dataDisk[phase*grp.dataSlots+slot]
 	for d := 0; d < grp.size; d++ {
@@ -56,34 +45,20 @@ func rowPeers(grp *group, row int64, slot int, buf []int) []int {
 	return buf
 }
 
-// ParityUnits implements Redundant.
-func (r *RAID5) ParityUnits() int { return 1 }
-
-// RowPeers implements Redundant.
-func (r *RAID5) RowPeers(block int64, buf []int) []int {
-	checkBlock(r, block, 1)
-	row, grp, slot := r.locateUnit(block / r.unit)
-	return rowPeers(grp, row, slot, buf)
-}
-
 // DiskPeers implements Redundant.
-func (r *RAID5) DiskPeers(disk int, buf []int) []int {
-	return groupPeers(r.groups, disk, buf)
-}
-
-// ParityUnits implements Redundant.
-func (r *RAID6) ParityUnits() int { return 2 }
-
-// RowPeers implements Redundant.
-func (r *RAID6) RowPeers(block int64, buf []int) []int {
-	checkBlock(r, block, 1)
-	row, grp, slot := r.locateUnit(block / r.unit)
-	return rowPeers(grp, row, slot, buf)
-}
-
-// DiskPeers implements Redundant.
-func (r *RAID6) DiskPeers(disk int, buf []int) []int {
-	return groupPeers(r.groups, disk, buf)
+func (r *Striped) DiskPeers(disk int, buf []int) []int {
+	for gi := range r.groups {
+		g := &r.groups[gi]
+		if disk >= g.firstDisk && disk < g.firstDisk+g.size {
+			for d := 0; d < g.size; d++ {
+				if g.firstDisk+d != disk {
+					buf = append(buf, g.firstDisk+d)
+				}
+			}
+			return buf
+		}
+	}
+	panic(fmt.Sprintf("raid: disk %d outside every parity group", disk))
 }
 
 // ParityUnits implements Redundant (each member set is one RAID-5
@@ -121,8 +96,7 @@ func (r *RAID5Plus) DiskPeers(disk int, buf []int) []int {
 
 // ParityUnits implements Redundant when the inner layout does; it
 // reports 0 otherwise, which callers must read as "no reconstruction
-// possible" (a SpreadLayout over RAID-0 satisfies the interface
-// assertion but survives no losses).
+// possible".
 func (s *SpreadLayout) ParityUnits() int {
 	if r, ok := s.inner.(Redundant); ok {
 		return r.ParityUnits()

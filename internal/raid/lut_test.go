@@ -22,50 +22,54 @@ func refGroupOf(groups []group, idx int64, parities int) *group {
 	panic("raid: unit index out of range")
 }
 
-// refLocate5 is the original RAID5.Locate: scan for the group, rotate
-// the parity, branch past the parity slot.
-func refLocate5(r *RAID5, block int64) PBA {
-	checkBlock(r, block, 1)
-	unit := block / r.unit
-	off := block % r.unit
-	row := unit / r.dataPerRow
-	idx := unit % r.dataPerRow
-	grp := refGroupOf(r.groups, idx, 1)
-	slot := int(idx - grp.firstData)
-	pp := parityPos(row, grp.size)
-	d := slot
-	if d >= pp {
-		d++
+// stripedLayouts picks rowBatchLayouts' RAID-0/5/6 members, each with
+// the parity count its name promises (checked against the layout's own
+// answer, so a constructor passing the wrong count fails here).
+func stripedLayouts(t *testing.T) map[string]*Striped {
+	t.Helper()
+	out := make(map[string]*Striped)
+	for name, l := range rowBatchLayouts() {
+		r, ok := l.(*Striped)
+		if !ok {
+			continue
+		}
+		if want := paritiesOf(name); r.ParityUnits() != want {
+			t.Fatalf("%s: ParityUnits() = %d, want %d", name, r.ParityUnits(), want)
+		}
+		out[name] = r
 	}
-	return PBA{Disk: grp.firstDisk + d, Block: row*r.unit + off}
+	return out
 }
 
-func refParityOf5(r *RAID5, block int64) PBA {
+// paritiesOf reads the parity count off a rowBatchLayouts name.
+func paritiesOf(name string) int {
+	return map[string]int{"raid0": 0, "raid5": 1, "raid6": 2}[name[:5]]
+}
+
+// refLocate is the original Locate of each level, selected by parity
+// count: RAID-0's round-robin, RAID-5's scan-rotate-and-skip, RAID-6's
+// skip past both parity slots in ascending order.
+func refLocate(r *Striped, block int64, parities int) PBA {
 	checkBlock(r, block, 1)
 	unit := block / r.unit
 	off := block % r.unit
-	row := unit / r.dataPerRow
-	grp := refGroupOf(r.groups, unit%r.dataPerRow, 1)
-	pp := parityPos(row, grp.size)
-	return PBA{Disk: grp.firstDisk + pp, Block: row*r.unit + off}
-}
-
-// refLocate6 is the original RAID6.Locate: scan for the group, rotate
-// P and Q, branch past both parity slots in ascending order.
-func refLocate6(r *RAID6, block int64) PBA {
-	checkBlock(r, block, 1)
-	unit := block / r.unit
-	off := block % r.unit
+	if parities == 0 {
+		return PBA{Disk: int(unit % int64(r.disks)), Block: unit/int64(r.disks)*r.unit + off}
+	}
 	row := unit / r.dataPerRow
 	idx := unit % r.dataPerRow
-	grp := refGroupOf(r.groups, idx, 2)
-	slot := int(idx - grp.firstData)
-	pp, qp := parityPositions(row, grp.size)
-	lo, hi := pp, qp
+	grp := refGroupOf(r.groups, idx, parities)
+	d := int(idx - grp.firstData)
+	if parities == 1 {
+		if d >= parityPos(row, grp.size) {
+			d++
+		}
+		return PBA{Disk: grp.firstDisk + d, Block: row*r.unit + off}
+	}
+	lo, hi := parityPositions(row, grp.size)
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	d := slot
 	if d >= lo {
 		d++
 	}
@@ -75,21 +79,29 @@ func refLocate6(r *RAID6, block int64) PBA {
 	return PBA{Disk: grp.firstDisk + d, Block: row*r.unit + off}
 }
 
-func refParities6(r *RAID6, block int64) (PBA, PBA) {
+// refParities is the original ParityOf/QParityOf: scan for the group,
+// apply the rotation law. A parity the level lacks has Disk -1.
+func refParities(r *Striped, block int64, parities int) (p, q PBA) {
 	checkBlock(r, block, 1)
+	p, q = PBA{Disk: -1}, PBA{Disk: -1}
+	if parities == 0 {
+		return p, q
+	}
 	unit := block / r.unit
-	off := block % r.unit
+	at := unit/r.dataPerRow*r.unit + block%r.unit
 	row := unit / r.dataPerRow
-	grp := refGroupOf(r.groups, unit%r.dataPerRow, 2)
+	grp := refGroupOf(r.groups, unit%r.dataPerRow, parities)
+	if parities == 1 {
+		return PBA{Disk: grp.firstDisk + parityPos(row, grp.size), Block: at}, q
+	}
 	pp, qp := parityPositions(row, grp.size)
-	return PBA{Disk: grp.firstDisk + pp, Block: row*r.unit + off},
-		PBA{Disk: grp.firstDisk + qp, Block: row*r.unit + off}
+	return PBA{Disk: grp.firstDisk + pp, Block: at}, PBA{Disk: grp.firstDisk + qp, Block: at}
 }
 
 // TestRotationLUTMatchesReference pins the branch-free table paths —
 // Locate, ParityOf, QParityOf — to the original scan-and-branch math on
 // every block of every test geometry (full sweep for the small ones,
-// random sample plus edges for the rest).
+// random sample plus edges for the rest), for 0, 1 and 2 parities.
 func TestRotationLUTMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	blocksFor := func(capacity int64) []int64 {
@@ -106,45 +118,36 @@ func TestRotationLUTMatchesReference(t *testing.T) {
 		}
 		return out
 	}
-	for name, l := range rowBatchLayouts() {
-		switch r := l.(type) {
-		case *RAID5:
-			for _, b := range blocksFor(r.DataBlocks()) {
-				if got, want := r.Locate(b), refLocate5(r, b); got != want {
-					t.Fatalf("%s: Locate(%d) = %v, want %v", name, b, got, want)
-				}
-				p, _ := r.ParityOf(b)
-				if want := refParityOf5(r, b); p != want {
-					t.Fatalf("%s: ParityOf(%d) = %v, want %v", name, b, p, want)
-				}
+	for name, r := range stripedLayouts(t) {
+		parities := paritiesOf(name)
+		for _, b := range blocksFor(r.DataBlocks()) {
+			if got, want := r.Locate(b), refLocate(r, b, parities); got != want {
+				t.Fatalf("%s: Locate(%d) = %v, want %v", name, b, got, want)
 			}
-		case *RAID6:
-			for _, b := range blocksFor(r.DataBlocks()) {
-				if got, want := r.Locate(b), refLocate6(r, b); got != want {
-					t.Fatalf("%s: Locate(%d) = %v, want %v", name, b, got, want)
-				}
-				wantP, wantQ := refParities6(r, b)
-				if p, _ := r.ParityOf(b); p != wantP {
-					t.Fatalf("%s: ParityOf(%d) = %v, want %v", name, b, p, wantP)
-				}
-				if q, _ := r.QParityOf(b); q != wantQ {
-					t.Fatalf("%s: QParityOf(%d) = %v, want %v", name, b, q, wantQ)
-				}
+			wantP, wantQ := refParities(r, b, parities)
+			if p, ok := r.ParityOf(b); p != wantP || ok != (parities >= 1) {
+				t.Fatalf("%s: ParityOf(%d) = %v, %v, want %v", name, b, p, ok, wantP)
+			}
+			if q, ok := r.QParityOf(b); q != wantQ || ok != (parities == 2) {
+				t.Fatalf("%s: QParityOf(%d) = %v, %v, want %v", name, b, q, ok, wantQ)
 			}
 		}
 	}
 }
 
 // TestRotationLUTParityNeverCollides sanity-checks the tables directly:
-// within every phase of every group, P, Q and the data slots occupy
-// distinct disks covering exactly 0..size-1.
+// within every phase of every group, the parities the level has and the
+// data slots occupy distinct disks covering exactly 0..size-1.
 func TestRotationLUTParityNeverCollides(t *testing.T) {
-	check := func(name string, groups []group, parities int) {
-		for gi := range groups {
-			g := &groups[gi]
+	for name, r := range stripedLayouts(t) {
+		parities := paritiesOf(name)
+		for gi := range r.groups {
+			g := &r.groups[gi]
 			for phase := 0; phase < g.size; phase++ {
 				seen := make(map[int]bool, g.size)
-				seen[g.pDisk[phase]] = true
+				if parities >= 1 {
+					seen[g.pDisk[phase]] = true
+				}
 				if parities == 2 {
 					if seen[g.qDisk[phase]] {
 						t.Fatalf("%s: group %d phase %d: Q collides with P", name, gi, phase)
@@ -166,14 +169,6 @@ func TestRotationLUTParityNeverCollides(t *testing.T) {
 			}
 		}
 	}
-	for name, l := range rowBatchLayouts() {
-		switch r := l.(type) {
-		case *RAID5:
-			check(name, r.groups, 1)
-		case *RAID6:
-			check(name, r.groups, 2)
-		}
-	}
 }
 
 // BenchmarkLocate measures the per-block address computation the
@@ -193,7 +188,7 @@ func BenchmarkLocate(b *testing.B) {
 	b.Run("raid5/ref", func(b *testing.B) {
 		var sink int64
 		for i := 0; i < b.N; i++ {
-			sink += refLocate5(r5, int64(i*997)%cap5).Block
+			sink += refLocate(r5, int64(i*997)%cap5, 1).Block
 		}
 		_ = sink
 	})
@@ -207,7 +202,7 @@ func BenchmarkLocate(b *testing.B) {
 	b.Run("raid6/ref", func(b *testing.B) {
 		var sink int64
 		for i := 0; i < b.N; i++ {
-			sink += refLocate6(r6, int64(i*997)%cap6).Block
+			sink += refLocate(r6, int64(i*997)%cap6, 2).Block
 		}
 		_ = sink
 	})

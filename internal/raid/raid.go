@@ -1,6 +1,7 @@
-// Package raid implements block-address layouts for RAID-0, RAID-5 and
-// RAID-5+ (an aggregation of independently-striped RAID-5 sets, the
-// paper's model of an array that has been expanded several times).
+// Package raid implements block-address layouts for RAID-0, RAID-5,
+// RAID-6 and RAID-5+ (an aggregation of independently-striped RAID-5
+// sets, the paper's model of an array that has been expanded several
+// times).
 //
 // A Layout is pure address arithmetic: it maps a logical data block to
 // the disk and on-disk block holding it, and to the location of the
@@ -8,10 +9,15 @@
 // read-modify-write cycles that parity updates require — is the job of
 // the controllers in internal/core.
 //
-// RAID-5 here is left-symmetric with rotated parity and configurable
-// parity groups: stripes span all disks, but each group of G disks
-// computes its own parity (paper §5, Fig. 3a), bounding the failure
-// domain while preserving full-array parallelism.
+// RAID-0, RAID-5 and RAID-6 are one layout, Striped, differing only in
+// how many parity units each parity group keeps per stripe row (0, 1 or
+// 2 — paper §6: RAID-6 changes how many parity blocks an update touches,
+// nothing else). It is left-symmetric with rotated parity and
+// configurable parity groups: stripes span all disks, but each group of
+// G disks computes its own parity (paper §5, Fig. 3a), bounding the
+// failure domain while preserving full-array parallelism. An Extent
+// names every leg of its own parity update — data, P and Q — so a
+// controller never asks the layout a second question about it.
 package raid
 
 import "fmt"
@@ -25,12 +31,14 @@ type PBA struct {
 }
 
 // Extent is a run of physically contiguous data blocks on one disk
-// together with the parity run protecting it (Parity.Disk < 0 for
-// layouts without redundancy).
+// together with the parity runs protecting it: Parity.Disk < 0 for
+// layouts without redundancy, Q.Disk < 0 for layouts without a second
+// parity.
 type Extent struct {
 	Logical int64 // first logical block of the run
 	Data    PBA
 	Parity  PBA
+	Q       PBA
 	Count   int64
 }
 
@@ -62,89 +70,13 @@ func checkBlock(l Layout, block, count int64) {
 	}
 }
 
-// RAID0 stripes data across disks with no redundancy.
-type RAID0 struct {
-	disks    int
-	unit     int64
-	rows     int64
-	capacity int64
-}
-
-// NewRAID0 builds a RAID-0 layout over disks devices, each contributing
-// blocksPerDisk blocks, striped in units of unitBlocks.
-func NewRAID0(disks int, blocksPerDisk, unitBlocks int64) *RAID0 {
-	if disks < 1 || unitBlocks < 1 || blocksPerDisk < unitBlocks {
-		panic("raid: invalid RAID0 parameters")
-	}
-	rows := blocksPerDisk / unitBlocks
-	return &RAID0{
-		disks:    disks,
-		unit:     unitBlocks,
-		rows:     rows,
-		capacity: rows * int64(disks) * unitBlocks,
-	}
-}
-
-// Disks implements Layout.
-func (r *RAID0) Disks() int { return r.disks }
-
-// DataBlocks implements Layout.
-func (r *RAID0) DataBlocks() int64 { return r.capacity }
-
-// BlocksPerDisk implements Layout.
-func (r *RAID0) BlocksPerDisk() int64 { return r.rows * r.unit }
-
-// StripeUnitBlocks implements Layout.
-func (r *RAID0) StripeUnitBlocks() int64 { return r.unit }
-
-// Locate implements Layout.
-func (r *RAID0) Locate(block int64) PBA {
-	checkBlock(r, block, 1)
-	unit := block / r.unit
-	off := block % r.unit
-	row := unit / int64(r.disks)
-	disk := int(unit % int64(r.disks))
-	return PBA{Disk: disk, Block: row*r.unit + off}
-}
-
-// ParityOf implements Layout; RAID-0 has no parity.
-func (r *RAID0) ParityOf(int64) (PBA, bool) { return PBA{Disk: -1}, false }
-
-// ForEachExtent implements Layout, walking whole stripe rows: the row
-// geometry is computed once per row and units advance disk by disk,
-// instead of re-deriving (row, disk) from scratch for every unit as
-// the reference per-unit path does.
-func (r *RAID0) ForEachExtent(block, count int64, fn func(Extent)) {
-	checkBlock(r, block, count)
-	for count > 0 {
-		u := block / r.unit
-		off := block % r.unit
-		row := u / int64(r.disks)
-		base := row * r.unit
-		for d := int(u % int64(r.disks)); d < r.disks && count > 0; d++ {
-			n := r.unit - off
-			if n > count {
-				n = count
-			}
-			fn(Extent{
-				Logical: block,
-				Data:    PBA{Disk: d, Block: base + off},
-				Parity:  PBA{Disk: -1},
-				Count:   n,
-			})
-			block += n
-			count -= n
-			off = 0
-		}
-	}
-}
-
 // forEachUnitRun splits [block, block+count) at stripe-unit boundaries;
 // within one unit data is contiguous on a single disk. It is the
 // reference implementation of ForEachExtent — one Locate/ParityOf
 // chain per unit — kept for the property tests that pin the
-// row-batched walks against it (it showed in whole-experiment profiles
-// once the monitor left the critical path).
+// row-batched walk against it (it showed in whole-experiment profiles
+// once the monitor left the critical path). Layout has no Q query, so
+// it leaves Q unset and the tests check that leg against QParityOf.
 func forEachUnitRun(l Layout, block, count int64, fn func(Extent)) {
 	checkBlock(l, block, count)
 	unit := l.StripeUnitBlocks()
@@ -153,11 +85,9 @@ func forEachUnitRun(l Layout, block, count int64, fn func(Extent)) {
 		if inUnit > count {
 			inUnit = count
 		}
-		e := Extent{Logical: block, Data: l.Locate(block), Count: inUnit}
+		e := Extent{Logical: block, Data: l.Locate(block), Parity: PBA{Disk: -1}, Q: PBA{Disk: -1}, Count: inUnit}
 		if p, ok := l.ParityOf(block); ok {
 			e.Parity = p
-		} else {
-			e.Parity = PBA{Disk: -1}
 		}
 		fn(e)
 		block += inUnit
@@ -165,7 +95,7 @@ func forEachUnitRun(l Layout, block, count int64, fn func(Extent)) {
 	}
 }
 
-// group is one parity group of a RAID-5 or RAID-6 layout, carrying the
+// group is one parity group of a Striped layout, carrying the
 // precomputed rotation tables that make every address computation
 // branch-free: the left-symmetric parity rotation repeats with period
 // size, so for each phase (row % size) the tables directly answer
@@ -177,30 +107,35 @@ type group struct {
 	size      int // disks in the group
 	firstData int64
 
-	dataSlots int   // data units per row: size-1 (RAID-5) or size-2 (RAID-6)
-	pDisk     []int // phase → in-group disk holding P
+	dataSlots int   // data units per row: size minus the parity count
+	pDisk     []int // phase → in-group disk holding P (nil for RAID-0)
 	qDisk     []int // phase → in-group disk holding Q (RAID-6 only)
 	dataDisk  []int // phase*dataSlots + slot → in-group disk holding the slot
 }
 
 // buildRotation fills the group's per-phase tables for nParity parity
-// slots per row (1 = RAID-5, 2 = RAID-6), from the same rotation law
-// (parityPos/parityPositions) the scalar reference paths use.
+// slots per row, from the same rotation law (parityPos/parityPositions)
+// the scalar reference paths use. Without parity nothing rotates: data
+// slot s sits on disk s in every row.
 func (g *group) buildRotation(nParity int) {
 	g.dataSlots = g.size - nParity
-	g.pDisk = make([]int, g.size)
+	if nParity >= 1 {
+		g.pDisk = make([]int, g.size)
+	}
 	if nParity == 2 {
 		g.qDisk = make([]int, g.size)
 	}
 	g.dataDisk = make([]int, g.size*g.dataSlots)
 	for phase := 0; phase < g.size; phase++ {
-		pp := parityPos(int64(phase), g.size)
-		qp := -1
-		if nParity == 2 {
+		pp, qp := -1, -1
+		switch nParity {
+		case 1:
+			pp = parityPos(int64(phase), g.size)
+			g.pDisk[phase] = pp
+		case 2:
 			pp, qp = parityPositions(int64(phase), g.size)
-			g.qDisk[phase] = qp
+			g.pDisk[phase], g.qDisk[phase] = pp, qp
 		}
-		g.pDisk[phase] = pp
 		d := 0
 		for slot := 0; slot < g.dataSlots; slot++ {
 			for d == pp || d == qp {
@@ -212,54 +147,65 @@ func (g *group) buildRotation(nParity int) {
 	}
 }
 
-// RAID5 is a left-symmetric rotated-parity layout with parity groups:
-// a stripe row spans all disks; each group of ~groupSize disks holds
-// its own rotated parity unit per row.
-type RAID5 struct {
+// Striped is the layout behind RAID-0, RAID-5 and RAID-6: a stripe row
+// spans all disks, and each parity group of ~groupSize disks holds
+// nParity left-symmetrically rotated parity units per row. The three
+// levels are the same arithmetic at nParity 0, 1 and 2; their
+// constructors differ only in how they size the groups.
+type Striped struct {
 	disks      int
 	unit       int64
 	rows       int64
+	nParity    int // parity units per group row
 	groups     []group
 	groupLUT   []int32 // data slot within a row → owning group index
 	dataPerRow int64   // data units per row across all groups
 	capacity   int64
 }
 
+// newStriped builds the layout over parity groups of the given sizes.
+func newStriped(sizes []int, nParity int, blocksPerDisk, unitBlocks int64) *Striped {
+	r := &Striped{unit: unitBlocks, rows: blocksPerDisk / unitBlocks, nParity: nParity}
+	for _, s := range sizes {
+		g := group{firstDisk: r.disks, size: s, firstData: r.dataPerRow}
+		g.buildRotation(nParity)
+		r.groups = append(r.groups, g)
+		r.dataPerRow += int64(g.dataSlots)
+		r.disks += s
+	}
+	// Every data slot of a row → its owning group, so locating a unit is
+	// one table load instead of a linear group scan.
+	r.groupLUT = make([]int32, r.dataPerRow)
+	for gi := range r.groups {
+		g := &r.groups[gi]
+		for s := 0; s < g.dataSlots; s++ {
+			r.groupLUT[g.firstData+int64(s)] = int32(gi)
+		}
+	}
+	r.capacity = r.rows * r.dataPerRow * unitBlocks
+	return r
+}
+
+// NewRAID0 builds a RAID-0 layout over disks devices, each contributing
+// blocksPerDisk blocks, striped in units of unitBlocks: one group of
+// all disks with no parity, so unit u sits on disk u % disks.
+func NewRAID0(disks int, blocksPerDisk, unitBlocks int64) *Striped {
+	if disks < 1 || unitBlocks < 1 || blocksPerDisk < unitBlocks {
+		panic("raid: invalid RAID0 parameters")
+	}
+	return newStriped([]int{disks}, 0, blocksPerDisk, unitBlocks)
+}
+
 // NewRAID5 builds a RAID-5 layout. groupSize disks per parity group
 // (the trailing group may be smaller, but never smaller than 2).
-func NewRAID5(disks int, groupSize int, blocksPerDisk, unitBlocks int64) *RAID5 {
+func NewRAID5(disks int, groupSize int, blocksPerDisk, unitBlocks int64) *Striped {
 	if disks < 2 || unitBlocks < 1 || blocksPerDisk < unitBlocks {
 		panic("raid: invalid RAID5 parameters")
 	}
 	if groupSize < 2 || groupSize > disks {
 		groupSize = disks
 	}
-	sizes := splitGroups(disks, groupSize)
-	r := &RAID5{disks: disks, unit: unitBlocks, rows: blocksPerDisk / unitBlocks}
-	first := 0
-	for _, s := range sizes {
-		g := group{firstDisk: first, size: s, firstData: r.dataPerRow}
-		g.buildRotation(1)
-		r.groups = append(r.groups, g)
-		r.dataPerRow += int64(s - 1)
-		first += s
-	}
-	r.groupLUT = buildGroupLUT(r.groups, r.dataPerRow)
-	r.capacity = r.rows * r.dataPerRow * unitBlocks
-	return r
-}
-
-// buildGroupLUT maps every data slot of a row to its owning group, so
-// locating a unit is one table load instead of a linear group scan.
-func buildGroupLUT(groups []group, dataPerRow int64) []int32 {
-	lut := make([]int32, dataPerRow)
-	for gi := range groups {
-		g := &groups[gi]
-		for s := int64(0); s < int64(g.dataSlots); s++ {
-			lut[g.firstData+s] = int32(gi)
-		}
-	}
-	return lut
+	return newStriped(splitGroups(disks, groupSize), 1, blocksPerDisk, unitBlocks)
 }
 
 // splitGroups partitions n disks into groups of size g, fixing up a
@@ -283,24 +229,24 @@ func splitGroups(n, g int) []int {
 }
 
 // Disks implements Layout.
-func (r *RAID5) Disks() int { return r.disks }
+func (r *Striped) Disks() int { return r.disks }
 
 // DataBlocks implements Layout.
-func (r *RAID5) DataBlocks() int64 { return r.capacity }
+func (r *Striped) DataBlocks() int64 { return r.capacity }
 
 // BlocksPerDisk implements Layout.
-func (r *RAID5) BlocksPerDisk() int64 { return r.rows * r.unit }
+func (r *Striped) BlocksPerDisk() int64 { return r.rows * r.unit }
 
 // StripeUnitBlocks implements Layout.
-func (r *RAID5) StripeUnitBlocks() int64 { return r.unit }
+func (r *Striped) StripeUnitBlocks() int64 { return r.unit }
 
 // DataUnitsPerRow reports how many data stripe units one row holds
 // across all parity groups (the array's effective stripe width).
-func (r *RAID5) DataUnitsPerRow() int64 { return r.dataPerRow }
+func (r *Striped) DataUnitsPerRow() int64 { return r.dataPerRow }
 
 // locateUnit maps a data unit index to (row, group, slot) coordinates:
 // one LUT load, no group scan.
-func (r *RAID5) locateUnit(unit int64) (row int64, g *group, slot int) {
+func (r *Striped) locateUnit(unit int64) (row int64, g *group, slot int) {
 	row = unit / r.dataPerRow
 	idx := unit % r.dataPerRow
 	g = &r.groups[r.groupLUT[idx]]
@@ -318,7 +264,7 @@ func parityPos(row int64, size int) int {
 // Locate implements Layout: branch-free — the group comes from the
 // row-slot LUT and the data disk from the group's per-phase rotation
 // table, with no parity-skip branches.
-func (r *RAID5) Locate(block int64) PBA {
+func (r *Striped) Locate(block int64) PBA {
 	checkBlock(r, block, 1)
 	unit := block / r.unit
 	off := block % r.unit
@@ -328,30 +274,43 @@ func (r *RAID5) Locate(block int64) PBA {
 	return PBA{Disk: grp.firstDisk + d, Block: row*r.unit + off}
 }
 
-// ParityOf implements Layout.
-func (r *RAID5) ParityOf(block int64) (PBA, bool) {
+// ParityOf implements Layout (the P parity).
+func (r *Striped) ParityOf(block int64) (PBA, bool) { return r.parityOf(block, 1) }
+
+// QParityOf returns the location of the Q (second) parity protecting
+// the block; ok is false below RAID-6.
+func (r *Striped) QParityOf(block int64) (PBA, bool) { return r.parityOf(block, 2) }
+
+// parityOf locates the block's nth parity unit (1 = P, 2 = Q): same row
+// and offset as the data, on the disk the group's rotation table names.
+func (r *Striped) parityOf(block int64, nth int) (PBA, bool) {
 	checkBlock(r, block, 1)
-	unit := block / r.unit
-	off := block % r.unit
-	row, grp, _ := r.locateUnit(unit)
-	pp := grp.pDisk[row%int64(grp.size)]
-	return PBA{Disk: grp.firstDisk + pp, Block: row*r.unit + off}, true
+	if nth > r.nParity {
+		return PBA{Disk: -1}, false
+	}
+	row, grp, _ := r.locateUnit(block / r.unit)
+	tab := grp.pDisk
+	if nth == 2 {
+		tab = grp.qDisk
+	}
+	return PBA{Disk: grp.firstDisk + tab[row%int64(grp.size)], Block: row*r.unit + block%r.unit}, true
 }
 
 // ForEachExtent implements Layout; see forEachRowRun.
-func (r *RAID5) ForEachExtent(block, count int64, fn func(Extent)) {
+func (r *Striped) ForEachExtent(block, count int64, fn func(Extent)) {
 	checkBlock(r, block, count)
 	r.forEachRowRun(block, count, 0, 0, fn)
 }
 
-// forEachRowRun emits exactly the extents forEachUnitRun emits, but
-// batches the unit→(disk,block) mapping per stripe row: the row base
-// and each group's rotation-table row are resolved once per group per
-// row, and the data disk is a straight table load per slot — no
-// per-unit locateUnit scan, no div/mod chain, no parity-skip branches.
-// logOff/diskOff relocate the emitted extents, letting RAID5Plus walk a
-// member set without a per-extent closure.
-func (r *RAID5) forEachRowRun(block, count, logOff int64, diskOff int, fn func(Extent)) {
+// forEachRowRun emits exactly the extents forEachUnitRun emits (plus
+// their Q leg), but batches the unit→(disk,block) mapping per stripe
+// row: the row base and each group's rotation-table row — data disks, P
+// and Q — are resolved once per group per row, and the data disk is a
+// straight table load per slot — no per-unit locateUnit scan, no
+// div/mod chain, no parity-skip branches. logOff/diskOff relocate the
+// emitted extents, letting RAID5Plus walk a member set without a
+// per-extent closure.
+func (r *Striped) forEachRowRun(block, count, logOff int64, diskOff int, fn func(Extent)) {
 	for count > 0 {
 		u := block / r.unit
 		off := block % r.unit
@@ -362,21 +321,31 @@ func (r *RAID5) forEachRowRun(block, count, logOff int64, diskOff int, fn func(E
 		for count > 0 && idx < r.dataPerRow {
 			grp := &r.groups[gi]
 			phase := int(row % int64(grp.size))
-			pDisk := diskOff + grp.firstDisk + grp.pDisk[phase]
+			first := diskOff + grp.firstDisk
+			e := Extent{Parity: PBA{Disk: -1}, Q: PBA{Disk: -1}}
+			if r.nParity >= 1 {
+				e.Parity.Disk = first + grp.pDisk[phase]
+			}
+			if r.nParity == 2 {
+				e.Q.Disk = first + grp.qDisk[phase]
+			}
 			dd := grp.dataDisk[phase*grp.dataSlots : (phase+1)*grp.dataSlots]
 			for slot := int(idx - grp.firstData); slot < grp.dataSlots && count > 0; slot++ {
-				n := r.unit - off
-				if n > count {
-					n = count
+				e.Count = r.unit - off
+				if e.Count > count {
+					e.Count = count
 				}
-				fn(Extent{
-					Logical: logOff + block,
-					Data:    PBA{Disk: diskOff + grp.firstDisk + dd[slot], Block: base + off},
-					Parity:  PBA{Disk: pDisk, Block: base + off},
-					Count:   n,
-				})
-				block += n
-				count -= n
+				e.Logical = logOff + block
+				e.Data = PBA{Disk: first + dd[slot], Block: base + off}
+				if r.nParity >= 1 {
+					e.Parity.Block = e.Data.Block
+				}
+				if r.nParity == 2 {
+					e.Q.Block = e.Data.Block
+				}
+				fn(e)
+				block += e.Count
+				count -= e.Count
 				off = 0
 				idx++
 			}
@@ -388,7 +357,7 @@ func (r *RAID5) forEachRowRun(block, count, logOff int64, diskOff int, fn func(E
 // set is one member array of a RAID-5+ aggregation.
 type set struct {
 	firstDisk  int
-	layout     *RAID5
+	layout     *Striped
 	firstBlock int64 // first logical block owned by this set
 }
 

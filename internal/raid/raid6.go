@@ -1,33 +1,12 @@
 package raid
 
-// DualParity is implemented by layouts with a second parity device per
-// stripe (RAID-6). Controllers use it to extend the read-modify-write
-// cycle to both parities — the paper's §6 notes the cost of upgrading
-// CRAID to RAID-6 "directly increases with the number of parity
-// blocks"; this layout plus core's write path realizes that cost model.
-type DualParity interface {
-	Layout
-	// QParityOf returns the location of the Q (second) parity
-	// protecting the block.
-	QParityOf(block int64) (PBA, bool)
-}
-
-// RAID6 is a dual-parity layout with rotated P and Q and configurable
-// parity groups, structured like RAID5 but with two parity slots per
-// row in each group.
-type RAID6 struct {
-	disks      int
-	unit       int64
-	rows       int64
-	groups     []group
-	groupLUT   []int32 // data slot within a row → owning group index
-	dataPerRow int64
-	capacity   int64
-}
-
-// NewRAID6 builds a RAID-6 layout; groups need at least 4 disks (2
-// data + P + Q).
-func NewRAID6(disks int, groupSize int, blocksPerDisk, unitBlocks int64) *RAID6 {
+// NewRAID6 builds a RAID-6 layout — Striped with two parity units per
+// group row, so every parity update touches P and Q (the paper's §6
+// notes the cost of upgrading CRAID to RAID-6 "directly increases with
+// the number of parity blocks"; core's write path realizes that cost
+// model from the extents' Q leg). Groups need at least 4 disks (2 data
+// + P + Q).
+func NewRAID6(disks int, groupSize int, blocksPerDisk, unitBlocks int64) *Striped {
 	if disks < 4 || unitBlocks < 1 || blocksPerDisk < unitBlocks {
 		panic("raid: invalid RAID6 parameters")
 	}
@@ -46,42 +25,7 @@ func NewRAID6(disks int, groupSize int, blocksPerDisk, unitBlocks int64) *RAID6 
 	if sizes[0] < 4 {
 		panic("raid: RAID6 needs at least 4 disks per group")
 	}
-	r := &RAID6{disks: disks, unit: unitBlocks, rows: blocksPerDisk / unitBlocks}
-	first := 0
-	for _, s := range sizes {
-		g := group{firstDisk: first, size: s, firstData: r.dataPerRow}
-		g.buildRotation(2)
-		r.groups = append(r.groups, g)
-		r.dataPerRow += int64(s - 2)
-		first += s
-	}
-	r.groupLUT = buildGroupLUT(r.groups, r.dataPerRow)
-	r.capacity = r.rows * r.dataPerRow * unitBlocks
-	return r
-}
-
-// Disks implements Layout.
-func (r *RAID6) Disks() int { return r.disks }
-
-// DataBlocks implements Layout.
-func (r *RAID6) DataBlocks() int64 { return r.capacity }
-
-// BlocksPerDisk implements Layout.
-func (r *RAID6) BlocksPerDisk() int64 { return r.rows * r.unit }
-
-// StripeUnitBlocks implements Layout.
-func (r *RAID6) StripeUnitBlocks() int64 { return r.unit }
-
-// DataUnitsPerRow reports the array's effective stripe width.
-func (r *RAID6) DataUnitsPerRow() int64 { return r.dataPerRow }
-
-// locateUnit maps a data unit index to (row, group, slot) coordinates:
-// one LUT load, no group scan.
-func (r *RAID6) locateUnit(unit int64) (row int64, g *group, slot int) {
-	row = unit / r.dataPerRow
-	idx := unit % r.dataPerRow
-	g = &r.groups[r.groupLUT[idx]]
-	return row, g, int(idx - g.firstData)
+	return newStriped(sizes, 2, blocksPerDisk, unitBlocks)
 }
 
 // parityPositions returns the in-group slots of P and Q for a row:
@@ -92,76 +36,4 @@ func parityPositions(row int64, size int) (p, q int) {
 	p = int(int64(size-1) - row%int64(size))
 	q = (p + 1) % size
 	return p, q
-}
-
-// Locate implements Layout: branch-free — the group comes from the
-// row-slot LUT and the data disk from the group's per-phase rotation
-// table, with no parity-slot-skip branches.
-func (r *RAID6) Locate(block int64) PBA {
-	checkBlock(r, block, 1)
-	unit := block / r.unit
-	off := block % r.unit
-	row, grp, slot := r.locateUnit(unit)
-	phase := int(row % int64(grp.size))
-	d := grp.dataDisk[phase*grp.dataSlots+slot]
-	return PBA{Disk: grp.firstDisk + d, Block: row*r.unit + off}
-}
-
-// ParityOf implements Layout (the P parity).
-func (r *RAID6) ParityOf(block int64) (PBA, bool) {
-	checkBlock(r, block, 1)
-	unit := block / r.unit
-	off := block % r.unit
-	row, grp, _ := r.locateUnit(unit)
-	pp := grp.pDisk[row%int64(grp.size)]
-	return PBA{Disk: grp.firstDisk + pp, Block: row*r.unit + off}, true
-}
-
-// QParityOf implements DualParity.
-func (r *RAID6) QParityOf(block int64) (PBA, bool) {
-	checkBlock(r, block, 1)
-	unit := block / r.unit
-	off := block % r.unit
-	row, grp, _ := r.locateUnit(unit)
-	qp := grp.qDisk[row%int64(grp.size)]
-	return PBA{Disk: grp.firstDisk + qp, Block: row*r.unit + off}, true
-}
-
-// ForEachExtent implements Layout with the same row-batched walk as
-// RAID5.forEachRowRun — row base and each group's rotation-table row
-// resolved once per group per row, data disks a straight table load per
-// slot — emitting exactly the per-unit reference's extents.
-func (r *RAID6) ForEachExtent(block, count int64, fn func(Extent)) {
-	checkBlock(r, block, count)
-	for count > 0 {
-		u := block / r.unit
-		off := block % r.unit
-		row := u / r.dataPerRow
-		idx := u % r.dataPerRow
-		base := row * r.unit
-		gi := int(r.groupLUT[idx])
-		for count > 0 && idx < r.dataPerRow {
-			grp := &r.groups[gi]
-			phase := int(row % int64(grp.size))
-			pDisk := grp.firstDisk + grp.pDisk[phase]
-			dd := grp.dataDisk[phase*grp.dataSlots : (phase+1)*grp.dataSlots]
-			for slot := int(idx - grp.firstData); slot < grp.dataSlots && count > 0; slot++ {
-				n := r.unit - off
-				if n > count {
-					n = count
-				}
-				fn(Extent{
-					Logical: block,
-					Data:    PBA{Disk: grp.firstDisk + dd[slot], Block: base + off},
-					Parity:  PBA{Disk: pDisk, Block: base + off},
-					Count:   n,
-				})
-				block += n
-				count -= n
-				off = 0
-				idx++
-			}
-			gi++
-		}
-	}
 }

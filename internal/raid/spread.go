@@ -108,17 +108,6 @@ func (s *SpreadLayout) ParityOf(block int64) (PBA, bool) {
 	return s.inner.ParityOf(s.spreadAddr(block))
 }
 
-// QParityOf implements DualParity when the underlying layout does
-// (ok=false otherwise), so spreading composes with RAID-6.
-func (s *SpreadLayout) QParityOf(block int64) (PBA, bool) {
-	d, ok := s.inner.(DualParity)
-	if !ok {
-		return PBA{Disk: -1}, false
-	}
-	checkBlock(s, block, 1)
-	return d.QParityOf(s.spreadAddr(block))
-}
-
 // ForEachExtent implements Layout: runs split at granule boundaries
 // first (where physical placement jumps), then at the inner layout's
 // stripe-unit boundaries.
@@ -142,7 +131,7 @@ func (s *SpreadLayout) ForEachExtent(block, count int64, fn func(Extent)) {
 }
 
 // relocate hands one inner extent to the walk's callback, back in
-// dataset addresses.
+// dataset addresses; its data, P and Q legs pass through untouched.
 func (s *SpreadLayout) relocate(e Extent) {
 	e.Logical += s.walkDelta
 	s.walkFn(e)
