@@ -25,9 +25,8 @@
 // The -remote flag routes every simulation cell through a craidd
 // experiment fabric (cmd/craidd) instead of running them in-process:
 // cells are content-addressed, so a warm fabric cache answers a whole
-// re-run without recomputing anything, and the printed tables are
-// byte-identical to a local run either way (only the `--` timing
-// footers differ).
+// re-run without recomputing anything, and the output is byte-identical
+// to a local run either way.
 //
 // The -cpuprofile and -memprofile flags write pprof profiles covering
 // the whole run, so performance PRs can attach before/after evidence
@@ -40,12 +39,10 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"time"
 
 	"craid/internal/experiments"
 	"craid/internal/fabric"
 	"craid/internal/prof"
-	"craid/internal/sim"
 	"craid/internal/workload"
 )
 
@@ -128,93 +125,43 @@ func (r *runner) scaleFor(trace string) float64 {
 }
 
 func (r *runner) table(which string) {
-	r.timed("table "+which, func() {
-		switch which {
-		case "1":
-			r.table1()
-		case "2", "3":
-			r.tables23(which)
-		case "4":
-			r.table4()
-		case "5":
-			r.table5()
-		case "6":
-			r.table6()
-		case "migration":
-			r.migration()
-		case "pclevel":
-			r.pcLevel()
-		case "rebalance":
-			r.rebalance()
-		case "fault":
-			r.fault()
-		default:
-			r.check(fmt.Errorf("unknown table %q", which))
-		}
-	})
+	switch which {
+	case "1":
+		r.table1()
+	case "2", "3":
+		r.tables23(which)
+	case "4":
+		r.table4()
+	case "5":
+		r.table5()
+	case "6":
+		r.table6()
+	case "migration":
+		r.migration()
+	case "pclevel":
+		r.pcLevel()
+	case "rebalance":
+		r.rebalance()
+	case "fault":
+		r.fault()
+	default:
+		r.check(fmt.Errorf("unknown table %q", which))
+	}
 }
 
 func (r *runner) figure(which string) {
-	r.timed("figure "+which, func() {
-		switch which {
-		case "1":
-			r.figure1()
-		case "4", "6":
-			r.figures46(which)
-		case "5":
-			r.figure5()
-		case "7":
-			r.figure7()
-		default:
-			r.check(fmt.Errorf("unknown figure %q", which))
-		}
-	})
-}
-
-// timed runs one table/figure and prints its monitor cost footer: wall
-// time plus ns/record and allocs/record over the records the experiment
-// replayed, so hot-loop regressions (time OR garbage) are visible right
-// in the tables a perf PR quotes. A second footer line reports the
-// event engine: events/sec across every cell's engine, the share that
-// took the same-instant ring, and the most events any engine's timed
-// queue has held — the size its O(pending) insertion is paid on, so a
-// workload that outgrows the queue's design point shows up in the same
-// place as a time regression.
-func (r *runner) timed(label string, fn func()) {
-	var m0, m1 runtime.MemStats
-	rec0 := experiments.ReplayedRecords()
-	s0 := sim.GlobalSchedStats()
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	fn()
-	wall := time.Since(start)
-	runtime.ReadMemStats(&m1)
-	s1 := sim.GlobalSchedStats()
-	recs := experiments.ReplayedRecords() - rec0
-	if recs > 0 {
-		allocs := m1.Mallocs - m0.Mallocs
-		fmt.Printf("-- %s: %.2fs wall, %.0f ns/record, %.3f allocs/record (%d records)\n",
-			label, wall.Seconds(), float64(wall.Nanoseconds())/float64(recs),
-			float64(allocs)/float64(recs), recs)
-		printSchedFooter(label, wall, s0, s1)
-	} else {
-		fmt.Printf("-- %s: %.2fs wall\n", label, wall.Seconds())
+	switch which {
+	case "1":
+		r.figure1()
+	case "4", "6":
+		r.figures46(which)
+	case "5":
+		r.figure5()
+	case "7":
+		r.figure7()
+	default:
+		r.check(fmt.Errorf("unknown figure %q", which))
 	}
-}
-
-// printSchedFooter prints the event-engine half of the footer from a
-// GlobalSchedStats delta bracketing one table/figure.
-func printSchedFooter(label string, wall time.Duration, s0, s1 sim.SchedStats) {
-	fired := s1.Fired - s0.Fired
-	if fired <= 0 {
-		return // remote runs: the fabric's engines fire, not ours
-	}
-	ring := s1.Ring - s0.Ring
-	// MaxPending is a high-water mark, not a counter: it reports the
-	// process so far, which is this table when one table runs.
-	fmt.Printf("-- %s: %.2fM events/s (%d events, ring %.1f%%), timed queue max %d pending\n",
-		label, float64(fired)/wall.Seconds()/1e6, fired,
-		100*float64(ring)/float64(fired), s1.MaxPending)
 }
 
 func header(title string) {

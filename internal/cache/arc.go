@@ -1,5 +1,7 @@
 package cache
 
+import "craid/internal/oamap"
+
 // ARC list tags: which of T1/T2/B1/B2 currently holds a slot.
 const (
 	arcT1 = uint8(iota + 1)
@@ -13,14 +15,14 @@ const (
 // ghost hits on recently evicted entries (B1, B2) and adapting the
 // target size p of T1. Residents and ghosts share one slot arena of
 // 2·capacity entries (the algorithm's total-population bound) with a
-// per-slot list tag, and one keyIndex resolves both.
+// per-slot list tag, and one index resolves both.
 type ARC struct {
 	capacity int
 	p        int // target size of T1
 
 	slots []slot
 	where []uint8 // arcT1..arcB2; parallel to slots
-	idx   keyIndex
+	idx   *oamap.Map[int32]
 	free  int32
 	used  int32
 
@@ -36,7 +38,7 @@ func NewARC(capacity int) *ARC {
 		capacity: capacity,
 		slots:    make([]slot, 2*capacity),
 		where:    make([]uint8, 2*capacity),
-		idx:      newKeyIndex(2 * capacity),
+		idx:      oamap.New[int32](2 * capacity),
 		free:     nilSlot,
 	}
 	a.t1.init()
@@ -81,14 +83,14 @@ func (a *ARC) P() int { return a.p }
 
 // Contains implements Policy: only T1 ∪ T2 are resident; ghosts are not.
 func (a *ARC) Contains(k Key) bool {
-	s := a.idx.get(k)
-	return s != nilSlot && (a.where[s] == arcT1 || a.where[s] == arcT2)
+	s, ok := a.idx.Get(k)
+	return ok && (a.where[s] == arcT1 || a.where[s] == arcT2)
 }
 
 // Access implements Policy (case I of the ARC algorithm).
 func (a *ARC) Access(k Key, _ int64) {
-	s := a.idx.get(k)
-	if s == nilSlot || (a.where[s] != arcT1 && a.where[s] != arcT2) {
+	s, ok := a.idx.Get(k)
+	if !ok || (a.where[s] != arcT1 && a.where[s] != arcT2) {
 		return
 	}
 	a.listOf(a.where[s]).remove(a.slots, s)
@@ -98,7 +100,7 @@ func (a *ARC) Access(k Key, _ int64) {
 
 // Insert implements Policy (cases II–IV).
 func (a *ARC) Insert(k Key, size int64) (Key, bool) {
-	if s := a.idx.get(k); s != nilSlot {
+	if s, ok := a.idx.Get(k); ok {
 		switch a.where[s] {
 		case arcT1, arcT2:
 			a.Access(k, size)
@@ -141,7 +143,7 @@ func (a *ARC) Insert(k Key, size int64) (Key, bool) {
 			lru := a.t1.back()
 			lk := a.slots[lru].key
 			a.t1.remove(a.slots, lru)
-			a.idx.del(lk)
+			a.idx.Del(lk)
 			a.release(lru)
 			victim, evicted = lk, true
 		}
@@ -156,7 +158,7 @@ func (a *ARC) Insert(k Key, size int64) (Key, bool) {
 	}
 	s := a.alloc(k)
 	a.where[s] = arcT1
-	a.idx.put(k, s)
+	a.idx.Put(k, s)
 	a.t1.pushFront(a.slots, s)
 	return victim, evicted
 }
@@ -198,27 +200,27 @@ func (a *ARC) dropLRU(l *slotList) {
 		return
 	}
 	l.remove(a.slots, lru)
-	a.idx.del(a.slots[lru].key)
+	a.idx.Del(a.slots[lru].key)
 	a.release(lru)
 }
 
 // Remove implements Policy. Removing a resident entry also forgets any
 // ghost state for it.
 func (a *ARC) Remove(k Key) bool {
-	s := a.idx.get(k)
-	if s == nilSlot {
+	s, ok := a.idx.Get(k)
+	if !ok {
 		return false
 	}
 	resident := a.where[s] == arcT1 || a.where[s] == arcT2
 	a.listOf(a.where[s]).remove(a.slots, s)
-	a.idx.del(k)
+	a.idx.Del(k)
 	a.release(s)
 	return resident
 }
 
 // Clear implements Policy.
 func (a *ARC) Clear() {
-	a.idx.clear()
+	a.idx.Clear()
 	a.t1.init()
 	a.t2.init()
 	a.b1.init()

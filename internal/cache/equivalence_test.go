@@ -142,46 +142,3 @@ func TestArenaMatchesMapReferenceExtents(t *testing.T) {
 		})
 	}
 }
-
-// TestKeyIndexBackwardShift exercises the open-addressing index
-// directly under heavy collision churn: keys chosen to collide (dense
-// sequential and strided), interleaved put/del, verified against a map.
-func TestKeyIndexBackwardShift(t *testing.T) {
-	x := newKeyIndex(128)
-	shadow := make(map[Key]int32)
-	rng := rand.New(rand.NewSource(3))
-	nextSlot := int32(0)
-	for step := 0; step < 20000; step++ {
-		var k Key
-		switch rng.Intn(3) {
-		case 0:
-			k = rng.Int63n(256) // dense
-		case 1:
-			k = 64 * rng.Int63n(256) // strided
-		default:
-			k = rng.Int63() // sparse
-		}
-		if s, ok := shadow[k]; ok {
-			if rng.Intn(2) == 0 {
-				if got := x.get(k); got != s {
-					t.Fatalf("step %d: get(%d) = %d, want %d", step, k, got, s)
-				}
-			} else {
-				x.del(k)
-				delete(shadow, k)
-				if got := x.get(k); got != nilSlot {
-					t.Fatalf("step %d: get(%d) = %d after del", step, k, got)
-				}
-			}
-		} else if len(shadow) < 128 {
-			x.put(k, nextSlot)
-			shadow[k] = nextSlot
-			nextSlot++
-		}
-	}
-	for k, s := range shadow {
-		if got := x.get(k); got != s {
-			t.Fatalf("final: get(%d) = %d, want %d", k, got, s)
-		}
-	}
-}

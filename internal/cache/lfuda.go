@@ -1,5 +1,7 @@
 package cache
 
+import "craid/internal/oamap"
+
 // The per-entry state of the priority heap shared by LFUDA and GDSF is
 // split hot/cold by access frequency. A heap fix runs O(log n) `less`
 // comparisons and each one reads only (prio, seq) — so those two fields
@@ -30,7 +32,7 @@ type agingCold struct {
 //
 // Entries live in flat hot/cold arenas indexed by the same int32 slot
 // handle; the heap orders handles, and residency is resolved by the
-// shared keyIndex — no Go map, no per-entry heap objects. pos is a
+// shared oamap.Map — no Go map, no per-entry heap objects. pos is a
 // third side-array: the slot's heap index while live (written by swap,
 // never read by less) and the freelist link while free. (prio, seq) is
 // a total order, so the victim sequence is independent of the heap's
@@ -42,7 +44,7 @@ type agingPolicy struct {
 	hot      []agingHot
 	cold     []agingCold
 	pos      []int32
-	idx      keyIndex
+	idx      *oamap.Map[int32]
 	heap     []int32
 	free     int32
 	used     int32
@@ -61,7 +63,7 @@ func newAgingPolicy(name string, capacity int, useSize bool) *agingPolicy {
 		hot:      make([]agingHot, capacity),
 		cold:     make([]agingCold, capacity),
 		pos:      make([]int32, capacity),
-		idx:      newKeyIndex(capacity),
+		idx:      oamap.New[int32](capacity),
 		heap:     make([]int32, 0, capacity),
 		free:     nilSlot,
 		useSize:  useSize,
@@ -84,7 +86,10 @@ func (p *agingPolicy) Capacity() int { return p.capacity }
 func (p *agingPolicy) Len() int { return len(p.heap) }
 
 // Contains implements Policy.
-func (p *agingPolicy) Contains(k Key) bool { return p.idx.get(k) != nilSlot }
+func (p *agingPolicy) Contains(k Key) bool {
+	_, ok := p.idx.Get(k)
+	return ok
+}
 
 func (p *agingPolicy) priority(freq, size int64) float64 {
 	const cost = 1.0 // C_i: uniform retrieval cost for block storage
@@ -180,8 +185,8 @@ func (p *agingPolicy) removeAt(i int) {
 
 // Access implements Policy.
 func (p *agingPolicy) Access(k Key, size int64) {
-	s := p.idx.get(k)
-	if s == nilSlot {
+	s, ok := p.idx.Get(k)
+	if !ok {
 		return
 	}
 	c := &p.cold[s]
@@ -195,17 +200,18 @@ func (p *agingPolicy) Access(k Key, size int64) {
 
 // Insert implements Policy.
 func (p *agingPolicy) Insert(k Key, size int64) (Key, bool) {
-	cell, s := p.idx.findCell(k)
-	if s != nilSlot {
+	cell, ok := p.idx.Probe(k)
+	if ok {
 		p.Access(k, size)
 		return 0, false
 	}
 	var victim Key
+	var s int32
 	evicted := false
 	if len(p.heap) >= p.capacity {
 		min := p.popMin()
 		vk := p.cold[min].key
-		p.idx.del(vk)
+		p.idx.Del(vk)
 		p.age = p.hot[min].prio // dynamic aging: L becomes the evicted key's K
 		victim, evicted = vk, true
 		s = min // reuse the victim's slot for the newcomer
@@ -225,9 +231,9 @@ func (p *agingPolicy) Insert(k Key, size int64) (Key, bool) {
 	p.cold[s] = agingCold{key: k, freq: 1, size: size}
 	p.hot[s] = agingHot{prio: p.priority(1, size), seq: p.seq}
 	if evicted {
-		p.idx.put(k, s) // re-probe: del may have shifted the cell
+		p.idx.Put(k, s) // re-probe: Del may have shifted the cell
 	} else {
-		p.idx.setCell(cell, k, s)
+		p.idx.Fill(cell, k, s)
 	}
 	p.push(s)
 	return victim, evicted
@@ -244,12 +250,12 @@ func (p *agingPolicy) InsertRun(k Key, n, size int64, evicted func(Key)) {
 
 // Remove implements Policy.
 func (p *agingPolicy) Remove(k Key) bool {
-	s := p.idx.get(k)
-	if s == nilSlot {
+	s, ok := p.idx.Get(k)
+	if !ok {
 		return false
 	}
 	p.removeAt(int(p.pos[s]))
-	p.idx.del(k)
+	p.idx.Del(k)
 	p.pos[s] = p.free // freelist link
 	p.free = s
 	return true
@@ -257,7 +263,7 @@ func (p *agingPolicy) Remove(k Key) bool {
 
 // Clear implements Policy.
 func (p *agingPolicy) Clear() {
-	p.idx.clear()
+	p.idx.Clear()
 	p.heap = p.heap[:0]
 	p.free = nilSlot
 	p.used = 0

@@ -1,9 +1,13 @@
 package cache
 
-import "strconv"
+import (
+	"strconv"
+
+	"craid/internal/oamap"
+)
 
 // lruCore is the slot-arena recency engine shared by LRU and WLRU: a
-// flat []slot arena, a keyIndex resolving residency, and one intrusive
+// flat []slot arena, an oamap.Map resolving residency, and one intrusive
 // recency list (front = MRU). The two policies differ only in victim
 // choice: plain LRU takes the list's back, WLRU hangs its dirtyTail
 // cursor here and is told whenever an entry leaves its list position.
@@ -19,7 +23,7 @@ import "strconv"
 type lruCore struct {
 	capacity int
 	slots    []slot
-	idx      keyIndex
+	idx      *oamap.Map[int32]
 	list     slotList
 	free     int32      // freelist head, threaded through slot.next
 	used     int32      // bump high-water into slots
@@ -32,7 +36,7 @@ func (c *lruCore) initCore(capacity int) {
 	}
 	c.capacity = capacity
 	c.slots = make([]slot, capacity)
-	c.idx = newKeyIndex(capacity)
+	c.idx = oamap.New[int32](capacity)
 	c.list.init()
 	c.free = nilSlot
 	c.used = 0
@@ -52,7 +56,10 @@ func (c *lruCore) Capacity() int { return c.capacity }
 func (c *lruCore) Len() int { return c.list.size }
 
 // Contains implements Policy.
-func (c *lruCore) Contains(k Key) bool { return c.idx.get(k) != nilSlot }
+func (c *lruCore) Contains(k Key) bool {
+	_, ok := c.idx.Get(k)
+	return ok
+}
 
 // victim picks the entry the next insert displaces.
 func (c *lruCore) victim() int32 {
@@ -81,30 +88,30 @@ func (c *lruCore) touch(s int32) {
 
 // Access implements Policy.
 func (c *lruCore) Access(k Key, _ int64) {
-	if s := c.idx.get(k); s != nilSlot {
+	if s, ok := c.idx.Get(k); ok {
 		c.touch(s)
 	}
 }
 
 // Insert implements Policy.
 func (c *lruCore) Insert(k Key, size int64) (Key, bool) {
-	cell, s := c.idx.findCell(k)
-	if s != nilSlot {
-		c.touch(s)
+	cell, ok := c.idx.Probe(k)
+	if ok {
+		c.touch(*c.idx.At(cell))
 		return 0, false
 	}
 	if c.list.size >= c.capacity {
 		v := c.victim()
 		vk := c.slots[v].key
 		c.unlink(v)
-		c.idx.del(vk)
+		c.idx.Del(vk)
 		c.slots[v].key = k // reuse the victim's slot for the newcomer
-		c.idx.put(k, v)    // re-probe: del may have shifted the cell
+		c.idx.Put(k, v)    // re-probe: Del may have shifted the cell
 		c.list.pushFront(c.slots, v)
 		return vk, true
 	}
-	s = c.alloc(k)
-	c.idx.setCell(cell, k, s)
+	s := c.alloc(k)
+	c.idx.Fill(cell, k, s)
 	c.list.pushFront(c.slots, s)
 	return 0, false
 }
@@ -115,8 +122,8 @@ func (c *lruCore) Insert(k Key, size int64) (Key, bool) {
 // probe finds the head and one splice commits the whole run.
 func (c *lruCore) AccessRun(k Key, n, size int64) {
 	if n > 1 {
-		if first := c.idx.get(k + n - 1); first != nilSlot {
-			last, ok := first, true
+		if first, ok := c.idx.Get(k + n - 1); ok {
+			last := first
 			for i := int64(1); i < n; i++ {
 				last = c.slots[last].next
 				if last == nilSlot || c.slots[last].key != k+n-1-i {
@@ -137,7 +144,7 @@ func (c *lruCore) AccessRun(k Key, n, size int64) {
 		}
 	}
 	for i := int64(0); i < n; i++ {
-		if s := c.idx.get(k + i); s != nilSlot {
+		if s, ok := c.idx.Get(k + i); ok {
 			c.touch(s)
 		}
 	}
@@ -154,15 +161,15 @@ func (c *lruCore) InsertRun(k Key, n, size int64, evicted func(Key)) {
 	segN := 0
 	for i := int64(0); i < n; i++ {
 		key := k + i
-		cell, s := c.idx.findCell(key)
-		if s != nilSlot {
+		cell, ok := c.idx.Probe(key)
+		if ok {
 			// Resident → Access; the pending newborns were inserted
 			// earlier in the loop, so they commit before this access.
 			if segFirst != nilSlot {
 				c.list.pushFrontChain(c.slots, segFirst, segLast, segN)
 				segFirst, segLast, segN = nilSlot, nilSlot, 0
 			}
-			c.touch(s)
+			c.touch(*c.idx.At(cell))
 			continue
 		}
 		if c.list.size+segN >= c.capacity {
@@ -176,16 +183,16 @@ func (c *lruCore) InsertRun(k Key, n, size int64, evicted func(Key)) {
 			v := c.victim()
 			vk := c.slots[v].key
 			c.unlink(v)
-			c.idx.del(vk)
+			c.idx.Del(vk)
 			c.slots[v].key = key
-			c.idx.put(key, v)
+			c.idx.Put(key, v)
 			c.list.pushFront(c.slots, v)
 			evicted(vk)
 			continue
 		}
 		// Fresh, no eviction: chain the newborn ahead of its elders.
-		s = c.alloc(key)
-		c.idx.setCell(cell, key, s)
+		s := c.alloc(key)
+		c.idx.Fill(cell, key, s)
 		if segFirst == nilSlot {
 			segLast = s
 		} else {
@@ -202,19 +209,19 @@ func (c *lruCore) InsertRun(k Key, n, size int64, evicted func(Key)) {
 
 // Remove implements Policy.
 func (c *lruCore) Remove(k Key) bool {
-	s := c.idx.get(k)
-	if s == nilSlot {
+	s, ok := c.idx.Get(k)
+	if !ok {
 		return false
 	}
 	c.unlink(s)
-	c.idx.del(k)
+	c.idx.Del(k)
 	c.release(s)
 	return true
 }
 
 // Clear implements Policy.
 func (c *lruCore) Clear() {
-	c.idx.clear()
+	c.idx.Clear()
 	c.list.init()
 	c.free = nilSlot
 	c.used = 0

@@ -61,10 +61,18 @@ func checkCursor(t *testing.T, w *WLRU, o *monotoneDirty, step int) {
 	}
 }
 
+// slotOf returns k's arena slot, or nilSlot.
+func slotOf(w *WLRU, k Key) int32 {
+	if s, ok := w.idx.Get(k); ok {
+		return s
+	}
+	return nilSlot
+}
+
 // isFrontToBackChain reports whether keys k+n-1 … k sit in the list in
 // exactly that order, the layout AccessRun's one-splice path needs.
 func isFrontToBackChain(w *WLRU, k Key, n int64) (first, last int32, ok bool) {
-	first = w.idx.get(k + n - 1)
+	first = slotOf(w, k+n-1)
 	if first == nilSlot {
 		return nilSlot, nilSlot, false
 	}
@@ -128,7 +136,7 @@ func runCursorMix(t *testing.T, capacity int, window, pDirty float64, seed int64
 
 	// noteLeaving classifies what unlinking k's entry does to the run.
 	noteLeaving := func(k Key, edge *int) {
-		s := w.idx.get(k)
+		s := slotOf(w, k)
 		if s == nilSlot || !w.cursor.isKnown(s) {
 			return
 		}
@@ -157,7 +165,7 @@ func runCursorMix(t *testing.T, capacity int, window, pDirty float64, seed int64
 		dirtyOp := rng.Float64() < pDirty
 		switch op := rng.Intn(20); {
 		case op < 2: // point access (a write hit dirties the key)
-			if w.list.head != w.idx.get(k) { // the MRU entry stays put
+			if w.list.head != slotOf(w, k) { // the MRU entry stays put
 				noteLeaving(k, &cov.edgeAccessed)
 			}
 			w.Access(k, 1)

@@ -572,7 +572,7 @@ func (s *span) flushDegradedRead() {
 	// to how many erasures the decode solves, charged once per run. A
 	// read has no legs to commit afterwards, so the delay over tells br.
 	sub := s.arr.newJoin(br)
-	sub.step, sub.delay = stepDecode, sim.Time(count)*sim.Time(missing)*f.opt.ReconPerBlock
+	sub.step, sub.delay = stepDecode, sim.Time(count)*sim.Time(missing)*reconPerBlock
 	s.readPeers(sub, peers, -1, -1, blk, count)
 	sub.seal(s.arr.Eng.Now())
 }
@@ -615,7 +615,7 @@ func (s *span) degradedWrite(e raid.Extent, up legs, n int, deadData bool) {
 	j := s.arr.newJoin(br)
 	j.step, j.legs, j.n = stepDecode, up, e.Count
 	if deadData {
-		j.delay = sim.Time(e.Count) * f.opt.ReconPerBlock
+		j.delay = sim.Time(e.Count) * reconPerBlock
 		// Reconstruct-write pre-reads: the surviving *data* units of
 		// the row (parity legs are overwritten, their old content is
 		// not needed).

@@ -163,7 +163,7 @@ func TestBusyCountMatchesCensusFaults(t *testing.T) {
 	c, arr, census := censusCRAID(t, eng, 0)
 	busyAtFail := false
 	eng.Schedule(40*sim.Millisecond, func() { busyAtFail = arr.Device(2).(queuer).Busy() }) // queued ahead of the plan's fail event
-	rt, err := InstallFaults(arr, c, plan, testFaultOptions)
+	rt, err := InstallFaults(arr, c, plan)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,14 +19,14 @@ import (
 // granularity. The load-bearing invariants, relied on throughout
 // classify/readExtent/writeExtent/insertRuns:
 //
-//  1. mapcache.Table.LookupRun answers, in one O(log k) descent, either
-//     "the run of mappings starting here that is contiguous in BOTH
-//     Orig and Cache" (a hit extent — servable with one P_C I/O) or
-//     "the gap to the next mapping" (a miss extent). The per-block
-//     loops of the original implementation — one descent plus one
-//     policy-map operation per block of every request — are gone; a
-//     256-block sequential request costs a handful of descents instead
-//     of ~512.
+//  1. mapcache.Table.LookupRun answers either "the run of mappings
+//     starting here that is contiguous in BOTH Orig and Cache" (a hit
+//     extent — servable with one P_C I/O) or "the gap to the next
+//     mapping" (a miss extent), at one hash probe per block of the
+//     answer. Everything downstream of it is per extent, not per block:
+//     one policy call, one dirty-flag call, one redirected I/O — the
+//     original implementation paid a policy-map operation and an I/O
+//     decision for every block of every request.
 //
 //  2. Batched policy traffic must be bit-identical to per-block
 //     traffic: cache.Policy.AccessRun/InsertRun are specified (and
@@ -39,15 +39,16 @@ import (
 //     every replacement policy lives on a dense slot arena with one
 //     open-addressing key index (internal/cache — no map[Key]*entry, no
 //     per-key Go-map hashing, no per-entry heap objects), the mapping
-//     cache recycles tree nodes through a freelist, the insertRuns
-//     newborn scratch, eviction callback and write-back run buffer live
-//     on the CRAID struct, every "when these I/Os complete, do X" is a
-//     join from the Array's one pool whose step names X (array.go: one
-//     object per request, per miss extent, per write-back run, per
-//     parity write extent), and the span extent walks reuse bound
-//     callbacks instead of per-call closures. A warm-cache Submit
-//     performs zero allocations (TestSubmitWarmAllocFree pins this);
-//     monitor churn (evict + re-insert) allocates nothing either.
+//     cache is the same table (internal/oamap) and keeps its cell array
+//     across removals, the insertRuns newborn scratch, eviction
+//     callback and write-back run buffer live on the CRAID struct,
+//     every "when these I/Os complete, do X" is a join from the Array's
+//     one pool whose step names X (array.go: one object per request,
+//     per miss extent, per write-back run, per parity write extent),
+//     and the span extent walks reuse bound callbacks instead of
+//     per-call closures. A warm-cache Submit performs zero allocations
+//     (TestSubmitWarmAllocFree pins this); monitor churn (evict +
+//     re-insert) allocates nothing either.
 //
 //  4. Dirty victims evicted together are written back together:
 //     queueWriteback coalesces victims contiguous in both archive
@@ -391,11 +392,11 @@ func (c *CRAID) Submit(rec trace.Record, done func(sim.Time)) error {
 	return nil
 }
 
-// classify walks rec's blocks at extent granularity — one mapping-cache
-// descent per hit run or miss gap instead of one per block (see the
-// performance notes above) — serving each extent before looking up the
-// next, so an extent's side effects (an insertion's evictions can land
-// anywhere, including later in this record) are observed.
+// classify walks rec's blocks at extent granularity — one LookupRun per
+// hit run or miss gap (see the performance notes above) — serving each
+// extent before looking up the next, so an extent's side effects (an
+// insertion's evictions can land anywhere, including later in this
+// record) are observed.
 func (c *CRAID) classify(rec trace.Record, j *join) {
 	end := rec.End()
 	for b := rec.Block; b < end; {
@@ -547,7 +548,8 @@ func (c *CRAID) insertEvicted(victim cache.Key) {
 // for write-back to P_A, clean copies are dropped for free. The actual
 // write-back I/O is issued by flushWritebacks, which coalesces victims
 // evicted together — replacement sweeps walk blocks that were inserted
-// together, so their runs are long.
+// together, so their runs are long. Remove hands back the mapping it
+// deletes, so an eviction is one probe of the table.
 func (c *CRAID) evict(victim cache.Key, byOp disk.Op) {
 	m, ok := c.table.Remove(victim)
 	if !ok {

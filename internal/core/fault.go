@@ -10,32 +10,18 @@ import (
 	"craid/internal/sim"
 )
 
-// FaultOptions tunes the fault runtime; zero values take the defaults.
-type FaultOptions struct {
-	// RetryBase is the backoff before the first resubmission of a
-	// transiently-failed request; it doubles per attempt. Default 1ms.
-	RetryBase sim.Time
-	// MaxAttempts bounds submissions per request (initial + retries).
-	// Default 4.
-	MaxAttempts int
-	// ReconPerBlock is the compute cost of reconstructing one block
+// The fault runtime's timing rules.
+const (
+	// retryBase is the backoff before the first resubmission of a
+	// transiently-failed request; it doubles per attempt.
+	retryBase = sim.Millisecond
+	// maxAttempts bounds submissions per request (initial + retries).
+	maxAttempts = 4
+	// reconPerBlock is the compute cost of reconstructing one block
 	// from surviving units, per erasure the decode solves (XOR for the
-	// first, GF(256) for the second). Default 2µs.
-	ReconPerBlock sim.Time
-}
-
-func (o FaultOptions) withDefaults() FaultOptions {
-	if o.RetryBase <= 0 {
-		o.RetryBase = sim.Millisecond
-	}
-	if o.MaxAttempts < 1 {
-		o.MaxAttempts = 4
-	}
-	if o.ReconPerBlock <= 0 {
-		o.ReconPerBlock = 2 * sim.Microsecond
-	}
-	return o
-}
+	// first, GF(256) for the second).
+	reconPerBlock = 2 * sim.Microsecond
+)
 
 // FaultStats aggregates what the fault fabric did to one run. All
 // counters are deterministic for a given plan + seed.
@@ -95,9 +81,8 @@ func (s *FaultStats) UpgradeLatency() sim.Time {
 // nil test.
 type faultState struct {
 	stats   FaultStats
-	failed  []bool       // device index → routed around
-	opt     FaultOptions // with defaults applied
-	peerBuf []int        // scratch for Redundant.RowPeers
+	failed  []bool // device index → routed around
+	peerBuf []int  // scratch for Redundant.RowPeers
 
 	// retryFree pools the retry ops; retriesMade counts the ops ever
 	// allocated, all of which are back on the list once the engine
@@ -171,7 +156,7 @@ func (r *retryOp) fail(at sim.Time) {
 	f := r.arr.faults
 	f.stats.Transients++
 	r.attempt++
-	if r.attempt >= f.opt.MaxAttempts || r.arr.deviceDown(r.dev) {
+	if r.attempt >= maxAttempts || r.arr.deviceDown(r.dev) {
 		// Budget exhausted, or the disk died under us: give up. The
 		// caller's join still completes — the simulator models timing —
 		// and the loss is visible in the stats.
@@ -180,7 +165,7 @@ func (r *retryOp) fail(at sim.Time) {
 		return
 	}
 	f.stats.Retries++
-	r.arr.Eng.After(f.opt.RetryBase<<uint(r.attempt-1), r.retryFn)
+	r.arr.Eng.After(retryBase<<uint(r.attempt-1), r.retryFn)
 }
 
 // retry resubmits the attempt.
@@ -243,7 +228,7 @@ type FaultRuntime struct {
 // surfacing as a silent no-op deep in the disk layer. Expand events
 // additionally require a CRAID volume and a device factory
 // (SetDeviceFactory) before the first event fires.
-func InstallFaults(arr *Array, vol Volume, plan fault.Plan, opt FaultOptions) (*FaultRuntime, error) {
+func InstallFaults(arr *Array, vol Volume, plan fault.Plan) (*FaultRuntime, error) {
 	if err := plan.Validate(arr.Devices()); err != nil {
 		return nil, err
 	}
@@ -253,7 +238,7 @@ func InstallFaults(arr *Array, vol Volume, plan fault.Plan, opt FaultOptions) (*
 		}
 	}
 	rt := &FaultRuntime{arr: arr, vol: vol, seed: plan.Seed}
-	arr.faults = &faultState{opt: opt.withDefaults()}
+	arr.faults = &faultState{}
 	arr.faults.ensure(arr.Devices() - 1)
 	rt.devs = make([]*fault.Device, arr.Devices())
 	for i := range rt.devs {
@@ -579,7 +564,7 @@ func (r *rebuildJob) peersRead(sim.Time) {
 		return
 	}
 	b := &r.batch
-	r.rt.arr.Eng.After(r.rt.arr.faults.opt.ReconPerBlock*sim.Time(b.n)*sim.Time(b.missing), r.decodedFn)
+	r.rt.arr.Eng.After(reconPerBlock*sim.Time(b.n)*sim.Time(b.missing), r.decodedFn)
 }
 
 // decoded writes the reconstructed run onto the spare.

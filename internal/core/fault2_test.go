@@ -272,7 +272,7 @@ func TestCrashDuringRebuildRestartsFromRowZero(t *testing.T) {
 		if left < batch {
 			batch = left
 		}
-		done := start + testFaultOptions.ReconPerBlock*sim.Time(batch*4)
+		done := start + reconPerBlock*sim.Time(batch*4)
 		if done >= tCrash {
 			break
 		}
@@ -355,7 +355,7 @@ func TestCrashRestartStormLogRingMatchesSyncControl(t *testing.T) {
 		} else {
 			c.SetMappingLog(&log)
 		}
-		rt, err := InstallFaults(arr, c, plan, testFaultOptions)
+		rt, err := InstallFaults(arr, c, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -424,7 +424,7 @@ func TestInstallFaultsValidatesDeviceIndices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := InstallFaults(arr, ctl, plan, FaultOptions{}); err == nil ||
+	if _, err := InstallFaults(arr, ctl, plan); err == nil ||
 		!strings.Contains(err.Error(), "device 9") {
 		t.Fatalf("out-of-range device accepted at install: %v", err)
 	}
@@ -435,7 +435,7 @@ func TestInstallFaultsValidatesDeviceIndices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := InstallFaults(arr, ctl, plan, FaultOptions{}); err == nil ||
+	if _, err := InstallFaults(arr, ctl, plan); err == nil ||
 		!strings.Contains(err.Error(), "CRAID") {
 		t.Fatalf("expand on a plain RAID controller accepted: %v", err)
 	}

@@ -40,7 +40,7 @@ func BenchmarkReplayDegraded(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine()
 		c, arr := newTestCRAID(eng, 64)
-		rt, err := InstallFaults(arr, c, plan, FaultOptions{})
+		rt, err := InstallFaults(arr, c, plan)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func BenchmarkReplayDoubleFault(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine()
 		c, arr := newTestCRAID6(eng, 64)
-		rt, err := InstallFaults(arr, c, plan, FaultOptions{})
+		rt, err := InstallFaults(arr, c, plan)
 		if err != nil {
 			b.Fatal(err)
 		}

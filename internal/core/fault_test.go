@@ -17,13 +17,6 @@ import (
 	"craid/internal/trace"
 )
 
-// testFaultOptions pins the tunables so latency expectations are exact.
-var testFaultOptions = FaultOptions{
-	RetryBase:     sim.Millisecond,
-	MaxAttempts:   4,
-	ReconPerBlock: 2 * sim.Microsecond,
-}
-
 // installPlan parses and arms spec, then runs the engine so events at
 // t=0 fire before the test submits anything.
 func installPlan(t *testing.T, arr *Array, vol Volume, spec string) *FaultRuntime {
@@ -32,7 +25,7 @@ func installPlan(t *testing.T, arr *Array, vol Volume, spec string) *FaultRuntim
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := InstallFaults(arr, vol, plan, testFaultOptions)
+	rt, err := InstallFaults(arr, vol, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +59,7 @@ func replayFault(t *testing.T, rig func(*sim.Engine, int64) (*CRAID, *Array),
 	}
 	eng := sim.NewEngine()
 	c, arr := rig(eng, 64)
-	rt, err := InstallFaults(arr, c, plan, testFaultOptions)
+	rt, err := InstallFaults(arr, c, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +148,7 @@ func TestDegradedReadRAID5EveryBlockReadable(t *testing.T) {
 	ctl := NewRAIDController(arr, lay, []int{0, 1, 2, 3, 4}, 0)
 	rt := installPlan(t, arr, ctl, fmt.Sprintf("seed=1;fail:%d@0s", dead))
 
-	recon := testFaultOptions.ReconPerBlock
+	recon := reconPerBlock
 	var wantDeg, wantPeer int64
 	for b := int64(0); b < lay.DataBlocks(); b++ {
 		got := submitAndRun(eng, ctl, disk.OpRead, b, 1)
@@ -229,7 +222,7 @@ func TestDegradedReadCoalescesContiguousRows(t *testing.T) {
 		t.Fatalf("reference degenerate: %d runs over %d blocks", wantRuns, wantBlocks)
 	}
 
-	recon := testFaultOptions.ReconPerBlock
+	recon := reconPerBlock
 	got := submitAndRun(eng, ctl, disk.OpRead, 0, lay.DataBlocks())
 	// Runs reconstruct as parallel branches of the request join on
 	// instant devices: completion is gated by the longest run's
@@ -262,7 +255,7 @@ func TestDegradedReadRAID6DoubleFailure(t *testing.T) {
 	ctl := NewRAIDController(arr, lay, []int{0, 1, 2, 3, 4, 5}, 0)
 	rt := installPlan(t, arr, ctl, fmt.Sprintf("seed=1;fail:%d@0s;fail:%d@0s", deadA, deadB))
 
-	recon := testFaultOptions.ReconPerBlock
+	recon := reconPerBlock
 	var wantDeg, wantPeer int64
 	for b := int64(0); b < lay.DataBlocks(); b++ {
 		got := submitAndRun(eng, ctl, disk.OpRead, b, 1)
@@ -302,7 +295,7 @@ func TestDegradedWriteRAID5(t *testing.T) {
 	ctl := NewRAIDController(arr, lay, []int{0, 1, 2, 3, 4}, 0)
 	rt := installPlan(t, arr, ctl, fmt.Sprintf("seed=1;fail:%d@0s", dead))
 
-	recon := testFaultOptions.ReconPerBlock
+	recon := reconPerBlock
 	var wantDeg, wantPeer int64
 	for b := int64(0); b < lay.DataBlocks(); b++ {
 		got := submitAndRun(eng, ctl, disk.OpWrite, b, 1)
@@ -417,7 +410,7 @@ func TestDegradedRAID5SecondFailureLosesData(t *testing.T) {
 
 // TestFaultTransientRetryBudget pins the retry machinery exactly: a
 // rate-1 window makes every attempt fail, so one submission burns the
-// whole budget — MaxAttempts transients, MaxAttempts-1 retries with
+// whole budget — maxAttempts transients, maxAttempts-1 retries with
 // exponential backoff, one permanent failure — and the client's
 // completion arrives after the summed backoff.
 func TestFaultTransientRetryBudget(t *testing.T) {
@@ -433,7 +426,7 @@ func TestFaultTransientRetryBudget(t *testing.T) {
 	}
 	got := submitAndRun(eng, ctl, disk.OpRead, 0, 1)
 	// Backoffs: 1ms, 2ms, 4ms after attempts 1..3; attempt 4 gives up.
-	if want := 7 * testFaultOptions.RetryBase; got != want {
+	if want := 7 * retryBase; got != want {
 		t.Fatalf("retry choreography took %v, want %v", got, want)
 	}
 	st := rt.Stats()
@@ -539,7 +532,7 @@ func TestCrashRestartLogRingMatchesSyncControl(t *testing.T) {
 		} else {
 			c.SetMappingLog(&log)
 		}
-		rt, err := InstallFaults(arr, c, plan, testFaultOptions)
+		rt, err := InstallFaults(arr, c, plan)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -278,51 +278,66 @@ func TestHDDWriteCacheFillsAndStalls(t *testing.T) {
 }
 
 func TestHDDSchedulersAllComplete(t *testing.T) {
-	for _, sched := range []Scheduler{FCFS, SSTF, LOOK} {
-		cfg := smallHDDConfig("hdd0")
-		cfg.Sched = sched
-		eng := sim.NewEngine()
-		d := NewHDD(eng, cfg)
-		rng := rand.New(rand.NewSource(5))
-		completed := 0
-		for i := 0; i < 200; i++ {
-			d.Submit(&Request{
-				Op:    OpRead,
-				Block: rng.Int63n(cfg.CapacityBlocks - 8),
-				Count: 8,
-				Done:  func(sim.Time) { completed++ },
-			})
-		}
-		eng.Run()
-		if completed != 200 {
-			t.Errorf("scheduler %d: completed %d/200", sched, completed)
-		}
+	cfg := smallHDDConfig("hdd0")
+	eng := sim.NewEngine()
+	d := NewHDD(eng, cfg)
+	rng := rand.New(rand.NewSource(5))
+	completed := 0
+	for i := 0; i < 200; i++ {
+		d.Submit(&Request{
+			Op:    OpRead,
+			Block: rng.Int63n(cfg.CapacityBlocks - 8),
+			Count: 8,
+			Done:  func(sim.Time) { completed++ },
+		})
+	}
+	eng.Run()
+	if completed != 200 {
+		t.Errorf("completed %d/200", completed)
 	}
 }
 
-func TestHDDLOOKBeatsFCFSOnScatteredQueue(t *testing.T) {
-	finish := func(sched Scheduler) sim.Time {
-		cfg := smallHDDConfig("hdd0")
-		cfg.Sched = sched
-		cfg.CacheSegments = 0
-		eng := sim.NewEngine()
-		d := NewHDD(eng, cfg)
-		rng := rand.New(rand.NewSource(9))
-		var last sim.Time
-		for i := 0; i < 100; i++ {
-			d.Submit(&Request{
-				Op:    OpRead,
-				Block: rng.Int63n(cfg.CapacityBlocks - 8),
-				Count: 8,
-				Done:  func(at sim.Time) { last = at },
-			})
-		}
-		eng.Run()
-		return last
+// TestHDDLOOKServiceOrder pins the queue discipline on a scattered
+// queue. The first request is dispatched alone; the other 99 queue up
+// behind it and are served in one ascending sweep from where it left the
+// head, then one descending sweep over what lay behind.
+func TestHDDLOOKServiceOrder(t *testing.T) {
+	cfg := smallHDDConfig("hdd0")
+	cfg.CacheSegments = 0
+	eng := sim.NewEngine()
+	d := NewHDD(eng, cfg)
+	rng := rand.New(rand.NewSource(9))
+	var served []int64 // cylinders, in completion order
+	for i := 0; i < 100; i++ {
+		block := rng.Int63n(cfg.CapacityBlocks - 8)
+		_, cyl, _ := d.locate(block)
+		d.Submit(&Request{
+			Op:    OpRead,
+			Block: block,
+			Count: 8,
+			Done:  func(sim.Time) { served = append(served, cyl) },
+		})
 	}
-	fcfs, look := finish(FCFS), finish(LOOK)
-	if look >= fcfs {
-		t.Errorf("LOOK (%v) not faster than FCFS (%v) on a scattered queue", look, fcfs)
+	eng.Run()
+	if len(served) != 100 {
+		t.Fatalf("completed %d/100", len(served))
+	}
+	rest := served[1:]
+	turn := 1
+	for turn < len(rest) && rest[turn] >= rest[turn-1] {
+		turn++
+	}
+	up, down := rest[:turn], rest[turn:]
+	if len(up) < 10 || len(down) < 10 {
+		t.Fatalf("sweeps of %d and %d requests: the queue was meant to straddle the head", len(up), len(down))
+	}
+	for i, cyl := range down {
+		if i > 0 && cyl > down[i-1] {
+			t.Fatalf("reverse sweep climbs from cylinder %d to %d (request %d of it): %v", down[i-1], cyl, i, served)
+		}
+		if cyl >= up[0] {
+			t.Fatalf("cylinder %d was ahead of the head, yet left for the reverse sweep: %v", cyl, served)
+		}
 	}
 }
 

@@ -7,21 +7,6 @@ import (
 	"craid/internal/sim"
 )
 
-// Scheduler selects which queued request an HDD services next.
-type Scheduler uint8
-
-// Queue scheduling disciplines.
-const (
-	// FCFS services requests in arrival order.
-	FCFS Scheduler = iota
-	// SSTF services the request with the shortest seek from the
-	// current head position.
-	SSTF
-	// LOOK sweeps the head across the platter servicing requests in
-	// cylinder order, reversing at the last request in each direction.
-	LOOK
-)
-
 // HDDConfig describes a hard-disk model. The zero value is not valid;
 // start from CheetahConfig (or NewHDDConfig) and adjust.
 type HDDConfig struct {
@@ -46,8 +31,6 @@ type HDDConfig struct {
 	CacheSegments    int // read segments
 	SegmentBlocks    int // blocks per read segment (read-ahead unit)
 	WriteCacheBlocks int // write-back buffer capacity, 0 disables write-back
-
-	Sched Scheduler
 }
 
 // CheetahConfig returns parameters approximating the Seagate Cheetah
@@ -70,7 +53,6 @@ func CheetahConfig(name string) HDDConfig {
 		CacheSegments:    16,
 		SegmentBlocks:    256,  // 16 segments * 256 blocks * 4 KiB = 16 MiB
 		WriteCacheBlocks: 1024, // 4 MiB of the cache dedicated to writes
-		Sched:            LOOK,
 	}
 }
 
@@ -86,12 +68,12 @@ type zone struct {
 
 // HDD is an event-driven hard-disk model: a single mechanical arm, a
 // rotating platter stack with zoned density, a segmented read cache
-// with read-ahead, an optional write-back buffer, and a queue scheduler.
+// with read-ahead, an optional write-back buffer, and a LOOK-scheduled
+// queue.
 //
 // A request's cylinder is resolved once, when it joins the media queue
-// (hddReq.cyl): the SSTF and LOOK schedulers compare every queued
-// request on every dispatch, and must not search the zone table each
-// time they do.
+// (hddReq.cyl): LOOK compares every queued request on every dispatch,
+// and must not search the zone table each time it does.
 type HDD struct {
 	eng   *sim.Engine
 	cfg   HDDConfig
@@ -106,7 +88,7 @@ type HDD struct {
 	queue   []hddReq
 	busy    bool
 	curCyl  int64
-	sweepUp bool // LOOK sweep direction
+	sweepUp bool // sweep direction
 
 	// busyDevs, when set by CountBusyIn, is the owner's count of busy
 	// devices: +1 when busy||destaging turns true, -1 when it turns
@@ -449,41 +431,27 @@ func (d *HDD) kick() {
 	}
 }
 
-// pickNext removes and returns the next request per the scheduler.
+// pickNext removes and returns the next request in LOOK order: the head
+// sweeps across the platter servicing requests in cylinder order and
+// reverses at the last request in each direction.
 func (d *HDD) pickNext() hddReq {
-	best := 0
-	switch d.cfg.Sched {
-	case FCFS: // the head of the queue
-	case SSTF:
-		bestDist := int64(math.MaxInt64)
+	best := -1
+	var bestCyl int64
+	for pass := 0; pass < 2; pass++ {
 		for i := range d.queue {
-			dist := d.queue[i].cyl - d.curCyl
-			if dist < 0 {
-				dist = -dist
+			cyl := d.queue[i].cyl
+			if d.sweepUp && cyl < d.curCyl || !d.sweepUp && cyl > d.curCyl {
+				continue
 			}
-			if dist < bestDist {
-				best, bestDist = i, dist
+			if best == -1 ||
+				(d.sweepUp && cyl < bestCyl) || (!d.sweepUp && cyl > bestCyl) {
+				best, bestCyl = i, cyl
 			}
 		}
-	default: // LOOK
-		best = -1
-		var bestCyl int64
-		for pass := 0; pass < 2; pass++ {
-			for i := range d.queue {
-				cyl := d.queue[i].cyl
-				if d.sweepUp && cyl < d.curCyl || !d.sweepUp && cyl > d.curCyl {
-					continue
-				}
-				if best == -1 ||
-					(d.sweepUp && cyl < bestCyl) || (!d.sweepUp && cyl > bestCyl) {
-					best, bestCyl = i, cyl
-				}
-			}
-			if best != -1 {
-				break
-			}
-			d.sweepUp = !d.sweepUp // reverse at the end of the sweep
+		if best != -1 {
+			break
 		}
+		d.sweepUp = !d.sweepUp // reverse at the end of the sweep
 	}
 	// Close the gap by copying down, whichever end it is at: reslicing
 	// the head off (queue[1:]) would strand the backing array's front

@@ -93,9 +93,12 @@ func upgradeRun(traceName string, scale, pcPct float64, retain bool) (UpgradeRow
 	gen := workload.New(params)
 
 	const startDisks, endDisks = 38, TestbedDisks
+	diskCap, pcPerDisk, paPerDisk, err := diskRegions(CRAID5Plus, scale, pcPct)
+	if err != nil {
+		return UpgradeRow{}, err
+	}
 	eng := sim.NewEngine()
 	hcfg := disk.CheetahConfig("hdd")
-	diskCap := int64(float64(hcfg.CapacityBlocks) * scale)
 	newHDD := func(i int) disk.Device {
 		c := hcfg
 		c.Name = fmt.Sprintf("hdd%d", i)
@@ -108,13 +111,9 @@ func upgradeRun(traceName string, scale, pcPct float64, retain bool) (UpgradeRow
 	}
 	arr := core.NewArray(eng, devs)
 
-	pcPerDisk := int64(pcPct / 100 * float64(diskCap))
-	if pcPerDisk < TestbedStripeUnit {
-		pcPerDisk = TestbedStripeUnit
-	}
 	// Archive: the paper schedule's first six sets (10+3+4+5+7+9 = 38).
 	sets := raid.PaperExpansionSizes()[:6]
-	inner := raid.NewRAID5Plus(sets, diskCap-pcPerDisk, TestbedStripeUnit)
+	inner := raid.NewRAID5Plus(sets, paPerDisk, TestbedStripeUnit)
 	if inner.DataBlocks() < gen.DatasetBlocks() {
 		return UpgradeRow{}, fmt.Errorf("experiments: dataset exceeds 38-disk archive at scale %g", scale)
 	}

@@ -1,15 +1,18 @@
 package experiments
 
 import (
+	"math"
+	"strings"
 	"testing"
 
+	"craid/internal/core"
 	"craid/internal/disk"
 	"craid/internal/sim"
 )
 
 // Tests here assert the paper's qualitative findings (who wins, where
-// the knees are) at reduced scale. Heavier full-series checks live in
-// the benchmarks and cmd/craidbench.
+// the knees are) at reduced scale. Heavier full-series runs live in
+// cmd/craidbench.
 
 func TestScaleFor(t *testing.T) {
 	if s := ScaleFor("webresearch", 5.0); s != 1 {
@@ -33,6 +36,37 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := Run(RunConfig{Trace: "wdev", Scale: 1, Strategy: "RAID-9"}); err == nil {
 		t.Error("unknown strategy did not error")
+	}
+	// Geometry the constructors cannot build: an error, not their panic
+	// (nor, for a negative or NaN percentage, a silent one-stripe P_C).
+	ok := RunConfig{Trace: "wdev", Scale: ScaleFor("wdev", 0.02), Strategy: CRAID5, PCPct: 0.008}
+	for _, c := range []struct {
+		name string
+		edit func(*RunConfig)
+	}{
+		{"PCPct 100", func(c *RunConfig) { c.PCPct = 100 }},
+		{"PCPct -1", func(c *RunConfig) { c.PCPct = -1 }},
+		{"PCPct NaN", func(c *RunConfig) { c.PCPct = math.NaN() }},
+		{"archive region under one stripe row", func(c *RunConfig) { c.Scale = ScaleFor("wdev", 0.00001) }},
+		{"disk of zero blocks", func(c *RunConfig) { c.Scale = ScaleFor("wdev", 0.0000001) }},
+		{"disk of zero blocks, instant devices", func(c *RunConfig) {
+			c.Scale, c.Instant, c.PCBlocks = ScaleFor("wdev", 0.0000001), true, 64
+		}},
+	} {
+		cfg := ok
+		c.edit(&cfg)
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("%s did not error", c.name)
+		} else if strings.Contains(err.Error(), "\n") {
+			t.Errorf("%s: error is not one line: %q", c.name, err)
+		}
+	}
+	if _, err := Run(ok); err != nil {
+		t.Errorf("the configuration the bad ones are edits of: %v", err)
+	}
+	// No cache percentage at all is a valid way to size P_C in blocks.
+	if _, err := Run(RunConfig{Trace: "wdev", Scale: ScaleFor("wdev", 0.02), Strategy: CRAID5, Instant: true, PCBlocks: 64}); err != nil {
+		t.Errorf("PCPct 0 with Instant and PCBlocks: %v", err)
 	}
 }
 
@@ -329,6 +363,51 @@ func TestMigrationAblation(t *testing.T) {
 	if byName["restripe"].TotalFrac < 3 {
 		t.Errorf("restripe moved %.2f datasets; expected several over 6 expansions",
 			byName["restripe"].TotalFrac)
+	}
+}
+
+// TestAblationPCLevel: the §6 parity cost. A RAID-0 cache partition
+// writes without a parity update, RAID-5 pays one read-modify-write and
+// RAID-6 a second parity leg on top of it.
+func TestAblationPCLevel(t *testing.T) {
+	rows, err := AblationPCLevel("wdev", QuickScale, 0.008)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 3 || rows[0].Level != core.PCRaid0 || rows[1].Level != core.PCRaid5 || rows[2].Level != core.PCRaid6 {
+		t.Fatalf("rows = %+v, want RAID-0, RAID-5, RAID-6", rows)
+	}
+	if w0, w5, w6 := rows[0].WriteMean, rows[1].WriteMean, rows[2].WriteMean; !(0 < w0 && w0 < w5 && w5 < w6) {
+		t.Errorf("write means RAID-0 %v, RAID-5 %v, RAID-6 %v: want them to rise with the parity legs", w0, w5, w6)
+	}
+}
+
+// TestAblationRebalance: the two ways to grow a loaded array 38→50
+// disks. Invalidation (§4.1) writes the dirty blocks back and drops
+// P_C; retention (§6) moves every cached block and keeps its hits.
+func TestAblationRebalance(t *testing.T) {
+	rows, err := AblationRebalance("wdev", QuickScale, 0.008)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 || rows[0].Mode != "invalidate" || rows[1].Mode != "retain" {
+		t.Fatalf("rows = %+v, want invalidate then retain", rows)
+	}
+	inv, ret := rows[0], rows[1]
+	if u := inv.Upgrade; u.DirtyWriteback <= 0 || u.Migrated != 0 || u.Invalidated <= 0 {
+		t.Errorf("invalidate: %+v, want write-backs and invalidations and nothing migrated", u)
+	}
+	if u := ret.Upgrade; u.DirtyWriteback != 0 || u.Migrated <= 0 || u.Invalidated != 0 {
+		t.Errorf("retain: %+v, want migrations only", u)
+	}
+	if ret.PostHitRatio <= inv.PostHitRatio {
+		t.Errorf("read hit ratio after the upgrade: retain %.4f, invalidate %.4f; retention should keep more hits",
+			ret.PostHitRatio, inv.PostHitRatio)
+	}
+	// It builds its own 38-disk array, under the same geometry rules as
+	// Run (TestRunRejectsBadConfig).
+	if _, err := AblationRebalance("wdev", ScaleFor("wdev", 0.0000001), 0.008); err == nil {
+		t.Error("a disk of zero blocks did not error")
 	}
 }
 

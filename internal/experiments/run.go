@@ -2,7 +2,7 @@
 // paper's evaluation (§5) plus the migration-cost ablation its
 // motivation implies. Each experiment has one entry point returning
 // plain row/series structs; cmd/craidbench prints them paper-style and
-// bench_test.go wraps them in testing.B benchmarks.
+// experiments_test.go asserts the paper's shapes on each.
 //
 // Scaling. The paper simulates one week against 50×146 GB disks. All
 // experiments here take a volume scale factor: workload volumes AND
@@ -20,7 +20,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"sync/atomic"
 
 	"craid/internal/core"
 	"craid/internal/disk"
@@ -32,15 +31,6 @@ import (
 	"craid/internal/trace"
 	"craid/internal/workload"
 )
-
-// replayedRecords counts trace records replayed by every Run in this
-// process (atomic: the experiment matrix runs cells concurrently).
-// Tooling divides wall time and allocations by its delta to report
-// per-record monitor cost (craidbench's per-table footer).
-var replayedRecords atomic.Int64
-
-// ReplayedRecords returns the process-wide count of replayed records.
-func ReplayedRecords() int64 { return replayedRecords.Load() }
 
 // newFileReader builds the parser for cfg's trace file format.
 func newFileReader(r io.Reader, cfg RunConfig) (trace.Reader, error) {
@@ -358,7 +348,7 @@ func Run(cfg RunConfig) (RunResult, error) {
 	}
 	var faultRT *core.FaultRuntime
 	if cfg.FaultSpec != "" {
-		faultRT, err = core.InstallFaults(arr, vol, plan, core.FaultOptions{})
+		faultRT, err = core.InstallFaults(arr, vol, plan)
 		if err != nil {
 			return RunResult{}, err
 		}
@@ -424,7 +414,6 @@ func Run(cfg RunConfig) (RunResult, error) {
 			return RunResult{}, err
 		}
 	}
-	replayedRecords.Add(n)
 	var logStats mapcache.LogRingStats
 	if logRing != nil {
 		if err := logRing.Close(); err != nil {
@@ -470,20 +459,40 @@ func Run(cfg RunConfig) (RunResult, error) {
 	return res, nil
 }
 
-// buildVolume assembles devices, layouts and the controller for cfg.
-func buildVolume(eng *sim.Engine, cfg RunConfig, dataset int64) (core.Volume, *core.Array, error) {
-	hcfg := disk.CheetahConfig("hdd")
-	diskCap := int64(float64(hcfg.CapacityBlocks) * cfg.Scale)
-
-	// Cache partition size per disk (shared-P_C variants).
-	pcPerDisk := int64(cfg.PCPct / 100 * float64(diskCap))
-	if cfg.Strategy.IsCRAID() && pcPerDisk < TestbedStripeUnit {
+// diskRegions sizes one testbed disk at scale and splits it, for
+// strategy s caching pcPct percent per disk, into the cache partition
+// (shared-P_C variants; at least one stripe row) and the archive region.
+// The device and layout constructors panic on a geometry with no room
+// for a stripe row; scale and pcPct are the caller's input, so here that
+// is an error.
+func diskRegions(s Strategy, scale, pcPct float64) (diskCap, pcPerDisk, paPerDisk int64, err error) {
+	// The comparison is written so that NaN fails it too.
+	if !(pcPct >= 0 && pcPct < 100) {
+		return 0, 0, 0, fmt.Errorf("experiments: PCPct %v is not a percentage in [0, 100)", pcPct)
+	}
+	diskCap = int64(float64(disk.CheetahConfig("hdd").CapacityBlocks) * scale)
+	pcPerDisk = int64(pcPct / 100 * float64(diskCap))
+	if s.IsCRAID() && pcPerDisk < TestbedStripeUnit {
 		pcPerDisk = TestbedStripeUnit
 	}
-	paPerDisk := diskCap - pcPerDisk
-	if !cfg.Strategy.IsCRAID() || cfg.Strategy.usesSSD() {
+	paPerDisk = diskCap - pcPerDisk
+	if !s.IsCRAID() || s.usesSSD() {
 		paPerDisk = diskCap // archive owns the whole disk
 	}
+	if paPerDisk < TestbedStripeUnit {
+		return 0, 0, 0, fmt.Errorf("experiments: scale %g gives disks of %d blocks; the archive region needs a stripe row of %d beside a cache partition of %d",
+			scale, diskCap, TestbedStripeUnit, diskCap-paPerDisk)
+	}
+	return diskCap, pcPerDisk, paPerDisk, nil
+}
+
+// buildVolume assembles devices, layouts and the controller for cfg.
+func buildVolume(eng *sim.Engine, cfg RunConfig, dataset int64) (core.Volume, *core.Array, error) {
+	diskCap, pcPerDisk, paPerDisk, err := diskRegions(cfg.Strategy, cfg.Scale, cfg.PCPct)
+	if err != nil {
+		return nil, nil, err
+	}
+	hcfg := disk.CheetahConfig("hdd")
 
 	// Devices.
 	var devs []disk.Device

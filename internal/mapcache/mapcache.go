@@ -1,29 +1,40 @@
-// Package mapcache implements CRAID's mapping cache (paper §4.2): an
-// in-memory balanced search structure translating block addresses in
-// the archive partition (P_A) to their cached copies in the cache
-// partition (P_C), with a dirty flag per entry.
+// Package mapcache implements CRAID's mapping cache (paper §4.2): the
+// in-memory structure translating block addresses in the archive
+// partition (P_A) to their cached copies in the cache partition (P_C),
+// with a dirty flag per entry.
 //
-// The paper specifies a tree-based structure with O(log k) lookups and
-// quantifies memory as ~0.58% of the cache partition size (4-byte LBAs,
-// a dirty bit and an 8-byte pointer per entry, 4 KiB blocks); Bytes()
-// reproduces that accounting. Failure resilience comes from a
-// persistent log of dirty translations (Log/Recover): after a crash,
-// dirty cached copies — the only ones that differ from the original
-// data — can be located and recovered, while clean entries are simply
-// invalidated.
+// The paper specifies a tree with O(log k) lookups and quantifies its
+// memory as ~0.58% of the cache partition size (4-byte LBAs, a dirty
+// bit and an 8-byte pointer per entry, 4 KiB blocks); Bytes() keeps
+// that per-entry accounting, which is what the reproduced tables report.
+// Failure resilience comes from a persistent log of dirty translations
+// (Log/Recover): after a crash, dirty cached copies — the only ones that
+// differ from the original data — can be located and recovered, while
+// clean entries are simply invalidated.
 //
-// The structure is one AVL tree keyed by archive address (avl.go) with a
-// node freelist, plus an O(1) dirty-membership set (dirtyset.go) kept in
-// step with the dirty flags at the same points that write the log.
+// The host structure here is not a tree but one open-addressing hash
+// table (internal/oamap, the table the replacement policies index with)
+// from archive address to {cache address, dirty}. The simulator charges
+// no time for controller CPU, so no simulated number depends on the
+// choice, and the monitor's traffic is point operations: a lookup, a
+// dirty-flag flip and an eviction are one probe each where the tree paid
+// a descent (and a rebalancing delete per eviction). What a tree gives
+// for free — order — only the cold consumers need: Walk and
+// DirtyMappings collect and sort. The run calls cost one probe per block
+// and have no fallback for huge sparse ranges, because no caller passes
+// a run longer than one request.
 package mapcache
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+
+	"craid/internal/oamap"
 )
 
 // Mapping is one translation entry.
@@ -33,97 +44,84 @@ type Mapping struct {
 	Dirty bool  // cached copy differs from the original
 }
 
-// Table is the mapping cache: one AVL tree over archive addresses. The
-// zero value is an empty table ready to use. A Table is confined to one
-// goroutine, like the CRAID controller and sim.Engine that drive it.
+// entry is what the table stores under a Mapping's Orig.
+type entry struct {
+	cache int64
+	dirty bool
+}
+
+func (e entry) mapping(orig int64) Mapping {
+	return Mapping{Orig: orig, Cache: e.cache, Dirty: e.dirty}
+}
+
+// Table is the mapping cache. Make one with New. A Table is confined to
+// one goroutine, like the CRAID controller and sim.Engine that drive it.
+// Its cell array grows by doubling and is kept across removals and
+// Clear, so steady-state churn — the monitor continuously evicts and
+// re-inserts mappings, and a crash-restart or an invalidating expansion
+// empties the table and refills it at once — allocates nothing.
 type Table struct {
-	root *node
-	size int
-	log  io.Writer // optional persistent dirty log
-
-	// free chains removed nodes through right: the monitor continuously
-	// evicts and re-inserts mappings, so steady-state churn allocates
-	// nothing.
-	free *node
-
-	// replaced/existed are the last insert descent's scratch: Insert
-	// learns whether it replaced a dirty mapping without a second
-	// descent.
-	replaced Mapping
-	existed  bool
+	m   *oamap.Map[entry]
+	log io.Writer // optional persistent dirty log
 
 	// logRec is appendLog's encode scratch. A local array would escape
 	// to the heap at the io.Writer call — one allocation per logged
 	// transition; Write contracts not to retain the slice, so reusing
 	// one buffer is safe.
 	logRec [recordSize]byte
-
-	// dirty is the O(1) membership set behind IsDirty: the Orig of
-	// every mapping whose Dirty flag is set. Maintained at the same
-	// choke points that write the persistent dirty log.
-	dirty dirtySet
 }
 
 // New returns an empty table.
-func New() *Table { return &Table{} }
+func New() *Table { return &Table{m: oamap.New[entry](0)} }
 
 // SetLog directs persistent logging of dirty-state transitions to w.
 // Passing nil disables logging.
 func (t *Table) SetLog(w io.Writer) { t.log = w }
 
 // Len returns the number of mappings.
-func (t *Table) Len() int { return t.size }
+func (t *Table) Len() int { return t.m.Len() }
 
 // Bytes returns the worst-case memory footprint per the paper's
 // accounting: 4 bytes per LBA (two LBAs), 1 dirty bit, and 8 bytes of
 // structure pointer per entry.
 func (t *Table) Bytes() int64 {
 	const perEntryBits = 2*32 + 1 + 64
-	return (int64(t.size)*perEntryBits + 7) / 8
-}
-
-// find returns the node holding orig, or nil.
-func (t *Table) find(orig int64) *node {
-	n := t.root
-	for n != nil {
-		switch {
-		case orig < n.m.Orig:
-			n = n.left
-		case orig > n.m.Orig:
-			n = n.right
-		default:
-			return n
-		}
-	}
-	return nil
+	return (int64(t.Len())*perEntryBits + 7) / 8
 }
 
 // Lookup returns the mapping for orig.
 func (t *Table) Lookup(orig int64) (Mapping, bool) {
-	if n := t.find(orig); n != nil {
-		return n.m, true
+	e, ok := t.m.Get(orig)
+	if !ok {
+		return Mapping{}, false
 	}
-	return Mapping{}, false
+	return e.mapping(orig), true
 }
 
-// IsDirty reports whether orig is mapped with its dirty flag set, in
-// O(1) via the dirty-membership set (equivalent to Lookup + Dirty,
-// property-pinned by the table tests): the eviction path probes
-// dirtiness for a window of victim candidates per eviction, and a tree
-// descent per probe dominated whole replays before this existed.
-func (t *Table) IsDirty(orig int64) bool { return t.dirty.has(orig) }
+// IsDirty reports whether orig is mapped with its dirty flag set —
+// Lookup + Dirty, for the eviction path, which asks it for a window of
+// victim candidates per eviction.
+func (t *Table) IsDirty(orig int64) bool {
+	e, _ := t.m.Get(orig) // the zero entry of an unmapped address is clean
+	return e.dirty
+}
 
 // Insert adds or replaces the mapping for m.Orig.
 func (t *Table) Insert(m Mapping) {
-	t.existed = false
-	t.root = t.insert(t.root, m)
+	e := entry{cache: m.Cache, dirty: m.Dirty}
+	wasDirty := false
+	if at, ok := t.m.Probe(m.Orig); ok {
+		old := t.m.At(at)
+		wasDirty = old.dirty
+		*old = e
+	} else {
+		t.m.Fill(at, m.Orig, e)
+	}
 	switch {
 	case m.Dirty:
-		t.dirty.add(m.Orig)
 		t.appendLog(logInsert, m)
-	case t.existed && t.replaced.Dirty:
+	case wasDirty:
 		// A clean copy replaced a dirty one: the dirty state is gone.
-		t.dirty.del(m.Orig)
 		t.appendLog(logClean, Mapping{Orig: m.Orig})
 	}
 }
@@ -140,128 +138,58 @@ func (t *Table) InsertRun(orig, cache, n int64, dirty bool) {
 // Remove deletes the mapping for orig and returns it; ok reports
 // whether it existed.
 func (t *Table) Remove(orig int64) (m Mapping, ok bool) {
-	t.root, m, ok = t.remove(t.root, orig)
-	if ok {
-		t.size--
-		t.dirty.del(orig)
-		t.appendLog(logRemove, Mapping{Orig: orig})
+	e, ok := t.m.Del(orig)
+	if !ok {
+		return Mapping{}, false
 	}
-	return m, ok
+	t.appendLog(logRemove, Mapping{Orig: orig})
+	return e.mapping(orig), true
 }
-
-// seek descends to orig, pushing onto stack the nodes an in-order walk
-// from orig still has to visit, nearest on top: the node holding orig
-// itself if it is mapped, and every ancestor the search left by going
-// left.
-func (t *Table) seek(orig int64, stack []*node) []*node {
-	cur := t.root
-	for cur != nil {
-		switch {
-		case orig < cur.m.Orig:
-			stack = append(stack, cur)
-			cur = cur.left
-		case orig > cur.m.Orig:
-			cur = cur.right
-		default:
-			return append(stack, cur)
-		}
-	}
-	return stack
-}
-
-// walkStack fits the AVL height of ~2^33 entries.
-type walkStack [48]*node
 
 // RemoveRun deletes every mapping in [orig, orig+n), returning how many
-// existed — equivalent to a loop of Remove over the range, but existing
-// keys are discovered by successor walking so sparse ranges don't pay a
-// descent per absent address.
+// existed — equivalent to a loop of Remove over the range.
 func (t *Table) RemoveRun(orig, n int64) int64 {
-	end := orig + n
 	var removed int64
-	for orig < end {
-		// Collect the next batch of present keys (removal rebalances
-		// the tree, invalidating any in-flight iterator).
-		var keys [64]int64
-		got := 0
-		var buf walkStack
-		stack := t.seek(orig, buf[:0])
-		for len(stack) > 0 && got < len(keys) {
-			cur := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if cur.m.Orig >= end {
-				break
-			}
-			keys[got] = cur.m.Orig
-			got++
-			for next := cur.right; next != nil; next = next.left {
-				stack = append(stack, next)
-			}
+	for i := int64(0); i < n; i++ {
+		if _, ok := t.Remove(orig + i); ok {
+			removed++
 		}
-		if got == 0 {
-			break
-		}
-		for _, k := range keys[:got] {
-			if _, ok := t.Remove(k); ok {
-				removed++
-			}
-		}
-		orig = keys[got-1] + 1
 	}
 	return removed
-}
-
-// setDirty flips n's dirty flag to dirty, logging the transition so
-// dirty blocks stay recoverable.
-func (t *Table) setDirty(n *node, dirty bool) {
-	if n.m.Dirty == dirty {
-		return
-	}
-	n.m.Dirty = dirty
-	if dirty {
-		t.dirty.add(n.m.Orig)
-		t.appendLog(logInsert, n.m)
-	} else {
-		t.dirty.del(n.m.Orig)
-		t.appendLog(logClean, Mapping{Orig: n.m.Orig})
-	}
 }
 
 // SetDirty updates the dirty flag for orig, reporting whether the entry
 // exists. Transitions are logged so dirty blocks are recoverable.
 func (t *Table) SetDirty(orig int64, dirty bool) bool {
-	n := t.find(orig)
-	if n != nil {
-		t.setDirty(n, dirty)
+	at, ok := t.m.Probe(orig)
+	if !ok {
+		return false
 	}
-	return n != nil
+	if e := t.m.At(at); e.dirty != dirty {
+		e.dirty = dirty
+		if dirty {
+			t.appendLog(logInsert, e.mapping(orig))
+		} else {
+			t.appendLog(logClean, Mapping{Orig: orig})
+		}
+	}
+	return true
 }
 
 // SetDirtyRun updates the dirty flag of every existing mapping in
-// [orig, orig+n) — equivalent to a loop of SetDirty — using one descent
-// plus successor walking. It returns how many mappings were found.
-// Transitions are logged so dirty blocks stay recoverable.
+// [orig, orig+n) — equivalent to a loop of SetDirty. It returns how many
+// mappings were found.
 func (t *Table) SetDirtyRun(orig, n int64, dirty bool) int64 {
-	end := orig + n
-	var buf walkStack
-	stack := t.seek(orig, buf[:0])
 	var found int64
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if cur.m.Orig >= end {
-			break
-		}
-		found++
-		t.setDirty(cur, dirty)
-		for next := cur.right; next != nil; next = next.left {
-			stack = append(stack, next)
+	for i := int64(0); i < n; i++ {
+		if t.SetDirty(orig+i, dirty) {
+			found++
 		}
 	}
 	return found
 }
 
-// LookupRun inspects the run starting at orig in a single descent.
+// LookupRun inspects the run starting at orig.
 //
 // If orig is mapped it returns its mapping, ok=true, and n = the length
 // (capped at max) of the contiguous run of mappings starting at orig
@@ -272,85 +200,64 @@ func (t *Table) SetDirtyRun(orig, n int64, dirty bool) int64 {
 // consecutive unmapped addresses starting at orig (capped at max), i.e.
 // the gap to the next mapping.
 //
-// The run is discovered by walking in-order successors from the initial
-// descent's search path, so a whole extent costs one O(log k) descent
-// plus O(n) amortized pointer chasing instead of n descents.
+// Either way it probes orig, orig+1, … until the answer changes: n+1
+// probes at most, max of them when the run or gap reaches the cap.
 func (t *Table) LookupRun(orig, max int64) (m Mapping, n int64, ok bool) {
 	if max <= 0 {
 		return Mapping{}, 0, false
 	}
-	var buf walkStack
-	stack := t.seek(orig, buf[:0])
-	if len(stack) == 0 {
-		return Mapping{}, max, false
-	}
-	cur := stack[len(stack)-1]
-	stack = stack[:len(stack)-1]
-	if cur.m.Orig != orig {
-		// orig is unmapped; its successor bounds the gap.
-		if gap := cur.m.Orig - orig; gap < max {
-			return Mapping{}, gap, false
+	first, ok := t.m.Get(orig)
+	if !ok {
+		for n = 1; n < max; n++ {
+			if _, mapped := t.m.Get(orig + n); mapped {
+				break
+			}
 		}
-		return Mapping{}, max, false
+		return Mapping{}, n, false
 	}
-	m = cur.m
-	n = 1
-	prev := cur.m
-	for n < max {
-		// Advance to the in-order successor: leftmost of the right
-		// subtree, else the nearest stacked ancestor.
-		for next := cur.right; next != nil; next = next.left {
-			stack = append(stack, next)
-		}
-		if len(stack) == 0 {
+	for n = 1; n < max; n++ {
+		if e, mapped := t.m.Get(orig + n); !mapped || e.cache != first.cache+n {
 			break
 		}
-		cur = stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if cur.m.Orig != prev.Orig+1 || cur.m.Cache != prev.Cache+1 {
-			break
-		}
-		prev = cur.m
-		n++
 	}
-	return m, n, true
+	return first.mapping(orig), n, true
 }
 
-// Walk visits all mappings in ascending Orig order. Returning false
-// from fn stops the walk.
-func (t *Table) Walk(fn func(Mapping) bool) {
-	var walk func(n *node) bool
-	walk = func(n *node) bool {
-		if n == nil {
-			return true
-		}
-		return walk(n.left) && fn(n.m) && walk(n.right)
-	}
-	walk(t.root)
-}
-
-// DirtyMappings returns all dirty entries in ascending Orig order.
-func (t *Table) DirtyMappings() []Mapping {
+// sorted returns the mappings (dirtyOnly: the dirty ones) in ascending
+// Orig order — the order the table itself does not keep.
+func (t *Table) sorted(dirtyOnly bool) []Mapping {
 	var out []Mapping
-	t.Walk(func(m Mapping) bool {
-		if m.Dirty {
-			out = append(out, m)
+	if !dirtyOnly {
+		out = make([]Mapping, 0, t.Len())
+	}
+	for orig, e := range t.m.All() {
+		if e.dirty || !dirtyOnly {
+			out = append(out, e.mapping(orig))
 		}
-		return true
-	})
+	}
+	sortByOrig(out)
 	return out
 }
 
-// Clear removes all mappings. The nodes go to the table's own freelist
-// rather than the garbage collector: a crash-restart or an invalidating
-// expansion refills the tree at once, and would otherwise re-allocate it
-// node by node.
-func (t *Table) Clear() {
-	t.recycle(t.root)
-	t.root = nil
-	t.size = 0
-	t.dirty.clear()
+func sortByOrig(ms []Mapping) {
+	slices.SortFunc(ms, func(a, b Mapping) int { return cmp.Compare(a.Orig, b.Orig) })
 }
+
+// Walk visits all mappings in ascending Orig order, as of the call: fn
+// may change the table. Returning false from fn stops the walk.
+func (t *Table) Walk(fn func(Mapping) bool) {
+	for _, m := range t.sorted(false) {
+		if !fn(m) {
+			return
+		}
+	}
+}
+
+// DirtyMappings returns all dirty entries in ascending Orig order.
+func (t *Table) DirtyMappings() []Mapping { return t.sorted(true) }
+
+// Clear removes all mappings.
+func (t *Table) Clear() { t.m.Clear() }
 
 // --- persistent dirty log ---
 
@@ -411,6 +318,6 @@ func Recover(r io.Reader) ([]Mapping, error) {
 	for orig, cache := range dirty {
 		out = append(out, Mapping{Orig: orig, Cache: cache, Dirty: true})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Orig < out[j].Orig })
+	sortByOrig(out)
 	return out, nil
 }

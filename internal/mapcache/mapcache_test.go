@@ -174,50 +174,6 @@ func TestClear(t *testing.T) {
 	}
 }
 
-// checkAVL verifies the AVL balance and BST ordering invariants.
-func checkAVL(t *testing.T, n *node, lo, hi int64) int8 {
-	t.Helper()
-	if n == nil {
-		return 0
-	}
-	if n.m.Orig <= lo || n.m.Orig >= hi {
-		t.Fatalf("BST violation: %d outside (%d, %d)", n.m.Orig, lo, hi)
-	}
-	hl := checkAVL(t, n.left, lo, n.m.Orig)
-	hr := checkAVL(t, n.right, n.m.Orig, hi)
-	if bf := hl - hr; bf < -1 || bf > 1 {
-		t.Fatalf("AVL violation at %d: balance %d", n.m.Orig, bf)
-	}
-	h := 1 + max8(hl, hr)
-	if n.height != h {
-		t.Fatalf("height cache wrong at %d: %d vs %d", n.m.Orig, n.height, h)
-	}
-	return h
-}
-
-func TestAVLInvariantsUnderChurn(t *testing.T) {
-	tb := New()
-	rng := rand.New(rand.NewSource(7))
-	live := make(map[int64]bool)
-	for i := 0; i < 5000; i++ {
-		k := int64(rng.Intn(1000))
-		if rng.Intn(3) == 0 {
-			m, got := tb.Remove(k)
-			if got != live[k] || (got && m != (Mapping{Orig: k, Cache: k})) {
-				t.Fatalf("Remove(%d) = %+v, %v, want %v", k, m, got, live[k])
-			}
-			delete(live, k)
-		} else {
-			tb.Insert(Mapping{Orig: k, Cache: k})
-			live[k] = true
-		}
-		if tb.Len() != len(live) {
-			t.Fatalf("Len = %d, want %d", tb.Len(), len(live))
-		}
-	}
-	checkAVL(t, tb.root, -1, 1<<62)
-}
-
 // Property: the table behaves exactly like a map reference model.
 func TestPropertyMatchesMapModel(t *testing.T) {
 	f := func(ops []int16) bool {
@@ -258,18 +214,6 @@ func TestPropertyMatchesMapModel(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: tree height stays O(log n) — specifically ≤ 1.44·log2(n+2).
-func TestPropertyHeightLogarithmic(t *testing.T) {
-	tb := New()
-	for i := int64(0); i < 1<<14; i++ {
-		tb.Insert(Mapping{Orig: i}) // worst case: sorted inserts
-	}
-	h := int(height(tb.root))
-	if h > 21 { // 1.44 * log2(16384) ≈ 20.2
-		t.Errorf("height = %d for 16384 sorted inserts, want <= 21", h)
 	}
 }
 

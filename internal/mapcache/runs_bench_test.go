@@ -17,7 +17,7 @@ func benchTable(blocks int64) *Table {
 	return t
 }
 
-// BenchmarkLookupPerBlock is the seed's access pattern: one descent per
+// BenchmarkLookupPerBlock is the seed's access pattern: one Lookup per
 // block of a 256-block request.
 func BenchmarkLookupPerBlock(b *testing.B) {
 	t := benchTable(1 << 20)
@@ -31,7 +31,8 @@ func BenchmarkLookupPerBlock(b *testing.B) {
 	}
 }
 
-// BenchmarkLookupRun covers the same 256 blocks with run lookups.
+// BenchmarkLookupRun covers the same 256 blocks with run lookups, as the
+// monitor's classify does: the same probes, a call per extent.
 func BenchmarkLookupRun(b *testing.B) {
 	t := benchTable(1 << 20)
 	b.ReportAllocs()
@@ -45,22 +46,8 @@ func BenchmarkLookupRun(b *testing.B) {
 	}
 }
 
-// BenchmarkSetDirtyPerBlock flips 64-block runs dirty one descent at a
-// time.
-func BenchmarkSetDirtyPerBlock(b *testing.B) {
-	t := benchTable(1 << 20)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		base := (int64(i) * 128) % (1 << 20)
-		dirty := i%2 == 0
-		for off := int64(0); off < 64; off++ {
-			t.SetDirty(base+off, dirty)
-		}
-	}
-}
-
-// BenchmarkSetDirtyRun flips the same runs with one call.
+// BenchmarkSetDirtyRun flips 64-block runs dirty and clean: a write hit
+// on an extent.
 func BenchmarkSetDirtyRun(b *testing.B) {
 	t := benchTable(1 << 20)
 	b.ReportAllocs()
@@ -71,24 +58,8 @@ func BenchmarkSetDirtyRun(b *testing.B) {
 	}
 }
 
-// BenchmarkChurnPerBlock measures remove+insert cycles (the monitor's
-// evict-then-allocate steady state) with per-block calls.
-func BenchmarkChurnPerBlock(b *testing.B) {
-	t := benchTable(1 << 16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		base := (int64(i) * 128) % (1 << 16)
-		for off := int64(0); off < 64; off++ {
-			t.Remove(base + off)
-		}
-		for off := int64(0); off < 64; off++ {
-			t.Insert(Mapping{Orig: base + off, Cache: int64(i)*64 + off})
-		}
-	}
-}
-
-// BenchmarkChurnRun measures the same cycles with the run APIs.
+// BenchmarkChurnRun measures remove+insert cycles of 64-block runs, the
+// monitor's evict-then-allocate steady state.
 func BenchmarkChurnRun(b *testing.B) {
 	t := benchTable(1 << 16)
 	b.ReportAllocs()

@@ -75,32 +75,23 @@ type event struct {
 	tfn func(Time)
 }
 
-// SchedStats counts scheduler activity. Engine counters are cumulative
-// per engine; GlobalSchedStats aggregates across all engines in the
-// process (flushed at the end of each Run/RunUntil), which is what the
-// craidbench per-table footer reports.
+// SchedStats counts one engine's scheduler activity, cumulatively.
 type SchedStats struct {
 	Fired      int64 // events dispatched (timed queue + same-instant ring)
 	Ring       int64 // of Fired, same-instant ring events
 	MaxPending int64 // high-water mark of the timed queue's length
 }
 
-var globalSched struct {
-	fired      atomic.Int64
-	ring       atomic.Int64
-	maxPending atomic.Int64
-}
+// globalFired is Fired summed over every engine in the process.
+var globalFired atomic.Int64
 
-// GlobalSchedStats returns scheduler counters aggregated across every
-// engine in the process: Fired and Ring are sums, MaxPending the
-// largest any engine saw. Engines flush when Run/RunUntil returns, so
-// totals are exact between runs.
+// GlobalSchedStats returns the process-wide count of events fired — the
+// one counter aggregated across engines (the benchmark divides it by
+// records); Ring and MaxPending are per engine only and zero here.
+// Engines flush when Run/RunUntil returns, so the total is exact between
+// runs.
 func GlobalSchedStats() SchedStats {
-	return SchedStats{
-		Fired:      globalSched.fired.Load(),
-		Ring:       globalSched.ring.Load(),
-		MaxPending: globalSched.maxPending.Load(),
-	}
+	return SchedStats{Fired: globalFired.Load()}
 }
 
 // Engine is a discrete-event simulation loop. The zero value is not
@@ -129,7 +120,7 @@ type Engine struct {
 	ringHead int
 	stopped  bool
 	stats    SchedStats // cumulative for this engine
-	flushed  SchedStats // portion already added to the global counters
+	flushed  int64      // portion of stats.Fired already in globalFired
 }
 
 // NewEngine returns an engine with the clock at zero and no pending
@@ -139,21 +130,11 @@ func NewEngine() *Engine { return &Engine{} }
 // SchedStats returns this engine's cumulative scheduler counters.
 func (e *Engine) SchedStats() SchedStats { return e.stats }
 
-// flushStats publishes counter deltas to the process-wide aggregate.
+// flushStats publishes the events fired since the last flush to the
+// process-wide count.
 func (e *Engine) flushStats() {
-	d, f := e.stats, e.flushed
-	if d == f {
-		return
-	}
-	globalSched.fired.Add(d.Fired - f.Fired)
-	globalSched.ring.Add(d.Ring - f.Ring)
-	for {
-		cur := globalSched.maxPending.Load()
-		if d.MaxPending <= cur || globalSched.maxPending.CompareAndSwap(cur, d.MaxPending) {
-			break
-		}
-	}
-	e.flushed = d
+	globalFired.Add(e.stats.Fired - e.flushed)
+	e.flushed = e.stats.Fired
 }
 
 // pop removes and returns the earliest timed event; the queue must not
