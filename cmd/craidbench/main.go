@@ -9,7 +9,7 @@
 //	craidbench -budget 2.0      # GB of replayed traffic per trace
 //	craidbench -trace wdev      # restrict figures to one trace
 //	craidbench -parallel 4      # concurrent simulations (default: all cores)
-//	craidbench -remote http://host:8440  # run every cell through a craidd fabric
+//	craidbench -cache ~/.cache/craid     # reuse results a previous run of this build computed
 //	craidbench -cpuprofile cpu.pb.gz -table 2   # attach pprof evidence
 //
 // The -budget flag scales each workload so roughly that many gigabytes
@@ -22,11 +22,12 @@
 // matrix is embarrassingly parallel). Results are identical at every
 // parallelism level.
 //
-// The -remote flag routes every simulation cell through a craidd
-// experiment fabric (cmd/craidd) instead of running them in-process:
-// cells are content-addressed, so a warm fabric cache answers a whole
-// re-run without recomputing anything, and the output is byte-identical
-// to a local run either way.
+// The -cache flag names a directory of results, content-addressed by
+// cell configuration and by the identity of this binary: a re-run by
+// the same build reads the cells it has already computed instead of
+// simulating them, prints byte-identical tables, and reports the split
+// on stderr ("cache: 35 hits, 0 computed"). Delete the directory to
+// reclaim the space.
 //
 // The -cpuprofile and -memprofile flags write pprof profiles covering
 // the whole run, so performance PRs can attach before/after evidence
@@ -41,7 +42,6 @@ import (
 	"strings"
 
 	"craid/internal/experiments"
-	"craid/internal/fabric"
 	"craid/internal/prof"
 	"craid/internal/workload"
 )
@@ -52,14 +52,21 @@ func main() {
 	budget := flag.Float64("budget", 0.5, "replayed GB per trace per simulation")
 	traceName := flag.String("trace", "", "restrict figures to one trace")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "max concurrent simulations")
-	remote := flag.String("remote", "",
-		"run simulation cells through the craidd fabric at this URL instead of in-process")
+	cacheDir := flag.String("cache", "",
+		"reuse (and store) simulation results in this directory; empty = compute everything")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file")
 	flag.Parse()
 	experiments.SetParallelism(*parallel)
-	if *remote != "" {
-		experiments.SetExecutor(fabric.NewClient(*remote))
+	var cache *experiments.Cache
+	if *cacheDir != "" {
+		store, err := experiments.OpenStore(*cacheDir)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "craidbench:", err)
+			os.Exit(1)
+		}
+		cache = &experiments.Cache{Store: store}
+		experiments.SetExecutor(cache)
 	}
 
 	stopProfiles, err := prof.Start(*cpuprofile, *memprofile)
@@ -68,7 +75,11 @@ func main() {
 		os.Exit(1)
 	}
 
-	r := runner{budget: *budget, trace: *traceName}
+	r := runner{
+		budget: *budget, trace: *traceName,
+		sweeps:   map[string]experiments.SweepResult{},
+		cvSeries: map[string][]experiments.Figure7Series{},
+	}
 	switch {
 	case *table == "" && *figure == "":
 		r.all()
@@ -84,6 +95,9 @@ func main() {
 	if err := stopProfiles(); err != nil { // flush before any exit path
 		fmt.Fprintln(os.Stderr, "craidbench:", err)
 	}
+	if cache != nil {
+		fmt.Fprintf(os.Stderr, "cache: %d hits, %d computed\n", cache.Hits.Load(), cache.Computed.Load())
+	}
 	if r.failed {
 		os.Exit(1)
 	}
@@ -93,6 +107,13 @@ type runner struct {
 	budget float64
 	trace  string
 	failed bool
+
+	// Matrices more than one table or figure prints from, computed once:
+	// Tables 2+3, Table 4 + Figures 4+6 (per trace), Table 6 + Figure 7
+	// (per trace).
+	policyRows []experiments.PolicyRow
+	sweeps     map[string]experiments.SweepResult
+	cvSeries   map[string][]experiments.Figure7Series
 }
 
 func (r *runner) check(err error) bool {
@@ -200,13 +221,16 @@ func (r *runner) tables23(which string) {
 		fmt.Printf(" %8s", p)
 	}
 	fmt.Println()
-	rows, err := experiments.Tables2and3(r.budget)
-	if !r.check(err) {
-		return
+	if r.policyRows == nil {
+		rows, err := experiments.Tables2and3(r.budget)
+		if !r.check(err) {
+			return
+		}
+		r.policyRows = rows
 	}
 	for _, name := range r.traces() {
 		vals := map[string]float64{}
-		for _, row := range rows {
+		for _, row := range r.policyRows {
 			if row.Trace != name {
 				continue
 			}
@@ -225,7 +249,14 @@ func (r *runner) tables23(which string) {
 }
 
 func (r *runner) sweep(name string) (experiments.SweepResult, error) {
-	return experiments.ResponseTimeSweep(name, r.scaleFor(name), nil)
+	if sweep, ok := r.sweeps[name]; ok {
+		return sweep, nil
+	}
+	sweep, err := experiments.ResponseTimeSweep(name, r.scaleFor(name), nil)
+	if err == nil {
+		r.sweeps[name] = sweep
+	}
+	return sweep, err
 }
 
 func (r *runner) figures46(which string) {
@@ -373,7 +404,7 @@ func (r *runner) figure7() {
 		traces = []string{"deasna", "wdev"} // the paper's panels
 	}
 	for _, name := range traces {
-		series, err := experiments.Figure7(name, r.scaleFor(name), bestWorstSizes(name))
+		series, err := r.figure7Series(name)
 		if !r.check(err) {
 			return
 		}
@@ -400,7 +431,7 @@ func (r *runner) table6() {
 	header("Table 6: influence of P_C size on workload distribution")
 	fmt.Printf("%-13s %10s %10s %10s %10s\n", "strategy", "bestPC%", "bestCV", "worstPC%", "worstCV")
 	for _, name := range r.traces() {
-		series, err := experiments.Figure7(name, r.scaleFor(name), bestWorstSizes(name))
+		series, err := r.figure7Series(name)
 		if !r.check(err) {
 			return
 		}
@@ -412,11 +443,18 @@ func (r *runner) table6() {
 	}
 }
 
-// bestWorstSizes picks the extremes of the paper sweep (Table 6 shows
+// figure7Series runs the extremes of the paper sweep (Table 6 shows
 // best/worst, which land on the smallest/largest P_C).
-func bestWorstSizes(trace string) []float64 {
-	sizes := experiments.PCSizes(trace)
-	return []float64{sizes[0], sizes[len(sizes)-1]}
+func (r *runner) figure7Series(name string) ([]experiments.Figure7Series, error) {
+	if series, ok := r.cvSeries[name]; ok {
+		return series, nil
+	}
+	sizes := experiments.PCSizes(name)
+	series, err := experiments.Figure7(name, r.scaleFor(name), []float64{sizes[0], sizes[len(sizes)-1]})
+	if err == nil {
+		r.cvSeries[name] = series
+	}
+	return series, err
 }
 
 func (r *runner) migration() {

@@ -10,7 +10,6 @@
 //	craidsim -file wdev.trace -format native -dataset-gb 4 -strategy CRAID-5 -pc 0.01
 //	craidsim -file msr.csv -format msr -volume 2 -dataset-gb 4
 //	craidsim -file msr.csv -format msr -pervolume -dataset-gb 4
-//	craidsim -trace wdev -remote http://host:8440
 //	craidsim -trace wdev -out result.json
 //	craidsim -file msr.csv -format msr -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
 //
@@ -26,11 +25,7 @@
 // log ring (-maplog-sync fsyncs the file after every flushed buffer);
 // the printed map-log line reports the ring's counters.
 //
-// -remote runs the cell on a craidd experiment fabric (cmd/craidd)
-// instead of in-process: the config travels by value, a fabric worker
-// simulates it, and a warm fabric cache answers repeats without
-// recomputing — the printed result is identical either way. -out
-// writes the full JSON result to a file while the human-readable
+// -out writes the full JSON result to a file while the human-readable
 // stats still print to stdout (use -json for JSON on stdout instead).
 //
 // -cpuprofile and -memprofile write pprof profiles covering the
@@ -46,7 +41,6 @@ import (
 
 	"craid/internal/disk"
 	"craid/internal/experiments"
-	"craid/internal/fabric"
 	"craid/internal/metrics"
 	"craid/internal/prof"
 )
@@ -79,8 +73,6 @@ func main() {
 		"emit the full result (RunResult with replay, map-log and fault KPIs) as one JSON object")
 	outFile := flag.String("out", "",
 		"also write the full JSON result to this file (stdout keeps the human-readable stats)")
-	remote := flag.String("remote", "",
-		"run the cell on the craidd fabric at this URL instead of in-process")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile of the simulation to this file")
 	flag.Parse()
@@ -107,19 +99,6 @@ func main() {
 		}
 		cfg.DatasetBlocks = int64(*datasetGB * 1e9 / disk.BlockSize)
 		cfg.Scale = experiments.ScaleForBlocks(cfg.DatasetBlocks)
-	}
-
-	if *remote != "" {
-		if *perVolume {
-			// -pervolume fans one shared file handle into sibling cells;
-			// an open handle cannot travel to fabric workers.
-			fmt.Fprintln(os.Stderr, "craidsim: -pervolume cells share a local file handle; they cannot run on -remote")
-			os.Exit(1)
-		}
-		if *maplog != "" {
-			fmt.Fprintln(os.Stderr, "craidsim: -maplog writes a local file; it cannot run on -remote")
-			os.Exit(1)
-		}
 	}
 
 	if *perVolume {
@@ -159,14 +138,8 @@ func main() {
 		return
 	}
 
-	var res experiments.RunResult
-	var err error
 	stopProfiles := startProfiles(*cpuprofile, *memprofile)
-	if *remote != "" {
-		res, err = fabric.NewClient(*remote).Run(cfg)
-	} else {
-		res, err = experiments.Run(cfg)
-	}
+	res, err := experiments.Run(cfg)
 	stopProfiles()
 	if err != nil {
 		// Includes a dying mapping-log device (LogRing.Err surfaces at

@@ -46,6 +46,10 @@ func main() {
 		os.Exit(2)
 	}
 	p = p.Scaled(*scale)
+	if err := p.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "tracegen:", err)
+		os.Exit(2)
+	}
 	if *hours > 0 {
 		p = p.WithDuration(sim.Time(*hours * float64(sim.Hour)))
 	}

@@ -7,6 +7,7 @@
 package analysis
 
 import (
+	"fmt"
 	"io"
 	"sort"
 
@@ -54,8 +55,12 @@ func NewAnalyzer() *Analyzer {
 }
 
 // Add incorporates one record, counting each touched block once per
-// request (the paper's block access frequency is per-request).
-func (a *Analyzer) Add(r trace.Record) {
+// request (the paper's block access frequency is per-request). A record
+// stamped before time zero belongs to no day and is an error.
+func (a *Analyzer) Add(r trace.Record) error {
+	if r.Time < 0 {
+		return fmt.Errorf("analysis: record at negative time %d", int64(r.Time))
+	}
 	a.requests++
 	day := int(r.Time / (24 * sim.Hour))
 	for len(a.days) <= day {
@@ -73,6 +78,7 @@ func (a *Analyzer) Add(r trace.Record) {
 		counts[b]++
 		ds[b]++
 	}
+	return nil
 }
 
 // Run drains reader into the analyzer.
@@ -85,7 +91,9 @@ func (a *Analyzer) Run(r trace.Reader) error {
 		if err != nil {
 			return err
 		}
-		a.Add(rec)
+		if err := a.Add(rec); err != nil {
+			return err
+		}
 	}
 }
 

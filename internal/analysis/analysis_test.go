@@ -130,6 +130,16 @@ func TestDailyOverlapTopFraction(t *testing.T) {
 	}
 }
 
+func TestAddRejectsNegativeTime(t *testing.T) {
+	a := NewAnalyzer()
+	if err := a.Add(trace.Record{Time: -1, Op: disk.OpRead, Count: 1}); err == nil {
+		t.Error("a record before time zero was filed under a day")
+	}
+	if s := a.Summary(); s.Requests != 0 {
+		t.Errorf("the rejected record was counted: %+v", s)
+	}
+}
+
 func TestEmptyAnalyzer(t *testing.T) {
 	a := NewAnalyzer()
 	s := a.Summary()

@@ -445,18 +445,26 @@ func TestHDDStalledWriteNotStranded(t *testing.T) {
 	}
 }
 
-// Property: the device never loses a request — reads, and writes of
-// every size the write cache admits, overlapping on a small hot area so
-// that dirty ranges merge, the cache fills and writes stall.
+// Property: the device completes every request exactly once — reads,
+// and writes of every size the write cache admits, overlapping on a
+// small hot area so that dirty ranges merge, the cache (small or the
+// Cheetah's) fills and writes stall, with one submission in eight
+// drawing a transient error.
 func TestPropertyHDDAlwaysCompletes(t *testing.T) {
-	cfg := smallHDDConfig("hdd0")
 	f := func(seed int64, n uint8) bool {
+		cfg := smallHDDConfig("hdd0")
+		if seed&1 == 1 {
+			cfg.WriteCacheBlocks = 64
+		}
 		eng := sim.NewEngine()
 		d := NewHDD(eng, cfg)
 		rng := rand.New(rand.NewSource(seed))
 		want := int(n%64) + 1
-		got := 0
+		inj := &scriptedInjector{fail: make([]bool, want)}
+		d.SetInjector(inj)
+		completions := make([]int, want)
 		for i := 0; i < want; i++ {
+			inj.fail[i] = rng.Intn(8) == 0
 			op := OpRead
 			count := int64(rng.Intn(32) + 1)
 			if rng.Intn(2) == 1 {
@@ -472,15 +480,20 @@ func TestPropertyHDDAlwaysCompletes(t *testing.T) {
 			block := rng.Int63n(span - count)
 			// Bursts: a few instants, so writes pile up faster than they destage.
 			at := sim.Time(rng.Intn(4)) * 100 * sim.Millisecond
+			complete := func(sim.Time) { completions[i]++ }
 			eng.Schedule(at, func() {
-				d.Submit(&Request{Op: op, Block: block, Count: count,
-					Done: func(sim.Time) { got++ }})
+				d.Submit(&Request{Op: op, Block: block, Count: count, Done: complete, Fail: complete})
 			})
 		}
 		eng.Run()
-		return got == want && d.QueueDepth() == 0
+		for _, c := range completions {
+			if c != 1 {
+				return false
+			}
+		}
+		return d.QueueDepth() == 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
 	}
 }

@@ -175,3 +175,54 @@ func TestInjectorLatencyMultiplierSlowsHDD(t *testing.T) {
 		t.Fatalf("latX=4 read (%v) not slower than unscaled (%v)", stretched, base)
 	}
 }
+
+// TestHDDStalledTransientWriteCompletesOnce is the regression for the
+// re-entrant stall walk that crashed craidbench -table fault -budget 12.
+// Two overlapping writes merge into one dirty range but count their
+// blocks twice, so the last destage ends with phantom dirty blocks and
+// no range left. The stalled write admitted at that moment draws a
+// transient error: it is absorbed without adding a range, kick finds
+// dirty blocks with nothing to destage, clears them and admits stalled
+// writes — from inside the walk that is admitting them. The nested walk
+// used to start over at the write in hand (failing it twice) and shrink
+// the list under the outer one (slice bounds out of range [1:0]).
+func TestHDDStalledTransientWriteCompletesOnce(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := smallHDDConfig("hdd0")
+	cfg.WriteCacheBlocks = 128
+	d := NewHDD(eng, cfg)
+	// The 4th submission fails; the rest succeed.
+	d.SetInjector(&scriptedInjector{fail: []bool{false, false, false, true}})
+	writes := [][2]int64{
+		{100000, 8}, // starts destaging at once, so the next two wait and merge
+		{0, 64}, {0, 16},
+		{200000, 80}, // stalls; fits only beside the 16 phantom blocks; fails
+		{300000, 70}, // stalls behind it
+	}
+	done, failed := make([]int, len(writes)), make([]int, len(writes))
+	for i, w := range writes {
+		d.Submit(&Request{Op: OpWrite, Block: w[0], Count: w[1],
+			Done: func(sim.Time) { done[i]++ },
+			Fail: func(sim.Time) { failed[i]++ }})
+	}
+	if d.QueueDepth() != 2 {
+		t.Fatalf("queue depth %d after the burst; the scenario needs the last two writes stalled", d.QueueDepth())
+	}
+	eng.Run()
+	for i, w := range writes {
+		wantDone, wantFail := 1, 0
+		if i == 3 {
+			wantDone, wantFail = 0, 1
+		}
+		if done[i] != wantDone || failed[i] != wantFail {
+			t.Errorf("write %v: Done fired %d times and Fail %d, want %d and %d",
+				w, done[i], failed[i], wantDone, wantFail)
+		}
+	}
+	if d.QueueDepth() != 0 {
+		t.Errorf("queue depth %d after the engine drained", d.QueueDepth())
+	}
+	if s := d.Stats(); s.Errors != 1 || s.Writes != 4 {
+		t.Errorf("stats count %d errors and %d writes, want 1 and 4", s.Errors, s.Writes)
+	}
+}

@@ -106,6 +106,7 @@ type HDD struct {
 	dirtyRanges []blockRange
 	destaging   bool
 	stalled     []hddReq // writes waiting for write-cache space
+	admitting   bool     // admitStalled is walking stalled
 
 	// In-service completion, parked in fields rather than a closure:
 	// the busy flag admits exactly one request to the media at a time,
@@ -627,8 +628,17 @@ func (d *HDD) destaged() {
 }
 
 // admitStalled moves stalled writes whose blocks now fit into the
-// write cache.
+// write cache. The walk is not re-entrant: absorbing a write that drew
+// an injected error adds no dirty range, so its kick can reach
+// startDestage's empty-ranges branch and call back in here, with the
+// write in hand still on the list. That call returns at once; the walk
+// it interrupted has the rest of the list ahead of it and sees the
+// space it freed.
 func (d *HDD) admitStalled() {
+	if d.admitting {
+		return
+	}
+	d.admitting = true
 	i := 0
 	for ; i < len(d.stalled); i++ {
 		r := d.stalled[i]
@@ -642,6 +652,7 @@ func (d *HDD) admitStalled() {
 	n := copy(d.stalled, d.stalled[i:])
 	clear(d.stalled[n:]) // drop the vacated copies' callbacks
 	d.stalled = d.stalled[:n]
+	d.admitting = false
 }
 
 // cacheCovers reports whether [start,end) is entirely inside one read

@@ -85,12 +85,11 @@ func AblationRebalance(traceName string, scale, pcPct float64) ([]UpgradeRow, er
 }
 
 func upgradeRun(traceName string, scale, pcPct float64, retain bool) (UpgradeRow, error) {
-	params, err := workload.Preset(traceName)
+	params, err := scaledPreset(traceName, scale)
 	if err != nil {
 		return UpgradeRow{}, err
 	}
-	params = params.Scaled(scale).WithBursts(12, 300*sim.Microsecond, 0.4)
-	gen := workload.New(params)
+	gen := workload.New(params.WithBursts(12, 300*sim.Microsecond, 0.4))
 
 	const startDisks, endDisks = 38, TestbedDisks
 	diskCap, pcPerDisk, paPerDisk, err := diskRegions(CRAID5Plus, scale, pcPct)

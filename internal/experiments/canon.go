@@ -13,9 +13,9 @@ import (
 
 // Canonical RunConfig encoding.
 //
-// The experiment fabric caches completed cells content-addressed by
-// their configuration, so two processes (or two PRs) must derive the
-// SAME key for the same simulation. encoding/json cannot promise that
+// The result store (store.go) caches completed cells content-addressed
+// by their configuration, so two processes must derive the SAME key
+// for the same simulation. encoding/json cannot promise that
 // (field tags, float formatting and map ordering are all fair game
 // across versions), so the cache key comes from an explicit canonical
 // form instead: one line per field, fixed field order, exact value
@@ -27,8 +27,8 @@ import (
 //
 // TraceAt/TraceAtSize are deliberately outside the canonical form: an
 // open file handle is process-local state, not configuration, so cells
-// carrying one are neither hashable nor shippable to remote workers
-// (RunMSRVolumes keeps those cells in-process).
+// carrying one are not hashable and Cache always computes them
+// (RunMSRVolumes builds such cells).
 
 // canonVersion is the canonical-encoding format version.
 const canonVersion = "craid-config/2"

@@ -12,10 +12,9 @@ import (
 )
 
 // goldenConfigs pairs representative configs with their frozen content
-// addresses. These hashes are CACHE KEYS: a fabric result store
-// written by this PR must still be readable by the next one, so if
-// this test fails the encoder changed observably and canonVersion MUST
-// be bumped (which retires old cache entries) — do not just update the
+// addresses. These hashes are the result store's CACHE KEYS: if this
+// test fails the encoder changed observably and canonVersion MUST be
+// bumped (which retires old cache entries) — do not just update the
 // hex strings.
 func goldenConfigs() ([]RunConfig, []string) {
 	vol := 3

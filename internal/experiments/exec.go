@@ -5,15 +5,13 @@ import (
 	"sync/atomic"
 )
 
-// Cell-level scheduling. RunAll used to own both halves of the matrix
-// problem — *executing* cells on a worker pool and *collecting*
-// completions back into config order. The experiment fabric needs the
-// same collection semantics over a very different executor (an HTTP
-// service streaming results from a fleet of workers, possibly out of
-// order, possibly duplicated after a lease requeue), so the two halves
-// are split: an Executor produces CellResults in any order, and
-// Collect pins the deterministic contract — results[i] always
-// corresponds to cfgs[i], and the FIRST completion for an index wins.
+// Cell-level scheduling. A run of the experiment matrix has two halves:
+// *executing* cells, and *collecting* completions back into config
+// order. An Executor produces CellResults in any order and Collect pins
+// the deterministic contract — results[i] always corresponds to
+// cfgs[i]. The tree has two executors: the in-process worker pool and
+// Cache, which answers cells it has seen from the result store and
+// hands the rest to the pool.
 
 // CellResult is one completed cell, tagged with its index in the
 // submitted batch. Exactly one of Result/Err is meaningful.
@@ -24,18 +22,17 @@ type CellResult struct {
 }
 
 // Executor runs a batch of cells, delivering each completion to emit.
-// Completions may arrive from any goroutine, in any order, and more
-// than once per index (a fabric lease requeue can race the presumed-
-// dead worker's result); Collect serializes and deduplicates. Execute
-// returns after every cell it will ever deliver has been emitted; its
-// error reports transport-level failure, not individual cell errors.
+// Completions may arrive from any goroutine, in any order; Collect
+// serializes them. Execute returns after every cell it will ever
+// deliver has been emitted; its error reports a failure of the
+// executor itself (a result store that cannot be read), not
+// individual cell errors.
 type Executor interface {
 	Execute(cfgs []RunConfig, emit func(CellResult)) error
 }
 
 // executor overrides RunAll's cell execution when non-nil.
-// cmd/craidbench and cmd/craidsim install the fabric client here for
-// their -remote paths.
+// cmd/craidbench installs a Cache here for -cache.
 var executor Executor
 
 // SetExecutor routes every subsequent RunAll through e (nil restores
@@ -90,13 +87,82 @@ func (localPool) Execute(cfgs []RunConfig, emit func(CellResult)) error {
 	return nil
 }
 
+// Cache is the Executor behind craidbench -cache: cells whose result is
+// already in Store are emitted from it, the misses run on Inner, and
+// each successful result is stored before it is emitted. Errors are
+// never stored, so a failing cell fails again on the next run.
+type Cache struct {
+	Store *Store
+	Inner Executor // runs the misses; nil = the in-process pool
+
+	Hits, Computed atomic.Int64
+}
+
+// cacheable reports whether cfg's result is a function of its
+// canonical encoding alone. A TraceAt handle has no canonical form; a
+// TraceFile is keyed by its path, not its contents, so a replaced file
+// would be a stale hit; and a hit for a MappingLog cell would skip
+// writing the log the caller asked for.
+func cacheable(cfg RunConfig) bool {
+	return cfg.TraceAt == nil && cfg.TraceFile == "" && cfg.MappingLog == ""
+}
+
+func (c *Cache) Execute(cfgs []RunConfig, emit func(CellResult)) error {
+	type missed struct {
+		index int    // in cfgs
+		hash  string // "" = not cacheable
+	}
+	var miss []RunConfig
+	var meta []missed // parallels miss
+	for i, cfg := range cfgs {
+		hash := ""
+		if cacheable(cfg) {
+			var err error
+			if hash, err = ConfigHash(cfg); err != nil {
+				return err
+			}
+			res, ok, err := c.Store.Get(hash)
+			if err != nil {
+				return err
+			}
+			if ok {
+				c.Hits.Add(1)
+				emit(CellResult{Index: i, Result: res})
+				continue
+			}
+		}
+		miss = append(miss, cfg)
+		meta = append(meta, missed{i, hash})
+	}
+	if len(miss) == 0 {
+		return nil
+	}
+	inner := c.Inner
+	if inner == nil {
+		inner = localPool{}
+	}
+	return inner.Execute(miss, func(cr CellResult) {
+		c.Computed.Add(1)
+		m := meta[cr.Index]
+		if m.hash != "" && cr.Err == nil {
+			// A result that cannot be stored fails its cell: the run was
+			// asked to fill the cache and must say that it did not.
+			cr.Err = c.Store.Put(m.hash, cr.Result)
+		}
+		cr.Index = m.index
+		emit(cr)
+	})
+}
+
 // Collect runs one batch through run and assembles the completions
 // into deterministic config order: the returned slice parallels the
-// submitted configs regardless of finish order, duplicate completions
-// for an index are dropped (first result wins), and the error is the
-// lowest-indexed cell error — or run's own transport error when no
-// cell failed. Cells that were never emitted (skipped after a
-// failure) are zero values.
+// submitted configs regardless of finish order, and the error is the
+// lowest-indexed cell error — or run's own error when no cell failed.
+// Cells that were never emitted (skipped after a failure) are zero
+// values. Neither executor in the tree emits an index twice or out of
+// range, but a faulty one must not be able to overwrite another cell's
+// slot: the first completion for an index wins and indexes outside the
+// batch are dropped.
 func Collect(n int, run func(emit func(CellResult)) error) ([]RunResult, error) {
 	results := make([]RunResult, n)
 	errs := make([]error, n)

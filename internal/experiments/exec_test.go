@@ -10,11 +10,10 @@ import (
 )
 
 // chaosExecutor completes cells out of order from many goroutines and,
-// for flagged indices, emits a second conflicting "requeued-lease"
-// result — the exact delivery pattern a fabric submitter sees when a
-// lease expires and the presumed-dead worker's completion races the
-// replacement's. The duplicate carries a different Requests value so a
-// last-result-wins bug is observable, not silently equivalent.
+// for flagged indices, emits a second, conflicting result and an error
+// for the same cell — what a faulty Executor could do to Collect. The
+// duplicate carries a different Requests value so a last-result-wins
+// bug is observable, not silently equivalent.
 type chaosExecutor struct {
 	seed      int64
 	duplicate map[int]bool
@@ -37,8 +36,8 @@ func (c chaosExecutor) Execute(cfgs []RunConfig, emit func(CellResult)) error {
 			first := fakeResult(cfgs[i], 1)
 			emit(CellResult{Index: i, Result: first})
 			if c.duplicate[i] {
-				emit(CellResult{Index: i, Result: fakeResult(cfgs[i], 2)}) // stale worker's copy
-				emit(CellResult{Index: i, Err: errors.New("stale lease error")})
+				emit(CellResult{Index: i, Result: fakeResult(cfgs[i], 2)})
+				emit(CellResult{Index: i, Err: errors.New("stale duplicate error")})
 			}
 		}()
 	}

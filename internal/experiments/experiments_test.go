@@ -64,6 +64,12 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	if _, err := Run(ok); err != nil {
 		t.Errorf("the configuration the bad ones are edits of: %v", err)
 	}
+	// The analysis path builds no disks, so it meets the degenerate
+	// preset itself: under one block of traffic (craidbench -table 1
+	// -budget 1e-7 used to index a day table with a negative time).
+	if _, err := Table1(1e-7); err == nil || strings.Contains(err.Error(), "\n") {
+		t.Errorf("Table1 at a budget under one block: error %q, want one line", err)
+	}
 	// No cache percentage at all is a valid way to size P_C in blocks.
 	if _, err := Run(RunConfig{Trace: "wdev", Scale: ScaleFor("wdev", 0.02), Strategy: CRAID5, Instant: true, PCBlocks: 64}); err != nil {
 		t.Errorf("PCPct 0 with Instant and PCBlocks: %v", err)

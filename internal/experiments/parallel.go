@@ -19,6 +19,3 @@ func SetParallelism(n int) {
 	}
 	parallelism = n
 }
-
-// Parallelism returns the current RunAll worker bound.
-func Parallelism() int { return parallelism }

@@ -102,6 +102,20 @@ func ScaleFor(traceName string, budgetGB float64) float64 {
 	return budgetGB / total
 }
 
+// scaledPreset returns the named workload at scale, or an error when
+// that is too small to generate from (workload.New would panic).
+func scaledPreset(name string, scale float64) (workload.Params, error) {
+	p, err := workload.Preset(name)
+	if err != nil {
+		return p, err
+	}
+	p = p.Scaled(scale)
+	if err := p.Validate(); err != nil {
+		return p, fmt.Errorf("experiments: scale %g is too small: %w", scale, err)
+	}
+	return p, nil
+}
+
 // ScaleForBlocks returns the smallest volume scale (capped at paper
 // scale 1.0) at which the testbed archive holds a dataset of the given
 // block count with ~2x headroom — the natural scale for replaying a
@@ -165,7 +179,7 @@ type RunConfig struct {
 	// open file instead of k. TraceFile then only labels the run.
 	// Excluded from JSON (and from the canonical encoding, see
 	// canon.go): an open handle is process-local state, so cells
-	// carrying one never travel to remote workers or the result cache.
+	// carrying one never reach the result cache.
 	TraceAt     io.ReaderAt `json:"-"`
 	TraceAtSize int64       `json:"-"`
 
@@ -278,11 +292,10 @@ func Run(cfg RunConfig) (RunResult, error) {
 		}
 		dataset = cfg.DatasetBlocks
 	} else {
-		params, err := workload.Preset(cfg.Trace)
+		params, err := scaledPreset(cfg.Trace, cfg.Scale)
 		if err != nil {
 			return RunResult{}, err
 		}
-		params = params.Scaled(cfg.Scale)
 		if cfg.Duration > 0 {
 			params = params.WithDuration(cfg.Duration)
 		}

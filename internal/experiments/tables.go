@@ -32,12 +32,12 @@ func Table1(budgetGB float64) ([]Table1Row, error) {
 }
 
 func analyzeTrace(name string, scale float64) (*analysis.Analyzer, error) {
-	p, err := workload.Preset(name)
+	p, err := scaledPreset(name, scale)
 	if err != nil {
 		return nil, err
 	}
 	a := analysis.NewAnalyzer()
-	if err := a.Run(workload.New(p.Scaled(scale))); err != nil {
+	if err := a.Run(workload.New(p)); err != nil {
 		return nil, err
 	}
 	return a, nil
@@ -91,12 +91,12 @@ func PolicyNamesPaper() []string { return []string{"LRU", "LFUDA", "GDSF", "ARC"
 func Tables2and3(budgetGB float64) ([]PolicyRow, error) {
 	var cfgs []RunConfig
 	for _, traceName := range workload.PresetNames() {
-		p, err := workload.Preset(traceName)
+		scale := ScaleFor(traceName, budgetGB)
+		p, err := scaledPreset(traceName, scale)
 		if err != nil {
 			return nil, err
 		}
-		scale := ScaleFor(traceName, budgetGB)
-		gen := workload.New(p.Scaled(scale))
+		gen := workload.New(p)
 		pcBlocks := gen.DatasetBlocks() / 1000 // 0.1% of weekly WS
 		if pcBlocks < 50 {
 			pcBlocks = 50

@@ -211,7 +211,17 @@ func blocksOf(gbs float64) int64 {
 	return int64(gbs * 1e9 / disk.BlockSize)
 }
 
-// New builds a generator for p.
+// Validate reports parameters New cannot generate from: with less than
+// one block of traffic the request rate is zero, the mean inter-arrival
+// gap infinite and the first timestamp overflows.
+func (p Params) Validate() error {
+	if blocksOf(p.ReadGB)+blocksOf(p.WriteGB) <= 0 {
+		return fmt.Errorf("workload: %s: %.3g GB of traffic is less than one block", p.Name, p.ReadGB+p.WriteGB)
+	}
+	return nil
+}
+
+// New builds a generator for p, which must pass Validate.
 func New(p Params) *Generator {
 	if p.Duration <= 0 {
 		p.Duration = week
@@ -222,8 +232,8 @@ func New(p Params) *Generator {
 	if p.MeanWriteBlocks <= 0 {
 		p.MeanWriteBlocks = 4
 	}
-	if p.ReadGB+p.WriteGB <= 0 {
-		panic("workload: no volume configured")
+	if err := p.Validate(); err != nil {
+		panic(err)
 	}
 	g := &Generator{p: p, rng: rand.New(rand.NewSource(p.Seed))}
 
