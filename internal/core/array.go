@@ -38,11 +38,11 @@ type Array struct {
 	Load *metrics.LoadTracker // per-disk per-second load (cv analysis)
 	Seq  *metrics.SeqTracker  // physical sequentiality (Fig. 5)
 
-	queueHist *metrics.LatencyHist // sample unit: queue depth, abusing ns=depth
-	concHist  *metrics.LatencyHist // concurrent busy devices per submit
+	queueDepths sampler // the device's queue depth, per submit
+	busyCounts  sampler // concurrently busy devices, per submit
 
 	// queued[i] is device i's queue-state view, nil for models without
-	// one (instant devices). The busy-device census behind concHist is
+	// one (instant devices). The busy-device census behind busyCounts is
 	// kept incrementally: devices that can push their idle<->busy flips
 	// (disk.BusyCounter) maintain busy; the rest — models whose busy
 	// state is a function of the clock — are in polled and asked per
@@ -76,14 +76,38 @@ type queuer interface {
 	Busy() bool
 }
 
+// sampler is a histogram of small counts (sample unit: the count,
+// abusing ns=count), taken twice per submitted I/O: values below
+// len(small) — nearly all of them — are tallied in place and reach the
+// histogram when it is read. The histogram cannot tell: its bucket counts
+// are order-free, and its float64 sum is exact in any order, every sample
+// being an integer and the total staying below 2^53.
+type sampler struct {
+	small [64]int64
+	hist  metrics.LatencyHist
+}
+
+func (s *sampler) add(v int) {
+	if uint(v) < uint(len(s.small)) {
+		s.small[v]++
+		return
+	}
+	s.hist.Add(sim.Time(v))
+}
+
+// stats folds the tallies in and returns mean, 99th percentile and max.
+func (s *sampler) stats() (mean float64, p99, max int64) {
+	// Largest first, so the histogram sizes its buckets once.
+	for v := len(s.small) - 1; v >= 0; v-- {
+		s.hist.AddN(sim.Time(v), s.small[v])
+		s.small[v] = 0
+	}
+	return float64(s.hist.Mean()), int64(s.hist.Percentile(0.99)), int64(s.hist.Max())
+}
+
 // NewArray returns an array over devices.
 func NewArray(eng *sim.Engine, devices []disk.Device) *Array {
-	a := &Array{
-		Eng:       eng,
-		devices:   devices,
-		queueHist: metrics.NewLatencyHist(),
-		concHist:  metrics.NewLatencyHist(),
-	}
+	a := &Array{Eng: eng, devices: devices}
 	a.watch(devices)
 	return a
 }
@@ -131,15 +155,11 @@ func (a *Array) AddDevices(devs []disk.Device) {
 
 // QueueStats returns mean, 99th-percentile and max sampled I/O queue
 // depth across all submits (Table 5's "Ioq" columns).
-func (a *Array) QueueStats() (mean float64, p99, max int64) {
-	return float64(a.queueHist.Mean()), int64(a.queueHist.Percentile(0.99)), int64(a.queueHist.Max())
-}
+func (a *Array) QueueStats() (mean float64, p99, max int64) { return a.queueDepths.stats() }
 
 // ConcurrencyStats returns mean, 99th-percentile and max concurrently
 // busy devices sampled at submit time (Table 5's "Cdev" columns).
-func (a *Array) ConcurrencyStats() (mean float64, p99, max int64) {
-	return float64(a.concHist.Mean()), int64(a.concHist.Percentile(0.99)), int64(a.concHist.Max())
-}
+func (a *Array) ConcurrencyStats() (mean float64, p99, max int64) { return a.busyCounts.stats() }
 
 // Submit issues a request on device dev, recording instrumentation.
 func (a *Array) Submit(dev int, op disk.Op, block, count int64, done func(sim.Time)) {
@@ -176,8 +196,8 @@ func (a *Array) issue(dev int, op disk.Op, block, count int64, trackSeq bool, do
 		a.Seq.Add(now, dev, block, count)
 	}
 	if q := a.queued[dev]; q != nil {
-		a.queueHist.Add(sim.Time(q.QueueDepth()))
-		a.concHist.Add(sim.Time(a.busyDevices()))
+		a.queueDepths.add(q.QueueDepth())
+		a.busyCounts.add(a.busyDevices())
 	}
 	a.scratch = disk.Request{Op: op, Block: block, Count: count, Done: done, Fail: fail}
 	a.devices[dev].Submit(&a.scratch)

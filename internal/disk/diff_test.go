@@ -1,0 +1,314 @@
+package disk
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"craid/internal/sim"
+)
+
+// hddModel is what the differential driver needs of HDD and refHDD.
+type hddModel interface {
+	Device
+	Faultable
+	QueueDepth() int
+}
+
+// seededInjector draws transient errors (1 in 16) and latency
+// multipliers (1 in 8, between 1 and 4) from its own stream.
+type seededInjector struct{ rng *rand.Rand }
+
+func (s *seededInjector) Verdict(Op, int64, int64) (bool, float64) {
+	fail := s.rng.Intn(16) == 0
+	latX := 0.0
+	if s.rng.Intn(8) == 0 {
+		latX = 1 + 3*s.rng.Float64()
+	}
+	return fail, latX
+}
+
+type completion struct {
+	id     int
+	failed bool // through Fail, not Done
+	at     sim.Time
+}
+
+// runScript drives d with total seeded requests in a closed loop whose
+// window wanders between 1 and 8 outstanding, some resubmitting from the
+// completion callback and some after a think time (so the drive also
+// goes idle, destages, and is found idle by the next request), and
+// returns every completion in order. The script depends on the model
+// only through the order of completions, which is what is compared.
+func runScript(eng *sim.Engine, d hddModel, cfg HDDConfig, edges []int64, seed int64, total int) []completion {
+	rng := rand.New(rand.NewSource(seed))
+	d.SetInjector(&seededInjector{rand.New(rand.NewSource(seed + 1))})
+	log := make([]completion, 0, total)
+	maxCount := 2 * int64(cfg.WriteCacheBlocks)
+	if maxCount == 0 {
+		maxCount = 256
+	}
+	submitted, outstanding, target := 0, 0, 1
+	var hot int64 // start of the latest random read: a read-ahead segment, if it missed
+	var submit func()
+	completed := func(id int, failed bool, at sim.Time) {
+		log = append(log, completion{id, failed, at})
+		outstanding--
+		if rng.Intn(64) == 0 {
+			target = 1 + rng.Intn(8)
+		}
+		if d.Failed() {
+			if rng.Intn(16) == 0 {
+				d.SetFailed(false)
+			}
+		} else if rng.Intn(1024) == 0 {
+			d.SetFailed(true)
+		}
+		if rng.Intn(4) == 0 {
+			eng.After(sim.Time(rng.Intn(5000))*sim.Microsecond, submit)
+		} else {
+			submit()
+		}
+	}
+	submit = func() {
+		for outstanding < target && submitted < total {
+			id := submitted
+			submitted++
+			outstanding++
+			count := int64(1 + rng.Intn(32))
+			if rng.Intn(10) < 3 {
+				count = min(1+rng.Int63n(maxCount), cfg.CapacityBlocks)
+			}
+			op := OpRead
+			if rng.Intn(5) < 2 {
+				op = OpWrite
+			}
+			var block int64
+			switch where := rng.Intn(20); {
+			case where < 8: // in or just past the read-ahead segment
+				block = hot + rng.Int63n(int64(cfg.SegmentBlocks)+32)
+			case where < 10: // astride a zone boundary
+				block = edges[rng.Intn(len(edges))] - 32 + rng.Int63n(64)
+			case where < 11: // up to the last block
+				block = cfg.CapacityBlocks - count
+			default:
+				block = rng.Int63n(cfg.CapacityBlocks)
+				if op == OpRead {
+					hot = block
+				}
+			}
+			block = max(0, min(block, cfg.CapacityBlocks-count))
+			d.Submit(&Request{Op: op, Block: block, Count: count,
+				Done: func(at sim.Time) { completed(id, false, at) },
+				Fail: func(at sim.Time) { completed(id, true, at) }})
+		}
+	}
+	submit()
+	eng.Run()
+	return log
+}
+
+// recency walks the segment list from the LRU end, checking the links.
+func (d *HDD) recency() ([]int, error) {
+	var order []int
+	prev := int32(-1)
+	for i := d.segLRU; len(d.segments) > 0 && i >= 0; prev, i = i, d.segments[i].next {
+		if d.segments[i].prev != prev || len(order) == len(d.segments) {
+			return nil, fmt.Errorf("segment %d: prev %d, reached from %d after %v", i, d.segments[i].prev, prev, order)
+		}
+		order = append(order, int(i))
+	}
+	if len(order) != len(d.segments) || (len(order) > 0 && int(d.segMRU) != order[len(order)-1]) {
+		return nil, fmt.Errorf("list %v (MRU %d) over %d segments", order, d.segMRU, len(d.segments))
+	}
+	return order, nil
+}
+
+// TestHDDMatchesReference feeds HDD and refHDD the same scripts and
+// wants the same completions at the same instants in the same order,
+// then the same counters, head state and cache contents.
+func TestHDDMatchesReference(t *testing.T) {
+	cheetah := CheetahConfig("cheetah")
+	cheetah.WriteCacheBlocks = 128 // small enough that writes stall
+	oneSeg := smallHDDConfig("one-segment")
+	oneSeg.CacheSegments, oneSeg.WriteCacheBlocks = 1, 64
+	bare := smallHDDConfig("no-caches")
+	bare.CacheSegments, bare.WriteCacheBlocks = 0, 0
+	tiny := CheetahConfig("three-cylinders")
+	tiny.CapacityBlocks = 1150
+
+	for _, tc := range []struct {
+		cfg   HDDConfig
+		total int
+	}{{cheetah, 100000}, {oneSeg, 20000}, {bare, 20000}, {tiny, 20000}} {
+		cfg := tc.cfg
+		t.Run(cfg.Name, func(t *testing.T) {
+			engNew, engRef := sim.NewEngine(), sim.NewEngine()
+			d, ref := NewHDD(engNew, cfg), newRefHDD(engRef, cfg)
+			var edges []int64
+			for _, z := range d.zones {
+				edges = append(edges, z.endBlock)
+			}
+			got := runScript(engNew, d, cfg, edges, 42, tc.total)
+			want := runScript(engRef, ref, cfg, edges, 42, tc.total)
+			if len(got) != tc.total || len(want) != tc.total {
+				t.Fatalf("%d and %d completions of %d requests", len(got), len(want), tc.total)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("completion %d: {id failed at} = %v, reference %v", i, got[i], want[i])
+				}
+			}
+			if *d.Stats() != *ref.Stats() {
+				t.Errorf("stats %+v, reference %+v", *d.Stats(), *ref.Stats())
+			}
+			if (d.stats.CacheHits == 0 && cfg.CacheSegments > 0) || d.stats.CacheMisses == 0 || d.stats.Errors == 0 || d.stats.Rejected == 0 {
+				t.Errorf("script too tame: stats %+v", d.stats)
+			}
+			if d.curCyl != ref.curCyl || d.sweepUp != ref.sweepUp || d.dirty != ref.dirty {
+				t.Errorf("head on %d sweeping up=%v with %d dirty, reference %d, %v, %d",
+					d.curCyl, d.sweepUp, d.dirty, ref.curCyl, ref.sweepUp, ref.dirty)
+			}
+			if d.QueueDepth() != 0 || ref.QueueDepth() != 0 {
+				t.Errorf("queue depths %d and %d after the drain", d.QueueDepth(), ref.QueueDepth())
+			}
+			for i := range ref.segments {
+				if s, r := d.segments[i], ref.segments[i]; s.start != r.start || s.end != r.end {
+					t.Errorf("segment %d holds [%d,%d), reference [%d,%d)", i, s.start, s.end, r.start, r.end)
+				}
+			}
+			order, err := d.recency()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := ref.recency(); len(want) > 0 && !reflect.DeepEqual(order, want) {
+				t.Errorf("recency %v, reference %v", order, want)
+			}
+		})
+	}
+}
+
+// TestHDDOversizedWriteCompletes is the regression test for a write
+// larger than the whole write cache: it stalled waiting for room no
+// destage could make, and the engine drained with it still queued.
+func TestHDDOversizedWriteCompletes(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := CheetahConfig("hdd0")
+	d := NewHDD(eng, cfg)
+	var rts []sim.Time
+	for _, count := range []int64{2000, int64(cfg.WriteCacheBlocks) + 1, int64(cfg.WriteCacheBlocks)} {
+		rts = append(rts, runOne(t, eng, d, OpWrite, 5000, count))
+		if d.QueueDepth() != 0 {
+			t.Fatalf("queue depth %d after a %d-block write drained", d.QueueDepth(), count)
+		}
+	}
+	if rts[0] <= cfg.ControllerOver || rts[1] <= cfg.ControllerOver {
+		t.Errorf("writes past the cache took %v and %v: they go to the media", rts[0], rts[1])
+	}
+	if rts[2] != cfg.ControllerOver {
+		t.Errorf("a write the size of the cache took %v, want it absorbed in %v", rts[2], cfg.ControllerOver)
+	}
+	if s := d.Stats(); s.Writes != 3 || s.BlocksWrite != 2000+2*int64(cfg.WriteCacheBlocks)+1 {
+		t.Errorf("stats %+v, want 3 writes", *s)
+	}
+}
+
+// TestDivisorMatchesOperators pins divMod to / and %, bit for bit, for
+// every divisor the models build — each zone's blocks per track and per
+// cylinder, the revolution time, channel counts — at the dividends where
+// an estimate could slip (0, d-1, d, d+1, multiples ±1, 2^32-1, the
+// int64 range's end) and at random ones: blocks below 2^32, instants up
+// to 2^53-1 and beyond.
+func TestDivisorMatchesOperators(t *testing.T) {
+	divisors := map[int64]bool{1: true, 2: true, 3: true, math.MaxInt64: true, 1 << 32: true}
+	for _, cfg := range []HDDConfig{CheetahConfig("big"), smallHDDConfig("small")} {
+		d := NewHDD(sim.NewEngine(), cfg)
+		for _, z := range d.zones {
+			divisors[z.blocksPT], divisors[z.blocksPCyl] = true, true
+		}
+		divisors[int64(d.revTime)] = true
+	}
+	for ch := int64(1); ch <= 8; ch++ {
+		divisors[ch] = true
+	}
+	rng := rand.New(rand.NewSource(1))
+	for d := range divisors {
+		v := newDivisor(d)
+		check := func(n int64) {
+			if q, r := v.divMod(n); q != n/d || r != n%d {
+				t.Fatalf("divMod(%d) by %d = %d rem %d, want %d rem %d", n, d, q, r, n/d, n%d)
+			}
+		}
+		for _, n := range []int64{0, 1, d - 1, d, d + 1, 1<<32 - 1, 1 << 32, 1<<53 - 1, math.MaxInt64, -1, -d, math.MinInt64} {
+			check(n)
+			if m := n / d * d; n > 0 { // the multiple of d at or below n, and its neighbours
+				check(m - 1)
+				check(m)
+				check(m + 1)
+			}
+		}
+		for i := 0; i < 1000000; i++ {
+			switch i % 4 {
+			case 0:
+				check(rng.Int63n(1 << 32))
+			case 1:
+				check(rng.Int63n(1 << 53))
+			case 2:
+				check(rng.Int63())
+			default:
+				check(rng.Int63n(min(d, math.MaxInt64/4) * 4)) // around the skip
+			}
+		}
+	}
+}
+
+// TestSSDPagesClosedForm pins the per-channel page counts against the
+// per-block loop they replaced, for every first channel, every count up
+// to 4 rounds and one, 1 to 8 channels.
+func TestSSDPagesClosedForm(t *testing.T) {
+	for channels := int64(1); channels <= 8; channels++ {
+		v := newDivisor(channels)
+		for first := int64(0); first < channels; first++ {
+			for count := int64(1); count <= 4*channels+1; count++ {
+				block := 7*channels + first
+				want := make([]int64, channels)
+				for b := block; b < block+count; b++ {
+					want[b%channels]++
+				}
+				each, extra := v.divMod(count)
+				_, f := v.divMod(block)
+				for ch := int64(0); ch < channels; ch++ {
+					if got := each + extraPage(ch, f, extra, channels); got != want[ch] {
+						t.Fatalf("%d channels, %d blocks from channel %d: channel %d gets %d pages, the loop says %v",
+							channels, count, first, ch, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// constructed keeps the devices TestDeviceConstructionAllocs builds
+// reachable, so the compiler cannot keep them off the heap.
+var constructed Device
+
+// TestDeviceConstructionAllocs pins what building a device allocates:
+// allocs_per_record on the timed benchmark workloads is mostly 50
+// devices x cells, so this is where a regression would enter. The trap:
+// a per-device slice beside the existing ones (separate recency links,
+// separate zone constants) is one more allocation per device per cell,
+// and two of them cost fig4-timed-hit 18% — new per-device state goes
+// inside the HDD struct or the segments/zones allocations.
+func TestDeviceConstructionAllocs(t *testing.T) {
+	eng := sim.NewEngine()
+	// The struct, zones, segments and the two cached method values.
+	if n := testing.AllocsPerRun(100, func() { constructed = NewHDD(eng, CheetahConfig("hdd0")) }); n > 5 {
+		t.Errorf("NewHDD allocates %v times, want <= 5", n)
+	}
+	// The struct and the channel clocks.
+	if n := testing.AllocsPerRun(100, func() { constructed = NewSSD(eng, MSRSSDConfig("ssd0")) }); n > 2 {
+		t.Errorf("NewSSD allocates %v times, want <= 2", n)
+	}
+}

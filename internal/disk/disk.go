@@ -18,6 +18,7 @@ package disk
 
 import (
 	"fmt"
+	"math/bits"
 
 	"craid/internal/sim"
 )
@@ -150,6 +151,43 @@ func checkRange(d Device, r *Request) {
 		panic(fmt.Sprintf("disk: request [%d,+%d) out of range on %s (capacity %d blocks)",
 			r.Block, r.Count, d.Name(), d.CapacityBlocks()))
 	}
+}
+
+// divisor divides by a value fixed at set-up — a zone's blocks per track
+// and per cylinder, the revolution time, an SSD's channel count — without
+// the hardware divide the models would otherwise pay several times per
+// I/O: m is floor((2^64-1)/d), so the high word of n*m is n/d or one less,
+// and one compare against the remainder settles which.
+type divisor struct{ d, m uint64 }
+
+func newDivisor(d int64) divisor {
+	if d < 1 {
+		panic("disk: divisor must be positive")
+	}
+	return divisor{d: uint64(d), m: ^uint64(0) / uint64(d)}
+}
+
+// divMod returns n/d and n%d, bit for bit. The estimate is exact to
+// within one for 0 <= n < 2^63 (it falls short of n/d by less than
+// n/2^64 < 1/2): block numbers (< 2^32 on the Cheetah) and instants
+// (< 2^53 ns) are far inside that; a negative n takes the plain
+// operators.
+func (v divisor) divMod(n int64) (q, r int64) {
+	if uint64(n) < v.d {
+		// Inside one track, one cylinder, one round of the channels: the
+		// common case, and no arithmetic at all. Never taken by n < 0.
+		return 0, n
+	}
+	if n < 0 {
+		return n / int64(v.d), n % int64(v.d)
+	}
+	hi, _ := bits.Mul64(uint64(n), v.m)
+	rem := uint64(n) - hi*v.d
+	if rem >= v.d {
+		hi++
+		rem -= v.d
+	}
+	return int64(hi), int64(rem)
 }
 
 // faultState is the injection state embedded by every device model.

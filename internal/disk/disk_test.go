@@ -79,9 +79,9 @@ func TestHDDGeometryCoversCapacity(t *testing.T) {
 	}
 	// Every block must locate inside a zone, with sane coordinates.
 	for _, b := range []int64{0, 1, d.cfg.CapacityBlocks / 2, d.cfg.CapacityBlocks - 1} {
-		zn, cyl, pos := d.locate(b)
-		if zn == nil || cyl < 0 || cyl >= d.totalCyls || pos < 0 || pos >= zn.blocksPT {
-			t.Errorf("locate(%d) = zone %v cyl %d pos %d: out of bounds", b, zn, cyl, pos)
+		p := d.locate(b)
+		if p.zn == nil || p.cyl < 0 || p.cyl >= d.totalCyls || p.pos < 0 || p.pos >= p.zn.blocksPT {
+			t.Errorf("locate(%d) = zone %v cyl %d pos %d: out of bounds", b, p.zn, p.cyl, p.pos)
 		}
 	}
 }
@@ -310,7 +310,7 @@ func TestHDDLOOKServiceOrder(t *testing.T) {
 	var served []int64 // cylinders, in completion order
 	for i := 0; i < 100; i++ {
 		block := rng.Int63n(cfg.CapacityBlocks - 8)
-		_, cyl, _ := d.locate(block)
+		cyl := d.locate(block).cyl
 		d.Submit(&Request{
 			Op:    OpRead,
 			Block: block,
@@ -445,11 +445,13 @@ func TestHDDStalledWriteNotStranded(t *testing.T) {
 	}
 }
 
-// Property: the device completes every request exactly once — reads,
-// and writes of every size the write cache admits, overlapping on a
+// Property: the device completes every request exactly once, through
+// Done or through Fail — reads and writes of every size up to twice the
+// write cache (past it, a write bypasses the cache), overlapping on a
 // small hot area so that dirty ranges merge, the cache (small or the
 // Cheetah's) fills and writes stall, with one submission in eight
-// drawing a transient error.
+// drawing a transient error, and the disk failing and rejoining in the
+// middle of some scripts — and holds nothing once the engine drains.
 func TestPropertyHDDAlwaysCompletes(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		cfg := smallHDDConfig("hdd0")
@@ -462,7 +464,7 @@ func TestPropertyHDDAlwaysCompletes(t *testing.T) {
 		want := int(n%64) + 1
 		inj := &scriptedInjector{fail: make([]bool, want)}
 		d.SetInjector(inj)
-		completions := make([]int, want)
+		done, failed := make([]int, want), make([]int, want)
 		for i := 0; i < want; i++ {
 			inj.fail[i] = rng.Intn(8) == 0
 			op := OpRead
@@ -470,7 +472,7 @@ func TestPropertyHDDAlwaysCompletes(t *testing.T) {
 			if rng.Intn(2) == 1 {
 				op = OpWrite
 				if rng.Intn(2) == 1 {
-					count = int64(rng.Intn(cfg.WriteCacheBlocks) + 1)
+					count = int64(rng.Intn(2*cfg.WriteCacheBlocks) + 1)
 				}
 			}
 			span := cfg.CapacityBlocks
@@ -480,14 +482,21 @@ func TestPropertyHDDAlwaysCompletes(t *testing.T) {
 			block := rng.Int63n(span - count)
 			// Bursts: a few instants, so writes pile up faster than they destage.
 			at := sim.Time(rng.Intn(4)) * 100 * sim.Millisecond
-			complete := func(sim.Time) { completions[i]++ }
 			eng.Schedule(at, func() {
-				d.Submit(&Request{Op: op, Block: block, Count: count, Done: complete, Fail: complete})
+				d.Submit(&Request{Op: op, Block: block, Count: count,
+					Done: func(sim.Time) { done[i]++ }, Fail: func(sim.Time) { failed[i]++ }})
 			})
 		}
+		if rng.Intn(2) == 1 {
+			// Dead from just after one burst until just after the next:
+			// what was queued drains, what arrives meanwhile is rejected.
+			down := sim.Time(rng.Intn(3))*100*sim.Millisecond + sim.Millisecond
+			eng.Schedule(down, func() { d.SetFailed(true) })
+			eng.Schedule(down+100*sim.Millisecond, func() { d.SetFailed(false) })
+		}
 		eng.Run()
-		for _, c := range completions {
-			if c != 1 {
+		for i := range done {
+			if done[i]+failed[i] != 1 {
 				return false
 			}
 		}
@@ -522,11 +531,11 @@ func TestHDDLocateMatchesZoneScan(t *testing.T) {
 					want = z
 				}
 			}
-			zn, cyl, pos := d.locate(b)
+			p := d.locate(b)
 			rel := b - want.firstBlock
-			if zn != want || cyl != want.firstCyl+rel/want.blocksPCyl || pos != rel%want.blocksPT {
-				t.Fatalf("%s: locate(%d) = zone@%d cyl %d pos %d, scan says zone@%d",
-					cfg.Name, b, zn.firstBlock, cyl, pos, want.firstBlock)
+			if p.zn != want || p.cyl != want.firstCyl+rel/want.blocksPCyl || p.pos != rel%want.blocksPT || p.inCyl != rel%want.blocksPCyl {
+				t.Fatalf("%s: locate(%d) = zone@%d cyl %d pos %d (%d in the cylinder), scan says zone@%d",
+					cfg.Name, b, p.zn.firstBlock, p.cyl, p.pos, p.inCyl, want.firstBlock)
 			}
 		}
 	}
@@ -543,7 +552,7 @@ func TestHDDHeadEndsAtLastBlock(t *testing.T) {
 	edge := d.zones[1].firstBlock
 	for _, acc := range [][2]int64{{edge - 4, 8}, {edge, 8}, {edge + 10, 1000}, {edge - 1000, 1000}, {edge - 1000, 1001}} {
 		runOne(t, eng, d, OpRead, acc[0], acc[1])
-		if _, want, _ := d.locate(acc[0] + acc[1] - 1); d.curCyl != want {
+		if want := d.locate(acc[0] + acc[1] - 1).cyl; d.curCyl != want {
 			t.Errorf("read %d+%d left the head on cylinder %d, last block is on %d", acc[0], acc[1], d.curCyl, want)
 		}
 	}
@@ -587,6 +596,104 @@ func BenchmarkHDDRandomReads(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d.Submit(&Request{Op: OpRead, Block: rng.Int63n(cfg.CapacityBlocks - 8), Count: 8})
 		eng.Run()
+	}
+}
+
+// rmwChain is one client of BenchmarkHDDArrayMix: it reads a block run
+// on each of two drives, writes both back when the reads are in, and
+// starts over when the writes are — the parity small-write cycle.
+type rmwChain struct {
+	mix         *arrayMix
+	dev, block  [2]int64
+	pending     int
+	writing     bool
+	completedFn func(sim.Time)
+}
+
+type arrayMix struct {
+	devs   []*HDD
+	cursor []int64 // per drive: where its sequential run has got to
+	rng    *rand.Rand
+	left   int // cycles still to start
+}
+
+func (c *rmwChain) start() {
+	m := c.mix
+	if m.left == 0 {
+		return
+	}
+	m.left--
+	c.dev[0] = m.rng.Int63n(int64(len(m.devs)))
+	c.dev[1] = (c.dev[0] + 1 + m.rng.Int63n(int64(len(m.devs)-1))) % int64(len(m.devs))
+	for i, dev := range c.dev {
+		// Each drive is read in 8-block steps, so a miss's read-ahead
+		// segment serves the next 31 reads; one access in 50 jumps.
+		if m.rng.Intn(50) == 0 {
+			m.cursor[dev] = m.rng.Int63n(m.devs[dev].CapacityBlocks() - 8)
+		}
+		c.block[i] = m.cursor[dev]
+		m.cursor[dev] = (m.cursor[dev] + 8) % (m.devs[dev].CapacityBlocks() - 8)
+	}
+	c.issue(OpRead)
+}
+
+func (c *rmwChain) issue(op Op) {
+	c.writing = op == OpWrite
+	c.pending = 2
+	for i, dev := range c.dev {
+		c.mix.devs[dev].Submit(&Request{Op: op, Block: c.block[i], Count: 8, Done: c.completedFn})
+	}
+}
+
+func (c *rmwChain) completed(sim.Time) {
+	if c.pending--; c.pending > 0 {
+		return
+	}
+	if c.writing {
+		c.start()
+	} else {
+		c.issue(OpWrite)
+	}
+}
+
+// BenchmarkHDDArrayMix is the traffic the array sends its drives: 50
+// Cheetahs on one engine, about one request outstanding per drive, in
+// read-modify-write cycles (read two drives, then write the same blocks
+// back), about 95% of the reads inside a read-ahead segment. One op is
+// one cycle: four device I/Os, and the destages the writes leave behind.
+func BenchmarkHDDArrayMix(b *testing.B) {
+	eng := sim.NewEngine()
+	m := &arrayMix{devs: make([]*HDD, 50), cursor: make([]int64, 50), rng: rand.New(rand.NewSource(1))}
+	for i := range m.devs {
+		m.devs[i] = NewHDD(eng, CheetahConfig("hdd"))
+		m.cursor[i] = m.rng.Int63n(m.devs[i].CapacityBlocks() - 8)
+	}
+	chains := make([]rmwChain, len(m.devs)/2)
+	for i := range chains {
+		chains[i].mix = m
+		chains[i].completedFn = chains[i].completed
+	}
+	run := func(cycles int) {
+		m.left = cycles
+		for i := range chains {
+			chains[i].start()
+		}
+		eng.Run()
+	}
+	run(20000) // warm: queues, pools and segment caches at their working size
+	var hits, misses int64
+	for _, d := range m.devs {
+		hits, misses = hits-d.stats.CacheHits, misses-d.stats.CacheMisses
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(b.N)
+	b.StopTimer()
+	for _, d := range m.devs {
+		hits, misses = hits+d.stats.CacheHits, misses+d.stats.CacheMisses
+	}
+	if hits+misses > 0 {
+		b.ReportMetric(float64(hits)/float64(hits+misses), "hit-ratio")
 	}
 }
 

@@ -64,6 +64,20 @@ type zone struct {
 	cylinders  int64
 	blocksPT   int64 // blocks per track
 	blocksPCyl int64 // blocks per cylinder (= blocksPT * heads)
+
+	// What every media access in the zone would otherwise recompute.
+	perTrack  divisor  // by blocksPT
+	perCyl    divisor  // by blocksPCyl
+	blocksPTf float64  // float64(blocksPT)
+	perBlock  sim.Time // transfer time of one block: a track per revolution
+}
+
+// place is where a block sits on the platters.
+type place struct {
+	zn    *zone
+	cyl   int64 // absolute cylinder
+	pos   int64 // block offset on its track
+	inCyl int64 // block offset in its cylinder
 }
 
 // HDD is an event-driven hard-disk model: a single mechanical arm, a
@@ -71,9 +85,10 @@ type zone struct {
 // with read-ahead, an optional write-back buffer, and a LOOK-scheduled
 // queue.
 //
-// A request's cylinder is resolved once, when it joins the media queue
-// (hddReq.cyl): LOOK compares every queued request on every dispatch,
-// and must not search the zone table each time it does.
+// A request's place on the platters is resolved once, when Submit sends
+// it to the media (hddReq.place): LOOK compares every queued request on
+// every dispatch and the media access needs zone, cylinder and track
+// position again, and neither searches the zone table a second time.
 type HDD struct {
 	eng   *sim.Engine
 	cfg   HDDConfig
@@ -81,6 +96,8 @@ type HDD struct {
 
 	zones     []zone
 	revTime   sim.Time // one platter revolution
+	revTimeF  float64  // float64(revTime)
+	perRev    divisor  // by revTime
 	seekB     float64  // sqrt coefficient of the seek curve (ns)
 	seekC     float64  // linear coefficient of the seek curve (ns)
 	totalCyls int64
@@ -97,9 +114,10 @@ type HDD struct {
 	busyDevs *int
 
 	// Read cache: fixed number of segments, each holding one
-	// contiguous block range; LRU replacement.
-	segments []segment
-	segClock int64
+	// contiguous block range; LRU replacement, recency kept as a list
+	// threaded through the segments from segLRU to segMRU.
+	segments       []segment
+	segLRU, segMRU int32
 
 	// Write-back state.
 	dirty       int64 // blocks waiting for destage
@@ -134,11 +152,11 @@ type HDD struct {
 // free for reuse as soon as Submit returns.
 type hddReq struct {
 	op    Op
+	fail  bool // verdict drawn at submit: complete with an error
 	block int64
 	count int64
-	cyl   int64             // cylinder of block; set for media-queue entries only
+	place                   // of block; set for requests bound for the media only
 	done  func(at sim.Time) // completion: Request.Fail on an injected error when set, else Request.Done
-	fail  bool              // verdict drawn at submit: complete with an error
 	latX  float64           // service-time multiplier drawn at submit (<=1 = none)
 }
 
@@ -181,14 +199,15 @@ func (a *absorbOp) fire() {
 
 type segment struct {
 	start, end int64 // [start, end) block range; start==end means empty
-	lastUse    int64
+	prev, next int32 // recency list: toward the LRU, toward the MRU; -1 at the ends
 }
 
 type blockRange struct{ start, end int64 }
 
 // NewHDD builds an HDD from cfg, attached to eng.
 func NewHDD(eng *sim.Engine, cfg HDDConfig) *HDD {
-	if cfg.CapacityBlocks <= 0 || cfg.Heads <= 0 || cfg.Zones <= 0 || cfg.RPM <= 0 {
+	if cfg.CapacityBlocks <= 0 || cfg.Heads <= 0 || cfg.Zones <= 0 || cfg.RPM <= 0 ||
+		cfg.CacheSegments > math.MaxInt32 { // the recency links are int32
 		panic("disk: invalid HDD config")
 	}
 	d := &HDD{
@@ -196,9 +215,20 @@ func NewHDD(eng *sim.Engine, cfg HDDConfig) *HDD {
 		cfg:     cfg,
 		revTime: sim.Time(int64(60) * int64(sim.Second) / int64(cfg.RPM)),
 	}
+	d.revTimeF = float64(d.revTime)
+	d.perRev = newDivisor(int64(d.revTime))
 	d.buildZones()
 	d.calibrateSeek()
+	// Recency starts in index order, so a fresh cache fills segment 0
+	// first.
 	d.segments = make([]segment, cfg.CacheSegments)
+	for i := range d.segments {
+		d.segments[i].prev, d.segments[i].next = int32(i-1), int32(i+1)
+	}
+	if n := len(d.segments); n > 0 {
+		d.segments[n-1].next = -1
+		d.segMRU = int32(n - 1)
+	}
 	d.finishFn = d.finished
 	d.destageFn = d.destaged
 	return d
@@ -233,6 +263,10 @@ func (d *HDD) buildZones() {
 			cylinders:  perZone,
 			blocksPT:   pt,
 			blocksPCyl: pt * int64(cfg.Heads),
+			perTrack:   newDivisor(pt),
+			perCyl:     newDivisor(pt * int64(cfg.Heads)),
+			blocksPTf:  float64(pt),
+			perBlock:   sim.Time(d.revTimeF / float64(pt)),
 		}
 		// The zone that reaches the capacity is the last, whatever its
 		// index: on a tiny disk the dense outer zones can use the blocks
@@ -283,8 +317,9 @@ func (d *HDD) seekTime(dist int64) sim.Time {
 	return sim.Time(t)
 }
 
-// locate maps a block to its zone, cylinder and position on track.
-func (d *HDD) locate(block int64) (zn *zone, cyl, posOnTrack int64) {
+// locate maps a block to its place: zone, cylinder, and position in the
+// cylinder and on the track.
+func (d *HDD) locate(block int64) place {
 	// The first zone ending past block, by binary search.
 	lo, hi := 0, len(d.zones)-1
 	for lo < hi {
@@ -296,10 +331,11 @@ func (d *HDD) locate(block int64) (zn *zone, cyl, posOnTrack int64) {
 		}
 	}
 	z := &d.zones[lo]
-	rel := block - z.firstBlock
-	cyl = z.firstCyl + rel/z.blocksPCyl
-	posOnTrack = rel % z.blocksPT
-	return z, cyl, posOnTrack
+	// A cylinder is a whole number of tracks, so the position on the
+	// track is that of the offset in the cylinder.
+	cyl, inCyl := z.perCyl.divMod(block - z.firstBlock)
+	_, pos := z.perTrack.divMod(inCyl)
+	return place{zn: z, cyl: z.firstCyl + cyl, pos: pos, inCyl: inCyl}
 }
 
 // CapacityBlocks implements Device.
@@ -359,10 +395,13 @@ func (d *HDD) Submit(r *Request) {
 		q.done = r.Fail
 	}
 
-	if q.op == OpWrite && d.cfg.WriteCacheBlocks > 0 {
+	// A write the cache could never hold (or any write, with no cache)
+	// goes to the media like a read: stalled, it would wait for room
+	// that no destage can make.
+	if q.op == OpWrite && q.count <= int64(d.cfg.WriteCacheBlocks) {
 		// Write-back path: absorb into the cache if space allows.
 		if d.dirty+q.count <= int64(d.cfg.WriteCacheBlocks) {
-			d.absorbWrite(q)
+			d.absorbWrite(&q)
 			return
 		}
 		// No space: the write stalls until destaging frees room.
@@ -371,14 +410,24 @@ func (d *HDD) Submit(r *Request) {
 		return
 	}
 
-	_, q.cyl, _ = d.locate(q.block)
+	q.place = d.locate(q.block)
+	if !d.busy && !d.destaging && len(d.queue) == 0 {
+		// Idle drive: the request is the whole queue, so LOOK's pick is
+		// known — it reverses the sweep iff the request lies behind the
+		// head — and service starts without queueing it.
+		if d.sweepUp && q.cyl < d.curCyl || !d.sweepUp && q.cyl > d.curCyl {
+			d.sweepUp = !d.sweepUp
+		}
+		d.serve(&q)
+		return
+	}
 	d.queue = append(d.queue, q)
 	d.kick()
 }
 
 // absorbWrite completes a write from the write-back cache after the
 // controller overhead and records its blocks for later destage.
-func (d *HDD) absorbWrite(r hddReq) {
+func (d *HDD) absorbWrite(r *hddReq) {
 	if r.fail {
 		// The write dies in the controller: no dirty data, no readable
 		// segment, just overhead and an error completion.
@@ -468,6 +517,11 @@ func (d *HDD) pickNext() hddReq {
 // startNext begins servicing one queued request.
 func (d *HDD) startNext() {
 	r := d.pickNext()
+	d.serve(&r)
+}
+
+// serve puts r on the media (or answers it from the read cache).
+func (d *HDD) serve(r *hddReq) {
 	d.busy = true
 	d.countBusy(+1)
 
@@ -475,7 +529,7 @@ func (d *HDD) startNext() {
 		// Injected media error: the head still travels (seek, rotation,
 		// transfer happen before the error is detected), but no data
 		// moves — the cache is neither consulted nor filled.
-		service := d.mediaTime(r.block, r.count, r.op == OpWrite)
+		service := d.mediaTime(&r.place, r.block, r.count, r.op == OpWrite)
 		d.finish(r, scaled(d.cfg.ControllerOver+service, r.latX))
 		return
 	}
@@ -489,7 +543,7 @@ func (d *HDD) startNext() {
 		d.stats.CacheMisses++
 	}
 
-	service := d.mediaTime(r.block, r.count, r.op == OpWrite)
+	service := d.mediaTime(&r.place, r.block, r.count, r.op == OpWrite)
 	if r.op == OpRead {
 		// Read-ahead: the segment fills with the request plus trailing
 		// blocks (time cost of read-ahead is hidden in idle rotation).
@@ -515,7 +569,7 @@ func scaled(t sim.Time, latX float64) sim.Time {
 // with the next queued operation. The pending completion lives in the
 // fin* fields (single-flight under the busy flag) and fires through the
 // cached finishFn, so the media path schedules no closures.
-func (d *HDD) finish(r hddReq, service sim.Time) {
+func (d *HDD) finish(r *hddReq, service sim.Time) {
 	d.stats.BusyTime += service
 	d.finDone, d.finFail, d.finOp, d.finCount = r.done, r.fail, r.op, r.count
 	d.eng.After(service, d.finishFn)
@@ -545,10 +599,11 @@ func (d *HDD) finished() {
 }
 
 // mediaTime computes seek + rotational + transfer time for a contiguous
-// media access starting at block, and updates the head position.
-func (d *HDD) mediaTime(block, count int64, isWrite bool) sim.Time {
-	zn, cyl, pos := d.locate(block)
-	dist := cyl - d.curCyl
+// media access starting at block, which lies at p, and updates the head
+// position.
+func (d *HDD) mediaTime(p *place, block, count int64, isWrite bool) sim.Time {
+	zn := p.zn
+	dist := p.cyl - d.curCyl
 	if dist < 0 {
 		dist = -dist
 	}
@@ -561,27 +616,29 @@ func (d *HDD) mediaTime(block, count int64, isWrite bool) sim.Time {
 
 	// Rotational delay: where is the target sector when the seek ends?
 	arrival := d.eng.Now() + seek
-	angleNow := float64(int64(arrival)%int64(d.revTime)) / float64(d.revTime)
-	angleTarget := float64(pos) / float64(zn.blocksPT)
+	_, phase := d.perRev.divMod(int64(arrival))
+	angleNow := float64(phase) / d.revTimeF
+	angleTarget := float64(p.pos) / zn.blocksPTf
 	wait := angleTarget - angleNow
 	if wait < 0 {
 		wait++
 	}
-	rot := sim.Time(wait * float64(d.revTime))
+	rot := sim.Time(wait * d.revTimeF)
 
 	// Transfer: a full track per revolution within the zone; crossing
 	// tracks adds head/cylinder switch time.
-	perBlock := sim.Time(float64(d.revTime) / float64(zn.blocksPT))
-	transfer := sim.Time(count) * perBlock
-	tracksCrossed := (pos + count - 1) / zn.blocksPT
+	transfer := sim.Time(count) * zn.perBlock
+	tracksCrossed, _ := zn.perTrack.divMod(p.pos + count - 1)
 	transfer += sim.Time(tracksCrossed) * d.cfg.HeadSwitch
 
-	// Head ends at the cylinder holding the last block: almost always in
-	// the zone the access started in.
+	// Head ends at the cylinder holding the last block: almost always
+	// the one the access started in, and nearly always in its zone (a
+	// zone is a whole number of cylinders).
 	if last := block + count - 1; last < zn.endBlock {
-		d.curCyl = zn.firstCyl + (last-zn.firstBlock)/zn.blocksPCyl
+		cyls, _ := zn.perCyl.divMod(p.inCyl + count - 1)
+		d.curCyl = p.cyl + cyls
 	} else {
-		_, d.curCyl, _ = d.locate(last)
+		d.curCyl = d.locate(last).cyl
 	}
 	return seek + rot + transfer
 }
@@ -608,7 +665,8 @@ func (d *HDD) startDestage() {
 	d.dirtyRanges = append(d.dirtyRanges[:best], d.dirtyRanges[best+1:]...)
 	d.destaging = true
 	d.countBusy(+1)
-	service := d.mediaTime(r.start, r.end-r.start, true)
+	at := d.locate(r.start) // a destage has no request to carry its place
+	service := d.mediaTime(&at, r.start, r.end-r.start, true)
 	d.stats.BusyTime += service
 	d.destageN = r.end - r.start
 	d.eng.After(service, d.destageFn)
@@ -645,7 +703,7 @@ func (d *HDD) admitStalled() {
 		if d.dirty+r.count > int64(d.cfg.WriteCacheBlocks) {
 			break
 		}
-		d.absorbWrite(r)
+		d.absorbWrite(&r)
 	}
 	// Copy the rest down instead of reslicing the head off, for the
 	// reason pickNext gives.
@@ -661,12 +719,28 @@ func (d *HDD) cacheCovers(start, end int64) bool {
 	for i := range d.segments {
 		s := &d.segments[i]
 		if start >= s.start && end <= s.end {
-			d.segClock++
-			s.lastUse = d.segClock
+			d.touchSegment(int32(i))
 			return true
 		}
 	}
 	return false
+}
+
+// touchSegment makes segment i the most recently used.
+func (d *HDD) touchSegment(i int32) {
+	if i == d.segMRU {
+		return
+	}
+	s := &d.segments[i]
+	if s.prev >= 0 {
+		d.segments[s.prev].next = s.next
+	} else {
+		d.segLRU = s.next
+	}
+	d.segments[s.next].prev = s.prev // i is not the MRU: it has a next
+	d.segments[d.segMRU].next = i
+	s.prev, s.next = d.segMRU, -1
+	d.segMRU = i
 }
 
 // installSegment loads [start,end) into the least recently used
@@ -675,14 +749,9 @@ func (d *HDD) installSegment(start, end int64) {
 	if len(d.segments) == 0 {
 		return
 	}
-	lru := 0
-	for i := range d.segments {
-		if d.segments[i].lastUse < d.segments[lru].lastUse {
-			lru = i
-		}
-	}
-	d.segClock++
-	d.segments[lru] = segment{start: start, end: end, lastUse: d.segClock}
+	lru := d.segLRU
+	d.segments[lru].start, d.segments[lru].end = start, end
+	d.touchSegment(lru)
 }
 
 // String summarizes the drive geometry, for debugging.

@@ -49,9 +49,7 @@ type SSD struct {
 	// while busyUntil > now.
 	busyUntil sim.Time
 
-	// pages is the per-submit channel page-count scratch; Submit fully
-	// consumes it before returning, so one buffer serves every request.
-	pages []int64
+	perChannels divisor // by cfg.Channels
 
 	// Freelist of in-flight completions: channels overlap requests
 	// freely, so completions pool like the HDD's absorb ops.
@@ -112,11 +110,24 @@ func NewSSD(eng *sim.Engine, cfg SSDConfig) *SSD {
 		panic("disk: invalid SSD config")
 	}
 	return &SSD{
-		eng:      eng,
-		cfg:      cfg,
-		chanFree: make([]sim.Time, cfg.Channels),
-		pages:    make([]int64, cfg.Channels),
+		eng:         eng,
+		cfg:         cfg,
+		chanFree:    make([]sim.Time, cfg.Channels),
+		perChannels: newDivisor(int64(cfg.Channels)),
 	}
+}
+
+// extraPage is 1 if channel ch is among the extra channels that follow
+// first round the channels ring, else 0.
+func extraPage(ch, first, extra, channels int64) int64 {
+	after := ch - first // how far round the ring ch comes after first
+	if after < 0 {
+		after += channels
+	}
+	if after < extra {
+		return 1
+	}
+	return 0
 }
 
 // CapacityBlocks implements Device.
@@ -164,17 +175,15 @@ func (d *SSD) Submit(r *Request) {
 	}
 	per = scaled(per, latX)
 
-	// Count pages per channel for this request.
-	pages := d.pages
-	for i := range pages {
-		pages[i] = 0
-	}
-	for b := r.Block; b < r.Block+r.Count; b++ {
-		pages[int(b%int64(d.cfg.Channels))]++
-	}
+	// Pages per channel: consecutive blocks go round the channels, so
+	// each gets Count/Channels and the Count%Channels channels from the
+	// first block's on get one more.
+	each, extra := d.perChannels.divMod(r.Count)
+	_, first := d.perChannels.divMod(r.Block)
 
 	var latest sim.Time
-	for ch, n := range pages {
+	for ch := range d.chanFree {
+		n := each + extraPage(int64(ch), first, extra, int64(len(d.chanFree)))
 		if n == 0 {
 			continue
 		}

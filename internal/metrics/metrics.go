@@ -127,17 +127,7 @@ func init() {
 			row[j] = a
 		}
 	}
-	for t := range latSmall {
-		latSmall[t] = uint8(latBucket(sim.Time(t)))
-	}
 }
-
-// latSmall[t] is latBucket(t) for t < 256, filled at init from
-// latBucket itself so the bucket edges cannot differ. The histograms
-// double as counters of small integers — a queue depth and a
-// busy-device count per submitted I/O — and those samples skip
-// latBucket's data-dependent compares.
-var latSmall [256]uint8
 
 // latBucket computes the reference bucket in constant time: locate the
 // octave with bits.Len64, then binary-search the 17 precomputed
@@ -174,21 +164,25 @@ func latBucketValue(b int) sim.Time {
 }
 
 // Add records one latency sample.
-func (h *LatencyHist) Add(t sim.Time) {
-	var b int
-	if uint64(t) < uint64(len(latSmall)) {
-		b = int(latSmall[t])
-	} else {
-		b = latBucket(t)
+func (h *LatencyHist) Add(t sim.Time) { h.AddN(t, 1) }
+
+// AddN records n samples of t at once. The result is what n calls of
+// Add(t) leave as long as the running sum is an integer below 2^53
+// (float64 adds such values exactly, in any grouping) — which holds for
+// whoever tallies small counts on the side and hands them over here.
+func (h *LatencyHist) AddN(t sim.Time, n int64) {
+	if n <= 0 {
+		return
 	}
+	b := latBucket(t)
 	if b >= len(h.buckets) {
 		grown := make([]int64, b+1)
 		copy(grown, h.buckets)
 		h.buckets = grown
 	}
-	h.buckets[b]++
-	h.count++
-	h.sum += float64(t)
+	h.buckets[b] += n
+	h.count += n
+	h.sum += float64(t) * float64(n)
 	if t > h.max {
 		h.max = t
 	}

@@ -300,9 +300,9 @@ func BenchmarkLatencyHistAdd(b *testing.B) {
 	}
 }
 
-// BenchmarkLatencyHistAddSmall measures the samples the array
-// instrumentation adds per I/O: queue depths and busy-device counts,
-// small integers answered from the latSmall table.
+// BenchmarkLatencyHistAddSmall measures small integer samples: the
+// queue depths and busy-device counts past what the array tallies on the
+// side, and the zero latencies of instant devices.
 func BenchmarkLatencyHistAddSmall(b *testing.B) {
 	h := NewLatencyHist()
 	h.Add(255)
@@ -321,6 +321,29 @@ func BenchmarkLatencyHistAddRef(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m[latBucketRef(sim.Time(i%1000000+1))]++
+	}
+}
+
+// TestLatencyHistAddNIsRepeatedAdd: handing over tallied samples leaves
+// the histogram a sample-by-sample Add leaves, whatever the order, for
+// integer samples whose sum stays below 2^53.
+func TestLatencyHistAddNIsRepeatedAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	one, folded := NewLatencyHist(), NewLatencyHist()
+	var tally [300]int64
+	for i := 0; i < 200000; i++ {
+		v := rng.Intn(len(tally) - 1) // the largest never occurs: an empty tally adds nothing
+		if rng.Intn(50) == 0 {
+			v = 0
+		}
+		one.Add(sim.Time(v))
+		tally[v]++
+	}
+	for v := len(tally) - 1; v >= 0; v-- {
+		folded.AddN(sim.Time(v), tally[v])
+	}
+	if !one.Equal(folded) || one.Mean() != folded.Mean() || one.Percentile(0.99) != folded.Percentile(0.99) || one.Max() != folded.Max() {
+		t.Fatalf("folded tallies read %v, one Add per sample %v", folded, one)
 	}
 }
 
@@ -381,11 +404,11 @@ func TestPropertyLatBucketMatchesReference(t *testing.T) {
 	}
 }
 
-// TestLatencyHistSmallSamplesMatchReference pins Add's table path for
-// small samples — and the hand-over to latBucket just past it — to the
-// floating-point reference, bucket for bucket.
+// TestLatencyHistSmallSamplesMatchReference pins Add for small samples
+// — counts as much as latencies — to the floating-point reference,
+// bucket for bucket.
 func TestLatencyHistSmallSamplesMatchReference(t *testing.T) {
-	for v := sim.Time(-2); v < 2*sim.Time(len(latSmall)); v++ {
+	for v := sim.Time(-2); v < 512; v++ {
 		h := NewLatencyHist()
 		h.Add(v)
 		want := latBucketRef(v)
