@@ -54,28 +54,26 @@ func main() {
 	parallel := flag.Int("parallel", runtime.NumCPU(), "max concurrent simulations")
 	cacheDir := flag.String("cache", "",
 		"reuse (and store) simulation results in this directory; empty = compute everything")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to this file")
+	startProfiles := prof.Flags(flag.CommandLine)
 	flag.Parse()
-	experiments.SetParallelism(*parallel)
-	var cache *experiments.Cache
+	cells := &experiments.Runner{Parallel: max(*parallel, 1)}
 	if *cacheDir != "" {
 		store, err := experiments.OpenStore(*cacheDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "craidbench:", err)
 			os.Exit(1)
 		}
-		cache = &experiments.Cache{Store: store}
-		experiments.SetExecutor(cache)
+		cells.Store = store
 	}
 
-	stopProfiles, err := prof.Start(*cpuprofile, *memprofile)
+	stopProfiles, err := startProfiles()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "craidbench:", err)
 		os.Exit(1)
 	}
 
 	r := runner{
+		cells:  cells,
 		budget: *budget, trace: *traceName,
 		sweeps:   map[string]experiments.SweepResult{},
 		cvSeries: map[string][]experiments.Figure7Series{},
@@ -95,8 +93,8 @@ func main() {
 	if err := stopProfiles(); err != nil { // flush before any exit path
 		fmt.Fprintln(os.Stderr, "craidbench:", err)
 	}
-	if cache != nil {
-		fmt.Fprintf(os.Stderr, "cache: %d hits, %d computed\n", cache.Hits.Load(), cache.Computed.Load())
+	if cells.Store != nil {
+		fmt.Fprintf(os.Stderr, "cache: %d hits, %d computed\n", cells.Hits.Load(), cells.Computed.Load())
 	}
 	if r.failed {
 		os.Exit(1)
@@ -104,6 +102,7 @@ func main() {
 }
 
 type runner struct {
+	cells  *experiments.Runner // every simulation runs through it
 	budget float64
 	trace  string
 	failed bool
@@ -222,7 +221,7 @@ func (r *runner) tables23(which string) {
 	}
 	fmt.Println()
 	if r.policyRows == nil {
-		rows, err := experiments.Tables2and3(r.budget)
+		rows, err := r.cells.Tables2and3(r.budget)
 		if !r.check(err) {
 			return
 		}
@@ -252,7 +251,7 @@ func (r *runner) sweep(name string) (experiments.SweepResult, error) {
 	if sweep, ok := r.sweeps[name]; ok {
 		return sweep, nil
 	}
-	sweep, err := experiments.ResponseTimeSweep(name, r.scaleFor(name), nil)
+	sweep, err := r.cells.ResponseTimeSweep(name, r.scaleFor(name), nil)
 	if err == nil {
 		r.sweeps[name] = sweep
 	}
@@ -367,7 +366,7 @@ func (r *runner) figure5() {
 	}
 	for _, name := range traces {
 		pct := experiments.PCSizes(name)[2]
-		series, err := experiments.Figure5(name, r.scaleFor(name), pct)
+		series, err := r.cells.Figure5(name, r.scaleFor(name), pct)
 		if !r.check(err) {
 			return
 		}
@@ -384,7 +383,7 @@ func (r *runner) figure5() {
 
 func (r *runner) table5() {
 	header("Table 5: ioqueue size and concurrent devices, wdev, P_C = 0.002%")
-	rows, err := experiments.Table5(r.scaleFor("wdev"))
+	rows, err := r.cells.Table5(r.scaleFor("wdev"))
 	if !r.check(err) {
 		return
 	}
@@ -450,7 +449,7 @@ func (r *runner) figure7Series(name string) ([]experiments.Figure7Series, error)
 		return series, nil
 	}
 	sizes := experiments.PCSizes(name)
-	series, err := experiments.Figure7(name, r.scaleFor(name), []float64{sizes[0], sizes[len(sizes)-1]})
+	series, err := r.cells.Figure7(name, r.scaleFor(name), []float64{sizes[0], sizes[len(sizes)-1]})
 	if err == nil {
 		r.cvSeries[name] = series
 	}
@@ -475,7 +474,7 @@ func (r *runner) migration() {
 
 func (r *runner) pcLevel() {
 	header("Ablation: cache-partition redundancy level (wdev)")
-	rows, err := experiments.AblationPCLevel("wdev", r.scaleFor("wdev"), 0.008)
+	rows, err := r.cells.AblationPCLevel("wdev", r.scaleFor("wdev"), 0.008)
 	if !r.check(err) {
 		return
 	}
@@ -506,7 +505,7 @@ func (r *runner) fault() {
 		if strat.IsCRAID() {
 			cfg.PCPct = 0.008
 		}
-		rows, err := experiments.RunFaultFamily(cfg)
+		rows, err := r.cells.RunFaultFamily(cfg)
 		if !r.check(err) {
 			return
 		}

@@ -21,12 +21,13 @@
 // against an independent simulation in parallel, one result row per
 // volume (all volumes share one file handle via pread-style reads).
 //
-// -maplog attaches a dirty-translation log written through the batched
-// log ring (-maplog-sync fsyncs the file after every flushed buffer);
-// the printed map-log line reports the ring's counters.
+// -maplog attaches a dirty-translation log written once per apply step
+// (-maplog-sync fsyncs the file after every flushed buffer); the
+// printed map-log line reports its counters.
 //
 // -out writes the full JSON result to a file while the human-readable
-// stats still print to stdout (use -json for JSON on stdout instead).
+// stats still print to stdout (use -json for JSON on stdout instead);
+// with -pervolume the result is the list of per-volume results.
 //
 // -cpuprofile and -memprofile write pprof profiles covering the
 // simulation itself (not flag handling or result printing), the same
@@ -35,8 +36,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"craid/internal/disk"
@@ -46,36 +49,44 @@ import (
 )
 
 func main() {
-	traceName := flag.String("trace", "wdev", "preset workload name")
-	strategy := flag.String("strategy", "CRAID-5",
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "craidsim:", err)
+		os.Exit(1)
+	}
+}
+
+// run is main with its arguments and standard output as parameters.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("craidsim", flag.ExitOnError)
+	traceName := fs.String("trace", "wdev", "preset workload name")
+	strategy := fs.String("strategy", "CRAID-5",
 		"RAID-5 | RAID-5+ | CRAID-5 | CRAID-5+ | CRAID-5ssd | CRAID-5+ssd")
-	pc := flag.Float64("pc", 0.008, "cache partition size, % per disk")
-	policy := flag.String("policy", "WLRU", "monitor policy: LRU|LFUDA|GDSF|ARC|WLRU")
-	budget := flag.Float64("budget", 0.5, "replayed GB (scales the workload)")
-	bursty := flag.Bool("bursty", false, "bursty arrivals")
-	maplog := flag.String("maplog", "",
-		"write the dirty-translation log to this file through the batched log ring")
-	maplogSync := flag.Bool("maplog-sync", false,
-		"fsync the mapping log after every flushed ring buffer (durable flushes instead of the paper's NVRAM assumption)")
-	file := flag.String("file", "", "replay this trace file instead of the preset")
-	format := flag.String("format", "native", "trace file format: native|msr|blk")
-	volume := flag.Int("volume", -1,
+	pc := fs.Float64("pc", 0.008, "cache partition size, % per disk")
+	policy := fs.String("policy", "WLRU", "monitor policy: LRU|LFUDA|GDSF|ARC|WLRU")
+	budget := fs.Float64("budget", 0.5, "replayed GB (scales the workload)")
+	bursty := fs.Bool("bursty", false, "bursty arrivals")
+	maplog := fs.String("maplog", "",
+		"write the dirty-translation log to this file, one write per apply step")
+	maplogSync := fs.Bool("maplog-sync", false,
+		"fsync the mapping log after every flushed buffer (durable flushes instead of the paper's NVRAM assumption)")
+	file := fs.String("file", "", "replay this trace file instead of the preset")
+	format := fs.String("format", "native", "trace file format: native|msr|blk")
+	volume := fs.Int("volume", -1,
 		"MSR only: replay one DiskNumber (negative = all volumes)")
-	datasetGB := flag.Float64("dataset-gb", 4, "file traces: simulated dataset size in GB")
-	perVolume := flag.Bool("pervolume", false,
+	datasetGB := fs.Float64("dataset-gb", 4, "file traces: simulated dataset size in GB")
+	perVolume := fs.Bool("pervolume", false,
 		"MSR only: split the file into volumes and simulate each in parallel")
-	faultSpec := flag.String("fault", "",
+	faultSpec := fs.String("fault", "",
 		"deterministic failure plan: events fail:D@T, transient:D@T-T2,rate,lat, rebuild:D@T,rate, crash@T, "+
 			"expand@T,disks=N[,retain], storm:crash@T,n=K,every=D, and per-device sub-plans dev:D{...}; "+
 			"compound plans compose, e.g. \"seed=7;fail:2@5s;rebuild:2@10s,rate=64;fail:12@8s;crash@20s\" "+
 			"(second fault mid-rebuild + crash-restart) or \"seed=7;expand@5s,disks=5,retain;storm:crash@10s,n=3,every=5s\"")
-	jsonOut := flag.Bool("json", false,
-		"emit the full result (RunResult with replay, map-log and fault KPIs) as one JSON object")
-	outFile := flag.String("out", "",
+	jsonOut := fs.Bool("json", false,
+		"emit the full result (RunResult with replay, map-log and fault KPIs; with -pervolume one per volume) as JSON")
+	outFile := fs.String("out", "",
 		"also write the full JSON result to this file (stdout keeps the human-readable stats)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile of the simulation to this file")
-	flag.Parse()
+	startProfiles := prof.Flags(fs)
+	fs.Parse(args) // exits on a bad flag
 
 	cfg := experiments.RunConfig{
 		Trace:      *traceName,
@@ -100,139 +111,124 @@ func main() {
 		cfg.DatasetBlocks = int64(*datasetGB * 1e9 / disk.BlockSize)
 		cfg.Scale = experiments.ScaleForBlocks(cfg.DatasetBlocks)
 	}
-
 	if *perVolume {
-		if *file == "" {
-			fmt.Fprintln(os.Stderr, "craidsim: -pervolume needs -file")
-			os.Exit(1)
+		switch {
+		case *file == "":
+			return errors.New("-pervolume needs -file")
+		case *maplog != "":
+			return errors.New("-maplog logs one simulation; it cannot be shared by -pervolume cells")
+		case *volume >= 0:
+			return errors.New("-pervolume replays every volume; drop -volume or drop -pervolume")
 		}
-		if *maplog != "" {
-			fmt.Fprintln(os.Stderr, "craidsim: -maplog logs one simulation; it cannot be shared by -pervolume cells")
-			os.Exit(1)
+	}
+
+	// The profiles cover the simulation itself, and are flushed as soon
+	// as it returns.
+	stopProfiles, err := startProfiles()
+	if err != nil {
+		return err
+	}
+	var res experiments.RunResult
+	var vols []experiments.VolumeResult
+	var result any
+	if *perVolume {
+		vols, err = new(experiments.Runner).RunMSRVolumes(*file, cfg)
+		result = vols
+	} else {
+		// A failure here includes a dying mapping-log device (it
+		// surfaces at the next apply-step flush) and data lost beyond
+		// redundancy.
+		res, err = experiments.Run(cfg)
+		result = res
+	}
+	if perr := stopProfiles(); perr != nil {
+		fmt.Fprintln(os.Stderr, "craidsim:", perr)
+	}
+	if err != nil {
+		return err
+	}
+
+	if *outFile != "" {
+		if err := writeResultFile(*outFile, result); err != nil {
+			return err
 		}
-		if *volume >= 0 {
-			fmt.Fprintln(os.Stderr, "craidsim: -pervolume replays every volume; drop -volume or drop -pervolume")
-			os.Exit(1)
-		}
-		stopProfiles := startProfiles(*cpuprofile, *memprofile)
-		results, err := experiments.RunMSRVolumes(*file, cfg)
-		stopProfiles()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "craidsim:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s: %d volumes, strategy %s, P_C=%.4f%%/disk\n",
-			*file, len(results), cfg.Strategy, cfg.PCPct)
-		fmt.Printf("%6s %10s %10s %10s %8s %8s\n",
+	}
+	if *jsonOut {
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		return enc.Encode(result)
+	}
+	if *perVolume {
+		fmt.Fprintf(stdout, "%s: %d volumes, strategy %s, P_C=%.4f%%/disk\n",
+			*file, len(vols), cfg.Strategy, cfg.PCPct)
+		fmt.Fprintf(stdout, "%6s %10s %10s %10s %8s %8s\n",
 			"vol", "requests", "read(ms)", "write(ms)", "hitR", "hitW")
-		for _, vr := range results {
+		for _, vr := range vols {
 			hitR, hitW := 0.0, 0.0
 			if vr.CRAID != nil {
 				hitR, hitW = vr.CRAID.HitRatio(disk.OpRead), vr.CRAID.HitRatio(disk.OpWrite)
 			}
-			fmt.Printf("%6d %10d %10.3f %10.3f %7.1f%% %7.1f%%\n",
+			fmt.Fprintf(stdout, "%6d %10d %10.3f %10.3f %7.1f%% %7.1f%%\n",
 				vr.Volume, vr.Requests,
 				vr.ReadMean.Milliseconds(), vr.WriteMean.Milliseconds(),
 				100*hitR, 100*hitW)
 		}
-		return
+		return nil
 	}
 
-	stopProfiles := startProfiles(*cpuprofile, *memprofile)
-	res, err := experiments.Run(cfg)
-	stopProfiles()
-	if err != nil {
-		// Includes a dying mapping-log device (LogRing.Err surfaces at
-		// each apply-step flush) and data lost beyond redundancy.
-		fmt.Fprintln(os.Stderr, "craidsim:", err)
-		os.Exit(1)
-	}
-
-	if *outFile != "" {
-		if err := writeResultFile(*outFile, res); err != nil {
-			fmt.Fprintln(os.Stderr, "craidsim:", err)
-			os.Exit(1)
-		}
-	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			fmt.Fprintln(os.Stderr, "craidsim:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	fmt.Printf("trace:        %s (scale %.5f)\n", cfg.Trace, cfg.Scale)
-	fmt.Printf("strategy:     %s  P_C=%.4f%%/disk  policy=%s\n", cfg.Strategy, cfg.PCPct, cfg.Policy)
-	fmt.Printf("requests:     %d\n", res.Requests)
-	fmt.Printf("read:         mean %.3f ms, p99 %.3f ms\n",
+	fmt.Fprintf(stdout, "trace:        %s (scale %.5f)\n", cfg.Trace, cfg.Scale)
+	fmt.Fprintf(stdout, "strategy:     %s  P_C=%.4f%%/disk  policy=%s\n", cfg.Strategy, cfg.PCPct, cfg.Policy)
+	fmt.Fprintf(stdout, "requests:     %d\n", res.Requests)
+	fmt.Fprintf(stdout, "read:         mean %.3f ms, p99 %.3f ms\n",
 		res.ReadMean.Milliseconds(), res.ReadP99.Milliseconds())
-	fmt.Printf("write:        mean %.3f ms, p99 %.3f ms\n",
+	fmt.Fprintf(stdout, "write:        mean %.3f ms, p99 %.3f ms\n",
 		res.WriteMean.Milliseconds(), res.WriteP99.Milliseconds())
 	if res.CRAID != nil {
 		s := res.CRAID
-		fmt.Printf("hit ratio:    reads %.2f%%  writes %.2f%%\n",
+		fmt.Fprintf(stdout, "hit ratio:    reads %.2f%%  writes %.2f%%\n",
 			100*s.HitRatio(0), 100*s.HitRatio(1))
-		fmt.Printf("evictions:    %d (%.2f%% dirty)  copy-ins: %d blocks  writebacks: %d blocks\n",
+		fmt.Fprintf(stdout, "evictions:    %d (%.2f%% dirty)  copy-ins: %d blocks  writebacks: %d blocks\n",
 			s.Evictions, 100*ratioOf(s.DirtyEvictions, s.Evictions), s.CopyIns, s.Writebacks)
 	}
 	rp := res.Replay
-	fmt.Printf("replay ring:  high water %d, reader stalls %d, replay stalls %d\n",
+	fmt.Fprintf(stdout, "replay ring:  high water %d, reader stalls %d, replay stalls %d\n",
 		rp.RingHighWater, rp.ReaderStalls, rp.ReplayStalls)
 	if res.MapLog.Records > 0 {
 		ml := res.MapLog
-		fmt.Printf("map log:      %d records (%d bytes), %d ring flushes, %d ring stalls, %d fsyncs\n",
-			ml.Records, ml.Bytes, ml.Flushes, ml.Stalls, ml.Syncs)
+		fmt.Fprintf(stdout, "map log:      %d records (%d bytes), %d flushes, %d fsyncs\n",
+			ml.Records, ml.Bytes, ml.Flushes, ml.Syncs)
 	}
 	if res.Fault != nil {
 		f := res.Fault
-		fmt.Printf("faults:       %d disk failures, %d transients (%d retries, %d permanent), %d lost extents\n",
+		fmt.Fprintf(stdout, "faults:       %d disk failures, %d transients (%d retries, %d permanent), %d lost extents\n",
 			f.Failures, f.Transients, f.Retries, f.Permanent, f.LostExtents)
-		fmt.Printf("degraded:     %d reads reconstructed (%d blocks, %d peer reads), %d writes degraded\n",
+		fmt.Fprintf(stdout, "degraded:     %d reads reconstructed (%d blocks, %d peer reads), %d writes degraded\n",
 			f.DegradedReads, f.DegradedBlocks, f.PeerReads, f.DegradedWrites)
 		if f.DegradedReads+f.DegradedWrites > 0 {
-			fmt.Printf("deg latency:  read mean %.3f ms p99 %.3f ms, write mean %.3f ms p99 %.3f ms\n",
+			fmt.Fprintf(stdout, "deg latency:  read mean %.3f ms p99 %.3f ms, write mean %.3f ms p99 %.3f ms\n",
 				res.DegReadMean.Milliseconds(), res.DegReadP99.Milliseconds(),
 				res.DegWriteMean.Milliseconds(), res.DegWriteP99.Milliseconds())
 		}
 		if f.RebuildRows > 0 || f.RebuildLostRows > 0 {
-			fmt.Printf("rebuild:      %d rows (%d blocks) in %.3f ms, %d rows lost, %d crash-restarted walks\n",
+			fmt.Fprintf(stdout, "rebuild:      %d rows (%d blocks) in %.3f ms, %d rows lost, %d crash-restarted walks\n",
 				f.RebuildRows, f.RebuildBlocks, res.RebuildDuration.Milliseconds(),
 				f.RebuildLostRows, f.RebuildRestarts)
 		}
 		if f.Restarts > 0 {
-			fmt.Printf("crash:        %d restarts, %d mappings recovered from the dirty log\n",
+			fmt.Fprintf(stdout, "crash:        %d restarts, %d mappings recovered from the dirty log\n",
 				f.Restarts, f.RecoveredMappings)
 		}
 		if f.Upgrades > 0 {
-			fmt.Printf("expand:       %d upgrades, %d migrated, %d written back, %d invalidated, drain latency %.3f ms\n",
+			fmt.Fprintf(stdout, "expand:       %d upgrades, %d migrated, %d written back, %d invalidated, drain latency %.3f ms\n",
 				f.Upgrades, f.ExpandMigrated, f.ExpandWriteback, f.ExpandInvalidated,
 				f.UpgradeLatency().Milliseconds())
 		}
 	}
-	fmt.Printf("load balance: mean per-second cv %.3f\n", metrics.Mean(res.CVs))
-	fmt.Printf("sequential:   mean per-second fraction %.3f\n", metrics.Mean(res.SeqFracs))
-	fmt.Printf("queues:       mean %.2f, p99 %d, max %d; concurrent devices mean %.1f max %d\n",
+	fmt.Fprintf(stdout, "load balance: mean per-second cv %.3f\n", metrics.Mean(res.CVs))
+	fmt.Fprintf(stdout, "sequential:   mean per-second fraction %.3f\n", metrics.Mean(res.SeqFracs))
+	fmt.Fprintf(stdout, "queues:       mean %.2f, p99 %d, max %d; concurrent devices mean %.1f max %d\n",
 		res.QueueMean, res.QueueP99, res.QueueMax, res.ConcMean, res.ConcMax)
-}
-
-// startProfiles starts the requested profiles or exits; the returned
-// func flushes them, and is called as soon as the simulation returns so
-// that no later os.Exit can skip it.
-func startProfiles(cpuPath, memPath string) func() {
-	stop, err := prof.Start(cpuPath, memPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "craidsim:", err)
-		os.Exit(1)
-	}
-	return func() {
-		if err := stop(); err != nil {
-			fmt.Fprintln(os.Stderr, "craidsim:", err)
-		}
-	}
+	return nil
 }
 
 func ratioOf(a, b int64) float64 {
@@ -242,10 +238,11 @@ func ratioOf(a, b int64) float64 {
 	return float64(a) / float64(b)
 }
 
-// writeResultFile writes the full result as indented JSON to path,
-// atomically (temp + rename) so a crashed run never leaves a torn
-// file for downstream tooling to choke on.
-func writeResultFile(path string, res experiments.RunResult) error {
+// writeResultFile writes the full result (a RunResult, or with
+// -pervolume a []VolumeResult) as indented JSON to path, atomically
+// (temp + rename) so a crashed run never leaves a torn file for
+// downstream tooling to choke on.
+func writeResultFile(path string, res any) error {
 	data, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
 		return err

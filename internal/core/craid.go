@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"sort"
@@ -61,17 +62,15 @@ import (
 //  5. One CRAID, like the sim.Engine driving it, is confined to one
 //     goroutine: the monitor classifies each request inline, in
 //     submission order, as the paper's controller does. What runs beside
-//     it is the replay reader goroutine (replay.go), the mapping log's
-//     background writer (note 6), and other whole simulations —
-//     cross-experiment parallelism lives in
-//     internal/experiments.RunAll, one simulation per worker.
+//     it is the replay reader goroutine (replay.go) and other whole
+//     simulations — cross-experiment parallelism lives in
+//     internal/experiments.Runner, one simulation per worker.
 //
-//  6. Dirty-log appends never issue I/O from the monitor: the mapping
-//     log's records accumulate in memory and, when the log is a
-//     mapcache.LogRing, whole buffers flush through a background
-//     writer at apply-step boundaries (the end of each Submit,
+//  6. A dirty-log append is a copy into a buffer, not an I/O: the
+//     mapping log's records accumulate in memory (mapLog) and are
+//     written out at apply-step boundaries (the end of each Submit,
 //     background copy-in or expansion) — same byte stream, same
-//     recovery, no synchronous Write per translation.
+//     recovery, no Write per translation.
 
 // PCLevel selects the redundancy of the cache partition.
 type PCLevel uint8
@@ -114,12 +113,11 @@ type Config struct {
 	StripeUnit int64
 	// Level is the cache partition's redundancy (default RAID-5).
 	Level PCLevel
-	// MapLogSync asks the mapping log's background writer to fsync the
-	// log device after every flushed buffer (mapcache.LogRing's
-	// SetSyncOnFlush), closing the paper's §4.2 NVRAM assumption down
-	// to real durable storage: a flush is then not merely handed to the
-	// OS but on stable media before the next buffer is written. Only
-	// effective when SetMappingLog is given a writer that supports it;
+	// MapLogSync fsyncs the mapping log after every flushed buffer,
+	// closing the paper's §4.2 NVRAM assumption down to real durable
+	// storage: a flush is then not merely handed to the OS but on
+	// stable media before the next buffer is written. Only effective
+	// when SetMappingLog is given a writer with a Sync() error method;
 	// the recovery byte-stream contract is unchanged either way.
 	MapLogSync bool
 }
@@ -237,14 +235,9 @@ type CRAID struct {
 	insByOp  disk.Op
 	insEvict func(cache.Key)
 
-	// logFlush, when the mapping log is a batching writer (e.g.
-	// mapcache.LogRing), is called once per apply step so the log's
-	// durability boundary is the I/O request rather than the
-	// individual translation. logErr, when the writer reports
-	// asynchronous failures (LogRing.Err), is polled at the same
-	// boundary so a dying log device fails the run promptly.
-	logFlush interface{ Flush() }
-	logErr   interface{ Err() error }
+	// log, when SetMappingLog attached one, buffers the table's dirty-
+	// log records; flushLog drains it once per apply step.
+	log *mapLog
 
 	// epoch counts controller incarnations: a crash-restart bumps it,
 	// and in-flight background side effects (copy-ins, write-backs,
@@ -721,43 +714,91 @@ func (c *CRAID) ExpandWith(newDevs []disk.Device, retain bool, done func(sim.Tim
 	return st
 }
 
+// MapLogStats counts the mapping log's traffic: the records the table
+// appended that reached the sink, in how many writes (one per drained
+// buffer), and the fsyncs that followed them under Config.MapLogSync.
+type MapLogStats struct {
+	Records int64
+	Bytes   int64
+	Flushes int64
+	Syncs   int64
+}
+
+// mapLogBufBytes holds ~1927 log records; a request that logs more
+// spills to the sink mid-step, in order.
+const mapLogBufBytes = 32 << 10
+
+// mapLog is the controller's end of the dirty-translation log: the
+// mapping table appends records to buf, and buf drains into Write.
+type mapLog struct {
+	buf   *bufio.Writer
+	sink  io.Writer
+	sync  interface{ Sync() error } // nil unless MapLogSync and the sink can
+	stats MapLogStats
+}
+
+// Write is what buf flushes into: one call per drained buffer. An
+// error makes buf refuse everything after it, so the first failure is
+// the one every later flush reports.
+func (l *mapLog) Write(p []byte) (int, error) {
+	n, err := l.sink.Write(p)
+	l.stats.Flushes++
+	l.stats.Bytes += int64(n)
+	if err == nil && l.sync != nil {
+		l.stats.Syncs++
+		err = l.sync.Sync()
+	}
+	return n, err
+}
+
 // SetMappingLog enables persistent logging of dirty translations to w
 // (paper §4.2's failure resilience). Call before any I/O.
 //
-// When w batches its writes behind a Flush method — mapcache.LogRing
-// is the intended one — the controller flushes it once per apply step,
-// taking the log's backing Write off the apply hot path while keeping
-// the byte stream (and therefore crash recovery) identical to a
-// synchronous log's.
-// When Config.MapLogSync is set and w supports SetSyncOnFlush (the
-// LogRing does), every flushed buffer is additionally fsynced by the
-// log's background writer before the next one is written.
+// Records are buffered and written to w once per apply step, so the
+// log's durability boundary is the I/O request, not the individual
+// translation; the byte stream (and therefore crash recovery) is the
+// one an unbuffered log would carry. With Config.MapLogSync, a w that
+// has a Sync() error method is fsynced after every write.
+// CloseMappingLog writes out the tail.
 func (c *CRAID) SetMappingLog(w io.Writer) {
-	c.table.SetLog(w)
-	c.logFlush, _ = w.(interface{ Flush() })
-	c.logErr, _ = w.(interface{ Err() error })
+	l := &mapLog{sink: w}
 	if c.cfg.MapLogSync {
-		if s, ok := w.(interface{ SetSyncOnFlush(bool) }); ok {
-			s.SetSyncOnFlush(true)
-		}
+		l.sync, _ = w.(interface{ Sync() error })
 	}
+	l.buf = bufio.NewWriterSize(l, mapLogBufBytes)
+	c.log = l
+	c.table.SetLog(l.buf)
 }
 
-// flushLog marks an apply-step boundary for a batching mapping log and
-// reports the log's sticky error state (LogRing.Err): a dying log
-// device fails the run at the next apply step instead of surfacing as
-// a teardown surprise. Background flush points (copy-ins, expansions)
-// discard the error — it is sticky, so the next Submit returns it.
+// flushLog marks an apply-step boundary: what the step logged is
+// written out, and a log device that has failed — now or at an earlier
+// step — fails the run here instead of surfacing as a teardown
+// surprise. Background flush points (copy-ins, expansions) discard the
+// error — it is sticky, so the next Submit returns it.
 func (c *CRAID) flushLog() error {
-	if c.logFlush != nil {
-		c.logFlush.Flush()
+	if c.log == nil {
+		return nil
 	}
-	if c.logErr != nil {
-		if err := c.logErr.Err(); err != nil {
-			return fmt.Errorf("core: mapping log: %w", err)
-		}
+	if err := c.log.buf.Flush(); err != nil {
+		return fmt.Errorf("core: mapping log: %w", err)
 	}
 	return nil
+}
+
+// CloseMappingLog writes out what was logged since the last apply step
+// (a crash recovery re-logs the translations it reinstates), detaches
+// the log and reports its counters and its first write or fsync error.
+// Without a log it reports zeros.
+func (c *CRAID) CloseMappingLog() (MapLogStats, error) {
+	if c.log == nil {
+		return MapLogStats{}, nil
+	}
+	err := c.flushLog()
+	st := c.log.stats
+	st.Records = st.Bytes / mapcache.LogRecordSize
+	c.table.SetLog(nil)
+	c.log = nil
+	return st, err
 }
 
 // Recover replays a dirty-translation log after a crash: dirty cached

@@ -262,8 +262,9 @@ func (rt *FaultRuntime) Stats() *FaultStats { return &rt.arr.faults.stats }
 func (rt *FaultRuntime) Err() error { return rt.err }
 
 // SetCrashSource provides the log image CrashRestart events recover
-// from — e.g. a LogRing barrier over an in-memory mirror. Without one,
-// crash events restart the controller cold (all cached state lost).
+// from — e.g. an in-memory mirror of what SetMappingLog's writer
+// received; the mapping log is flushed before fn is called. Without
+// one, crash events restart the controller cold (all cached state lost).
 func (rt *FaultRuntime) SetCrashSource(fn func() (io.Reader, error)) { rt.crashSrc = fn }
 
 // SetDeviceFactory supplies the constructor expand events use to build
@@ -635,6 +636,12 @@ func (rt *FaultRuntime) crashRestart() {
 	}
 	var src io.Reader
 	if rt.crashSrc != nil {
+		// The image is the log as of this instant, what a recovery
+		// re-logged since the last apply step included.
+		if err := c.flushLog(); err != nil {
+			rt.fatal(fmt.Errorf("fault: %w", err))
+			return
+		}
 		r, err := rt.crashSrc()
 		if err != nil {
 			rt.fatal(fmt.Errorf("fault: reading crash log image: %w", err))

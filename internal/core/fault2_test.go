@@ -325,11 +325,12 @@ func TestStormMatchesExplicitCrashes(t *testing.T) {
 
 // TestCrashRestartStormLogRingMatchesSyncControl is the K-cycle
 // crash/recover property: a storm of crash-restart cycles over one
-// trace, each recovering from a LogRing Barrier'd in-memory mirror,
-// produces the same final Stats, fault counters, dirty mapping state,
-// histograms and log byte stream as the synchronous-log control run of
-// the same storm — the ring changes scheduling, never contents, even
-// when the controller dies K times.
+// trace, each recovering from what SetMappingLog's buffer has written
+// to its sink, produces the same final Stats, fault counters, dirty
+// mapping state, histograms and log byte stream as the control run of
+// the same storm whose table logs one Write per record — buffering
+// changes when bytes reach the sink, never which, even when the
+// controller dies K times.
 func TestCrashRestartStormLogRingMatchesSyncControl(t *testing.T) {
 	recs := randomWorkload(31, 4000, 12000)
 	const spec = "seed=5;storm:crash@12ms,n=4,every=9ms"
@@ -340,7 +341,7 @@ func TestCrashRestartStormLogRingMatchesSyncControl(t *testing.T) {
 		dirty  []mapcache.Mapping
 		rd, wr string
 	}
-	run := func(useRing bool) (outcome, []byte) {
+	run := func(buffered bool) (outcome, []byte) {
 		plan, err := fault.ParsePlan(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -348,33 +349,24 @@ func TestCrashRestartStormLogRingMatchesSyncControl(t *testing.T) {
 		eng := sim.NewEngine()
 		c, arr := newTestCRAID(eng, 64)
 		var log bytes.Buffer
-		var ring *mapcache.LogRing
-		if useRing {
-			ring = mapcache.NewLogRing(&log, 512, 3)
-			c.SetMappingLog(ring)
-		} else {
+		if buffered {
 			c.SetMappingLog(&log)
+		} else {
+			c.table.SetLog(&log) // the control: one Write per record
 		}
 		rt, err := InstallFaults(arr, c, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rt.SetCrashSource(func() (io.Reader, error) {
-			if ring != nil {
-				if err := ring.Barrier(); err != nil {
-					return nil, err
-				}
-			}
 			return bytes.NewReader(log.Bytes()), nil
 		})
 		replayAll(t, eng, c, recs)
 		if err := rt.Err(); err != nil {
 			t.Fatal(err)
 		}
-		if ring != nil {
-			if err := ring.Close(); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := c.CloseMappingLog(); err != nil {
+			t.Fatal(err)
 		}
 		return outcome{
 			faults: *rt.Stats(),
@@ -386,28 +378,28 @@ func TestCrashRestartStormLogRingMatchesSyncControl(t *testing.T) {
 	}
 
 	sync, syncLog := run(false)
-	ringO, ringLog := run(true)
+	bufO, bufLog := run(true)
 	if sync.faults.Restarts != 4 {
 		t.Fatalf("storm fired %d restarts, want 4: %+v", sync.faults.Restarts, sync.faults)
 	}
 	if sync.faults.RecoveredMappings == 0 {
 		t.Fatal("no cycle recovered mappings; the workload should have dirtied the cache")
 	}
-	if ringO.faults != sync.faults {
-		t.Errorf("fault stats diverged over %d cycles:\n  ring %+v\n  sync %+v",
-			sync.faults.Restarts, ringO.faults, sync.faults)
+	if bufO.faults != sync.faults {
+		t.Errorf("fault stats diverged over %d cycles:\n  buffered %+v\n  sync     %+v",
+			sync.faults.Restarts, bufO.faults, sync.faults)
 	}
-	if ringO.stats != sync.stats {
-		t.Error("controller stats diverged between ring and sync logs")
+	if bufO.stats != sync.stats {
+		t.Error("controller stats diverged between buffered and sync logs")
 	}
-	if !reflect.DeepEqual(ringO.dirty, sync.dirty) {
+	if !reflect.DeepEqual(bufO.dirty, sync.dirty) {
 		t.Error("post-storm dirty mapping state diverged")
 	}
-	if ringO.rd != sync.rd || ringO.wr != sync.wr {
+	if bufO.rd != sync.rd || bufO.wr != sync.wr {
 		t.Error("latency histograms diverged")
 	}
-	if !bytes.Equal(syncLog, ringLog) {
-		t.Errorf("log byte streams diverged (%d vs %d bytes)", len(syncLog), len(ringLog))
+	if !bytes.Equal(syncLog, bufLog) {
+		t.Errorf("log byte streams diverged (%d vs %d bytes)", len(syncLog), len(bufLog))
 	}
 }
 

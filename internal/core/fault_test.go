@@ -501,12 +501,14 @@ func TestFaultRebuildWalksAndRestoresDevice(t *testing.T) {
 	checkDrained(t, arr)
 }
 
-// TestCrashRestartLogRingMatchesSyncControl is the crash-recovery e2e:
-// the same workload replayed with a crash mid-run, once logging
-// synchronously to a plain buffer and once through the batched LogRing
-// with a Barrier'd in-memory mirror as the crash source. The recovered
-// state, the entire post-crash run, and the final log byte streams
-// must be identical — the ring changes scheduling, never contents.
+// TestCrashRestartLogRingMatchesSyncControl is the crash-recovery e2e
+// (named for the writer it was first written against): the same
+// workload replayed with a crash mid-run, once with the table logging
+// straight into a plain buffer, one Write per record, and once through
+// SetMappingLog's buffer, the sink in both cases being the crash
+// source. The recovered state, the entire post-crash run, and the
+// final log byte streams must be identical — buffering changes when
+// bytes reach the sink, never which.
 func TestCrashRestartLogRingMatchesSyncControl(t *testing.T) {
 	recs := randomWorkload(23, 4000, 12000)
 	const spec = "seed=5;crash@20ms"
@@ -517,7 +519,7 @@ func TestCrashRestartLogRingMatchesSyncControl(t *testing.T) {
 		dirty  []mapcache.Mapping
 		rd, wr string
 	}
-	run := func(useRing bool) (outcome, []byte) {
+	run := func(buffered bool) (outcome, []byte) {
 		plan, err := fault.ParsePlan(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -525,33 +527,24 @@ func TestCrashRestartLogRingMatchesSyncControl(t *testing.T) {
 		eng := sim.NewEngine()
 		c, arr := newTestCRAID(eng, 64)
 		var log bytes.Buffer
-		var ring *mapcache.LogRing
-		if useRing {
-			ring = mapcache.NewLogRing(&log, 512, 3)
-			c.SetMappingLog(ring)
-		} else {
+		if buffered {
 			c.SetMappingLog(&log)
+		} else {
+			c.table.SetLog(&log) // the control: one Write per record
 		}
 		rt, err := InstallFaults(arr, c, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rt.SetCrashSource(func() (io.Reader, error) {
-			if ring != nil {
-				if err := ring.Barrier(); err != nil {
-					return nil, err
-				}
-			}
 			return bytes.NewReader(log.Bytes()), nil
 		})
 		replayAll(t, eng, c, recs)
 		if err := rt.Err(); err != nil {
 			t.Fatal(err)
 		}
-		if ring != nil {
-			if err := ring.Close(); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := c.CloseMappingLog(); err != nil {
+			t.Fatal(err)
 		}
 		return outcome{
 			faults: *rt.Stats(),
@@ -563,27 +556,27 @@ func TestCrashRestartLogRingMatchesSyncControl(t *testing.T) {
 	}
 
 	sync, syncLog := run(false)
-	ringO, ringLog := run(true)
+	bufO, bufLog := run(true)
 	if sync.faults.Restarts != 1 {
 		t.Fatalf("crash never fired: %+v", sync.faults)
 	}
 	if sync.faults.RecoveredMappings == 0 {
 		t.Fatal("crash recovered no mappings; the workload should have dirtied the cache")
 	}
-	if ringO.faults != sync.faults {
-		t.Errorf("fault stats diverged:\n  ring %+v\n  sync %+v", ringO.faults, sync.faults)
+	if bufO.faults != sync.faults {
+		t.Errorf("fault stats diverged:\n  buffered %+v\n  sync     %+v", bufO.faults, sync.faults)
 	}
-	if ringO.stats != sync.stats {
-		t.Error("controller stats diverged between ring and sync logs")
+	if bufO.stats != sync.stats {
+		t.Error("controller stats diverged between buffered and sync logs")
 	}
-	if !reflect.DeepEqual(ringO.dirty, sync.dirty) {
+	if !reflect.DeepEqual(bufO.dirty, sync.dirty) {
 		t.Error("post-crash dirty mapping state diverged")
 	}
-	if ringO.rd != sync.rd || ringO.wr != sync.wr {
+	if bufO.rd != sync.rd || bufO.wr != sync.wr {
 		t.Error("latency histograms diverged")
 	}
-	if !bytes.Equal(syncLog, ringLog) {
-		t.Errorf("log byte streams diverged (%d vs %d bytes)", len(syncLog), len(ringLog))
+	if !bytes.Equal(syncLog, bufLog) {
+		t.Errorf("log byte streams diverged (%d vs %d bytes)", len(syncLog), len(bufLog))
 	}
 }
 
@@ -659,42 +652,53 @@ func TestCrashRecoveryMidExpandRetain(t *testing.T) {
 	}
 }
 
-// stickyErrLog is a synchronous mapping-log writer that dies after
-// accepting limit bytes, exposing the sticky error the way LogRing
-// does (Err method), so the controller's flush-step check sees it.
-type stickyErrLog struct {
-	n     int
-	limit int
-	err   error
+// dyingLog is a mapping-log sink that fails every Write once it has
+// been offered more than limit bytes.
+type dyingLog struct {
+	n, limit int
 }
 
-func (w *stickyErrLog) Write(p []byte) (int, error) {
-	w.n += len(p)
-	if w.n > w.limit && w.err == nil {
-		w.err = errors.New("log device gone")
-	}
-	if w.err != nil {
-		return 0, w.err
+func (w *dyingLog) Write(p []byte) (int, error) {
+	if w.n += len(p); w.n > w.limit {
+		return 0, errors.New("log device gone")
 	}
 	return len(p), nil
 }
 
-func (w *stickyErrLog) Err() error { return w.err }
-
-// TestMappingLogErrorFailsRun pins the satellite contract: a dying
-// mapping-log device surfaces as a Submit error at the next flush
-// step, aborting the replay instead of silently dropping durability.
+// TestMappingLogErrorFailsRun pins that a dying mapping-log device
+// surfaces as the error of the Submit whose flush step hit it, and of
+// every Submit after it, aborting the replay instead of silently
+// dropping durability.
 func TestMappingLogErrorFailsRun(t *testing.T) {
 	recs := randomWorkload(3, 3000, 12000)
 	eng := sim.NewEngine()
 	c, _ := newTestCRAID(eng, 64)
-	c.SetMappingLog(&stickyErrLog{limit: 4096})
-	_, err := Replay(eng, c, trace.NewSlice(recs))
+	sink := &dyingLog{limit: 4096}
+	c.SetMappingLog(sink)
+	n, err := Replay(eng, c, trace.NewSlice(recs))
 	if err == nil {
 		t.Fatal("replay over a dying mapping log reported success")
 	}
 	checkInvariants(t, c)
 	if !strings.Contains(err.Error(), "mapping log") {
 		t.Fatalf("error does not name the mapping log: %v", err)
+	}
+	if n == 0 || n >= int64(len(recs)) {
+		t.Fatalf("replay stopped after %d of %d records, want somewhere inside", n, len(recs))
+	}
+	// The failed write is the first one past the limit, and nothing was
+	// offered to the sink after it.
+	if offered := sink.n; offered <= sink.limit || offered > sink.limit+mapLogBufBytes {
+		t.Fatalf("sink was offered %d bytes around a limit of %d", offered, sink.limit)
+	}
+	offered := sink.n
+	if err := c.Submit(recs[n], nil); err == nil || !strings.Contains(err.Error(), "mapping log") {
+		t.Fatalf("Submit after the failure: %v, want the mapping log's error again", err)
+	}
+	if _, err := c.CloseMappingLog(); err == nil {
+		t.Fatal("CloseMappingLog lost the error")
+	}
+	if sink.n != offered {
+		t.Fatalf("sink was written to after it failed (%d → %d bytes)", offered, sink.n)
 	}
 }

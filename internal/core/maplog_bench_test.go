@@ -1,13 +1,11 @@
 package core
 
 import (
-	"bufio"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"craid/internal/disk"
-	"craid/internal/mapcache"
 	"craid/internal/sim"
 	"craid/internal/trace"
 )
@@ -34,12 +32,10 @@ func logBenchTrace(n int) []trace.Record {
 }
 
 // BenchmarkMappingLogReplay measures the dirty-log write path under
-// eviction churn: no log, a synchronous log straight to a file (one
-// 17-byte Write syscall per transition), a
-// synchronous bufio-wrapped file (userspace batching, flush syscalls
-// still inline on the apply path), and the LogRing (batching AND the
-// Write itself on a background goroutine). The file lives in the bench
-// temp dir, so the syscall cost is a real file's.
+// eviction churn: no log, the table writing straight to a file (one
+// 17-byte Write syscall per transition), and SetMappingLog (one Write
+// per apply step). The file lives in the bench temp dir, so the
+// syscall cost is a real file's.
 func BenchmarkMappingLogReplay(b *testing.B) {
 	recs := logBenchTrace(20_000)
 	run := func(b *testing.B, attach func(c *CRAID) func() error) {
@@ -70,33 +66,19 @@ func BenchmarkMappingLogReplay(b *testing.B) {
 	b.Run("nolog", func(b *testing.B) {
 		run(b, func(c *CRAID) func() error { return func() error { return nil } })
 	})
-	b.Run("file-sync", func(b *testing.B) {
+	b.Run("file-unbuffered", func(b *testing.B) {
 		run(b, func(c *CRAID) func() error {
 			f := logFile(b)
-			c.SetMappingLog(f)
+			c.table.SetLog(f)
 			return f.Close
 		})
 	})
-	b.Run("bufio-sync", func(b *testing.B) {
+	b.Run("file", func(b *testing.B) {
 		run(b, func(c *CRAID) func() error {
 			f := logFile(b)
-			w := bufio.NewWriterSize(f, 32<<10)
-			c.SetMappingLog(w)
+			c.SetMappingLog(f)
 			return func() error {
-				if err := w.Flush(); err != nil {
-					return err
-				}
-				return f.Close()
-			}
-		})
-	})
-	b.Run("ring", func(b *testing.B) {
-		run(b, func(c *CRAID) func() error {
-			f := logFile(b)
-			ring := mapcache.NewLogRing(f, 0, 0)
-			c.SetMappingLog(ring)
-			return func() error {
-				if err := ring.Close(); err != nil {
+				if _, err := c.CloseMappingLog(); err != nil {
 					return err
 				}
 				return f.Close()

@@ -25,7 +25,7 @@ type PCLevelRow struct {
 // AblationPCLevel runs CRAID-5's workload with RAID-0, RAID-5 and
 // RAID-6 cache partitions: the §6 trade-off between parity safety and
 // parity-update cost, made measurable.
-func AblationPCLevel(traceName string, scale, pcPct float64) ([]PCLevelRow, error) {
+func (r *Runner) AblationPCLevel(traceName string, scale, pcPct float64) ([]PCLevelRow, error) {
 	var cfgs []RunConfig
 	for _, level := range []core.PCLevel{core.PCRaid0, core.PCRaid5, core.PCRaid6} {
 		cfgs = append(cfgs, RunConfig{
@@ -37,7 +37,7 @@ func AblationPCLevel(traceName string, scale, pcPct float64) ([]PCLevelRow, erro
 			Bursty:   true,
 		})
 	}
-	results, err := RunAll(cfgs)
+	results, err := r.RunAll(cfgs)
 	if err != nil {
 		return nil, err
 	}

@@ -1,12 +1,12 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -113,8 +113,9 @@ func TestStoreRejectsMalformedHash(t *testing.T) {
 
 // TestStoreNamespacedByBuildIdentity pins what keeps a rebuilt
 // simulator from being served its predecessor's numbers: ConfigHash
-// covers the config, not the code, so entries live under the identity
-// of the binary that computed them.
+// covers the config, not the code — and promises nothing about its own
+// encoding from one build to the next — so entries live under the
+// identity of the binary that computed them.
 func TestStoreNamespacedByBuildIdentity(t *testing.T) {
 	dir := t.TempDir()
 	idA, idB := strings.Repeat("a", 64), strings.Repeat("b", 64)
@@ -146,162 +147,139 @@ func TestStoreNamespacedByBuildIdentity(t *testing.T) {
 	}
 }
 
-// --- Cache: the Executor contract, against a counting inner executor ---
+// --- Runner with a Store ---
 
-// countingExecutor records every config it is handed, then runs the
-// batch on the real pool.
-type countingExecutor struct {
-	mu        sync.Mutex
-	forwarded []RunConfig
-}
-
-func (c *countingExecutor) Execute(cfgs []RunConfig, emit func(CellResult)) error {
-	c.mu.Lock()
-	c.forwarded = append(c.forwarded, cfgs...)
-	c.mu.Unlock()
-	return localPool{}.Execute(cfgs, emit)
-}
-
-func (c *countingExecutor) take() []RunConfig {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	f := c.forwarded
-	c.forwarded = nil
-	return f
-}
-
-func runThrough(c *Cache, cfgs []RunConfig) ([]RunResult, error) {
-	return Collect(len(cfgs), func(emit func(CellResult)) error { return c.Execute(cfgs, emit) })
+// counts returns what r has answered from its store and simulated
+// since the last call.
+func counts(r *Runner) (hits, computed int64) {
+	return r.Hits.Swap(0), r.Computed.Swap(0)
 }
 
 func TestCacheColdForwardsEveryCellWarmForwardsNone(t *testing.T) {
-	inner := &countingExecutor{}
-	c := &Cache{Store: newTestStore(t), Inner: inner}
+	r := &Runner{Store: newTestStore(t)}
 	fault := faultTestConfig()
 	fault.FaultSpec = "seed=7;transient:3@5s-30s,rate=0.02,lat=4;fail:2@15s;rebuild:2@25s,rate=64"
 	cfgs := []RunConfig{
 		cheapCell("LRU", 500), cheapCell("ARC", 500), cheapCell("LRU", 900), fault,
 		{Trace: "wdev", Scale: QuickScale, Strategy: RAID5, TrackLoad: true, TrackSeq: true},
 	}
-	want, err := RunAll(cfgs) // the ground truth: no cache anywhere
+	want, err := new(Runner).RunAll(cfgs) // the ground truth: no store anywhere
 	if err != nil {
 		t.Fatal(err)
 	}
 	dropRingTelemetry(want)
 
-	cold, err := runThrough(c, cfgs)
+	cold, err := r.RunAll(cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f := inner.take(); !reflect.DeepEqual(f, cfgs) {
-		t.Fatalf("cold run forwarded %d cells, want all %d in order", len(f), len(cfgs))
+	if h, c := counts(r); h != 0 || c != 5 {
+		t.Fatalf("cold run: %d hits, %d computed, want 0 and 5", h, c)
 	}
-	warm, err := runThrough(c, cfgs)
+	warm, err := r.RunAll(cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f := inner.take(); len(f) != 0 {
-		t.Fatalf("warm run forwarded %d cells, want 0", len(f))
-	}
-	if h, n := c.Hits.Load(), c.Computed.Load(); h != 5 || n != 5 {
-		t.Fatalf("counters: %d hits, %d computed, want 5 and 5", h, n)
+	if h, c := counts(r); h != 5 || c != 0 {
+		t.Fatalf("warm run: %d hits, %d computed, want 5 and 0", h, c)
 	}
 	for name, got := range map[string][]RunResult{"cold": cold, "warm": warm} {
 		dropRingTelemetry(got)
 		for i := range want {
 			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Errorf("%s cell %d differs from plain RunAll:\n got %+v\nwant %+v", name, i, got[i], want[i])
+				t.Errorf("%s cell %d differs from a storeless RunAll:\n got %+v\nwant %+v", name, i, got[i], want[i])
 			}
 		}
 	}
 }
 
 // TestCacheForwardsOnlyUncacheableCellsWhenWarm pins the three kinds of
-// cell whose result is not a function of the canonical config alone: a
-// TraceAt handle has no canonical form, a TraceFile is keyed by path
-// and not contents, and a MappingLog hit would skip writing the log.
+// cell whose result is not a function of the store key alone: a
+// TraceAt handle is not in the key (two such cells here share one), a
+// TraceFile is keyed by path and not contents, and a MappingLog hit
+// would skip writing the log.
 func TestCacheForwardsOnlyUncacheableCellsWhenWarm(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "two.trace")
 	const twoRecords = "0 R 0 8\n100 W 4000 8\n" // native format: time op addr len
+	const threeRecords = twoRecords + "200 R 8 8\n"
 	if err := os.WriteFile(tracePath, []byte(twoRecords), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
 	fileCell := RunConfig{
 		Trace: "file-cell", Scale: QuickScale, Strategy: CRAID5, PCPct: 0.02,
 		TraceFile: tracePath, TraceFormat: "native", DatasetBlocks: 50_000,
 	}
 	atCell := fileCell
 	atCell.Trace, atCell.TraceFile = "at-cell", ""
-	atCell.TraceAt, atCell.TraceAtSize = f, int64(len(twoRecords))
+	atCell.TraceAt, atCell.TraceAtSize = strings.NewReader(twoRecords), int64(len(twoRecords))
+	atCell3 := atCell
+	atCell3.TraceAt, atCell3.TraceAtSize = strings.NewReader(threeRecords), int64(len(threeRecords))
 	logCell := RunConfig{Trace: "wdev", Scale: QuickScale, Strategy: CRAID5, PCPct: 0.008,
 		MappingLog: filepath.Join(dir, "dirty.log")}
-	cfgs := []RunConfig{cheapCell("LRU", 500), fileCell, cheapCell("ARC", 500), logCell, atCell}
+	cfgs := []RunConfig{cheapCell("LRU", 500), fileCell, cheapCell("ARC", 500), logCell, atCell, atCell3}
 
-	inner := &countingExecutor{}
-	c := &Cache{Store: newTestStore(t), Inner: inner}
-	if _, err := runThrough(c, cfgs); err != nil {
+	r := &Runner{Store: newTestStore(t)}
+	if _, err := r.RunAll(cfgs); err != nil {
 		t.Fatal(err)
 	}
-	if f := inner.take(); len(f) != len(cfgs) {
-		t.Fatalf("cold run forwarded %d cells, want %d", len(f), len(cfgs))
+	if h, c := counts(r); h != 0 || c != int64(len(cfgs)) {
+		t.Fatalf("cold run: %d hits, %d computed, want 0 and %d", h, c, len(cfgs))
+	}
+	coldLog, err := os.ReadFile(logCell.MappingLog)
+	if err != nil || len(coldLog) == 0 {
+		t.Fatalf("cold run's mapping log: %d bytes, %v", len(coldLog), err)
 	}
 	if err := os.Remove(logCell.MappingLog); err != nil {
 		t.Fatal(err)
 	}
-	got, err := runThrough(c, cfgs)
+	got, err := r.RunAll(cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f := inner.take(); !reflect.DeepEqual(f, []RunConfig{fileCell, logCell, atCell}) {
-		t.Fatalf("warm run forwarded %d cells, want exactly the TraceFile, MappingLog and TraceAt ones", len(f))
+	if h, c := counts(r); h != 2 || c != 4 {
+		t.Fatalf("warm run: %d hits, %d computed, want 2 and exactly the TraceFile, MappingLog and TraceAt cells", h, c)
 	}
-	for i, trace := range []string{"webresearch", "file-cell", "webresearch", "wdev", "at-cell"} {
+	for i, trace := range []string{"webresearch", "file-cell", "webresearch", "wdev", "at-cell", "at-cell"} {
 		if got[i].Cfg.Trace != trace {
 			t.Errorf("result %d is for %q, want %q: config order lost", i, got[i].Cfg.Trace, trace)
 		}
 	}
-	if got[1].Requests != 2 || got[4].Requests != 2 {
-		t.Errorf("file cells replayed %d and %d records, want 2 and 2", got[1].Requests, got[4].Requests)
+	if got[1].Requests != 2 || got[4].Requests != 2 || got[5].Requests != 3 {
+		t.Errorf("file cells replayed %d, %d and %d records, want 2, 2 and 3",
+			got[1].Requests, got[4].Requests, got[5].Requests)
 	}
-	if _, err := os.Stat(logCell.MappingLog); err != nil {
-		t.Errorf("warm run did not write the mapping log: %v", err)
+	if warmLog, err := os.ReadFile(logCell.MappingLog); err != nil || !bytes.Equal(warmLog, coldLog) {
+		t.Errorf("warm run did not rewrite the mapping log: %d bytes against %d, %v", len(warmLog), len(coldLog), err)
 	}
 }
 
 func TestCacheNeverStoresAFailedCell(t *testing.T) {
-	inner := &countingExecutor{}
-	c := &Cache{Store: newTestStore(t), Inner: inner}
+	r := &Runner{Store: newTestStore(t)}
 	bad := []RunConfig{{Trace: "wdev", Strategy: CRAID5}} // Scale 0: Run rejects it
 	for _, run := range []string{"cold", "warm"} {
-		if _, err := runThrough(c, bad); err == nil {
-			t.Fatalf("%s: bad cell did not error through the cache", run)
+		if _, err := r.RunAll(bad); err == nil {
+			t.Fatalf("%s: bad cell did not error through the store", run)
 		}
-		if f := inner.take(); len(f) != 1 {
-			t.Fatalf("%s: forwarded %d cells, want the failing one again", run, len(f))
+		if h, c := counts(r); h != 0 || c != 1 {
+			t.Fatalf("%s: %d hits, %d computed, want the failing cell computed again", run, h, c)
 		}
 	}
-	if _, ok, _ := c.Store.Get(mustHash(t, bad[0])); ok {
+	if _, ok, _ := r.Store.Get(mustHash(t, bad[0])); ok {
 		t.Fatal("failed cell was stored")
 	}
 }
 
 func TestCacheRecomputesACorruptEntry(t *testing.T) {
-	inner := &countingExecutor{}
-	c := &Cache{Store: newTestStore(t), Inner: inner}
+	r := &Runner{Store: newTestStore(t)}
 	cfgs := []RunConfig{cheapCell("LRU", 500), cheapCell("WLRU", 700)}
-	want, err := runThrough(c, cfgs)
+	want, err := r.RunAll(cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner.take()
+	counts(r)
 	hash := mustHash(t, cfgs[1])
-	p := filepath.Join(c.Store.dir, hash[:2], hash+".json")
+	p := filepath.Join(r.Store.dir, hash[:2], hash+".json")
 	whole, err := os.ReadFile(p)
 	if err != nil {
 		t.Fatal(err)
@@ -309,17 +287,17 @@ func TestCacheRecomputesACorruptEntry(t *testing.T) {
 	if err := os.WriteFile(p, whole[:len(whole)/2], 0o644); err != nil { // torn
 		t.Fatal(err)
 	}
-	got, err := runThrough(c, cfgs)
+	got, err := r.RunAll(cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f := inner.take(); !reflect.DeepEqual(f, cfgs[1:]) {
-		t.Fatalf("forwarded %d cells, want only the one whose entry was torn", len(f))
+	if h, c := counts(r); h != 1 || c != 1 {
+		t.Fatalf("%d hits, %d computed, want only the cell whose entry was torn computed", h, c)
 	}
 	if !reflect.DeepEqual(dropRingTelemetry(got), dropRingTelemetry(want)) {
 		t.Fatal("recomputed result differs from the first run")
 	}
-	if _, ok, _ := c.Store.Get(hash); !ok {
+	if _, ok, _ := r.Store.Get(hash); !ok {
 		t.Fatal("recomputed cell was not stored again")
 	}
 }

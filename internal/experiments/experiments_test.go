@@ -144,7 +144,7 @@ func TestFigure1Shapes(t *testing.T) {
 }
 
 func TestTables2and3PolicyRanking(t *testing.T) {
-	rows, err := Tables2and3(0.3)
+	rows, err := new(Runner).Tables2and3(0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestTables2and3PolicyRanking(t *testing.T) {
 
 func TestResponseTimeSweepShapes(t *testing.T) {
 	// wdev at modest volume: the paper's principal Fig. 4/6 claims.
-	sweep, err := ResponseTimeSweep("wdev", ScaleFor("wdev", 0.5), []float64{0.008, 0.032})
+	sweep, err := new(Runner).ResponseTimeSweep("wdev", ScaleFor("wdev", 0.5), []float64{0.008, 0.032})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestResponseTimeSweepShapes(t *testing.T) {
 }
 
 func TestFigure5SequentialityOrdering(t *testing.T) {
-	series, err := Figure5("webusers", ScaleFor("webusers", 0.5), 0.016)
+	series, err := new(Runner).Figure5("webusers", ScaleFor("webusers", 0.5), 0.016)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestFigure5SequentialityOrdering(t *testing.T) {
 }
 
 func TestTable5QueueComparison(t *testing.T) {
-	rows, err := Table5(ScaleFor("wdev", 0.5))
+	rows, err := new(Runner).Table5(ScaleFor("wdev", 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestTable5QueueComparison(t *testing.T) {
 }
 
 func TestFigure7AndTable6(t *testing.T) {
-	series, err := Figure7("wdev", ScaleFor("wdev", 0.5), []float64{0.002, 0.032})
+	series, err := new(Runner).Figure7("wdev", ScaleFor("wdev", 0.5), []float64{0.002, 0.032})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestMigrationAblation(t *testing.T) {
 // writes without a parity update, RAID-5 pays one read-modify-write and
 // RAID-6 a second parity leg on top of it.
 func TestAblationPCLevel(t *testing.T) {
-	rows, err := AblationPCLevel("wdev", QuickScale, 0.008)
+	rows, err := new(Runner).AblationPCLevel("wdev", QuickScale, 0.008)
 	if err != nil {
 		t.Fatal(err)
 	}

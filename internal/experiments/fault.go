@@ -43,23 +43,20 @@ type FaultRow struct {
 // and reports the comparison. cfg.FaultSpec is overwritten by spec; all
 // other knobs (strategy, scale, cache size) apply to both runs,
 // so the delta isolates the fault fabric's effect.
-func RunFault(name string, cfg RunConfig, spec string) (FaultRow, error) {
-	cfg.FaultSpec = ""
-	healthy, err := Run(cfg)
+func (r *Runner) RunFault(name string, cfg RunConfig, spec string) (FaultRow, error) {
+	healthy := cfg
+	healthy.FaultSpec = ""
+	cfg.FaultSpec = spec
+	results, err := r.RunAll([]RunConfig{healthy, cfg})
 	if err != nil {
-		return FaultRow{}, fmt.Errorf("experiments: healthy baseline: %w", err)
+		return FaultRow{}, err
 	}
-	return faultRowFrom(name, cfg, spec, healthy)
+	return faultRowFrom(name, spec, results[0], results[1]), nil
 }
 
-// faultRowFrom replays cfg with spec installed and assembles the
-// comparison row against an already-computed healthy baseline.
-func faultRowFrom(name string, cfg RunConfig, spec string, healthy RunResult) (FaultRow, error) {
-	cfg.FaultSpec = spec
-	faulted, err := Run(cfg)
-	if err != nil {
-		return FaultRow{}, fmt.Errorf("experiments: fault run %q: %w", spec, err)
-	}
+// faultRowFrom assembles the comparison row of a faulted run against
+// its healthy baseline.
+func faultRowFrom(name, spec string, healthy, faulted RunResult) FaultRow {
 	row := FaultRow{
 		Name:            name,
 		Spec:            spec,
@@ -83,7 +80,7 @@ func faultRowFrom(name string, cfg RunConfig, spec string, healthy RunResult) (F
 		row.ExpandWriteback = fs.ExpandWriteback
 		row.UpgradeLatency = fs.UpgradeLatency()
 	}
-	return row, nil
+	return row
 }
 
 // RunFaultFamily runs the standard failure experiments against cfg: a
@@ -92,8 +89,9 @@ func faultRowFrom(name string, cfg RunConfig, spec string, healthy RunResult) (F
 // group while the first rebuild runs), and — for CRAID strategies —
 // crash-restart, crash-during-rebuild, a crash storm, and online
 // expansion under load in both invalidate and retain flavors. Every
-// row compares against one shared healthy baseline run.
-func RunFaultFamily(cfg RunConfig) ([]FaultRow, error) {
+// row compares against one shared healthy baseline run; the baseline
+// and the plans are one RunAll batch.
+func (r *Runner) RunFaultFamily(cfg RunConfig) ([]FaultRow, error) {
 	dur := cfg.Duration
 	if dur <= 0 {
 		// The family wants the failure mid-run; without an explicit
@@ -133,17 +131,18 @@ func RunFaultFamily(cfg RunConfig) ([]FaultRow, error) {
 		)
 	}
 	cfg.FaultSpec = ""
-	healthy, err := Run(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: healthy baseline: %w", err)
-	}
-	rows := make([]FaultRow, 0, len(exps))
+	cfgs := []RunConfig{cfg}
 	for _, e := range exps {
-		row, err := faultRowFrom(e.name, cfg, e.spec, healthy)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
+		cfg.FaultSpec = e.spec
+		cfgs = append(cfgs, cfg)
+	}
+	results, err := r.RunAll(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]FaultRow, len(exps))
+	for i, e := range exps {
+		rows[i] = faultRowFrom(e.name, e.spec, results[0], results[1+i])
 	}
 	return rows, nil
 }

@@ -76,7 +76,7 @@ func TestRunFaultCrashRestart(t *testing.T) {
 // interference ratios are populated.
 func TestRunFaultRowComparesHealthyBaseline(t *testing.T) {
 	cfg := faultTestConfig()
-	row, err := RunFault("fail+rebuild", cfg, "seed=1;fail:2@15s;rebuild:2@25s,rate=64")
+	row, err := new(Runner).RunFault("fail+rebuild", cfg, "seed=1;fail:2@15s;rebuild:2@25s,rate=64")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestRunFaultFamilyCRAID(t *testing.T) {
 	}
 	cfg := faultTestConfig()
 	cfg.Scale = ScaleFor("wdev", 0.02)
-	rows, err := RunFaultFamily(cfg)
+	rows, err := new(Runner).RunFaultFamily(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

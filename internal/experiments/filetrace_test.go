@@ -127,7 +127,7 @@ func TestRunMSRVolumesSplitsAndRunsAll(t *testing.T) {
 	vols := []int{0, 2, 5}
 	path, counts := buildMSRFile(t, vols, 200)
 
-	results, err := RunMSRVolumes(path, fileCfg("", "msr"))
+	results, err := new(Runner).RunMSRVolumes(path, fileCfg("", "msr"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestRunMSRVolumesSplitsAndRunsAll(t *testing.T) {
 
 func TestRunMSRVolumesEmptyFile(t *testing.T) {
 	path := writeTempTrace(t, "empty.csv", "# nothing\n")
-	if _, err := RunMSRVolumes(path, fileCfg("", "msr")); err == nil {
+	if _, err := new(Runner).RunMSRVolumes(path, fileCfg("", "msr")); err == nil {
 		t.Fatal("empty MSR file did not error")
 	}
 }

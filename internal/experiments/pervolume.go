@@ -19,7 +19,7 @@ type VolumeResult struct {
 // simulation built from base (TraceFile/TraceFormat/TraceVolume are
 // overridden per cell; everything else — strategy, P_C size,
 // DatasetBlocks — is taken as given, and a zero Scale is derived from
-// DatasetBlocks). Cells run concurrently under RunAll's worker pool,
+// DatasetBlocks). Cells run concurrently under r's worker pool,
 // and each cell's replay pipeline parses its own volume's records off
 // its simulation path, so a k-volume file keeps up to k parsers and k
 // simulations busy at once.
@@ -30,7 +30,7 @@ type VolumeResult struct {
 // regardless of volume count instead of one per volume.
 //
 // Results are returned in ascending DiskNumber order.
-func RunMSRVolumes(path string, base RunConfig) ([]VolumeResult, error) {
+func (r *Runner) RunMSRVolumes(path string, base RunConfig) ([]VolumeResult, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -62,7 +62,7 @@ func RunMSRVolumes(path string, base RunConfig) ([]VolumeResult, error) {
 		}
 		cfgs[i] = c
 	}
-	results, err := RunAll(cfgs)
+	results, err := r.RunAll(cfgs)
 	if err != nil {
 		return nil, err
 	}

@@ -24,7 +24,6 @@ import (
 	"craid/internal/core"
 	"craid/internal/disk"
 	"craid/internal/fault"
-	"craid/internal/mapcache"
 	"craid/internal/metrics"
 	"craid/internal/raid"
 	"craid/internal/sim"
@@ -177,9 +176,9 @@ type RunConfig struct {
 	// and safe for any number of concurrent cells. RunMSRVolumes uses
 	// this to fan a k-volume file into k parallel simulations over ONE
 	// open file instead of k. TraceFile then only labels the run.
-	// Excluded from JSON (and from the canonical encoding, see
-	// canon.go): an open handle is process-local state, so cells
-	// carrying one never reach the result cache.
+	// Excluded from JSON, and so from the store key (ConfigHash): an
+	// open handle is process-local state, and cells carrying one never
+	// reach the result store.
 	TraceAt     io.ReaderAt `json:"-"`
 	TraceAtSize int64       `json:"-"`
 
@@ -192,12 +191,12 @@ type RunConfig struct {
 	FaultSpec string
 
 	// MappingLog, when non-empty, attaches a persistent dirty-
-	// translation log at this path, written through a batched
-	// mapcache.LogRing so the apply path never blocks on the log
-	// device; RunResult.MapLog reports the ring's counters.
+	// translation log at this path, written once per apply step
+	// (core.CRAID.SetMappingLog); RunResult.MapLog reports its
+	// counters.
 	MappingLog string
 	// MapLogSync additionally fsyncs the log file after every flushed
-	// ring buffer (core.Config.MapLogSync): each completed flush is on
+	// buffer (core.Config.MapLogSync): each completed flush is on
 	// stable media instead of merely handed to the OS. The recovery
 	// byte stream is identical at both settings.
 	MapLogSync bool
@@ -225,9 +224,10 @@ type RunResult struct {
 	CRAID *core.Stats // nil for the plain baselines
 
 	// Replay reports the replay ring's back-pressure counters; MapLog
-	// the dirty-log ring's counters (zero unless MappingLog was set).
+	// the dirty log's counters (zero unless MappingLog was set or the
+	// fault plan crashes the controller).
 	Replay core.ReplayStats
-	MapLog mapcache.LogRingStats
+	MapLog core.MapLogStats
 
 	// Fault KPIs, populated when FaultSpec installed a plan: the fault
 	// fabric's counters, the response-time distribution of requests
@@ -321,7 +321,6 @@ func Run(cfg RunConfig) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
-	var logRing *mapcache.LogRing
 	var logMirror *bytes.Buffer
 	if cfg.MappingLog != "" || plan.HasCrash() {
 		c, ok := vol.(*core.CRAID)
@@ -332,7 +331,7 @@ func Run(cfg RunConfig) (RunResult, error) {
 			return RunResult{}, fmt.Errorf("experiments: a crash fault plan needs a CRAID strategy, not %s", cfg.Strategy)
 		}
 		// A crash plan recovers from the log image as of the crash
-		// instant, so the ring additionally mirrors the byte stream in
+		// instant, so the byte stream is additionally mirrored in
 		// memory (the mirror IS the log when no file is configured).
 		var w io.Writer
 		if plan.HasCrash() {
@@ -351,13 +350,7 @@ func Run(cfg RunConfig) (RunResult, error) {
 				w = f
 			}
 		}
-		logRing = mapcache.NewLogRing(w, 0, 0)
-		// Close is idempotent; the deferred call (which runs before the
-		// file's, in LIFO order) reaps the writer goroutine and flushes
-		// the tail on error paths, while the success path below closes
-		// explicitly to surface write errors.
-		defer logRing.Close()
-		c.SetMappingLog(logRing)
+		c.SetMappingLog(w)
 	}
 	var faultRT *core.FaultRuntime
 	if cfg.FaultSpec != "" {
@@ -389,16 +382,11 @@ func Run(cfg RunConfig) (RunResult, error) {
 			})
 		}
 		if plan.HasCrash() {
-			ring, mirror := logRing, logMirror
+			// The runtime flushes the log before it asks, so the mirror
+			// holds exactly the records appended before the crash
+			// instant.
 			faultRT.SetCrashSource(func() (io.Reader, error) {
-				// Barrier drains the ring's writer goroutine, so the
-				// mirror holds exactly the records appended before the
-				// crash instant — the image a synchronous log would
-				// carry at the same cut.
-				if err := ring.Barrier(); err != nil {
-					return nil, err
-				}
-				return bytes.NewReader(mirror.Bytes()), nil
+				return bytes.NewReader(logMirror.Bytes()), nil
 			})
 		}
 	}
@@ -427,12 +415,11 @@ func Run(cfg RunConfig) (RunResult, error) {
 			return RunResult{}, err
 		}
 	}
-	var logStats mapcache.LogRingStats
-	if logRing != nil {
-		if err := logRing.Close(); err != nil {
+	var logStats core.MapLogStats
+	if c, ok := vol.(*core.CRAID); ok {
+		if logStats, err = c.CloseMappingLog(); err != nil {
 			return RunResult{}, fmt.Errorf("experiments: mapping log %s: %w", cfg.MappingLog, err)
 		}
-		logStats = logRing.Stats()
 	}
 
 	res := RunResult{
@@ -623,9 +610,7 @@ func buildVolume(eng *sim.Engine, cfg RunConfig, dataset int64) (core.Volume, *c
 
 // teeLog duplicates the dirty-log byte stream into an in-memory mirror
 // so a crash event can recover from the image as of the crash instant
-// while the on-disk log keeps its full history. Both writers are driven
-// only by the LogRing's background goroutine; the mirror is read on the
-// simulation goroutine strictly after a Barrier, which synchronizes.
+// while the on-disk log keeps its full history.
 type teeLog struct {
 	f      *os.File
 	mirror *bytes.Buffer
@@ -636,7 +621,7 @@ func (t teeLog) Write(p []byte) (int, error) {
 	return t.f.Write(p)
 }
 
-// Sync exposes the file's fsync to the ring's MapLogSync knob.
+// Sync exposes the file's fsync to core.Config.MapLogSync.
 func (t teeLog) Sync() error { return t.f.Sync() }
 
 func indices(from, n int) []int {

@@ -15,8 +15,8 @@ import (
 
 // Store is the content-addressed result cache behind craidbench
 // -cache: one JSON-encoded RunResult per completed cell, keyed by the
-// canonical config hash (ConfigHash) and namespaced by the identity of
-// the build that computed it:
+// config's hash (ConfigHash) and namespaced by the identity of the
+// build that computed it:
 //
 //	<dir>/<id[:16]>/<hh>/<hash>.json
 //

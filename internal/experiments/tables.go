@@ -87,8 +87,8 @@ func PolicyNamesPaper() []string { return []string{"LRU", "LFUDA", "GDSF", "ARC"
 // Tables2and3 evaluates every policy on every trace with a P_C of 0.1%
 // of the weekly working set, using the instant disk model, exactly as
 // §5.1 does. Each workload scales to roughly budgetGB of traffic. The
-// trace × policy cells run concurrently (see RunAll).
-func Tables2and3(budgetGB float64) ([]PolicyRow, error) {
+// trace × policy cells run concurrently (see Runner.RunAll).
+func (r *Runner) Tables2and3(budgetGB float64) ([]PolicyRow, error) {
 	var cfgs []RunConfig
 	for _, traceName := range workload.PresetNames() {
 		scale := ScaleFor(traceName, budgetGB)
@@ -112,7 +112,7 @@ func Tables2and3(budgetGB float64) ([]PolicyRow, error) {
 			})
 		}
 	}
-	results, err := RunAll(cfgs)
+	results, err := r.RunAll(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +152,7 @@ type SweepResult struct {
 // series for one trace: every strategy at every cache size (plain
 // baselines once, since they have no P_C), run concurrently. pcSizes
 // nil uses the paper's sweep for the trace.
-func ResponseTimeSweep(traceName string, scale float64, pcSizes []float64) (SweepResult, error) {
+func (r *Runner) ResponseTimeSweep(traceName string, scale float64, pcSizes []float64) (SweepResult, error) {
 	if pcSizes == nil {
 		pcSizes = PCSizes(traceName)
 	}
@@ -172,7 +172,7 @@ func ResponseTimeSweep(traceName string, scale float64, pcSizes []float64) (Swee
 		}
 	}
 	out := SweepResult{Trace: traceName}
-	results, err := RunAll(cfgs)
+	results, err := r.RunAll(cfgs)
 	if err != nil {
 		return out, err
 	}
@@ -233,7 +233,7 @@ type Figure5Series struct {
 // Figure5 measures access sequentiality per strategy for one trace
 // (the paper shows cello99 and webusers; any preset works). Uses
 // bursty arrivals so scan-like streams exist to be sequentialized.
-func Figure5(traceName string, scale, pcPct float64) ([]Figure5Series, error) {
+func (r *Runner) Figure5(traceName string, scale, pcPct float64) ([]Figure5Series, error) {
 	var cfgs []RunConfig
 	for _, strat := range []Strategy{RAID5, RAID5Plus, CRAID5, CRAID5Plus} {
 		cfgs = append(cfgs, RunConfig{
@@ -245,7 +245,7 @@ func Figure5(traceName string, scale, pcPct float64) ([]Figure5Series, error) {
 			TrackSeq: true,
 		})
 	}
-	results, err := RunAll(cfgs)
+	results, err := r.RunAll(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -279,12 +279,12 @@ type Table5Row struct {
 
 // Table5 reproduces the wdev comparison at P_C = 0.002% with bursty
 // arrivals (queue dynamics need load).
-func Table5(scale float64) ([]Table5Row, error) {
+func (r *Runner) Table5(scale float64) ([]Table5Row, error) {
 	cfgs := []RunConfig{
 		{Trace: "wdev", Scale: scale, Strategy: CRAID5Plus, PCPct: 0.002, Bursty: true},
 		{Trace: "wdev", Scale: scale, Strategy: CRAID5PlusSSD, PCPct: 0.002, Bursty: true},
 	}
-	results, err := RunAll(cfgs)
+	results, err := r.RunAll(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -316,7 +316,7 @@ var CVGrid = []float64{0.25, 0.5, 0.75, 1, 1.5, 2, 3, 4, 6}
 // Figure7 measures the workload-distribution uniformity (cv CDFs) for
 // one trace: the plain baselines plus every CRAID variant at each of
 // pcSizes (nil = the trace's paper sweep).
-func Figure7(traceName string, scale float64, pcSizes []float64) ([]Figure7Series, error) {
+func (r *Runner) Figure7(traceName string, scale float64, pcSizes []float64) ([]Figure7Series, error) {
 	if pcSizes == nil {
 		pcSizes = PCSizes(traceName)
 	}
@@ -337,7 +337,7 @@ func Figure7(traceName string, scale float64, pcSizes []float64) ([]Figure7Serie
 			})
 		}
 	}
-	results, err := RunAll(cfgs)
+	results, err := r.RunAll(cfgs)
 	if err != nil {
 		return nil, err
 	}

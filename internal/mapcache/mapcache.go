@@ -68,7 +68,7 @@ type Table struct {
 	// to the heap at the io.Writer call — one allocation per logged
 	// transition; Write contracts not to retain the slice, so reusing
 	// one buffer is safe.
-	logRec [recordSize]byte
+	logRec [LogRecordSize]byte
 }
 
 // New returns an empty table.
@@ -268,7 +268,8 @@ const (
 	logRemove byte = 3 // mapping removed (payload: orig)
 )
 
-const recordSize = 1 + 8 + 8
+// LogRecordSize is the size of one log record: kind, orig, cache.
+const LogRecordSize = 1 + 8 + 8
 
 func (t *Table) appendLog(kind byte, m Mapping) {
 	if t.log == nil {
@@ -290,7 +291,7 @@ func (t *Table) appendLog(kind byte, m Mapping) {
 func Recover(r io.Reader) ([]Mapping, error) {
 	br := bufio.NewReader(r)
 	dirty := make(map[int64]int64)
-	var rec [recordSize]byte
+	var rec [LogRecordSize]byte
 	for {
 		_, err := io.ReadFull(br, rec[:])
 		if err == io.EOF {

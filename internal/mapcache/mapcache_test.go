@@ -257,7 +257,7 @@ func TestRecoverToleratesTornRecord(t *testing.T) {
 }
 
 func TestRecoverRejectsCorruptKind(t *testing.T) {
-	rec := make([]byte, recordSize)
+	rec := make([]byte, LogRecordSize)
 	rec[0] = 99
 	if _, err := Recover(bytes.NewReader(rec)); err == nil {
 		t.Error("corrupt record kind not rejected")

@@ -4,17 +4,26 @@
 package prof
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 )
 
-// Start begins CPU profiling into cpuPath and arms an allocation
-// profile for memPath; an empty path skips that profile. The returned
-// stop func ends the CPU profile and writes the heap profile. Call it
-// exactly once, and before os.Exit (which skips deferred calls).
-func Start(cpuPath, memPath string) (stop func() error, err error) {
+// Flags registers -cpuprofile and -memprofile on fs. The returned
+// func, called once fs is parsed, starts the profiles the flags ask for.
+func Flags(fs *flag.FlagSet) (start func() (stop func() error, err error)) {
+	cpu := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	mem := fs.String("memprofile", "", "write an allocation profile of the run to this file")
+	return func() (func() error, error) { return startProfiles(*cpu, *mem) }
+}
+
+// startProfiles begins CPU profiling into cpuPath and arms an
+// allocation profile for memPath; an empty path skips that profile. The
+// returned stop func ends the CPU profile and writes the heap profile.
+// Call it exactly once, and before os.Exit (which skips deferred calls).
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 	var cpuFile *os.File
 	if cpuPath != "" {
 		cpuFile, err = os.Create(cpuPath)
