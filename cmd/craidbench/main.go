@@ -41,6 +41,7 @@ import (
 	"runtime"
 	"strings"
 
+	"craid/internal/cache"
 	"craid/internal/experiments"
 	"craid/internal/prof"
 	"craid/internal/workload"
@@ -216,7 +217,7 @@ func (r *runner) tables23(which string) {
 		header("Table 3: replacement ratio (%) per cache-management algorithm")
 	}
 	fmt.Printf("%-12s", "trace")
-	for _, p := range experiments.PolicyNamesPaper() {
+	for _, p := range cache.Names() {
 		fmt.Printf(" %8s", p)
 	}
 	fmt.Println()
@@ -240,7 +241,7 @@ func (r *runner) tables23(which string) {
 			}
 		}
 		fmt.Printf("%-12s", name)
-		for _, p := range experiments.PolicyNamesPaper() {
+		for _, p := range cache.Names() {
 			fmt.Printf(" %7.2f%%", 100*vals[p])
 		}
 		fmt.Println()
@@ -510,12 +511,13 @@ func (r *runner) fault() {
 			return
 		}
 		for _, row := range rows {
+			res, f := row.Faulted, row.Faulted.Fault
 			fmt.Printf("%-13s %-16s %6.2fx %6.2fx %10.3f %10.3f %10.3f %10.3f %11.2f %5d %5d %8.3f\n",
-				strat, row.Name, row.ReadMeanX, row.WriteMeanX,
-				row.DegReadMean.Milliseconds(), row.DegReadP99.Milliseconds(),
-				row.DegWriteMean.Milliseconds(), row.DegWriteP99.Milliseconds(),
-				row.RebuildDuration.Seconds(),
-				row.RebuildLostRows, row.Restarts, row.UpgradeLatency.Milliseconds())
+				strat, row.Name, row.ReadMeanX(), row.WriteMeanX(),
+				res.DegReadMean.Milliseconds(), res.DegReadP99.Milliseconds(),
+				res.DegWriteMean.Milliseconds(), res.DegWriteP99.Milliseconds(),
+				res.RebuildDuration.Seconds(),
+				f.RebuildLostRows, f.Restarts, f.UpgradeLatency().Milliseconds())
 		}
 	}
 }

@@ -17,9 +17,9 @@
 // -format picks the parser (native, msr, blk), -dataset-gb sizes the
 // simulated dataset, and for MSR multi-volume files -volume restricts
 // the replay to one DiskNumber (default: all volumes interleaved).
-// -pervolume splits an MSR file into its volumes and replays each
-// against an independent simulation in parallel, one result row per
-// volume (all volumes share one file handle via pread-style reads).
+// -pervolume splits an MSR file (-format msr) into its volumes and
+// replays each against an independent simulation in parallel, one
+// result row per volume (each row is the run -volume N makes).
 //
 // -maplog attaches a dirty-translation log written once per apply step
 // (-maplog-sync fsyncs the file after every flushed buffer); the
@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"craid/internal/disk"
 	"craid/internal/experiments"
@@ -78,7 +79,7 @@ func run(args []string, stdout io.Writer) error {
 		"MSR only: split the file into volumes and simulate each in parallel")
 	faultSpec := fs.String("fault", "",
 		"deterministic failure plan: events fail:D@T, transient:D@T-T2,rate,lat, rebuild:D@T,rate, crash@T, "+
-			"expand@T,disks=N[,retain], storm:crash@T,n=K,every=D, and per-device sub-plans dev:D{...}; "+
+			"expand@T,disks=N[,retain] and storm:crash@T,n=K,every=D; "+
 			"compound plans compose, e.g. \"seed=7;fail:2@5s;rebuild:2@10s,rate=64;fail:12@8s;crash@20s\" "+
 			"(second fault mid-rebuild + crash-restart) or \"seed=7;expand@5s,disks=5,retain;storm:crash@10s,n=3,every=5s\"")
 	jsonOut := fs.Bool("json", false,
@@ -115,6 +116,8 @@ func run(args []string, stdout io.Writer) error {
 		switch {
 		case *file == "":
 			return errors.New("-pervolume needs -file")
+		case strings.ToLower(*format) != "msr":
+			return fmt.Errorf("-pervolume splits MSR volumes; -format %s has none (use -format msr)", *format)
 		case *maplog != "":
 			return errors.New("-maplog logs one simulation; it cannot be shared by -pervolume cells")
 		case *volume >= 0:

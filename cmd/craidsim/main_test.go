@@ -59,3 +59,19 @@ func TestPerVolumeHonoursJSONAndOut(t *testing.T) {
 		t.Error("-out left its temp file behind")
 	}
 }
+
+// TestPerVolumeNeedsMSRFormat: only MSR files have volumes, so
+// -pervolume with another -format is refused before anything is read,
+// with a message that names the format it needs.
+func TestPerVolumeNeedsMSRFormat(t *testing.T) {
+	tracePath := filepath.Join(t.TempDir(), "native.trace")
+	if err := os.WriteFile(tracePath, []byte("0 R 0 8\n100 W 8 8\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, format := range []string{"native", "blk"} {
+		err := run([]string{"-file", tracePath, "-format", format, "-pervolume", "-dataset-gb", "0.2"}, new(bytes.Buffer))
+		if err == nil || !strings.Contains(err.Error(), "-format msr") {
+			t.Errorf("-format %s -pervolume: %v, want an error naming -format msr", format, err)
+		}
+	}
+}

@@ -76,7 +76,7 @@ func main() {
 		cfg.CapacityBlocks = 1 << 18
 		newDevs = append(newDevs, disk.NewHDD(eng, cfg))
 	}
-	st := craid.Expand(newDevs)
+	st := craid.Expand(newDevs, false, nil)
 	eng.Run()
 	fmt.Printf("  invalidated %d cached blocks, wrote back %d dirty blocks\n",
 		st.Invalidated, st.DirtyWriteback)

@@ -88,7 +88,7 @@ func part2() {
 		if !expanded && rec.Time >= expandAt {
 			eng.RunUntil(expandAt)
 			before := craid.Stats().Writebacks
-			upgrade = craid.Expand([]disk.Device{newHDD(10), newHDD(11), newHDD(12)})
+			upgrade = craid.Expand([]disk.Device{newHDD(10), newHDD(11), newHDD(12)}, false, nil)
 			expanded = true
 			fmt.Printf("  t=24h: expanded to %d disks: %d mappings invalidated, %d dirty blocks written back (%d total writebacks so far)\n",
 				arr.Devices(), upgrade.Invalidated, upgrade.DirtyWriteback,

@@ -62,18 +62,29 @@ func (a *ARC) listOf(w uint8) *slotList {
 	}
 }
 
-func (a *ARC) alloc(k Key) int32 { return arenaAlloc(a.slots, &a.free, &a.used, k) }
-
-func (a *ARC) release(s int32) {
-	a.where[s] = 0
-	arenaRelease(a.slots, &a.free, s)
+// alloc takes a slot from the freelist (threaded through slot.next) or
+// the bump region, initializing it for k. The arena holds the
+// algorithm's population bound, so the bump cursor never passes
+// len(slots). ARC is the one policy that frees slots — it drops ghosts —
+// the others hand an evicted entry's slot straight to the newcomer.
+func (a *ARC) alloc(k Key) int32 {
+	s := a.free
+	if s != nilSlot {
+		a.free = a.slots[s].next
+	} else {
+		s = a.used
+		a.used++
+	}
+	a.slots[s] = slot{key: k, prev: nilSlot, next: nilSlot}
+	return s
 }
 
-// Name implements Policy.
-func (a *ARC) Name() string { return "ARC" }
-
-// Capacity implements Policy.
-func (a *ARC) Capacity() int { return a.capacity }
+// release returns a detached slot to the freelist.
+func (a *ARC) release(s int32) {
+	a.where[s] = 0
+	a.slots[s].next = a.free
+	a.free = s
+}
 
 // Len implements Policy.
 func (a *ARC) Len() int { return a.t1.size + a.t2.size }
@@ -202,32 +213,6 @@ func (a *ARC) dropLRU(l *slotList) {
 	l.remove(a.slots, lru)
 	a.idx.Del(a.slots[lru].key)
 	a.release(lru)
-}
-
-// Remove implements Policy. Removing a resident entry also forgets any
-// ghost state for it.
-func (a *ARC) Remove(k Key) bool {
-	s, ok := a.idx.Get(k)
-	if !ok {
-		return false
-	}
-	resident := a.where[s] == arcT1 || a.where[s] == arcT2
-	a.listOf(a.where[s]).remove(a.slots, s)
-	a.idx.Del(k)
-	a.release(s)
-	return resident
-}
-
-// Clear implements Policy.
-func (a *ARC) Clear() {
-	a.idx.Clear()
-	a.t1.init()
-	a.t2.init()
-	a.b1.init()
-	a.b2.init()
-	a.free = nilSlot
-	a.used = 0
-	a.p = 0
 }
 
 // Keys implements Policy.

@@ -11,8 +11,8 @@ package cache
 // hashing from every probe, removes the per-entry heap objects (the GC
 // does not scan one pointer per cached block), and keeps each policy's
 // whole metadata in a handful of cache-friendly contiguous allocations
-// made once at construction. Nothing on the steady-state
-// Access/Insert/Remove paths allocates.
+// made once at construction. Nothing on the steady-state Access/Insert
+// paths allocates.
 
 // nilSlot is the null slot handle.
 const nilSlot = int32(-1)
@@ -22,28 +22,6 @@ const nilSlot = int32(-1)
 type slot struct {
 	key        Key
 	prev, next int32
-}
-
-// arenaAlloc takes a slot from the freelist (threaded through
-// slot.next) or the bump region, initializing it for k. Arenas are
-// sized for their policy's maximum population, so the bump cursor
-// never passes len(slots).
-func arenaAlloc(slots []slot, free, used *int32, k Key) int32 {
-	s := *free
-	if s != nilSlot {
-		*free = slots[s].next
-	} else {
-		s = *used
-		*used++
-	}
-	slots[s] = slot{key: k, prev: nilSlot, next: nilSlot}
-	return s
-}
-
-// arenaRelease returns a detached slot to the freelist.
-func arenaRelease(slots []slot, free *int32, s int32) {
-	slots[s].next = *free
-	*free = s
 }
 
 // slotList is a doubly-linked list threaded through a slot arena;

@@ -23,10 +23,6 @@ type Key = int64
 // Policy is a fixed-capacity replacement policy. It tracks only keys
 // and replacement metadata; the data itself lives elsewhere.
 type Policy interface {
-	// Name returns the policy's canonical name, e.g. "ARC" or "WLRU0.5".
-	Name() string
-	// Capacity returns the maximum number of entries.
-	Capacity() int
 	// Len returns the current number of entries.
 	Len() int
 	// Contains reports whether k is resident (ghost entries excluded).
@@ -47,11 +43,6 @@ type Policy interface {
 	// exactly as a loop of Insert would. evicted must not call back
 	// into the policy.
 	InsertRun(k Key, n, size int64, evicted func(victim Key))
-	// Remove deletes k if resident, reporting whether it was.
-	Remove(k Key) bool
-	// Clear drops all entries (and any adaptive state that only makes
-	// sense for the current residency, e.g. ARC ghosts).
-	Clear()
 	// Keys returns resident keys in no particular order.
 	Keys() []Key
 }
@@ -63,15 +54,12 @@ type DirtyFunc func(Key) bool
 
 // Config carries optional policy parameters.
 type Config struct {
-	// WLRUWindow is the w parameter of WLRU: the fraction of capacity
-	// scanned for a clean victim before falling back to plain LRU.
-	WLRUWindow float64
 	// Dirty is consulted by WLRU; nil means "never dirty".
 	//
 	// Contract: while a key is resident in the policy its answer may
 	// change from clean to dirty but never back. A dirty copy becomes
-	// clean only by leaving the policy (eviction, Remove, Clear) or by
-	// the owner building a new policy, and a key inserted again starts
+	// clean only by leaving the policy (eviction) or by the owner
+	// building a new policy, and a key inserted again starts
 	// over. WLRU relies on this to remember which LRU-end entries it
 	// has already found dirty instead of probing them again on every
 	// eviction. The function must be pure otherwise: how often and for
@@ -80,7 +68,7 @@ type Config struct {
 }
 
 // New constructs a policy by canonical name: "LRU", "LFUDA", "GDSF",
-// "ARC" or "WLRU" (window from cfg, default 0.5).
+// "ARC" or "WLRU" (window 0.5, the paper's choice after §5.1).
 func New(name string, capacity int, cfg Config) (Policy, error) {
 	switch name {
 	case "LRU":
@@ -92,11 +80,7 @@ func New(name string, capacity int, cfg Config) (Policy, error) {
 	case "ARC":
 		return NewARC(capacity), nil
 	case "WLRU":
-		w := cfg.WLRUWindow
-		if w == 0 {
-			w = 0.5
-		}
-		return NewWLRU(capacity, w, cfg.Dirty), nil
+		return NewWLRU(capacity, 0.5, cfg.Dirty), nil
 	}
 	return nil, fmt.Errorf("cache: unknown policy %q", name)
 }

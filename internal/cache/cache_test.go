@@ -6,26 +6,35 @@ import (
 	"testing/quick"
 )
 
+// namedPolicy is a policy and the name New built it by.
+type namedPolicy struct {
+	name string
+	Policy
+}
+
 // allPolicies builds one instance of every policy at the given
-// capacity, with a trivially-false dirty function for WLRU.
-func allPolicies(capacity int) []Policy {
-	return []Policy{
-		NewLRU(capacity),
-		NewLFUDA(capacity),
-		NewGDSF(capacity),
-		NewARC(capacity),
-		NewWLRU(capacity, 0.5, nil),
+// capacity, with no dirty function for WLRU.
+func allPolicies(capacity int) []namedPolicy {
+	var ps []namedPolicy
+	for _, name := range Names() {
+		p, err := New(name, capacity, Config{})
+		if err != nil {
+			panic(err)
+		}
+		ps = append(ps, namedPolicy{name, p})
 	}
+	return ps
 }
 
 func TestNewByName(t *testing.T) {
-	for _, name := range Names() {
-		p, err := New(name, 10, Config{})
-		if err != nil {
-			t.Fatalf("New(%q): %v", name, err)
+	for _, p := range allPolicies(10) {
+		for k := Key(0); k < 10; k++ {
+			if _, ev := p.Insert(k, 1); ev {
+				t.Fatalf("%s evicted below capacity 10", p.name)
+			}
 		}
-		if p.Capacity() != 10 {
-			t.Errorf("%s capacity = %d, want 10", name, p.Capacity())
+		if _, ev := p.Insert(10, 1); !ev {
+			t.Errorf("%s did not evict at capacity 10", p.name)
 		}
 	}
 	if _, err := New("FIFO", 10, Config{}); err == nil {
@@ -37,19 +46,19 @@ func TestBasicInsertContains(t *testing.T) {
 	for _, p := range allPolicies(3) {
 		for k := Key(0); k < 3; k++ {
 			if v, ev := p.Insert(k, 1); ev {
-				t.Errorf("%s: insert below capacity evicted %d", p.Name(), v)
+				t.Errorf("%s: insert below capacity evicted %d", p.name, v)
 			}
 		}
 		if p.Len() != 3 {
-			t.Errorf("%s: Len = %d, want 3", p.Name(), p.Len())
+			t.Errorf("%s: Len = %d, want 3", p.name, p.Len())
 		}
 		for k := Key(0); k < 3; k++ {
 			if !p.Contains(k) {
-				t.Errorf("%s: missing key %d", p.Name(), k)
+				t.Errorf("%s: missing key %d", p.name, k)
 			}
 		}
 		if p.Contains(99) {
-			t.Errorf("%s: claims to contain 99", p.Name())
+			t.Errorf("%s: claims to contain 99", p.name)
 		}
 	}
 }
@@ -64,8 +73,8 @@ func TestCapacityNeverExceeded(t *testing.T) {
 			} else {
 				p.Insert(k, 1)
 			}
-			if p.Len() > p.Capacity() {
-				t.Fatalf("%s: Len %d > capacity %d", p.Name(), p.Len(), p.Capacity())
+			if p.Len() > 5 {
+				t.Fatalf("%s: Len %d > capacity 5", p.name, p.Len())
 			}
 		}
 	}
@@ -78,53 +87,17 @@ func TestInsertAtCapacityEvictsExactlyOne(t *testing.T) {
 		}
 		v, ev := p.Insert(100, 1)
 		if !ev {
-			t.Errorf("%s: full insert did not evict", p.Name())
+			t.Errorf("%s: full insert did not evict", p.name)
 			continue
 		}
 		if p.Contains(v) {
-			t.Errorf("%s: victim %d still resident", p.Name(), v)
+			t.Errorf("%s: victim %d still resident", p.name, v)
 		}
 		if !p.Contains(100) {
-			t.Errorf("%s: inserted key not resident", p.Name())
+			t.Errorf("%s: inserted key not resident", p.name)
 		}
 		if p.Len() != 4 {
-			t.Errorf("%s: Len = %d after evicting insert, want 4", p.Name(), p.Len())
-		}
-	}
-}
-
-func TestRemove(t *testing.T) {
-	for _, p := range allPolicies(4) {
-		p.Insert(1, 1)
-		p.Insert(2, 1)
-		if !p.Remove(1) {
-			t.Errorf("%s: Remove(1) = false", p.Name())
-		}
-		if p.Remove(1) {
-			t.Errorf("%s: double Remove(1) = true", p.Name())
-		}
-		if p.Contains(1) {
-			t.Errorf("%s: removed key still resident", p.Name())
-		}
-		if p.Len() != 1 {
-			t.Errorf("%s: Len = %d, want 1", p.Name(), p.Len())
-		}
-	}
-}
-
-func TestClear(t *testing.T) {
-	for _, p := range allPolicies(4) {
-		for k := Key(0); k < 4; k++ {
-			p.Insert(k, 1)
-		}
-		p.Clear()
-		if p.Len() != 0 {
-			t.Errorf("%s: Len = %d after Clear", p.Name(), p.Len())
-		}
-		// Must be fully usable again.
-		p.Insert(7, 1)
-		if !p.Contains(7) {
-			t.Errorf("%s: unusable after Clear", p.Name())
+			t.Errorf("%s: Len = %d after evicting insert, want 4", p.name, p.Len())
 		}
 	}
 }
@@ -134,10 +107,10 @@ func TestInsertExistingActsAsAccess(t *testing.T) {
 		p.Insert(1, 1)
 		p.Insert(2, 1)
 		if v, ev := p.Insert(1, 1); ev {
-			t.Errorf("%s: re-insert evicted %d", p.Name(), v)
+			t.Errorf("%s: re-insert evicted %d", p.name, v)
 		}
 		if p.Len() != 2 {
-			t.Errorf("%s: Len = %d after re-insert, want 2", p.Name(), p.Len())
+			t.Errorf("%s: Len = %d after re-insert, want 2", p.name, p.Len())
 		}
 	}
 }
@@ -319,7 +292,7 @@ func TestARCScanResistanceBeatsLRU(t *testing.T) {
 	}
 }
 
-// Property: all policies maintain Len <= Capacity, evict only resident
+// Property: all policies maintain Len <= capacity, evict only resident
 // keys, and report victims consistently, for arbitrary workloads.
 func TestPropertyPolicyInvariants(t *testing.T) {
 	f := func(seed int64, capRaw uint8, ops []uint16) bool {
@@ -332,11 +305,6 @@ func TestPropertyPolicyInvariants(t *testing.T) {
 				switch rng.Intn(4) {
 				case 0:
 					p.Access(k, 1)
-				case 1:
-					if p.Remove(k) != resident[k] {
-						return false
-					}
-					delete(resident, k)
 				default:
 					if p.Contains(k) {
 						p.Access(k, 1)
@@ -351,7 +319,7 @@ func TestPropertyPolicyInvariants(t *testing.T) {
 					}
 					resident[k] = true
 				}
-				if p.Len() > p.Capacity() || p.Len() != len(resident) {
+				if p.Len() > capacity || p.Len() != len(resident) {
 					return false
 				}
 				for rk := range resident {
@@ -426,7 +394,7 @@ func TestPolicyRankingOnSkewedWorkload(t *testing.T) {
 	}
 	ratios := make(map[string]float64)
 	for _, p := range allPolicies(500) {
-		ratios[p.Name()] = run(p)
+		ratios[p.name] = run(p)
 	}
 	for name, r := range ratios {
 		if name == "GDSF" {
@@ -439,7 +407,7 @@ func TestPolicyRankingOnSkewedWorkload(t *testing.T) {
 	}
 	// The non-GDSF policies should be within a few points of each other.
 	base := ratios["LRU"]
-	for _, name := range []string{"LFUDA", "ARC", "WLRU0.5"} {
+	for _, name := range []string{"LFUDA", "ARC", "WLRU"} {
 		if diff := ratios[name] - base; diff < -0.05 || diff > 0.10 {
 			t.Errorf("%s hit ratio %.3f too far from LRU %.3f", name, ratios[name], base)
 		}
@@ -449,7 +417,7 @@ func TestPolicyRankingOnSkewedWorkload(t *testing.T) {
 func BenchmarkPolicies(b *testing.B) {
 	for _, p := range allPolicies(4096) {
 		p := p
-		b.Run(p.Name(), func(b *testing.B) {
+		b.Run(p.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			zipf := rand.NewZipf(rng, 1.1, 1, 1<<20)
 			b.ResetTimer()

@@ -33,54 +33,44 @@ type agingCold struct {
 // Entries live in flat hot/cold arenas indexed by the same int32 slot
 // handle; the heap orders handles, and residency is resolved by the
 // shared oamap.Map — no Go map, no per-entry heap objects. pos is a
-// third side-array: the slot's heap index while live (written by swap,
-// never read by less) and the freelist link while free. (prio, seq) is
+// third side-array: the slot's heap index (written by swap, never read
+// by less). A slot is never freed: an evicting insert hands the
+// victim's slot to the newcomer. (prio, seq) is
 // a total order, so the victim sequence is independent of the heap's
 // internal layout and bit-identical to the container/heap-based
 // reference.
 type agingPolicy struct {
-	name     string
 	capacity int
 	hot      []agingHot
 	cold     []agingCold
 	pos      []int32
 	idx      *oamap.Map[int32]
 	heap     []int32
-	free     int32
-	used     int32
 	age      float64 // L
 	seq      uint64
 	useSize  bool
 }
 
-func newAgingPolicy(name string, capacity int, useSize bool) *agingPolicy {
+func newAgingPolicy(capacity int, useSize bool) *agingPolicy {
 	if capacity < 1 {
 		panic("cache: capacity must be positive")
 	}
 	return &agingPolicy{
-		name:     name,
 		capacity: capacity,
 		hot:      make([]agingHot, capacity),
 		cold:     make([]agingCold, capacity),
 		pos:      make([]int32, capacity),
 		idx:      oamap.New[int32](capacity),
 		heap:     make([]int32, 0, capacity),
-		free:     nilSlot,
 		useSize:  useSize,
 	}
 }
 
 // NewLFUDA returns a Least Frequently Used with Dynamic Aging policy.
-func NewLFUDA(capacity int) Policy { return newAgingPolicy("LFUDA", capacity, false) }
+func NewLFUDA(capacity int) Policy { return newAgingPolicy(capacity, false) }
 
 // NewGDSF returns a Greedy-Dual-Size with Frequency policy.
-func NewGDSF(capacity int) Policy { return newAgingPolicy("GDSF", capacity, true) }
-
-// Name implements Policy.
-func (p *agingPolicy) Name() string { return p.name }
-
-// Capacity implements Policy.
-func (p *agingPolicy) Capacity() int { return p.capacity }
+func NewGDSF(capacity int) Policy { return newAgingPolicy(capacity, true) }
 
 // Len implements Policy.
 func (p *agingPolicy) Len() int { return len(p.heap) }
@@ -171,18 +161,6 @@ func (p *agingPolicy) popMin() int32 {
 	return min
 }
 
-// removeAt deletes heap position i.
-func (p *agingPolicy) removeAt(i int) {
-	n := len(p.heap) - 1
-	if i != n {
-		p.swap(i, n)
-		p.heap = p.heap[:n]
-		p.fix(i)
-	} else {
-		p.heap = p.heap[:n]
-	}
-}
-
 // Access implements Policy.
 func (p *agingPolicy) Access(k Key, size int64) {
 	s, ok := p.idx.Get(k)
@@ -206,8 +184,8 @@ func (p *agingPolicy) Insert(k Key, size int64) (Key, bool) {
 		return 0, false
 	}
 	var victim Key
-	var s int32
 	evicted := false
+	s := int32(len(p.heap)) // below capacity, live slots are exactly 0..len-1
 	if len(p.heap) >= p.capacity {
 		min := p.popMin()
 		vk := p.cold[min].key
@@ -215,14 +193,6 @@ func (p *agingPolicy) Insert(k Key, size int64) (Key, bool) {
 		p.age = p.hot[min].prio // dynamic aging: L becomes the evicted key's K
 		victim, evicted = vk, true
 		s = min // reuse the victim's slot for the newcomer
-	} else {
-		s = p.free
-		if s != nilSlot {
-			p.free = p.pos[s]
-		} else {
-			s = p.used
-			p.used++
-		}
 	}
 	if size <= 0 {
 		size = 1
@@ -246,28 +216,6 @@ func (p *agingPolicy) AccessRun(k Key, n, size int64) { accessRunGeneric(p, k, n
 // InsertRun implements Policy via the generic per-key fallback.
 func (p *agingPolicy) InsertRun(k Key, n, size int64, evicted func(Key)) {
 	insertRunGeneric(p, k, n, size, evicted)
-}
-
-// Remove implements Policy.
-func (p *agingPolicy) Remove(k Key) bool {
-	s, ok := p.idx.Get(k)
-	if !ok {
-		return false
-	}
-	p.removeAt(int(p.pos[s]))
-	p.idx.Del(k)
-	p.pos[s] = p.free // freelist link
-	p.free = s
-	return true
-}
-
-// Clear implements Policy.
-func (p *agingPolicy) Clear() {
-	p.idx.Clear()
-	p.heap = p.heap[:0]
-	p.free = nilSlot
-	p.used = 0
-	p.age = 0
 }
 
 // Keys implements Policy.

@@ -1,10 +1,6 @@
 package cache
 
-import (
-	"strconv"
-
-	"craid/internal/oamap"
-)
+import "craid/internal/oamap"
 
 // lruCore is the slot-arena recency engine shared by LRU and WLRU: a
 // flat []slot arena, an oamap.Map resolving residency, and one intrusive
@@ -25,7 +21,6 @@ type lruCore struct {
 	slots    []slot
 	idx      *oamap.Map[int32]
 	list     slotList
-	free     int32      // freelist head, threaded through slot.next
 	used     int32      // bump high-water into slots
 	tail     *dirtyTail // WLRU's victim cursor; nil for plain LRU
 }
@@ -38,19 +33,17 @@ func (c *lruCore) initCore(capacity int) {
 	c.slots = make([]slot, capacity)
 	c.idx = oamap.New[int32](capacity)
 	c.list.init()
-	c.free = nilSlot
-	c.used = 0
 }
 
-// alloc takes a slot from the freelist or the bump region. The arena
-// never grows: live + free slots never exceed capacity.
-func (c *lruCore) alloc(k Key) int32 { return arenaAlloc(c.slots, &c.free, &c.used, k) }
-
-// release returns a detached slot to the freelist.
-func (c *lruCore) release(s int32) { arenaRelease(c.slots, &c.free, s) }
-
-// Capacity implements Policy.
-func (c *lruCore) Capacity() int { return c.capacity }
+// alloc takes the next slot of the bump region. Only an insert below
+// capacity allocates — an evicting one reuses the victim's slot — so
+// the arena never grows past capacity.
+func (c *lruCore) alloc(k Key) int32 {
+	s := c.used
+	c.used++
+	c.slots[s] = slot{key: k, prev: nilSlot, next: nilSlot}
+	return s
+}
 
 // Len implements Policy.
 func (c *lruCore) Len() int { return c.list.size }
@@ -207,29 +200,6 @@ func (c *lruCore) InsertRun(k Key, n, size int64, evicted func(Key)) {
 	}
 }
 
-// Remove implements Policy.
-func (c *lruCore) Remove(k Key) bool {
-	s, ok := c.idx.Get(k)
-	if !ok {
-		return false
-	}
-	c.unlink(s)
-	c.idx.Del(k)
-	c.release(s)
-	return true
-}
-
-// Clear implements Policy.
-func (c *lruCore) Clear() {
-	c.idx.Clear()
-	c.list.init()
-	c.free = nilSlot
-	c.used = 0
-	if c.tail != nil {
-		c.tail.reset()
-	}
-}
-
 // Keys implements Policy.
 func (c *lruCore) Keys() []Key {
 	out := make([]Key, 0, c.list.size)
@@ -249,16 +219,12 @@ func NewLRU(capacity int) *LRU {
 	return l
 }
 
-// Name implements Policy.
-func (l *LRU) Name() string { return "LRU" }
-
 // WLRU is the paper's Weighted LRU: LRU that prefers evicting a clean
 // entry, considering at most w·capacity candidates from the LRU end
 // before falling back to the plain LRU victim (§4.1). Evicting clean
 // entries saves CRAID the four parity I/Os a dirty write-back costs.
 type WLRU struct {
 	lruCore
-	window float64
 	cursor dirtyTail
 }
 
@@ -270,7 +236,7 @@ func NewWLRU(capacity int, w float64, dirty DirtyFunc) *WLRU {
 	if w < 0 || w > 1 {
 		panic("cache: WLRU window must be in [0,1]")
 	}
-	l := &WLRU{window: w}
+	l := &WLRU{}
 	l.initCore(capacity)
 	if dirty != nil {
 		l.cursor = dirtyTail{
@@ -282,11 +248,6 @@ func NewWLRU(capacity int, w float64, dirty DirtyFunc) *WLRU {
 		l.tail = &l.cursor
 	}
 	return l
-}
-
-// Name implements Policy; it includes the window, e.g. "WLRU0.5".
-func (l *WLRU) Name() string {
-	return "WLRU" + strconv.FormatFloat(l.window, 'g', -1, 64)
 }
 
 // dirtyTail is WLRU's resumable victim cursor. The paper's victim scan
@@ -302,7 +263,7 @@ func (l *WLRU) Name() string {
 // all of them dirty again, so pick resumes at the entry in front of
 // edge and returns what the full scan would. n moves only when a scan
 // extends the run (n++) or a known entry leaves its position — access,
-// Remove, eviction, a chain splice — which leave/leaveChain observe
+// eviction, a chain splice — which leave/leaveChain observe
 // (n--). New and re-accessed entries arrive at the front, outside the
 // run, so each entry is probed once per stay in the tail.
 type dirtyTail struct {
@@ -370,10 +331,4 @@ func (t *dirtyTail) leaveChain(slots []slot, first, last int32) {
 			return
 		}
 	}
-}
-
-// reset forgets the run (the list was cleared).
-func (t *dirtyTail) reset() {
-	t.edge, t.n = nilSlot, 0
-	clear(t.known)
 }

@@ -11,7 +11,6 @@ package cache
 import (
 	"container/heap"
 	"fmt"
-	"strconv"
 )
 
 // newReferencePolicy constructs the map-based reference for name.
@@ -20,17 +19,13 @@ func newReferencePolicy(name string, capacity int, cfg Config) (Policy, error) {
 	case "LRU":
 		return newRefLRU(capacity), nil
 	case "LFUDA":
-		return newRefAging("LFUDA", capacity, false), nil
+		return newRefAging(capacity, false), nil
 	case "GDSF":
-		return newRefAging("GDSF", capacity, true), nil
+		return newRefAging(capacity, true), nil
 	case "ARC":
 		return newRefARC(capacity), nil
 	case "WLRU":
-		w := cfg.WLRUWindow
-		if w == 0 {
-			w = 0.5
-		}
-		return newRefWLRU(capacity, w, cfg.Dirty), nil
+		return newRefWLRU(capacity, 0.5, cfg.Dirty), nil
 	}
 	return nil, fmt.Errorf("cache: unknown reference policy %q", name)
 }
@@ -82,7 +77,6 @@ func (l *refList) back() *refEntry {
 // refLRU is the reference LRU/WLRU: map residency + pointer list.
 // window < 0 means plain LRU.
 type refLRU struct {
-	name     string
 	capacity int
 	window   float64
 	dirty    DirtyFunc
@@ -91,22 +85,19 @@ type refLRU struct {
 }
 
 func newRefLRU(capacity int) *refLRU {
-	l := &refLRU{name: "LRU", capacity: capacity, window: -1,
+	l := &refLRU{capacity: capacity, window: -1,
 		items: make(map[Key]*refEntry, capacity)}
 	l.list.init()
 	return l
 }
 
 func newRefWLRU(capacity int, w float64, dirty DirtyFunc) *refLRU {
-	l := &refLRU{name: "WLRU" + strconv.FormatFloat(w, 'g', -1, 64),
-		capacity: capacity, window: w, dirty: dirty,
+	l := &refLRU{capacity: capacity, window: w, dirty: dirty,
 		items: make(map[Key]*refEntry, capacity)}
 	l.list.init()
 	return l
 }
 
-func (l *refLRU) Name() string        { return l.name }
-func (l *refLRU) Capacity() int       { return l.capacity }
 func (l *refLRU) Len() int            { return len(l.items) }
 func (l *refLRU) Contains(k Key) bool { _, ok := l.items[k]; return ok }
 
@@ -165,21 +156,6 @@ func (l *refLRU) InsertRun(k Key, n, size int64, evicted func(Key)) {
 	insertRunGeneric(l, k, n, size, evicted)
 }
 
-func (l *refLRU) Remove(k Key) bool {
-	e, ok := l.items[k]
-	if !ok {
-		return false
-	}
-	l.list.remove(e)
-	delete(l.items, k)
-	return true
-}
-
-func (l *refLRU) Clear() {
-	l.items = make(map[Key]*refEntry, l.capacity)
-	l.list.init()
-}
-
 func (l *refLRU) Keys() []Key {
 	out := make([]Key, 0, len(l.items))
 	for k := range l.items {
@@ -228,7 +204,6 @@ func (h *refAgingHeap) Pop() interface{} {
 
 // refAging is the reference LFUDA/GDSF: map residency + container/heap.
 type refAging struct {
-	name     string
 	capacity int
 	items    map[Key]*refAgingEntry
 	heap     refAgingHeap
@@ -237,17 +212,14 @@ type refAging struct {
 	useSize  bool
 }
 
-func newRefAging(name string, capacity int, useSize bool) *refAging {
+func newRefAging(capacity int, useSize bool) *refAging {
 	return &refAging{
-		name:     name,
 		capacity: capacity,
 		items:    make(map[Key]*refAgingEntry, capacity),
 		useSize:  useSize,
 	}
 }
 
-func (p *refAging) Name() string        { return p.name }
-func (p *refAging) Capacity() int       { return p.capacity }
 func (p *refAging) Len() int            { return len(p.items) }
 func (p *refAging) Contains(k Key) bool { _, ok := p.items[k]; return ok }
 
@@ -301,22 +273,6 @@ func (p *refAging) InsertRun(k Key, n, size int64, evicted func(Key)) {
 	insertRunGeneric(p, k, n, size, evicted)
 }
 
-func (p *refAging) Remove(k Key) bool {
-	e, ok := p.items[k]
-	if !ok {
-		return false
-	}
-	heap.Remove(&p.heap, e.index)
-	delete(p.items, k)
-	return true
-}
-
-func (p *refAging) Clear() {
-	p.items = make(map[Key]*refAgingEntry, p.capacity)
-	p.heap = p.heap[:0]
-	p.age = 0
-}
-
 func (p *refAging) Keys() []Key {
 	out := make([]Key, 0, len(p.items))
 	for k := range p.items {
@@ -348,10 +304,8 @@ func newRefARC(capacity int) *refARC {
 	return a
 }
 
-func (a *refARC) Name() string  { return "ARC" }
-func (a *refARC) Capacity() int { return a.capacity }
-func (a *refARC) Len() int      { return a.t1.size + a.t2.size }
-func (a *refARC) P() int        { return a.p }
+func (a *refARC) Len() int { return a.t1.size + a.t2.size }
+func (a *refARC) P() int   { return a.p }
 
 func (a *refARC) Contains(k Key) bool {
 	e, ok := a.where[k]
@@ -458,26 +412,6 @@ func (a *refARC) dropLRU(l *refList) {
 	}
 	l.remove(lru)
 	delete(a.where, lru.key)
-}
-
-func (a *refARC) Remove(k Key) bool {
-	e, ok := a.where[k]
-	if !ok {
-		return false
-	}
-	resident := e.list == &a.t1 || e.list == &a.t2
-	e.list.remove(&e.refEntry)
-	delete(a.where, k)
-	return resident
-}
-
-func (a *refARC) Clear() {
-	a.where = make(map[Key]*refARCEntry, 2*a.capacity)
-	a.t1.init()
-	a.t2.init()
-	a.b1.init()
-	a.b2.init()
-	a.p = 0
 }
 
 func (a *refARC) Keys() []Key {

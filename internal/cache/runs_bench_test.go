@@ -4,7 +4,7 @@ import "testing"
 
 func benchPolicy(b *testing.B, name string) Policy {
 	b.Helper()
-	p, err := New(name, 1<<16, Config{WLRUWindow: 0.5})
+	p, err := New(name, 1<<16, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 
 // monotoneDirty is a dirty oracle that honours the Config.Dirty
 // contract: a key turns dirty and stays dirty until it leaves the
-// policy (eviction, Remove, Clear), and re-enters clean.
+// policy (eviction) or the owner builds a new one, and re-enters clean.
 type monotoneDirty struct{ m map[Key]bool }
 
 func (o *monotoneDirty) isDirty(k Key) bool { return o.m[k] }
@@ -22,8 +22,7 @@ type cursorCoverage struct {
 	fallback       int // every candidate in the window dirty: the known-dirty LRU entry is the victim
 	edgeVictim     int // ... and it is the run's front-most entry too (a one-entry window)
 	edgeAccessed   int // the run's front-most entry moved to the MRU end
-	edgeRemoved    int // ... or was removed
-	innerLeft      int // a known entry other than the edge accessed or removed
+	innerLeft      int // a known entry other than the edge accessed
 	chainStraddle  int // AccessRun spliced a chain holding the edge and entries in front of it
 	chainInside    int // ... or a chain wholly inside the run
 }
@@ -110,8 +109,7 @@ func TestWLRUCursorMatchesRescan(t *testing.T) {
 		"all-dirty window, LRU fallback":           cov.fallback,
 		"edge chosen as victim":                    cov.edgeVictim,
 		"edge accessed":                            cov.edgeAccessed,
-		"edge removed":                             cov.edgeRemoved,
-		"inner known entry accessed or removed":    cov.innerLeft,
+		"inner known entry accessed":               cov.innerLeft,
 		"chain splice straddling the edge":         cov.chainStraddle,
 		"chain splice inside the run":              cov.chainInside,
 	} {
@@ -164,7 +162,7 @@ func runCursorMix(t *testing.T, capacity int, window, pDirty float64, seed int64
 		n := rng.Int63n(48) + 1
 		dirtyOp := rng.Float64() < pDirty
 		switch op := rng.Intn(20); {
-		case op < 2: // point access (a write hit dirties the key)
+		case op < 4: // point access (a write hit dirties the key)
 			if w.list.head != slotOf(w, k) { // the MRU entry stays put
 				noteLeaving(k, &cov.edgeAccessed)
 			}
@@ -173,13 +171,6 @@ func runCursorMix(t *testing.T, capacity int, window, pDirty float64, seed int64
 			if dirtyOp && w.Contains(k) {
 				setBoth(k)
 			}
-		case op < 4: // remove
-			noteLeaving(k, &cov.edgeRemoved)
-			if w.Remove(k) != ref.Remove(k) {
-				t.Fatalf("step %d: Remove(%d) diverged", step, k)
-			}
-			got.drop(k)
-			want.drop(k)
 		case op < 6: // point insert, dirtied before (bench order) or after (core order)
 			before := rng.Intn(2) == 0
 			if dirtyOp && before {
@@ -216,9 +207,8 @@ func runCursorMix(t *testing.T, capacity int, window, pDirty float64, seed int64
 					}
 				}
 			}
-		case op == 11 && rng.Intn(20) == 0: // clear
-			w.Clear()
-			ref.Clear()
+		case op == 11 && rng.Intn(20) == 0: // the owner builds a new policy, as Expand and CrashRestart do
+			w, ref = NewWLRU(capacity, window, got.isDirty), newRefWLRU(capacity, window, want.isDirty)
 			got.m, want.m = map[Key]bool{}, map[Key]bool{}
 		default: // insert run
 			before := rng.Intn(2) == 0

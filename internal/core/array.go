@@ -4,9 +4,9 @@
 // The pieces map one-to-one onto the paper's design:
 //
 //   - Array: the physical device set plus instrumentation (per-disk
-//     load for workload-distribution analysis, sequentiality tracking,
-//     queue/concurrency sampling), and the pool of joins — the one
-//     continuation every set of in-flight I/Os completes into.
+//     load for workload-distribution analysis, queue/concurrency
+//     sampling), and the pool of joins — the one continuation every set
+//     of in-flight I/Os completes into.
 //   - RAIDController: a plain volume over one raid.Layout (RAID-5 or
 //     RAID-5+), doing read-modify-write parity updates on writes. These
 //     are the paper's RAID-5 / RAID-5+ baselines in their ideal state.
@@ -36,7 +36,6 @@ type Array struct {
 
 	// Optional instrumentation; nil disables.
 	Load *metrics.LoadTracker // per-disk per-second load (cv analysis)
-	Seq  *metrics.SeqTracker  // physical sequentiality (Fig. 5)
 
 	queueDepths sampler // the device's queue depth, per submit
 	busyCounts  sampler // concurrently busy devices, per submit
@@ -161,39 +160,26 @@ func (a *Array) QueueStats() (mean float64, p99, max int64) { return a.queueDept
 // busy devices sampled at submit time (Table 5's "Cdev" columns).
 func (a *Array) ConcurrencyStats() (mean float64, p99, max int64) { return a.busyCounts.stats() }
 
-// Submit issues a request on device dev, recording instrumentation.
-func (a *Array) Submit(dev int, op disk.Op, block, count int64, done func(sim.Time)) {
-	a.submit(dev, op, block, count, true, done)
-}
-
-// submit is Submit with control over sequentiality accounting: parity
-// read-modify-write legs carry trackSeq=false so the Fig. 5 metric
-// reflects the *data* access pattern per disk, as the paper measures,
-// rather than being drowned by interleaved parity traffic. Load and
-// queue accounting always include everything.
-func (a *Array) submit(dev int, op disk.Op, block, count int64, trackSeq bool, done func(sim.Time)) {
+// submit issues a request on device dev, recording instrumentation.
+func (a *Array) submit(dev int, op disk.Op, block, count int64, done func(sim.Time)) {
 	if f := a.faults; f != nil {
 		// Wrap the submission in a pooled retry op: transient device
 		// errors resubmit with exponential backoff instead of surfacing
 		// to the controller.
-		r := f.newRetry(a, dev, op, block, count, trackSeq, done)
-		a.issue(dev, op, block, count, trackSeq, r.doneFn, r.failFn)
+		r := f.newRetry(a, dev, op, block, count, done)
+		a.issue(dev, op, block, count, r.doneFn, r.failFn)
 		return
 	}
-	a.issue(dev, op, block, count, trackSeq, done, nil)
+	a.issue(dev, op, block, count, done, nil)
 }
 
 // issue performs one submission attempt.
-func (a *Array) issue(dev int, op disk.Op, block, count int64, trackSeq bool, done, fail func(sim.Time)) {
+func (a *Array) issue(dev int, op disk.Op, block, count int64, done, fail func(sim.Time)) {
 	if dev < 0 || dev >= len(a.devices) {
 		panic(fmt.Sprintf("core: device index %d out of range (%d devices)", dev, len(a.devices)))
 	}
-	now := a.Eng.Now()
 	if a.Load != nil {
-		a.Load.Add(now, dev, count*disk.BlockSize)
-	}
-	if a.Seq != nil && trackSeq {
-		a.Seq.Add(now, dev, block, count)
+		a.Load.Add(a.Eng.Now(), dev, count*disk.BlockSize)
 	}
 	if q := a.queued[dev]; q != nil {
 		a.queueDepths.add(q.QueueDepth())
@@ -221,7 +207,7 @@ type join struct {
 	last    sim.Time
 
 	then // what firing does
-	legs // where stepRMW and stepCommit write
+	legs // where stepCommit writes
 
 	// completeFn caches the j.complete method value so each branch()
 	// hands out the same func instead of allocating a new one. It is
@@ -240,10 +226,9 @@ const (
 	stepRecord                // record the request's response time, then tell fn
 	stepCopyIn                // tell fn (the client), then copy the run read from P_A into P_C
 	stepWriteBack             // update P_A with the run read from P_C, telling fn when that lands
-	stepMigrate               // likewise, but re-place the run on P_C's new geometry (ExpandRetain)
-	stepRMW                   // pre-reads in: wait again, for the final writes to legs
+	stepMigrate               // likewise, but re-place the run on P_C's new geometry (a retaining Expand)
 	stepDecode                // degraded pre-reads in: wait again, for the reconstruction delay
-	stepCommit                // delay over: wait again, for the writes to the surviving legs, if any
+	stepCommit                // pre-reads in or delay over: wait again, for the writes to the (surviving) legs
 )
 
 // then is a join's continuation: the step and the arguments steps read.
@@ -340,9 +325,6 @@ func (j *join) maybeFire() {
 	}
 	a, at := j.arr, j.last
 	switch j.step {
-	case stepRMW:
-		j.commit(true)
-		return
 	case stepDecode:
 		// Always a hop through the engine, even at delay 0: a degraded
 		// request goes on from an event of its own, never from inside the
@@ -352,7 +334,7 @@ func (j *join) maybeFire() {
 		j.seal(a.Eng.Now())
 		return
 	case stepCommit:
-		j.commit(false)
+		j.commit()
 		return
 	}
 	// Every other step ends the join's life. A fired join can have no
@@ -380,7 +362,7 @@ func (j *join) maybeFire() {
 		// down mid-chain: the update is dropped (the dirty mapping was
 		// re-logged or lost with the crash, exactly as a real controller's
 		// in-flight write-back dies with it). fn — an upgrade branch
-		// tracking drain (ExpandWith) — is told either way: on the write's
+		// tracking drain (Expand) — is told either way: on the write's
 		// completion when the chain is live, right now when it is stale.
 		if t.epoch == t.c.epoch {
 			dst := t.c.pa
@@ -399,23 +381,20 @@ func (j *join) maybeFire() {
 }
 
 // preRead attaches a read of each of j's legs: the old data and parity a
-// read-modify-write cycle starts from. These reads (including the
-// old-data read, which retraces the data position) are RMW mechanics,
-// not access pattern.
+// read-modify-write cycle starts from.
 func (j *join) preRead() {
 	for i := 0; i < j.nleg; i++ {
-		j.arr.submit(j.dev[i], disk.OpRead, j.blk[i], j.n, false, j.branch())
+		j.arr.submit(j.dev[i], disk.OpRead, j.blk[i], j.n, j.branch())
 	}
 }
 
 // commit re-arms a join whose pre-reads are in to wait for the final
-// writes to its legs, after which it tells fn. trackData counts the data
-// leg (leg 0 of a healthy extent) in the sequentiality metric.
-func (j *join) commit(trackData bool) {
+// writes to its legs, after which it tells fn.
+func (j *join) commit() {
 	a := j.arr
 	j.rearm(stepTell)
 	for i := 0; i < j.nleg; i++ {
-		a.submit(j.dev[i], disk.OpWrite, j.blk[i], j.n, trackData && i == 0, j.branch())
+		a.submit(j.dev[i], disk.OpWrite, j.blk[i], j.n, j.branch())
 	}
 	j.seal(a.Eng.Now())
 }
@@ -499,7 +478,7 @@ func (s *span) readExtent(e raid.Extent) {
 		s.degDisk, s.degLog, s.degBlk, s.degN = e.Data.Disk, e.Logical, e.Data.Block, e.Count
 		return
 	}
-	s.arr.Submit(dev, disk.OpRead, s.base+e.Data.Block, e.Count, s.curJoin.branch())
+	s.arr.submit(dev, disk.OpRead, s.base+e.Data.Block, e.Count, s.curJoin.branch())
 }
 
 // write issues a small-write against the span. Layouts with parity pay
@@ -543,11 +522,11 @@ func (s *span) writeExtent(e raid.Extent) {
 		return
 	}
 	if n == 1 {
-		s.arr.Submit(l.dev[0], disk.OpWrite, l.blk[0], e.Count, s.curJoin.branch())
+		s.arr.submit(l.dev[0], disk.OpWrite, l.blk[0], e.Count, s.curJoin.branch())
 		return
 	}
 	j := s.arr.newJoin(s.curJoin.branch()) // told when all final writes complete
-	j.step, j.legs, j.n = stepRMW, l, e.Count
+	j.step, j.legs, j.n = stepCommit, l, e.Count
 	j.preRead()
 	j.seal(s.arr.Eng.Now())
 }
@@ -607,7 +586,7 @@ func (s *span) readPeers(j *join, peers []int, skipP, skipQ int, blk, count int6
 			continue
 		}
 		s.arr.faults.stats.PeerReads++
-		s.arr.submit(dev, disk.OpRead, blk, count, false, j.branch())
+		s.arr.submit(dev, disk.OpRead, blk, count, j.branch())
 	}
 }
 

@@ -143,7 +143,8 @@ func TestBusyCountMatchesCensusMixed(t *testing.T) {
 	}
 	var ssdIOs int64
 	for i := 5; i < 7; i++ {
-		ssdIOs += arr.Device(i).Stats().IOs()
+		s := arr.Device(i).Stats()
+		ssdIOs += s.Reads + s.Writes
 	}
 	if ssdIOs == 0 {
 		t.Fatal("the SSD cache partition served no I/O")
@@ -183,7 +184,8 @@ func TestBusyCountMatchesCensusFaults(t *testing.T) {
 	}
 	var added int64
 	for i := 5; i < 10; i++ {
-		added += arr.Device(i).Stats().IOs()
+		s := arr.Device(i).Stats()
+		added += s.Reads + s.Writes
 	}
 	if added == 0 {
 		t.Fatal("the added devices served no I/O, so their transitions went untested")

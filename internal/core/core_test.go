@@ -281,7 +281,7 @@ func TestCRAIDExpandInvalidatesAndUsesNewDisks(t *testing.T) {
 		disk.NewNullDevice(eng, "new4", 100000),
 		disk.NewNullDevice(eng, "new5", 100000),
 	}
-	st := c.Expand(newDevs)
+	st := c.Expand(newDevs, false, nil)
 	eng.Run()
 	if st.DirtyWriteback != 2 {
 		t.Errorf("DirtyWriteback = %d, want 2", st.DirtyWriteback)
@@ -313,7 +313,7 @@ func TestCRAIDExpandDedicatedCacheKeepsGeometry(t *testing.T) {
 	c := mustCRAID(arr, Config{CachePerDisk: 64, ParityGroup: 2, StripeUnit: 4},
 		false, []int{4, 5}, 0, paLayout, []int{0, 1, 2, 3}, 0)
 	before := c.CacheDataBlocks()
-	c.Expand([]disk.Device{disk.NewNullDevice(eng, "new", 100000)})
+	c.Expand([]disk.Device{disk.NewNullDevice(eng, "new", 100000)}, false, nil)
 	eng.Run()
 	if c.CacheDataBlocks() != before {
 		t.Errorf("dedicated cache resized on expansion: %d → %d", before, c.CacheDataBlocks())

@@ -101,8 +101,7 @@ type Config struct {
 	// Policy is the I/O monitor's replacement policy name (see
 	// internal/cache). Default "WLRU" with window 0.5 — the paper's
 	// choice after §5.1.
-	Policy     string
-	WLRUWindow float64
+	Policy string
 	// CachePerDisk is the cache-partition size per cache disk, in
 	// blocks.
 	CachePerDisk int64
@@ -125,9 +124,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Policy == "" {
 		c.Policy = "WLRU"
-	}
-	if c.WLRUWindow == 0 {
-		c.WLRUWindow = 0.5
 	}
 	if c.ParityGroup == 0 {
 		c.ParityGroup = 10
@@ -197,7 +193,7 @@ func ratio(a, b int64) float64 {
 type ExpandStats struct {
 	DirtyWriteback int64 // blocks written back to P_A
 	Invalidated    int64 // total mappings dropped (incl. dirty)
-	Migrated       int64 // cached blocks physically moved (ExpandRetain)
+	Migrated       int64 // cached blocks physically moved (retaining Expand)
 }
 
 // CRAID is the self-optimizing array: I/O monitor + mapping cache +
@@ -245,12 +241,6 @@ type CRAID struct {
 	// their state updates belong to the torn-down incarnation.
 	epoch uint64
 
-	// upJoin, while an ExpandWith call is on the stack, collects one
-	// branch per background chain the upgrade issues (dirty write-backs,
-	// live-block migrations) so the caller learns when the upgrade's
-	// I/O has fully drained — the upgrade-latency KPI.
-	upJoin *join
-
 	stats Stats
 }
 
@@ -268,15 +258,6 @@ func (c *CRAID) chain(st step, fn func(sim.Time), src *span, from, orig, n int64
 	j.step, j.c, j.orig, j.n, j.epoch = st, c, orig, n, c.epoch
 	src.read(j, from, n)
 	j.seal(c.arr.Eng.Now())
-}
-
-// upBranch returns a branch of the upgrade join for a chain the running
-// ExpandWith call issues, nil when no caller waits for the drain.
-func (c *CRAID) upBranch() func(sim.Time) {
-	if c.upJoin == nil {
-		return nil
-	}
-	return c.upJoin.branch()
 }
 
 // NewCRAID assembles a CRAID volume.
@@ -326,11 +307,10 @@ func (c *CRAID) buildPC() error {
 	c.pc = newSpan(c.arr, layout, c.cacheDisks, c.cacheBase)
 	c.pcData = layout.DataBlocks()
 	policy, err := cache.New(c.cfg.Policy, int(c.pcData), cache.Config{
-		WLRUWindow: c.cfg.WLRUWindow,
 		// Honours the cache.Config.Dirty contract: the monitor only ever
 		// sets dirty flags (SetDirtyRun(…, true)); a dirty copy turns
-		// clean by being evicted, and Expand, ExpandRetain and
-		// CrashRestart come back through here for a new policy.
+		// clean by being evicted, and Expand and CrashRestart come back
+		// through here for a new policy.
 		Dirty: func(k cache.Key) bool {
 			return c.table.IsDirty(k)
 		},
@@ -489,7 +469,7 @@ func (c *CRAID) insertRuns(j *join, b, n int64, dirty bool, byOp disk.Op, reqSiz
 		}
 		c.insBlk, c.insRun, c.insByOp = blk, run, byOp
 		c.policy.InsertRun(blk, run, reqSize, c.insEvict)
-		c.flushWritebacks()
+		c.flushWritebacks(nil)
 		// Allocate fragments and bind mappings for surviving blocks,
 		// keeping sub-runs of consecutive survivors together.
 		for k := int64(0); k < run; {
@@ -582,10 +562,15 @@ func (c *CRAID) queueWriteback(orig, slot int64) {
 // flushWritebacks issues the queued dirty write-backs, one I/O chain
 // per contiguous run: read the current copies from P_C, then update
 // P_A (the 2-read/2-write parity update per extent — the paper's "4
-// additional I/Os", amortized over the run).
-func (c *CRAID) flushWritebacks() {
+// additional I/Os", amortized over the run). Each chain is a branch of
+// up, the running Expand's drain join; nil for eviction write-backs.
+func (c *CRAID) flushWritebacks(up *join) {
 	for _, r := range c.wb {
-		c.chain(stepWriteBack, c.upBranch(), c.pc, r.slot, r.orig, r.n)
+		var fn func(sim.Time)
+		if up != nil {
+			fn = up.branch()
+		}
+		c.chain(stepWriteBack, fn, c.pc, r.slot, r.orig, r.n)
 	}
 	c.wb = c.wb[:0]
 }
@@ -595,15 +580,36 @@ func (c *CRAID) flushWritebacks() {
 // variants — P_C regrows across the enlarged device set, so new disks
 // receive I/O from the moment they are added. P_A is left untouched:
 // that is the point of CRAID.
-func (c *CRAID) Expand(newDevs []disk.Device) ExpandStats {
-	st := ExpandStats{Invalidated: int64(c.table.Len())}
-	for _, m := range c.table.DirtyMappings() {
-		st.DirtyWriteback++
-		c.stats.Writebacks++
-		c.queueWriteback(m.Orig, m.Cache)
+//
+// retain selects the paper's §6 "smarter rebalancing" extension instead:
+// P_C is not invalidated. Live cached blocks are migrated onto the new
+// cache-partition geometry (read from the old placement, parity-written
+// to the new one), keeping the mapping cache and the monitor's history
+// intact — hits continue through the upgrade and dirty blocks need no
+// write-back. The trade-off against the paper's conservative
+// invalidation: every live block moves now, instead of the hot subset
+// re-copying on demand later.
+//
+// done, when not nil, learns the instant the upgrade's background I/O —
+// dirty write-backs or live-block migrations — has fully drained: that
+// instant minus the call instant is the upgrade-latency KPI the fault
+// fabric records for expand@ events. An upgrade that issues no
+// background I/O drains at the call instant. Chains torn down by a
+// crash-restart (stale epoch) still count as drained when their timing
+// completes, so done always fires.
+func (c *CRAID) Expand(newDevs []disk.Device, retain bool, done func(sim.Time)) ExpandStats {
+	up := c.arr.newJoin(done)
+	var st ExpandStats
+	if !retain {
+		st.Invalidated = int64(c.table.Len())
+		for _, m := range c.table.DirtyMappings() {
+			st.DirtyWriteback++
+			c.stats.Writebacks++
+			c.queueWriteback(m.Orig, m.Cache)
+		}
+		c.flushWritebacks(up)
+		c.table.Clear()
 	}
-	c.flushWritebacks()
-	c.table.Clear()
 	c.stats.Expansions++
 	if len(newDevs) > 0 {
 		base := c.arr.Devices()
@@ -614,8 +620,14 @@ func (c *CRAID) Expand(newDevs []disk.Device) ExpandStats {
 			}
 		}
 	}
-	c.rebuildPC() // resets policy, allocator and (shared) geometry
-	c.flushLog()
+	switch {
+	case !retain:
+		c.rebuildPC() // resets policy, allocator and (shared) geometry
+		c.flushLog()
+	case c.sharedPC: // a dedicated cache keeps its geometry: nothing moves
+		st.Migrated = c.migrate(up)
+	}
+	up.seal(c.arr.Eng.Now())
 	return st
 }
 
@@ -627,30 +639,10 @@ func (c *CRAID) rebuildPC() {
 	}
 }
 
-// ExpandRetain is the paper's §6 "smarter rebalancing" extension: grow
-// the array without invalidating P_C. Live cached blocks are migrated
-// onto the new cache-partition geometry (read from the old placement,
-// parity-written to the new one), keeping the mapping cache and the
-// monitor's history intact — hits continue through the upgrade and
-// dirty blocks need no write-back. The trade-off against the paper's
-// conservative invalidation: every live block moves now, instead of the
-// hot subset re-copying on demand later.
-func (c *CRAID) ExpandRetain(newDevs []disk.Device) ExpandStats {
-	var st ExpandStats
-	if len(newDevs) > 0 {
-		base := c.arr.Devices()
-		c.arr.AddDevices(newDevs)
-		if c.sharedPC {
-			for i := range newDevs {
-				c.cacheDisks = append(c.cacheDisks, base+i)
-			}
-		}
-	}
-	c.stats.Expansions++
-	if !c.sharedPC {
-		return st // dedicated cache: geometry unchanged, nothing moves
-	}
-
+// migrate regrows P_C over the current cache disks keeping every live
+// mapping, and issues the chains that move the cached blocks onto the
+// new geometry as branches of up. It returns the blocks moved.
+func (c *CRAID) migrate(up *join) (moved int64) {
 	// Collect live slots before the geometry changes.
 	slots := make([]int64, 0, c.table.Len())
 	c.table.Walk(func(m mapcache.Mapping) bool {
@@ -665,7 +657,7 @@ func (c *CRAID) ExpandRetain(newDevs []disk.Device) ExpandStats {
 	// Keep the allocator state: old slot numbers remain reserved (the
 	// new P_C is strictly larger for a growth expansion).
 	if c.pcData < oldNext {
-		panic("core: ExpandRetain shrank the cache partition")
+		panic("core: retaining Expand shrank the cache partition")
 	}
 	c.next, c.free = oldNext, oldFree
 	// Rebuild the policy at the new capacity, preserving residency
@@ -685,33 +677,11 @@ func (c *CRAID) ExpandRetain(newDevs []disk.Device) ExpandStats {
 			j++
 		}
 		start, n := slots[i], int64(j-i)
-		st.Migrated += n
-		c.chain(stepMigrate, c.upBranch(), oldPC, start, start, n)
+		moved += n
+		c.chain(stepMigrate, up.branch(), oldPC, start, start, n)
 		i = j
 	}
-	return st
-}
-
-// ExpandWith runs Expand (retain=false) or ExpandRetain (retain=true)
-// and additionally reports, via done, the instant the upgrade's
-// background I/O — dirty write-backs or live-block migrations — has
-// fully drained. That instant minus the call instant is the
-// upgrade-latency KPI the fault fabric records for expand@ events. An
-// upgrade that issues no background I/O drains at the call instant.
-// Chains torn down by a crash-restart (stale epoch) still count as
-// drained when their timing completes, so done always fires.
-func (c *CRAID) ExpandWith(newDevs []disk.Device, retain bool, done func(sim.Time)) ExpandStats {
-	up := c.arr.newJoin(done)
-	c.upJoin = up
-	var st ExpandStats
-	if retain {
-		st = c.ExpandRetain(newDevs)
-	} else {
-		st = c.Expand(newDevs)
-	}
-	c.upJoin = nil
-	up.seal(c.arr.Eng.Now())
-	return st
+	return moved
 }
 
 // MapLogStats counts the mapping log's traffic: the records the table
@@ -860,7 +830,7 @@ func (c *CRAID) recoverLog(r io.Reader) (int, error) {
 // (paper §4.2's failure scenario, exercised live): the mapping cache,
 // policy state and allocator are torn down as a crash would lose them,
 // the controller incarnation (epoch) advances so in-flight background
-// side effects — copy-ins, write-backs, ExpandRetain migrations — land
+// side effects — copy-ins, write-backs, Expand migrations — land
 // as timing only, and the dirty-translation state is reinstated from
 // log, exactly as Recover does on a fresh controller. A nil log
 // restarts cold. Requests already in flight keep their device timing;

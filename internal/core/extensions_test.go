@@ -80,10 +80,10 @@ func TestExpandRetainKeepsCachedState(t *testing.T) {
 	}
 
 	r0, w0 := ioTotals(arr)
-	st := c.ExpandRetain([]disk.Device{
+	st := c.Expand([]disk.Device{
 		disk.NewNullDevice(eng, "new4", 100000),
 		disk.NewNullDevice(eng, "new5", 100000),
-	})
+	}, true, nil)
 	eng.Run()
 
 	if st.Migrated != 4 {
@@ -123,13 +123,119 @@ func TestExpandRetainDedicatedCacheIsNoop(t *testing.T) {
 	c := mustCRAID(arr, Config{CachePerDisk: 64, ParityGroup: 2, StripeUnit: 4},
 		false, []int{4, 5}, 0, paLayout, []int{0, 1, 2, 3}, 0)
 	submitAndRun(eng, c, disk.OpWrite, 5, 1)
-	st := c.ExpandRetain([]disk.Device{disk.NewNullDevice(eng, "new", 100000)})
+	st := c.Expand([]disk.Device{disk.NewNullDevice(eng, "new", 100000)}, true, nil)
 	eng.Run()
 	if st.Migrated != 0 {
 		t.Errorf("dedicated cache migrated %d blocks, want 0", st.Migrated)
 	}
 	if c.table.Len() != 1 {
 		t.Error("dedicated cache lost mappings on expansion")
+	}
+}
+
+// ioLog is what recordingSSDs saw: how many requests they accepted and
+// the latest instant a write of theirs completed.
+type ioLog struct {
+	submitted int
+	lastWrite sim.Time
+}
+
+// recordingSSD is a timed device that reports into log. Hiding the
+// SSD's queue methods leaves the array's samplers idle; timing is the
+// SSD's own.
+type recordingSSD struct {
+	disk.Device
+	log *ioLog
+}
+
+func (d recordingSSD) Submit(r *disk.Request) {
+	d.log.submitted++
+	req, done, write := *r, r.Done, r.Op == disk.OpWrite
+	req.Done = func(at sim.Time) {
+		if write && at > d.log.lastWrite {
+			d.log.lastWrite = at
+		}
+		if done != nil {
+			done(at)
+		}
+	}
+	d.Device.Submit(&req)
+}
+
+func recordingSSDs(eng *sim.Engine, log *ioLog, n int) []disk.Device {
+	devs := make([]disk.Device, n)
+	for i := range devs {
+		devs[i] = recordingSSD{disk.NewSSD(eng, disk.MSRSSDConfig("ssd")), log}
+	}
+	return devs
+}
+
+// expandDrain builds a 4-SSD shared-cache CRAID, applies populate,
+// expands it by two SSDs and reports the call instant, the instants
+// done was told, and what the devices did from the call on.
+func expandDrain(t *testing.T, retain bool, populate func(*sim.Engine, *CRAID)) (call sim.Time, told []sim.Time, st ExpandStats, log *ioLog) {
+	t.Helper()
+	eng := sim.NewEngine()
+	log = &ioLog{}
+	arr := NewArray(eng, recordingSSDs(eng, log, 4))
+	disks := []int{0, 1, 2, 3}
+	c := mustCRAID(arr, Config{CachePerDisk: 64, ParityGroup: 4, StripeUnit: 4},
+		true, disks, 0, raid.NewRAID5(4, 4, 4096, 4), disks, 64)
+	populate(eng, c)
+	*log = ioLog{}
+	call = eng.Now()
+	st = c.Expand(recordingSSDs(eng, log, 2), retain, func(at sim.Time) { told = append(told, at) })
+	eng.Run()
+	if len(told) != 1 {
+		t.Fatalf("done told %d times, want once", len(told))
+	}
+	checkInvariants(t, c)
+	checkDrained(t, arr)
+	return call, told, st, log
+}
+
+func populateDirty(eng *sim.Engine, c *CRAID) {
+	submitAndRun(eng, c, disk.OpWrite, 10, 2)
+	submitAndRun(eng, c, disk.OpWrite, 300, 5)
+	submitAndRun(eng, c, disk.OpRead, 100, 2)
+}
+
+// TestExpandDoneAtLastWritebackWrite: an invalidating Expand of a cache
+// holding dirty blocks drains when the last write-back write lands on
+// P_A, strictly after the call.
+func TestExpandDoneAtLastWritebackWrite(t *testing.T) {
+	call, told, st, log := expandDrain(t, false, populateDirty)
+	if st.DirtyWriteback != 7 || log.submitted == 0 {
+		t.Fatalf("wrote back %d blocks in %d requests, want 7 blocks", st.DirtyWriteback, log.submitted)
+	}
+	if told[0] <= call || told[0] != log.lastWrite {
+		t.Errorf("done at %v; call at %v, last write-back write completed at %v", told[0], call, log.lastWrite)
+	}
+}
+
+// TestExpandDoneAtCallWhenClean: with nothing dirty, an invalidating
+// Expand submits no I/O and drains at the call instant.
+func TestExpandDoneAtCallWhenClean(t *testing.T) {
+	call, told, st, log := expandDrain(t, false, func(eng *sim.Engine, c *CRAID) {
+		submitAndRun(eng, c, disk.OpRead, 100, 2)
+	})
+	if st.Invalidated != 2 || st.DirtyWriteback != 0 {
+		t.Fatalf("stats %+v, want 2 clean mappings dropped", st)
+	}
+	if log.submitted != 0 || told[0] != call {
+		t.Errorf("done at %v after %d requests; want the call instant %v and none", told[0], log.submitted, call)
+	}
+}
+
+// TestExpandRetainDoneAtLastMigrationWrite: a retaining Expand drains
+// when the last migrated block is written to P_C's new geometry.
+func TestExpandRetainDoneAtLastMigrationWrite(t *testing.T) {
+	call, told, st, log := expandDrain(t, true, populateDirty)
+	if st.Migrated != 9 || st.DirtyWriteback != 0 {
+		t.Fatalf("stats %+v, want 9 blocks migrated and none written back", st)
+	}
+	if told[0] <= call || told[0] != log.lastWrite {
+		t.Errorf("done at %v; call at %v, last migration write completed at %v", told[0], call, log.lastWrite)
 	}
 }
 

@@ -119,21 +119,20 @@ func (e *LostError) Error() string {
 // Pooled like the array's joins, but a type of its own: it shepherds one
 // submission, has a Fail edge and a timer, and is not a fan-in.
 type retryOp struct {
-	arr      *Array
-	dev      int
-	op       disk.Op
-	block    int64
-	count    int64
-	trackSeq bool
-	attempt  int
-	done     func(sim.Time)
-	doneFn   func(sim.Time)
-	failFn   func(sim.Time)
-	retryFn  func()
-	next     *retryOp
+	arr     *Array
+	dev     int
+	op      disk.Op
+	block   int64
+	count   int64
+	attempt int
+	done    func(sim.Time)
+	doneFn  func(sim.Time)
+	failFn  func(sim.Time)
+	retryFn func()
+	next    *retryOp
 }
 
-func (f *faultState) newRetry(a *Array, dev int, op disk.Op, block, count int64, trackSeq bool, done func(sim.Time)) *retryOp {
+func (f *faultState) newRetry(a *Array, dev int, op disk.Op, block, count int64, done func(sim.Time)) *retryOp {
 	r := f.retryFree
 	if r == nil {
 		f.retriesMade++
@@ -145,7 +144,7 @@ func (f *faultState) newRetry(a *Array, dev int, op disk.Op, block, count int64,
 		f.retryFree = r.next
 		r.next = nil
 	}
-	r.dev, r.op, r.block, r.count, r.trackSeq = dev, op, block, count, trackSeq
+	r.dev, r.op, r.block, r.count = dev, op, block, count
 	r.done, r.attempt = done, 0
 	return r
 }
@@ -170,7 +169,7 @@ func (r *retryOp) fail(at sim.Time) {
 
 // retry resubmits the attempt.
 func (r *retryOp) retry() {
-	r.arr.issue(r.dev, r.op, r.block, r.count, r.trackSeq, r.doneFn, r.failFn)
+	r.arr.issue(r.dev, r.op, r.block, r.count, r.doneFn, r.failFn)
 }
 
 // complete finishes the logical submission and recycles the op (before
@@ -336,7 +335,7 @@ func (rt *FaultRuntime) expand(disks int, retain bool) {
 	if f.stats.ExpandStart == 0 {
 		f.stats.ExpandStart = rt.arr.Eng.Now()
 	}
-	st := c.ExpandWith(newDevs, retain, func(at sim.Time) {
+	st := c.Expand(newDevs, retain, func(at sim.Time) {
 		if at > f.stats.ExpandEnd {
 			f.stats.ExpandEnd = at
 		}
@@ -574,7 +573,7 @@ func (r *rebuildJob) decoded() {
 		return
 	}
 	b := &r.batch
-	r.rt.arr.submit(r.dev, disk.OpWrite, b.s.base+b.blk, b.n, false, r.writtenFn)
+	r.rt.arr.submit(r.dev, disk.OpWrite, b.s.base+b.blk, b.n, r.writtenFn)
 }
 
 // written counts the batch and schedules the next step.

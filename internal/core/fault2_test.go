@@ -56,18 +56,18 @@ func TestDoubleFaultScenarioDeterministic(t *testing.T) {
 }
 
 // TestStormScenarioDeterministic runs a crash-restart storm plus a
-// heterogeneous per-device sub-plan: every crash fires, the sub-plan
+// transient window on one device: every crash fires, the window
 // injects, the invariants hold afterwards and a second run reproduces
 // the outcome exactly.
 func TestStormScenarioDeterministic(t *testing.T) {
-	const spec = "seed=9;dev:1{transient@2ms-30ms,rate=0.05,lat=2};storm:crash@10ms,n=3,every=8ms"
+	const spec = "seed=9;transient:1@2ms-30ms,rate=0.05,lat=2;storm:crash@10ms,n=3,every=8ms"
 	recs := randomWorkload(11, 3000, 12000)
 	faults, _ := replayFaultTwice(t, newTestCRAID, recs, spec)
 	if faults.Restarts != 3 {
 		t.Fatalf("storm fired %d restarts, want 3: %+v", faults.Restarts, faults)
 	}
 	if faults.Transients == 0 {
-		t.Fatalf("device sub-plan injected nothing: %+v", faults)
+		t.Fatalf("the transient window injected nothing: %+v", faults)
 	}
 }
 

@@ -580,8 +580,8 @@ func TestCrashRestartLogRingMatchesSyncControl(t *testing.T) {
 	}
 }
 
-// TestCrashRecoveryMidExpandRetain kills the controller while
-// ExpandRetain's migration reads are in flight: the epoch stamp must
+// TestCrashRecoveryMidExpandRetain kills the controller while a
+// retaining Expand's migration reads are in flight: the epoch stamp must
 // drop every stale re-placement write, and the recovered mapping state
 // must equal what a fresh controller recovers from the same log.
 func TestCrashRecoveryMidExpandRetain(t *testing.T) {
@@ -593,7 +593,7 @@ func TestCrashRecoveryMidExpandRetain(t *testing.T) {
 	replayAll(t, eng, c, recs)
 	logBytes := append([]byte(nil), log.Bytes()...)
 
-	st := c.ExpandRetain([]disk.Device{disk.NewNullDevice(eng, "spare", 100000)})
+	st := c.Expand([]disk.Device{disk.NewNullDevice(eng, "spare", 100000)}, true, nil)
 	if st.Migrated == 0 {
 		t.Fatal("expansion migrated nothing; the cache should be populated")
 	}

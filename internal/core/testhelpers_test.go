@@ -96,7 +96,7 @@ func outcomeOf(c *CRAID, arr *Array) outcome {
 // that the three structures the monitor keeps in lockstep — mapping
 // cache, replacement policy, P_C slot allocator — agree with each
 // other. It holds whenever no Submit is on the stack: between direct
-// submissions, after a replay, after Expand/ExpandRetain/CrashRestart.
+// submissions, after a replay, after Expand/CrashRestart.
 func checkInvariants(t *testing.T, c *CRAID) {
 	t.Helper()
 	checkDrained(t, c.arr)

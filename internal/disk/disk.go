@@ -113,37 +113,15 @@ type BusyCounter interface {
 
 // Stats holds per-device counters maintained by every model.
 type Stats struct {
-	Reads        int64 // completed read requests
-	Writes       int64 // completed write requests
-	BlocksRead   int64
-	BlocksWrite  int64
-	BusyTime     sim.Time // total time the device was servicing requests
-	QueueSamples int64    // number of queue-length observations (one per submit)
-	QueueSum     int64    // sum of observed queue lengths (pending, incl. in service)
-	QueueMax     int64    // maximum observed queue length
-	CacheHits    int64    // requests served entirely from the on-device cache
-	CacheMisses  int64
-	Errors       int64 // requests completed with an injected error
-	Rejected     int64 // requests rejected because the device was Failed
-}
-
-// MeanQueue returns the average queue length observed at submit time.
-func (s *Stats) MeanQueue() float64 {
-	if s.QueueSamples == 0 {
-		return 0
-	}
-	return float64(s.QueueSum) / float64(s.QueueSamples)
-}
-
-// IOs returns total completed requests.
-func (s *Stats) IOs() int64 { return s.Reads + s.Writes }
-
-func (s *Stats) observeQueue(depth int) {
-	s.QueueSamples++
-	s.QueueSum += int64(depth)
-	if int64(depth) > s.QueueMax {
-		s.QueueMax = int64(depth)
-	}
+	Reads       int64 // completed read requests
+	Writes      int64 // completed write requests
+	BlocksRead  int64
+	BlocksWrite int64
+	BusyTime    sim.Time // total time the device was servicing requests
+	CacheHits   int64    // requests served entirely from the on-device cache
+	CacheMisses int64
+	Errors      int64 // requests completed with an injected error
+	Rejected    int64 // requests rejected because the device was Failed
 }
 
 func checkRange(d Device, r *Request) {
@@ -253,7 +231,6 @@ func NewNullDevice(eng *sim.Engine, name string, capacityBlocks int64) *NullDevi
 // ordering guarantees).
 func (d *NullDevice) Submit(r *Request) {
 	checkRange(d, r)
-	d.stats.observeQueue(0)
 	if d.failed {
 		d.stats.Rejected++
 		completeFault(d.eng, 0, r)

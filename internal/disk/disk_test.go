@@ -346,15 +346,17 @@ func TestHDDQueueStats(t *testing.T) {
 	cfg := smallHDDConfig("hdd0")
 	d := NewHDD(eng, cfg)
 	for i := 0; i < 10; i++ {
+		if got := d.QueueDepth(); got != i {
+			t.Fatalf("QueueDepth = %d before request %d, want %d (one in service, the rest queued)", got, i, i)
+		}
 		d.Submit(&Request{Op: OpRead, Block: int64(i) * 100000, Count: 8})
 	}
 	eng.Run()
-	s := d.Stats()
-	if s.QueueSamples != 10 {
-		t.Errorf("QueueSamples = %d, want 10", s.QueueSamples)
+	if got := d.QueueDepth(); got != 0 {
+		t.Errorf("QueueDepth = %d once drained, want 0", got)
 	}
-	if s.QueueMax < 1 {
-		t.Errorf("QueueMax = %d, want >= 1 (requests queued behind service)", s.QueueMax)
+	if s := d.Stats(); s.Reads != 10 {
+		t.Errorf("Reads = %d, want 10", s.Reads)
 	}
 }
 

@@ -1,7 +1,6 @@
 package disk
 
 import (
-	"fmt"
 	"math"
 
 	"craid/internal/sim"
@@ -379,7 +378,6 @@ func (d *HDD) countBusy(delta int) {
 // Submit implements Device.
 func (d *HDD) Submit(r *Request) {
 	checkRange(d, r)
-	d.stats.observeQueue(d.QueueDepth())
 
 	if d.failed {
 		// A dead disk rejects at the controller: bus overhead, then an
@@ -752,10 +750,4 @@ func (d *HDD) installSegment(start, end int64) {
 	lru := d.segLRU
 	d.segments[lru].start, d.segments[lru].end = start, end
 	d.touchSegment(lru)
-}
-
-// String summarizes the drive geometry, for debugging.
-func (d *HDD) String() string {
-	return fmt.Sprintf("%s: %d blocks, %d cyls, %d zones, rev %v",
-		d.cfg.Name, d.cfg.CapacityBlocks, d.totalCyls, len(d.zones), d.revTime)
 }

@@ -101,7 +101,6 @@ func (d *refHDD) locate(block int64) (zn *zone, cyl, posOnTrack int64) {
 
 func (d *refHDD) Submit(r *Request) {
 	checkRange(d, r)
-	d.stats.observeQueue(d.QueueDepth())
 	if d.failed {
 		d.stats.Rejected++
 		completeFault(d.eng, d.cfg.ControllerOver, r)

@@ -160,7 +160,6 @@ func (d *SSD) Busy() bool { return d.busyUntil > d.eng.Now() }
 func (d *SSD) Submit(r *Request) {
 	checkRange(d, r)
 	now := d.eng.Now()
-	d.stats.observeQueue(d.QueueDepth())
 
 	if d.failed {
 		d.stats.Rejected++

@@ -69,7 +69,7 @@ type UpgradeRow struct {
 
 // AblationRebalance expands a loaded CRAID array mid-trace (38→50
 // disks, the paper schedule's last step) with both strategies: the
-// paper's conservative invalidation versus the ExpandRetain extension.
+// paper's conservative invalidation versus the retaining extension.
 // It quantifies the §6 discussion — invalidation costs post-expansion
 // misses, retention costs upfront migration.
 func AblationRebalance(traceName string, scale, pcPct float64) ([]UpgradeRow, error) {
@@ -153,11 +153,7 @@ func upgradeRun(traceName string, scale, pcPct float64, retain bool) (UpgradeRow
 			for i := startDisks; i < endDisks; i++ {
 				extra = append(extra, newHDD(i))
 			}
-			if retain {
-				row.Upgrade = c.ExpandRetain(extra)
-			} else {
-				row.Upgrade = c.Expand(extra)
-			}
+			row.Upgrade = c.Expand(extra, retain, nil)
 			expanded = true
 		}
 		eng.RunUntil(rec.Time)

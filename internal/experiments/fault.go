@@ -7,80 +7,26 @@ import (
 )
 
 // FaultRow is one failure experiment: the same workload replayed
-// healthy and under a fault plan, with the degraded-window KPIs and the
-// monitor-interference deltas the comparison yields.
+// healthy and under a fault plan. The degraded-window latencies and the
+// rebuild KPI are the faulted run's; the compound-failure counters are
+// its Fault stats.
 type FaultRow struct {
 	Name string // experiment label
 	Spec string // the fault plan replayed
 
 	Healthy RunResult // baseline, no plan installed
 	Faulted RunResult // same config + Spec
-
-	// Interference: response-time inflation of the faulted run over the
-	// healthy baseline, whole-run means (1.0 = no interference).
-	ReadMeanX  float64
-	WriteMeanX float64
-
-	// Degraded-window latencies and the rebuild KPI, copied out of the
-	// faulted run for table printing.
-	DegReadMean, DegReadP99   sim.Time
-	DegWriteMean, DegWriteP99 sim.Time
-	RebuildDuration           sim.Time
-
-	// Compound-failure KPIs, copied out of the faulted run's
-	// FaultStats for the double-fault / upgrade / storm rows.
-	Restarts        int64    // crash-restart cycles survived
-	RebuildRestarts int64    // rebuilds a crash restarted from row zero
-	RebuildLostRows int64    // rows unrecoverable mid-rebuild
-	LostExtents     int64    // extents beyond redundancy
-	Upgrades        int64    // expand events fired
-	ExpandMigrated  int64    // blocks a retain upgrade moved
-	ExpandWriteback int64    // dirty blocks an invalidating upgrade flushed
-	UpgradeLatency  sim.Time // expand instant → background-I/O drain
 }
 
-// RunFault replays cfg twice — once healthy, once with spec installed —
-// and reports the comparison. cfg.FaultSpec is overwritten by spec; all
-// other knobs (strategy, scale, cache size) apply to both runs,
-// so the delta isolates the fault fabric's effect.
-func (r *Runner) RunFault(name string, cfg RunConfig, spec string) (FaultRow, error) {
-	healthy := cfg
-	healthy.FaultSpec = ""
-	cfg.FaultSpec = spec
-	results, err := r.RunAll([]RunConfig{healthy, cfg})
-	if err != nil {
-		return FaultRow{}, err
-	}
-	return faultRowFrom(name, spec, results[0], results[1]), nil
+// ReadMeanX is the read interference: the faulted run's whole-run mean
+// read response time over the healthy baseline's (1.0 = none).
+func (row FaultRow) ReadMeanX() float64 {
+	return timeRatio(row.Faulted.ReadMean, row.Healthy.ReadMean)
 }
 
-// faultRowFrom assembles the comparison row of a faulted run against
-// its healthy baseline.
-func faultRowFrom(name, spec string, healthy, faulted RunResult) FaultRow {
-	row := FaultRow{
-		Name:            name,
-		Spec:            spec,
-		Healthy:         healthy,
-		Faulted:         faulted,
-		ReadMeanX:       timeRatio(faulted.ReadMean, healthy.ReadMean),
-		WriteMeanX:      timeRatio(faulted.WriteMean, healthy.WriteMean),
-		DegReadMean:     faulted.DegReadMean,
-		DegReadP99:      faulted.DegReadP99,
-		DegWriteMean:    faulted.DegWriteMean,
-		DegWriteP99:     faulted.DegWriteP99,
-		RebuildDuration: faulted.RebuildDuration,
-	}
-	if fs := faulted.Fault; fs != nil {
-		row.Restarts = fs.Restarts
-		row.RebuildRestarts = fs.RebuildRestarts
-		row.RebuildLostRows = fs.RebuildLostRows
-		row.LostExtents = fs.LostExtents
-		row.Upgrades = fs.Upgrades
-		row.ExpandMigrated = fs.ExpandMigrated
-		row.ExpandWriteback = fs.ExpandWriteback
-		row.UpgradeLatency = fs.UpgradeLatency()
-	}
-	return row
+// WriteMeanX is ReadMeanX for writes.
+func (row FaultRow) WriteMeanX() float64 {
+	return timeRatio(row.Faulted.WriteMean, row.Healthy.WriteMean)
 }
 
 // RunFaultFamily runs the standard failure experiments against cfg: a
@@ -142,7 +88,7 @@ func (r *Runner) RunFaultFamily(cfg RunConfig) ([]FaultRow, error) {
 	}
 	rows := make([]FaultRow, len(exps))
 	for i, e := range exps {
-		rows[i] = faultRowFrom(e.name, e.spec, results[0], results[1+i])
+		rows[i] = FaultRow{Name: e.name, Spec: e.spec, Healthy: results[0], Faulted: results[1+i]}
 	}
 	return rows, nil
 }

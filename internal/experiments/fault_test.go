@@ -71,27 +71,33 @@ func TestRunFaultCrashRestart(t *testing.T) {
 	}
 }
 
-// TestRunFaultRowComparesHealthyBaseline pins RunFault's shape: the
+// TestRunFaultRowComparesHealthyBaseline pins FaultRow's shape: the
 // healthy run carries no fault KPIs, the faulted run does, and the
-// interference ratios are populated.
+// interference ratios divide the faulted means by the healthy ones.
 func TestRunFaultRowComparesHealthyBaseline(t *testing.T) {
-	cfg := faultTestConfig()
-	row, err := new(Runner).RunFault("fail+rebuild", cfg, "seed=1;fail:2@15s;rebuild:2@25s,rate=64")
+	healthy := faultTestConfig()
+	faulted := healthy
+	faulted.FaultSpec = "seed=1;fail:2@15s;rebuild:2@25s,rate=64"
+	res, err := new(Runner).RunAll([]RunConfig{healthy, faulted})
 	if err != nil {
 		t.Fatal(err)
 	}
+	row := FaultRow{Name: "fail+rebuild", Spec: faulted.FaultSpec, Healthy: res[0], Faulted: res[1]}
 	if row.Healthy.Fault != nil {
 		t.Error("healthy baseline carries fault stats")
 	}
 	if row.Faulted.Fault == nil || row.Faulted.Fault.Failures != 1 {
 		t.Fatalf("faulted run stats: %+v", row.Faulted.Fault)
 	}
-	if row.ReadMeanX <= 0 || row.WriteMeanX <= 0 {
+	if row.ReadMeanX() <= 0 || row.WriteMeanX() <= 0 {
 		t.Errorf("interference ratios not populated: read %.3f write %.3f",
-			row.ReadMeanX, row.WriteMeanX)
+			row.ReadMeanX(), row.WriteMeanX())
 	}
-	if row.RebuildDuration == 0 {
-		t.Error("rebuild duration KPI not copied out")
+	if want := float64(res[1].ReadMean) / float64(res[0].ReadMean); row.ReadMeanX() != want {
+		t.Errorf("ReadMeanX = %v, want faulted/healthy = %v", row.ReadMeanX(), want)
+	}
+	if row.Faulted.RebuildDuration == 0 {
+		t.Error("faulted run has no rebuild duration")
 	}
 }
 
@@ -130,24 +136,23 @@ func TestRunFaultFamilyCRAID(t *testing.T) {
 		t.Error("transient row missing fault KPIs")
 	}
 	if r := byName["double-fault"]; r.Faulted.Fault == nil ||
-		r.Faulted.Fault.Failures != 2 || r.LostExtents != 0 || r.RebuildLostRows != 0 {
+		r.Faulted.Fault.Failures != 2 || r.Faulted.Fault.LostExtents != 0 || r.Faulted.Fault.RebuildLostRows != 0 {
 		t.Errorf("double-fault row: %+v", r.Faulted.Fault)
 	}
-	if r := byName["crash-restart"]; r.Faulted.Fault == nil || r.Restarts != 1 {
+	if r := byName["crash-restart"]; r.Faulted.Fault == nil || r.Faulted.Fault.Restarts != 1 {
 		t.Errorf("crash-restart row did not restart: %+v", r.Faulted.Fault)
 	}
-	if r := byName["crash-in-rebuild"]; r.Faulted.Fault == nil || r.Restarts != 1 ||
+	if r := byName["crash-in-rebuild"]; r.Faulted.Fault == nil || r.Faulted.Fault.Restarts != 1 ||
 		r.Faulted.Fault.RebuildRows == 0 {
 		t.Errorf("crash-in-rebuild row: %+v", r.Faulted.Fault)
 	}
-	if r := byName["storm"]; r.Restarts != 3 {
-		t.Errorf("storm row survived %d restarts, want 3", r.Restarts)
+	if f := byName["storm"].Faulted.Fault; f == nil || f.Restarts != 3 {
+		t.Errorf("storm row: %+v, want 3 restarts", f)
 	}
-	if r := byName["expand"]; r.Upgrades != 1 {
-		t.Errorf("expand row fired %d upgrades, want 1", r.Upgrades)
-	}
-	if r := byName["expand-retain"]; r.Upgrades != 1 {
-		t.Errorf("expand-retain row fired %d upgrades, want 1", r.Upgrades)
+	for _, name := range []string{"expand", "expand-retain"} {
+		if f := byName[name].Faulted.Fault; f == nil || f.Upgrades != 1 {
+			t.Errorf("%s row: %+v, want 1 upgrade", name, f)
+		}
 	}
 }
 

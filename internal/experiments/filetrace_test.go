@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -91,6 +92,21 @@ func TestRunFileTraceRejectsBursty(t *testing.T) {
 	}
 }
 
+// TestRunFileTraceRejectsVolumeOnNonMSR: only MSR records carry a
+// volume, so a TraceVolume on another format is an error rather than a
+// replay of every record as if they were one volume's.
+func TestRunFileTraceRejectsVolumeOnNonMSR(t *testing.T) {
+	path := writeTempTrace(t, "t.trace", "0 R 0 1\n100 W 8 2\n")
+	vol := 2
+	for _, format := range []string{"", "native", "blk"} {
+		cfg := fileCfg(path, format)
+		cfg.TraceVolume = &vol
+		if res, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "TraceVolume") {
+			t.Errorf("format %q with TraceVolume: %d requests, err %v; want a TraceVolume error", format, res.Requests, err)
+		}
+	}
+}
+
 func TestRunFileTraceRejectsNegativeVolume(t *testing.T) {
 	path := writeTempTrace(t, "t.csv", "1,h,0,Read,0,4096,1\n")
 	cfg := fileCfg(path, "msr")
@@ -143,18 +159,23 @@ func TestRunMSRVolumesSplitsAndRunsAll(t *testing.T) {
 		}
 	}
 
-	// Parallel per-volume results must equal a directly-configured
-	// single-volume run (split changes concurrency, not outcomes).
-	solo := fileCfg(path, "msr")
-	vol := 2
-	solo.TraceVolume = &vol
-	res, err := Run(solo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Requests != results[1].Requests ||
-		res.CRAID.OverallHitRatio() != results[1].CRAID.OverallHitRatio() {
-		t.Error("per-volume split diverged from direct single-volume run")
+	// Each parallel per-volume result must equal a directly configured
+	// single-volume run in everything but the config and the ring's
+	// goroutine-timing counters (a split changes concurrency, not
+	// outcomes).
+	for _, vr := range results {
+		solo := fileCfg(path, "msr")
+		solo.TraceVolume = &vr.Volume
+		res, err := Run(solo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := dropRingTelemetry([]RunResult{vr.RunResult})[0]
+		want := dropRingTelemetry([]RunResult{res})[0]
+		got.Cfg, want.Cfg = RunConfig{}, RunConfig{}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("volume %d: split result diverged from a direct TraceVolume run:\n got %+v\nwant %+v", vr.Volume, got, want)
+		}
 	}
 
 	// The zero value of TraceVolume (nil) replays every volume.

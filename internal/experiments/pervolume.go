@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"os"
 
 	"craid/internal/trace"
@@ -19,15 +18,12 @@ type VolumeResult struct {
 // simulation built from base (TraceFile/TraceFormat/TraceVolume are
 // overridden per cell; everything else — strategy, P_C size,
 // DatasetBlocks — is taken as given, and a zero Scale is derived from
-// DatasetBlocks). Cells run concurrently under r's worker pool,
-// and each cell's replay pipeline parses its own volume's records off
-// its simulation path, so a k-volume file keeps up to k parsers and k
-// simulations busy at once.
-//
-// All cells share ONE open file: the volume scan and every per-volume
-// reader work through pread-style io.ReaderAt sections of the same
-// handle (RunConfig.TraceAt), so a wide MSR host costs one descriptor
-// regardless of volume count instead of one per volume.
+// DatasetBlocks). Each cell is exactly the run `craidsim -volume N`
+// makes: it opens the file, parses its own volume's records off its
+// simulation path, and closes the file when it ends. Cells run
+// concurrently under r's worker pool, so a k-volume file keeps up to
+// min(k, Parallel) parsers and simulations — and descriptors — busy at
+// once.
 //
 // Results are returned in ascending DiskNumber order.
 func (r *Runner) RunMSRVolumes(path string, base RunConfig) ([]VolumeResult, error) {
@@ -35,13 +31,8 @@ func (r *Runner) RunMSRVolumes(path string, base RunConfig) ([]VolumeResult, err
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	size := fi.Size()
-	vols, err := trace.MSRVolumes(io.NewSectionReader(f, 0, size))
+	vols, err := trace.MSRVolumes(f)
+	f.Close()
 	if err != nil {
 		return nil, fmt.Errorf("experiments: scanning %s: %w", path, err)
 	}
@@ -50,13 +41,10 @@ func (r *Runner) RunMSRVolumes(path string, base RunConfig) ([]VolumeResult, err
 	}
 	cfgs := make([]RunConfig, len(vols))
 	for i, v := range vols {
-		v := v
 		c := base
 		c.TraceFile = path
 		c.TraceFormat = "msr"
 		c.TraceVolume = &v
-		c.TraceAt = f
-		c.TraceAtSize = size
 		if c.Trace == "" {
 			c.Trace = fmt.Sprintf("msr-vol%d", v)
 		}

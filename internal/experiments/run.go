@@ -33,7 +33,13 @@ import (
 
 // newFileReader builds the parser for cfg's trace file format.
 func newFileReader(r io.Reader, cfg RunConfig) (trace.Reader, error) {
-	switch strings.ToLower(cfg.TraceFormat) {
+	format := strings.ToLower(cfg.TraceFormat)
+	if cfg.TraceVolume != nil && format != "msr" {
+		// Only MSR records carry a volume; replaying every record of
+		// another format as if it were one volume would be silently wrong.
+		return nil, fmt.Errorf("experiments: TraceVolume selects an MSR DiskNumber; format %q has none", cfg.TraceFormat)
+	}
+	switch format {
 	case "", "native":
 		return trace.NewNativeReader(r), nil
 	case "msr":
@@ -164,23 +170,12 @@ type RunConfig struct {
 	// "blk" (SRCMap/blkparse). DatasetBlocks sizes the simulated
 	// dataset and is required with TraceFile (presets derive it from
 	// the generator). TraceVolume, when non-nil, restricts an MSR file
-	// to one DiskNumber; nil replays all volumes interleaved.
+	// to one DiskNumber (other formats reject it); nil replays all
+	// volumes interleaved.
 	TraceFile     string
 	TraceFormat   string
 	TraceVolume   *int
 	DatasetBlocks int64
-
-	// TraceAt, when non-nil, replaces the per-cell os.Open of
-	// TraceFile: the cell reads [0, TraceAtSize) of the shared handle
-	// through an io.SectionReader, whose ReadAt calls are pread-style
-	// and safe for any number of concurrent cells. RunMSRVolumes uses
-	// this to fan a k-volume file into k parallel simulations over ONE
-	// open file instead of k. TraceFile then only labels the run.
-	// Excluded from JSON, and so from the store key (ConfigHash): an
-	// open handle is process-local state, and cells carrying one never
-	// reach the result store.
-	TraceAt     io.ReaderAt `json:"-"`
-	TraceAtSize int64       `json:"-"`
 
 	// FaultSpec, when non-empty, installs a deterministic failure plan
 	// (fault.ParsePlan syntax: "seed=7;fail:2@5s;rebuild:2@10s,rate=64")
@@ -259,7 +254,7 @@ func Run(cfg RunConfig) (RunResult, error) {
 	}
 	var rd trace.Reader
 	var dataset int64
-	if cfg.TraceFile != "" || cfg.TraceAt != nil {
+	if cfg.TraceFile != "" {
 		if cfg.DatasetBlocks <= 0 {
 			return RunResult{}, fmt.Errorf("experiments: file trace %q needs DatasetBlocks", cfg.TraceFile)
 		}
@@ -268,22 +263,12 @@ func Run(cfg RunConfig) (RunResult, error) {
 			// pattern is whatever was recorded.
 			return RunResult{}, fmt.Errorf("experiments: Bursty does not apply to file traces")
 		}
-		var src io.Reader
-		if cfg.TraceAt != nil {
-			// Shared handle: this cell's reads go through pread-style
-			// ReadAt with a private offset, so sibling cells replaying
-			// other volumes of the same file never interfere.
-			src = io.NewSectionReader(cfg.TraceAt, 0, cfg.TraceAtSize)
-		} else {
-			f, err := os.Open(cfg.TraceFile)
-			if err != nil {
-				return RunResult{}, err
-			}
-			defer f.Close()
-			src = f
+		f, err := os.Open(cfg.TraceFile)
+		if err != nil {
+			return RunResult{}, err
 		}
-		var err error
-		rd, err = newFileReader(bufio.NewReaderSize(src, 1<<20), cfg)
+		defer f.Close()
+		rd, err = newFileReader(bufio.NewReaderSize(f, 1<<20), cfg)
 		if err != nil {
 			return RunResult{}, err
 		}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"math"
 	"os"
 	"reflect"
@@ -91,43 +90,29 @@ func TestRunAllUnreadableStoreFails(t *testing.T) {
 	}
 }
 
-// keyed lists RunConfig's fields by whether ConfigHash covers them,
-// which is whether encoding/json does.
-func keyed(t *testing.T) (in, out []reflect.StructField) {
-	typ := reflect.TypeOf(RunConfig{})
-	for i := 0; i < typ.NumField(); i++ {
-		f := typ.Field(i)
-		switch {
-		case !f.IsExported():
-			t.Fatalf("RunConfig.%s is unexported: json skips it, so the store key would too", f.Name)
-		case f.Tag.Get("json") == "-":
-			out = append(out, f)
-		default:
-			in = append(in, f)
-		}
-	}
-	return in, out
-}
-
 // TestConfigHashDistinguishesEveryField changes each RunConfig field
 // in turn, found by reflection so that a new field cannot be forgotten:
-// one that json encodes must change the store key — a field the key
-// ignores would serve a wrong stored result — and one tagged json:"-"
-// cannot, so setting it must make the cell uncacheable.
+// every field must be one encoding/json writes, and changing it must
+// change the store key — a field the key ignored would serve a wrong
+// stored result.
 func TestConfigHashDistinguishesEveryField(t *testing.T) {
 	base := RunConfig{Trace: "wdev", Scale: 0.002, Strategy: CRAID5, PCPct: 0.008}
 	baseHash := mustHash(t, base)
 	if !cacheable(base) {
 		t.Fatal("the base config is not cacheable")
 	}
-	in, out := keyed(t)
-	if len(in) < 19 || len(out) != 2 {
-		t.Fatalf("%d keyed and %d unkeyed fields, want at least 19 and TraceAt, TraceAtSize", len(in), len(out))
+	typ := reflect.TypeOf(base)
+	if typ.NumField() < 19 {
+		t.Fatalf("RunConfig has %d fields, want at least 19", typ.NumField())
 	}
 	seen := map[string]string{baseHash: "the base config"}
-	for _, f := range in {
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if !f.IsExported() || f.Tag.Get("json") == "-" {
+			t.Fatalf("RunConfig.%s is not encoded by json, so the store key would ignore it", f.Name)
+		}
 		cfg := base
-		v := reflect.ValueOf(&cfg).Elem().FieldByIndex(f.Index)
+		v := reflect.ValueOf(&cfg).Elem().Field(i)
 		switch v.Kind() {
 		case reflect.String:
 			v.SetString(v.String() + "x")
@@ -149,17 +134,6 @@ func TestConfigHashDistinguishesEveryField(t *testing.T) {
 			t.Errorf("changing %s gives the key of %s", f.Name, prev)
 		}
 		seen[h] = "changing " + f.Name
-	}
-	// Two cells that differ only in their handle have one key, and are
-	// never looked up under it.
-	a, b := base, base
-	a.TraceAt, a.TraceAtSize = bytes.NewReader([]byte("0 R 0 8\n")), 8
-	b.TraceAt, b.TraceAtSize = bytes.NewReader([]byte("0 W 8 8\n1 W 16 8\n")), 17
-	if mustHash(t, a) != mustHash(t, b) || mustHash(t, a) != baseHash {
-		t.Error("a TraceAt handle reached the key: json encodes it after all")
-	}
-	if cacheable(a) || cacheable(b) {
-		t.Error("a cell with a TraceAt handle is cacheable")
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"craid/internal/analysis"
+	"craid/internal/cache"
 	"craid/internal/disk"
 	"craid/internal/metrics"
 	"craid/internal/migrate"
@@ -80,10 +81,6 @@ type PolicyRow struct {
 	ReplacementRatio float64 // Table 3
 }
 
-// PolicyNamesPaper lists the monitor policies in the paper's column
-// order (WLRU with w=0.5).
-func PolicyNamesPaper() []string { return []string{"LRU", "LFUDA", "GDSF", "ARC", "WLRU"} }
-
 // Tables2and3 evaluates every policy on every trace with a P_C of 0.1%
 // of the weekly working set, using the instant disk model, exactly as
 // §5.1 does. Each workload scales to roughly budgetGB of traffic. The
@@ -101,7 +98,7 @@ func (r *Runner) Tables2and3(budgetGB float64) ([]PolicyRow, error) {
 		if pcBlocks < 50 {
 			pcBlocks = 50
 		}
-		for _, policy := range PolicyNamesPaper() {
+		for _, policy := range cache.Names() {
 			cfgs = append(cfgs, RunConfig{
 				Trace:    traceName,
 				Scale:    scale,

@@ -43,8 +43,8 @@ const (
 	// RateMBps; the device rejoins the array when the walk completes.
 	Rebuild
 	// Expand grows the array by Disks devices at At, mid-replay: the
-	// controller performs an online upgrade (Expand, or ExpandRetain
-	// when Retain is set) while the workload keeps flowing.
+	// controller performs an online upgrade (core's Expand, retaining
+	// P_C when Retain is set) while the workload keeps flowing.
 	Expand
 	// Storm is a generator: N crash-restart cycles starting at At,
 	// Every apart, modelling a controller that keeps dying under load.
@@ -80,7 +80,7 @@ type Event struct {
 	LatencyX float64  // Transient: service-time multiplier, >= 1
 	RateMBps float64  // Rebuild: reconstruction traffic rate limit
 	Disks    int      // Expand: devices added
-	Retain   bool     // Expand: migrate live blocks (ExpandRetain)
+	Retain   bool     // Expand: migrate live blocks instead of invalidating
 	N        int      // Storm: crash-restart cycles generated
 	Every    sim.Time // Storm: period between cycles
 }
@@ -151,22 +151,15 @@ const (
 //	crash@6s
 //	expand@30s,disks=5            (expand@30s,disks=5,retain migrates)
 //	storm:crash@10s,n=4,every=5s
-//	dev:3{transient@1s-8s,rate=0.5;fail@20s}
 //
 // Times and window bounds use time.ParseDuration syntax and measure
 // simulated time from the start of the replay. Omitted transient
 // options default to rate=0.01, lat=1; an omitted rebuild rate
-// defaults to 64 (MB/s). A dev:N{...} block is sugar binding every
-// inner item to device N — the heterogeneous-fleet form — and expands
-// into ordinary events. Events may appear in any order; the schedule
+// defaults to 64 (MB/s). Events may appear in any order; the schedule
 // is sorted by firing time.
 func ParsePlan(spec string) (Plan, error) {
 	var p Plan
-	items, err := splitItems(spec)
-	if err != nil {
-		return Plan{}, err
-	}
-	for _, item := range items {
+	for _, item := range strings.Split(spec, ";") {
 		item = strings.TrimSpace(item)
 		if item == "" {
 			continue
@@ -179,15 +172,7 @@ func ParsePlan(spec string) (Plan, error) {
 			p.Seed = seed
 			continue
 		}
-		if strings.HasPrefix(item, "dev:") {
-			evs, err := parseDevBlock(item)
-			if err != nil {
-				return Plan{}, err
-			}
-			p.Events = append(p.Events, evs...)
-			continue
-		}
-		ev, err := parseEvent(item, -1)
+		ev, err := parseEvent(item)
 		if err != nil {
 			return Plan{}, err
 		}
@@ -197,74 +182,8 @@ func ParsePlan(spec string) (Plan, error) {
 	return p, nil
 }
 
-// splitItems splits a spec on semicolons at brace depth zero, so the
-// items inside a dev:N{...} sub-plan stay attached to their block.
-func splitItems(spec string) ([]string, error) {
-	var items []string
-	depth, start := 0, 0
-	for i := 0; i < len(spec); i++ {
-		switch spec[i] {
-		case '{':
-			depth++
-		case '}':
-			depth--
-			if depth < 0 {
-				return nil, fmt.Errorf("fault: unbalanced '}' in %q", spec)
-			}
-		case ';':
-			if depth == 0 {
-				items = append(items, spec[start:i])
-				start = i + 1
-			}
-		}
-	}
-	if depth != 0 {
-		return nil, fmt.Errorf("fault: unbalanced '{' in %q", spec)
-	}
-	return append(items, spec[start:]), nil
-}
-
-// parseDevBlock expands a per-device sub-plan, dev:N{item;item;...},
-// into ordinary events with device N bound. Inner items use the same
-// grammar minus the :DEV head (fail@5s, transient@1s-8s,rate=0.5,
-// rebuild@10s,rate=64); device-less kinds (crash, expand, storm) cannot
-// be scoped to a device and are rejected.
-func parseDevBlock(item string) ([]Event, error) {
-	rest := strings.TrimPrefix(item, "dev:")
-	devStr, body, found := strings.Cut(rest, "{")
-	if !found {
-		return nil, fmt.Errorf("fault: dev block %q has no '{'", item)
-	}
-	if !strings.HasSuffix(body, "}") {
-		return nil, fmt.Errorf("fault: dev block %q does not end with '}'", item)
-	}
-	body = body[:len(body)-1]
-	if strings.ContainsAny(body, "{}") {
-		return nil, fmt.Errorf("fault: nested braces in dev block %q", item)
-	}
-	dev, err := strconv.Atoi(devStr)
-	if err != nil || dev < 0 {
-		return nil, fmt.Errorf("fault: bad device %q in %q", devStr, item)
-	}
-	var evs []Event
-	for _, inner := range strings.Split(body, ";") {
-		inner = strings.TrimSpace(inner)
-		if inner == "" {
-			continue
-		}
-		ev, err := parseEvent(inner, dev)
-		if err != nil {
-			return nil, err
-		}
-		evs = append(evs, ev)
-	}
-	return evs, nil
-}
-
-// parseEvent parses one event item. forceDev >= 0 binds the item to
-// that device (dev-block sugar): the head must then omit its own :DEV
-// and the kind must be one that takes a device.
-func parseEvent(item string, forceDev int) (Event, error) {
+// parseEvent parses one event item.
+func parseEvent(item string) (Event, error) {
 	head, rest, found := strings.Cut(item, "@")
 	if !found {
 		return Event{}, fmt.Errorf("fault: event %q has no @time", item)
@@ -294,26 +213,13 @@ func parseEvent(item string, forceDev int) (Event, error) {
 		if hasDev {
 			return Event{}, fmt.Errorf("fault: %s takes no device in %q", kind, item)
 		}
-		if forceDev >= 0 {
-			return Event{}, fmt.Errorf("fault: %s cannot appear in a dev block in %q", kind, item)
-		}
 	case Storm:
-		if forceDev >= 0 {
-			return Event{}, fmt.Errorf("fault: storm cannot appear in a dev block in %q", item)
-		}
 		// The :sub slot names what the storm repeats; only crash-restart
 		// cycles are defined.
 		if !hasDev || devStr != "crash" {
 			return Event{}, fmt.Errorf("fault: storm repeats crash events (storm:crash@T,n=K,every=D) in %q", item)
 		}
 	default:
-		if forceDev >= 0 {
-			if hasDev {
-				return Event{}, fmt.Errorf("fault: %s inside a dev block must not name a device in %q", kind, item)
-			}
-			ev.Dev = forceDev
-			break
-		}
 		if !hasDev {
 			return Event{}, fmt.Errorf("fault: %s needs a device (%s:DEV@time) in %q", kind, kind, item)
 		}
@@ -429,38 +335,6 @@ func parseTime(s string) (sim.Time, error) {
 		return 0, fmt.Errorf("negative time %q", s)
 	}
 	return sim.Duration(d), nil
-}
-
-// String renders the plan back into spec syntax; ParsePlan(p.String())
-// reproduces p.
-func (p Plan) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "seed=%d", p.Seed)
-	for _, ev := range p.Events {
-		b.WriteByte(';')
-		switch ev.Kind {
-		case CrashRestart:
-			fmt.Fprintf(&b, "crash@%s", fmtTime(ev.At))
-		case DiskFail:
-			fmt.Fprintf(&b, "fail:%d@%s", ev.Dev, fmtTime(ev.At))
-		case Transient:
-			fmt.Fprintf(&b, "transient:%d@%s", ev.Dev, fmtTime(ev.At))
-			if ev.Until > 0 {
-				fmt.Fprintf(&b, "-%s", fmtTime(ev.Until))
-			}
-			fmt.Fprintf(&b, ",rate=%g,lat=%g", ev.Rate, ev.LatencyX)
-		case Rebuild:
-			fmt.Fprintf(&b, "rebuild:%d@%s,rate=%g", ev.Dev, fmtTime(ev.At), ev.RateMBps)
-		case Expand:
-			fmt.Fprintf(&b, "expand@%s,disks=%d", fmtTime(ev.At), ev.Disks)
-			if ev.Retain {
-				b.WriteString(",retain")
-			}
-		case Storm:
-			fmt.Fprintf(&b, "storm:crash@%s,n=%d,every=%s", fmtTime(ev.At), ev.N, fmtTime(ev.Every))
-		}
-	}
-	return b.String()
 }
 
 func fmtTime(t sim.Time) string {

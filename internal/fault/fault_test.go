@@ -9,34 +9,6 @@ import (
 	"craid/internal/sim"
 )
 
-func TestParsePlanRoundTrip(t *testing.T) {
-	specs := []string{
-		"seed=7;fail:2@5s;transient:3@1s-8s,rate=0.01,lat=4;rebuild:2@10s,rate=64;crash@6s",
-		"seed=0",
-		"seed=1;crash@500ms",
-		"seed=9;transient:0@0s,rate=1,lat=1",
-		"seed=3;fail:0@1ms;fail:1@2ms;rebuild:0@3ms,rate=128;rebuild:1@4ms,rate=32",
-		"seed=2;expand@30s,disks=5",
-		"seed=2;expand@30s,disks=5,retain",
-		"seed=4;storm:crash@10s,n=4,every=5s",
-		"seed=6;dev:3{transient@1s-8s,rate=0.5,lat=2;fail@20s;rebuild@30s,rate=16}",
-		"seed=8;fail:2@5s;rebuild:2@10s;fail:3@12s;expand@20s,disks=2,retain;storm:crash@30s,n=2,every=1s",
-	}
-	for _, spec := range specs {
-		p, err := ParsePlan(spec)
-		if err != nil {
-			t.Fatalf("ParsePlan(%q): %v", spec, err)
-		}
-		p2, err := ParsePlan(p.String())
-		if err != nil {
-			t.Fatalf("re-parse of %q: %v", p.String(), err)
-		}
-		if !reflect.DeepEqual(p, p2) {
-			t.Errorf("round trip of %q changed the plan:\n  %+v\n  %+v", spec, p, p2)
-		}
-	}
-}
-
 func TestParsePlanSortsEvents(t *testing.T) {
 	p, err := ParsePlan("seed=1;rebuild:2@10s;fail:2@5s")
 	if err != nil {
@@ -63,62 +35,38 @@ func TestParsePlanDefaults(t *testing.T) {
 
 func TestParsePlanErrors(t *testing.T) {
 	bad := []string{
-		"fail:1",                             // no @time
-		"fail@5s",                            // missing device
-		"crash:2@5s",                         // crash takes no device
-		"bogus:1@2s",                         // unknown kind
-		"fail:-1@1s",                         // negative device
-		"fail:x@1s",                          // non-numeric device
-		"seed=x",                             // bad seed
-		"transient:1@5s-2s",                  // window end before start
-		"transient:1@1s,rate=2",              // rate outside [0,1]
-		"transient:1@1s,lat=0.5",             // lat below 1
-		"transient:1@1s,rate",                // option without value
-		"rebuild:1@1s,rate=-1",               // non-positive rebuild rate
-		"fail:1@1s,rate=2",                   // option on wrong kind
-		"fail:1@1s-2s",                       // window on non-transient
-		"fail:1@notatime",                    // unparseable time
-		"transient:1@1s,bogus=3",             // unknown option
-		"fail:1@",                            // empty time
-		"expand@5s",                          // expand without disks
-		"expand@5s,disks=0",                  // expand with no devices
-		"expand:2@5s,disks=1",                // expand takes no device
-		"fail:1@5s,retain",                   // retain only applies to expand
-		"storm@5s,n=2,every=1s",              // storm without a sub-kind
-		"storm:fail@5s,n=2,every=1s",         // only crash storms are defined
-		"storm:crash@5s,every=1s",            // storm without n
-		"storm:crash@5s,n=2",                 // storm without every
-		"storm:crash@5s,n=0,every=1s",        // empty storm
-		"dev:3{fail@1s",                      // unbalanced brace
-		"dev:3{fail@1s}}",                    // unbalanced brace
-		"dev:x{fail@1s}",                     // bad device
-		"dev:3{crash@1s}",                    // device-less kind in a dev block
-		"dev:3{expand@1s,disks=1}",           // device-less kind in a dev block
-		"dev:3{storm:crash@1s,n=2,every=1s}", // generator in a dev block
-		"dev:3{fail:2@1s}",                   // inner item with its own device
-		"dev:3fail@1s}",                      // stray brace
+		"fail:1",                      // no @time
+		"fail@5s",                     // missing device
+		"crash:2@5s",                  // crash takes no device
+		"bogus:1@2s",                  // unknown kind
+		"fail:-1@1s",                  // negative device
+		"fail:x@1s",                   // non-numeric device
+		"seed=x",                      // bad seed
+		"transient:1@5s-2s",           // window end before start
+		"transient:1@1s,rate=2",       // rate outside [0,1]
+		"transient:1@1s,lat=0.5",      // lat below 1
+		"transient:1@1s,rate",         // option without value
+		"rebuild:1@1s,rate=-1",        // non-positive rebuild rate
+		"fail:1@1s,rate=2",            // option on wrong kind
+		"fail:1@1s-2s",                // window on non-transient
+		"fail:1@notatime",             // unparseable time
+		"transient:1@1s,bogus=3",      // unknown option
+		"fail:1@",                     // empty time
+		"expand@5s",                   // expand without disks
+		"expand@5s,disks=0",           // expand with no devices
+		"expand:2@5s,disks=1",         // expand takes no device
+		"fail:1@5s,retain",            // retain only applies to expand
+		"storm@5s,n=2,every=1s",       // storm without a sub-kind
+		"storm:fail@5s,n=2,every=1s",  // only crash storms are defined
+		"storm:crash@5s,every=1s",     // storm without n
+		"storm:crash@5s,n=2",          // storm without every
+		"storm:crash@5s,n=0,every=1s", // empty storm
+		"dev:3{fail@1s}",              // the per-device block form is gone: fail:3@1s
 	}
 	for _, spec := range bad {
 		if _, err := ParsePlan(spec); err == nil {
 			t.Errorf("ParsePlan(%q) accepted a bad spec", spec)
 		}
-	}
-}
-
-// TestParsePlanDevBlockExpands pins the heterogeneous-fleet sugar: a
-// dev:N{...} block parses to exactly the events its flat spelling
-// parses to.
-func TestParsePlanDevBlockExpands(t *testing.T) {
-	sugar, err := ParsePlan("seed=5;dev:3{transient@1s-8s,rate=0.5;fail@20s};crash@30s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat, err := ParsePlan("seed=5;transient:3@1s-8s,rate=0.5;fail:3@20s;crash@30s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sugar, flat) {
-		t.Fatalf("dev block expanded to\n  %+v\nflat spelling parses to\n  %+v", sugar, flat)
 	}
 }
 

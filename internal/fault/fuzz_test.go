@@ -1,15 +1,14 @@
 package fault
 
 import (
-	"reflect"
 	"testing"
 )
 
 // FuzzParsePlan pins two properties over arbitrary specs: ParsePlan
-// never panics, and every accepted plan is round-trip stable —
-// re-parsing p.String() reproduces p exactly and renders back to the
-// same canonical string. The seed corpus covers every grammar form,
-// including the compound-fabric items (expand, storm, dev blocks).
+// never panics, and every accepted plan is well formed — its events are
+// sorted by At and each one satisfies parseEvent's rules for its kind.
+// The seed corpus covers every grammar form, plus inputs that must be
+// rejected (the removed dev:N{…} block among them).
 func FuzzParsePlan(f *testing.F) {
 	seeds := []string{
 		"seed=7",
@@ -37,17 +36,60 @@ func FuzzParsePlan(f *testing.F) {
 		if err != nil {
 			return // rejected specs only need to reject without panicking
 		}
-		rendered := p.String()
-		p2, err := ParsePlan(rendered)
-		if err != nil {
-			t.Fatalf("ParsePlan(%q) accepted, but its rendering %q does not re-parse: %v",
-				spec, rendered, err)
-		}
-		if !reflect.DeepEqual(p, p2) {
-			t.Fatalf("round trip of %q changed the plan:\n  %+v\n  %+v", spec, p, p2)
-		}
-		if again := p2.String(); again != rendered {
-			t.Fatalf("String not stable for %q: %q then %q", spec, rendered, again)
+		for i, ev := range p.Events {
+			if i > 0 && ev.At < p.Events[i-1].At {
+				t.Fatalf("ParsePlan(%q): event %d at %d sorts before event %d at %d",
+					spec, i, ev.At, i-1, p.Events[i-1].At)
+			}
+			if msg := eventRuleBroken(ev); msg != "" {
+				t.Fatalf("ParsePlan(%q) accepted event %d %+v: %s", spec, i, ev, msg)
+			}
 		}
 	})
+}
+
+// eventRuleBroken restates parseEvent's acceptance rules for one parsed
+// event, returning which one ev breaks ("" for none).
+func eventRuleBroken(ev Event) string {
+	switch {
+	case ev.At < 0:
+		return "negative time"
+	case ev.Dev < 0:
+		return "negative device"
+	case ev.Until != 0 && (ev.Kind != Transient || ev.Until <= ev.At):
+		return "window on a non-transient event, or ending before it starts"
+	case ev.Retain && ev.Kind != Expand:
+		return "retain on a non-expand event"
+	}
+	switch ev.Kind {
+	case DiskFail, CrashRestart:
+	case Transient:
+		if ev.Rate < 0 || ev.Rate > 1 || ev.LatencyX < 1 {
+			return "transient rate outside [0,1] or lat below 1"
+		}
+	case Rebuild:
+		if ev.RateMBps <= 0 {
+			return "rebuild rate not positive"
+		}
+	case Expand:
+		if ev.Disks < 1 {
+			return "expand adds no disks"
+		}
+	case Storm:
+		if ev.N < 1 || ev.Every <= 0 {
+			return "storm without cycles or period"
+		}
+	default:
+		return "unknown kind"
+	}
+	if ev.Kind != Transient && (ev.Rate != 0 || ev.LatencyX != 0) ||
+		ev.Kind != Rebuild && ev.RateMBps != 0 ||
+		ev.Kind != Expand && ev.Disks != 0 ||
+		ev.Kind != Storm && (ev.N != 0 || ev.Every != 0) {
+		return "option of another kind set"
+	}
+	if (ev.Kind == CrashRestart || ev.Kind == Expand || ev.Kind == Storm) && ev.Dev != 0 {
+		return "device on a device-less kind"
+	}
+	return ""
 }

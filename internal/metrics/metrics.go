@@ -46,15 +46,6 @@ func (w *Welford) Variance() float64 {
 // Stddev returns the sample standard deviation.
 func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }
 
-// CI95 returns the half-width of the 95% confidence interval of the
-// mean (normal approximation, as the paper's ±CI error bars).
-func (w *Welford) CI95() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return 1.96 * w.Stddev() / math.Sqrt(float64(w.n))
-}
-
 // CV returns the coefficient of variation σ/µ (0 when µ is 0).
 func (w *Welford) CV() float64 {
 	if w.mean == 0 {

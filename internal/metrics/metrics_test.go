@@ -29,11 +29,11 @@ func TestWelfordKnownValues(t *testing.T) {
 
 func TestWelfordEdgeCases(t *testing.T) {
 	var w Welford
-	if w.Mean() != 0 || w.Variance() != 0 || w.CI95() != 0 || w.CV() != 0 {
+	if w.Mean() != 0 || w.Variance() != 0 || w.CV() != 0 {
 		t.Error("empty Welford must return zeros")
 	}
 	w.Add(5)
-	if w.Variance() != 0 || w.CI95() != 0 {
+	if w.Variance() != 0 || w.Stddev() != 0 {
 		t.Error("single-sample variance must be 0")
 	}
 }

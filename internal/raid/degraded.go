@@ -157,13 +157,6 @@ func NewRebuildWalker(l Redundant, disk int) *RebuildWalker {
 // Rows reports how many stripe-row units the walk covers.
 func (w *RebuildWalker) Rows() int64 { return w.rows }
 
-// UnitBlocks reports the blocks reconstructed per row.
-func (w *RebuildWalker) UnitBlocks() int64 { return w.unit }
-
-// Peers reports the disks each reconstruction reads (constant across
-// rows). The slice is owned by the walker.
-func (w *RebuildWalker) Peers() []int { return w.peers }
-
 // Next returns the device block range of the next unit to reconstruct
 // and the peers to read it from; ok is false once the disk has been
 // fully walked.

@@ -202,10 +202,10 @@ func TestRebuildWalkerCoversDisk(t *testing.T) {
 		for _, d := range []int{0, l.Disks() - 1} {
 			w := NewRebuildWalker(l, d)
 			unit := l.StripeUnitBlocks()
-			if w.Rows() != l.BlocksPerDisk()/unit || w.UnitBlocks() != unit {
-				t.Fatalf("%s disk %d: walker shape rows=%d unit=%d", name, d, w.Rows(), w.UnitBlocks())
+			if w.Rows() != l.BlocksPerDisk()/unit || w.unit != unit {
+				t.Fatalf("%s disk %d: walker shape rows=%d unit=%d", name, d, w.Rows(), w.unit)
 			}
-			if got, want := sortedCopy(w.Peers()), sortedCopy(l.DiskPeers(d, nil)); !reflect.DeepEqual(got, want) {
+			if got, want := sortedCopy(w.peers), sortedCopy(l.DiskPeers(d, nil)); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s disk %d: walker peers %v, DiskPeers %v", name, d, got, want)
 			}
 			var next int64
@@ -215,7 +215,7 @@ func TestRebuildWalkerCoversDisk(t *testing.T) {
 				if !ok {
 					break
 				}
-				if blk != next || n != unit || len(peers) != len(w.Peers()) {
+				if blk != next || n != unit || len(peers) != len(w.peers) {
 					t.Fatalf("%s disk %d: step %d = (%d,+%d), want (%d,+%d)", name, d, steps, blk, n, next, unit)
 				}
 				next += n
@@ -272,9 +272,9 @@ func TestRebuildWalkerNextRunMatchesNext(t *testing.T) {
 					if !ok {
 						break
 					}
-					if n != nrows*w.UnitBlocks() {
+					if n != nrows*w.unit {
 						t.Fatalf("%s disk %d maxRows %d: run count %d != rows %d * unit %d",
-							name, d, maxRows, n, nrows, w.UnitBlocks())
+							name, d, maxRows, n, nrows, w.unit)
 					}
 					want := maxRows
 					if want < 1 {
@@ -283,9 +283,9 @@ func TestRebuildWalkerNextRunMatchesNext(t *testing.T) {
 					if nrows > want {
 						t.Fatalf("%s disk %d: NextRun(%d) returned %d rows", name, d, maxRows, nrows)
 					}
-					if !reflect.DeepEqual(sortedCopy(peers), sortedCopy(w.Peers())) {
+					if !reflect.DeepEqual(sortedCopy(peers), sortedCopy(w.peers)) {
 						t.Fatalf("%s disk %d maxRows %d: run peers %v, walker peers %v",
-							name, d, maxRows, peers, w.Peers())
+							name, d, maxRows, peers, w.peers)
 					}
 					for b := blk; b < blk+n; b++ {
 						gotBlocks = append(gotBlocks, b)

@@ -240,10 +240,6 @@ func (r *Striped) BlocksPerDisk() int64 { return r.rows * r.unit }
 // StripeUnitBlocks implements Layout.
 func (r *Striped) StripeUnitBlocks() int64 { return r.unit }
 
-// DataUnitsPerRow reports how many data stripe units one row holds
-// across all parity groups (the array's effective stripe width).
-func (r *Striped) DataUnitsPerRow() int64 { return r.dataPerRow }
-
 // locateUnit maps a data unit index to (row, group, slot) coordinates:
 // one LUT load, no group scan.
 func (r *Striped) locateUnit(unit int64) (row int64, g *group, slot int) {
@@ -412,15 +408,6 @@ func (r *RAID5Plus) BlocksPerDisk() int64 { return r.sets[0].layout.BlocksPerDis
 
 // StripeUnitBlocks implements Layout.
 func (r *RAID5Plus) StripeUnitBlocks() int64 { return r.unit }
-
-// Sets returns the disk count of each member set.
-func (r *RAID5Plus) Sets() []int {
-	sizes := make([]int, len(r.sets))
-	for i, s := range r.sets {
-		sizes[i] = s.layout.Disks()
-	}
-	return sizes
-}
 
 // locateSet finds the set owning a logical block.
 func (r *RAID5Plus) locateSet(block int64) set {

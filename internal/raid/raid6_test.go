@@ -8,8 +8,8 @@ import (
 func TestRAID6Capacity(t *testing.T) {
 	// 8 disks, one group: 6 data units per row.
 	r := NewRAID6(8, 8, 100*4, 4)
-	if got := r.DataUnitsPerRow(); got != 6 {
-		t.Errorf("DataUnitsPerRow = %d, want 6", got)
+	if got := r.dataPerRow; got != 6 {
+		t.Errorf("data units per row = %d, want 6", got)
 	}
 	if got := r.DataBlocks(); got != 100*6*4 {
 		t.Errorf("DataBlocks = %d, want %d", got, 100*6*4)
@@ -39,7 +39,7 @@ func TestRAID6ParityRotates(t *testing.T) {
 	pCount := make(map[int]int)
 	qCount := make(map[int]int)
 	for row := int64(0); row < 6; row++ {
-		b := row * r.DataUnitsPerRow() * 4
+		b := row * r.dataPerRow * 4
 		p, _ := r.ParityOf(b)
 		q, _ := r.QParityOf(b)
 		pCount[p.Disk]++

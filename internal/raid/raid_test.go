@@ -71,8 +71,8 @@ func TestRAID5MatchesPaperFigure3a(t *testing.T) {
 func TestRAID5Capacity(t *testing.T) {
 	// 50 disks, groups of 10: 5 parity units per row, 45 data units.
 	r := NewRAID5(50, 10, 32*100, 32)
-	if got := r.DataUnitsPerRow(); got != 45 {
-		t.Errorf("DataUnitsPerRow = %d, want 45", got)
+	if got := r.dataPerRow; got != 45 {
+		t.Errorf("data units per row = %d, want 45", got)
 	}
 	if got := r.DataBlocks(); got != 100*45*32 {
 		t.Errorf("DataBlocks = %d, want %d", got, 100*45*32)
@@ -103,7 +103,7 @@ func TestRAID5ParityRotates(t *testing.T) {
 	r := NewRAID5(5, 5, 5*32, 32) // 5 rows exactly
 	count := make(map[int]int)
 	for row := int64(0); row < 5; row++ {
-		b := row * r.DataUnitsPerRow() * 32
+		b := row * r.dataPerRow * 32
 		p, _ := r.ParityOf(b)
 		count[p.Disk]++
 	}

@@ -66,17 +66,6 @@ func gcd64(a, b int64) int64 {
 	return a
 }
 
-// Factor returns the ratio of available granule slots to dataset
-// granules (1 = dense).
-func (s *SpreadLayout) Factor() int64 {
-	granules := (s.data + SpreadGranule - 1) / SpreadGranule
-	f := s.slots / granules
-	if f < 1 {
-		f = 1
-	}
-	return f
-}
-
 // spreadAddr maps a dataset block to the inner address space.
 func (s *SpreadLayout) spreadAddr(b int64) int64 {
 	g, off := b/SpreadGranule, b%SpreadGranule

@@ -2,11 +2,17 @@ package raid
 
 import "testing"
 
+// spreadFactor is the ratio of s's granule slots to dataset granules
+// (1 = dense).
+func spreadFactor(s *SpreadLayout) int64 {
+	return s.slots / ((s.data + SpreadGranule - 1) / SpreadGranule)
+}
+
 func TestSpreadLayoutFullDatasetStillBijective(t *testing.T) {
 	inner := NewRAID5(8, 4, 1024, 32)
 	s := NewSpreadLayout(inner, inner.DataBlocks())
-	if s.Factor() != 1 {
-		t.Errorf("factor = %d for full dataset, want 1", s.Factor())
+	if f := spreadFactor(s); f != 1 {
+		t.Errorf("factor = %d for full dataset, want 1", f)
 	}
 	// Even dense, the shuffle must remain a bijection over granule
 	// slots: every granule lands on a distinct aligned slot.
@@ -24,8 +30,8 @@ func TestSpreadLayoutScatters(t *testing.T) {
 	inner := NewRAID5(8, 4, 1<<16, 32)
 	dataset := inner.DataBlocks() / 16
 	s := NewSpreadLayout(inner, dataset)
-	if s.Factor() < 8 {
-		t.Fatalf("factor = %d, want >= 8 for a 16x larger inner space", s.Factor())
+	if f := spreadFactor(s); f < 8 {
+		t.Fatalf("factor = %d, want >= 8 for a 16x larger inner space", f)
 	}
 	if s.DataBlocks() != dataset {
 		t.Errorf("DataBlocks = %d, want %d", s.DataBlocks(), dataset)

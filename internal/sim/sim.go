@@ -160,11 +160,6 @@ func (e *Engine) Pending() int { return len(e.queue) - e.head + len(e.ring) - e.
 // modelling bug, and silently clamping would corrupt causality.
 func (e *Engine) Schedule(at Time, fn func()) { e.schedule(event{at: at, fn: fn}) }
 
-// ScheduleTimed registers fn to run at the absolute instant at,
-// receiving that instant as its argument. Completion callbacks of type
-// func(Time) can be scheduled directly, without a capturing closure.
-func (e *Engine) ScheduleTimed(at Time, fn func(Time)) { e.schedule(event{at: at, tfn: fn}) }
-
 // After registers fn to run delay nanoseconds after the current
 // instant; a negative delay is scheduling in the past, and panics.
 func (e *Engine) After(delay Time, fn func()) { e.schedule(event{at: e.now + delay, fn: fn}) }
