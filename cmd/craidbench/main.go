@@ -39,10 +39,11 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 
 	"craid/internal/cache"
+	"craid/internal/disk"
 	"craid/internal/experiments"
+	"craid/internal/metrics"
 	"craid/internal/prof"
 	"craid/internal/workload"
 )
@@ -57,27 +58,31 @@ func main() {
 		"reuse (and store) simulation results in this directory; empty = compute everything")
 	startProfiles := prof.Flags(flag.CommandLine)
 	flag.Parse()
+	if *traceName != "" {
+		// Every printer below would otherwise show its header, and some
+		// made-up rows, before the first cell for the trace failed.
+		if _, err := workload.Preset(*traceName); err != nil {
+			fatal(err)
+		}
+	}
 	cells := &experiments.Runner{Parallel: max(*parallel, 1)}
 	if *cacheDir != "" {
 		store, err := experiments.OpenStore(*cacheDir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "craidbench:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		cells.Store = store
 	}
 
 	stopProfiles, err := startProfiles()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "craidbench:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 
 	r := runner{
 		cells:  cells,
 		budget: *budget, trace: *traceName,
-		sweeps:   map[string]experiments.SweepResult{},
-		cvSeries: map[string][]experiments.Figure7Series{},
+		memo: map[string][]experiments.RunResult{},
 	}
 	switch {
 	case *table == "" && *figure == "":
@@ -102,18 +107,35 @@ func main() {
 	}
 }
 
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "craidbench:", err)
+	os.Exit(1)
+}
+
 type runner struct {
 	cells  *experiments.Runner // every simulation runs through it
 	budget float64
 	trace  string
 	failed bool
 
-	// Matrices more than one table or figure prints from, computed once:
-	// Tables 2+3, Table 4 + Figures 4+6 (per trace), Table 6 + Figure 7
-	// (per trace).
-	policyRows []experiments.PolicyRow
-	sweeps     map[string]experiments.SweepResult
-	cvSeries   map[string][]experiments.Figure7Series
+	// Matrices more than one table or figure prints from, computed once
+	// (see matrix): Tables 2+3, Table 4 + Figures 4+6 per trace, and
+	// Table 6 + Figure 7 per trace.
+	memo map[string][]experiments.RunResult
+}
+
+// matrix returns the results stored under key, running run for them
+// the first time. Only a run that succeeds is stored, so a failed one
+// runs, and fails, again for the next table that asks.
+func (r *runner) matrix(key string, run func() ([]experiments.RunResult, error)) ([]experiments.RunResult, error) {
+	if res, ok := r.memo[key]; ok {
+		return res, nil
+	}
+	res, err := run()
+	if err == nil {
+		r.memo[key] = res
+	}
+	return res, err
 }
 
 func (r *runner) check(err error) bool {
@@ -221,23 +243,22 @@ func (r *runner) tables23(which string) {
 		fmt.Printf(" %8s", p)
 	}
 	fmt.Println()
-	if r.policyRows == nil {
-		rows, err := r.cells.Tables2and3(r.budget)
-		if !r.check(err) {
-			return
-		}
-		r.policyRows = rows
+	results, err := r.matrix("tables23", func() ([]experiments.RunResult, error) {
+		return r.cells.Tables2and3(r.budget)
+	})
+	if !r.check(err) {
+		return
 	}
 	for _, name := range r.traces() {
 		vals := map[string]float64{}
-		for _, row := range r.policyRows {
-			if row.Trace != name {
+		for _, res := range results {
+			if res.Cfg.Trace != name {
 				continue
 			}
 			if which == "2" {
-				vals[row.Policy] = row.HitRatio
+				vals[res.Cfg.Policy] = res.CRAID.OverallHitRatio()
 			} else {
-				vals[row.Policy] = row.ReplacementRatio
+				vals[res.Cfg.Policy] = res.CRAID.ReplacementRatio()
 			}
 		}
 		fmt.Printf("%-12s", name)
@@ -248,15 +269,10 @@ func (r *runner) tables23(which string) {
 	}
 }
 
-func (r *runner) sweep(name string) (experiments.SweepResult, error) {
-	if sweep, ok := r.sweeps[name]; ok {
-		return sweep, nil
-	}
-	sweep, err := r.cells.ResponseTimeSweep(name, r.scaleFor(name), nil)
-	if err == nil {
-		r.sweeps[name] = sweep
-	}
-	return sweep, err
+func (r *runner) sweep(name string) ([]experiments.RunResult, error) {
+	return r.matrix("sweep/"+name, func() ([]experiments.RunResult, error) {
+		return r.cells.ResponseTimeSweep(name, r.scaleFor(name), nil)
+	})
 }
 
 func (r *runner) figures46(which string) {
@@ -278,14 +294,14 @@ func (r *runner) figures46(which string) {
 		for _, strat := range experiments.Strategies() {
 			fmt.Printf("%-13s", strat)
 			for _, pct := range experiments.PCSizes(name) {
-				pt, ok := findPoint(sweep, strat, pct)
+				res, ok := findPoint(sweep, strat, pct)
 				if !ok {
 					fmt.Printf(" %8s", "-")
 					continue
 				}
-				v := pt.ReadMean
+				v := res.ReadMean
 				if which == "6" {
-					v = pt.WriteMean
+					v = res.WriteMean
 				}
 				fmt.Printf(" %8.3f", v.Milliseconds())
 			}
@@ -294,22 +310,15 @@ func (r *runner) figures46(which string) {
 	}
 }
 
-func findPoint(sweep experiments.SweepResult, strat experiments.Strategy, pct float64) (experiments.SweepPoint, bool) {
-	var flat experiments.SweepPoint
-	found := false
-	for _, p := range sweep.Points {
-		if p.Strategy != strat {
-			continue
+// findPoint returns strat's result at cache size pct. A baseline has
+// one result, and it is shown at every size.
+func findPoint(sweep []experiments.RunResult, strat experiments.Strategy, pct float64) (experiments.RunResult, bool) {
+	for _, res := range sweep {
+		if res.Cfg.Strategy == strat && (res.Cfg.PCPct == pct || !strat.IsCRAID()) {
+			return res, true
 		}
-		if p.PCPct == pct {
-			return p, true
-		}
-		flat, found = p, true // baselines: single point at any pct
 	}
-	if found && !strings.HasPrefix(string(strat), "CRAID") {
-		return flat, true
-	}
-	return experiments.SweepPoint{}, false
+	return experiments.RunResult{}, false
 }
 
 func (r *runner) table4() {
@@ -367,15 +376,15 @@ func (r *runner) figure5() {
 	}
 	for _, name := range traces {
 		pct := experiments.PCSizes(name)[2]
-		series, err := r.cells.Figure5(name, r.scaleFor(name), pct)
+		results, err := r.cells.Figure5(name, r.scaleFor(name), pct)
 		if !r.check(err) {
 			return
 		}
 		fmt.Printf("\n[%s] P_C = %.3f%%; quantiles 0%%..100%% of per-second seq fraction\n", name, pct)
-		for _, s := range series {
-			fmt.Printf("%-13s mean=%.3f  ", s.Strategy, s.Mean)
-			for _, q := range s.Quantiles {
-				fmt.Printf(" %5.2f", q)
+		for _, res := range results {
+			fmt.Printf("%-13s mean=%.3f  ", res.Cfg.Strategy, metrics.Mean(res.SeqFracs))
+			for j := 0; j <= 10; j++ {
+				fmt.Printf(" %5.2f", metrics.Quantile(res.SeqFracs, float64(j)/10))
 			}
 			fmt.Println()
 		}
@@ -384,16 +393,16 @@ func (r *runner) figure5() {
 
 func (r *runner) table5() {
 	header("Table 5: ioqueue size and concurrent devices, wdev, P_C = 0.002%")
-	rows, err := r.cells.Table5(r.scaleFor("wdev"))
+	results, err := r.cells.Table5(r.scaleFor("wdev"))
 	if !r.check(err) {
 		return
 	}
 	fmt.Printf("%-13s %10s %8s %8s %10s %8s %8s\n",
 		"strategy", "IoqMean", "Ioq99", "IoqMax", "CdevMean", "Cdev99", "CdevMax")
-	for _, row := range rows {
+	for _, res := range results {
 		fmt.Printf("%-13s %10.2f %8d %8d %10.2f %8d %8d\n",
-			row.Strategy, row.QueueMean, row.QueueP99, row.QueueMax,
-			row.ConcMean, row.ConcP99, row.ConcMax)
+			res.Cfg.Strategy, res.QueueMean, res.QueueP99, res.QueueMax,
+			res.ConcMean, res.ConcP99, res.ConcMax)
 	}
 }
 
@@ -413,13 +422,13 @@ func (r *runner) figure7() {
 			fmt.Printf(" %5.2f", g)
 		}
 		fmt.Println()
-		for _, s := range series {
-			label := string(s.Strategy)
-			if s.PCPct > 0 {
-				label = fmt.Sprintf("%s@%.3f%%", s.Strategy, s.PCPct)
+		for _, res := range series {
+			label := string(res.Cfg.Strategy)
+			if res.Cfg.PCPct > 0 {
+				label = fmt.Sprintf("%s@%.3f%%", res.Cfg.Strategy, res.Cfg.PCPct)
 			}
-			fmt.Printf("%-20s meanCV=%.3f ", label, s.MeanCV)
-			for _, v := range s.CDF {
+			fmt.Printf("%-20s meanCV=%.3f ", label, metrics.Mean(res.CVs))
+			for _, v := range metrics.CDF(res.CVs, experiments.CVGrid) {
 				fmt.Printf(" %5.2f", v)
 			}
 			fmt.Println()
@@ -445,16 +454,11 @@ func (r *runner) table6() {
 
 // figure7Series runs the extremes of the paper sweep (Table 6 shows
 // best/worst, which land on the smallest/largest P_C).
-func (r *runner) figure7Series(name string) ([]experiments.Figure7Series, error) {
-	if series, ok := r.cvSeries[name]; ok {
-		return series, nil
-	}
-	sizes := experiments.PCSizes(name)
-	series, err := r.cells.Figure7(name, r.scaleFor(name), []float64{sizes[0], sizes[len(sizes)-1]})
-	if err == nil {
-		r.cvSeries[name] = series
-	}
-	return series, err
+func (r *runner) figure7Series(name string) ([]experiments.RunResult, error) {
+	return r.matrix("cv/"+name, func() ([]experiments.RunResult, error) {
+		sizes := experiments.PCSizes(name)
+		return r.cells.Figure7(name, r.scaleFor(name), []float64{sizes[0], sizes[len(sizes)-1]})
+	})
 }
 
 func (r *runner) migration() {
@@ -475,15 +479,15 @@ func (r *runner) migration() {
 
 func (r *runner) pcLevel() {
 	header("Ablation: cache-partition redundancy level (wdev)")
-	rows, err := r.cells.AblationPCLevel("wdev", r.scaleFor("wdev"), 0.008)
+	results, err := r.cells.AblationPCLevel("wdev", r.scaleFor("wdev"), 0.008)
 	if !r.check(err) {
 		return
 	}
 	fmt.Printf("%-8s %10s %10s %8s %8s\n", "P_C", "read(ms)", "write(ms)", "hitR", "hitW")
-	for _, row := range rows {
+	for _, res := range results {
 		fmt.Printf("%-8s %10.3f %10.3f %7.1f%% %7.1f%%\n",
-			row.Level, row.ReadMean.Milliseconds(), row.WriteMean.Milliseconds(),
-			100*row.HitRead, 100*row.HitWrite)
+			res.Cfg.PCLevel, res.ReadMean.Milliseconds(), res.WriteMean.Milliseconds(),
+			100*res.CRAID.HitRatio(disk.OpRead), 100*res.CRAID.HitRatio(disk.OpWrite))
 	}
 }
 

@@ -13,19 +13,11 @@ import (
 
 // --- Ablation: cache-partition redundancy level ---
 
-// PCLevelRow compares one cache-partition redundancy level.
-type PCLevelRow struct {
-	Level     core.PCLevel
-	ReadMean  sim.Time
-	WriteMean sim.Time
-	HitRead   float64
-	HitWrite  float64
-}
-
 // AblationPCLevel runs CRAID-5's workload with RAID-0, RAID-5 and
-// RAID-6 cache partitions: the §6 trade-off between parity safety and
-// parity-update cost, made measurable.
-func (r *Runner) AblationPCLevel(traceName string, scale, pcPct float64) ([]PCLevelRow, error) {
+// RAID-6 cache partitions, one result each in that order: the §6
+// trade-off between parity safety and parity-update cost, made
+// measurable.
+func (r *Runner) AblationPCLevel(traceName string, scale, pcPct float64) ([]RunResult, error) {
 	var cfgs []RunConfig
 	for _, level := range []core.PCLevel{core.PCRaid0, core.PCRaid5, core.PCRaid6} {
 		cfgs = append(cfgs, RunConfig{
@@ -37,21 +29,7 @@ func (r *Runner) AblationPCLevel(traceName string, scale, pcPct float64) ([]PCLe
 			Bursty:   true,
 		})
 	}
-	results, err := r.RunAll(cfgs)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]PCLevelRow, len(results))
-	for i, res := range results {
-		rows[i] = PCLevelRow{
-			Level:     res.Cfg.PCLevel,
-			ReadMean:  res.ReadMean,
-			WriteMean: res.WriteMean,
-			HitRead:   res.CRAID.HitRatio(disk.OpRead),
-			HitWrite:  res.CRAID.HitRatio(disk.OpWrite),
-		}
-	}
-	return rows, nil
+	return r.RunAll(cfgs)
 }
 
 // --- Ablation: expansion strategy (invalidate vs retain) ---

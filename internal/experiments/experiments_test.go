@@ -7,6 +7,7 @@ import (
 
 	"craid/internal/core"
 	"craid/internal/disk"
+	"craid/internal/metrics"
 	"craid/internal/sim"
 )
 
@@ -144,30 +145,34 @@ func TestFigure1Shapes(t *testing.T) {
 }
 
 func TestTables2and3PolicyRanking(t *testing.T) {
-	rows, err := new(Runner).Tables2and3(0.3)
+	results, err := new(Runner).Tables2and3(0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 7*5 {
-		t.Fatalf("got %d rows, want 35", len(rows))
+	if len(results) != 7*5 {
+		t.Fatalf("got %d results, want 35", len(results))
 	}
-	perTrace := map[string]map[string]PolicyRow{}
-	for _, r := range rows {
-		if perTrace[r.Trace] == nil {
-			perTrace[r.Trace] = map[string]PolicyRow{}
+	perTrace := map[string]map[string]*core.Stats{}
+	for _, r := range results {
+		if perTrace[r.Cfg.Trace] == nil {
+			perTrace[r.Cfg.Trace] = map[string]*core.Stats{}
 		}
-		perTrace[r.Trace][r.Policy] = r
+		perTrace[r.Cfg.Trace][r.Cfg.Policy] = r.CRAID
 	}
 	for traceName, policies := range perTrace {
-		// GDSF never leads: the size term is dead weight for block
-		// storage (see EXPERIMENTS.md — at equal-sized block granularity
-		// its collapse is milder than the paper's, where request sizes
-		// feed the metric directly).
-		gdsf := policies["GDSF"].HitRatio
+		// GDSF never leads: its size term is dead weight for block
+		// storage. The paper has it clearly worst. Here the monitor caches
+		// equal-sized blocks and the size reaches GDSF only as each
+		// access's request size, so its collapse is milder than the
+		// paper's, where request sizes feed the metric directly. This
+		// test therefore asserts only that it never leads; the strict
+		// "worst" ordering is pinned on a size-skewed synthetic workload
+		// by internal/cache's TestPolicyRankingOnSkewedWorkload.
+		gdsf := policies["GDSF"].OverallHitRatio()
 		best := 0.0
 		for p, r := range policies {
-			if p != "GDSF" && r.HitRatio > best {
-				best = r.HitRatio
+			if p != "GDSF" && r.OverallHitRatio() > best {
+				best = r.OverallHitRatio()
 			}
 		}
 		if gdsf > best {
@@ -175,25 +180,25 @@ func TestTables2and3PolicyRanking(t *testing.T) {
 				traceName, gdsf, best)
 		}
 		// The recency policies sit within a band of each other.
-		lru := policies["LRU"].HitRatio
+		lru := policies["LRU"].OverallHitRatio()
 		for _, p := range []string{"LFUDA", "ARC", "WLRU"} {
-			d := policies[p].HitRatio - lru
+			d := policies[p].OverallHitRatio() - lru
 			if d < -0.15 || d > 0.12 {
 				t.Errorf("%s: %s hit %.3f too far from LRU %.3f",
-					traceName, p, policies[p].HitRatio, lru)
+					traceName, p, policies[p].OverallHitRatio(), lru)
 			}
 		}
 		// WLRU tracks LRU closely (its window only changes *which*
 		// entry is evicted) — the property that justifies the paper's
 		// WLRU choice.
-		if d := policies["WLRU"].HitRatio - lru; d < -0.05 || d > 0.05 {
+		if d := policies["WLRU"].OverallHitRatio() - lru; d < -0.05 || d > 0.05 {
 			t.Errorf("%s: WLRU hit %.3f deviates from LRU %.3f", traceName,
-				policies["WLRU"].HitRatio, lru)
+				policies["WLRU"].OverallHitRatio(), lru)
 		}
 		// Hit + replacement ≈ 1 at a tiny P_C (paper Tables 2+3 sum to
 		// ~100%): nearly every miss causes a replacement once warm.
 		for p, r := range policies {
-			if sum := r.HitRatio + r.ReplacementRatio; sum < 0.8 || sum > 1.1 {
+			if sum := r.OverallHitRatio() + r.ReplacementRatio(); sum < 0.8 || sum > 1.1 {
 				t.Errorf("%s/%s: hit+replacement = %.3f, want ≈ 1", traceName, p, sum)
 			}
 		}
@@ -206,14 +211,14 @@ func TestResponseTimeSweepShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	at := func(s Strategy, pct float64) SweepPoint {
-		for _, p := range sweep.Points {
-			if p.Strategy == s && (p.PCPct == pct || !s.IsCRAID()) {
-				return p
+	at := func(s Strategy, pct float64) RunResult {
+		for _, r := range sweep {
+			if r.Cfg.Strategy == s && (r.Cfg.PCPct == pct || !s.IsCRAID()) {
+				return r
 			}
 		}
 		t.Fatalf("missing point %s/%v", s, pct)
-		return SweepPoint{}
+		return RunResult{}
 	}
 	r5 := at(RAID5, 0)
 	r5p := at(RAID5Plus, 0)
@@ -244,8 +249,9 @@ func TestResponseTimeSweepShapes(t *testing.T) {
 	}
 	// Larger P_C improves CRAID hit ratio (knee behaviour).
 	small := at(CRAID5, 0.008)
-	if c5.ReadHit < small.ReadHit {
-		t.Errorf("hit ratio fell as P_C grew: %.3f → %.3f", small.ReadHit, c5.ReadHit)
+	if c5.CRAID.HitRatio(disk.OpRead) < small.CRAID.HitRatio(disk.OpRead) {
+		t.Errorf("hit ratio fell as P_C grew: %.3f → %.3f",
+			small.CRAID.HitRatio(disk.OpRead), c5.CRAID.HitRatio(disk.OpRead))
 	}
 	// Table 4 derivation.
 	t4 := Table4(sweep)
@@ -258,24 +264,85 @@ func TestResponseTimeSweepShapes(t *testing.T) {
 	}
 }
 
+// TestTable4SkipsResultsWithoutMonitor: Table 4 takes each maximum over
+// the results that ran a monitor, so a plain baseline (CRAID nil) never
+// contributes.
+func TestTable4SkipsResultsWithoutMonitor(t *testing.T) {
+	sweep := []RunResult{
+		{Cfg: RunConfig{Strategy: RAID5}},
+		{Cfg: RunConfig{Strategy: CRAID5, PCPct: 0.008}, CRAID: &core.Stats{
+			ReadBlocks: 10, ReadHits: 5, ReadEvictions: 4, WriteBlocks: 10, WriteHits: 9, WriteEvictions: 1,
+		}},
+		{Cfg: RunConfig{Strategy: CRAID5, PCPct: 0.032}, CRAID: &core.Stats{
+			ReadBlocks: 10, ReadHits: 8, ReadEvictions: 2, WriteBlocks: 10, WriteHits: 6, WriteEvictions: 3,
+		}},
+	}
+	want := Table4Row{BestReadHit: 0.8, BestWriteHit: 0.9, WorstReadEvict: 0.4, WorstWriteEvict: 0.3}
+	if got := Table4(sweep); got != want {
+		t.Errorf("Table4 = %+v, want %+v", got, want)
+	}
+	if got := Table4(sweep[:1]); got != (Table4Row{}) {
+		t.Errorf("Table4 of a baseline alone = %+v, want zeros", got)
+	}
+}
+
+// TestTable6RanksMeanCVPerStrategy: Table 6 ranks each CRAID variant's
+// sizes by mean cv, in Strategies order, leaving out the baselines and
+// any variant with no result. On equal mean cv the first result of the
+// variant stays best and worst.
+func TestTable6RanksMeanCVPerStrategy(t *testing.T) {
+	cell := func(s Strategy, pct float64, cvs ...float64) RunResult {
+		return RunResult{Cfg: RunConfig{Strategy: s, PCPct: pct}, CVs: cvs}
+	}
+	series := []RunResult{
+		cell(CRAID5Plus, 0.002, 2, 2),
+		cell(RAID5, 0.002, 0.5),
+		cell(CRAID5, 0.002, 3),
+		cell(CRAID5, 0.008, 1, 3),
+		cell(CRAID5, 0.016, 1, 1),
+		cell(CRAID5Plus, 0.032, 1, 3),
+		cell(CRAID5, 0.032, 4, 2),
+	}
+	want := []Table6Row{
+		{Strategy: CRAID5, BestPct: 0.016, BestCV: 1, WorstPct: 0.002, WorstCV: 3},
+		{Strategy: CRAID5Plus, BestPct: 0.002, BestCV: 2, WorstPct: 0.002, WorstCV: 2},
+	}
+	got := Table6(series)
+	if len(got) != len(want) {
+		t.Fatalf("Table6 = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("row %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
 func TestFigure5SequentialityOrdering(t *testing.T) {
 	series, err := new(Runner).Figure5("webusers", ScaleFor("webusers", 0.5), 0.016)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// quantile reads the CDF of Fig. 5 along the other axis: the j/10
+	// quantile of the per-second sequential fractions, j = 0…10.
+	quantile := func(r RunResult, j int) float64 { return metrics.Quantile(r.SeqFracs, float64(j)/10) }
 	means := map[Strategy]float64{}
 	for _, s := range series {
-		means[s.Strategy] = s.Mean
-		for i := 1; i < len(s.Quantiles); i++ {
-			if s.Quantiles[i] < s.Quantiles[i-1] {
-				t.Fatalf("%s: quantiles not monotone", s.Strategy)
+		means[s.Cfg.Strategy] = metrics.Mean(s.SeqFracs)
+		for j := 1; j <= 10; j++ {
+			if quantile(s, j) < quantile(s, j-1) {
+				t.Fatalf("%s: quantiles not monotone", s.Cfg.Strategy)
 			}
 		}
 	}
 	// Paper Fig. 5 claims CRAID ≈ RAID-5; we reproduce the same order
-	// of magnitude (see EXPERIMENTS.md for the recorded deviation: our
-	// volume-level metric puts CRAID at ~2/3 of RAID-5 because partial
-	// cache residency splits streams between partitions).
+	// of magnitude. The volume-level metric puts CRAID below RAID-5
+	// because partial cache residency splits streams between
+	// partitions: at this budget (craidbench's default) the means on
+	// webusers are 0.227 for CRAID-5 against 0.329 for RAID-5. On
+	// cello99 they are 0.133 against 0.327, under this test's own
+	// half-of-RAID-5 line, so the test checks webusers only; the
+	// fidelity-table item of ROADMAP.md (item 1) owns the cello99 case.
 	if means[CRAID5] < means[RAID5]/2 {
 		t.Errorf("CRAID-5 sequentiality (%.3f) below half of RAID-5 (%.3f)",
 			means[CRAID5], means[RAID5])
@@ -292,23 +359,23 @@ func TestFigure5SequentialityOrdering(t *testing.T) {
 	// Scan bursts must actually sequentialize: the top decile of
 	// per-second fractions is strongly sequential for every strategy.
 	for _, s := range series {
-		if s.Quantiles[9] < 0.3 {
-			t.Errorf("%s: p90 sequential fraction %.3f, want >= 0.3", s.Strategy, s.Quantiles[9])
+		if q := quantile(s, 9); q < 0.3 {
+			t.Errorf("%s: p90 sequential fraction %.3f, want >= 0.3", s.Cfg.Strategy, q)
 		}
 	}
 }
 
 func TestTable5QueueComparison(t *testing.T) {
-	rows, err := new(Runner).Table5(ScaleFor("wdev", 0.5))
+	results, err := new(Runner).Table5(ScaleFor("wdev", 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows, want 2", len(rows))
+	if len(results) != 2 {
+		t.Fatalf("got %d results, want 2", len(results))
 	}
-	hdd, ssd := rows[0], rows[1]
-	if hdd.Strategy != CRAID5Plus || ssd.Strategy != CRAID5PlusSSD {
-		t.Fatalf("row order wrong: %v / %v", hdd.Strategy, ssd.Strategy)
+	hdd, ssd := results[0], results[1]
+	if hdd.Cfg.Strategy != CRAID5Plus || ssd.Cfg.Strategy != CRAID5PlusSSD {
+		t.Fatalf("result order wrong: %v / %v", hdd.Cfg.Strategy, ssd.Cfg.Strategy)
 	}
 	// Paper Table 5: the full-HDD variant keeps more devices busy
 	// concurrently than the 5-SSD dedicated cache.
@@ -323,27 +390,26 @@ func TestFigure7AndTable6(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byKey := map[Strategy][]Figure7Series{}
+	meanCV := map[Strategy][]float64{}
 	for _, s := range series {
-		byKey[s.Strategy] = append(byKey[s.Strategy], s)
-		for i := 1; i < len(s.CDF); i++ {
-			if s.CDF[i] < s.CDF[i-1] {
-				t.Fatalf("%s: cv CDF not monotone", s.Strategy)
+		meanCV[s.Cfg.Strategy] = append(meanCV[s.Cfg.Strategy], metrics.Mean(s.CVs))
+		cdf := metrics.CDF(s.CVs, CVGrid)
+		for i := 1; i < len(cdf); i++ {
+			if cdf[i] < cdf[i-1] {
+				t.Fatalf("%s: cv CDF not monotone", s.Cfg.Strategy)
 			}
 		}
 	}
 	// Full-HDD CRAID distributes at least as uniformly as RAID-5, and
 	// dedicated SSDs degrade global uniformity (paper §5.3).
-	craidBest := byKey[CRAID5][0].MeanCV
-	for _, s := range byKey[CRAID5] {
-		if s.MeanCV < craidBest {
-			craidBest = s.MeanCV
-		}
+	craidBest := meanCV[CRAID5][0]
+	for _, cv := range meanCV[CRAID5] {
+		craidBest = min(craidBest, cv)
 	}
-	if r5 := byKey[RAID5][0].MeanCV; craidBest > r5*1.15 {
+	if r5 := meanCV[RAID5][0]; craidBest > r5*1.15 {
 		t.Errorf("CRAID-5 best mean cv (%.3f) clearly worse than RAID-5 (%.3f)", craidBest, r5)
 	}
-	if ssd := byKey[CRAID5SSD][0].MeanCV; ssd <= craidBest {
+	if ssd := meanCV[CRAID5SSD][0]; ssd <= craidBest {
 		t.Errorf("SSD-dedicated cv (%.3f) not worse than full-HDD (%.3f)", ssd, craidBest)
 	}
 	// Table 6: smaller P_C gives the (weakly) better distribution.
@@ -376,14 +442,18 @@ func TestMigrationAblation(t *testing.T) {
 // writes without a parity update, RAID-5 pays one read-modify-write and
 // RAID-6 a second parity leg on top of it.
 func TestAblationPCLevel(t *testing.T) {
-	rows, err := new(Runner).AblationPCLevel("wdev", QuickScale, 0.008)
+	results, err := new(Runner).AblationPCLevel("wdev", QuickScale, 0.008)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 || rows[0].Level != core.PCRaid0 || rows[1].Level != core.PCRaid5 || rows[2].Level != core.PCRaid6 {
-		t.Fatalf("rows = %+v, want RAID-0, RAID-5, RAID-6", rows)
+	var levels []core.PCLevel
+	for _, r := range results {
+		levels = append(levels, r.Cfg.PCLevel)
 	}
-	if w0, w5, w6 := rows[0].WriteMean, rows[1].WriteMean, rows[2].WriteMean; !(0 < w0 && w0 < w5 && w5 < w6) {
+	if len(results) != 3 || levels[0] != core.PCRaid0 || levels[1] != core.PCRaid5 || levels[2] != core.PCRaid6 {
+		t.Fatalf("levels = %v, want RAID-0, RAID-5, RAID-6", levels)
+	}
+	if w0, w5, w6 := results[0].WriteMean, results[1].WriteMean, results[2].WriteMean; !(0 < w0 && w0 < w5 && w5 < w6) {
 		t.Errorf("write means RAID-0 %v, RAID-5 %v, RAID-6 %v: want them to rise with the parity legs", w0, w5, w6)
 	}
 }

@@ -12,10 +12,9 @@ import (
 // its Fault stats.
 type FaultRow struct {
 	Name string // experiment label
-	Spec string // the fault plan replayed
 
 	Healthy RunResult // baseline, no plan installed
-	Faulted RunResult // same config + Spec
+	Faulted RunResult // same config + the plan in Faulted.Cfg.FaultSpec
 }
 
 // ReadMeanX is the read interference: the faulted run's whole-run mean
@@ -88,7 +87,7 @@ func (r *Runner) RunFaultFamily(cfg RunConfig) ([]FaultRow, error) {
 	}
 	rows := make([]FaultRow, len(exps))
 	for i, e := range exps {
-		rows[i] = FaultRow{Name: e.name, Spec: e.spec, Healthy: results[0], Faulted: results[1+i]}
+		rows[i] = FaultRow{Name: e.name, Healthy: results[0], Faulted: results[1+i]}
 	}
 	return rows, nil
 }

@@ -82,9 +82,13 @@ func TestRunFaultRowComparesHealthyBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := FaultRow{Name: "fail+rebuild", Spec: faulted.FaultSpec, Healthy: res[0], Faulted: res[1]}
+	row := FaultRow{Name: "fail+rebuild", Healthy: res[0], Faulted: res[1]}
 	if row.Healthy.Fault != nil {
 		t.Error("healthy baseline carries fault stats")
+	}
+	if row.Healthy.Cfg.FaultSpec != "" || row.Faulted.Cfg.FaultSpec != faulted.FaultSpec {
+		t.Errorf("plans replayed: healthy %q, faulted %q; want none and %q",
+			row.Healthy.Cfg.FaultSpec, row.Faulted.Cfg.FaultSpec, faulted.FaultSpec)
 	}
 	if row.Faulted.Fault == nil || row.Faulted.Fault.Failures != 1 {
 		t.Fatalf("faulted run stats: %+v", row.Faulted.Fault)
@@ -119,11 +123,16 @@ func TestRunFaultFamilyCRAID(t *testing.T) {
 		t.Fatalf("family produced %d rows, want 8 for a CRAID strategy", len(rows))
 	}
 	byName := map[string]FaultRow{}
+	specs := map[string]bool{}
 	for i, r := range rows {
 		byName[r.Name] = r
 		if i > 0 && r.Healthy.ReadMean != rows[0].Healthy.ReadMean {
 			t.Errorf("row %q re-ran the healthy baseline", r.Name)
 		}
+		if spec := r.Faulted.Cfg.FaultSpec; spec == "" || specs[spec] || r.Healthy.Cfg.FaultSpec != "" {
+			t.Errorf("row %q: faulted plan %q, healthy plan %q; want a plan of its own and none", r.Name, spec, r.Healthy.Cfg.FaultSpec)
+		}
+		specs[r.Faulted.Cfg.FaultSpec] = true
 	}
 	if r := byName["fail+rebuild"]; r.Faulted.Fault == nil || r.Faulted.Fault.RebuildRows == 0 {
 		t.Errorf("fail+rebuild row did not rebuild: %+v", r.Faulted.Fault)

@@ -1,8 +1,10 @@
 // Package experiments reproduces every table and figure of the CRAID
 // paper's evaluation (§5) plus the migration-cost ablation its
-// motivation implies. Each experiment has one entry point returning
-// plain row/series structs; cmd/craidbench prints them paper-style and
-// experiments_test.go asserts the paper's shapes on each.
+// motivation implies. Each experiment has one entry point; one that
+// simulates a matrix of cells returns the RunResults it ran, in config
+// order, each carrying its RunConfig. cmd/craidbench prints them
+// paper-style and experiments_test.go asserts the paper's shapes on
+// each.
 //
 // Scaling. The paper simulates one week against 50×146 GB disks. All
 // experiments here take a volume scale factor: workload volumes AND
