@@ -58,6 +58,11 @@ func main() {
 		"reuse (and store) simulation results in this directory; empty = compute everything")
 	startProfiles := prof.Flags(flag.CommandLine)
 	flag.Parse()
+	// Every table would print its header and then fail, one error per
+	// table. The comparison is written so that NaN fails it too.
+	if !(*budget > 0) {
+		fatal(fmt.Errorf("-budget %v: want a positive number of GB", *budget))
+	}
 	if *traceName != "" {
 		// Every printer below would otherwise show its header, and some
 		// made-up rows, before the first cell for the trace failed.

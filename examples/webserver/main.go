@@ -92,12 +92,5 @@ func main() {
 	s := craid.Stats()
 	fmt.Printf("\nweek total: %.1f%% hit ratio, %d evictions (%.1f%% dirty), %d bytes of mappings\n",
 		100*s.OverallHitRatio(), s.Evictions,
-		100*float64(s.DirtyEvictions)/float64(maxI64(s.Evictions, 1)), craid.MappingBytes())
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+		100*float64(s.DirtyEvictions)/float64(max(s.Evictions, 1)), craid.MappingBytes())
 }

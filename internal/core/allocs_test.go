@@ -102,8 +102,8 @@ func replayAllocsHDD(t *testing.T, n int) float64 {
 // the device model that queues. The null-device gate above cannot see
 // what a queued device does with a request: it read "0 allocs/record"
 // while every HDD submission heap-allocated its Request. Mechanical
-// service times make bursts, so the pools' high-water marks (joins, RMW
-// ops, absorb ops, queue capacity) still creep up a few dozen objects
+// service times make bursts, so the high-water marks of the join pool
+// and of the event and device queues still creep up a few dozen objects
 // over thousands of records; the bound sits far below the one
 // allocation per I/O — tens per record — that any unpooled structure
 // costs.

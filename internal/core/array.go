@@ -26,6 +26,7 @@ import (
 	"craid/internal/metrics"
 	"craid/internal/raid"
 	"craid/internal/sim"
+	"craid/internal/trace"
 )
 
 // Array is a set of devices driven by one simulation engine, with
@@ -63,10 +64,16 @@ type Array struct {
 	joinFree  *join
 	joinsMade int
 
-	// faults is the fault-injection state, nil on healthy runs: every
+	// faults is the installed fault runtime, nil on healthy runs: every
 	// hot-path check reduces to one nil test, keeping the healthy
 	// submit path's cost (and allocation count) unchanged.
-	faults *faultState
+	faults *FaultRuntime
+
+	// epoch counts controller incarnations: CRAID.CrashRestart bumps it,
+	// and background chains and rebuild jobs stamped with an older one
+	// complete as timing only — their state updates belong to the
+	// incarnation the crash tore down.
+	epoch uint64
 }
 
 // queuer is implemented by device models that expose queue state.
@@ -166,7 +173,7 @@ func (a *Array) submit(dev int, op disk.Op, block, count int64, done func(sim.Ti
 		// Wrap the submission in a pooled retry op: transient device
 		// errors resubmit with exponential backoff instead of surfacing
 		// to the controller.
-		r := f.newRetry(a, dev, op, block, count, done)
+		r := f.newRetry(dev, op, block, count, done)
 		a.issue(dev, op, block, count, r.doneFn, r.failFn)
 		return
 	}
@@ -190,10 +197,30 @@ func (a *Array) issue(dev int, op disk.Op, block, count int64, done, fail func(s
 }
 
 // deviceDown reports whether the array routes around dev (failed and
-// not yet rebuilt). One nil test on healthy runs.
+// not yet rebuilt). One nil test on healthy runs; a device AddDevices
+// attached without the fault runtime knowing is never down.
 func (a *Array) deviceDown(dev int) bool {
 	f := a.faults
 	return f != nil && dev < len(f.failed) && f.failed[dev]
+}
+
+// lost returns how many extents the array has lost beyond redundancy so
+// far: a Submit reads it before walking a request and hands it to
+// lostError after.
+func (a *Array) lost() int64 {
+	if a.faults == nil {
+		return 0
+	}
+	return a.faults.stats.LostExtents
+}
+
+// lostError reports rec as a LostError if extents were lost since
+// lost() returned lost0, and nil otherwise.
+func (a *Array) lostError(rec trace.Record, lost0 int64) error {
+	if n := a.lost() - lost0; n > 0 {
+		return &LostError{Op: rec.Op, Block: rec.Block, Count: rec.Count, Extents: n}
+	}
+	return nil
 }
 
 // join is the one pooled continuation: it collects the completions of a
@@ -353,7 +380,7 @@ func (j *join) maybeFire() {
 		// skips the copy-in: the mapping state it would mutate belongs to
 		// an incarnation a crash-restart already discarded.
 		t.fn(at)
-		if t.epoch == t.c.epoch {
+		if t.epoch == a.epoch {
 			t.c.copyIn(t.orig, t.n, disk.OpRead)
 		}
 		return
@@ -364,7 +391,7 @@ func (j *join) maybeFire() {
 		// in-flight write-back dies with it). fn — an upgrade branch
 		// tracking drain (Expand) — is told either way: on the write's
 		// completion when the chain is live, right now when it is stale.
-		if t.epoch == t.c.epoch {
+		if t.epoch == a.epoch {
 			dst := t.c.pa
 			if t.step == stepMigrate {
 				dst = t.c.pc // as rebuilt by now, not as it was at issue

@@ -235,12 +235,6 @@ type CRAID struct {
 	// log records; flushLog drains it once per apply step.
 	log *mapLog
 
-	// epoch counts controller incarnations: a crash-restart bumps it,
-	// and in-flight background side effects (copy-ins, write-backs,
-	// migrations) stamped with an older epoch complete as timing only —
-	// their state updates belong to the torn-down incarnation.
-	epoch uint64
-
 	stats Stats
 }
 
@@ -251,11 +245,11 @@ type wbRun struct{ orig, slot, n int64 }
 // chain issues one background chain: read [from, from+n) on src and,
 // when that completes, take st (stepCopyIn, stepWriteBack or
 // stepMigrate) over the run [orig, orig+n), telling fn as the step says.
-// The chain is stamped with the current incarnation, so a crash-restart
-// in between leaves only its timing.
+// The chain is stamped with the current incarnation (Array.epoch), so a
+// crash-restart in between leaves only its timing.
 func (c *CRAID) chain(st step, fn func(sim.Time), src *span, from, orig, n int64) {
 	j := c.arr.newJoin(fn)
-	j.step, j.c, j.orig, j.n, j.epoch = st, c, orig, n, c.epoch
+	j.step, j.c, j.orig, j.n, j.epoch = st, c, orig, n, c.arr.epoch
 	src.read(j, from, n)
 	j.seal(c.arr.Eng.Now())
 }
@@ -344,10 +338,7 @@ func (c *CRAID) DataBlocks() int64 { return c.pa.layout.DataBlocks() }
 // completes when every extent's I/O has.
 func (c *CRAID) Submit(rec trace.Record, done func(sim.Time)) error {
 	now := c.arr.Eng.Now()
-	var lost0 int64
-	if f := c.arr.faults; f != nil {
-		lost0 = f.stats.LostExtents
-	}
+	lost0 := c.arr.lost()
 	j := c.request(c.arr, rec.Op, now, done)
 	if rec.Op == disk.OpRead {
 		c.stats.ReadBlocks += rec.Count
@@ -359,10 +350,7 @@ func (c *CRAID) Submit(rec trace.Record, done func(sim.Time)) error {
 	if err := c.flushLog(); err != nil {
 		return err
 	}
-	if f := c.arr.faults; f != nil && f.stats.LostExtents > lost0 {
-		return &LostError{Op: rec.Op, Block: rec.Block, Count: rec.Count, Extents: f.stats.LostExtents - lost0}
-	}
-	return nil
+	return c.arr.lostError(rec, lost0)
 }
 
 // classify walks rec's blocks at extent granularity — one LookupRun per
@@ -829,15 +817,16 @@ func (c *CRAID) recoverLog(r io.Reader) (int, error) {
 // CrashRestart models the controller dying and coming back mid-run
 // (paper §4.2's failure scenario, exercised live): the mapping cache,
 // policy state and allocator are torn down as a crash would lose them,
-// the controller incarnation (epoch) advances so in-flight background
-// side effects — copy-ins, write-backs, Expand migrations — land
-// as timing only, and the dirty-translation state is reinstated from
-// log, exactly as Recover does on a fresh controller. A nil log
+// the controller incarnation (Array.epoch) advances so in-flight
+// background side effects — copy-ins, write-backs, Expand migrations,
+// rebuild batches (the fault runtime relaunches those) — land as timing
+// only, and the dirty-translation state is reinstated from log, exactly
+// as Recover does on a fresh controller. A nil log
 // restarts cold. Requests already in flight keep their device timing;
 // requests submitted after the restart see the recovered state. It
 // returns the number of recovered mappings.
 func (c *CRAID) CrashRestart(log io.Reader) (int, error) {
-	c.epoch++
+	c.arr.epoch++
 	c.wb = c.wb[:0] // queued write-backs die with the incarnation
 	c.table.Clear()
 	c.rebuildPC()

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"craid/internal/disk"
 	"craid/internal/fault"
@@ -76,27 +77,6 @@ func (s *FaultStats) UpgradeLatency() sim.Time {
 	return s.ExpandEnd - s.ExpandStart
 }
 
-// faultState is the array-side fault machinery. It exists only while a
-// plan is installed; every hot-path check on healthy runs is a single
-// nil test.
-type faultState struct {
-	stats   FaultStats
-	failed  []bool // device index → routed around
-	peerBuf []int  // scratch for Redundant.RowPeers
-
-	// retryFree pools the retry ops; retriesMade counts the ops ever
-	// allocated, all of which are back on the list once the engine
-	// drains.
-	retryFree   *retryOp
-	retriesMade int
-}
-
-func (f *faultState) ensure(dev int) {
-	for len(f.failed) <= dev {
-		f.failed = append(f.failed, false)
-	}
-}
-
 // LostError reports that a submission touched extents beyond the
 // layout's surviving redundancy: with more devices down than parity
 // units, the data is unrecoverable and the request errors (its timing
@@ -132,16 +112,16 @@ type retryOp struct {
 	next    *retryOp
 }
 
-func (f *faultState) newRetry(a *Array, dev int, op disk.Op, block, count int64, done func(sim.Time)) *retryOp {
-	r := f.retryFree
+func (rt *FaultRuntime) newRetry(dev int, op disk.Op, block, count int64, done func(sim.Time)) *retryOp {
+	r := rt.retryFree
 	if r == nil {
-		f.retriesMade++
-		r = &retryOp{arr: a}
+		rt.retriesMade++
+		r = &retryOp{arr: rt.arr}
 		r.doneFn = r.complete
 		r.failFn = r.fail
 		r.retryFn = r.retry
 	} else {
-		f.retryFree = r.next
+		rt.retryFree = r.next
 		r.next = nil
 	}
 	r.dev, r.op, r.block, r.count = dev, op, block, count
@@ -189,18 +169,24 @@ func (r *retryOp) complete(at sim.Time) {
 // injectors, compiles the plan's events onto the simulation clock, and
 // drives rebuild traffic through the same engine — and the same device
 // queues — the monitor runs on.
+//
+// Installed, it is also the array's fault state (Array.faults): every
+// hot-path check on a healthy run is a single nil test.
 type FaultRuntime struct {
-	arr  *Array
-	vol  Volume
-	seed uint64
-	devs []*fault.Device
-	down int // devices currently routed around
+	arr     *Array
+	vol     Volume
+	seed    uint64
+	devs    []*fault.Device
+	stats   FaultStats
+	failed  []bool // device index → routed around
+	peerBuf []int  // scratch for Redundant.RowPeers
 
-	// epoch counts fault-runtime incarnations: a crash-restart bumps it
-	// and every in-flight rebuild chain checks it, so chains belonging
-	// to the torn-down incarnation complete as timing only while the
-	// restarted incarnation re-walks from row zero.
-	epoch    uint64
+	// retryFree pools the retry ops; retriesMade counts the ops ever
+	// allocated, all of which are back on the list once the engine
+	// drains.
+	retryFree   *retryOp
+	retriesMade int
+
 	rebuilds []*rebuildJob // active jobs, in start order
 
 	// deviceFactory constructs the devices expand events add to the
@@ -236,9 +222,8 @@ func InstallFaults(arr *Array, vol Volume, plan fault.Plan) (*FaultRuntime, erro
 			return nil, fmt.Errorf("fault: expand events require a CRAID volume")
 		}
 	}
-	rt := &FaultRuntime{arr: arr, vol: vol, seed: plan.Seed}
-	arr.faults = &faultState{}
-	arr.faults.ensure(arr.Devices() - 1)
+	rt := &FaultRuntime{arr: arr, vol: vol, seed: plan.Seed, failed: make([]bool, arr.Devices())}
+	arr.faults = rt
 	rt.devs = make([]*fault.Device, arr.Devices())
 	for i := range rt.devs {
 		rt.devs[i] = fault.NewDevice(plan.Seed, i)
@@ -254,7 +239,7 @@ func InstallFaults(arr *Array, vol Volume, plan fault.Plan) (*FaultRuntime, erro
 
 // Stats returns the runtime's counters (a live view; read after the
 // engine stops for final values).
-func (rt *FaultRuntime) Stats() *FaultStats { return &rt.arr.faults.stats }
+func (rt *FaultRuntime) Stats() *FaultStats { return &rt.stats }
 
 // Err reports the first fatal fault-processing error (a failed crash
 // recovery), which also stopped the engine.
@@ -330,24 +315,24 @@ func (rt *FaultRuntime) expand(disks int, retain bool) {
 		rt.fatal(fmt.Errorf("fault: device factory built %d device(s), expand wants %d", len(newDevs), disks))
 		return
 	}
-	f := rt.arr.faults
 	base := rt.arr.Devices()
-	if f.stats.ExpandStart == 0 {
-		f.stats.ExpandStart = rt.arr.Eng.Now()
+	if rt.stats.ExpandStart == 0 {
+		rt.stats.ExpandStart = rt.arr.Eng.Now()
 	}
+	// The added devices join the fault fabric, so later events may target
+	// them: failure routing state for the array's new width before Expand
+	// issues I/O to them, and deterministic injectors keyed by their
+	// final indices once they are attached.
+	rt.failed = append(rt.failed, make([]bool, base+disks-len(rt.failed))...)
 	st := c.Expand(newDevs, retain, func(at sim.Time) {
-		if at > f.stats.ExpandEnd {
-			f.stats.ExpandEnd = at
+		if at > rt.stats.ExpandEnd {
+			rt.stats.ExpandEnd = at
 		}
 	})
-	f.stats.Upgrades++
-	f.stats.ExpandMigrated += st.Migrated
-	f.stats.ExpandWriteback += st.DirtyWriteback
-	f.stats.ExpandInvalidated += st.Invalidated
-	// The added devices join the fault fabric: failure routing state and
-	// deterministic injectors keyed by their final indices, so later
-	// events may target them.
-	f.ensure(rt.arr.Devices() - 1)
+	rt.stats.Upgrades++
+	rt.stats.ExpandMigrated += st.Migrated
+	rt.stats.ExpandWriteback += st.DirtyWriteback
+	rt.stats.ExpandInvalidated += st.Invalidated
 	for i := base; i < rt.arr.Devices(); i++ {
 		d := fault.NewDevice(rt.seed, i)
 		rt.devs = append(rt.devs, d)
@@ -358,27 +343,22 @@ func (rt *FaultRuntime) expand(disks int, retain bool) {
 }
 
 func (rt *FaultRuntime) failDisk(dev int) {
-	f := rt.arr.faults
-	if dev >= rt.arr.Devices() {
+	if dev >= len(rt.failed) || rt.failed[dev] {
 		return
 	}
-	f.ensure(dev)
-	if f.failed[dev] {
-		return
-	}
-	f.failed[dev] = true
-	f.stats.Failures++
+	rt.failed[dev] = true
+	rt.stats.Failures++
 	if fd, ok := rt.arr.Device(dev).(disk.Faultable); ok {
 		fd.SetFailed(true)
 	}
-	rt.down++
 	rt.setDegraded()
 }
 
-// setDegraded brackets the volume's degraded-window latency recording.
+// setDegraded brackets the volume's degraded-window latency recording:
+// the window is open while any device is routed around.
 func (rt *FaultRuntime) setDegraded() {
 	if d, ok := rt.vol.(interface{ setDegraded(bool) }); ok {
-		d.setDegraded(rt.down > 0)
+		d.setDegraded(slices.Contains(rt.failed, true))
 	}
 }
 
@@ -396,9 +376,9 @@ func (rt *FaultRuntime) spans() []*span {
 
 // rebuildJob reconstructs one failed device: a sequence of per-span
 // stripe-row walks, paced to the configured rate. The epoch stamp is
-// the incarnation that launched the job: a crash-restart bumps the
-// runtime's epoch and relaunches active jobs from row zero, so a stale
-// job's in-flight chains complete as timing only.
+// the controller incarnation that launched the job: a crash-restart
+// bumps the array's epoch and relaunches active jobs from row zero, so a
+// stale job's in-flight chains complete as timing only.
 type rebuildJob struct {
 	rt       *FaultRuntime
 	dev      int
@@ -442,8 +422,7 @@ type spanWalk struct {
 // Traffic flows through the ordinary submission path, so it contends
 // with the monitor on the same queues.
 func (rt *FaultRuntime) startRebuild(dev int, rateMBps float64) {
-	f := rt.arr.faults
-	if dev >= rt.arr.Devices() || dev >= len(f.failed) || !f.failed[dev] {
+	if dev >= len(rt.failed) || !rt.failed[dev] {
 		return
 	}
 	if rateMBps <= 0 {
@@ -452,8 +431,8 @@ func (rt *FaultRuntime) startRebuild(dev int, rateMBps float64) {
 	if fd, ok := rt.arr.Device(dev).(disk.Faultable); ok {
 		fd.SetFailed(false)
 	}
-	if f.stats.RebuildStart == 0 {
-		f.stats.RebuildStart = rt.arr.Eng.Now()
+	if rt.stats.RebuildStart == 0 {
+		rt.stats.RebuildStart = rt.arr.Eng.Now()
 	}
 	rt.launchRebuild(dev, rateMBps)
 }
@@ -463,7 +442,7 @@ func (rt *FaultRuntime) startRebuild(dev int, rateMBps float64) {
 // against the volume's current spans, so a post-crash relaunch walks
 // the rebuilt geometry.
 func (rt *FaultRuntime) launchRebuild(dev int, rateMBps float64) {
-	job := &rebuildJob{rt: rt, dev: dev, rateMBps: rateMBps, epoch: rt.epoch}
+	job := &rebuildJob{rt: rt, dev: dev, rateMBps: rateMBps, epoch: rt.arr.epoch}
 	job.stepFn, job.readFn, job.decodedFn, job.writtenFn = job.step, job.peersRead, job.decoded, job.written
 	for _, s := range rt.spans() {
 		if s.red == nil {
@@ -504,12 +483,14 @@ func (rt *FaultRuntime) unregister(job *rebuildJob) {
 // second at default rates.
 const rebuildBatchRows = 8
 
+// stale reports that a crash-restart tore down the incarnation that
+// launched the job: the relaunched job owns the walk now.
+func (r *rebuildJob) stale() bool { return r.epoch != r.rt.arr.epoch }
+
 // step launches the next stripe-row batch, or finishes the rebuild when
-// every span walk is exhausted. A stale epoch means a crash-restart
-// tore this job's incarnation down — the relaunched job owns the walk
-// now.
+// every span walk is exhausted.
 func (r *rebuildJob) step() {
-	if r.epoch != r.rt.epoch {
+	if r.stale() {
 		return
 	}
 	for r.cur < len(r.walks) {
@@ -560,7 +541,7 @@ func (r *rebuildJob) run(sw spanWalk, blk, n, rows int64, peers []int) {
 
 // peersRead runs when the batch's peer reads are in: pay the decode.
 func (r *rebuildJob) peersRead(sim.Time) {
-	if r.epoch != r.rt.epoch {
+	if r.stale() {
 		return
 	}
 	b := &r.batch
@@ -569,7 +550,7 @@ func (r *rebuildJob) peersRead(sim.Time) {
 
 // decoded writes the reconstructed run onto the spare.
 func (r *rebuildJob) decoded() {
-	if r.epoch != r.rt.epoch {
+	if r.stale() {
 		return
 	}
 	b := &r.batch
@@ -578,12 +559,12 @@ func (r *rebuildJob) decoded() {
 
 // written counts the batch and schedules the next step.
 func (r *rebuildJob) written(sim.Time) {
-	if r.epoch != r.rt.epoch {
+	if r.stale() {
 		return
 	}
-	eng, f, b := r.rt.arr.Eng, r.rt.arr.faults, &r.batch
-	f.stats.RebuildRows += b.rows
-	f.stats.RebuildBlocks += b.n
+	eng, st, b := r.rt.arr.Eng, &r.rt.stats, &r.batch
+	st.RebuildRows += b.rows
+	st.RebuildBlocks += b.n
 	next := b.start + sim.Time(float64(b.n*disk.BlockSize)*1000/r.rateMBps)
 	if next < eng.Now() {
 		next = eng.Now()
@@ -606,7 +587,7 @@ func (r *rebuildJob) abortWalk(sw spanWalk, rows int64) {
 		lost += rr
 	}
 	r.lostRows += lost
-	r.rt.arr.faults.stats.RebuildLostRows += lost
+	r.rt.stats.RebuildLostRows += lost
 	r.cur++
 	r.step()
 }
@@ -616,14 +597,12 @@ func (r *rebuildJob) abortWalk(sw spanWalk, rows int64) {
 // around forever, because the spare's content is incomplete.
 func (r *rebuildJob) finish() {
 	rt := r.rt
-	f := rt.arr.faults
-	f.stats.RebuildEnd = rt.arr.Eng.Now()
+	rt.stats.RebuildEnd = rt.arr.Eng.Now()
 	rt.unregister(r)
 	if r.lostRows > 0 {
 		return
 	}
-	f.failed[r.dev] = false
-	rt.down--
+	rt.failed[r.dev] = false
 	rt.setDegraded()
 }
 
@@ -653,18 +632,16 @@ func (rt *FaultRuntime) crashRestart() {
 		rt.fatal(fmt.Errorf("fault: crash recovery: %w", err))
 		return
 	}
-	f := rt.arr.faults
-	f.stats.Restarts++
-	f.stats.RecoveredMappings += int64(n)
-	// Tear down in-flight rebuild chains — they died with the controller
-	// incarnation — and relaunch each active rebuild from row zero
-	// against the recovered geometry, in start order.
-	rt.epoch++
+	rt.stats.Restarts++
+	rt.stats.RecoveredMappings += int64(n)
+	// CrashRestart advanced the epoch, so in-flight rebuild chains died
+	// with the controller incarnation: relaunch each active rebuild from
+	// row zero against the recovered geometry, in start order.
 	if len(rt.rebuilds) > 0 {
 		old := rt.rebuilds
 		rt.rebuilds = nil
 		for _, j := range old {
-			f.stats.RebuildRestarts++
+			rt.stats.RebuildRestarts++
 			rt.launchRebuild(j.dev, j.rateMBps)
 		}
 	}

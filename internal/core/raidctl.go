@@ -123,10 +123,7 @@ func (c *RAIDController) DataBlocks() int64 { return c.span.layout.DataBlocks() 
 func (c *RAIDController) Submit(rec trace.Record, done func(sim.Time)) error {
 	arr := c.span.arr
 	now := arr.Eng.Now()
-	var lost0 int64
-	if arr.faults != nil {
-		lost0 = arr.faults.stats.LostExtents
-	}
+	lost0 := arr.lost()
 	c.trackSeq(now, 0, rec.Block, rec.Count)
 	j := c.request(arr, rec.Op, now, done)
 	if rec.Op == disk.OpRead {
@@ -135,8 +132,5 @@ func (c *RAIDController) Submit(rec trace.Record, done func(sim.Time)) error {
 		c.span.write(j, rec.Block, rec.Count)
 	}
 	j.seal(now)
-	if f := arr.faults; f != nil && f.stats.LostExtents > lost0 {
-		return &LostError{Op: rec.Op, Block: rec.Block, Count: rec.Count, Extents: f.stats.LostExtents - lost0}
-	}
-	return nil
+	return arr.lostError(rec, lost0)
 }

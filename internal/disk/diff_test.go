@@ -312,3 +312,133 @@ func TestDeviceConstructionAllocs(t *testing.T) {
 		t.Errorf("NewSSD allocates %v times, want <= 2", n)
 	}
 }
+
+// faultyDevice is a model with fault injection, as every model here is.
+type faultyDevice interface {
+	Device
+	Faultable
+}
+
+// TestDeviceStatsMatchCompletions drives each model through a seeded
+// closed loop — one request in 16 failing, the device dying and coming
+// back mid-script — and wants the counters a model bumps where it
+// decides an outcome to equal, once the engine drains, what the Done and
+// Fail callbacks saw.
+func TestDeviceStatsMatchCompletions(t *testing.T) {
+	cheetah := CheetahConfig("hdd")
+	cheetah.WriteCacheBlocks = 128 // on, and small enough that writes stall
+	for _, tc := range []struct {
+		name  string
+		build func(*sim.Engine) faultyDevice
+	}{
+		{"hdd", func(eng *sim.Engine) faultyDevice { return NewHDD(eng, cheetah) }},
+		{"ssd", func(eng *sim.Engine) faultyDevice { return NewSSD(eng, MSRSSDConfig("ssd")) }},
+		{"null", func(eng *sim.Engine) faultyDevice { return NewNullDevice(eng, "null", 1<<30) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			d := tc.build(eng)
+			d.SetInjector(&seededInjector{rand.New(rand.NewSource(8))})
+			rng := rand.New(rand.NewSource(7))
+			var seen Stats
+			const total = 20000
+			submitted, outstanding := 0, 0
+			var submit func()
+			completed := func() {
+				outstanding--
+				if d.Failed() {
+					if rng.Intn(16) == 0 {
+						d.SetFailed(false)
+					}
+				} else if rng.Intn(512) == 0 {
+					d.SetFailed(true)
+				}
+				if rng.Intn(4) == 0 {
+					eng.After(sim.Time(rng.Intn(5000))*sim.Microsecond, submit)
+				} else {
+					submit()
+				}
+			}
+			submit = func() {
+				for outstanding < 8 && submitted < total {
+					submitted++
+					outstanding++
+					op, count := OpRead, int64(1+rng.Intn(64))
+					if rng.Intn(5) < 2 {
+						op = OpWrite
+					}
+					rejected := d.Failed()
+					d.Submit(&Request{Op: op, Block: rng.Int63n(d.CapacityBlocks() - count), Count: count,
+						Done: func(sim.Time) {
+							if op == OpRead {
+								seen.Reads++
+								seen.BlocksRead += count
+							} else {
+								seen.Writes++
+								seen.BlocksWrite += count
+							}
+							completed()
+						},
+						Fail: func(sim.Time) {
+							if rejected {
+								seen.Rejected++
+							} else {
+								seen.Errors++
+							}
+							completed()
+						}})
+				}
+			}
+			submit()
+			eng.Run()
+
+			got := *d.Stats()
+			got.BusyTime, got.CacheHits, got.CacheMisses = 0, 0, 0
+			if got != seen {
+				t.Errorf("counters %+v, callbacks saw %+v", got, seen)
+			}
+			if seen.Reads == 0 || seen.Writes == 0 || seen.Errors == 0 || seen.Rejected == 0 {
+				t.Errorf("script too tame: callbacks saw %+v", seen)
+			}
+			if outstanding != 0 || submitted != total {
+				t.Errorf("%d of %d requests submitted, %d still outstanding after the drain", submitted, total, outstanding)
+			}
+		})
+	}
+}
+
+// TestDeviceAllocsIndependentOfOverlap: a request in flight costs a
+// model no allocation of its own. A fresh HDD absorbing 64 contiguous
+// writes at once allocates what one absorbing 4 does, and a fresh SSD
+// serving 64 overlapping reads what one serving 4 does.
+func TestDeviceAllocsIndependentOfOverlap(t *testing.T) {
+	eng := sim.NewEngine()
+	// Grow the engine's queue past 64 pending first, so what the bursts
+	// below measure is the models'.
+	noop := func() {}
+	for i := 1; i <= 128; i++ {
+		eng.After(sim.Time(i), noop)
+	}
+	eng.Run()
+	r := &Request{Done: func(sim.Time) {}}
+	burst := func(build func() Device, n int, op Op, block func(i int) int64) float64 {
+		return testing.AllocsPerRun(20, func() {
+			d := build()
+			for i := 0; i < n; i++ {
+				r.Op, r.Block, r.Count = op, block(i), 8
+				d.Submit(r)
+			}
+			eng.Run()
+		})
+	}
+	hdd := func() Device { return NewHDD(eng, CheetahConfig("hdd")) }
+	ssd := func() Device { return NewSSD(eng, MSRSSDConfig("ssd")) }
+	contiguous := func(i int) int64 { return int64(8 * i) }
+	same := func(int) int64 { return 0 }
+	if few, many := burst(hdd, 4, OpWrite, contiguous), burst(hdd, 64, OpWrite, contiguous); few != many {
+		t.Errorf("HDD absorbing 4 writes allocates %v times, 64 writes %v times", few, many)
+	}
+	if few, many := burst(ssd, 4, OpRead, same), burst(ssd, 64, OpRead, same); few != many {
+		t.Errorf("SSD serving 4 overlapping reads allocates %v times, 64 reads %v times", few, many)
+	}
+}

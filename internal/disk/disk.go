@@ -111,10 +111,14 @@ type BusyCounter interface {
 	CountBusyIn(n *int)
 }
 
-// Stats holds per-device counters maintained by every model.
+// Stats holds per-device counters maintained by every model. A model
+// counts a request where it decides the outcome — when it rejects it,
+// absorbs it into a cache, or starts serving it — so the counters run
+// ahead of the completions still in flight and equal them once the
+// engine drains.
 type Stats struct {
-	Reads       int64 // completed read requests
-	Writes      int64 // completed write requests
+	Reads       int64 // read requests served
+	Writes      int64 // write requests served
 	BlocksRead  int64
 	BlocksWrite int64
 	BusyTime    sim.Time // total time the device was servicing requests
@@ -122,6 +126,40 @@ type Stats struct {
 	CacheMisses int64
 	Errors      int64 // requests completed with an injected error
 	Rejected    int64 // requests rejected because the device was Failed
+}
+
+// count records the outcome of one request of n blocks: an injected
+// error, or one more request of its direction.
+func (s *Stats) count(op Op, n int64, fail bool) {
+	switch {
+	case fail:
+		s.Errors++
+	case op == OpRead:
+		s.Reads++
+		s.BlocksRead += n
+	default:
+		s.Writes++
+		s.BlocksWrite += n
+	}
+}
+
+// completion is the callback that reports r's outcome: Fail for an error
+// when set, else Done, so fault-unaware callers still observe exactly one
+// completion. It is nil when r has neither.
+func (r *Request) completion(fail bool) func(at sim.Time) {
+	if fail && r.Fail != nil {
+		return r.Fail
+	}
+	return r.Done
+}
+
+// complete schedules done, unless nil, delay from now. A completion
+// always rides the event queue, even at delay 0, so a caller's callback
+// never runs inside its own Submit.
+func complete(eng *sim.Engine, delay sim.Time, done func(at sim.Time)) {
+	if done != nil {
+		eng.AfterTimed(delay, done)
+	}
 }
 
 func checkRange(d Device, r *Request) {
@@ -196,19 +234,6 @@ func (f *faultState) draw(r *Request) (fail bool, latX float64) {
 	return f.inj.Verdict(r.Op, r.Block, r.Count)
 }
 
-// completeFault completes r with an error after delay: through Fail
-// when set, falling back to Done so fault-unaware callers still get
-// exactly one completion.
-func completeFault(eng *sim.Engine, delay sim.Time, r *Request) {
-	cb := r.Fail
-	if cb == nil {
-		cb = r.Done
-	}
-	if cb != nil {
-		eng.AfterTimed(delay, cb)
-	}
-}
-
 // NullDevice completes every request instantly. It realizes the CRAID
 // paper's "simplified disk model that resolves each I/O instantly" used
 // to evaluate cache-policy quality in isolation (§5.1).
@@ -231,30 +256,16 @@ func NewNullDevice(eng *sim.Engine, name string, capacityBlocks int64) *NullDevi
 // ordering guarantees).
 func (d *NullDevice) Submit(r *Request) {
 	checkRange(d, r)
-	if d.failed {
+	fail := d.failed
+	if fail {
 		d.stats.Rejected++
-		completeFault(d.eng, 0, r)
-		return
-	}
-	if fail, _ := d.draw(r); fail {
+	} else {
 		// An instant device has no service time to scale, so a latency
 		// multiplier is moot; the error verdict still applies.
-		d.stats.Errors++
-		completeFault(d.eng, 0, r)
-		return
+		fail, _ = d.draw(r)
+		d.stats.count(r.Op, r.Count, fail)
 	}
-	if r.Op == OpRead {
-		d.stats.Reads++
-		d.stats.BlocksRead += r.Count
-	} else {
-		d.stats.Writes++
-		d.stats.BlocksWrite += r.Count
-	}
-	if r.Done != nil {
-		// Zero-delay timed event: preserves callback ordering without
-		// allocating a wrapper closure per request.
-		d.eng.AfterTimed(0, r.Done)
-	}
+	complete(d.eng, 0, r.completion(fail))
 }
 
 // CapacityBlocks implements Device.

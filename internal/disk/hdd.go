@@ -125,23 +125,18 @@ type HDD struct {
 	stalled     []hddReq // writes waiting for write-cache space
 	admitting   bool     // admitStalled is walking stalled
 
-	// In-service completion, parked in fields rather than a closure:
+	// In-service completion, parked in a field rather than a closure:
 	// the busy flag admits exactly one request to the media at a time,
-	// so finish() stamps the pending completion here and schedules the
-	// one cached finishFn method value — no per-I/O allocation.
+	// so finish() stamps its callback here and schedules the one cached
+	// finishFn method value — no per-I/O allocation. (A write the cache
+	// absorbs completes through the engine alone: nothing of the drive's
+	// changes when it does.)
 	finDone  func(at sim.Time)
-	finFail  bool
-	finOp    Op
-	finCount int64
 	finishFn func()
 
 	// Destage completion, same single-flight argument via destaging.
 	destageN  int64
 	destageFn func()
-
-	// Freelist of write-absorb completions: unlike media service these
-	// overlap freely (the write cache admits back to back), so they pool.
-	absorbFree *absorbOp
 
 	faultState
 }
@@ -155,45 +150,8 @@ type hddReq struct {
 	block int64
 	count int64
 	place                   // of block; set for requests bound for the media only
-	done  func(at sim.Time) // completion: Request.Fail on an injected error when set, else Request.Done
+	done  func(at sim.Time) // the request's completion(fail)
 	latX  float64           // service-time multiplier drawn at submit (<=1 = none)
-}
-
-// absorbOp is one write-back cache absorption waiting out the
-// controller overhead before completing; pooled on its HDD.
-type absorbOp struct {
-	d     *HDD
-	count int64
-	done  func(at sim.Time)
-	fn    func()
-	next  *absorbOp
-}
-
-func (d *HDD) newAbsorb(count int64, done func(at sim.Time)) *absorbOp {
-	a := d.absorbFree
-	if a == nil {
-		a = &absorbOp{d: d}
-		a.fn = a.fire
-	} else {
-		d.absorbFree = a.next
-		a.next = nil
-	}
-	a.count, a.done = count, done
-	return a
-}
-
-// fire completes the absorbed write: recycle first (done may submit
-// more writes and reclaim the op), then count and call back.
-func (a *absorbOp) fire() {
-	d, count, done := a.d, a.count, a.done
-	a.done = nil
-	a.next = d.absorbFree
-	d.absorbFree = a
-	d.stats.Writes++
-	d.stats.BlocksWrite += count
-	if done != nil {
-		done(d.eng.Now())
-	}
 }
 
 type segment struct {
@@ -384,14 +342,12 @@ func (d *HDD) Submit(r *Request) {
 		// error completion. Requests queued before the failure still
 		// drain normally.
 		d.stats.Rejected++
-		completeFault(d.eng, d.cfg.ControllerOver, r)
+		complete(d.eng, d.cfg.ControllerOver, r.completion(true))
 		return
 	}
-	q := hddReq{op: r.Op, block: r.Block, count: r.Count, done: r.Done}
+	q := hddReq{op: r.Op, block: r.Block, count: r.Count}
 	q.fail, q.latX = d.draw(r)
-	if q.fail && r.Fail != nil {
-		q.done = r.Fail
-	}
+	q.done = r.completion(q.fail)
 
 	// A write the cache could never hold (or any write, with no cache)
 	// goes to the media like a read: stalled, it would wait for room
@@ -426,24 +382,20 @@ func (d *HDD) Submit(r *Request) {
 // absorbWrite completes a write from the write-back cache after the
 // controller overhead and records its blocks for later destage.
 func (d *HDD) absorbWrite(r *hddReq) {
+	over := d.cfg.ControllerOver
 	if r.fail {
 		// The write dies in the controller: no dirty data, no readable
 		// segment, just overhead and an error completion.
-		over := scaled(d.cfg.ControllerOver, r.latX)
+		over = scaled(over, r.latX)
 		d.stats.BusyTime += over
-		d.stats.Errors++
-		if r.done != nil {
-			d.eng.AfterTimed(over, r.done)
-		}
-		d.kick()
-		return
+	} else {
+		d.dirty += r.count
+		d.addDirtyRange(r.block, r.block+r.count)
+		// Freshly written data is also readable from the cache.
+		d.installSegment(r.block, r.block+r.count)
 	}
-	d.dirty += r.count
-	d.addDirtyRange(r.block, r.block+r.count)
-	// Freshly written data is also readable from the cache.
-	d.installSegment(r.block, r.block+r.count)
-	a := d.newAbsorb(r.count, r.done)
-	d.eng.After(d.cfg.ControllerOver, a.fn)
+	d.stats.count(OpWrite, r.count, r.fail)
+	complete(d.eng, over, r.done)
 	d.kick()
 }
 
@@ -563,33 +515,25 @@ func scaled(t sim.Time, latX float64) sim.Time {
 	return t
 }
 
-// finish completes r after service time, updates stats and continues
-// with the next queued operation. The pending completion lives in the
-// fin* fields (single-flight under the busy flag) and fires through the
-// cached finishFn, so the media path schedules no closures.
+// finish counts r and completes it after service time, then continues
+// with the next queued operation. The pending callback lives in finDone
+// (single-flight under the busy flag) and fires through the cached
+// finishFn, so the media path schedules no closures.
 func (d *HDD) finish(r *hddReq, service sim.Time) {
 	d.stats.BusyTime += service
-	d.finDone, d.finFail, d.finOp, d.finCount = r.done, r.fail, r.op, r.count
+	d.stats.count(r.op, r.count, r.fail)
+	d.finDone = r.done
 	d.eng.After(service, d.finishFn)
 }
 
-// finished is the media-service completion event. The fields are copied
-// out before the callback runs: done may submit more I/O, which (with
-// busy already cleared) can start the next service and restamp them.
+// finished is the media-service completion event. The callback is
+// copied out before it runs: it may submit more I/O, which (with busy
+// already cleared) can start the next service and restamp finDone.
 func (d *HDD) finished() {
-	done, fail, op, count := d.finDone, d.finFail, d.finOp, d.finCount
+	done := d.finDone
 	d.finDone = nil
 	d.busy = false
 	d.countBusy(-1)
-	if fail {
-		d.stats.Errors++
-	} else if op == OpRead {
-		d.stats.Reads++
-		d.stats.BlocksRead += count
-	} else {
-		d.stats.Writes++
-		d.stats.BlocksWrite += count
-	}
 	if done != nil {
 		done(d.eng.Now())
 	}

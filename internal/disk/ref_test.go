@@ -103,14 +103,12 @@ func (d *refHDD) Submit(r *Request) {
 	checkRange(d, r)
 	if d.failed {
 		d.stats.Rejected++
-		completeFault(d.eng, d.cfg.ControllerOver, r)
+		complete(d.eng, d.cfg.ControllerOver, r.completion(true))
 		return
 	}
-	q := refReq{op: r.Op, block: r.Block, count: r.Count, done: r.Done}
+	q := refReq{op: r.Op, block: r.Block, count: r.Count}
 	q.fail, q.latX = d.draw(r)
-	if q.fail && r.Fail != nil {
-		q.done = r.Fail
-	}
+	q.done = r.completion(q.fail)
 	// The fix: a write that can never fit takes the media queue.
 	if q.op == OpWrite && d.cfg.WriteCacheBlocks > 0 && q.count <= int64(d.cfg.WriteCacheBlocks) {
 		if d.dirty+q.count <= int64(d.cfg.WriteCacheBlocks) {

@@ -51,57 +51,7 @@ type SSD struct {
 
 	perChannels divisor // by cfg.Channels
 
-	// Freelist of in-flight completions: channels overlap requests
-	// freely, so completions pool like the HDD's absorb ops.
-	opFree *ssdOp
-
 	faultState
-}
-
-// ssdOp is one request in flight between Submit and its completion
-// event; pooled on its SSD so the submit path allocates nothing.
-type ssdOp struct {
-	d     *SSD
-	fail  bool
-	op    Op
-	count int64
-	done  func(at sim.Time)
-	fn    func()
-	next  *ssdOp
-}
-
-func (d *SSD) newOp(r *Request, fail bool, done func(at sim.Time)) *ssdOp {
-	o := d.opFree
-	if o == nil {
-		o = &ssdOp{d: d}
-		o.fn = o.fire
-	} else {
-		d.opFree = o.next
-		o.next = nil
-	}
-	o.fail, o.op, o.count, o.done = fail, r.Op, r.Count, done
-	return o
-}
-
-// fire completes the request: recycle first (done may submit further
-// I/O and reclaim the op), then count and call back.
-func (o *ssdOp) fire() {
-	d, fail, op, count, done := o.d, o.fail, o.op, o.count, o.done
-	o.done = nil
-	o.next = d.opFree
-	d.opFree = o
-	if fail {
-		d.stats.Errors++
-	} else if op == OpRead {
-		d.stats.Reads++
-		d.stats.BlocksRead += count
-	} else {
-		d.stats.Writes++
-		d.stats.BlocksWrite += count
-	}
-	if done != nil {
-		done(d.eng.Now())
-	}
 }
 
 // NewSSD builds an SSD from cfg, attached to eng.
@@ -163,7 +113,7 @@ func (d *SSD) Submit(r *Request) {
 
 	if d.failed {
 		d.stats.Rejected++
-		completeFault(d.eng, d.cfg.ControllerOver, r)
+		complete(d.eng, d.cfg.ControllerOver, r.completion(true))
 		return
 	}
 	fail, latX := d.draw(r)
@@ -201,11 +151,6 @@ func (d *SSD) Submit(r *Request) {
 	}
 	finish := latest + d.cfg.ControllerOver
 	d.stats.BusyTime += finish - now
-
-	done := r.Done
-	if fail && r.Fail != nil {
-		done = r.Fail
-	}
-	o := d.newOp(r, fail, done)
-	d.eng.Schedule(finish, o.fn)
+	d.stats.count(r.Op, r.Count, fail)
+	complete(d.eng, finish-now, r.completion(fail))
 }

@@ -198,3 +198,22 @@ func TestRunMSRVolumesEmptyFile(t *testing.T) {
 		t.Fatal("empty MSR file did not error")
 	}
 }
+
+// TestRunFileTraceRejectsEmptySelection: a file replay that yields no
+// record is an error, not a table of zeros. A TraceVolume the file does
+// not hold is named, with the DiskNumbers it does.
+func TestRunFileTraceRejectsEmptySelection(t *testing.T) {
+	path, _ := buildMSRFile(t, []int{0, 2, 5}, 20)
+	cfg := fileCfg(path, "msr")
+	absent := 99
+	cfg.TraceVolume = &absent
+	_, err := Run(cfg)
+	if err == nil || !strings.Contains(err.Error(), "DiskNumber 99") || !strings.Contains(err.Error(), "[0 2 5]") {
+		t.Errorf("absent DiskNumber: err %v, want one naming 99 and the file's 0, 2 and 5", err)
+	}
+
+	empty := writeTempTrace(t, "empty.trace", "# no records\n")
+	if _, err := Run(fileCfg(empty, "native")); err == nil || !strings.Contains(err.Error(), "holds no records") {
+		t.Errorf("empty native file: err %v, want \"holds no records\"", err)
+	}
+}

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"craid/internal/core"
@@ -397,6 +398,10 @@ func Run(cfg RunConfig) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
+	if n == 0 && cfg.TraceFile != "" {
+		// A table of zeros would look like a result.
+		return RunResult{}, noRecords(cfg)
+	}
 	if faultRT != nil {
 		if err := faultRT.Err(); err != nil {
 			return RunResult{}, err
@@ -444,6 +449,25 @@ func Run(cfg RunConfig) (RunResult, error) {
 	res.QueueMean, res.QueueP99, res.QueueMax = arr.QueueStats()
 	res.ConcMean, res.ConcP99, res.ConcMax = arr.ConcurrencyStats()
 	return res, nil
+}
+
+// noRecords explains a file replay that yielded no record. A TraceVolume
+// the file does not hold is named beside the DiskNumbers it does hold.
+func noRecords(cfg RunConfig) error {
+	if cfg.TraceVolume != nil {
+		if f, err := os.Open(cfg.TraceFile); err == nil {
+			vols, err := trace.MSRVolumes(f)
+			f.Close()
+			if err == nil && len(vols) > 0 && !slices.Contains(vols, *cfg.TraceVolume) {
+				return fmt.Errorf("experiments: %s holds no records of DiskNumber %d, only of %v",
+					cfg.TraceFile, *cfg.TraceVolume, vols)
+			}
+		}
+	}
+	if cfg.Duration > 0 {
+		return fmt.Errorf("experiments: %s holds no records in its first %g s", cfg.TraceFile, cfg.Duration.Seconds())
+	}
+	return fmt.Errorf("experiments: %s holds no records", cfg.TraceFile)
 }
 
 // diskRegions sizes one testbed disk at scale and splits it, for
@@ -584,7 +608,7 @@ func buildVolume(eng *sim.Engine, cfg RunConfig, dataset int64) (core.Volume, *c
 		scfg.CachePerDisk = pcTotalPerSSD
 		if cfg.Instant && cfg.PCBlocks > 0 {
 			scfg.StripeUnit = 1
-			scfg.CachePerDisk = maxI64(1, cfg.PCBlocks/int64(TestbedSSDs-1))
+			scfg.CachePerDisk = max(1, cfg.PCBlocks/int64(TestbedSSDs-1))
 		}
 		c, err := core.NewCRAID(arr, scfg, false, ssdIdx, 0, layout, hddIdx, 0)
 		if err != nil {
@@ -617,11 +641,4 @@ func indices(from, n int) []int {
 		out[i] = from + i
 	}
 	return out
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -390,7 +390,7 @@ func CDF(samples []float64, at []float64) []float64 {
 	out := make([]float64, len(at))
 	for i, x := range at {
 		out[i] = float64(sort.SearchFloat64s(sorted, math.Nextafter(x, math.Inf(1)))) /
-			float64(maxInt(len(sorted), 1))
+			float64(max(len(sorted), 1))
 	}
 	return out
 }
@@ -429,11 +429,4 @@ func Mean(samples []float64) float64 {
 		sum += v
 	}
 	return sum / float64(len(samples))
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,11 +1,13 @@
 package trace
 
 import (
+	"errors"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 	"testing"
+
+	"craid/internal/sim"
 )
 
 // The fuzz targets guard the hand-rolled strings.Cut/cutField scanning
@@ -148,10 +150,32 @@ func FuzzParseMSRPerVolume(f *testing.F) {
 	})
 }
 
-// FuzzParseIntBytes pins the byte-slice integer fast path to strconv:
-// for every input the value must match bit for bit and the error must
-// agree in presence (the fallback delegates to strconv, so messages
-// match by construction whenever the fast path rejects).
+// numericField reports whether s, put in a line as one field, stays that
+// one field: no separator, no line break, no leading comment mark and no
+// edge the reader's TrimSpace would take off.
+func numericField(s string) bool {
+	return s != "" && s[0] != '#' && !strings.ContainsAny(s, " \t\r\n") && strings.TrimSpace(s) == s
+}
+
+// sameVerdict fails t unless the reader's err and strconv's want agree:
+// both nil, or err wrapping the strconv error's cause.
+func sameVerdict(t *testing.T, s string, err, want error) {
+	t.Helper()
+	if want == nil {
+		if err != nil {
+			t.Fatalf("field %q: reader error %v, strconv accepts it", s, err)
+		}
+		return
+	}
+	if !errors.Is(err, want.(*strconv.NumError).Err) {
+		t.Fatalf("field %q: reader error %v, strconv error %v", s, err, want)
+	}
+}
+
+// FuzzParseIntBytes pins an integer field, cut out of its line and
+// converted from the line's bytes, to strconv.ParseInt on the same text:
+// the native reader accepts a time field exactly when strconv does, with
+// strconv's error, and reads strconv's value.
 func FuzzParseIntBytes(f *testing.F) {
 	f.Add("0")
 	f.Add("-1")
@@ -166,26 +190,26 @@ func FuzzParseIntBytes(f *testing.F) {
 	f.Add("-")
 	f.Add(" 5")
 	f.Fuzz(func(t *testing.T, s string) {
-		got, gotErr := parseIntBytes([]byte(s))
-		want, wantErr := strconv.ParseInt(s, 10, 64)
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("parseIntBytes(%q) err = %v, strconv err = %v", s, gotErr, wantErr)
+		if !numericField(s) {
+			return
 		}
-		if gotErr == nil && got != want {
-			t.Fatalf("parseIntBytes(%q) = %d, strconv = %d", s, got, want)
+		want, wantErr := strconv.ParseInt(s, 10, 64)
+		rec, err := NewNativeReader(strings.NewReader(s + " R 0 1\n")).Next()
+		sameVerdict(t, s, err, wantErr)
+		if err == nil && rec.Time != sim.Time(want)*sim.Microsecond {
+			t.Fatalf("time field %q read as %d, strconv says %d us", s, rec.Time, want)
 		}
 	})
 }
 
-// FuzzParseFloatBytes pins the byte-slice float fast path to strconv:
-// identical bits for every accepted input (the fast path only fires
-// when one IEEE division is provably exact, so this must hold for all
-// inputs, not just friendly ones).
+// FuzzParseFloatBytes does the same for a blk timestamp against
+// strconv.ParseFloat. A first line at time 0 sets the base, so the
+// second line's record is at its timestamp.
 func FuzzParseFloatBytes(f *testing.F) {
 	f.Add("0.000000")
 	f.Add("1.5")
 	f.Add("123456789.123456")  // 15 significant digits
-	f.Add("1234567890.123456") // 16: must fall back, still match
+	f.Add("1234567890.123456") // 16
 	f.Add("-0.0")
 	f.Add("5.")
 	f.Add(".5")
@@ -196,14 +220,18 @@ func FuzzParseFloatBytes(f *testing.F) {
 	f.Add("..")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, s string) {
-		got, gotErr := parseFloatBytes([]byte(s))
-		want, wantErr := strconv.ParseFloat(s, 64)
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("parseFloatBytes(%q) err = %v, strconv err = %v", s, gotErr, wantErr)
+		if !numericField(s) {
+			return
 		}
-		if gotErr == nil && math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("parseFloatBytes(%q) = %x (%g), strconv = %x (%g)",
-				s, math.Float64bits(got), got, math.Float64bits(want), want)
+		want, wantErr := strconv.ParseFloat(s, 64)
+		r := NewBlkReader(strings.NewReader("0 d R 0 1\n" + s + " d R 0 1\n"))
+		if _, err := r.Next(); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := r.Next()
+		sameVerdict(t, s, err, wantErr)
+		if err == nil && rec.Time != sim.Time(want*float64(sim.Second)) {
+			t.Fatalf("timestamp %q read as %d ns, strconv says %g s", s, rec.Time, want)
 		}
 	})
 }

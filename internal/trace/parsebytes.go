@@ -1,21 +1,14 @@
 package trace
 
-import (
-	"bytes"
-	"strconv"
-)
-
-// Byte-slice field scanning and numeric parsing for the trace parsers.
+// Byte-slice field scanning for the trace parsers.
 //
 // The readers parse millions of lines per replay; with bufio.Scanner
-// handing out its internal buffer via Bytes(), the only way a line can
-// cost zero allocations is if every field stays a sub-slice and the
-// numeric conversions never round-trip through string. The fast paths
-// below cover every well-formed trace line; anything irregular —
-// malformed digits, overflow, exponents — falls back to strconv on a
-// copied string, so error values (and their messages) are exactly the
-// ones strconv would have produced. Errors are terminal for a replay,
-// so the fallback's allocation is irrelevant.
+// handing out its internal buffer via Bytes(), a line costs zero
+// allocations when every field stays a sub-slice of it. Numbers go
+// through strconv on string(field): the conversion of an argument that
+// does not escape uses a stack buffer for up to 32 bytes, which covers
+// every numeric field of the three formats, and strconv copies the
+// string only into the error it returns.
 
 // cutFieldBytes is cutField over a byte slice: it returns the leading
 // space/tab-delimited field and the remainder with its leading
@@ -34,100 +27,4 @@ func cutFieldBytes(s []byte) (field, rest []byte) {
 		k++
 	}
 	return s[i:j], s[k:]
-}
-
-// cutComma is strings.Cut(s, ",") over a byte slice.
-func cutComma(s []byte) (before, after []byte, found bool) {
-	if i := bytes.IndexByte(s, ','); i >= 0 {
-		return s[:i], s[i+1:], true
-	}
-	return s, nil, false
-}
-
-// parseIntBytes is strconv.ParseInt(string(b), 10, 64) without the
-// string conversion on the fast path. Inputs the fast path cannot
-// prove in range (19+ digit magnitudes) or cannot parse defer to
-// strconv for the identical value-and-error behaviour.
-func parseIntBytes(b []byte) (int64, error) {
-	s := b
-	neg := false
-	if len(s) > 0 && (s[0] == '+' || s[0] == '-') {
-		neg = s[0] == '-'
-		s = s[1:]
-	}
-	// 18 digits can never overflow an int64; longer magnitudes (or
-	// empty/garbage input) take the exact strconv path.
-	if len(s) == 0 || len(s) > 18 {
-		return strconv.ParseInt(string(b), 10, 64)
-	}
-	var n int64
-	for _, c := range s {
-		if c < '0' || c > '9' {
-			return strconv.ParseInt(string(b), 10, 64)
-		}
-		n = n*10 + int64(c-'0')
-	}
-	if neg {
-		return -n, nil
-	}
-	return n, nil
-}
-
-// parseAtoiBytes is strconv.Atoi(string(b)) without the string
-// conversion on the fast path.
-func parseAtoiBytes(b []byte) (int, error) {
-	n, err := parseIntBytes(b)
-	if err != nil {
-		return strconv.Atoi(string(b))
-	}
-	if int64(int(n)) != n {
-		return strconv.Atoi(string(b))
-	}
-	return int(n), nil
-}
-
-// pow10 holds the exactly-representable powers of ten: every entry and
-// every float64 division by one is exact-input correctly-rounded, the
-// precondition of the fast path below.
-var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
-	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
-
-// parseFloatBytes is strconv.ParseFloat(string(b), 64) without the
-// string conversion for plain decimals. The fast path accepts at most
-// 15 significant digits and 22 fractional digits: the mantissa then
-// fits float64 exactly and the divisor is an exact power of ten, so
-// one IEEE division yields the same correctly-rounded value strconv
-// computes. Exponents, long digit strings, specials (NaN, Inf) and
-// malformed input all defer to strconv.
-func parseFloatBytes(b []byte) (float64, error) {
-	s := b
-	neg := false
-	if len(s) > 0 && (s[0] == '+' || s[0] == '-') {
-		neg = s[0] == '-'
-		s = s[1:]
-	}
-	var mant uint64
-	digits, frac := 0, -1
-	for i, c := range s {
-		switch {
-		case c >= '0' && c <= '9':
-			mant = mant*10 + uint64(c-'0')
-			digits++
-		case c == '.' && frac < 0:
-			frac = len(s) - i - 1
-		default:
-			return strconv.ParseFloat(string(b), 64)
-		}
-	}
-	if digits == 0 || digits > 15 || frac > 22 {
-		return strconv.ParseFloat(string(b), 64)
-	}
-	f := float64(mant)
-	if frac > 0 {
-		f /= pow10[frac]
-	}
-	if neg {
-		f = -f
-	}
-	return f, nil
 }

@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"strconv"
 
 	"craid/internal/disk"
 	"craid/internal/sim"
@@ -139,7 +140,7 @@ func (n *NativeReader) Next() (Record, error) {
 		if len(f3) == 0 || len(rest) != 0 {
 			return Record{}, fmt.Errorf("trace: line %d: want 4 fields, got %d", n.line, len(bytes.Fields(line)))
 		}
-		us, err := parseIntBytes(f0)
+		us, err := strconv.ParseInt(string(f0), 10, 64)
 		if err != nil {
 			return Record{}, fmt.Errorf("trace: line %d: time: %w", n.line, err)
 		}
@@ -152,11 +153,11 @@ func (n *NativeReader) Next() (Record, error) {
 		default:
 			return Record{}, fmt.Errorf("trace: line %d: bad op %q", n.line, f1)
 		}
-		block, err := parseIntBytes(f2)
+		block, err := strconv.ParseInt(string(f2), 10, 64)
 		if err != nil || block < 0 {
 			return Record{}, fmt.Errorf("trace: line %d: bad block %q", n.line, f2)
 		}
-		count, err := parseIntBytes(f3)
+		count, err := strconv.ParseInt(string(f3), 10, 64)
 		if err != nil || count < 1 {
 			return Record{}, fmt.Errorf("trace: line %d: bad count %q", n.line, f3)
 		}
@@ -217,23 +218,23 @@ func (m *MSRReader) Next() (Record, error) {
 		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		f0, rest, ok0 := cutComma(line)
-		_, rest, ok1 := cutComma(rest) // hostname, unused
-		f2, rest, ok2 := cutComma(rest)
-		f3, rest, ok3 := cutComma(rest)
-		f4, rest, ok4 := cutComma(rest)
-		f5, _, ok5 := cutComma(rest)
+		f0, rest, ok0 := bytes.Cut(line, commaSep)
+		_, rest, ok1 := bytes.Cut(rest, commaSep) // hostname, unused
+		f2, rest, ok2 := bytes.Cut(rest, commaSep)
+		f3, rest, ok3 := bytes.Cut(rest, commaSep)
+		f4, rest, ok4 := bytes.Cut(rest, commaSep)
+		f5, _, ok5 := bytes.Cut(rest, commaSep)
 		if !ok0 || !ok1 || !ok2 || !ok3 || !ok4 {
 			return Record{}, fmt.Errorf("trace: msr line %d: want >=6 fields, got %d",
 				m.line, bytes.Count(line, commaSep)+1)
 		}
 		_ = ok5 // a trailing 6th field needs no terminating comma
-		ft, err := parseIntBytes(f0)
+		ft, err := strconv.ParseInt(string(f0), 10, 64)
 		if err != nil {
 			return Record{}, fmt.Errorf("trace: msr line %d: timestamp: %w", m.line, err)
 		}
 		if m.Volume >= 0 {
-			vol, err := parseAtoiBytes(f2)
+			vol, err := strconv.Atoi(string(f2))
 			if err != nil {
 				return Record{}, fmt.Errorf("trace: msr line %d: disk number: %w", m.line, err)
 			}
@@ -250,11 +251,11 @@ func (m *MSRReader) Next() (Record, error) {
 		default:
 			return Record{}, fmt.Errorf("trace: msr line %d: bad type %q", m.line, f3)
 		}
-		off, err := parseIntBytes(f4)
+		off, err := strconv.ParseInt(string(f4), 10, 64)
 		if err != nil || off < 0 {
 			return Record{}, fmt.Errorf("trace: msr line %d: bad offset %q", m.line, f4)
 		}
-		size, err := parseIntBytes(f5)
+		size, err := strconv.ParseInt(string(f5), 10, 64)
 		if err != nil {
 			return Record{}, fmt.Errorf("trace: msr line %d: size: %w", m.line, err)
 		}
@@ -312,8 +313,7 @@ var (
 	blkWrtL  = []byte("WRITE")
 )
 
-// Next implements Reader; byte-sliced like the other parsers, with the
-// timestamp going through parseFloatBytes' exact fast path.
+// Next implements Reader; byte-sliced like the other parsers.
 func (b *BlkReader) Next() (Record, error) {
 	const sectorsPerBlock = disk.BlockSize / 512
 	for b.sc.Scan() {
@@ -330,7 +330,7 @@ func (b *BlkReader) Next() (Record, error) {
 		if len(f4) == 0 {
 			return Record{}, fmt.Errorf("trace: blk line %d: want 5 fields, got %d", b.line, len(bytes.Fields(line)))
 		}
-		ts, err := parseFloatBytes(f0)
+		ts, err := strconv.ParseFloat(string(f0), 64)
 		if err != nil {
 			return Record{}, fmt.Errorf("trace: blk line %d: time: %w", b.line, err)
 		}
@@ -343,11 +343,11 @@ func (b *BlkReader) Next() (Record, error) {
 		default:
 			return Record{}, fmt.Errorf("trace: blk line %d: bad op %q", b.line, f2)
 		}
-		sector, err := parseIntBytes(f3)
+		sector, err := strconv.ParseInt(string(f3), 10, 64)
 		if err != nil || sector < 0 {
 			return Record{}, fmt.Errorf("trace: blk line %d: bad sector %q", b.line, f3)
 		}
-		sectors, err := parseIntBytes(f4)
+		sectors, err := strconv.ParseInt(string(f4), 10, 64)
 		if err != nil || sectors < 1 {
 			return Record{}, fmt.Errorf("trace: blk line %d: bad sector count %q", b.line, f4)
 		}

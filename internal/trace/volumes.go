@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 )
 
 // MSRVolumes scans an MSR-Cambridge CSV stream and returns the distinct
@@ -29,13 +30,13 @@ func MSRVolumes(r io.Reader) ([]int, error) {
 		if len(s) == 0 || s[0] == '#' {
 			continue
 		}
-		_, rest, ok0 := cutComma(s)
-		_, rest, ok1 := cutComma(rest)
-		f2, _, ok2 := cutComma(rest)
+		_, rest, ok0 := bytes.Cut(s, commaSep)
+		_, rest, ok1 := bytes.Cut(rest, commaSep)
+		f2, _, ok2 := bytes.Cut(rest, commaSep)
 		if !ok0 || !ok1 || !ok2 {
 			return nil, fmt.Errorf("trace: msr line %d: want >=4 fields", line)
 		}
-		vol, err := parseAtoiBytes(f2)
+		vol, err := strconv.Atoi(string(f2))
 		if err != nil || vol < 0 {
 			return nil, fmt.Errorf("trace: msr line %d: bad disk number %q", line, f2)
 		}
