@@ -381,7 +381,7 @@ func (j *join) maybeFire() {
 		// an incarnation a crash-restart already discarded.
 		t.fn(at)
 		if t.epoch == a.epoch {
-			t.c.copyIn(t.orig, t.n, disk.OpRead)
+			t.c.copyIn(t.orig, t.n)
 		}
 		return
 	case stepWriteBack, stepMigrate:

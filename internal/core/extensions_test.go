@@ -75,8 +75,8 @@ func TestExpandRetainKeepsCachedState(t *testing.T) {
 	// Populate the cache: 2 dirty, 2 clean.
 	submitAndRun(eng, c, disk.OpWrite, 10, 2)
 	submitAndRun(eng, c, disk.OpRead, 100, 2)
-	if c.table.Len() != 4 {
-		t.Fatalf("precondition: %d mappings, want 4", c.table.Len())
+	if c.mon.table.Len() != 4 {
+		t.Fatalf("precondition: %d mappings, want 4", c.mon.table.Len())
 	}
 
 	r0, w0 := ioTotals(arr)
@@ -92,8 +92,8 @@ func TestExpandRetainKeepsCachedState(t *testing.T) {
 	if st.DirtyWriteback != 0 {
 		t.Errorf("DirtyWriteback = %d, want 0 (retained, not invalidated)", st.DirtyWriteback)
 	}
-	if c.table.Len() != 4 || c.policy.Len() != 4 {
-		t.Errorf("mappings/policy = %d/%d after retain, want 4/4", c.table.Len(), c.policy.Len())
+	if c.mon.table.Len() != 4 || c.mon.policy.Len() != 4 {
+		t.Errorf("mappings/policy = %d/%d after retain, want 4/4", c.mon.table.Len(), c.mon.policy.Len())
 	}
 	// Migration I/O happened: reads from old placement, parity writes
 	// to the new one.
@@ -109,7 +109,7 @@ func TestExpandRetainKeepsCachedState(t *testing.T) {
 		t.Errorf("retained blocks did not hit after expansion")
 	}
 	// Dirty state survived.
-	m, ok := c.table.Lookup(10)
+	m, ok := c.mon.table.Lookup(10)
 	if !ok || !m.Dirty {
 		t.Error("dirty flag lost across retain expansion")
 	}
@@ -128,7 +128,7 @@ func TestExpandRetainDedicatedCacheIsNoop(t *testing.T) {
 	if st.Migrated != 0 {
 		t.Errorf("dedicated cache migrated %d blocks, want 0", st.Migrated)
 	}
-	if c.table.Len() != 1 {
+	if c.mon.table.Len() != 1 {
 		t.Error("dedicated cache lost mappings on expansion")
 	}
 }
@@ -248,7 +248,7 @@ func TestCRAIDRecoverRestoresDirtyMappings(t *testing.T) {
 	c.SetMappingLog(&log)
 	submitAndRun(eng, c, disk.OpWrite, 10, 3) // dirty
 	submitAndRun(eng, c, disk.OpRead, 100, 2) // clean
-	wantDirty := c.table.DirtyMappings()
+	wantDirty := c.mon.table.DirtyMappings()
 	if len(wantDirty) != 3 {
 		t.Fatalf("precondition: %d dirty mappings, want 3", len(wantDirty))
 	}
@@ -265,7 +265,7 @@ func TestCRAIDRecoverRestoresDirtyMappings(t *testing.T) {
 	}
 	// Clean entries were invalidated, dirty ones are resident and
 	// redirect to P_C.
-	if _, ok := c2.table.Lookup(100); ok {
+	if _, ok := c2.mon.table.Lookup(100); ok {
 		t.Error("clean mapping survived the crash")
 	}
 	r0, _ := ioTotals(arr2)
@@ -280,7 +280,7 @@ func TestCRAIDRecoverRestoresDirtyMappings(t *testing.T) {
 	// Allocator must not hand out recovered slots: new insertions get
 	// fresh slots.
 	submitAndRun(eng2, c2, disk.OpWrite, 500, 1)
-	m, _ := c2.table.Lookup(500)
+	m, _ := c2.mon.table.Lookup(500)
 	for _, d := range wantDirty {
 		if m.Cache == d.Cache {
 			t.Errorf("allocator reused recovered slot %d", m.Cache)
@@ -338,8 +338,8 @@ func TestCRAIDRecoverRejectsOversizedSlot(t *testing.T) {
 			if n, err := c.CrashRestart(bytes.NewReader(img.Bytes())); err == nil {
 				t.Errorf("CrashRestart accepted the image (%d mappings)", n)
 			}
-			if c.table.Len() != 0 {
-				t.Errorf("%d mappings reinstated from a rejected image", c.table.Len())
+			if c.mon.table.Len() != 0 {
+				t.Errorf("%d mappings reinstated from a rejected image", c.mon.table.Len())
 			}
 			checkInvariants(t, c)
 		})

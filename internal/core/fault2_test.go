@@ -352,7 +352,7 @@ func TestCrashRestartStormLogRingMatchesSyncControl(t *testing.T) {
 		if buffered {
 			c.SetMappingLog(&log)
 		} else {
-			c.table.SetLog(&log) // the control: one Write per record
+			c.mon.table.SetLog(&log) // the control: one Write per record
 		}
 		rt, err := InstallFaults(arr, c, plan)
 		if err != nil {
@@ -371,7 +371,7 @@ func TestCrashRestartStormLogRingMatchesSyncControl(t *testing.T) {
 		return outcome{
 			faults: *rt.Stats(),
 			stats:  *c.Stats(),
-			dirty:  c.table.DirtyMappings(),
+			dirty:  c.mon.table.DirtyMappings(),
 			rd:     c.ReadLatency().String(),
 			wr:     c.WriteLatency().String(),
 		}, log.Bytes()

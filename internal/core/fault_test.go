@@ -530,7 +530,7 @@ func TestCrashRestartLogRingMatchesSyncControl(t *testing.T) {
 		if buffered {
 			c.SetMappingLog(&log)
 		} else {
-			c.table.SetLog(&log) // the control: one Write per record
+			c.mon.table.SetLog(&log) // the control: one Write per record
 		}
 		rt, err := InstallFaults(arr, c, plan)
 		if err != nil {
@@ -549,7 +549,7 @@ func TestCrashRestartLogRingMatchesSyncControl(t *testing.T) {
 		return outcome{
 			faults: *rt.Stats(),
 			stats:  *c.Stats(),
-			dirty:  c.table.DirtyMappings(),
+			dirty:  c.mon.table.DirtyMappings(),
 			rd:     c.ReadLatency().String(),
 			wr:     c.WriteLatency().String(),
 		}, log.Bytes()
@@ -633,7 +633,7 @@ func TestCrashRecoveryMidExpandRetain(t *testing.T) {
 	if n2 != n {
 		t.Fatalf("restart recovered %d mappings, fresh Recover %d", n, n2)
 	}
-	if !reflect.DeepEqual(c.table.DirtyMappings(), c2.table.DirtyMappings()) {
+	if !reflect.DeepEqual(c.mon.table.DirtyMappings(), c2.mon.table.DirtyMappings()) {
 		t.Fatal("post-crash mapping state diverged from a fresh recovery")
 	}
 
@@ -646,8 +646,8 @@ func TestCrashRecoveryMidExpandRetain(t *testing.T) {
 	}
 	replayAll(t, eng, c, recs2)
 	replayAll(t, eng2, c2, recs2)
-	if c.table.Len() != c2.table.Len() ||
-		!reflect.DeepEqual(c.table.DirtyMappings(), c2.table.DirtyMappings()) {
+	if c.mon.table.Len() != c2.mon.table.Len() ||
+		!reflect.DeepEqual(c.mon.table.DirtyMappings(), c2.mon.table.DirtyMappings()) {
 		t.Fatal("phase-2 mapping state diverged between crash survivor and control")
 	}
 }

@@ -69,7 +69,7 @@ func BenchmarkMappingLogReplay(b *testing.B) {
 	b.Run("file-unbuffered", func(b *testing.B) {
 		run(b, func(c *CRAID) func() error {
 			f := logFile(b)
-			c.table.SetLog(f)
+			c.mon.table.SetLog(f)
 			return f.Close
 		})
 	})

@@ -107,7 +107,7 @@ func TestMappingLogMatchesUnbufferedAtEveryApplyStep(t *testing.T) {
 	control, _ := newTestCRAID(engU, 64)
 	var sinkB, sinkU bytes.Buffer
 	buffered.SetMappingLog(&sinkB)
-	control.table.SetLog(&sinkU)
+	control.mon.table.SetLog(&sinkU)
 
 	same := func(when string, i int) {
 		t.Helper()
@@ -140,7 +140,7 @@ func TestMappingLogMatchesUnbufferedAtEveryApplyStep(t *testing.T) {
 	if st.Bytes != int64(sinkU.Len()) || st.Records == 0 {
 		t.Fatalf("stats %+v for a log of %d bytes", st, sinkU.Len())
 	}
-	if buffered.table.Len() != control.table.Len() || *buffered.Stats() != *control.Stats() {
+	if buffered.mon.table.Len() != control.mon.table.Len() || *buffered.Stats() != *control.Stats() {
 		t.Fatal("buffering the log changed the simulation")
 	}
 	// A step that logs more than the buffer holds spills in order.
@@ -149,10 +149,10 @@ func TestMappingLogMatchesUnbufferedAtEveryApplyStep(t *testing.T) {
 	ctl, _ := newTestCRAID(sim.NewEngine(), 4096)
 	var sb, su bytes.Buffer
 	big.SetMappingLog(&sb)
-	ctl.table.SetLog(&su)
+	ctl.mon.table.SetLog(&su)
 	n := int64(3 * mapLogBufBytes / mapcache.LogRecordSize)
-	big.table.InsertRun(0, 0, n, true)
-	ctl.table.InsertRun(0, 0, n, true)
+	big.mon.table.InsertRun(0, 0, n, true)
+	ctl.mon.table.InsertRun(0, 0, n, true)
 	if sb.Len() == 0 || sb.Len() >= su.Len() || !bytes.HasPrefix(su.Bytes(), sb.Bytes()) {
 		t.Fatalf("mid-step: buffered sink holds %d of the control's %d bytes", sb.Len(), su.Len())
 	}

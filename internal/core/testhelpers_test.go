@@ -86,53 +86,61 @@ type outcome struct {
 func outcomeOf(c *CRAID, arr *Array) outcome {
 	r, w := ioTotals(arr)
 	return outcome{
-		stats: *c.Stats(), reads: r, writes: w, maps: c.table.Len(),
+		stats: *c.Stats(), reads: r, writes: w, maps: c.mon.table.Len(),
 		readLat:  c.ReadLatency().String(),
 		writeLat: c.WriteLatency().String(),
 	}
 }
 
 // checkInvariants checks, independently of any other run of the code,
-// that the three structures the monitor keeps in lockstep — mapping
-// cache, replacement policy, P_C slot allocator — agree with each
-// other. It holds whenever no Submit is on the stack: between direct
-// submissions, after a replay, after Expand/CrashRestart.
+// that no continuation was lost (checkDrained) and that the monitor's
+// structures agree with each other (checkMonitor). It holds whenever no
+// Submit is on the stack: between direct submissions, after a replay,
+// after Expand/CrashRestart.
 func checkInvariants(t *testing.T, c *CRAID) {
 	t.Helper()
 	checkDrained(t, c.arr)
-	if c.table.Len() != c.policy.Len() {
-		t.Fatalf("invariant: table holds %d mappings, policy %d keys", c.table.Len(), c.policy.Len())
+	checkMonitor(t, c.mon)
+}
+
+// checkMonitor checks that the three structures the monitor keeps in
+// lockstep — mapping cache, replacement policy, P_C slot allocator —
+// agree with each other.
+func checkMonitor(t *testing.T, m *monitor) {
+	t.Helper()
+	if m.table.Len() != m.policy.Len() {
+		t.Fatalf("invariant: table holds %d mappings, policy %d keys", m.table.Len(), m.policy.Len())
 	}
-	if c.next < 0 || c.next > c.pcData {
-		t.Fatalf("invariant: bump pointer %d outside [0, %d]", c.next, c.pcData)
+	if m.next < 0 || m.next > m.pcData {
+		t.Fatalf("invariant: bump pointer %d outside [0, %d]", m.next, m.pcData)
 	}
-	for _, k := range c.policy.Keys() {
-		if _, ok := c.table.Lookup(k); !ok {
+	for _, k := range m.policy.Keys() {
+		if _, ok := m.table.Lookup(k); !ok {
 			t.Fatalf("invariant: policy key %d has no mapping", k)
 		}
 	}
-	slots := make(map[int64]int64, c.table.Len())
-	c.table.Walk(func(m mapcache.Mapping) bool {
-		if !c.policy.Contains(m.Orig) {
-			t.Fatalf("invariant: mapping %d is unknown to the policy", m.Orig)
+	slots := make(map[int64]int64, m.table.Len())
+	m.table.Walk(func(mp mapcache.Mapping) bool {
+		if !m.policy.Contains(mp.Orig) {
+			t.Fatalf("invariant: mapping %d is unknown to the policy", mp.Orig)
 		}
-		if m.Cache < 0 || m.Cache >= c.next {
-			t.Fatalf("invariant: mapping %d on slot %d, allocator handed out [0, %d)", m.Orig, m.Cache, c.next)
+		if mp.Cache < 0 || mp.Cache >= m.next {
+			t.Fatalf("invariant: mapping %d on slot %d, allocator handed out [0, %d)", mp.Orig, mp.Cache, m.next)
 		}
-		if other, dup := slots[m.Cache]; dup {
-			t.Fatalf("invariant: blocks %d and %d share slot %d", other, m.Orig, m.Cache)
+		if other, dup := slots[mp.Cache]; dup {
+			t.Fatalf("invariant: blocks %d and %d share slot %d", other, mp.Orig, mp.Cache)
 		}
-		slots[m.Cache] = m.Orig
-		if c.table.IsDirty(m.Orig) != m.Dirty {
-			t.Fatalf("invariant: IsDirty(%d) = %v, mapping says %v", m.Orig, !m.Dirty, m.Dirty)
+		slots[mp.Cache] = mp.Orig
+		if m.table.IsDirty(mp.Orig) != mp.Dirty {
+			t.Fatalf("invariant: IsDirty(%d) = %v, mapping says %v", mp.Orig, !mp.Dirty, mp.Dirty)
 		}
 		return true
 	})
 	prevEnd := int64(-1) // adjacent runs must have been coalesced
-	for _, r := range c.free.runs {
-		if r.start >= r.end || r.start <= prevEnd || r.start < 0 || r.end > c.next {
+	for _, r := range m.free.runs {
+		if r.start >= r.end || r.start <= prevEnd || r.start < 0 || r.end > m.next {
 			t.Fatalf("invariant: free run [%d, %d) after end %d, allocator handed out [0, %d)",
-				r.start, r.end, prevEnd, c.next)
+				r.start, r.end, prevEnd, m.next)
 		}
 		for s := r.start; s < r.end; s++ {
 			if orig, used := slots[s]; used {
@@ -141,8 +149,8 @@ func checkInvariants(t *testing.T, c *CRAID) {
 		}
 		prevEnd = r.end
 	}
-	if mapped, free := int64(len(slots)), c.free.size(); mapped+free != c.next {
-		t.Fatalf("invariant: %d mapped + %d free slots, allocator handed out %d", mapped, free, c.next)
+	if mapped, free := int64(len(slots)), m.free.size(); mapped+free != m.next {
+		t.Fatalf("invariant: %d mapped + %d free slots, allocator handed out %d", mapped, free, m.next)
 	}
 }
 
