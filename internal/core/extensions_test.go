@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"craid/internal/disk"
@@ -236,6 +237,48 @@ func TestExpandRetainDoneAtLastMigrationWrite(t *testing.T) {
 	}
 	if told[0] <= call || told[0] != log.lastWrite {
 		t.Errorf("done at %v; call at %v, last migration write completed at %v", told[0], call, log.lastWrite)
+	}
+}
+
+// TestExpandInvalidateThenCrashRecoversDirtySet: an invalidating Expand
+// writes back every dirty translation and drops it, from the log too. A
+// crash right after it recovers nothing; a crash after more traffic
+// recovers exactly the dirty set the table holds, not translations the
+// upgrade already wrote back onto slots other blocks hold by then.
+func TestExpandInvalidateThenCrashRecoversDirtySet(t *testing.T) {
+	for _, later := range []bool{false, true} {
+		eng := sim.NewEngine()
+		c, _ := newTestCRAID(eng, 64)
+		var log bytes.Buffer
+		c.SetMappingLog(&log)
+		replayAll(t, eng, c, randomWorkload(23, 2000, 12000))
+		if len(c.mon.table.DirtyMappings()) == 0 {
+			t.Fatal("precondition: the workload left nothing dirty")
+		}
+		st := c.Expand([]disk.Device{disk.NewNullDevice(eng, "new", 100000)}, false, nil)
+		eng.Run()
+		if st.DirtyWriteback == 0 {
+			t.Fatal("the expansion wrote nothing back")
+		}
+		if later {
+			recs := randomWorkload(29, 2000, 12000)
+			for i := range recs {
+				recs[i].Time += eng.Now() + sim.Millisecond
+			}
+			replayAll(t, eng, c, recs)
+		}
+		want := c.mon.table.DirtyMappings()
+		n, err := c.CrashRestart(bytes.NewReader(log.Bytes()))
+		if err != nil {
+			t.Fatalf("later=%v: %v", later, err)
+		}
+		if !later && n != 0 {
+			t.Fatalf("crash right after the expansion recovered %d mappings, want 0", n)
+		}
+		if got := c.mon.table.DirtyMappings(); n != len(want) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("later=%v: recovered %d mappings, the table held %d dirty ones at the crash", later, n, len(want))
+		}
+		checkInvariants(t, c)
 	}
 }
 

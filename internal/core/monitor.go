@@ -357,7 +357,9 @@ func (m *monitor) flushWritebacks() {
 // invalidate drops every mapping, an invalidating Expand's first half
 // (paper §4.1): the dirty ones are written back, and it returns the
 // counts and the write-back decisions. reset then regrows the monitor
-// over the new geometry.
+// over the new geometry. Each dropped dirty translation is logged as
+// removed, as an eviction's is: a crash must not recover a copy the
+// upgrade wrote back, onto a slot another block holds by then.
 func (m *monitor) invalidate() (ExpandStats, []decision) {
 	m.out = m.out[:0]
 	st := ExpandStats{Invalidated: int64(m.table.Len())}
@@ -365,6 +367,7 @@ func (m *monitor) invalidate() (ExpandStats, []decision) {
 		st.DirtyWriteback++
 		m.stats.Writebacks++
 		m.queueWriteback(mp.Orig, mp.Cache)
+		m.table.Remove(mp.Orig)
 	}
 	m.flushWritebacks()
 	m.table.Clear()
