@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 
@@ -396,12 +397,19 @@ type mapLog struct {
 	sink  io.Writer
 	sync  interface{ Sync() error } // nil unless MapLogSync and the sink can
 	stats MapLogStats
+
+	// image, under a fault plan that crashes the controller, holds every
+	// byte written to sink: what the crash recovers from (keepLogImage).
+	image *bytes.Buffer
 }
 
 // Write is what buf flushes into: one call per drained buffer. An
 // error makes buf refuse everything after it, so the first failure is
 // the one every later flush reports.
 func (l *mapLog) Write(p []byte) (int, error) {
+	if l.image != nil {
+		l.image.Write(p)
+	}
 	n, err := l.sink.Write(p)
 	l.stats.Flushes++
 	l.stats.Bytes += int64(n)
@@ -429,6 +437,30 @@ func (c *CRAID) SetMappingLog(w io.Writer) {
 	l.buf = bufio.NewWriterSize(l, mapLogBufBytes)
 	c.log = l
 	c.mon.table.SetLog(l.buf)
+}
+
+// keepLogImage makes the mapping log keep an in-memory image of every
+// byte it writes, which crash events recover from. Without a log it
+// attaches one that writes nowhere else.
+func (c *CRAID) keepLogImage() {
+	if c.log == nil {
+		c.SetMappingLog(io.Discard)
+	}
+	c.log.image = new(bytes.Buffer)
+}
+
+// crash is a crash event: the controller restarts from its log image
+// as of this instant, what a recovery re-logged since the last apply
+// step included.
+func (c *CRAID) crash() (int, error) {
+	if err := c.flushLog(); err != nil {
+		return 0, err
+	}
+	n, err := c.CrashRestart(bytes.NewReader(c.log.image.Bytes()))
+	if err != nil {
+		return 0, fmt.Errorf("crash recovery: %w", err)
+	}
+	return n, nil
 }
 
 // flushLog marks an apply-step boundary: what the step logged is

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"slices"
 
 	"craid/internal/disk"
@@ -193,10 +192,7 @@ type FaultRuntime struct {
 	// array; without one, an expand event is a fatal plan error.
 	deviceFactory func(n int) []disk.Device
 
-	// crashSrc, when set, supplies the log image CrashRestart events
-	// recover from.
-	crashSrc func() (io.Reader, error)
-	err      error
+	err error
 }
 
 // InstallFaults arms plan on vol's array. Injectors attach to every
@@ -210,17 +206,24 @@ type FaultRuntime struct {
 // The plan is validated against the array's width first: an event
 // targeting a device the array does not have (accounting for devices
 // expand events add) is an input error, reported here rather than
-// surfacing as a silent no-op deep in the disk layer. Expand events
-// additionally require a CRAID volume and a device factory
-// (SetDeviceFactory) before the first event fires.
+// surfacing as a silent no-op deep in the disk layer. Expand and crash
+// events additionally require a CRAID volume, and expand events a device
+// factory (SetDeviceFactory) before the first event fires. A crash
+// recovers from the controller's own mapping log: a plan with one makes
+// that log keep an in-memory image (attaching a log if SetMappingLog
+// has not), so call SetMappingLog first, if at all.
 func InstallFaults(arr *Array, vol Volume, plan fault.Plan) (*FaultRuntime, error) {
 	if err := plan.Validate(arr.Devices()); err != nil {
 		return nil, err
 	}
-	if plan.HasExpand() {
-		if _, ok := vol.(*CRAID); !ok {
-			return nil, fmt.Errorf("fault: expand events require a CRAID volume")
-		}
+	c, craid := vol.(*CRAID)
+	switch {
+	case plan.HasExpand() && !craid:
+		return nil, fmt.Errorf("fault: expand events require a CRAID volume")
+	case plan.HasCrash() && !craid:
+		return nil, fmt.Errorf("fault: crash events require a CRAID volume")
+	case plan.HasCrash():
+		c.keepLogImage()
 	}
 	rt := &FaultRuntime{arr: arr, vol: vol, seed: plan.Seed, failed: make([]bool, arr.Devices())}
 	arr.faults = rt
@@ -244,12 +247,6 @@ func (rt *FaultRuntime) Stats() *FaultStats { return &rt.stats }
 // Err reports the first fatal fault-processing error (a failed crash
 // recovery), which also stopped the engine.
 func (rt *FaultRuntime) Err() error { return rt.err }
-
-// SetCrashSource provides the log image CrashRestart events recover
-// from — e.g. an in-memory mirror of what SetMappingLog's writer
-// received; the mapping log is flushed before fn is called. Without
-// one, crash events restart the controller cold (all cached state lost).
-func (rt *FaultRuntime) SetCrashSource(fn func() (io.Reader, error)) { rt.crashSrc = fn }
 
 // SetDeviceFactory supplies the constructor expand events use to build
 // the n devices they add to the array. The factory runs on the sim
@@ -301,11 +298,7 @@ func (rt *FaultRuntime) schedule(ev fault.Event) {
 // upgrade's background I/O (write-backs or migrations) completes, which
 // together with ExpandStart yields the upgrade-latency KPI.
 func (rt *FaultRuntime) expand(disks int, retain bool) {
-	c, ok := rt.vol.(*CRAID)
-	if !ok {
-		rt.fatal(fmt.Errorf("fault: expand event requires a CRAID volume"))
-		return
-	}
+	c := rt.vol.(*CRAID) // InstallFaults checked the volume
 	if rt.deviceFactory == nil {
 		rt.fatal(fmt.Errorf("fault: expand event fired with no device factory installed"))
 		return
@@ -607,29 +600,9 @@ func (r *rebuildJob) finish() {
 }
 
 func (rt *FaultRuntime) crashRestart() {
-	c, ok := rt.vol.(*CRAID)
-	if !ok {
-		rt.fatal(fmt.Errorf("fault: crash-restart requires a CRAID volume"))
-		return
-	}
-	var src io.Reader
-	if rt.crashSrc != nil {
-		// The image is the log as of this instant, what a recovery
-		// re-logged since the last apply step included.
-		if err := c.flushLog(); err != nil {
-			rt.fatal(fmt.Errorf("fault: %w", err))
-			return
-		}
-		r, err := rt.crashSrc()
-		if err != nil {
-			rt.fatal(fmt.Errorf("fault: reading crash log image: %w", err))
-			return
-		}
-		src = r
-	}
-	n, err := c.CrashRestart(src)
+	n, err := rt.vol.(*CRAID).crash() // InstallFaults checked the volume
 	if err != nil {
-		rt.fatal(fmt.Errorf("fault: crash recovery: %w", err))
+		rt.fatal(fmt.Errorf("fault: %w", err))
 		return
 	}
 	rt.stats.Restarts++

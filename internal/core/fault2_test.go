@@ -1,16 +1,13 @@
 package core
 
 import (
-	"bytes"
 	"errors"
-	"io"
 	"reflect"
 	"strings"
 	"testing"
 
 	"craid/internal/disk"
 	"craid/internal/fault"
-	"craid/internal/mapcache"
 	"craid/internal/raid"
 	"craid/internal/sim"
 	"craid/internal/trace"
@@ -324,83 +321,14 @@ func TestStormMatchesExplicitCrashes(t *testing.T) {
 }
 
 // TestCrashRestartStormLogRingMatchesSyncControl is the K-cycle
-// crash/recover property: a storm of crash-restart cycles over one
-// trace, each recovering from what SetMappingLog's buffer has written
-// to its sink, produces the same final Stats, fault counters, dirty
-// mapping state, histograms and log byte stream as the control run of
-// the same storm whose table logs one Write per record — buffering
-// changes when bytes reach the sink, never which, even when the
-// controller dies K times.
+// crash/recover property: in a storm of crash-restart cycles over one
+// trace, each cycle recovers from the image of the controller's own
+// log, and that image is the unbuffered record stream up to the crash,
+// even when the controller dies K times.
 func TestCrashRestartStormLogRingMatchesSyncControl(t *testing.T) {
-	recs := randomWorkload(31, 4000, 12000)
-	const spec = "seed=5;storm:crash@12ms,n=4,every=9ms"
-
-	type outcome struct {
-		faults FaultStats
-		stats  Stats
-		dirty  []mapcache.Mapping
-		rd, wr string
-	}
-	run := func(buffered bool) (outcome, []byte) {
-		plan, err := fault.ParsePlan(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := sim.NewEngine()
-		c, arr := newTestCRAID(eng, 64)
-		var log bytes.Buffer
-		if buffered {
-			c.SetMappingLog(&log)
-		} else {
-			c.mon.table.SetLog(&log) // the control: one Write per record
-		}
-		rt, err := InstallFaults(arr, c, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt.SetCrashSource(func() (io.Reader, error) {
-			return bytes.NewReader(log.Bytes()), nil
-		})
-		replayAll(t, eng, c, recs)
-		if err := rt.Err(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.CloseMappingLog(); err != nil {
-			t.Fatal(err)
-		}
-		return outcome{
-			faults: *rt.Stats(),
-			stats:  *c.Stats(),
-			dirty:  c.mon.table.DirtyMappings(),
-			rd:     c.ReadLatency().String(),
-			wr:     c.WriteLatency().String(),
-		}, log.Bytes()
-	}
-
-	sync, syncLog := run(false)
-	bufO, bufLog := run(true)
-	if sync.faults.Restarts != 4 {
-		t.Fatalf("storm fired %d restarts, want 4: %+v", sync.faults.Restarts, sync.faults)
-	}
-	if sync.faults.RecoveredMappings == 0 {
-		t.Fatal("no cycle recovered mappings; the workload should have dirtied the cache")
-	}
-	if bufO.faults != sync.faults {
-		t.Errorf("fault stats diverged over %d cycles:\n  buffered %+v\n  sync     %+v",
-			sync.faults.Restarts, bufO.faults, sync.faults)
-	}
-	if bufO.stats != sync.stats {
-		t.Error("controller stats diverged between buffered and sync logs")
-	}
-	if !reflect.DeepEqual(bufO.dirty, sync.dirty) {
-		t.Error("post-storm dirty mapping state diverged")
-	}
-	if bufO.rd != sync.rd || bufO.wr != sync.wr {
-		t.Error("latency histograms diverged")
-	}
-	if !bytes.Equal(syncLog, bufLog) {
-		t.Errorf("log byte streams diverged (%d vs %d bytes)", len(syncLog), len(bufLog))
-	}
+	const ms = sim.Millisecond
+	crashImageMatchesControl(t, randomWorkload(31, 4000, 12000),
+		"seed=5;storm:crash@12ms,n=4,every=9ms", 12*ms, 21*ms, 30*ms, 39*ms)
 }
 
 // TestInstallFaultsValidatesDeviceIndices pins the install-time width
@@ -430,6 +358,15 @@ func TestInstallFaultsValidatesDeviceIndices(t *testing.T) {
 	if _, err := InstallFaults(arr, ctl, plan); err == nil ||
 		!strings.Contains(err.Error(), "CRAID") {
 		t.Fatalf("expand on a plain RAID controller accepted: %v", err)
+	}
+	// So does a crash: it recovers from the controller's mapping log.
+	plan, err = fault.ParsePlan("seed=1;crash@1ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := InstallFaults(arr, ctl, plan); err == nil ||
+		!strings.Contains(err.Error(), "CRAID") {
+		t.Fatalf("crash on a plain RAID controller accepted: %v", err)
 	}
 }
 

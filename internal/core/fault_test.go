@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -502,81 +503,69 @@ func TestFaultRebuildWalksAndRestoresDevice(t *testing.T) {
 }
 
 // TestCrashRestartLogRingMatchesSyncControl is the crash-recovery e2e
-// (named for the writer it was first written against): the same
-// workload replayed with a crash mid-run, once with the table logging
-// straight into a plain buffer, one Write per record, and once through
-// SetMappingLog's buffer, the sink in both cases being the crash
-// source. The recovered state, the entire post-crash run, and the
-// final log byte streams must be identical — buffering changes when
-// bytes reach the sink, never which.
+// (named for the writer it was first written against): a workload
+// replayed with a crash mid-run recovers from the controller's own
+// mapping log, and the image it recovers from is the unbuffered record
+// stream up to the crash.
 func TestCrashRestartLogRingMatchesSyncControl(t *testing.T) {
-	recs := randomWorkload(23, 4000, 12000)
-	const spec = "seed=5;crash@20ms"
+	crashImageMatchesControl(t, randomWorkload(23, 4000, 12000), "seed=5;crash@20ms", 20*sim.Millisecond)
+}
 
-	type outcome struct {
-		faults FaultStats
-		stats  Stats
-		dirty  []mapcache.Mapping
-		rd, wr string
+// crashImageMatchesControl replays recs under spec, whose crashes fire
+// at the given instants, with every record the mapping table logs teed
+// into an unbuffered control stream, one Write per record, beside the
+// controller's buffered log. Right after each crash the image it
+// recovered from is the control stream up to the crash, byte for byte
+// (buffering changes when bytes reach the log, never which); what
+// follows in the control is only the recovery re-logging the mappings
+// it reinstated; and those are exactly what the image says is dirty.
+// After the run the image, the log file and the control are one stream.
+func crashImageMatchesControl(t *testing.T, recs []trace.Record, spec string, crashes ...sim.Time) {
+	t.Helper()
+	plan, err := fault.ParsePlan(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	run := func(buffered bool) (outcome, []byte) {
-		plan, err := fault.ParsePlan(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := sim.NewEngine()
-		c, arr := newTestCRAID(eng, 64)
-		var log bytes.Buffer
-		if buffered {
-			c.SetMappingLog(&log)
-		} else {
-			c.mon.table.SetLog(&log) // the control: one Write per record
-		}
-		rt, err := InstallFaults(arr, c, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt.SetCrashSource(func() (io.Reader, error) {
-			return bytes.NewReader(log.Bytes()), nil
+	eng := sim.NewEngine()
+	c, arr := newTestCRAID(eng, 64)
+	var file, control bytes.Buffer
+	c.SetMappingLog(&file)
+	rt, err := InstallFaults(arr, c, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.mon.table.SetLog(io.MultiWriter(c.log.buf, &control)) // the control: one Write per record
+	var recovered int64
+	for _, at := range crashes {
+		// Same-instant events fire in scheduling order: after the crash.
+		eng.Schedule(at, func() {
+			img := c.log.image.Bytes()
+			n := rt.Stats().RecoveredMappings - recovered
+			recovered += n
+			if !bytes.HasPrefix(control.Bytes(), img) || int64(control.Len()-len(img)) != n*mapcache.LogRecordSize {
+				t.Errorf("crash at %v: image of %d bytes, control of %d, %d mappings recovered", at, len(img), control.Len(), n)
+			}
+			ms, err := mapcache.Recover(bytes.NewReader(img))
+			if err != nil || !slices.Equal(ms, c.mon.table.DirtyMappings()) {
+				t.Errorf("crash at %v: the image says %d mappings are dirty (%v), the controller recovered %d",
+					at, len(ms), err, len(c.mon.table.DirtyMappings()))
+			}
 		})
-		replayAll(t, eng, c, recs)
-		if err := rt.Err(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.CloseMappingLog(); err != nil {
-			t.Fatal(err)
-		}
-		return outcome{
-			faults: *rt.Stats(),
-			stats:  *c.Stats(),
-			dirty:  c.mon.table.DirtyMappings(),
-			rd:     c.ReadLatency().String(),
-			wr:     c.WriteLatency().String(),
-		}, log.Bytes()
 	}
-
-	sync, syncLog := run(false)
-	bufO, bufLog := run(true)
-	if sync.faults.Restarts != 1 {
-		t.Fatalf("crash never fired: %+v", sync.faults)
+	replayAll(t, eng, c, recs)
+	if err := rt.Err(); err != nil {
+		t.Fatal(err)
 	}
-	if sync.faults.RecoveredMappings == 0 {
-		t.Fatal("crash recovered no mappings; the workload should have dirtied the cache")
+	img := c.log.image.Bytes()
+	if _, err := c.CloseMappingLog(); err != nil {
+		t.Fatal(err)
 	}
-	if bufO.faults != sync.faults {
-		t.Errorf("fault stats diverged:\n  buffered %+v\n  sync     %+v", bufO.faults, sync.faults)
+	if st := rt.Stats(); st.Restarts != int64(len(crashes)) || st.RecoveredMappings == 0 {
+		t.Fatalf("%d of %d crashes fired, recovering %d mappings; the workload should have dirtied the cache",
+			st.Restarts, len(crashes), st.RecoveredMappings)
 	}
-	if bufO.stats != sync.stats {
-		t.Error("controller stats diverged between buffered and sync logs")
-	}
-	if !reflect.DeepEqual(bufO.dirty, sync.dirty) {
-		t.Error("post-crash dirty mapping state diverged")
-	}
-	if bufO.rd != sync.rd || bufO.wr != sync.wr {
-		t.Error("latency histograms diverged")
-	}
-	if !bytes.Equal(syncLog, bufLog) {
-		t.Errorf("log byte streams diverged (%d vs %d bytes)", len(syncLog), len(bufLog))
+	if !bytes.Equal(img, control.Bytes()) || !bytes.Equal(file.Bytes(), control.Bytes()) {
+		t.Errorf("after the run: image %d bytes, file %d, control %d, or they differ", len(img), file.Len(), control.Len())
 	}
 }
 

@@ -17,7 +17,6 @@ package experiments
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -183,9 +182,9 @@ type RunConfig struct {
 	// FaultSpec, when non-empty, installs a deterministic failure plan
 	// (fault.ParsePlan syntax: "seed=7;fail:2@5s;rebuild:2@10s,rate=64")
 	// on the run. The same spec replays bit-identically on every run.
-	// Plans with a crash event need a CRAID strategy; the run then keeps
-	// an in-memory mirror of the dirty-translation log to recover from
-	// (alongside MappingLog's file, if one is configured).
+	// Plans with a crash event need a CRAID strategy; its mapping log
+	// (MappingLog's file, or one in memory) then keeps an in-memory image
+	// to recover from.
 	FaultSpec string
 
 	// MappingLog, when non-empty, attaches a persistent dirty-
@@ -309,36 +308,17 @@ func Run(cfg RunConfig) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
-	var logMirror *bytes.Buffer
-	if cfg.MappingLog != "" || plan.HasCrash() {
+	if cfg.MappingLog != "" {
 		c, ok := vol.(*core.CRAID)
 		if !ok {
-			if cfg.MappingLog != "" {
-				return RunResult{}, fmt.Errorf("experiments: MappingLog needs a CRAID strategy, not %s", cfg.Strategy)
-			}
-			return RunResult{}, fmt.Errorf("experiments: a crash fault plan needs a CRAID strategy, not %s", cfg.Strategy)
+			return RunResult{}, fmt.Errorf("experiments: MappingLog needs a CRAID strategy, not %s", cfg.Strategy)
 		}
-		// A crash plan recovers from the log image as of the crash
-		// instant, so the byte stream is additionally mirrored in
-		// memory (the mirror IS the log when no file is configured).
-		var w io.Writer
-		if plan.HasCrash() {
-			logMirror = &bytes.Buffer{}
-			w = logMirror
+		f, err := os.Create(cfg.MappingLog)
+		if err != nil {
+			return RunResult{}, err
 		}
-		if cfg.MappingLog != "" {
-			f, err := os.Create(cfg.MappingLog)
-			if err != nil {
-				return RunResult{}, err
-			}
-			defer f.Close()
-			if logMirror != nil {
-				w = teeLog{f: f, mirror: logMirror}
-			} else {
-				w = f
-			}
-		}
-		c.SetMappingLog(w)
+		defer f.Close()
+		c.SetMappingLog(f)
 	}
 	var faultRT *core.FaultRuntime
 	if cfg.FaultSpec != "" {
@@ -367,14 +347,6 @@ func Run(cfg RunConfig) (RunResult, error) {
 					next++
 				}
 				return out
-			})
-		}
-		if plan.HasCrash() {
-			// The runtime flushes the log before it asks, so the mirror
-			// holds exactly the records appended before the crash
-			// instant.
-			faultRT.SetCrashSource(func() (io.Reader, error) {
-				return bytes.NewReader(logMirror.Bytes()), nil
 			})
 		}
 	}
@@ -618,22 +590,6 @@ func buildVolume(eng *sim.Engine, cfg RunConfig, dataset int64) (core.Volume, *c
 	}
 	return nil, nil, fmt.Errorf("experiments: unknown strategy %q", cfg.Strategy)
 }
-
-// teeLog duplicates the dirty-log byte stream into an in-memory mirror
-// so a crash event can recover from the image as of the crash instant
-// while the on-disk log keeps its full history.
-type teeLog struct {
-	f      *os.File
-	mirror *bytes.Buffer
-}
-
-func (t teeLog) Write(p []byte) (int, error) {
-	t.mirror.Write(p)
-	return t.f.Write(p)
-}
-
-// Sync exposes the file's fsync to core.Config.MapLogSync.
-func (t teeLog) Sync() error { return t.f.Sync() }
 
 func indices(from, n int) []int {
 	out := make([]int, n)
