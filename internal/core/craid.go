@@ -494,28 +494,19 @@ func (c *CRAID) CloseMappingLog() (MapLogStats, error) {
 	return st, err
 }
 
-// Recover replays a dirty-translation log after a crash: dirty cached
-// copies are reinstated, clean entries start cold, exactly as §4.2
-// prescribes. It must be called on a fresh controller before any I/O; it
-// returns the number of recovered mappings.
-func (c *CRAID) Recover(r io.Reader) (int, error) {
-	if c.mon.table.Len() != 0 || c.mon.next != 0 {
-		return 0, fmt.Errorf("core: Recover on a non-fresh controller")
-	}
-	return c.mon.recover(r, c.DataBlocks())
-}
-
 // CrashRestart models the controller dying and coming back mid-run
 // (paper §4.2's failure scenario, exercised live): the mapping cache,
 // policy state and allocator are torn down as a crash would lose them,
 // the controller incarnation (Array.epoch) advances so in-flight
 // background side effects — copy-ins, write-backs, Expand migrations,
 // rebuild batches (the fault runtime relaunches those) — land as timing
-// only, and the dirty-translation state is reinstated from log, exactly
-// as Recover does on a fresh controller. A nil log
-// restarts cold. Requests already in flight keep their device timing;
-// requests submitted after the restart see the recovered state. It
-// returns the number of recovered mappings.
+// only, and the dirty-translation state is reinstated from log: dirty
+// cached copies are the only ones differing from the archive, and clean
+// entries start cold, exactly as §4.2 prescribes. A nil log restarts
+// cold. Requests already in flight keep their device timing; requests
+// submitted after the restart see the recovered state. On a fresh
+// controller it recovers a log another life wrote. It returns the number
+// of recovered mappings.
 func (c *CRAID) CrashRestart(log io.Reader) (int, error) {
 	c.arr.epoch++
 	c.mon.reset(c.buildPC())

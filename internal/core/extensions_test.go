@@ -299,7 +299,7 @@ func TestCRAIDRecoverRestoresDirtyMappings(t *testing.T) {
 	// Crash; second life recovers from the log.
 	eng2 := sim.NewEngine()
 	c2, arr2 := newTestCRAID(eng2, 64)
-	n, err := c2.Recover(&log)
+	n, err := c2.CrashRestart(&log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,15 +332,6 @@ func TestCRAIDRecoverRestoresDirtyMappings(t *testing.T) {
 	checkInvariants(t, c2)
 }
 
-func TestCRAIDRecoverRejectsNonFresh(t *testing.T) {
-	eng := sim.NewEngine()
-	c, _ := newTestCRAID(eng, 64)
-	submitAndRun(eng, c, disk.OpWrite, 1, 1)
-	if _, err := c.Recover(bytes.NewReader(nil)); err == nil {
-		t.Error("Recover on a used controller did not error")
-	}
-}
-
 func TestCRAIDRecoverRejectsOversizedSlot(t *testing.T) {
 	var log bytes.Buffer
 	eng := sim.NewEngine()
@@ -354,13 +345,12 @@ func TestCRAIDRecoverRejectsOversizedSlot(t *testing.T) {
 	// detected rather than silently mis-addressed.
 	eng2 := sim.NewEngine()
 	small, _ := newTinyCRAID(eng2, 2)
-	if _, err := small.Recover(&log); err == nil {
+	if _, err := small.CrashRestart(&log); err == nil {
 		t.Error("oversized logged slot not rejected")
 	}
 
 	// The log is outside input: images no controller would have written
-	// are rejected too, by Recover and by CrashRestart, before either
-	// reinstates anything.
+	// are rejected too, before anything is reinstated.
 	for name, ms := range map[string][]mapcache.Mapping{
 		"negative slot":       {{Orig: 10, Cache: -5}},
 		"slot claimed twice":  {{Orig: 10, Cache: 3}, {Orig: 20, Cache: 3}},
@@ -375,9 +365,6 @@ func TestCRAIDRecoverRejectsOversizedSlot(t *testing.T) {
 				w.Insert(m)
 			}
 			c, _ := newTestCRAID(sim.NewEngine(), 64)
-			if n, err := c.Recover(bytes.NewReader(img.Bytes())); err == nil {
-				t.Errorf("Recover accepted the image (%d mappings)", n)
-			}
 			if n, err := c.CrashRestart(bytes.NewReader(img.Bytes())); err == nil {
 				t.Errorf("CrashRestart accepted the image (%d mappings)", n)
 			}

@@ -615,12 +615,12 @@ func TestCrashRecoveryMidExpandRetain(t *testing.T) {
 	c2 := mustCRAID(arr2, Config{
 		Policy: "WLRU", CachePerDisk: 64, ParityGroup: 4, StripeUnit: 4,
 	}, true, []int{0, 1, 2, 3, 4}, 0, paLayout, []int{0, 1, 2, 3}, 64)
-	n2, err := c2.Recover(bytes.NewReader(logBytes))
+	n2, err := c2.CrashRestart(bytes.NewReader(logBytes))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n2 != n {
-		t.Fatalf("restart recovered %d mappings, fresh Recover %d", n, n2)
+		t.Fatalf("restart recovered %d mappings, a fresh controller %d", n, n2)
 	}
 	if !reflect.DeepEqual(c.mon.table.DirtyMappings(), c2.mon.table.DirtyMappings()) {
 		t.Fatal("post-crash mapping state diverged from a fresh recovery")
