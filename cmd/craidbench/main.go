@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 
 	"craid/internal/cache"
 	"craid/internal/disk"
@@ -296,16 +297,25 @@ func (r *runner) figures46(which string) {
 			fmt.Printf(" %8.3f", pct)
 		}
 		fmt.Println()
+		op := disk.OpRead
+		if which == "6" {
+			op = disk.OpWrite
+		}
+		some := sampled(sweep, op)
 		for _, strat := range experiments.Strategies() {
 			fmt.Printf("%-13s", strat)
 			for _, pct := range experiments.PCSizes(name) {
 				res, ok := findPoint(sweep, strat, pct)
-				if !ok {
+				switch {
+				case !ok:
 					fmt.Printf(" %8s", "-")
+					continue
+				case !some:
+					fmt.Printf(" %8s", "n/a")
 					continue
 				}
 				v := res.ReadMean
-				if which == "6" {
+				if op == disk.OpWrite {
 					v = res.WriteMean
 				}
 				fmt.Printf(" %8.3f", v.Milliseconds())
@@ -313,6 +323,27 @@ func (r *runner) figures46(which string) {
 			fmt.Println()
 		}
 	}
+}
+
+// sampled reports whether a monitor in sweep counted a block of op.
+// Every cell of a sweep replays one trace, so when none did, the trace
+// has no such request and no cell has a sample.
+func sampled(sweep []experiments.RunResult, op disk.Op) bool {
+	for _, res := range sweep {
+		if c := res.CRAID; c != nil && (op == disk.OpRead && c.ReadBlocks > 0 || op == disk.OpWrite && c.WriteBlocks > 0) {
+			return true
+		}
+	}
+	return false
+}
+
+// percent formats a ratio as a percentage in width columns, or as n/a
+// when there was nothing to sample.
+func percent(v float64, width int, some bool) string {
+	if !some {
+		return fmt.Sprintf("%*s", width, "n/a")
+	}
+	return fmt.Sprintf("%*.2f%%", width-1, 100*v)
 }
 
 // findPoint returns strat's result at cache size pct. A baseline has
@@ -336,9 +367,10 @@ func (r *runner) table4() {
 			return
 		}
 		t4 := experiments.Table4(sweep)
-		fmt.Printf("%-12s %9.2f%% %9.2f%% %11.2f%% %11.2f%%\n",
-			name, 100*t4.BestReadHit, 100*t4.BestWriteHit,
-			100*t4.WorstReadEvict, 100*t4.WorstWriteEvict)
+		r, w := sampled(sweep, disk.OpRead), sampled(sweep, disk.OpWrite)
+		fmt.Printf("%-12s %s %s %s %s\n", name,
+			percent(t4.BestReadHit, 10, r), percent(t4.BestWriteHit, 10, w),
+			percent(t4.WorstReadEvict, 12, r), percent(t4.WorstWriteEvict, 12, w))
 	}
 }
 
@@ -354,13 +386,9 @@ func (r *runner) figure1() {
 			fmt.Printf(" %6d", f)
 		}
 		fmt.Printf("\n  read CDF:    ")
-		for _, v := range res.ReadCDF {
-			fmt.Printf(" %6.3f", v)
-		}
+		printCDF(res.ReadCDF)
 		fmt.Printf("\n  write CDF:   ")
-		for _, v := range res.WriteCDF {
-			fmt.Printf(" %6.3f", v)
-		}
+		printCDF(res.WriteCDF)
 		fmt.Printf("\n  overlap all: ")
 		for _, v := range res.OverlapAll {
 			fmt.Printf(" %5.1f%%", 100*v)
@@ -370,6 +398,20 @@ func (r *runner) figure1() {
 			fmt.Printf(" %5.1f%%", 100*v)
 		}
 		fmt.Println()
+	}
+}
+
+// printCDF prints a frequency CDF's points, or n/a at each if it never
+// leaves zero: no block was accessed at most 1000 times, which in these
+// traces means none was accessed at all.
+func printCDF(cdf []float64) {
+	some := slices.ContainsFunc(cdf, func(v float64) bool { return v > 0 })
+	for _, v := range cdf {
+		if some {
+			fmt.Printf(" %6.3f", v)
+		} else {
+			fmt.Printf(" %6s", "n/a")
+		}
 	}
 }
 
