@@ -297,53 +297,44 @@ func (r *runner) figures46(which string) {
 			fmt.Printf(" %8.3f", pct)
 		}
 		fmt.Println()
-		op := disk.OpRead
-		if which == "6" {
-			op = disk.OpWrite
-		}
-		some := sampled(sweep, op)
+		some := sampled(sweep, which == "4")
 		for _, strat := range experiments.Strategies() {
 			fmt.Printf("%-13s", strat)
 			for _, pct := range experiments.PCSizes(name) {
 				res, ok := findPoint(sweep, strat, pct)
-				switch {
-				case !ok:
+				if !ok {
 					fmt.Printf(" %8s", "-")
-					continue
-				case !some:
-					fmt.Printf(" %8s", "n/a")
 					continue
 				}
 				v := res.ReadMean
-				if op == disk.OpWrite {
+				if which == "6" {
 					v = res.WriteMean
 				}
-				fmt.Printf(" %8.3f", v.Milliseconds())
+				fmt.Print(" " + cell("%8.3f", v.Milliseconds(), some))
 			}
 			fmt.Println()
 		}
 	}
 }
 
-// sampled reports whether a monitor in sweep counted a block of op.
-// Every cell of a sweep replays one trace, so when none did, the trace
-// has no such request and no cell has a sample.
-func sampled(sweep []experiments.RunResult, op disk.Op) bool {
+// sampled reports whether a monitor in sweep counted a read (or written)
+// block. All of a sweep replays one trace: if none did, no cell did.
+func sampled(sweep []experiments.RunResult, read bool) bool {
 	for _, res := range sweep {
-		if c := res.CRAID; c != nil && (op == disk.OpRead && c.ReadBlocks > 0 || op == disk.OpWrite && c.WriteBlocks > 0) {
+		if c := res.CRAID; c != nil && (read && c.ReadBlocks > 0 || !read && c.WriteBlocks > 0) {
 			return true
 		}
 	}
 	return false
 }
 
-// percent formats a ratio as a percentage in width columns, or as n/a
-// when there was nothing to sample.
-func percent(v float64, width int, some bool) string {
+// cell formats v, or n/a in the same width if the cell has no sample.
+func cell(format string, v float64, some bool) string {
+	s := fmt.Sprintf(format, v)
 	if !some {
-		return fmt.Sprintf("%*s", width, "n/a")
+		return fmt.Sprintf("%*s", len(s), "n/a")
 	}
-	return fmt.Sprintf("%*.2f%%", width-1, 100*v)
+	return s
 }
 
 // findPoint returns strat's result at cache size pct. A baseline has
@@ -367,10 +358,10 @@ func (r *runner) table4() {
 			return
 		}
 		t4 := experiments.Table4(sweep)
-		r, w := sampled(sweep, disk.OpRead), sampled(sweep, disk.OpWrite)
+		r, w := sampled(sweep, true), sampled(sweep, false)
 		fmt.Printf("%-12s %s %s %s %s\n", name,
-			percent(t4.BestReadHit, 10, r), percent(t4.BestWriteHit, 10, w),
-			percent(t4.WorstReadEvict, 12, r), percent(t4.WorstWriteEvict, 12, w))
+			cell("%9.2f%%", 100*t4.BestReadHit, r), cell("%9.2f%%", 100*t4.BestWriteHit, w),
+			cell("%11.2f%%", 100*t4.WorstReadEvict, r), cell("%11.2f%%", 100*t4.WorstWriteEvict, w))
 	}
 }
 
@@ -407,11 +398,7 @@ func (r *runner) figure1() {
 func printCDF(cdf []float64) {
 	some := slices.ContainsFunc(cdf, func(v float64) bool { return v > 0 })
 	for _, v := range cdf {
-		if some {
-			fmt.Printf(" %6.3f", v)
-		} else {
-			fmt.Printf(" %6s", "n/a")
-		}
+		fmt.Print(" " + cell("%6.3f", v, some))
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // order, as the paper's controller does. What runs beside it is the
 // replay reader goroutine (replay.go) and other whole simulations —
 // cross-experiment parallelism lives in internal/experiments.Runner, one
-// simulation per worker. The monitor's own performance notes are in
+// simulation per worker. The monitor's performance notes are in
 // monitor.go.
 
 // PCLevel selects the redundancy of the cache partition.
@@ -210,9 +210,8 @@ func NewCRAID(arr *Array, cfg Config, sharedPC bool, cacheDisks []int, cacheBase
 	return c, nil
 }
 
-// buildPC (re)creates the cache partition's layout over the current
-// cacheDisks and returns its data capacity, which the monitor sizes its
-// policy and allocator to.
+// buildPC (re)creates the cache partition over the current cacheDisks
+// and returns its data capacity, which the monitor is sized to.
 func (c *CRAID) buildPC() int64 {
 	group := c.cfg.ParityGroup
 	var layout raid.Layout
@@ -258,17 +257,14 @@ func (c *CRAID) Submit(rec trace.Record, done func(sim.Time)) error {
 	return c.arr.lostError(rec, lost0)
 }
 
-// issue is the redirector: it turns the monitor's decisions into I/O, in
-// the monitor's order. Client I/O attaches to j; write-backs are
-// branches of up, the running Expand's drain join (nil for eviction
-// write-backs). A miss read is served from P_A and, once the data is in
-// memory, copied into P_C in the background (stepCopyIn calls copyIn).
-//
-// Issuing a whole call's decisions after the monitor has made them is
-// the same as issuing each as it is made: ds is the monitor's reused
-// slice, consumed here before its next call; device completions always
-// ride the event queue, so nothing re-enters CRAID during this loop; and
-// nothing the monitor reads changes when I/O is issued.
+// issue is the redirector: it turns the monitor's decisions into I/O in
+// their order. Client I/O attaches to j, write-backs to up (an Expand's
+// drain join; nil for evictions), and a miss read's copy-in follows its
+// P_A read (stepCopyIn). ds is the monitor's reused slice, consumed
+// before its next call. Nothing re-enters CRAID during the loop (device
+// completions always ride the event queue) and nothing the monitor reads
+// changes when I/O is issued, so issuing after deciding is the same as
+// issuing while deciding.
 func (c *CRAID) issue(ds []decision, j, up *join) {
 	now := c.arr.Eng.Now()
 	for _, d := range ds {
@@ -329,9 +325,7 @@ func (c *CRAID) Expand(newDevs []disk.Device, retain bool, done func(sim.Time)) 
 	up := c.arr.newJoin(done)
 	var st ExpandStats
 	if !retain {
-		var ds []decision
-		st, ds = c.mon.invalidate()
-		c.issue(ds, nil, up)
+		c.issue(c.mon.invalidate(&st), nil, up)
 	}
 	c.mon.stats.Expansions++
 	if len(newDevs) > 0 {
@@ -345,7 +339,7 @@ func (c *CRAID) Expand(newDevs []disk.Device, retain bool, done func(sim.Time)) 
 	}
 	switch {
 	case !retain:
-		c.mon.reset(c.buildPC()) // resets policy, allocator and (shared) geometry
+		c.mon.regrow(c.buildPC()) // resets policy, allocator and (shared) geometry
 		c.flushLog()
 	case c.sharedPC: // a dedicated cache keeps its geometry: nothing moves
 		st.Migrated = c.migrate(up)
@@ -440,27 +434,12 @@ func (c *CRAID) SetMappingLog(w io.Writer) {
 }
 
 // keepLogImage makes the mapping log keep an in-memory image of every
-// byte it writes, which crash events recover from. Without a log it
-// attaches one that writes nowhere else.
+// byte it writes, for crash events; without a log it attaches one.
 func (c *CRAID) keepLogImage() {
 	if c.log == nil {
 		c.SetMappingLog(io.Discard)
 	}
 	c.log.image = new(bytes.Buffer)
-}
-
-// crash is a crash event: the controller restarts from its log image
-// as of this instant, what a recovery re-logged since the last apply
-// step included.
-func (c *CRAID) crash() (int, error) {
-	if err := c.flushLog(); err != nil {
-		return 0, err
-	}
-	n, err := c.CrashRestart(bytes.NewReader(c.log.image.Bytes()))
-	if err != nil {
-		return 0, fmt.Errorf("crash recovery: %w", err)
-	}
-	return n, nil
 }
 
 // flushLog marks an apply-step boundary: what the step logged is
@@ -500,18 +479,12 @@ func (c *CRAID) CloseMappingLog() (MapLogStats, error) {
 // the controller incarnation (Array.epoch) advances so in-flight
 // background side effects — copy-ins, write-backs, Expand migrations,
 // rebuild batches (the fault runtime relaunches those) — land as timing
-// only, and the dirty-translation state is reinstated from log: dirty
-// cached copies are the only ones differing from the archive, and clean
-// entries start cold, exactly as §4.2 prescribes. A nil log restarts
-// cold. Requests already in flight keep their device timing; requests
-// submitted after the restart see the recovered state. On a fresh
-// controller it recovers a log another life wrote. It returns the number
-// of recovered mappings.
+// only, and the dirty-translation state is reinstated from log (on a
+// fresh controller, one another life wrote). A nil log restarts cold.
+// Requests already in flight keep their device timing; requests
+// submitted after the restart see the recovered state. It returns the
+// number of recovered mappings.
 func (c *CRAID) CrashRestart(log io.Reader) (int, error) {
 	c.arr.epoch++
-	c.mon.reset(c.buildPC())
-	if log == nil {
-		return 0, nil
-	}
-	return c.mon.recover(log, c.DataBlocks())
+	return c.mon.recover(c.buildPC(), log, c.DataBlocks())
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 
@@ -209,9 +210,8 @@ type FaultRuntime struct {
 // surfacing as a silent no-op deep in the disk layer. Expand and crash
 // events additionally require a CRAID volume, and expand events a device
 // factory (SetDeviceFactory) before the first event fires. A crash
-// recovers from the controller's own mapping log: a plan with one makes
-// that log keep an in-memory image (attaching a log if SetMappingLog
-// has not), so call SetMappingLog first, if at all.
+// recovers from an in-memory image the CRAID's mapping log keeps from
+// here on, so call SetMappingLog, if at all, before InstallFaults.
 func InstallFaults(arr *Array, vol Volume, plan fault.Plan) (*FaultRuntime, error) {
 	if err := plan.Validate(arr.Devices()); err != nil {
 		return nil, err
@@ -599,10 +599,17 @@ func (r *rebuildJob) finish() {
 	rt.setDegraded()
 }
 
+// crashRestart restarts the controller from its log image as of this
+// instant, what a recovery re-logged since the last apply step included.
 func (rt *FaultRuntime) crashRestart() {
-	n, err := rt.vol.(*CRAID).crash() // InstallFaults checked the volume
-	if err != nil {
+	c := rt.vol.(*CRAID) // InstallFaults checked the volume
+	if err := c.flushLog(); err != nil {
 		rt.fatal(fmt.Errorf("fault: %w", err))
+		return
+	}
+	n, err := c.CrashRestart(bytes.NewReader(c.log.image.Bytes()))
+	if err != nil {
+		rt.fatal(fmt.Errorf("fault: crash recovery: %w", err))
 		return
 	}
 	rt.stats.Restarts++

@@ -91,13 +91,12 @@ type monitor struct {
 	stats Stats
 }
 
-// decision is one I/O the monitor asks the redirector for.
+// decision is one I/O the monitor asks the redirector for, over the run
+// of n archive blocks from orig cached at slots from slot (paRead: none).
 type decision struct {
-	kind   decisionKind
-	client bool  // pcWrite: part of the client's redirected write stream
-	orig   int64 // the run's first archive block
-	slot   int64 // and its P_C slot (paRead: unused)
-	n      int64
+	kind          decisionKind
+	client        bool // pcWrite: part of the client's redirected write stream
+	orig, slot, n int64
 }
 
 type decisionKind uint8
@@ -121,16 +120,8 @@ func newMonitor(policy string, pcData int64) (*monitor, error) {
 	}
 	m := &monitor{table: mapcache.New(), name: policy}
 	m.insEvict = m.insertEvicted
-	m.reset(pcData)
-	return m, nil
-}
-
-// reset empties the monitor onto a P_C of pcData blocks: no mappings, no
-// queued write-backs, a fresh policy and an unused allocator.
-func (m *monitor) reset(pcData int64) {
-	m.wb = m.wb[:0]
-	m.table.Clear()
 	m.regrow(pcData)
+	return m, nil
 }
 
 // regrow sizes a fresh policy and an unused allocator to pcData blocks.
@@ -149,16 +140,11 @@ func (m *monitor) regrow(pcData int64) {
 	m.next = 0
 }
 
-func (m *monitor) emit(kind decisionKind, orig, slot, n int64, client bool) {
-	m.out = append(m.out, decision{kind: kind, client: client, orig: orig, slot: slot, n: n})
-}
-
-// access classifies one request of count blocks from b, a read or a
-// write, at extent granularity — one LookupRun per hit run or miss gap
-// (see the performance notes above) — deciding each extent before
-// looking up the next, so an extent's side effects (an insertion's
-// evictions can land anywhere, including later in this request) are
-// observed.
+// access classifies a read or write of count blocks from b at extent
+// granularity — one LookupRun per hit run or miss gap (see the
+// performance notes above) — deciding each extent before looking up the
+// next, so an extent's side effects (an insertion's evictions can land
+// anywhere, including later in this request) are observed.
 func (m *monitor) access(read bool, b, count int64) []decision {
 	m.out = m.out[:0]
 	if read {
@@ -185,10 +171,10 @@ func (m *monitor) readExtent(b, n, slot int64, hit bool, reqSize int64) {
 	if hit {
 		m.policy.AccessRun(b, n, reqSize)
 		m.stats.ReadHits += n
-		m.emit(pcRead, b, slot, n, false)
+		m.out = append(m.out, decision{kind: pcRead, orig: b, slot: slot, n: n})
 		return
 	}
-	m.emit(paRead, b, 0, n, false)
+	m.out = append(m.out, decision{kind: paRead, orig: b, n: n})
 }
 
 // writeExtent decides one classified write extent — writes always go to
@@ -200,7 +186,7 @@ func (m *monitor) writeExtent(b, n, slot int64, hit bool, reqSize int64) {
 		m.policy.AccessRun(b, n, reqSize)
 		m.table.SetDirtyRun(b, n, true)
 		m.stats.WriteHits += n
-		m.emit(pcWrite, b, slot, n, true)
+		m.out = append(m.out, decision{kind: pcWrite, client: true, orig: b, slot: slot, n: n})
 		return
 	}
 	m.insertRuns(b, n, true, false, reqSize)
@@ -232,7 +218,7 @@ func (m *monitor) insertRuns(b, n int64, dirty, byRead bool, reqSize int64) {
 			m.policy.AccessRun(blk, run, reqSize)
 			if dirty {
 				m.table.SetDirtyRun(blk, run, true)
-				m.emit(pcWrite, blk, mp.Cache, run, false)
+				m.out = append(m.out, decision{kind: pcWrite, orig: blk, slot: mp.Cache, n: run})
 			}
 			i += run
 			continue
@@ -274,7 +260,7 @@ func (m *monitor) insertRuns(b, n int64, dirty, byRead bool, reqSize int64) {
 				m.table.InsertRun(blk+k+off, start, got, dirty)
 				// A dirty placement is the client-visible write stream at
 				// its redirected address.
-				m.emit(pcWrite, blk+k+off, start, got, dirty)
+				m.out = append(m.out, decision{kind: pcWrite, client: dirty, orig: blk + k + off, slot: start, n: got})
 				off += got
 			}
 			k += s
@@ -349,20 +335,20 @@ func (m *monitor) queueWriteback(orig, slot int64) {
 // I/Os", amortized over the run).
 func (m *monitor) flushWritebacks() {
 	for _, r := range m.wb {
-		m.emit(writeBack, r.orig, r.slot, r.n, false)
+		m.out = append(m.out, decision{kind: writeBack, orig: r.orig, slot: r.slot, n: r.n})
 	}
 	m.wb = m.wb[:0]
 }
 
 // invalidate drops every mapping, an invalidating Expand's first half
-// (paper §4.1): the dirty ones are written back, and it returns the
-// counts and the write-back decisions. reset then regrows the monitor
-// over the new geometry. Each dropped dirty translation is logged as
-// removed, as an eviction's is: a crash must not recover a copy the
-// upgrade wrote back, onto a slot another block holds by then.
-func (m *monitor) invalidate() (ExpandStats, []decision) {
+// (paper §4.1): the dirty ones are written back. It counts into st and
+// returns the write-back decisions; regrow then sizes the monitor to the
+// new geometry. Each dropped dirty translation is logged as removed, as
+// an eviction's is: a crash must not recover a copy the upgrade wrote
+// back, onto a slot another block holds by then.
+func (m *monitor) invalidate(st *ExpandStats) []decision {
 	m.out = m.out[:0]
-	st := ExpandStats{Invalidated: int64(m.table.Len())}
+	st.Invalidated = int64(m.table.Len())
 	for _, mp := range m.table.DirtyMappings() {
 		st.DirtyWriteback++
 		m.stats.Writebacks++
@@ -371,20 +357,13 @@ func (m *monitor) invalidate() (ExpandStats, []decision) {
 	}
 	m.flushWritebacks()
 	m.table.Clear()
-	return st, m.out
+	return m.out
 }
 
 // retain regrows the monitor over a P_C of pcData blocks keeping every
 // live mapping (a retaining Expand), and returns the live slots in
 // ascending order: the blocks the redirector moves onto the new geometry.
 func (m *monitor) retain(pcData int64) []int64 {
-	slots := make([]int64, 0, m.table.Len())
-	m.table.Walk(func(mp mapcache.Mapping) bool {
-		slots = append(slots, mp.Cache)
-		return true
-	})
-	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
-
 	oldNext, oldFree := m.next, m.free
 	m.regrow(pcData)
 	// Keep the allocator state: old slot numbers remain reserved (the
@@ -396,21 +375,32 @@ func (m *monitor) retain(pcData int64) []int64 {
 	// Rebuild the policy at the new capacity, preserving residency
 	// (recency order within the retained set is not preserved — the
 	// policy relearns it, which costs nothing extra).
+	slots := make([]int64, 0, m.table.Len())
 	m.table.Walk(func(mp mapcache.Mapping) bool {
 		m.policy.Insert(mp.Orig, 1)
+		slots = append(slots, mp.Cache)
 		return true
 	})
+	slices.Sort(slots)
 	return slots
 }
 
-// recover reinstates the dirty translations a log image carries into an
-// empty monitor (fresh or just reset), for a volume of blocks archive
-// blocks: dirty cached copies are reinstated (they are the only ones
-// differing from the archive), clean entries start cold, exactly as
-// §4.2 prescribes. The log is input from outside the program (a -maplog
-// file, a crash image), so every record is checked before any state
-// changes: a bad image is an error, never a panic three requests later.
-func (m *monitor) recover(r io.Reader, blocks int64) (int, error) {
+// recover tears the monitor down as a crash loses it — queued
+// write-backs, mappings, policy, allocator — onto a P_C of pcData
+// blocks, and reinstates the dirty translations the log image r carries
+// (none if r is nil) for a volume of blocks archive blocks: dirty cached
+// copies are the only ones differing from the archive, clean entries
+// start cold, exactly as §4.2 prescribes. The log is input from outside
+// the program (a -maplog file, a crash image), so every record is
+// checked before any state changes: a bad image is an error, never a
+// panic three requests later.
+func (m *monitor) recover(pcData int64, r io.Reader, blocks int64) (int, error) {
+	m.wb = m.wb[:0]
+	m.table.Clear()
+	m.regrow(pcData)
+	if r == nil {
+		return 0, nil
+	}
 	ms, err := mapcache.Recover(r)
 	if err != nil {
 		return 0, err

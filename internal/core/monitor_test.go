@@ -361,14 +361,14 @@ func runMonitorReference(t *testing.T, name string, base, seed int64) {
 		switch x := rng.Intn(100); {
 		case x < 2:
 			what := fmt.Sprintf("step %d: invalidate", step)
-			st, ds := m.invalidate()
-			s := newScript(t, what, ds)
+			var st ExpandStats
+			s := newScript(t, what, m.invalidate(&st))
 			if want := r.invalidate(s); st != want {
 				t.Fatalf("%s: %+v, reference %+v", what, st, want)
 			}
 			s.done()
 			capacity = base + rng.Int63n(16) // the new geometry need not hold the old slots
-			m.reset(capacity)
+			m.regrow(capacity)
 			r.reset(capacity)
 			check(what)
 		case x < 4:
@@ -380,8 +380,7 @@ func runMonitorReference(t *testing.T, name string, base, seed int64) {
 			check(what)
 		case x < 6:
 			what := fmt.Sprintf("step %d: crash", step)
-			m.reset(capacity)
-			n, err := m.recover(bytes.NewReader(log.Bytes()), span)
+			n, err := m.recover(capacity, bytes.NewReader(log.Bytes()), span)
 			if want := r.crash(); err != nil || n != want {
 				t.Fatalf("%s: recovered %d (%v), reference %d", what, n, err, want)
 			}
