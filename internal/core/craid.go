@@ -161,7 +161,7 @@ type CRAID struct {
 
 	pa *span // archive partition
 
-	mon *monitor
+	mon monitor
 
 	// log, when SetMappingLog attached one, buffers the table's dirty-
 	// log records; flushLog drains it once per apply step.
@@ -202,11 +202,9 @@ func NewCRAID(arr *Array, cfg Config, sharedPC bool, cacheDisks []int, cacheBase
 		cacheBase:  cacheBase,
 		pa:         newSpan(arr, archiveLayout, archiveDisks, archiveBase),
 	}
-	mon, err := newMonitor(cfg.Policy, c.buildPC())
-	if err != nil {
+	if err := c.mon.setup(cfg.Policy, c.buildPC()); err != nil {
 		return nil, err
 	}
-	c.mon = mon
 	return c, nil
 }
 

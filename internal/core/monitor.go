@@ -87,7 +87,8 @@ type monitor struct {
 	insRead  bool
 	insEvict func(cache.Key)
 
-	out   []decision // the current call's decisions
+	out   []decision // the current call's decisions: in buf unless a call needs more
+	buf   [32]decision
 	stats Stats
 }
 
@@ -112,16 +113,16 @@ const (
 // blocks orig..orig+n-1 cached at slots slot..slot+n-1.
 type wbRun struct{ orig, slot, n int64 }
 
-// newMonitor returns an empty monitor over a P_C of pcData blocks. The
-// policy name is checked here, once: every later rebuild reuses it.
-func newMonitor(policy string, pcData int64) (*monitor, error) {
-	if !slices.Contains(cache.Names(), policy) {
-		return nil, fmt.Errorf("core: unknown policy %q", policy)
-	}
-	m := &monitor{table: mapcache.New(), name: policy}
+// setup readies m, empty, over a P_C of pcData blocks. The policy name
+// is checked here, once: every later regrow reuses it. m must not be
+// copied afterwards.
+func (m *monitor) setup(policy string, pcData int64) error {
+	m.table, m.name, m.out = mapcache.New(), policy, m.buf[:0]
 	m.insEvict = m.insertEvicted
-	m.regrow(pcData)
-	return m, nil
+	if m.regrow(pcData); m.policy == nil {
+		return fmt.Errorf("core: unknown policy %q", policy)
+	}
+	return nil
 }
 
 // regrow sizes a fresh policy and an unused allocator to pcData blocks.
@@ -130,7 +131,7 @@ func (m *monitor) regrow(pcData int64) {
 	// Honours the cache.Config.Dirty contract: the monitor only ever sets
 	// dirty flags (SetDirtyRun(…, true)); a dirty copy turns clean by
 	// being evicted, and Expand and CrashRestart come back through here
-	// for a new policy. newMonitor checked the name.
+	// for a new policy. An unknown name leaves policy nil for setup.
 	m.policy, _ = cache.New(m.name, int(pcData), cache.Config{
 		Dirty: func(k cache.Key) bool {
 			return m.table.IsDirty(k)

@@ -304,8 +304,8 @@ func runMonitorReference(t *testing.T, name string, base, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	capacity := base
 	span := 3*base + 64 // archive blocks
-	m, err := newMonitor(name, capacity)
-	if err != nil {
+	m := new(monitor)
+	if err := m.setup(name, capacity); err != nil {
 		t.Fatal(err)
 	}
 	var log bytes.Buffer

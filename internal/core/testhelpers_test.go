@@ -100,7 +100,7 @@ func outcomeOf(c *CRAID, arr *Array) outcome {
 func checkInvariants(t *testing.T, c *CRAID) {
 	t.Helper()
 	checkDrained(t, c.arr)
-	checkMonitor(t, c.mon)
+	checkMonitor(t, &c.mon)
 }
 
 // checkMonitor checks that the three structures the monitor keeps in
