@@ -38,19 +38,19 @@ import (
 //     per-key Go-map hashing, no per-entry heap objects), the mapping
 //     cache is the same table (internal/oamap) and keeps its cell array
 //     across removals, and the insertRuns newborn scratch, the eviction
-//     callback, the write-back run buffer and the decision slice live on
-//     the monitor and are reused. The redirector turns the decisions into
+//     callback and the decision slice live on the monitor and are
+//     reused. The redirector turns the decisions into
 //     pooled I/O (craid.go), so a warm-cache Submit performs zero
 //     allocations (TestSubmitWarmAllocFree pins this); monitor churn
 //     (evict + re-insert) allocates nothing either.
 //
 //  4. Dirty victims evicted together are written back together:
-//     queueWriteback coalesces victims contiguous in both archive
-//     address and cache slot, and flushWritebacks emits one write-back
-//     decision per run, which the redirector issues as one
-//     read-then-update chain (the paper's "4 additional I/Os" amortized
-//     across the run). An insert's write-backs are emitted before its
-//     placement writes, preserving order on shared disk queues.
+//     queueWriteback extends the batch's last write-back decision with a
+//     victim contiguous in both archive address and cache slot, and the
+//     redirector issues each as one read-then-update chain (the paper's
+//     "4 additional I/Os" amortized across the run). An insert's
+//     write-backs are emitted before its placement writes, preserving
+//     order on shared disk queues.
 //
 //  6. A dirty-log append is a copy into a buffer, not an I/O: the
 //     mapping log's records accumulate in memory (mapLog) and are
@@ -74,8 +74,8 @@ type monitor struct {
 	next   int64 // bump allocator over P_C data blocks
 	pcData int64 // P_C's data capacity in blocks
 
-	pending []bool  // insertRuns newborn scratch, reused across calls
-	wb      []wbRun // pending dirty write-back runs, reused across calls
+	pending []bool // insertRuns newborn scratch, reused across calls
+	wbFrom  int    // the current batch's write-backs are out[wbFrom:]
 
 	// insertRuns' eviction-callback state: the callback handed to
 	// cache.Policy.InsertRun is bound once (insEvict) and reads the
@@ -87,8 +87,11 @@ type monitor struct {
 	insRead  bool
 	insEvict func(cache.Key)
 
-	out   []decision // the current call's decisions: in buf unless a call needs more
-	buf   [32]decision
+	// out holds the current call's decisions, in buf unless a call needs
+	// more: buf is sized above the largest call of the benchmark's
+	// workloads (108 decisions), so a simulation allocates none.
+	out   []decision
+	buf   [128]decision
 	stats Stats
 }
 
@@ -108,10 +111,6 @@ const (
 	paRead                        // read a miss from P_A; its completion calls copyIn
 	writeBack                     // copy a dirty run from P_C back to P_A
 )
-
-// wbRun is a contiguous run of dirty victims awaiting write-back:
-// blocks orig..orig+n-1 cached at slots slot..slot+n-1.
-type wbRun struct{ orig, slot, n int64 }
 
 // setup readies m, empty, over a P_C of pcData blocks. The policy name
 // is checked here, once: every later regrow reuses it. m must not be
@@ -242,9 +241,8 @@ func (m *monitor) insertRuns(b, n int64, dirty, byRead bool, reqSize int64) {
 		for k := range pending {
 			pending[k] = true
 		}
-		m.insBlk, m.insRun, m.insRead = blk, run, byRead
+		m.insBlk, m.insRun, m.insRead, m.wbFrom = blk, run, byRead, len(m.out)
 		m.policy.InsertRun(blk, run, reqSize, m.insEvict)
-		m.flushWritebacks()
 		// Allocate fragments and bind mappings for surviving blocks,
 		// keeping sub-runs of consecutive survivors together.
 		for k := int64(0); k < run; {
@@ -293,11 +291,10 @@ func (m *monitor) countEviction(byRead bool) {
 	}
 }
 
-// evict removes a victim chosen by the policy: dirty copies are queued
-// for write-back to P_A, clean copies are dropped for free. The
-// write-back decision is emitted by flushWritebacks, which coalesces
-// victims evicted together — replacement sweeps walk blocks that were
-// inserted together, so their runs are long. Remove hands back the
+// evict removes a victim chosen by the policy: dirty copies are written
+// back to P_A, clean copies are dropped for free. queueWriteback
+// coalesces victims evicted together — replacement sweeps walk blocks
+// that were inserted together, so their runs are long. Remove hands back the
 // mapping it deletes, so an eviction is one probe of the table.
 func (m *monitor) evict(victim cache.Key, byRead bool) {
 	mp, ok := m.table.Remove(victim)
@@ -318,27 +315,19 @@ func (m *monitor) evict(victim cache.Key, byRead bool) {
 	m.freeSlot(mp.Cache)
 }
 
-// queueWriteback records one dirty victim, extending the previous run
-// when both its archive address and cache slot are contiguous.
+// queueWriteback emits one dirty victim's write-back — read the copy
+// from P_C, then update P_A (the 2-read/2-write parity update per
+// extent, the paper's "4 additional I/Os") — extending the batch's
+// previous one when both its archive address and cache slot are
+// contiguous. A batch (out[wbFrom:]) holds only write-backs.
 func (m *monitor) queueWriteback(orig, slot int64) {
-	if last := len(m.wb) - 1; last >= 0 &&
-		m.wb[last].orig+m.wb[last].n == orig &&
-		m.wb[last].slot+m.wb[last].n == slot {
-		m.wb[last].n++
+	if last := len(m.out) - 1; last >= m.wbFrom &&
+		m.out[last].orig+m.out[last].n == orig &&
+		m.out[last].slot+m.out[last].n == slot {
+		m.out[last].n++
 		return
 	}
-	m.wb = append(m.wb, wbRun{orig: orig, slot: slot, n: 1})
-}
-
-// flushWritebacks emits the queued dirty write-backs, one decision per
-// contiguous run: read the current copies from P_C, then update P_A (the
-// 2-read/2-write parity update per extent — the paper's "4 additional
-// I/Os", amortized over the run).
-func (m *monitor) flushWritebacks() {
-	for _, r := range m.wb {
-		m.out = append(m.out, decision{kind: writeBack, orig: r.orig, slot: r.slot, n: r.n})
-	}
-	m.wb = m.wb[:0]
+	m.out = append(m.out, decision{kind: writeBack, orig: orig, slot: slot, n: 1})
 }
 
 // invalidate drops every mapping, an invalidating Expand's first half
@@ -348,7 +337,7 @@ func (m *monitor) flushWritebacks() {
 // an eviction's is: a crash must not recover a copy the upgrade wrote
 // back, onto a slot another block holds by then.
 func (m *monitor) invalidate(st *ExpandStats) []decision {
-	m.out = m.out[:0]
+	m.out, m.wbFrom = m.out[:0], 0
 	st.Invalidated = int64(m.table.Len())
 	for _, mp := range m.table.DirtyMappings() {
 		st.DirtyWriteback++
@@ -356,7 +345,6 @@ func (m *monitor) invalidate(st *ExpandStats) []decision {
 		m.queueWriteback(mp.Orig, mp.Cache)
 		m.table.Remove(mp.Orig)
 	}
-	m.flushWritebacks()
 	m.table.Clear()
 	return m.out
 }
@@ -386,8 +374,8 @@ func (m *monitor) retain(pcData int64) []int64 {
 	return slots
 }
 
-// recover tears the monitor down as a crash loses it — queued
-// write-backs, mappings, policy, allocator — onto a P_C of pcData
+// recover tears the monitor down as a crash loses it — mappings,
+// policy, allocator — onto a P_C of pcData
 // blocks, and reinstates the dirty translations the log image r carries
 // (none if r is nil) for a volume of blocks archive blocks: dirty cached
 // copies are the only ones differing from the archive, clean entries
@@ -396,7 +384,6 @@ func (m *monitor) retain(pcData int64) []int64 {
 // checked before any state changes: a bad image is an error, never a
 // panic three requests later.
 func (m *monitor) recover(pcData int64, r io.Reader, blocks int64) (int, error) {
-	m.wb = m.wb[:0]
 	m.table.Clear()
 	m.regrow(pcData)
 	if r == nil {
