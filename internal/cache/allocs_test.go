@@ -77,3 +77,25 @@ func TestPointOpsAllocFree(t *testing.T) {
 		})
 	}
 }
+
+// TestPolicyConstructionAllocs bounds what building a policy allocates:
+// the policy value, its arena, its key index (two allocations) and, for
+// WLRU with a dirty function, the cursor's bitset; ARC adds its list
+// tags and LFUDA/GDSF their heap. One entry array per policy keeps the
+// count independent of how many fields an entry has.
+func TestPolicyConstructionAllocs(t *testing.T) {
+	limit := map[string]float64{"LRU": 4, "WLRU": 5, "ARC": 5, "LFUDA": 5, "GDSF": 5}
+	dirty := func(Key) bool { return false }
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := New(name, 1000, Config{Dirty: dirty}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > limit[name] {
+				t.Fatalf("New(%q, 1000) allocated %.0f times, want at most %.0f", name, allocs, limit[name])
+			}
+		})
+	}
+}

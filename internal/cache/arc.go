@@ -174,11 +174,10 @@ func (a *ARC) Insert(k Key, size int64) (Key, bool) {
 	return victim, evicted
 }
 
-// AccessRun implements Policy via the generic per-key fallback (ARC's
-// ghost-list bookkeeping has no batched shortcut).
+// AccessRun implements Policy via the per-key loop.
 func (a *ARC) AccessRun(k Key, n, size int64) { accessRunGeneric(a, k, n, size) }
 
-// InsertRun implements Policy via the generic per-key fallback.
+// InsertRun implements Policy via the per-key loop.
 func (a *ARC) InsertRun(k Key, n, size int64, evicted func(Key)) {
 	insertRunGeneric(a, k, n, size, evicted)
 }

@@ -62,36 +62,5 @@ func (l *slotList) remove(slots []slot, s int32) {
 	l.size--
 }
 
-// unlinkChain detaches the already-linked segment first..last
-// (front-to-back order) without touching the segment's inner links.
-func (l *slotList) unlinkChain(slots []slot, first, last int32, n int) {
-	p, nx := slots[first].prev, slots[last].next
-	if p != nilSlot {
-		slots[p].next = nx
-	} else {
-		l.head = nx
-	}
-	if nx != nilSlot {
-		slots[nx].prev = p
-	} else {
-		l.tail = p
-	}
-	l.size -= n
-}
-
-// pushFrontChain splices the pre-linked chain first..last (front-to-back
-// order, n slots) at the front in one operation.
-func (l *slotList) pushFrontChain(slots []slot, first, last int32, n int) {
-	slots[first].prev = nilSlot
-	slots[last].next = l.head
-	if l.head != nilSlot {
-		slots[l.head].prev = last
-	} else {
-		l.tail = last
-	}
-	l.head = first
-	l.size += n
-}
-
 // back returns the LRU slot, or nilSlot when empty.
 func (l *slotList) back() int32 { return l.tail }

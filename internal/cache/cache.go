@@ -9,8 +9,9 @@
 // live in flat []slot arrays indexed by int32 handles, intrusive links
 // are slot indices, and residency is resolved by one open-addressing
 // int64→int32 index per policy — no Go maps, no per-entry heap objects,
-// and zero allocation on every steady-state operation including
-// AccessRun/InsertRun. The map-based originals are retained in
+// and zero allocation on every steady-state operation. Each policy has
+// one per-key path: AccessRun and InsertRun are loops of Access and
+// Insert in every one of them. The map-based originals are retained in
 // reference_test.go, and property tests pin the arena policies to them
 // victim-for-victim.
 package cache
@@ -35,8 +36,7 @@ type Policy interface {
 	// Inserting a resident key is equivalent to Access.
 	Insert(k Key, size int64) (victim Key, evicted bool)
 	// AccessRun records hits on the n consecutive keys k..k+n-1 in
-	// ascending order, exactly as a loop of Access would. Batched so
-	// extent-granularity callers cross the interface once per run.
+	// ascending order, exactly as a loop of Access would.
 	AccessRun(k Key, n, size int64)
 	// InsertRun inserts the n consecutive keys k..k+n-1 in ascending
 	// order, calling evicted for each victim as it is displaced,
@@ -88,17 +88,15 @@ func New(name string, capacity int, cfg Config) (Policy, error) {
 // Names returns the canonical policy names in the paper's order.
 func Names() []string { return []string{"LRU", "LFUDA", "GDSF", "ARC", "WLRU"} }
 
-// accessRunGeneric is the per-key fallback for policies without a
-// native batched access path.
+// accessRunGeneric is every policy's AccessRun: a loop of Access.
 func accessRunGeneric(p Policy, k Key, n, size int64) {
 	for i := int64(0); i < n; i++ {
 		p.Access(k+i, size)
 	}
 }
 
-// insertRunGeneric is the per-key fallback for policies without a
-// native batched insert path; it is also the reference semantics the
-// property tests pin the native run paths against.
+// insertRunGeneric is every policy's InsertRun: a loop of Insert that
+// reports each victim as it is displaced.
 func insertRunGeneric(p Policy, k Key, n, size int64, evicted func(Key)) {
 	for i := int64(0); i < n; i++ {
 		if v, ev := p.Insert(k+i, size); ev {

@@ -88,9 +88,8 @@ func TestArenaMatchesMapReference(t *testing.T) {
 }
 
 // TestArenaMatchesMapReferenceExtents replays the monitor's actual
-// traffic shape — long consecutive runs, re-accessed whole — where the
-// one-probe chain-splice fast paths of LRU/WLRU fire constantly, and
-// checks victims and residency against the reference per step.
+// traffic shape — long consecutive runs, re-accessed whole — and checks
+// victims and residency against the reference per step.
 func TestArenaMatchesMapReferenceExtents(t *testing.T) {
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {

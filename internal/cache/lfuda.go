@@ -2,25 +2,17 @@ package cache
 
 import "craid/internal/oamap"
 
-// The per-entry state of the priority heap shared by LFUDA and GDSF is
-// split hot/cold by access frequency. A heap fix runs O(log n) `less`
-// comparisons and each one reads only (prio, seq) — so those two fields
-// live alone in a 16-byte agingHot (four entries per cache line) instead
-// of sharing a 48-byte struct with metadata the comparison never reads.
-// agingHot is one hot arena entry: the policy's K_i plus the insertion
-// sequence tie-break (older entries lose first).
-type agingHot struct {
+// agingEntry is one arena entry of the priority heap shared by LFUDA
+// and GDSF: the policy's K_i, the insertion sequence tie-break (older
+// entries lose first), the inputs of the priority recompute, and the
+// entry's heap index.
+type agingEntry struct {
 	prio float64
 	seq  uint64
-}
-
-// agingCold is the cold side-array entry: fields touched at most once
-// per access (freq/size feed the priority recompute) or only on
-// insert/evict/iteration (key). The heap's sift loops never read it.
-type agingCold struct {
 	key  Key
 	freq int64
 	size int64
+	pos  int32 // index in heap, written by swap
 }
 
 // agingPolicy implements the GreedyDual family: each entry carries a
@@ -30,20 +22,16 @@ type agingCold struct {
 //	LFUDA: K_i = C_i·F_i + L         (C_i = 1)
 //	GDSF:  K_i = C_i·F_i/S_i + L
 //
-// Entries live in flat hot/cold arenas indexed by the same int32 slot
-// handle; the heap orders handles, and residency is resolved by the
-// shared oamap.Map — no Go map, no per-entry heap objects. pos is a
-// third side-array: the slot's heap index (written by swap, never read
-// by less). A slot is never freed: an evicting insert hands the
-// victim's slot to the newcomer. (prio, seq) is
-// a total order, so the victim sequence is independent of the heap's
-// internal layout and bit-identical to the container/heap-based
-// reference.
+// Entries live in one flat arena indexed by int32 slot handles; the
+// heap orders handles, and residency is resolved by the shared
+// oamap.Map — no Go map, no per-entry heap objects. A slot is never
+// freed: an evicting insert hands the victim's slot to the newcomer.
+// (prio, seq) is a total order, so the victim sequence is independent
+// of the heap's internal layout and bit-identical to the
+// container/heap-based reference.
 type agingPolicy struct {
 	capacity int
-	hot      []agingHot
-	cold     []agingCold
-	pos      []int32
+	entries  []agingEntry
 	idx      *oamap.Map[int32]
 	heap     []int32
 	age      float64 // L
@@ -57,9 +45,7 @@ func newAgingPolicy(capacity int, useSize bool) *agingPolicy {
 	}
 	return &agingPolicy{
 		capacity: capacity,
-		hot:      make([]agingHot, capacity),
-		cold:     make([]agingCold, capacity),
-		pos:      make([]int32, capacity),
+		entries:  make([]agingEntry, capacity),
 		idx:      oamap.New[int32](capacity),
 		heap:     make([]int32, 0, capacity),
 		useSize:  useSize,
@@ -92,18 +78,18 @@ func (p *agingPolicy) priority(freq, size int64) float64 {
 // --- int32 min-heap over (prio, seq) ---
 
 func (p *agingPolicy) less(a, b int32) bool {
-	ha, hb := &p.hot[a], &p.hot[b]
-	if ha.prio != hb.prio {
-		return ha.prio < hb.prio
+	ea, eb := &p.entries[a], &p.entries[b]
+	if ea.prio != eb.prio {
+		return ea.prio < eb.prio
 	}
-	return ha.seq < hb.seq
+	return ea.seq < eb.seq
 }
 
 func (p *agingPolicy) swap(i, j int) {
 	h := p.heap
 	h[i], h[j] = h[j], h[i]
-	p.pos[h[i]] = int32(i)
-	p.pos[h[j]] = int32(j)
+	p.entries[h[i]].pos = int32(i)
+	p.entries[h[j]].pos = int32(j)
 }
 
 func (p *agingPolicy) up(i int) {
@@ -144,7 +130,7 @@ func (p *agingPolicy) fix(i int) {
 }
 
 func (p *agingPolicy) push(s int32) {
-	p.pos[s] = int32(len(p.heap))
+	p.entries[s].pos = int32(len(p.heap))
 	p.heap = append(p.heap, s)
 	p.up(len(p.heap) - 1)
 }
@@ -167,13 +153,13 @@ func (p *agingPolicy) Access(k Key, size int64) {
 	if !ok {
 		return
 	}
-	c := &p.cold[s]
-	c.freq++
+	e := &p.entries[s]
+	e.freq++
 	if size > 0 {
-		c.size = size
+		e.size = size
 	}
-	p.hot[s].prio = p.priority(c.freq, c.size)
-	p.fix(int(p.pos[s]))
+	e.prio = p.priority(e.freq, e.size)
+	p.fix(int(e.pos))
 }
 
 // Insert implements Policy.
@@ -188,9 +174,9 @@ func (p *agingPolicy) Insert(k Key, size int64) (Key, bool) {
 	s := int32(len(p.heap)) // below capacity, live slots are exactly 0..len-1
 	if len(p.heap) >= p.capacity {
 		min := p.popMin()
-		vk := p.cold[min].key
+		vk := p.entries[min].key
 		p.idx.Del(vk)
-		p.age = p.hot[min].prio // dynamic aging: L becomes the evicted key's K
+		p.age = p.entries[min].prio // dynamic aging: L becomes the evicted key's K
 		victim, evicted = vk, true
 		s = min // reuse the victim's slot for the newcomer
 	}
@@ -198,8 +184,7 @@ func (p *agingPolicy) Insert(k Key, size int64) (Key, bool) {
 		size = 1
 	}
 	p.seq++
-	p.cold[s] = agingCold{key: k, freq: 1, size: size}
-	p.hot[s] = agingHot{prio: p.priority(1, size), seq: p.seq}
+	p.entries[s] = agingEntry{prio: p.priority(1, size), seq: p.seq, key: k, freq: 1, size: size}
 	if evicted {
 		p.idx.Put(k, s) // re-probe: Del may have shifted the cell
 	} else {
@@ -209,11 +194,10 @@ func (p *agingPolicy) Insert(k Key, size int64) (Key, bool) {
 	return victim, evicted
 }
 
-// AccessRun implements Policy via the generic per-key fallback (the
-// priority heap re-sifts per key regardless of batching).
+// AccessRun implements Policy via the per-key loop.
 func (p *agingPolicy) AccessRun(k Key, n, size int64) { accessRunGeneric(p, k, n, size) }
 
-// InsertRun implements Policy via the generic per-key fallback.
+// InsertRun implements Policy via the per-key loop.
 func (p *agingPolicy) InsertRun(k Key, n, size int64, evicted func(Key)) {
 	insertRunGeneric(p, k, n, size, evicted)
 }
@@ -222,7 +206,7 @@ func (p *agingPolicy) InsertRun(k Key, n, size int64, evicted func(Key)) {
 func (p *agingPolicy) Keys() []Key {
 	out := make([]Key, 0, len(p.heap))
 	for _, s := range p.heap {
-		out = append(out, p.cold[s].key)
+		out = append(out, p.entries[s].key)
 	}
 	return out
 }

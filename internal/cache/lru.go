@@ -7,15 +7,6 @@ import "craid/internal/oamap"
 // recency list (front = MRU). The two policies differ only in victim
 // choice: plain LRU takes the list's back, WLRU hangs its dirtyTail
 // cursor here and is told whenever an entry leaves its list position.
-//
-// Run-native hot loops: AccessRun resolves a whole run with ONE index
-// probe when the run's entries already form a consecutive-key chain in
-// the list (the layout a prior InsertRun or AccessRun of the same run
-// leaves behind — the steady state of extent-granularity traffic), and
-// splices the chain to the front in one list operation. InsertRun links
-// each maximal segment of fresh, non-evicting newborns into a private
-// chain and splices it once. Both degrade gracefully to the per-key
-// loop, which is the property-tested reference semantics.
 type lruCore struct {
 	capacity int
 	slots    []slot
@@ -109,95 +100,12 @@ func (c *lruCore) Insert(k Key, size int64) (Key, bool) {
 	return 0, false
 }
 
-// AccessRun implements Policy. The per-key loop's net effect on a fully
-// resident consecutive run is "move the chain k+n-1 … k to the front";
-// when the entries already sit in exactly that chain order, one index
-// probe finds the head and one splice commits the whole run.
-func (c *lruCore) AccessRun(k Key, n, size int64) {
-	if n > 1 {
-		if first, ok := c.idx.Get(k + n - 1); ok {
-			last := first
-			for i := int64(1); i < n; i++ {
-				last = c.slots[last].next
-				if last == nilSlot || c.slots[last].key != k+n-1-i {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				if c.list.head != first { // already MRU: the loop is a no-op
-					if c.tail != nil {
-						c.tail.leaveChain(c.slots, first, last)
-					}
-					c.list.unlinkChain(c.slots, first, last, int(n))
-					c.list.pushFrontChain(c.slots, first, last, int(n))
-				}
-				return
-			}
-		}
-	}
-	for i := int64(0); i < n; i++ {
-		if s, ok := c.idx.Get(k + i); ok {
-			c.touch(s)
-		}
-	}
-}
+// AccessRun implements Policy via the per-key loop.
+func (c *lruCore) AccessRun(k Key, n, size int64) { accessRunGeneric(c, k, n, size) }
 
-// InsertRun implements Policy: maximal segments of fresh, non-evicting
-// newborns are linked into a private chain (front-to-back = descending
-// key, the order a loop of Insert leaves at the list front) and spliced
-// in one operation; resident keys and evicting inserts commit the
-// pending segment first and then follow the per-key semantics exactly,
-// so the victim sequence is identical to a loop of Insert.
+// InsertRun implements Policy via the per-key loop.
 func (c *lruCore) InsertRun(k Key, n, size int64, evicted func(Key)) {
-	segFirst, segLast := nilSlot, nilSlot
-	segN := 0
-	for i := int64(0); i < n; i++ {
-		key := k + i
-		cell, ok := c.idx.Probe(key)
-		if ok {
-			// Resident → Access; the pending newborns were inserted
-			// earlier in the loop, so they commit before this access.
-			if segFirst != nilSlot {
-				c.list.pushFrontChain(c.slots, segFirst, segLast, segN)
-				segFirst, segLast, segN = nilSlot, nilSlot, 0
-			}
-			c.touch(*c.idx.At(cell))
-			continue
-		}
-		if c.list.size+segN >= c.capacity {
-			// This insert evicts. Commit the pending segment first: the
-			// victim scan must see the earlier newborns (it may even
-			// choose one, exactly as the per-key loop can).
-			if segFirst != nilSlot {
-				c.list.pushFrontChain(c.slots, segFirst, segLast, segN)
-				segFirst, segLast, segN = nilSlot, nilSlot, 0
-			}
-			v := c.victim()
-			vk := c.slots[v].key
-			c.unlink(v)
-			c.idx.Del(vk)
-			c.slots[v].key = key
-			c.idx.Put(key, v)
-			c.list.pushFront(c.slots, v)
-			evicted(vk)
-			continue
-		}
-		// Fresh, no eviction: chain the newborn ahead of its elders.
-		s := c.alloc(key)
-		c.idx.Fill(cell, key, s)
-		if segFirst == nilSlot {
-			segLast = s
-		} else {
-			c.slots[s].next = segFirst
-			c.slots[segFirst].prev = s
-		}
-		segFirst = s
-		segN++
-	}
-	if segFirst != nilSlot {
-		c.list.pushFrontChain(c.slots, segFirst, segLast, segN)
-	}
+	insertRunGeneric(c, k, n, size, evicted)
 }
 
 // Keys implements Policy.
@@ -262,10 +170,10 @@ func NewWLRU(capacity int, w float64, dirty DirtyFunc) *WLRU {
 // goes dirty→clean (the Config.Dirty contract) a full rescan would find
 // all of them dirty again, so pick resumes at the entry in front of
 // edge and returns what the full scan would. n moves only when a scan
-// extends the run (n++) or a known entry leaves its position — access,
-// eviction, a chain splice — which leave/leaveChain observe
-// (n--). New and re-accessed entries arrive at the front, outside the
-// run, so each entry is probed once per stay in the tail.
+// extends the run (n++) or a known entry leaves its position — an
+// access or an eviction, which leave observes (n--). New and
+// re-accessed entries arrive at the front, outside the run, so each
+// entry is probed once per stay in the tail.
 type dirtyTail struct {
 	dirty DirtyFunc
 	limit int      // window·capacity: how many LRU-end entries a scan may consider
@@ -275,12 +183,6 @@ type dirtyTail struct {
 }
 
 func (t *dirtyTail) isKnown(s int32) bool { return t.known[s>>6]&(1<<(s&63)) != 0 }
-
-// forget takes s, a member, out of the run; the caller moves edge.
-func (t *dirtyTail) forget(s int32) {
-	t.known[s>>6] &^= 1 << (s & 63)
-	t.n--
-}
 
 // pick returns the first clean entry among the limit least recent, or
 // the LRU entry when all of them are dirty.
@@ -307,28 +209,9 @@ func (t *dirtyTail) leave(slots []slot, s int32) {
 	if t.n == 0 || !t.isKnown(s) {
 		return
 	}
-	t.forget(s)
+	t.known[s>>6] &^= 1 << (s & 63)
+	t.n--
 	if s == t.edge {
 		t.edge = slots[s].next
-	}
-}
-
-// leaveChain is leave for the linked segment first..last (front-to-back
-// order), called before it is unlinked. The run is a suffix of the
-// list, so its members within the segment are a suffix of the segment:
-// walk from last toward first until an entry outside the run.
-func (t *dirtyTail) leaveChain(slots []slot, first, last int32) {
-	if t.n == 0 {
-		return
-	}
-	for s := last; t.isKnown(s); s = slots[s].prev {
-		t.forget(s)
-		if s == t.edge {
-			t.edge = slots[last].next
-			return
-		}
-		if s == first {
-			return
-		}
 	}
 }

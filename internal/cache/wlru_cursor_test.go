@@ -23,8 +23,6 @@ type cursorCoverage struct {
 	edgeVictim     int // ... and it is the run's front-most entry too (a one-entry window)
 	edgeAccessed   int // the run's front-most entry moved to the MRU end
 	innerLeft      int // a known entry other than the edge accessed
-	chainStraddle  int // AccessRun spliced a chain holding the edge and entries in front of it
-	chainInside    int // ... or a chain wholly inside the run
 }
 
 // checkCursor verifies dirtyTail's invariant from first principles: the
@@ -68,23 +66,6 @@ func slotOf(w *WLRU, k Key) int32 {
 	return nilSlot
 }
 
-// isFrontToBackChain reports whether keys k+n-1 … k sit in the list in
-// exactly that order, the layout AccessRun's one-splice path needs.
-func isFrontToBackChain(w *WLRU, k Key, n int64) (first, last int32, ok bool) {
-	first = slotOf(w, k+n-1)
-	if first == nilSlot {
-		return nilSlot, nilSlot, false
-	}
-	last = first
-	for i := int64(1); i < n; i++ {
-		last = w.slots[last].next
-		if last == nilSlot || w.slots[last].key != k+n-1-i {
-			return nilSlot, nilSlot, false
-		}
-	}
-	return first, last, true
-}
-
 // TestWLRUCursorMatchesRescan pins the resumable cursor victim-for-victim
 // against the scan it replaced (refLRU.pickVictim, which restarts at the
 // LRU end on every eviction) over seeded mixes of every Policy mutation
@@ -110,8 +91,6 @@ func TestWLRUCursorMatchesRescan(t *testing.T) {
 		"edge chosen as victim":                    cov.edgeVictim,
 		"edge accessed":                            cov.edgeAccessed,
 		"inner known entry accessed":               cov.innerLeft,
-		"chain splice straddling the edge":         cov.chainStraddle,
-		"chain splice inside the run":              cov.chainInside,
 	} {
 		if n == 0 {
 			t.Errorf("the mixes never produced: %s", name)
@@ -190,14 +169,6 @@ func runCursorMix(t *testing.T, capacity int, window, pDirty float64, seed int64
 				setBoth(k)
 			}
 		case op < 11: // access run
-			if first, last, ok := isFrontToBackChain(w, k, n); ok && n > 1 && w.list.head != first {
-				switch kf, kl := w.cursor.isKnown(first), w.cursor.isKnown(last); {
-				case kf && kl:
-					cov.chainInside++
-				case kl:
-					cov.chainStraddle++
-				}
-			}
 			w.AccessRun(k, n, n)
 			ref.AccessRun(k, n, n)
 			if dirtyOp {

@@ -346,12 +346,12 @@ func TestReplayDrivesVolume(t *testing.T) {
 		{Time: sim.Millisecond, Op: disk.OpWrite, Block: 100, Count: 2},
 		{Time: 2 * sim.Millisecond, Op: disk.OpRead, Block: 50, Count: 8},
 	}
-	n, err := Replay(eng, ctl, trace.NewSlice(records))
+	st, err := Replay(eng, ctl, trace.NewSlice(records))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 3 {
-		t.Errorf("replayed %d records, want 3", n)
+	if st.Records != 3 {
+		t.Errorf("replayed %d records, want 3", st.Records)
 	}
 	if got := ctl.ReadLatency().Count() + ctl.WriteLatency().Count(); got != 3 {
 		t.Errorf("latency samples = %d, want 3", got)

@@ -628,7 +628,7 @@ func (rt *FaultRuntime) crashRestart() {
 }
 
 // fatal records the first unrecoverable fault-processing error and
-// stops the engine; ReplayWith then returns with the trace unfinished
+// stops the engine; Replay then returns with the trace unfinished
 // and the caller reads Err.
 func (rt *FaultRuntime) fatal(err error) {
 	if rt.err == nil {

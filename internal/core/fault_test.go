@@ -664,7 +664,8 @@ func TestMappingLogErrorFailsRun(t *testing.T) {
 	c, _ := newTestCRAID(eng, 64)
 	sink := &dyingLog{limit: 4096}
 	c.SetMappingLog(sink)
-	n, err := Replay(eng, c, trace.NewSlice(recs))
+	st, err := Replay(eng, c, trace.NewSlice(recs))
+	n := st.Records
 	if err == nil {
 		t.Fatal("replay over a dying mapping log reported success")
 	}

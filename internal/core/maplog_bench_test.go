@@ -47,7 +47,7 @@ func BenchmarkMappingLogReplay(b *testing.B) {
 			c := benchCRAID(eng, 65536)
 			done := attach(c)
 			b.StartTimer()
-			if _, _, err := ReplayWith(eng, c, trace.NewSlice(recs), ReplayConfig{}); err != nil {
+			if _, err := Replay(eng, c, trace.NewSlice(recs)); err != nil {
 				b.Fatal(err)
 			}
 			if err := done(); err != nil {

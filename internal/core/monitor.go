@@ -21,28 +21,25 @@ import (
 //     extent — servable with one P_C I/O) or "the gap to the next
 //     mapping" (a miss extent), at one hash probe per block of the
 //     answer. Everything downstream of it is per extent, not per block:
-//     one policy call, one dirty-flag call, one decision — the original
-//     implementation paid a policy-map operation and an I/O decision for
-//     every block of every request.
+//     one dirty-flag call, one decision — the original implementation
+//     paid an I/O decision for every block of every request.
 //
-//  2. Batched policy traffic must be bit-identical to per-block
-//     traffic: cache.Policy.AccessRun/InsertRun are specified (and
-//     property-tested) to behave exactly like loops of Access/Insert,
-//     so hit, replacement and eviction ratios do not depend on the
-//     batching. Eviction victims surface through InsertRun's callback
-//     in per-block order.
+//  2. The replacement policy is the per-block exception, and that keeps
+//     the ratios per-block by construction: AccessRun is a loop of
+//     Access in every policy, and insertRuns calls Insert once per
+//     block and handles each victim where Insert returns it, in
+//     per-block order.
 //
 //  3. The monitor is map-free and allocation-free at steady state:
 //     every replacement policy lives on a dense slot arena with one
 //     open-addressing key index (internal/cache — no map[Key]*entry, no
 //     per-key Go-map hashing, no per-entry heap objects), the mapping
 //     cache is the same table (internal/oamap) and keeps its cell array
-//     across removals, and the insertRuns newborn scratch, the eviction
-//     callback and the decision slice live on the monitor and are
-//     reused. The redirector turns the decisions into
-//     pooled I/O (craid.go), so a warm-cache Submit performs zero
-//     allocations (TestSubmitWarmAllocFree pins this); monitor churn
-//     (evict + re-insert) allocates nothing either.
+//     across removals, and the insertRuns newborn scratch and the
+//     decision slice live on the monitor and are reused. The redirector
+//     turns the decisions into pooled I/O (craid.go), so a warm-cache
+//     Submit performs zero allocations (TestSubmitWarmAllocFree pins
+//     this); monitor churn (evict + re-insert) allocates nothing either.
 //
 //  4. Dirty victims evicted together are written back together:
 //     queueWriteback extends the batch's last write-back decision with a
@@ -77,16 +74,6 @@ type monitor struct {
 	pending []bool // insertRuns newborn scratch, reused across calls
 	wbFrom  int    // the current batch's write-backs are out[wbFrom:]
 
-	// insertRuns' eviction-callback state: the callback handed to
-	// cache.Policy.InsertRun is bound once (insEvict) and reads the
-	// current batch from these fields, so the insert/evict path passes
-	// no fresh closure across the policy interface. insertRuns never
-	// re-enters itself, so one set of fields suffices.
-	insBlk   int64
-	insRun   int64
-	insRead  bool
-	insEvict func(cache.Key)
-
 	// out holds the current call's decisions, in buf unless a call needs
 	// more: buf is sized above the largest call of the benchmark's
 	// workloads (108 decisions), so a simulation allocates none.
@@ -117,7 +104,6 @@ const (
 // copied afterwards.
 func (m *monitor) setup(policy string, pcData int64) error {
 	m.table, m.name, m.out = mapcache.New(), policy, m.buf[:0]
-	m.insEvict = m.insertEvicted
 	if m.regrow(pcData); m.policy == nil {
 		return fmt.Errorf("core: unknown policy %q", policy)
 	}
@@ -206,8 +192,8 @@ func (m *monitor) copyIn(b, n int64) []decision {
 // the P_C writes. Each uncached sub-run is evicted-for first and then
 // allocated as a whole, so related blocks land in contiguous slots — the
 // "long sequential chains" of §4.1. All work is done at extent
-// granularity: one LookupRun per sub-run, one policy InsertRun per
-// batch, one mapcache InsertRun per allocated fragment.
+// granularity, except the policy: one LookupRun per sub-run, one policy
+// Insert per block, one mapcache InsertRun per allocated fragment.
 func (m *monitor) insertRuns(b, n int64, dirty, byRead bool, reqSize int64) {
 	for i := int64(0); i < n; {
 		blk := b + i
@@ -241,8 +227,21 @@ func (m *monitor) insertRuns(b, n int64, dirty, byRead bool, reqSize int64) {
 		for k := range pending {
 			pending[k] = true
 		}
-		m.insBlk, m.insRun, m.insRead, m.wbFrom = blk, run, byRead, len(m.out)
-		m.policy.InsertRun(blk, run, reqSize, m.insEvict)
+		m.wbFrom = len(m.out)
+		for k := int64(0); k < run; k++ {
+			victim, evicted := m.policy.Insert(blk+k, reqSize)
+			if !evicted {
+				continue
+			}
+			// A sibling newborn is still a replacement for the ratio
+			// accounting, but has nothing to clean up.
+			if off := victim - blk; off >= 0 && off < run && pending[off] {
+				pending[off] = false
+				m.countEviction(byRead)
+				continue
+			}
+			m.evict(victim, byRead)
+		}
 		// Allocate fragments and bind mappings for surviving blocks,
 		// keeping sub-runs of consecutive survivors together.
 		for k := int64(0); k < run; {
@@ -266,20 +265,6 @@ func (m *monitor) insertRuns(b, n int64, dirty, byRead bool, reqSize int64) {
 		}
 		i += run
 	}
-}
-
-// insertEvicted is the eviction callback insertRuns hands the policy,
-// bound once at construction and parameterized through the ins* fields.
-// A victim inside the current batch is a sibling newborn displaced
-// before it got a mapping or cached data: still a replacement for the
-// ratio accounting, but nothing to clean up.
-func (m *monitor) insertEvicted(victim cache.Key) {
-	if off := victim - m.insBlk; off >= 0 && off < m.insRun && m.pending[off] {
-		m.pending[off] = false
-		m.countEviction(m.insRead)
-		return
-	}
-	m.evict(victim, m.insRead)
 }
 
 func (m *monitor) countEviction(byRead bool) {

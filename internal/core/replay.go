@@ -8,35 +8,15 @@ import (
 	"craid/internal/trace"
 )
 
-// Replay ring defaults. The ring holds RingDepth batches of up to
-// BatchSize pre-parsed records, so resident memory is bounded at
-// depth × batch records (~256 KiB at the defaults) regardless of trace
-// length, while the reader goroutine stays far enough ahead that the
-// simulation never stalls on parsing.
+// Replay ring size. The ring holds replayRingDepth batches of up to
+// replayBatchSize pre-parsed records, so resident memory is bounded at
+// depth × batch records (~256 KiB) regardless of trace length, while
+// the reader goroutine stays far enough ahead that the simulation never
+// stalls on parsing.
 const (
 	replayBatchSize = 1024
 	replayRingDepth = 4
 )
-
-// ReplayConfig sizes the replay ring; zero fields take the defaults
-// above. The replay tests use small rings to force back-pressure.
-type ReplayConfig struct {
-	// BatchSize is the record capacity of one ring slot.
-	BatchSize int
-	// RingDepth is the number of slots the reader may fill ahead of
-	// the simulation.
-	RingDepth int
-}
-
-func (c ReplayConfig) withDefaults() ReplayConfig {
-	if c.BatchSize < 1 {
-		c.BatchSize = replayBatchSize
-	}
-	if c.RingDepth < 1 {
-		c.RingDepth = replayRingDepth
-	}
-	return c
-}
 
 // ReplayStats reports what the replay pipeline did: throughput shape
 // and back-pressure between the reader goroutine and the simulation.
@@ -86,16 +66,17 @@ type recordSource struct {
 }
 
 // startRecordSource launches the reader goroutine pumping r's records
-// into the ring. The caller must invoke stop() when done (idempotent
-// with respect to a reader that already finished).
-func startRecordSource(r trace.Reader, cfg ReplayConfig) *recordSource {
+// into a ring of depth batches of batchSize records. The caller must
+// invoke stop() when done (idempotent with respect to a reader that
+// already finished).
+func startRecordSource(r trace.Reader, batchSize, depth int) *recordSource {
 	s := &recordSource{
-		batches: make(chan replayBatch, cfg.RingDepth),
-		free:    make(chan []trace.Record, cfg.RingDepth),
+		batches: make(chan replayBatch, depth),
+		free:    make(chan []trace.Record, depth),
 		quit:    make(chan struct{}),
 	}
-	for i := 0; i < cfg.RingDepth; i++ {
-		s.free <- make([]trace.Record, 0, cfg.BatchSize)
+	for i := 0; i < depth; i++ {
+		s.free <- make([]trace.Record, 0, batchSize)
 	}
 	go func() {
 		for {
@@ -218,28 +199,27 @@ func (cu *batchCursor) next() (trace.Record, bool) {
 	}
 }
 
-// Replay feeds a trace into vol with the default pipeline tuning; see
-// ReplayWith.
-func Replay(eng *sim.Engine, vol Volume, r trace.Reader) (int64, error) {
-	n, _, err := ReplayWith(eng, vol, r, ReplayConfig{})
-	return n, err
-}
-
-// ReplayWith feeds a trace into vol, submitting each record at its
-// recorded time, and runs the engine until all I/O completes. It
-// returns the number of requests replayed and the pipeline's
-// back-pressure statistics. Records must be time-ordered (all readers
-// in internal/trace and the generators in internal/workload produce
-// ordered streams).
+// Replay feeds a trace into vol, submitting each record at its recorded
+// time, and runs the engine until all I/O completes. It returns the
+// pipeline's statistics, whose Records is the number of requests
+// replayed, also when the error is not nil. Records must be
+// time-ordered (all readers in internal/trace and the generators in
+// internal/workload produce ordered streams).
 //
 // Parsing runs off the simulation path: a reader goroutine pre-parses
-// records into a bounded ring of batches (cfg), and the simulation
-// pumps records out of the current batch — so multi-GB traces replay
-// in constant memory without the event loop stalling on the parser
-// between events, and a slow reader only ever blocks the simulation
-// when the whole ring has drained.
-func ReplayWith(eng *sim.Engine, vol Volume, r trace.Reader, cfg ReplayConfig) (int64, ReplayStats, error) {
-	src := startRecordSource(r, cfg.withDefaults())
+// records into a bounded ring of batches, and the simulation pumps
+// records out of the current batch — so multi-GB traces replay in
+// constant memory without the event loop stalling on the parser between
+// events, and a slow reader only ever blocks the simulation when the
+// whole ring has drained.
+func Replay(eng *sim.Engine, vol Volume, r trace.Reader) (ReplayStats, error) {
+	return replay(eng, vol, r, replayBatchSize, replayRingDepth)
+}
+
+// replay is Replay over a ring of depth batches of batchSize records;
+// the back-pressure tests use a small one.
+func replay(eng *sim.Engine, vol Volume, r trace.Reader, batchSize, depth int) (ReplayStats, error) {
+	src := startRecordSource(r, batchSize, depth)
 	defer src.stop()
 	cu := &batchCursor{src: src}
 
@@ -291,7 +271,7 @@ func ReplayWith(eng *sim.Engine, vol Volume, r trace.Reader, cfg ReplayConfig) (
 		ReplayStalls:  src.replayStalls,
 	}
 	if subErr != nil {
-		return st.Records, st, subErr
+		return st, subErr
 	}
-	return st.Records, st, cu.err
+	return st, cu.err
 }

@@ -42,12 +42,12 @@ func BenchmarkReplayNative(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine()
 		vol := benchCRAID(eng, 8192)
-		n, err := Replay(eng, vol, trace.NewNativeReader(strings.NewReader(data)))
+		st, err := Replay(eng, vol, trace.NewNativeReader(strings.NewReader(data)))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if n != records {
-			b.Fatalf("replayed %d of %d records", n, records)
+		if st.Records != records {
+			b.Fatalf("replayed %d of %d records", st.Records, records)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")

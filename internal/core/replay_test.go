@@ -30,12 +30,12 @@ func TestReplayParseErrorStopsAndPropagates(t *testing.T) {
 	eng := sim.NewEngine()
 	c, _ := newTestCRAID(eng, 64)
 	want := errors.New("bad line")
-	n, err := Replay(eng, c, &errAfterReader{n: 10, err: want})
+	st, err := Replay(eng, c, &errAfterReader{n: 10, err: want})
 	if !errors.Is(err, want) {
 		t.Fatalf("err = %v, want %v", err, want)
 	}
-	if n != 10 {
-		t.Fatalf("replayed %d records before the error, want 10", n)
+	if st.Records != 10 {
+		t.Fatalf("replayed %d records before the error, want 10", st.Records)
 	}
 	checkInvariants(t, c)
 }
@@ -43,9 +43,9 @@ func TestReplayParseErrorStopsAndPropagates(t *testing.T) {
 func TestReplayEmptyTrace(t *testing.T) {
 	eng := sim.NewEngine()
 	c, _ := newTestCRAID(eng, 64)
-	n, err := Replay(eng, c, trace.NewSlice(nil))
-	if err != nil || n != 0 {
-		t.Fatalf("empty trace: n=%d err=%v", n, err)
+	st, err := Replay(eng, c, trace.NewSlice(nil))
+	if err != nil || st.Records != 0 {
+		t.Fatalf("empty trace: n=%d err=%v", st.Records, err)
 	}
 }
 
@@ -53,9 +53,9 @@ func TestReplayErrorOnFirstRecord(t *testing.T) {
 	eng := sim.NewEngine()
 	c, _ := newTestCRAID(eng, 64)
 	want := errors.New("corrupt header")
-	n, err := Replay(eng, c, &errAfterReader{n: 0, err: want})
-	if !errors.Is(err, want) || n != 0 {
-		t.Fatalf("n=%d err=%v, want 0/%v", n, err, want)
+	st, err := Replay(eng, c, &errAfterReader{n: 0, err: want})
+	if !errors.Is(err, want) || st.Records != 0 {
+		t.Fatalf("n=%d err=%v, want 0/%v", st.Records, err, want)
 	}
 }
 
@@ -76,12 +76,12 @@ func TestReplayStreamsManyBatches(t *testing.T) {
 	}
 	eng := sim.NewEngine()
 	c, _ := newTestCRAID(eng, 64)
-	n, err := Replay(eng, c, trace.NewSlice(recs))
+	st, err := Replay(eng, c, trace.NewSlice(recs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != records {
-		t.Fatalf("replayed %d records, want %d", n, records)
+	if st.Records != records {
+		t.Fatalf("replayed %d records, want %d", st.Records, records)
 	}
 	if got := c.Stats().ReadBlocks; got != records {
 		t.Fatalf("volume saw %d blocks, want %d", got, records)
@@ -114,9 +114,9 @@ func TestReplaySurvivesSlowParser(t *testing.T) {
 	}
 	eng := sim.NewEngine()
 	c, _ := newTestCRAID(eng, 64)
-	n, err := Replay(eng, c, &slowReader{inner: trace.NewSlice(recs)})
-	if err != nil || n != int64(len(recs)) {
-		t.Fatalf("n=%d err=%v", n, err)
+	st, err := Replay(eng, c, &slowReader{inner: trace.NewSlice(recs)})
+	if err != nil || st.Records != int64(len(recs)) {
+		t.Fatalf("n=%d err=%v", st.Records, err)
 	}
 	checkInvariants(t, c)
 }
@@ -171,8 +171,8 @@ func (e *errorThenStream) Next() (trace.Record, error) {
 }
 
 // TestReplayWithStatsShape pins the deterministic parts of
-// ReplayStats: record and batch counts follow the configured batch
-// size, and the high-water mark stays within the ring.
+// ReplayStats on a small ring: record and batch counts follow its batch
+// size, and the high-water mark stays within it.
 func TestReplayWithStatsShape(t *testing.T) {
 	recs := make([]trace.Record, 100)
 	for i := range recs {
@@ -180,19 +180,19 @@ func TestReplayWithStatsShape(t *testing.T) {
 	}
 	eng := sim.NewEngine()
 	c, _ := newTestCRAID(eng, 64)
-	cfg := ReplayConfig{BatchSize: 8, RingDepth: 2}
-	n, st, err := ReplayWith(eng, c, trace.NewSlice(recs), cfg)
+	const batchSize, depth = 8, 2
+	st, err := replay(eng, c, trace.NewSlice(recs), batchSize, depth)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 100 || st.Records != 100 {
-		t.Fatalf("records: n=%d stats=%d, want 100", n, st.Records)
+	if st.Records != 100 {
+		t.Fatalf("records = %d, want 100", st.Records)
 	}
 	if want := int64(13); st.Batches != want { // ceil(100/8)
 		t.Fatalf("batches = %d, want %d", st.Batches, want)
 	}
-	if st.RingHighWater < 1 || st.RingHighWater > cfg.RingDepth {
-		t.Fatalf("ring high water %d outside [1, %d]", st.RingHighWater, cfg.RingDepth)
+	if st.RingHighWater < 1 || st.RingHighWater > depth {
+		t.Fatalf("ring high water %d outside [1, %d]", st.RingHighWater, depth)
 	}
 	if st.ReaderStalls < 0 || st.ReplayStalls < 0 {
 		t.Fatalf("negative stall counters: %+v", st)
@@ -239,8 +239,8 @@ func (g *gateVolume) Submit(rec trace.Record, done func(sim.Time)) error {
 // TestReplayWithSlowParserCountsStalls replays behind a gated parser
 // until a stall is counted. No gate can make the stall certain: the
 // volume opens it from inside batch 1's last Submit, which runs before
-// the consumer goes back to the ring, and nothing outside ReplayWith
-// can wait for that. On a loaded host the reader then sometimes hands
+// the consumer goes back to the ring, and nothing outside Replay can
+// wait for that. On a loaded host the reader then sometimes hands
 // batch 2 over first and the consumer never waits. One attempt in 20
 // that stalls shows the counter works; every attempt must replay
 // everything correctly.
@@ -254,12 +254,11 @@ func TestReplayWithSlowParserCountsStalls(t *testing.T) {
 		eng := sim.NewEngine()
 		c, _ := newTestCRAID(eng, 64)
 		gate := make(chan struct{})
-		var n int64
 		var err error
-		n, st, err = ReplayWith(eng, &gateVolume{Volume: c, gate: gate},
-			&stallReader{inner: trace.NewSlice(recs), gate: gate}, ReplayConfig{})
-		if err != nil || n != int64(len(recs)) {
-			t.Fatalf("attempt %d: n=%d err=%v", attempt, n, err)
+		st, err = Replay(eng, &gateVolume{Volume: c, gate: gate},
+			&stallReader{inner: trace.NewSlice(recs), gate: gate})
+		if err != nil || st.Records != int64(len(recs)) {
+			t.Fatalf("attempt %d: n=%d err=%v", attempt, st.Records, err)
 		}
 		if st.Batches != 2 || st.ReplayStalls < 0 || st.ReaderStalls < 0 {
 			t.Fatalf("attempt %d: stats %+v, want 2 batches and no negative counter", attempt, st)
@@ -268,14 +267,5 @@ func TestReplayWithSlowParserCountsStalls(t *testing.T) {
 	}
 	if st.ReplayStalls < 1 {
 		t.Errorf("stalled parser produced no replay stalls in 20 attempts: %+v", st)
-	}
-}
-
-// TestReplayDefaultsUnchanged pins that the zero ReplayConfig keeps
-// the documented defaults.
-func TestReplayDefaultsUnchanged(t *testing.T) {
-	cfg := ReplayConfig{}.withDefaults()
-	if cfg.BatchSize != replayBatchSize || cfg.RingDepth != replayRingDepth {
-		t.Fatalf("defaults = %+v, want {%d %d}", cfg, replayBatchSize, replayRingDepth)
 	}
 }

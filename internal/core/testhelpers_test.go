@@ -60,12 +60,12 @@ func pacedWorkload(seed int64, n int, gap sim.Time) []trace.Record {
 // drained.
 func replayAll(t *testing.T, eng *sim.Engine, c *CRAID, recs []trace.Record) {
 	t.Helper()
-	n, err := Replay(eng, c, trace.NewSlice(recs))
+	st, err := Replay(eng, c, trace.NewSlice(recs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != int64(len(recs)) {
-		t.Fatalf("replayed %d of %d", n, len(recs))
+	if st.Records != int64(len(recs)) {
+		t.Fatalf("replayed %d of %d", st.Records, len(recs))
 	}
 	checkInvariants(t, c)
 }

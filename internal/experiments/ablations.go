@@ -70,21 +70,14 @@ func upgradeRun(traceName string, scale, pcPct float64, retain bool) (UpgradeRow
 	gen := workload.New(params.WithBursts(12, 300*sim.Microsecond, 0.4))
 
 	const startDisks, endDisks = 38, TestbedDisks
-	diskCap, pcPerDisk, paPerDisk, err := diskRegions(CRAID5Plus, scale, pcPct)
+	pcPerDisk, paPerDisk, err := diskRegions(CRAID5Plus, scale, pcPct)
 	if err != nil {
 		return UpgradeRow{}, err
 	}
 	eng := sim.NewEngine()
-	hcfg := disk.CheetahConfig("hdd")
-	newHDD := func(i int) disk.Device {
-		c := hcfg
-		c.Name = fmt.Sprintf("hdd%d", i)
-		c.CapacityBlocks = diskCap
-		return disk.NewHDD(eng, c)
-	}
 	var devs []disk.Device
 	for i := 0; i < startDisks; i++ {
-		devs = append(devs, newHDD(i))
+		devs = append(devs, testbedDisk(eng, i, scale, false))
 	}
 	arr := core.NewArray(eng, devs)
 
@@ -129,7 +122,7 @@ func upgradeRun(traceName string, scale, pcPct float64, retain bool) (UpgradeRow
 			preAccesses = c.Stats().ReadBlocks
 			var extra []disk.Device
 			for i := startDisks; i < endDisks; i++ {
-				extra = append(extra, newHDD(i))
+				extra = append(extra, testbedDisk(eng, i, scale, false))
 			}
 			row.Upgrade = c.Expand(extra, retain, nil)
 			expanded = true

@@ -327,23 +327,14 @@ func Run(cfg RunConfig) (RunResult, error) {
 			return RunResult{}, err
 		}
 		if plan.HasExpand() {
-			// expand@ events grow the array mid-replay with devices of
-			// the testbed's flavor (null under Instant, Cheetah HDDs
-			// otherwise), named/indexed after the devices already built.
-			hcfg := disk.CheetahConfig("hdd")
-			hcfg.CapacityBlocks = int64(float64(hcfg.CapacityBlocks) * cfg.Scale)
-			instant := cfg.Instant
-			next := arr.Devices()
+			// expand@ events grow the array mid-replay with testbed
+			// disks, named/indexed after the devices already built.
+			// Copies, so the closure does not move all of cfg to the heap.
+			scale, instant, next := cfg.Scale, cfg.Instant, arr.Devices()
 			faultRT.SetDeviceFactory(func(n int) []disk.Device {
 				out := make([]disk.Device, 0, n)
 				for i := 0; i < n; i++ {
-					if instant {
-						out = append(out, disk.NewNullDevice(eng, fmt.Sprintf("null%d", next), 1<<40))
-					} else {
-						c := hcfg
-						c.Name = fmt.Sprintf("hdd%d", next)
-						out = append(out, disk.NewHDD(eng, c))
-					}
+					out = append(out, testbedDisk(eng, next, scale, instant))
 					next++
 				}
 				return out
@@ -366,11 +357,11 @@ func Run(cfg RunConfig) (RunResult, error) {
 		}
 	}
 
-	n, rst, err := core.ReplayWith(eng, vol, trace.Clamp(rd, vol.DataBlocks()), core.ReplayConfig{})
+	rst, err := core.Replay(eng, vol, trace.Clamp(rd, vol.DataBlocks()))
 	if err != nil {
 		return RunResult{}, err
 	}
-	if n == 0 && cfg.TraceFile != "" {
+	if rst.Records == 0 && cfg.TraceFile != "" {
 		// A table of zeros would look like a result.
 		return RunResult{}, noRecords(cfg)
 	}
@@ -388,7 +379,7 @@ func Run(cfg RunConfig) (RunResult, error) {
 
 	res := RunResult{
 		Cfg:       cfg,
-		Requests:  n,
+		Requests:  rst.Records,
 		Replay:    rst,
 		MapLog:    logStats,
 		ReadMean:  vol.ReadLatency().Mean(),
@@ -442,18 +433,33 @@ func noRecords(cfg RunConfig) error {
 	return fmt.Errorf("experiments: %s holds no records", cfg.TraceFile)
 }
 
-// diskRegions sizes one testbed disk at scale and splits it, for
-// strategy s caching pcPct percent per disk, into the cache partition
-// (shared-P_C variants; at least one stripe row) and the archive region.
-// The device and layout constructors panic on a geometry with no room
-// for a stripe row; scale and pcPct are the caller's input, so here that
-// is an error.
-func diskRegions(s Strategy, scale, pcPct float64) (diskCap, pcPerDisk, paPerDisk int64, err error) {
+// diskBlocks is the capacity of one testbed HDD at scale.
+func diskBlocks(scale float64) int64 {
+	return int64(float64(disk.CheetahConfig("hdd").CapacityBlocks) * scale)
+}
+
+// testbedDisk builds testbed disk i: a Cheetah "hddN" of diskBlocks(scale)
+// blocks, or an instant "nullN" when instant is set.
+func testbedDisk(eng *sim.Engine, i int, scale float64, instant bool) disk.Device {
+	if instant {
+		return disk.NewNullDevice(eng, fmt.Sprintf("null%d", i), 1<<40)
+	}
+	c := disk.CheetahConfig(fmt.Sprintf("hdd%d", i))
+	c.CapacityBlocks = diskBlocks(scale)
+	return disk.NewHDD(eng, c)
+}
+
+// diskRegions splits one testbed disk at scale, for strategy s caching
+// pcPct percent per disk, into the cache partition (shared-P_C variants;
+// at least one stripe row) and the archive region. The device and layout
+// constructors panic on a geometry with no room for a stripe row; scale
+// and pcPct are the caller's input, so here that is an error.
+func diskRegions(s Strategy, scale, pcPct float64) (pcPerDisk, paPerDisk int64, err error) {
 	// The comparison is written so that NaN fails it too.
 	if !(pcPct >= 0 && pcPct < 100) {
-		return 0, 0, 0, fmt.Errorf("experiments: PCPct %v is not a percentage in [0, 100)", pcPct)
+		return 0, 0, fmt.Errorf("experiments: PCPct %v is not a percentage in [0, 100)", pcPct)
 	}
-	diskCap = int64(float64(disk.CheetahConfig("hdd").CapacityBlocks) * scale)
+	diskCap := diskBlocks(scale)
 	pcPerDisk = int64(pcPct / 100 * float64(diskCap))
 	if s.IsCRAID() && pcPerDisk < TestbedStripeUnit {
 		pcPerDisk = TestbedStripeUnit
@@ -463,31 +469,23 @@ func diskRegions(s Strategy, scale, pcPct float64) (diskCap, pcPerDisk, paPerDis
 		paPerDisk = diskCap // archive owns the whole disk
 	}
 	if paPerDisk < TestbedStripeUnit {
-		return 0, 0, 0, fmt.Errorf("experiments: scale %g gives disks of %d blocks; the archive region needs a stripe row of %d beside a cache partition of %d",
+		return 0, 0, fmt.Errorf("experiments: scale %g gives disks of %d blocks; the archive region needs a stripe row of %d beside a cache partition of %d",
 			scale, diskCap, TestbedStripeUnit, diskCap-paPerDisk)
 	}
-	return diskCap, pcPerDisk, paPerDisk, nil
+	return pcPerDisk, paPerDisk, nil
 }
 
 // buildVolume assembles devices, layouts and the controller for cfg.
 func buildVolume(eng *sim.Engine, cfg RunConfig, dataset int64) (core.Volume, *core.Array, error) {
-	diskCap, pcPerDisk, paPerDisk, err := diskRegions(cfg.Strategy, cfg.Scale, cfg.PCPct)
+	pcPerDisk, paPerDisk, err := diskRegions(cfg.Strategy, cfg.Scale, cfg.PCPct)
 	if err != nil {
 		return nil, nil, err
 	}
-	hcfg := disk.CheetahConfig("hdd")
 
 	// Devices.
 	var devs []disk.Device
 	for i := 0; i < TestbedDisks; i++ {
-		if cfg.Instant {
-			devs = append(devs, disk.NewNullDevice(eng, fmt.Sprintf("null%d", i), 1<<40))
-			continue
-		}
-		c := hcfg
-		c.Name = fmt.Sprintf("hdd%d", i)
-		c.CapacityBlocks = diskCap
-		devs = append(devs, disk.NewHDD(eng, c))
+		devs = append(devs, testbedDisk(eng, i, cfg.Scale, cfg.Instant))
 	}
 	hddIdx := indices(0, TestbedDisks)
 
