@@ -147,3 +147,57 @@ func TestSubmitWarmAllocFree(t *testing.T) {
 		})
 	}
 }
+
+// TestSpanWalkWarmAllocFree is the redirector's own allocation gate: on
+// a warm span — join pool, engine queues and extent buffer at their
+// high-water marks — a read walk and a write walk (read-modify-write
+// cycles included) allocate nothing, on RAID-5, RAID-6 and a
+// SpreadLayout archive, for a one-unit run and for a run longer than
+// the span's inline extents once the buffer has grown onto the heap.
+// Each walk warms a span of its own, so each must keep what it grew.
+func TestSpanWalkWarmAllocFree(t *testing.T) {
+	const disks, perDisk, unit = 10, 1 << 14, 8
+	r5 := raid.NewRAID5(disks, 5, perDisk, unit)
+	for name, layout := range map[string]raid.Layout{
+		"raid5":  r5,
+		"raid6":  raid.NewRAID6(disks, 5, perDisk, unit),
+		"spread": raid.NewSpreadLayout(r5, r5.DataBlocks()/4),
+	} {
+		for _, op := range []disk.Op{disk.OpRead, disk.OpWrite} {
+			t.Run(name+"/"+op.String(), func(t *testing.T) {
+				eng := sim.NewEngine()
+				arr := nullArray(eng, disks, perDisk)
+				devs := make([]int, disks)
+				for i := range devs {
+					devs[i] = i
+				}
+				s := newSpan(arr, layout, devs, 0)
+				long := int64(3 * len(s.inline) * unit)
+				walk := func(block, count int64) {
+					j := arr.newJoin(nil)
+					if op == disk.OpRead {
+						s.read(j, block, count)
+					} else {
+						s.write(j, block, count)
+					}
+					j.seal(eng.Now())
+					eng.Run()
+				}
+				walk(0, long)
+				if len(s.exts) <= len(s.inline) {
+					t.Fatalf("a %d-block walk took %d extents: not past the %d inline ones", long, len(s.exts), len(s.inline))
+				}
+				for _, count := range []int64{unit, long} {
+					block := int64(0)
+					if allocs := testing.AllocsPerRun(100, func() {
+						walk(block, count)
+						block = (block + 7*unit + 3) % (layout.DataBlocks() - count)
+					}); allocs != 0 {
+						t.Errorf("a warm %d-block walk allocated %.1f times, want 0", count, allocs)
+					}
+				}
+				checkDrained(t, arr)
+			})
+		}
+	}
+}

@@ -192,8 +192,11 @@ func (a *Array) issue(dev int, op disk.Op, block, count int64, done, fail func(s
 		a.queueDepths.add(q.QueueDepth())
 		a.busyCounts.add(a.busyDevices())
 	}
-	a.scratch = disk.Request{Op: op, Block: block, Count: count, Done: done, Fail: fail}
-	a.devices[dev].Submit(&a.scratch)
+	// Field by field: a composite literal is built in a temporary and
+	// copied over.
+	r := &a.scratch
+	r.Op, r.Block, r.Count, r.Done, r.Fail = op, block, count, done, fail
+	a.devices[dev].Submit(r)
 }
 
 // deviceDown reports whether the array routes around dev (failed and
@@ -436,14 +439,15 @@ type span struct {
 	disks  []int // layout disk index → array device index
 	base   int64 // partition start block on each device
 
-	// curJoin is the join the cached walk callbacks attach I/O to.
-	// Passing a fresh closure to ForEachExtent (an interface call) would
-	// heap-allocate it per walk; instead rdFn/wrFn are bound once and
-	// read the current target here. Safe because device completions are
-	// always delivered through the engine's event queue — a span walk
-	// can never re-enter the same span.
-	curJoin    *join
-	rdFn, wrFn func(raid.Extent)
+	// exts holds the walk in progress: the layout appends a run's
+	// extents here and read/write issue them. It starts on inline, so a
+	// walk of up to len(inline) extents allocates nothing even the first
+	// time, and a longer one grows it onto the heap once, for good.
+	// Sharing it between walks is safe because device completions are
+	// always delivered through the engine's event queue — a span walk can
+	// never re-enter the same span.
+	exts   []raid.Extent
+	inline [16]raid.Extent
 
 	// red is the layout's reconstruction geometry, nil when the layout
 	// survives no device loss (including a SpreadLayout over RAID-0,
@@ -467,32 +471,32 @@ func newSpan(arr *Array, layout raid.Layout, disks []int, base int64) *span {
 		panic(fmt.Sprintf("core: span over %d devices, layout wants %d", len(disks), layout.Disks()))
 	}
 	s := &span{arr: arr, layout: layout, disks: disks, base: base}
+	s.exts = s.inline[:0]
 	if red, ok := layout.(raid.Redundant); ok && red.ParityUnits() > 0 {
 		s.red = red
 	}
-	s.rdFn = s.readExtent
-	s.wrFn = s.writeExtent
 	return s
 }
 
 // read issues reads covering [block, block+count) and attaches them to j.
 func (s *span) read(j *join, block, count int64) {
-	s.curJoin = j
-	s.layout.ForEachExtent(block, count, s.rdFn)
-	if s.degN > 0 {
-		s.flushDegradedRead()
+	s.exts = s.layout.AppendExtents(s.exts[:0], block, count)
+	for i := range s.exts {
+		s.readExtent(j, &s.exts[i])
 	}
-	s.curJoin = nil
+	if s.degN > 0 {
+		s.flushDegradedRead(j)
+	}
 }
 
-// readExtent issues one extent's read against curJoin. Extents on a
-// dead disk are not reconstructed one by one: device-contiguous runs on
-// the same dead disk accumulate (a large request walking consecutive
-// stripe rows hits the dead disk's units back to back whenever the dead
-// disk carries data in those rows — the uniform-row invariant makes the
-// unit ranges adjacent) and flush as one reconstruction at the first
-// break or at the end of the walk.
-func (s *span) readExtent(e raid.Extent) {
+// readExtent issues one extent's read against j. Extents on a dead disk
+// are not reconstructed one by one: device-contiguous runs on the same
+// dead disk accumulate (a large request walking consecutive stripe rows
+// hits the dead disk's units back to back whenever the dead disk carries
+// data in those rows — the uniform-row invariant makes the unit ranges
+// adjacent) and flush as one reconstruction at the first break or at
+// the end of the walk.
+func (s *span) readExtent(j *join, e *raid.Extent) {
 	dev := s.disks[e.Data.Disk]
 	if s.arr.deviceDown(dev) {
 		if s.degN > 0 {
@@ -500,12 +504,12 @@ func (s *span) readExtent(e raid.Extent) {
 				s.degN += e.Count
 				return
 			}
-			s.flushDegradedRead()
+			s.flushDegradedRead(j)
 		}
 		s.degDisk, s.degLog, s.degBlk, s.degN = e.Data.Disk, e.Logical, e.Data.Block, e.Count
 		return
 	}
-	s.arr.submit(dev, disk.OpRead, s.base+e.Data.Block, e.Count, s.curJoin.branch())
+	s.arr.submit(dev, disk.OpRead, s.base+e.Data.Block, e.Count, j.branch())
 }
 
 // write issues a small-write against the span. Layouts with parity pay
@@ -515,16 +519,17 @@ func (s *span) readExtent(e raid.Extent) {
 // I/Os, the §6 cost the paper predicts). Layouts without parity write
 // directly. j sees only the final writes.
 func (s *span) write(j *join, block, count int64) {
-	s.curJoin = j
-	s.layout.ForEachExtent(block, count, s.wrFn)
-	s.curJoin = nil
+	s.exts = s.layout.AppendExtents(s.exts[:0], block, count)
+	for i := range s.exts {
+		s.writeExtent(j, &s.exts[i])
+	}
 }
 
 // legsOf resolves e's write set — data, P, Q, as far as the layout has
 // them — to array devices and device blocks, keeping the legs whose
 // device is up: n counts them all, and deadData says the data leg is not
 // among the kept.
-func (s *span) legsOf(e raid.Extent) (up legs, n int, deadData bool) {
+func (s *span) legsOf(e *raid.Extent) (up legs, n int, deadData bool) {
 	for i, p := range [3]raid.PBA{e.Data, e.Parity, e.Q} {
 		if p.Disk < 0 {
 			break
@@ -541,21 +546,32 @@ func (s *span) legsOf(e raid.Extent) (up legs, n int, deadData bool) {
 }
 
 // writeExtent issues one extent's write (or read-modify-write cycle)
-// against curJoin.
-func (s *span) writeExtent(e raid.Extent) {
-	l, n, deadData := s.legsOf(e)
-	if l.nleg < n {
-		s.degradedWrite(e, l, n, deadData)
+// against j. Only with a fault runtime installed can a leg be down, so
+// only then does it ask legsOf which; with every leg up it writes the
+// data, P and Q legs straight into the cycle's join.
+func (s *span) writeExtent(j *join, e *raid.Extent) {
+	if s.arr.faults != nil {
+		if up, n, deadData := s.legsOf(e); up.nleg < n {
+			s.degradedWrite(j, e, up, n, deadData)
+			return
+		}
+	}
+	dev, blk := s.disks[e.Data.Disk], s.base+e.Data.Block
+	if e.Parity.Disk < 0 {
+		s.arr.submit(dev, disk.OpWrite, blk, e.Count, j.branch())
 		return
 	}
-	if n == 1 {
-		s.arr.submit(l.dev[0], disk.OpWrite, l.blk[0], e.Count, s.curJoin.branch())
-		return
+	rmw := s.arr.newJoin(j.branch()) // told when all final writes complete
+	rmw.step, rmw.n = stepCommit, e.Count
+	rmw.dev[0], rmw.blk[0] = dev, blk
+	rmw.dev[1], rmw.blk[1] = s.disks[e.Parity.Disk], s.base+e.Parity.Block
+	rmw.nleg = 2
+	if e.Q.Disk >= 0 {
+		rmw.dev[2], rmw.blk[2] = s.disks[e.Q.Disk], s.base+e.Q.Block
+		rmw.nleg = 3
 	}
-	j := s.arr.newJoin(s.curJoin.branch()) // told when all final writes complete
-	j.step, j.legs, j.n = stepCommit, l, e.Count
-	j.preRead()
-	j.seal(s.arr.Eng.Now())
+	rmw.preRead()
+	rmw.seal(s.arr.Eng.Now())
 }
 
 // flushDegradedRead serves the span's pending degraded-read run — one
@@ -571,11 +587,11 @@ func (s *span) writeExtent(e raid.Extent) {
 // events are engine events, never re-entrant into a walk). With more
 // failures than parity units the run is lost: it completes immediately,
 // is counted, and the submission that walked it reports a LostError.
-func (s *span) flushDegradedRead() {
+func (s *span) flushDegradedRead(j *join) {
 	f := s.arr.faults
 	count, logical, blk := s.degN, s.degLog, s.base+s.degBlk
 	s.degN = 0
-	br := s.curJoin.branch()
+	br := j.branch()
 	missing := 1
 	var peers []int
 	if s.red != nil {
@@ -626,9 +642,9 @@ func (s *span) readPeers(j *join, peers []int, skipP, skipQ int, blk, count int6
 // them. More dead legs than parity units means the write cannot be made
 // durable: it completes (the simulator models timing), is counted lost,
 // and the submission reports a LostError.
-func (s *span) degradedWrite(e raid.Extent, up legs, n int, deadData bool) {
+func (s *span) degradedWrite(j *join, e *raid.Extent, up legs, n int, deadData bool) {
 	f := s.arr.faults
-	br := s.curJoin.branch()
+	br := j.branch()
 	if dead, par := n-up.nleg, n-1; dead > par || (deadData && s.red == nil) {
 		f.stats.LostExtents++
 		s.arr.Eng.AfterTimed(0, br)
@@ -638,18 +654,18 @@ func (s *span) degradedWrite(e raid.Extent, up legs, n int, deadData bool) {
 
 	// Pre-reads, then the reconstruction compute, then the surviving
 	// writes: one join walks stepDecode → stepCommit → stepTell.
-	j := s.arr.newJoin(br)
-	j.step, j.legs, j.n = stepDecode, up, e.Count
+	sub := s.arr.newJoin(br)
+	sub.step, sub.legs, sub.n = stepDecode, up, e.Count
 	if deadData {
-		j.delay = sim.Time(e.Count) * reconPerBlock
+		sub.delay = sim.Time(e.Count) * reconPerBlock
 		// Reconstruct-write pre-reads: the surviving *data* units of
 		// the row (parity legs are overwritten, their old content is
 		// not needed).
 		peers := s.red.RowPeers(e.Logical, f.peerBuf[:0])
 		f.peerBuf = peers[:0]
-		s.readPeers(j, peers, e.Parity.Disk, e.Q.Disk, s.base+e.Data.Block, e.Count)
+		s.readPeers(sub, peers, e.Parity.Disk, e.Q.Disk, s.base+e.Data.Block, e.Count)
 	} else {
-		j.preRead() // ordinary RMW pre-reads, restricted to the surviving legs
+		sub.preRead() // ordinary RMW pre-reads, restricted to the surviving legs
 	}
-	j.seal(s.arr.Eng.Now())
+	sub.seal(s.arr.Eng.Now())
 }

@@ -2,11 +2,11 @@ package disk
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"craid/internal/fastdiv"
 	"craid/internal/sim"
 )
 
@@ -215,61 +215,12 @@ func TestHDDOversizedWriteCompletes(t *testing.T) {
 	}
 }
 
-// TestDivisorMatchesOperators pins divMod to / and %, bit for bit, for
-// every divisor the models build — each zone's blocks per track and per
-// cylinder, the revolution time, channel counts — at the dividends where
-// an estimate could slip (0, d-1, d, d+1, multiples ±1, 2^32-1, the
-// int64 range's end) and at random ones: blocks below 2^32, instants up
-// to 2^53-1 and beyond.
-func TestDivisorMatchesOperators(t *testing.T) {
-	divisors := map[int64]bool{1: true, 2: true, 3: true, math.MaxInt64: true, 1 << 32: true}
-	for _, cfg := range []HDDConfig{CheetahConfig("big"), smallHDDConfig("small")} {
-		d := NewHDD(sim.NewEngine(), cfg)
-		for _, z := range d.zones {
-			divisors[z.blocksPT], divisors[z.blocksPCyl] = true, true
-		}
-		divisors[int64(d.revTime)] = true
-	}
-	for ch := int64(1); ch <= 8; ch++ {
-		divisors[ch] = true
-	}
-	rng := rand.New(rand.NewSource(1))
-	for d := range divisors {
-		v := newDivisor(d)
-		check := func(n int64) {
-			if q, r := v.divMod(n); q != n/d || r != n%d {
-				t.Fatalf("divMod(%d) by %d = %d rem %d, want %d rem %d", n, d, q, r, n/d, n%d)
-			}
-		}
-		for _, n := range []int64{0, 1, d - 1, d, d + 1, 1<<32 - 1, 1 << 32, 1<<53 - 1, math.MaxInt64, -1, -d, math.MinInt64} {
-			check(n)
-			if m := n / d * d; n > 0 { // the multiple of d at or below n, and its neighbours
-				check(m - 1)
-				check(m)
-				check(m + 1)
-			}
-		}
-		for i := 0; i < 1000000; i++ {
-			switch i % 4 {
-			case 0:
-				check(rng.Int63n(1 << 32))
-			case 1:
-				check(rng.Int63n(1 << 53))
-			case 2:
-				check(rng.Int63())
-			default:
-				check(rng.Int63n(min(d, math.MaxInt64/4) * 4)) // around the skip
-			}
-		}
-	}
-}
-
 // TestSSDPagesClosedForm pins the per-channel page counts against the
 // per-block loop they replaced, for every first channel, every count up
 // to 4 rounds and one, 1 to 8 channels.
 func TestSSDPagesClosedForm(t *testing.T) {
 	for channels := int64(1); channels <= 8; channels++ {
-		v := newDivisor(channels)
+		v := fastdiv.New(channels)
 		for first := int64(0); first < channels; first++ {
 			for count := int64(1); count <= 4*channels+1; count++ {
 				block := 7*channels + first
@@ -277,8 +228,8 @@ func TestSSDPagesClosedForm(t *testing.T) {
 				for b := block; b < block+count; b++ {
 					want[b%channels]++
 				}
-				each, extra := v.divMod(count)
-				_, f := v.divMod(block)
+				each, extra := v.DivMod(count)
+				_, f := v.DivMod(block)
 				for ch := int64(0); ch < channels; ch++ {
 					if got := each + extraPage(ch, f, extra, channels); got != want[ch] {
 						t.Fatalf("%d channels, %d blocks from channel %d: channel %d gets %d pages, the loop says %v",

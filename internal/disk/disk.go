@@ -18,7 +18,6 @@ package disk
 
 import (
 	"fmt"
-	"math/bits"
 
 	"craid/internal/sim"
 )
@@ -162,53 +161,26 @@ func complete(eng *sim.Engine, delay sim.Time, done func(at sim.Time)) {
 	}
 }
 
-func checkRange(d Device, r *Request) {
-	if r.Count < 1 || r.Block < 0 || r.Block+r.Count > d.CapacityBlocks() {
-		panic(fmt.Sprintf("disk: request [%d,+%d) out of range on %s (capacity %d blocks)",
-			r.Block, r.Count, d.Name(), d.CapacityBlocks()))
+// checkRange panics unless r lies inside a device of capacity blocks.
+// Each model passes its own capacity and name fields, and the message is
+// built out of line, so the check inlines into Submit as three compares.
+func checkRange(r *Request, capacity int64, name string) {
+	if r.Count < 1 || r.Block < 0 || r.Block+r.Count > capacity {
+		outOfRange(r, capacity, name)
 	}
 }
 
-// divisor divides by a value fixed at set-up — a zone's blocks per track
-// and per cylinder, the revolution time, an SSD's channel count — without
-// the hardware divide the models would otherwise pay several times per
-// I/O: m is floor((2^64-1)/d), so the high word of n*m is n/d or one less,
-// and one compare against the remainder settles which.
-type divisor struct{ d, m uint64 }
-
-func newDivisor(d int64) divisor {
-	if d < 1 {
-		panic("disk: divisor must be positive")
-	}
-	return divisor{d: uint64(d), m: ^uint64(0) / uint64(d)}
-}
-
-// divMod returns n/d and n%d, bit for bit. The estimate is exact to
-// within one for 0 <= n < 2^63 (it falls short of n/d by less than
-// n/2^64 < 1/2): block numbers (< 2^32 on the Cheetah) and instants
-// (< 2^53 ns) are far inside that; a negative n takes the plain
-// operators.
-func (v divisor) divMod(n int64) (q, r int64) {
-	if uint64(n) < v.d {
-		// Inside one track, one cylinder, one round of the channels: the
-		// common case, and no arithmetic at all. Never taken by n < 0.
-		return 0, n
-	}
-	if n < 0 {
-		return n / int64(v.d), n % int64(v.d)
-	}
-	hi, _ := bits.Mul64(uint64(n), v.m)
-	rem := uint64(n) - hi*v.d
-	if rem >= v.d {
-		hi++
-		rem -= v.d
-	}
-	return int64(hi), int64(rem)
+//go:noinline
+func outOfRange(r *Request, capacity int64, name string) {
+	panic(fmt.Sprintf("disk: request [%d,+%d) out of range on %s (capacity %d blocks)",
+		r.Block, r.Count, name, capacity))
 }
 
 // faultState is the injection state embedded by every device model.
 // All hot-path checks on a fault-free device reduce to a nil test and
-// a false bool.
+// a false bool, made in Submit itself: inj, when set, is asked for each
+// request's verdict — whether it completes with an error, and its
+// service-time multiplier (<=1 = none).
 type faultState struct {
 	inj    Injector
 	failed bool
@@ -224,15 +196,6 @@ func (f *faultState) SetFailed(failed bool) { f.failed = failed }
 
 // Failed implements Faultable.
 func (f *faultState) Failed() bool { return f.failed }
-
-// draw consults the injector for r's verdict: whether it completes with
-// an error, and its service-time multiplier (<=1 = none).
-func (f *faultState) draw(r *Request) (fail bool, latX float64) {
-	if f.inj == nil {
-		return false, 0
-	}
-	return f.inj.Verdict(r.Op, r.Block, r.Count)
-}
 
 // NullDevice completes every request instantly. It realizes the CRAID
 // paper's "simplified disk model that resolves each I/O instantly" used
@@ -255,14 +218,16 @@ func NewNullDevice(eng *sim.Engine, name string, capacityBlocks int64) *NullDevi
 // simulated instant (via a zero-delay event, preserving callback
 // ordering guarantees).
 func (d *NullDevice) Submit(r *Request) {
-	checkRange(d, r)
+	checkRange(r, d.capacity, d.name)
 	fail := d.failed
 	if fail {
 		d.stats.Rejected++
 	} else {
 		// An instant device has no service time to scale, so a latency
 		// multiplier is moot; the error verdict still applies.
-		fail, _ = d.draw(r)
+		if d.inj != nil {
+			fail, _ = d.inj.Verdict(r.Op, r.Block, r.Count)
+		}
 		d.stats.count(r.Op, r.Count, fail)
 	}
 	complete(d.eng, 0, r.completion(fail))

@@ -3,6 +3,7 @@ package disk
 import (
 	"math"
 
+	"craid/internal/fastdiv"
 	"craid/internal/sim"
 )
 
@@ -65,10 +66,10 @@ type zone struct {
 	blocksPCyl int64 // blocks per cylinder (= blocksPT * heads)
 
 	// What every media access in the zone would otherwise recompute.
-	perTrack  divisor  // by blocksPT
-	perCyl    divisor  // by blocksPCyl
-	blocksPTf float64  // float64(blocksPT)
-	perBlock  sim.Time // transfer time of one block: a track per revolution
+	perTrack  fastdiv.Divisor // by blocksPT
+	perCyl    fastdiv.Divisor // by blocksPCyl
+	blocksPTf float64         // float64(blocksPT)
+	perBlock  sim.Time        // transfer time of one block: a track per revolution
 }
 
 // place is where a block sits on the platters.
@@ -94,11 +95,11 @@ type HDD struct {
 	stats Stats
 
 	zones     []zone
-	revTime   sim.Time // one platter revolution
-	revTimeF  float64  // float64(revTime)
-	perRev    divisor  // by revTime
-	seekB     float64  // sqrt coefficient of the seek curve (ns)
-	seekC     float64  // linear coefficient of the seek curve (ns)
+	revTime   sim.Time        // one platter revolution
+	revTimeF  float64         // float64(revTime)
+	perRev    fastdiv.Divisor // by revTime
+	seekB     float64         // sqrt coefficient of the seek curve (ns)
+	seekC     float64         // linear coefficient of the seek curve (ns)
 	totalCyls int64
 
 	queue   []hddReq
@@ -173,7 +174,7 @@ func NewHDD(eng *sim.Engine, cfg HDDConfig) *HDD {
 		revTime: sim.Time(int64(60) * int64(sim.Second) / int64(cfg.RPM)),
 	}
 	d.revTimeF = float64(d.revTime)
-	d.perRev = newDivisor(int64(d.revTime))
+	d.perRev = fastdiv.New(int64(d.revTime))
 	d.buildZones()
 	d.calibrateSeek()
 	// Recency starts in index order, so a fresh cache fills segment 0
@@ -220,8 +221,8 @@ func (d *HDD) buildZones() {
 			cylinders:  perZone,
 			blocksPT:   pt,
 			blocksPCyl: pt * int64(cfg.Heads),
-			perTrack:   newDivisor(pt),
-			perCyl:     newDivisor(pt * int64(cfg.Heads)),
+			perTrack:   fastdiv.New(pt),
+			perCyl:     fastdiv.New(pt * int64(cfg.Heads)),
 			blocksPTf:  float64(pt),
 			perBlock:   sim.Time(d.revTimeF / float64(pt)),
 		}
@@ -290,8 +291,8 @@ func (d *HDD) locate(block int64) place {
 	z := &d.zones[lo]
 	// A cylinder is a whole number of tracks, so the position on the
 	// track is that of the offset in the cylinder.
-	cyl, inCyl := z.perCyl.divMod(block - z.firstBlock)
-	_, pos := z.perTrack.divMod(inCyl)
+	cyl, inCyl := z.perCyl.DivMod(block - z.firstBlock)
+	_, pos := z.perTrack.DivMod(inCyl)
 	return place{zn: z, cyl: z.firstCyl + cyl, pos: pos, inCyl: inCyl}
 }
 
@@ -335,7 +336,7 @@ func (d *HDD) countBusy(delta int) {
 
 // Submit implements Device.
 func (d *HDD) Submit(r *Request) {
-	checkRange(d, r)
+	checkRange(r, d.cfg.CapacityBlocks, d.cfg.Name)
 
 	if d.failed {
 		// A dead disk rejects at the controller: bus overhead, then an
@@ -346,7 +347,9 @@ func (d *HDD) Submit(r *Request) {
 		return
 	}
 	q := hddReq{op: r.Op, block: r.Block, count: r.Count}
-	q.fail, q.latX = d.draw(r)
+	if d.inj != nil {
+		q.fail, q.latX = d.inj.Verdict(r.Op, r.Block, r.Count)
+	}
 	q.done = r.completion(q.fail)
 
 	// A write the cache could never hold (or any write, with no cache)
@@ -558,7 +561,7 @@ func (d *HDD) mediaTime(p *place, block, count int64, isWrite bool) sim.Time {
 
 	// Rotational delay: where is the target sector when the seek ends?
 	arrival := d.eng.Now() + seek
-	_, phase := d.perRev.divMod(int64(arrival))
+	_, phase := d.perRev.DivMod(int64(arrival))
 	angleNow := float64(phase) / d.revTimeF
 	angleTarget := float64(p.pos) / zn.blocksPTf
 	wait := angleTarget - angleNow
@@ -570,14 +573,14 @@ func (d *HDD) mediaTime(p *place, block, count int64, isWrite bool) sim.Time {
 	// Transfer: a full track per revolution within the zone; crossing
 	// tracks adds head/cylinder switch time.
 	transfer := sim.Time(count) * zn.perBlock
-	tracksCrossed, _ := zn.perTrack.divMod(p.pos + count - 1)
+	tracksCrossed, _ := zn.perTrack.DivMod(p.pos + count - 1)
 	transfer += sim.Time(tracksCrossed) * d.cfg.HeadSwitch
 
 	// Head ends at the cylinder holding the last block: almost always
 	// the one the access started in, and nearly always in its zone (a
 	// zone is a whole number of cylinders).
 	if last := block + count - 1; last < zn.endBlock {
-		cyls, _ := zn.perCyl.divMod(p.inCyl + count - 1)
+		cyls, _ := zn.perCyl.DivMod(p.inCyl + count - 1)
 		d.curCyl = p.cyl + cyls
 	} else {
 		d.curCyl = d.locate(last).cyl

@@ -100,14 +100,16 @@ func (d *refHDD) locate(block int64) (zn *zone, cyl, posOnTrack int64) {
 }
 
 func (d *refHDD) Submit(r *Request) {
-	checkRange(d, r)
+	checkRange(r, d.cfg.CapacityBlocks, d.cfg.Name)
 	if d.failed {
 		d.stats.Rejected++
 		complete(d.eng, d.cfg.ControllerOver, r.completion(true))
 		return
 	}
 	q := refReq{op: r.Op, block: r.Block, count: r.Count}
-	q.fail, q.latX = d.draw(r)
+	if d.inj != nil {
+		q.fail, q.latX = d.inj.Verdict(r.Op, r.Block, r.Count)
+	}
 	q.done = r.completion(q.fail)
 	// The fix: a write that can never fit takes the media queue.
 	if q.op == OpWrite && d.cfg.WriteCacheBlocks > 0 && q.count <= int64(d.cfg.WriteCacheBlocks) {

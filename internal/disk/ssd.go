@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"craid/internal/fastdiv"
 	"craid/internal/sim"
 )
 
@@ -49,7 +50,7 @@ type SSD struct {
 	// while busyUntil > now.
 	busyUntil sim.Time
 
-	perChannels divisor // by cfg.Channels
+	perChannels fastdiv.Divisor // by cfg.Channels
 
 	faultState
 }
@@ -63,7 +64,7 @@ func NewSSD(eng *sim.Engine, cfg SSDConfig) *SSD {
 		eng:         eng,
 		cfg:         cfg,
 		chanFree:    make([]sim.Time, cfg.Channels),
-		perChannels: newDivisor(int64(cfg.Channels)),
+		perChannels: fastdiv.New(int64(cfg.Channels)),
 	}
 }
 
@@ -108,7 +109,7 @@ func (d *SSD) Busy() bool { return d.busyUntil > d.eng.Now() }
 // Submit implements Device. Blocks are spread over channels
 // round-robin; the request completes when its slowest channel finishes.
 func (d *SSD) Submit(r *Request) {
-	checkRange(d, r)
+	checkRange(r, d.cfg.CapacityBlocks, d.cfg.Name)
 	now := d.eng.Now()
 
 	if d.failed {
@@ -116,7 +117,11 @@ func (d *SSD) Submit(r *Request) {
 		complete(d.eng, d.cfg.ControllerOver, r.completion(true))
 		return
 	}
-	fail, latX := d.draw(r)
+	var fail bool
+	var latX float64
+	if d.inj != nil {
+		fail, latX = d.inj.Verdict(r.Op, r.Block, r.Count)
+	}
 
 	per := d.cfg.ReadLatency
 	if r.Op == OpWrite {
@@ -127,8 +132,8 @@ func (d *SSD) Submit(r *Request) {
 	// Pages per channel: consecutive blocks go round the channels, so
 	// each gets Count/Channels and the Count%Channels channels from the
 	// first block's on get one more.
-	each, extra := d.perChannels.divMod(r.Count)
-	_, first := d.perChannels.divMod(r.Block)
+	each, extra := d.perChannels.DivMod(r.Count)
+	_, first := d.perChannels.DivMod(r.Block)
 
 	var latest sim.Time
 	for ch := range d.chanFree {

@@ -33,10 +33,10 @@ func (r *Striped) ParityUnits() int { return r.nParity }
 // RowPeers implements Redundant: the group members other than the one
 // holding the block's own data unit.
 func (r *Striped) RowPeers(block int64, buf []int) []int {
-	checkBlock(r, block, 1)
-	row, grp, slot := r.locateUnit(block / r.unit)
-	phase := int(row % int64(grp.size))
-	own := grp.dataDisk[phase*grp.dataSlots+slot]
+	checkBlock(block, 1, r.capacity)
+	unit, _ := r.perUnit.DivMod(block)
+	row, grp, slot := r.locateUnit(unit)
+	own := grp.dataDisk[grp.phase(row)*grp.dataSlots+slot]
 	for d := 0; d < grp.size; d++ {
 		if d != own {
 			buf = append(buf, grp.firstDisk+d)
@@ -68,7 +68,7 @@ func (r *RAID5Plus) ParityUnits() int { return 1 }
 // RowPeers implements Redundant, delegating to the owning member set
 // with its disk offset applied.
 func (r *RAID5Plus) RowPeers(block int64, buf []int) []int {
-	checkBlock(r, block, 1)
+	checkBlock(block, 1, r.capacity)
 	s := r.locateSet(block)
 	n := len(buf)
 	buf = s.layout.RowPeers(block-s.firstBlock, buf)
@@ -113,7 +113,7 @@ func (s *SpreadLayout) RowPeers(block int64, buf []int) []int {
 	if !ok {
 		return buf
 	}
-	checkBlock(s, block, 1)
+	checkBlock(block, 1, s.data)
 	return r.RowPeers(s.spreadAddr(block), buf)
 }
 

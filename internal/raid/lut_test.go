@@ -50,7 +50,7 @@ func paritiesOf(name string) int {
 // count: RAID-0's round-robin, RAID-5's scan-rotate-and-skip, RAID-6's
 // skip past both parity slots in ascending order.
 func refLocate(r *Striped, block int64, parities int) PBA {
-	checkBlock(r, block, 1)
+	checkBlock(block, 1, r.capacity)
 	unit := block / r.unit
 	off := block % r.unit
 	if parities == 0 {
@@ -82,7 +82,7 @@ func refLocate(r *Striped, block int64, parities int) PBA {
 // refParities is the original ParityOf/QParityOf: scan for the group,
 // apply the rotation law. A parity the level lacks has Disk -1.
 func refParities(r *Striped, block int64, parities int) (p, q PBA) {
-	checkBlock(r, block, 1)
+	checkBlock(block, 1, r.capacity)
 	p, q = PBA{Disk: -1}, PBA{Disk: -1}
 	if parities == 0 {
 		return p, q

@@ -20,7 +20,12 @@
 // controller never asks the layout a second question about it.
 package raid
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+
+	"craid/internal/fastdiv"
+)
 
 // PBA is a physical block address: a device index within the array and
 // a block offset local to that device (relative to the partition the
@@ -58,41 +63,36 @@ type Layout interface {
 	// ParityOf returns the parity location protecting the block; ok is
 	// false when the layout has no redundancy.
 	ParityOf(block int64) (pba PBA, ok bool)
-	// ForEachExtent decomposes the logical run [block, block+count)
-	// into per-disk contiguous extents, invoking fn in logical order.
+	// AppendExtents decomposes the logical run [block, block+count)
+	// into per-disk contiguous extents, appends them to dst in logical
+	// order and returns the extended slice; dst[:len(dst)] is left as
+	// it was. A caller that keeps the slice between walks walks without
+	// allocating.
+	AppendExtents(dst []Extent, block, count int64) []Extent
+	// ForEachExtent calls fn with each extent AppendExtents appends, in
+	// order: a thin loop over it through a buffer of walkBuf extents,
+	// which a longer walk grows. A caller that walks often keeps a
+	// slice and calls AppendExtents.
 	ForEachExtent(block, count int64, fn func(Extent))
 }
 
-func checkBlock(l Layout, block, count int64) {
-	if count < 1 || block < 0 || block+count > l.DataBlocks() {
-		panic(fmt.Sprintf("raid: logical run [%d,+%d) out of range (capacity %d)",
-			block, count, l.DataBlocks()))
+// walkBuf is the size of ForEachExtent's stack buffer. Most runs are one
+// extent, and clearing a buffer four times this size costs as much
+// again as walking it.
+const walkBuf = 4
+
+// checkBlock panics unless [block, block+count) is a run of a layout
+// holding capacity data blocks. The message is built out of line, so
+// the check inlines into every address path as three compares.
+func checkBlock(block, count, capacity int64) {
+	if count < 1 || block < 0 || block+count > capacity {
+		outOfRange(block, count, capacity)
 	}
 }
 
-// forEachUnitRun splits [block, block+count) at stripe-unit boundaries;
-// within one unit data is contiguous on a single disk. It is the
-// reference implementation of ForEachExtent — one Locate/ParityOf
-// chain per unit — kept for the property tests that pin the
-// row-batched walk against it (it showed in whole-experiment profiles
-// once the monitor left the critical path). Layout has no Q query, so
-// it leaves Q unset and the tests check that leg against QParityOf.
-func forEachUnitRun(l Layout, block, count int64, fn func(Extent)) {
-	checkBlock(l, block, count)
-	unit := l.StripeUnitBlocks()
-	for count > 0 {
-		inUnit := unit - block%unit
-		if inUnit > count {
-			inUnit = count
-		}
-		e := Extent{Logical: block, Data: l.Locate(block), Parity: PBA{Disk: -1}, Q: PBA{Disk: -1}, Count: inUnit}
-		if p, ok := l.ParityOf(block); ok {
-			e.Parity = p
-		}
-		fn(e)
-		block += inUnit
-		count -= inUnit
-	}
+//go:noinline
+func outOfRange(block, count, capacity int64) {
+	panic(fmt.Sprintf("raid: logical run [%d,+%d) out of range (capacity %d)", block, count, capacity))
 }
 
 // group is one parity group of a Striped layout, carrying the
@@ -105,6 +105,7 @@ func forEachUnitRun(l Layout, block, count int64, fn func(Extent)) {
 type group struct {
 	firstDisk int // index of the group's first disk within the array
 	size      int // disks in the group
+	perSize   fastdiv.Divisor
 	firstData int64
 
 	dataSlots int   // data units per row: size minus the parity count
@@ -152,6 +153,10 @@ func (g *group) buildRotation(nParity int) {
 // nParity left-symmetrically rotated parity units per row. The three
 // levels are the same arithmetic at nParity 0, 1 and 2; their
 // constructors differ only in how they size the groups.
+//
+// Every division on its address paths — by the stripe unit, by the data
+// units per row, by a group's size — is by a constant of the layout, so
+// it goes through a fastdiv.Divisor.
 type Striped struct {
 	disks      int
 	unit       int64
@@ -161,13 +166,15 @@ type Striped struct {
 	groupLUT   []int32 // data slot within a row → owning group index
 	dataPerRow int64   // data units per row across all groups
 	capacity   int64
+
+	perUnit, perRow fastdiv.Divisor // by unit, by dataPerRow
 }
 
 // newStriped builds the layout over parity groups of the given sizes.
 func newStriped(sizes []int, nParity int, blocksPerDisk, unitBlocks int64) *Striped {
 	r := &Striped{unit: unitBlocks, rows: blocksPerDisk / unitBlocks, nParity: nParity}
 	for _, s := range sizes {
-		g := group{firstDisk: r.disks, size: s, firstData: r.dataPerRow}
+		g := group{firstDisk: r.disks, size: s, perSize: fastdiv.New(int64(s)), firstData: r.dataPerRow}
 		g.buildRotation(nParity)
 		r.groups = append(r.groups, g)
 		r.dataPerRow += int64(g.dataSlots)
@@ -183,6 +190,7 @@ func newStriped(sizes []int, nParity int, blocksPerDisk, unitBlocks int64) *Stri
 		}
 	}
 	r.capacity = r.rows * r.dataPerRow * unitBlocks
+	r.perUnit, r.perRow = fastdiv.New(unitBlocks), fastdiv.New(r.dataPerRow)
 	return r
 }
 
@@ -243,10 +251,16 @@ func (r *Striped) StripeUnitBlocks() int64 { return r.unit }
 // locateUnit maps a data unit index to (row, group, slot) coordinates:
 // one LUT load, no group scan.
 func (r *Striped) locateUnit(unit int64) (row int64, g *group, slot int) {
-	row = unit / r.dataPerRow
-	idx := unit % r.dataPerRow
+	row, idx := r.perRow.DivMod(unit)
 	g = &r.groups[r.groupLUT[idx]]
 	return row, g, int(idx - g.firstData)
+}
+
+// phase returns the row's position in g's rotation period (row % size),
+// the index into its per-phase tables.
+func (g *group) phase(row int64) int {
+	_, ph := g.perSize.DivMod(row)
+	return int(ph)
 }
 
 // parityPos returns the slot (disk offset within the group) holding
@@ -261,12 +275,10 @@ func parityPos(row int64, size int) int {
 // row-slot LUT and the data disk from the group's per-phase rotation
 // table, with no parity-skip branches.
 func (r *Striped) Locate(block int64) PBA {
-	checkBlock(r, block, 1)
-	unit := block / r.unit
-	off := block % r.unit
+	checkBlock(block, 1, r.capacity)
+	unit, off := r.perUnit.DivMod(block)
 	row, grp, slot := r.locateUnit(unit)
-	phase := int(row % int64(grp.size))
-	d := grp.dataDisk[phase*grp.dataSlots+slot]
+	d := grp.dataDisk[grp.phase(row)*grp.dataSlots+slot]
 	return PBA{Disk: grp.firstDisk + d, Block: row*r.unit + off}
 }
 
@@ -280,73 +292,77 @@ func (r *Striped) QParityOf(block int64) (PBA, bool) { return r.parityOf(block, 
 // parityOf locates the block's nth parity unit (1 = P, 2 = Q): same row
 // and offset as the data, on the disk the group's rotation table names.
 func (r *Striped) parityOf(block int64, nth int) (PBA, bool) {
-	checkBlock(r, block, 1)
+	checkBlock(block, 1, r.capacity)
 	if nth > r.nParity {
 		return PBA{Disk: -1}, false
 	}
-	row, grp, _ := r.locateUnit(block / r.unit)
+	unit, off := r.perUnit.DivMod(block)
+	row, grp, _ := r.locateUnit(unit)
 	tab := grp.pDisk
 	if nth == 2 {
 		tab = grp.qDisk
 	}
-	return PBA{Disk: grp.firstDisk + tab[row%int64(grp.size)], Block: row*r.unit + block%r.unit}, true
+	return PBA{Disk: grp.firstDisk + tab[grp.phase(row)], Block: row*r.unit + off}, true
 }
 
-// ForEachExtent implements Layout; see forEachRowRun.
-func (r *Striped) ForEachExtent(block, count int64, fn func(Extent)) {
-	checkBlock(r, block, count)
-	r.forEachRowRun(block, count, 0, 0, fn)
-}
-
-// forEachRowRun emits exactly the extents forEachUnitRun emits (plus
-// their Q leg), but batches the unit→(disk,block) mapping per stripe
-// row: the row base and each group's rotation-table row — data disks, P
-// and Q — are resolved once per group per row, and the data disk is a
-// straight table load per slot — no per-unit locateUnit scan, no
-// div/mod chain, no parity-skip branches. logOff/diskOff relocate the
-// emitted extents, letting RAID5Plus walk a member set without a
-// per-extent closure.
-func (r *Striped) forEachRowRun(block, count, logOff int64, diskOff int, fn func(Extent)) {
-	for count > 0 {
-		u := block / r.unit
-		off := block % r.unit
-		row := u / r.dataPerRow
-		idx := u % r.dataPerRow // data slot within the row
+// AppendExtents implements Layout, a stripe row at a time. The run
+// takes one extent per stripe unit it touches, so dst is sized once and
+// the extents are written in place. The first unit is divided out into
+// (row, data slot, offset), and from there the walk steps: the row base
+// and each group's rotation-table row (data disks, P and Q) are resolved
+// once per group per row, and each data disk is a straight table load
+// per slot, with no per-unit locateUnit and no parity-skip branches.
+func (r *Striped) AppendExtents(dst []Extent, block, count int64) []Extent {
+	checkBlock(block, count, r.capacity)
+	u, off := r.perUnit.DivMod(block)
+	last, _ := r.perUnit.DivMod(block + count - 1)
+	n := len(dst)
+	dst = slices.Grow(dst, int(last-u+1))[:n+int(last-u+1)]
+	out := dst[n:]
+	row, idx := r.perRow.DivMod(u) // idx: data slot within the row
+	for i, gi := 0, int(r.groupLUT[idx]); ; gi, idx = 0, 0 {
 		base := row * r.unit
-		gi := int(r.groupLUT[idx])
-		for count > 0 && idx < r.dataPerRow {
+		for ; gi < len(r.groups); gi++ {
 			grp := &r.groups[gi]
-			phase := int(row % int64(grp.size))
-			first := diskOff + grp.firstDisk
-			e := Extent{Parity: PBA{Disk: -1}, Q: PBA{Disk: -1}}
+			phase := grp.phase(row)
+			first := grp.firstDisk
+			p, q := PBA{Disk: -1}, PBA{Disk: -1}
 			if r.nParity >= 1 {
-				e.Parity.Disk = first + grp.pDisk[phase]
+				p.Disk = first + grp.pDisk[phase]
 			}
 			if r.nParity == 2 {
-				e.Q.Disk = first + grp.qDisk[phase]
+				q.Disk = first + grp.qDisk[phase]
 			}
 			dd := grp.dataDisk[phase*grp.dataSlots : (phase+1)*grp.dataSlots]
-			for slot := int(idx - grp.firstData); slot < grp.dataSlots && count > 0; slot++ {
-				e.Count = r.unit - off
-				if e.Count > count {
-					e.Count = count
-				}
-				e.Logical = logOff + block
+			for slot := int(idx - grp.firstData); slot < len(dd); slot++ {
+				e := &out[i]
+				i++
+				e.Logical, e.Count = block, min(r.unit-off, count)
 				e.Data = PBA{Disk: first + dd[slot], Block: base + off}
+				e.Parity, e.Q = p, q
 				if r.nParity >= 1 {
 					e.Parity.Block = e.Data.Block
 				}
 				if r.nParity == 2 {
 					e.Q.Block = e.Data.Block
 				}
-				fn(e)
+				if count -= e.Count; count == 0 {
+					return dst
+				}
 				block += e.Count
-				count -= e.Count
 				off = 0
-				idx++
 			}
-			gi++
+			idx = grp.firstData + int64(grp.dataSlots)
 		}
+		row++
+	}
+}
+
+// ForEachExtent implements Layout.
+func (r *Striped) ForEachExtent(block, count int64, fn func(Extent)) {
+	var buf [walkBuf]Extent
+	for _, e := range r.AppendExtents(buf[:0], block, count) {
+		fn(e)
 	}
 }
 
@@ -421,7 +437,7 @@ func (r *RAID5Plus) locateSet(block int64) set {
 
 // Locate implements Layout.
 func (r *RAID5Plus) Locate(block int64) PBA {
-	checkBlock(r, block, 1)
+	checkBlock(block, 1, r.capacity)
 	s := r.locateSet(block)
 	p := s.layout.Locate(block - s.firstBlock)
 	p.Disk += s.firstDisk
@@ -430,26 +446,39 @@ func (r *RAID5Plus) Locate(block int64) PBA {
 
 // ParityOf implements Layout.
 func (r *RAID5Plus) ParityOf(block int64) (PBA, bool) {
-	checkBlock(r, block, 1)
+	checkBlock(block, 1, r.capacity)
 	s := r.locateSet(block)
 	p, ok := s.layout.ParityOf(block - s.firstBlock)
 	p.Disk += s.firstDisk
 	return p, ok
 }
 
-// ForEachExtent implements Layout: the run is split at member-set
-// boundaries and each segment walked by the owning set's row-batched
-// path, relocated by the set's disk and block offsets.
-func (r *RAID5Plus) ForEachExtent(block, count int64, fn func(Extent)) {
-	checkBlock(r, block, count)
+// AppendExtents implements Layout: the run is split at member-set
+// boundaries, each segment walked by the owning set and its extents
+// relocated in place by the set's block and disk offsets.
+func (r *RAID5Plus) AppendExtents(dst []Extent, block, count int64) []Extent {
+	checkBlock(block, count, r.capacity)
 	for count > 0 {
 		s := r.locateSet(block)
-		n := count
-		if end := s.firstBlock + s.layout.DataBlocks(); end-block < n {
-			n = end - block
+		n := min(count, s.firstBlock+s.layout.DataBlocks()-block)
+		from := len(dst)
+		dst = s.layout.AppendExtents(dst, block-s.firstBlock, n)
+		for i := range dst[from:] {
+			e := &dst[from+i]
+			e.Logical += s.firstBlock
+			e.Data.Disk += s.firstDisk
+			e.Parity.Disk += s.firstDisk // every set is RAID-5: P and no Q
 		}
-		s.layout.forEachRowRun(block-s.firstBlock, n, s.firstBlock, s.firstDisk, fn)
 		block += n
 		count -= n
+	}
+	return dst
+}
+
+// ForEachExtent implements Layout.
+func (r *RAID5Plus) ForEachExtent(block, count int64, fn func(Extent)) {
+	var buf [walkBuf]Extent
+	for _, e := range r.AppendExtents(buf[:0], block, count) {
+		fn(e)
 	}
 }

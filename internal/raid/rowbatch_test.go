@@ -6,28 +6,65 @@ import (
 	"testing"
 )
 
-// rowBatchLayouts is the sweep of geometries the row-batched
-// ForEachExtent walk is pinned on: the one striped layout at 0, 1 and 2
-// parities — single-group and multi-group, with a borrowed (RAID-5) and
-// a merged (RAID-6) trailing group — the paper's RAID-5+ aggregation,
-// and spread decorations of each parity count, at units small enough
-// that runs cross rows, groups, sets and granules constantly.
+// forEachUnitRun splits [block, block+count) at stripe-unit boundaries;
+// within one unit data is contiguous on a single disk. It is the
+// reference implementation of AppendExtents — one Locate/ParityOf chain
+// per unit — that the property tests pin the row-at-a-time walk
+// against. Layout has no Q query, so it leaves Q unset and the tests
+// check that leg against QParityOf.
+func forEachUnitRun(l Layout, block, count int64, fn func(Extent)) {
+	checkBlock(block, count, l.DataBlocks())
+	unit := l.StripeUnitBlocks()
+	for count > 0 {
+		inUnit := unit - block%unit
+		if inUnit > count {
+			inUnit = count
+		}
+		e := Extent{Logical: block, Data: l.Locate(block), Parity: PBA{Disk: -1}, Q: PBA{Disk: -1}, Count: inUnit}
+		if p, ok := l.ParityOf(block); ok {
+			e.Parity = p
+		}
+		fn(e)
+		block += inUnit
+		count -= inUnit
+	}
+}
+
+// rowBatchLayouts is the sweep of geometries the extent walk is pinned
+// on: the one striped layout at 0, 1 and 2 parities — single-group and
+// multi-group, even and uneven group splits, with a borrowed (RAID-5)
+// and a merged (RAID-6) trailing group, at stripe units 1, 3, 4, 8 and
+// 32 — the paper's RAID-5+ aggregation, and spread decorations of each
+// parity count and of a RAID-5+, at units small enough that runs cross
+// rows, groups, sets and granules constantly. (A spread layout's unit
+// divides the granule: otherwise the per-unit reference, which splits at
+// dataset-address unit boundaries, is not one.)
 func rowBatchLayouts() map[string]Layout {
 	spread6 := NewRAID6(9, 5, 1024, 4) // 5,4
 	return map[string]Layout{
-		"raid0/4":        NewRAID0(4, 64, 4),
-		"raid0/7":        NewRAID0(7, 96, 8),
-		"raid5/5g5":      NewRAID5(5, 5, 64, 4),
-		"raid5/10g3":     NewRAID5(10, 3, 96, 4),
-		"raid5/11g5":     NewRAID5(11, 5, 64, 4), // trailing 11→5,5,1 borrow
-		"raid6/8g8":      NewRAID6(8, 8, 64, 4),
-		"raid6/13g5":     NewRAID6(13, 5, 96, 4), // 5,5,3 → merged trailing group
-		"raid6/10g4":     NewRAID6(10, 4, 64, 4), // 4,4,2 → 4,6
-		"raid5plus":      NewRAID5Plus([]int{10, 3, 4, 5}, 64, 4),
-		"raid5plus/unit": NewRAID5Plus([]int{4, 2}, 32, 8),
-		"spread/raid0":   NewSpreadLayout(NewRAID0(4, 1024, 4), 1500),
-		"spread/raid5":   NewSpreadLayout(NewRAID5(11, 5, 1024, 4), 3000),
-		"spread/raid6":   NewSpreadLayout(spread6, spread6.DataBlocks()),
+		"raid0/4":          NewRAID0(4, 64, 4),
+		"raid0/7":          NewRAID0(7, 96, 8),
+		"raid0/3u1":        NewRAID0(3, 48, 1),
+		"raid0/5u32":       NewRAID0(5, 1024, 32),
+		"raid5/5g5":        NewRAID5(5, 5, 64, 4),
+		"raid5/10g3":       NewRAID5(10, 3, 96, 4),
+		"raid5/11g5":       NewRAID5(11, 5, 64, 4), // trailing 11→5,5,1 borrow
+		"raid5/7g3u3":      NewRAID5(7, 3, 96, 3),  // 3,2,2
+		"raid5/11g4u1":     NewRAID5(11, 4, 64, 1), // 4,4,3
+		"raid5/12g5u32":    NewRAID5(12, 5, 1024, 32),
+		"raid6/8g8":        NewRAID6(8, 8, 64, 4),
+		"raid6/13g5":       NewRAID6(13, 5, 96, 4), // 5,5,3 → merged trailing group
+		"raid6/10g4":       NewRAID6(10, 4, 64, 4), // 4,4,2 → 4,6
+		"raid6/11g4u3":     NewRAID6(11, 4, 96, 3), // 4,4,3 → 4,7
+		"raid6/9g5u1":      NewRAID6(9, 5, 64, 1),  // 5,4
+		"raid6/9g5u32":     NewRAID6(9, 5, 1024, 32),
+		"raid5plus":        NewRAID5Plus([]int{10, 3, 4, 5}, 64, 4),
+		"raid5plus/unit":   NewRAID5Plus([]int{4, 2}, 32, 8),
+		"raid5plus/u3":     NewRAID5Plus([]int{3, 5, 2}, 48, 3),
+		"spread/raid0":     NewSpreadLayout(NewRAID0(4, 1024, 4), 1500),
+		"spread/raid5":     NewSpreadLayout(NewRAID5(11, 5, 1024, 4), 3000),
+		"spread/raid6":     NewSpreadLayout(spread6, spread6.DataBlocks()),
+		"spread/raid5plus": NewSpreadLayout(NewRAID5Plus([]int{4, 3}, 1024, 4), 2000),
 	}
 }
 
@@ -47,105 +84,137 @@ func refQ(l Layout, b int64) PBA {
 	return PBA{Disk: -1} // RAID5Plus: every member set is RAID-5
 }
 
-// TestForEachExtentMatchesUnitRun is the row-batching equivalence
-// property: for every layout and random logical run, the row-batched
-// ForEachExtent emits exactly the extents — same order, same fields —
-// as the per-unit reference walk forEachUnitRun, each carrying the Q
-// leg QParityOf names for its first block.
+// TestForEachExtentMatchesUnitRun is the walk's equivalence property:
+// for every layout and random logical run, AppendExtents appends
+// exactly the extents — same order, same fields — the per-unit
+// reference walk forEachUnitRun emits, each carrying the Q leg
+// QParityOf names for its first block, behind a prefix it leaves as it
+// was; ForEachExtent hands fn the same extents; and a SpreadLayout's
+// extents are its inner layout's for the spread address, with only
+// Logical relocated.
 func TestForEachExtentMatchesUnitRun(t *testing.T) {
+	sentinel := Extent{Logical: -7, Data: PBA{Disk: 99, Block: -1}, Parity: PBA{Disk: 98}, Q: PBA{Disk: 97}, Count: -3}
 	for name, l := range rowBatchLayouts() {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(77))
 			capacity := l.DataBlocks()
-			collect := func(walk func(int64, int64, func(Extent)), block, count int64) []Extent {
-				var out []Extent
-				walk(block, count, func(e Extent) { out = append(out, e) })
-				return out
-			}
-			// walkQ is ForEachExtent with every extent's Q leg checked and
-			// then cleared: the reference walk has none to compare.
-			walkQ := func(block, count int64, fn func(Extent)) {
-				l.ForEachExtent(block, count, func(e Extent) {
-					if want := refQ(l, e.Logical); e.Q != want {
-						t.Fatalf("extent %+v: Q leg should be %v", e, want)
-					}
-					e.Q = PBA{Disk: -1}
-					fn(e)
-				})
-			}
-			for trial := 0; trial < 2000; trial++ {
-				count := 1 + rng.Int63n(3*l.StripeUnitBlocks()*int64(l.Disks()))
-				if count > capacity {
-					count = capacity
+			buf := []Extent{sentinel}
+			check := func(block, count int64) {
+				buf = l.AppendExtents(buf[:1], block, count)
+				if buf[0] != sentinel {
+					t.Fatalf("run [%d,+%d): the prefix became %+v", block, count, buf[0])
 				}
-				block := rng.Int63n(capacity - count + 1)
-				got := collect(walkQ, block, count)
-				want := collect(func(b, c int64, fn func(Extent)) {
-					forEachUnitRun(l, b, c, fn)
-				}, block, count)
+				got := append([]Extent(nil), buf[1:]...)
+				var each []Extent
+				l.ForEachExtent(block, count, func(e Extent) { each = append(each, e) })
+				if !reflect.DeepEqual(each, got) {
+					t.Fatalf("run [%d,+%d): ForEachExtent diverged from AppendExtents\n got %v\nwant %v",
+						block, count, each, got)
+				}
+				if s, ok := l.(*SpreadLayout); ok {
+					for _, e := range got {
+						addr := s.spreadAddr(e.Logical)
+						in := s.inner.AppendExtents(nil, addr, e.Count)
+						if len(in) != 1 || in[0].Logical != addr {
+							t.Fatalf("extent %+v: inner walk of [%d,+%d) is %v", e, addr, e.Count, in)
+						}
+						if in[0].Logical = e.Logical; in[0] != e {
+							t.Fatalf("extent %+v: legs differ from the inner layout's %+v", e, in[0])
+						}
+					}
+				}
+				// Q is checked here, then cleared: the reference has none.
+				for i := range got {
+					if want := refQ(l, got[i].Logical); got[i].Q != want {
+						t.Fatalf("extent %+v: Q leg should be %v", got[i], want)
+					}
+					got[i].Q = PBA{Disk: -1}
+				}
+				var want []Extent
+				forEachUnitRun(l, block, count, func(e Extent) { want = append(want, e) })
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("run [%d,+%d): row-batched walk diverged\n got %v\nwant %v",
+					t.Fatalf("run [%d,+%d): walk diverged from the per-unit reference\n got %v\nwant %v",
 						block, count, got, want)
 				}
 			}
-			// Edges: whole capacity, first unit, last block.
-			for _, r := range [][2]int64{{0, capacity}, {0, 1}, {capacity - 1, 1}} {
-				got := collect(walkQ, r[0], r[1])
-				want := collect(func(b, c int64, fn func(Extent)) {
-					forEachUnitRun(l, b, c, fn)
-				}, r[0], r[1])
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("run [%d,+%d): row-batched walk diverged at edge", r[0], r[1])
-				}
+			for trial := 0; trial < 2000; trial++ {
+				count := min(1+rng.Int63n(3*l.StripeUnitBlocks()*int64(l.Disks())), capacity)
+				check(rng.Int63n(capacity-count+1), count)
 			}
+			// Edges: whole capacity, first unit, last block.
+			check(0, capacity)
+			check(0, 1)
+			check(capacity-1, 1)
 		})
 	}
 }
 
-// BenchmarkForEachExtent measures the row-batched walk against the
-// per-unit reference on whole-row runs — the shape flushWritebacks and
-// the copy-in path issue constantly — for a grouped RAID-5 and (with
-// its doubled rotation work) a grouped RAID-6, and for RAID-0.
-func BenchmarkForEachExtent(b *testing.B) {
+// BenchmarkAppendExtents measures the walk into a reused buffer against
+// the per-unit reference on whole-row runs — the shape write-backs and
+// copy-ins issue constantly — for a grouped RAID-5 and (with its doubled
+// rotation work) a grouped RAID-6, for RAID-0, and for the spread RAID-5
+// every experiment's archive is; plus a one-extent run, the common
+// case, walked both ways. Every line reports 0 allocs/op.
+func BenchmarkAppendExtents(b *testing.B) {
 	l0 := NewRAID0(50, 4096, 32)
 	l5 := NewRAID5(50, 10, 4096, 32)
 	l6 := NewRAID6(52, 13, 4096, 32)
+	spread := NewSpreadLayout(l5, l5.DataBlocks()/4)
+	var buf []Extent
+	appendTo := func(l Layout) func(int64, int64, func(Extent)) {
+		return func(blk, c int64, fn func(Extent)) {
+			buf = l.AppendExtents(buf[:0], blk, c)
+			fn(buf[0])
+		}
+	}
+	unitRun := func(l Layout) func(int64, int64, func(Extent)) {
+		return func(blk, c int64, fn func(Extent)) { forEachUnitRun(l, blk, c, fn) }
+	}
 	for _, bench := range []struct {
 		name string
 		run  int64
 		walk func(int64, int64, func(Extent))
 	}{
-		{"raid0/row", 3 * 32 * 50, l0.ForEachExtent},
-		{"raid0/unit", 3 * 32 * 50, func(blk, c int64, fn func(Extent)) { forEachUnitRun(l0, blk, c, fn) }},
-		{"raid5/row", 3 * 32 * 45, l5.ForEachExtent},
-		{"raid5/unit", 3 * 32 * 45, func(blk, c int64, fn func(Extent)) { forEachUnitRun(l5, blk, c, fn) }},
-		{"raid6/row", 3 * 32 * 44, l6.ForEachExtent},
-		{"raid6/unit", 3 * 32 * 44, func(blk, c int64, fn func(Extent)) { forEachUnitRun(l6, blk, c, fn) }},
+		{"raid0/row", 3 * 32 * 50, appendTo(l0)},
+		{"raid0/unit", 3 * 32 * 50, unitRun(l0)},
+		{"raid5/row", 3 * 32 * 45, appendTo(l5)},
+		{"raid5/unit", 3 * 32 * 45, unitRun(l5)},
+		{"raid5/small", 8, appendTo(l5)},
+		{"raid5/foreach-small", 8, l5.ForEachExtent},
+		{"raid6/row", 3 * 32 * 44, appendTo(l6)},
+		{"raid6/unit", 3 * 32 * 44, unitRun(l6)},
+		{"spread/row", 3 * 32 * 45, appendTo(spread)},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
-			b.ReportAllocs()
 			var sink int64
+			fn := func(e Extent) { sink += e.Data.Block }
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				bench.walk(int64(i%7)*13, bench.run, func(e Extent) { sink += e.Data.Block })
+				bench.walk(int64(i%7)*13, bench.run, fn)
 			}
 			_ = sink
 		})
 	}
 }
 
-// TestRowBatchPanicsOnBadRun pins that the row-batched walks kept the
-// reference's range checking.
+// TestRowBatchPanicsOnBadRun pins that the walks kept the reference's
+// range checking.
 func TestRowBatchPanicsOnBadRun(t *testing.T) {
 	for name, l := range rowBatchLayouts() {
 		for _, r := range [][2]int64{{-1, 1}, {0, 0}, {l.DataBlocks(), 1}, {0, l.DataBlocks() + 1}} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("%s: run [%d,+%d) did not panic", name, r[0], r[1])
-					}
+			for walk, fn := range map[string]func(){
+				"AppendExtents": func() { l.AppendExtents(nil, r[0], r[1]) },
+				"ForEachExtent": func() { l.ForEachExtent(r[0], r[1], func(Extent) {}) },
+			} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%s: %s of run [%d,+%d) did not panic", name, walk, r[0], r[1])
+						}
+					}()
+					fn()
 				}()
-				l.ForEachExtent(r[0], r[1], func(Extent) {})
-			}()
+			}
 		}
 	}
 }

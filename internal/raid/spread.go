@@ -1,5 +1,7 @@
 package raid
 
+import "craid/internal/fastdiv"
+
 // SpreadGranule is the contiguity granule of SpreadLayout: logical
 // runs inside one granule stay physically contiguous; distinct granules
 // scatter across the underlying address space. 64 blocks (256 KiB)
@@ -15,23 +17,14 @@ const SpreadGranule = 64
 // hot data "randomly spread over the entire disk" — the dispersion
 // CRAID's cache partition subsequently undoes (§3, benefit iv).
 //
-// A SpreadLayout carries the state of the walk in progress, so — unlike
-// the layouts it wraps — one value must not run ForEachExtent from two
-// goroutines at once. Each simulation owns its layouts.
+// Like the layouts it wraps, a SpreadLayout keeps no walk state: any
+// number of goroutines may walk one value at once.
 type SpreadLayout struct {
-	inner Layout
-	slots int64 // granule slots in the inner space
-	mult  int64 // modular-bijection multiplier over slots
-	data  int64
-
-	// The walk in progress. Handing inner.ForEachExtent (an interface
-	// call) a fresh closure would heap-allocate it on every walk — every
-	// record of every run; instead relocFn is bound once to relocate,
-	// which reads the caller's callback and the granule's address shift
-	// here.
-	walkFn    func(Extent)
-	walkDelta int64 // dataset address minus inner address, this granule
-	relocFn   func(Extent)
+	inner   Layout
+	slots   int64 // granule slots in the inner space
+	mult    int64 // modular-bijection multiplier over slots
+	data    int64
+	perSlot fastdiv.Divisor // by slots
 }
 
 // NewSpreadLayout spreads datasetBlocks over inner's address space.
@@ -54,9 +47,7 @@ func NewSpreadLayout(inner Layout, datasetBlocks int64) *SpreadLayout {
 	for gcd64(mult, slots) != 1 {
 		mult++
 	}
-	s := &SpreadLayout{inner: inner, slots: slots, mult: mult, data: datasetBlocks}
-	s.relocFn = s.relocate
-	return s
+	return &SpreadLayout{inner: inner, slots: slots, mult: mult, data: datasetBlocks, perSlot: fastdiv.New(slots)}
 }
 
 func gcd64(a, b int64) int64 {
@@ -66,10 +57,12 @@ func gcd64(a, b int64) int64 {
 	return a
 }
 
-// spreadAddr maps a dataset block to the inner address space.
+// spreadAddr maps a dataset block to the inner address space. g*mult
+// stays below slots^2, far inside the divisor's exact range for any
+// array this side of 2^31 granules.
 func (s *SpreadLayout) spreadAddr(b int64) int64 {
 	g, off := b/SpreadGranule, b%SpreadGranule
-	slot := g * s.mult % s.slots
+	_, slot := s.perSlot.DivMod(g * s.mult)
 	return slot*SpreadGranule + off
 }
 
@@ -87,41 +80,41 @@ func (s *SpreadLayout) StripeUnitBlocks() int64 { return s.inner.StripeUnitBlock
 
 // Locate implements Layout.
 func (s *SpreadLayout) Locate(block int64) PBA {
-	checkBlock(s, block, 1)
+	checkBlock(block, 1, s.data)
 	return s.inner.Locate(s.spreadAddr(block))
 }
 
 // ParityOf implements Layout.
 func (s *SpreadLayout) ParityOf(block int64) (PBA, bool) {
-	checkBlock(s, block, 1)
+	checkBlock(block, 1, s.data)
 	return s.inner.ParityOf(s.spreadAddr(block))
 }
 
-// ForEachExtent implements Layout: runs split at granule boundaries
+// AppendExtents implements Layout: runs split at granule boundaries
 // first (where physical placement jumps), then at the inner layout's
-// stripe-unit boundaries.
-func (s *SpreadLayout) ForEachExtent(block, count int64, fn func(Extent)) {
-	checkBlock(s, block, count)
-	// Saved and restored, not just set: fn may itself walk this layout.
-	prevFn, prevDelta := s.walkFn, s.walkDelta
-	s.walkFn = fn
+// stripe-unit boundaries. Each granule's inner extents are relocated in
+// place back to dataset addresses; their data, P and Q legs pass
+// through untouched.
+func (s *SpreadLayout) AppendExtents(dst []Extent, block, count int64) []Extent {
+	checkBlock(block, count, s.data)
 	for count > 0 {
-		inGranule := SpreadGranule - block%SpreadGranule
-		if inGranule > count {
-			inGranule = count
-		}
+		n := min(SpreadGranule-block%SpreadGranule, count)
 		addr := s.spreadAddr(block)
-		s.walkDelta = block - addr
-		s.inner.ForEachExtent(addr, inGranule, s.relocFn)
-		block += inGranule
-		count -= inGranule
+		from := len(dst)
+		dst = s.inner.AppendExtents(dst, addr, n)
+		for i := range dst[from:] {
+			dst[from+i].Logical += block - addr
+		}
+		block += n
+		count -= n
 	}
-	s.walkFn, s.walkDelta = prevFn, prevDelta
+	return dst
 }
 
-// relocate hands one inner extent to the walk's callback, back in
-// dataset addresses; its data, P and Q legs pass through untouched.
-func (s *SpreadLayout) relocate(e Extent) {
-	e.Logical += s.walkDelta
-	s.walkFn(e)
+// ForEachExtent implements Layout.
+func (s *SpreadLayout) ForEachExtent(block, count int64, fn func(Extent)) {
+	var buf [walkBuf]Extent
+	for _, e := range s.AppendExtents(buf[:0], block, count) {
+		fn(e)
+	}
 }

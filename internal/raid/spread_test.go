@@ -122,56 +122,30 @@ func TestSpreadLayoutRejectsOversizedDataset(t *testing.T) {
 }
 
 // TestSpreadLayoutWalkAllocFree: a walk through the Layout interface
-// with a callback bound ahead of time allocates nothing — the walk's
-// relocating callback is bound once at construction, not per call.
+// into a buffer the caller keeps allocates nothing — the spread walk
+// relocates the inner layout's extents in place, with no callback to
+// bind — once the buffer has grown to the longest walk.
 func TestSpreadLayoutWalkAllocFree(t *testing.T) {
 	inner := NewRAID5(6, 3, 4096, 16)
 	var l Layout = NewSpreadLayout(inner, inner.DataBlocks()/4)
+	var buf []Extent
 	var blocks int64
-	fn := func(e Extent) { blocks += e.Count }
+	walk := func(block, count int64) {
+		buf = l.AppendExtents(buf[:0], block, count)
+		for _, e := range buf {
+			blocks += e.Count
+		}
+	}
+	walk(10, 200) // grow the buffer
+	blocks = 0
 	allocs := testing.AllocsPerRun(100, func() {
-		l.ForEachExtent(10, 200, fn) // four granules
-		l.ForEachExtent(1000, 8, fn)
+		walk(10, 200) // four granules
+		walk(1000, 8)
 	})
 	if allocs != 0 {
 		t.Fatalf("%.1f allocations per two walks, want 0", allocs)
 	}
 	if blocks != 101*208 {
 		t.Fatalf("walks covered %d blocks, want %d", blocks, 101*208)
-	}
-}
-
-// TestSpreadLayoutNestedWalk: the walk state lives in the layout, so a
-// callback that walks the same layout again must find the outer walk's
-// callback and address shift intact when it returns.
-func TestSpreadLayoutNestedWalk(t *testing.T) {
-	inner := NewRAID5(4, 4, 4096, 16)
-	s := NewSpreadLayout(inner, inner.DataBlocks()/4)
-	var flat []Extent
-	s.ForEachExtent(10, 200, func(e Extent) { flat = append(flat, e) })
-	var outer, nested []Extent
-	s.ForEachExtent(10, 200, func(e Extent) {
-		outer = append(outer, e)
-		if len(outer) == 2 {
-			s.ForEachExtent(500, 100, func(e Extent) { nested = append(nested, e) })
-		}
-	})
-	if len(outer) != len(flat) {
-		t.Fatalf("outer walk saw %d extents with a nested walk inside, %d without", len(outer), len(flat))
-	}
-	for i := range flat {
-		if outer[i] != flat[i] {
-			t.Fatalf("extent %d = %+v with a nested walk inside, %+v without", i, outer[i], flat[i])
-		}
-	}
-	next := int64(500)
-	for _, e := range nested {
-		if e.Logical != next {
-			t.Fatalf("nested extent at %d, want %d", e.Logical, next)
-		}
-		next += e.Count
-	}
-	if next != 600 {
-		t.Fatalf("nested walk covered up to %d, want 600", next)
 	}
 }

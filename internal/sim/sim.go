@@ -18,13 +18,17 @@
 //	pending <= devices x requests in flight per device + one arrival
 //
 // (in flight: an HDD's one media access plus the writes its cache is
-// absorbing, an SSD's overlapped operations). Counted on the benchmark's
-// workloads that is 3-13 events on average when one is scheduled and 93
-// at most, with insertions landing at or near the back (0.8-5.3 element
-// moves each); the largest seen anywhere is 571, while craidbench -table
-// fault rebuilds disks under a compressed trace. A heap would win from a
-// hundred or so events pending at random positions, a timing wheel from
-// a few hundred. Engine.SchedStats().MaxPending reports the high-water
+// absorbing, an SSD's overlapped operations). Counted at every insert
+// into the timed queue during experiments.Run, over one seed-1 round of
+// each benchmark workload, the queue holds on average, the new event
+// included, 3.7 events on fig4-timed-hit, 9.0 on fault-upgrade and 14.3
+// on msr-miss (table2-instant's instant devices leave only the next
+// arrival), and 93 at most; an insert lands at or near the back, moving
+// 0.8, 5.3 and 5.3 events respectively. The largest seen anywhere is
+// 571, while craidbench -table fault rebuilds disks under a compressed
+// trace. A heap would win from a hundred or so events pending at random
+// positions, a timing wheel from a few hundred.
+// Engine.SchedStats().MaxPending reports the high-water
 // mark of every run and BenchmarkEngineTimed records the ns/event curve
 // from 4 to 4,096 pending (README, "Event engine"), so a workload that
 // outgrows the assumption shows up as a number.
