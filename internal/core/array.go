@@ -170,18 +170,14 @@ func (a *Array) ConcurrencyStats() (mean float64, p99, max int64) { return a.bus
 // submit issues a request on device dev, recording instrumentation.
 func (a *Array) submit(dev int, op disk.Op, block, count int64, done func(sim.Time)) {
 	if f := a.faults; f != nil {
-		// Wrap the submission in a pooled retry op: transient device
-		// errors resubmit with exponential backoff instead of surfacing
-		// to the controller.
-		r := f.newRetry(dev, op, block, count, done)
-		a.issue(dev, op, block, count, r.doneFn, r.failFn)
+		f.attempt(nil, dev, op, block, count, done)
 		return
 	}
-	a.issue(dev, op, block, count, done, nil)
+	a.issue(dev, op, block, count, done, nil, false, 0)
 }
 
-// issue performs one submission attempt.
-func (a *Array) issue(dev int, op disk.Op, block, count int64, done, fail func(sim.Time)) {
+// issue performs one submission attempt with its verdict (errs, latX).
+func (a *Array) issue(dev int, op disk.Op, block, count int64, done, fail func(sim.Time), errs bool, latX float64) {
 	if dev < 0 || dev >= len(a.devices) {
 		panic(fmt.Sprintf("core: device index %d out of range (%d devices)", dev, len(a.devices)))
 	}
@@ -196,6 +192,7 @@ func (a *Array) issue(dev int, op disk.Op, block, count int64, done, fail func(s
 	// copied over.
 	r := &a.scratch
 	r.Op, r.Block, r.Count, r.Done, r.Fail = op, block, count, done, fail
+	r.Err, r.LatencyX = errs, latX
 	a.devices[dev].Submit(r)
 }
 

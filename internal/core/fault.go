@@ -28,7 +28,7 @@ const (
 // counters are deterministic for a given plan + seed.
 type FaultStats struct {
 	Failures   int64 // DiskFail events fired
-	Transients int64 // device completions carrying an injected error
+	Transients int64 // device completions with an error: a verdict or a rejection
 	Retries    int64 // resubmissions after a transient error
 	Permanent  int64 // requests abandoned after the retry budget
 
@@ -93,82 +93,107 @@ func (e *LostError) Error() string {
 		e.Op, e.Block, e.Count, e.Extents)
 }
 
+// attempt makes one attempt at a device submission: the first from
+// Array.submit (r nil), each later one from r.retry. Unless the device
+// rejects I/O, it draws the attempt's verdict from the device's
+// fault.Device: one draw per accepted attempt, in submission order. Only
+// a doomed attempt, rejected or drawn to err, is shepherded by a retry
+// op, which always sees it complete through Fail; any other goes out
+// with the caller's done, as with no fault runtime, and frees r.
+func (rt *FaultRuntime) attempt(r *retryOp, dev int, op disk.Op, block, count int64, done func(sim.Time)) {
+	// failDisk fails only a device it routes around, so the routing state
+	// answers for every other device without asking it.
+	doomed := rt.arr.deviceDown(dev) && rt.rejects(dev)
+	var latX float64
+	// A device an Expand is attaching has no fault.Device until the
+	// upgrade returns: its attempts draw nothing.
+	if !doomed && dev < len(rt.devs) {
+		doomed, latX = rt.devs[dev].Verdict()
+	}
+	if !doomed {
+		if r != nil {
+			r.release()
+		}
+		rt.arr.issue(dev, op, block, count, done, nil, false, latX)
+		return
+	}
+	if r == nil {
+		if r = rt.retryFree; r != nil {
+			rt.retryFree, r.next = r.next, nil
+		} else {
+			rt.retriesMade++
+			r = &retryOp{rt: rt}
+			r.failFn, r.retryFn = r.fail, r.retry
+		}
+		r.dev, r.op, r.block, r.count, r.done, r.attempt = dev, op, block, count, done, 0
+	}
+	rt.arr.issue(dev, op, block, count, nil, r.failFn, true, latX)
+}
+
+// rejects reports whether device dev is Failed: it rejects all I/O.
+func (rt *FaultRuntime) rejects(dev int) bool {
+	fd, ok := rt.arr.devices[dev].(disk.Faultable)
+	return ok && fd.Failed()
+}
+
 // retryOp is one logical device submission being shepherded through
 // transient errors: on an error completion it resubmits after an
 // exponentially growing backoff until the attempt budget runs out.
 // Pooled like the array's joins, but a type of its own: it shepherds one
 // submission, has a Fail edge and a timer, and is not a fan-in.
 type retryOp struct {
-	arr     *Array
+	rt      *FaultRuntime
 	dev     int
 	op      disk.Op
 	block   int64
 	count   int64
 	attempt int
 	done    func(sim.Time)
-	doneFn  func(sim.Time)
 	failFn  func(sim.Time)
 	retryFn func()
 	next    *retryOp
 }
 
-func (rt *FaultRuntime) newRetry(dev int, op disk.Op, block, count int64, done func(sim.Time)) *retryOp {
-	r := rt.retryFree
-	if r == nil {
-		rt.retriesMade++
-		r = &retryOp{arr: rt.arr}
-		r.doneFn = r.complete
-		r.failFn = r.fail
-		r.retryFn = r.retry
-	} else {
-		rt.retryFree = r.next
-		r.next = nil
-	}
-	r.dev, r.op, r.block, r.count = dev, op, block, count
-	r.done, r.attempt = done, 0
-	return r
-}
-
-// fail runs when an attempt completes with an error (injected verdict
+// fail runs when an attempt completes with an error (an error verdict
 // or a Failed-device rejection).
 func (r *retryOp) fail(at sim.Time) {
-	f := r.arr.faults
-	f.stats.Transients++
+	rt := r.rt
+	rt.stats.Transients++
 	r.attempt++
-	if r.attempt >= maxAttempts || r.arr.deviceDown(r.dev) {
-		// Budget exhausted, or the disk died under us: give up. The
-		// caller's join still completes — the simulator models timing —
-		// and the loss is visible in the stats.
-		f.stats.Permanent++
-		r.complete(at)
+	if r.attempt >= maxAttempts || rt.rejects(r.dev) {
+		// Budget exhausted, or the disk died under us (one being rebuilt
+		// accepts I/O, so its errors retry): give up. The caller's join
+		// still completes — the simulator models timing — and the loss is
+		// in the stats. The op recycles first: done may reclaim it.
+		rt.stats.Permanent++
+		if done := r.release(); done != nil {
+			done(at)
+		}
 		return
 	}
-	f.stats.Retries++
-	r.arr.Eng.After(retryBase<<uint(r.attempt-1), r.retryFn)
+	rt.stats.Retries++
+	rt.arr.Eng.After(retryBase<<uint(r.attempt-1), r.retryFn)
 }
 
-// retry resubmits the attempt.
+// retry makes the next attempt.
 func (r *retryOp) retry() {
-	r.arr.issue(r.dev, r.op, r.block, r.count, r.doneFn, r.failFn)
+	r.rt.attempt(r, r.dev, r.op, r.block, r.count, r.done)
 }
 
-// complete finishes the logical submission and recycles the op (before
-// done, which may submit further I/O and reclaim it).
-func (r *retryOp) complete(at sim.Time) {
-	f := r.arr.faults
+// release puts r back on the pool and returns the done it held.
+func (r *retryOp) release() func(sim.Time) {
+	rt := r.rt
 	done := r.done
 	r.done = nil
-	r.next = f.retryFree
-	f.retryFree = r
-	if done != nil {
-		done(at)
-	}
+	r.next = rt.retryFree
+	rt.retryFree = r
+	return done
 }
 
-// FaultRuntime binds a fault.Plan to a volume: it owns the per-device
-// injectors, compiles the plan's events onto the simulation clock, and
-// drives rebuild traffic through the same engine — and the same device
-// queues — the monitor runs on.
+// FaultRuntime binds a fault.Plan to a volume: it draws each device
+// attempt's verdict, compiles the plan's events onto the simulation
+// clock, and drives rebuild traffic through the same engine — and the
+// same device queues — the monitor runs on.
 //
 // Installed, it is also the array's fault state (Array.faults): every
 // hot-path check on a healthy run is a single nil test.
@@ -182,8 +207,8 @@ type FaultRuntime struct {
 	peerBuf []int  // scratch for Redundant.RowPeers
 
 	// retryFree pools the retry ops; retriesMade counts the ops ever
-	// allocated, all of which are back on the list once the engine
-	// drains.
+	// allocated — at most the doomed attempts ever in flight at once —
+	// all of which are back on the list once the engine drains.
 	retryFree   *retryOp
 	retriesMade int
 
@@ -196,8 +221,8 @@ type FaultRuntime struct {
 	err error
 }
 
-// InstallFaults arms plan on vol's array. Injectors attach to every
-// device up front — verdict counters advance uniformly from time zero,
+// InstallFaults arms plan on vol's array. Every device gets its verdict
+// state up front — verdict counters advance uniformly from time zero,
 // making each draw independent of when transient windows open — and
 // every event schedules its sim-clock callback immediately, before any
 // replay records are scheduled, so same-instant fault transitions
@@ -230,9 +255,6 @@ func InstallFaults(arr *Array, vol Volume, plan fault.Plan) (*FaultRuntime, erro
 	rt.devs = make([]*fault.Device, arr.Devices())
 	for i := range rt.devs {
 		rt.devs[i] = fault.NewDevice(plan.Seed, i)
-		if fd, ok := arr.Device(i).(disk.Faultable); ok {
-			fd.SetInjector(rt.devs[i])
-		}
 	}
 	for _, ev := range plan.Events {
 		rt.schedule(ev)
@@ -293,10 +315,11 @@ func (rt *FaultRuntime) schedule(ev fault.Event) {
 }
 
 // expand fires an expand@ event: build the new devices, run the online
-// upgrade through the volume, arm injectors on the added devices, and
-// record the upgrade KPIs. The drain callback stamps ExpandEnd when the
-// upgrade's background I/O (write-backs or migrations) completes, which
-// together with ExpandStart yields the upgrade-latency KPI.
+// upgrade through the volume, give the added devices their verdict
+// state, and record the upgrade KPIs. The drain callback stamps
+// ExpandEnd when the upgrade's background I/O (write-backs or
+// migrations) completes, which together with ExpandStart yields the
+// upgrade-latency KPI.
 func (rt *FaultRuntime) expand(disks int, retain bool) {
 	c := rt.vol.(*CRAID) // InstallFaults checked the volume
 	if rt.deviceFactory == nil {
@@ -314,7 +337,7 @@ func (rt *FaultRuntime) expand(disks int, retain bool) {
 	}
 	// The added devices join the fault fabric, so later events may target
 	// them: failure routing state for the array's new width before Expand
-	// issues I/O to them, and deterministic injectors keyed by their
+	// issues I/O to them, and deterministic verdict state keyed by their
 	// final indices once they are attached.
 	rt.failed = append(rt.failed, make([]bool, base+disks-len(rt.failed))...)
 	st := c.Expand(newDevs, retain, func(at sim.Time) {
@@ -327,11 +350,7 @@ func (rt *FaultRuntime) expand(disks int, retain bool) {
 	rt.stats.ExpandWriteback += st.DirtyWriteback
 	rt.stats.ExpandInvalidated += st.Invalidated
 	for i := base; i < rt.arr.Devices(); i++ {
-		d := fault.NewDevice(rt.seed, i)
-		rt.devs = append(rt.devs, d)
-		if fd, ok := rt.arr.Device(i).(disk.Faultable); ok {
-			fd.SetInjector(d)
-		}
+		rt.devs = append(rt.devs, fault.NewDevice(rt.seed, i))
 	}
 }
 

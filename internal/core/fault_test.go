@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
@@ -449,6 +450,103 @@ func TestFaultTransientRetryBudget(t *testing.T) {
 		t.Fatalf("unaffected disk read took %v", got)
 	}
 	checkDrained(t, arr)
+}
+
+// genPlan draws a fault plan for an array of width devices whose replay
+// lasts about span: up to two transient windows, maybe a disk death and
+// its rebuild (on the windowed disk, sometimes) and, on a CRAID volume,
+// maybe a crash and an expand of either kind.
+func genPlan(rng *rand.Rand, width int, craid bool, span sim.Time) string {
+	at := func() int64 { return int64(rng.Int63n(int64(span / sim.Microsecond))) }
+	items := []string{fmt.Sprintf("seed=%d", rng.Intn(1000))}
+	dev := rng.Intn(width)
+	for i := rng.Intn(3); i > 0; i-- {
+		from := at()
+		items = append(items, fmt.Sprintf("transient:%d@%dus-%dus,rate=%.2f,lat=%d",
+			dev, from, from+1+at(), 0.01+0.3*rng.Float64(), 1+rng.Intn(4)))
+		dev = rng.Intn(width)
+	}
+	if rng.Intn(2) == 0 {
+		fail := at()
+		items = append(items, fmt.Sprintf("fail:%d@%dus", dev, fail),
+			fmt.Sprintf("rebuild:%d@%dus,rate=%d", dev, fail+at()/4, 64+rng.Intn(512)))
+	}
+	if craid && rng.Intn(2) == 0 {
+		items = append(items, fmt.Sprintf("crash@%dus", at()))
+	}
+	if craid && rng.Intn(2) == 0 {
+		retain := []string{"", ",retain"}[rng.Intn(2)]
+		items = append(items, fmt.Sprintf("expand@%dus,disks=%d%s", at(), 1+rng.Intn(2), retain))
+	}
+	return strings.Join(items, ";")
+}
+
+// TestEveryDeviceErrorReachesRetry replays seeded, generated plans on
+// small CRAID-5 and RAID-5 arrays and holds the fault runtime to the
+// devices' own counters: every error a device reports — an error verdict
+// or a rejection by a Failed disk — reached the retry logic as a
+// transient, and no more retry ops were ever made than attempts were
+// doomed, so a healthy attempt under a fault plan never takes one.
+func TestEveryDeviceErrorReachesRetry(t *testing.T) {
+	const span = 20 * sim.Millisecond // randomWorkload's 2000 records, 10 µs apart
+	var total FaultStats
+	for seed := int64(1); seed <= 24; seed++ {
+		for _, craid := range []bool{true, false} {
+			rng := rand.New(rand.NewSource(seed))
+			eng := sim.NewEngine()
+			var arr *Array
+			var vol Volume
+			if craid {
+				vol, arr = newTestCRAID(eng, 64)
+			} else {
+				arr = nullArray(eng, 5, 100000)
+				vol = NewRAIDController(arr, raid.NewRAID5(5, 5, 4096, 4), []int{0, 1, 2, 3, 4}, 0)
+			}
+			spec := genPlan(rng, arr.Devices(), craid, span)
+			plan, err := fault.ParsePlan(spec)
+			if err == nil {
+				err = plan.Validate(arr.Devices())
+			}
+			if err != nil {
+				t.Fatalf("generated plan %q: %v", spec, err)
+			}
+			rt, err := InstallFaults(arr, vol, plan)
+			if err != nil {
+				t.Fatalf("%q: %v", spec, err)
+			}
+			rt.SetDeviceFactory(nullFactory(eng))
+			if _, err := Replay(eng, vol, trace.NewSlice(randomWorkload(seed, 2000, 12000))); err != nil {
+				t.Fatalf("%q: %v", spec, err)
+			}
+			if err := rt.Err(); err != nil {
+				t.Fatalf("%q: %v", spec, err)
+			}
+			checkDrained(t, arr)
+			var doomed int64
+			for i := 0; i < arr.Devices(); i++ {
+				s := arr.Device(i).Stats()
+				doomed += s.Errors + s.Rejected
+			}
+			st := rt.Stats()
+			if st.Transients != doomed || st.Retries+st.Permanent != st.Transients {
+				t.Errorf("%q: devices reported %d errors, the retry logic saw %d transients (%d retried, %d permanent)",
+					spec, doomed, st.Transients, st.Retries, st.Permanent)
+			}
+			if int64(rt.retriesMade) > doomed {
+				t.Errorf("%q: %d retry ops made for %d doomed attempts", spec, rt.retriesMade, doomed)
+			}
+			total.Transients += st.Transients
+			total.Failures += st.Failures
+			total.RebuildRows += st.RebuildRows
+			total.Restarts += st.Restarts
+			total.ExpandMigrated += st.ExpandMigrated
+			total.ExpandInvalidated += st.ExpandInvalidated
+		}
+	}
+	if total.Transients == 0 || total.Failures == 0 || total.RebuildRows == 0 || total.Restarts == 0 ||
+		total.ExpandMigrated == 0 || total.ExpandInvalidated == 0 {
+		t.Errorf("the generated plans left part of the fabric idle: %+v", total)
+	}
 }
 
 // TestFaultRebuildWalksAndRestoresDevice pins the rebuild pipeline on

@@ -17,17 +17,19 @@ type hddModel interface {
 	QueueDepth() int
 }
 
-// seededInjector draws transient errors (1 in 16) and latency
-// multipliers (1 in 8, between 1 and 4) from its own stream.
-type seededInjector struct{ rng *rand.Rand }
+// seededVerdicts draws transient errors (1 in 16) and latency
+// multipliers (1 in 8, between 1 and 4) from its own stream, as a fault
+// runtime would: one draw per request a device accepts, so a caller
+// draws only while the device is not Failed.
+type seededVerdicts struct{ rng *rand.Rand }
 
-func (s *seededInjector) Verdict(Op, int64, int64) (bool, float64) {
-	fail := s.rng.Intn(16) == 0
-	latX := 0.0
+// draw sets r's verdict from the next draw.
+func (s *seededVerdicts) draw(r *Request) {
+	r.Err = s.rng.Intn(16) == 0
+	r.LatencyX = 0
 	if s.rng.Intn(8) == 0 {
-		latX = 1 + 3*s.rng.Float64()
+		r.LatencyX = 1 + 3*s.rng.Float64()
 	}
-	return fail, latX
 }
 
 type completion struct {
@@ -44,7 +46,7 @@ type completion struct {
 // only through the order of completions, which is what is compared.
 func runScript(eng *sim.Engine, d hddModel, cfg HDDConfig, edges []int64, seed int64, total int) []completion {
 	rng := rand.New(rand.NewSource(seed))
-	d.SetInjector(&seededInjector{rand.New(rand.NewSource(seed + 1))})
+	verdicts := &seededVerdicts{rand.New(rand.NewSource(seed + 1))}
 	log := make([]completion, 0, total)
 	maxCount := 2 * int64(cfg.WriteCacheBlocks)
 	if maxCount == 0 {
@@ -100,9 +102,13 @@ func runScript(eng *sim.Engine, d hddModel, cfg HDDConfig, edges []int64, seed i
 				}
 			}
 			block = max(0, min(block, cfg.CapacityBlocks-count))
-			d.Submit(&Request{Op: op, Block: block, Count: count,
+			r := &Request{Op: op, Block: block, Count: count,
 				Done: func(at sim.Time) { completed(id, false, at) },
-				Fail: func(at sim.Time) { completed(id, true, at) }})
+				Fail: func(at sim.Time) { completed(id, true, at) }}
+			if !d.Failed() {
+				verdicts.draw(r)
+			}
+			d.Submit(r)
 		}
 	}
 	submit()
@@ -289,7 +295,7 @@ func TestDeviceStatsMatchCompletions(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.NewEngine()
 			d := tc.build(eng)
-			d.SetInjector(&seededInjector{rand.New(rand.NewSource(8))})
+			verdicts := &seededVerdicts{rand.New(rand.NewSource(8))}
 			rng := rand.New(rand.NewSource(7))
 			var seen Stats
 			const total = 20000
@@ -319,7 +325,7 @@ func TestDeviceStatsMatchCompletions(t *testing.T) {
 						op = OpWrite
 					}
 					rejected := d.Failed()
-					d.Submit(&Request{Op: op, Block: rng.Int63n(d.CapacityBlocks() - count), Count: count,
+					r := &Request{Op: op, Block: rng.Int63n(d.CapacityBlocks() - count), Count: count,
 						Done: func(sim.Time) {
 							if op == OpRead {
 								seen.Reads++
@@ -337,7 +343,11 @@ func TestDeviceStatsMatchCompletions(t *testing.T) {
 								seen.Errors++
 							}
 							completed()
-						}})
+						}}
+					if !rejected {
+						verdicts.draw(r)
+					}
+					d.Submit(r)
 				}
 			}
 			submit()

@@ -14,6 +14,11 @@
 // All devices operate on fixed-size logical blocks (BlockSize bytes)
 // and complete requests by invoking a callback on the shared simulation
 // engine; they never block.
+//
+// A device draws no fault verdicts of its own: a request arrives with
+// its verdict (Request.Err, Request.LatencyX) already drawn by whoever
+// submits it, and a model keeps only its Failed state — a dead disk that
+// rejects every submission — and the timing of an error.
 package disk
 
 import (
@@ -51,31 +56,28 @@ type Request struct {
 	Block int64 // first logical block on the device
 	Count int64 // number of consecutive blocks, >= 1
 
+	// Err and LatencyX are the request's fault verdict: Err completes it
+	// with an error, after the time an error takes on the model, and a
+	// LatencyX above 1 stretches its service time. The zero values are a
+	// healthy request. A Failed device rejects the request whatever its
+	// verdict.
+	Err      bool
+	LatencyX float64
+
 	// Done, if non-nil, is invoked exactly once when the request
 	// completes, with the completion time.
 	Done func(at sim.Time)
 
 	// Fail, if non-nil, is invoked instead of Done when the request
-	// completes carrying an injected error or is rejected by a Failed
-	// device. When Fail is nil the device falls back to Done, so
-	// fault-unaware callers still observe exactly one completion.
+	// completes with an error (Err) or is rejected by a Failed device.
+	// When Fail is nil the device falls back to Done, so fault-unaware
+	// callers still observe exactly one completion.
 	Fail func(at sim.Time)
 }
 
-// Injector decides the fate of individual requests on behalf of a
-// fault plan. Verdict is consulted exactly once per submitted request,
-// in submission order — which the single-threaded engine makes
-// deterministic — so a stateless seeded hash over an advancing
-// per-device counter replays bit-identically.
-type Injector interface {
-	Verdict(op Op, block, count int64) (fail bool, latencyX float64)
-}
-
-// Faultable is implemented by device models that support fault
-// injection: a per-request Injector for transient errors and latency
-// multipliers, and a Failed state (a dead disk) that rejects all I/O.
+// Faultable is implemented by device models with a Failed state: a dead
+// disk that rejects all I/O.
 type Faultable interface {
-	SetInjector(inj Injector)
 	SetFailed(failed bool)
 	Failed() bool
 }
@@ -123,12 +125,12 @@ type Stats struct {
 	BusyTime    sim.Time // total time the device was servicing requests
 	CacheHits   int64    // requests served entirely from the on-device cache
 	CacheMisses int64
-	Errors      int64 // requests completed with an injected error
+	Errors      int64 // requests completed with an error verdict
 	Rejected    int64 // requests rejected because the device was Failed
 }
 
-// count records the outcome of one request of n blocks: an injected
-// error, or one more request of its direction.
+// count records the outcome of one request of n blocks: an error, or one
+// more request of its direction.
 func (s *Stats) count(op Op, n int64, fail bool) {
 	switch {
 	case fail:
@@ -176,18 +178,8 @@ func outOfRange(r *Request, capacity int64, name string) {
 		r.Block, r.Count, name, capacity))
 }
 
-// faultState is the injection state embedded by every device model.
-// All hot-path checks on a fault-free device reduce to a nil test and
-// a false bool, made in Submit itself: inj, when set, is asked for each
-// request's verdict — whether it completes with an error, and its
-// service-time multiplier (<=1 = none).
-type faultState struct {
-	inj    Injector
-	failed bool
-}
-
-// SetInjector implements Faultable.
-func (f *faultState) SetInjector(inj Injector) { f.inj = inj }
+// faultState is the Failed state embedded by every device model.
+type faultState struct{ failed bool }
 
 // SetFailed implements Faultable. Requests already queued when the
 // device fails complete normally (they were accepted); only subsequent
@@ -225,9 +217,7 @@ func (d *NullDevice) Submit(r *Request) {
 	} else {
 		// An instant device has no service time to scale, so a latency
 		// multiplier is moot; the error verdict still applies.
-		if d.inj != nil {
-			fail, _ = d.inj.Verdict(r.Op, r.Block, r.Count)
-		}
+		fail = r.Err
 		d.stats.count(r.Op, r.Count, fail)
 	}
 	complete(d.eng, 0, r.completion(fail))

@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -418,6 +419,54 @@ func TestSSDChannelContention(t *testing.T) {
 	}
 }
 
+// TestSSDMatchesMD1 holds the SSD to a closed form that shares no code
+// with it. An open Poisson stream of single-block reads at uniform random
+// blocks splits into an independent Poisson stream per channel, and a
+// channel is a FIFO server with a fixed page time D: an M/D/1 queue,
+// whose mean wait is ρD/(2(1−ρ)) — 12.5 µs for the MSR model's 25 µs
+// page reads at a per-channel load ρ of 0.5. A request waits for the
+// time its response holds beyond its page read and the controller
+// overhead.
+func TestSSDMatchesMD1(t *testing.T) {
+	const (
+		n   = 400000
+		rho = 0.5
+	)
+	eng := sim.NewEngine()
+	cfg := MSRSSDConfig("ssd0")
+	d := NewSSD(eng, cfg)
+	rng := rand.New(rand.NewSource(1))
+	meanGap := float64(cfg.ReadLatency) / (float64(cfg.Channels) * rho)
+	// Sums of the arrival and completion instants: their difference is
+	// the summed response time.
+	var arrivals, completions sim.Time
+	completed := 0
+	r := &Request{Op: OpRead, Count: 1, Done: func(at sim.Time) { completions += at; completed++ }}
+	// Each arrival schedules the next: the engine's queue is sorted, so n
+	// arrivals scheduled up front would make every completion's insert
+	// walk past them.
+	submitted := 0
+	var arrive func()
+	arrive = func() {
+		r.Block = rng.Int63n(cfg.CapacityBlocks)
+		arrivals += eng.Now()
+		d.Submit(r)
+		if submitted++; submitted < n {
+			eng.After(sim.Time(rng.ExpFloat64()*meanGap), arrive)
+		}
+	}
+	arrive()
+	eng.Run()
+	if completed != n {
+		t.Fatalf("%d of %d reads completed", completed, n)
+	}
+	wait := float64(completions-arrivals)/n - float64(cfg.ReadLatency+cfg.ControllerOver)
+	want := rho * float64(cfg.ReadLatency) / (2 * (1 - rho))
+	if math.Abs(wait-want) > 0.05*want {
+		t.Errorf("mean wait %.2f µs at ρ = %g, M/D/1 says %.2f µs", wait/1e3, rho, want/1e3)
+	}
+}
+
 // TestHDDStalledWriteNotStranded is the regression test for a write
 // stranded in the stall queue: (0,512) and (0,504) merge into one dirty
 // range but count 1016 dirty blocks, so after that range destages the
@@ -464,11 +513,9 @@ func TestPropertyHDDAlwaysCompletes(t *testing.T) {
 		d := NewHDD(eng, cfg)
 		rng := rand.New(rand.NewSource(seed))
 		want := int(n%64) + 1
-		inj := &scriptedInjector{fail: make([]bool, want)}
-		d.SetInjector(inj)
 		done, failed := make([]int, want), make([]int, want)
 		for i := 0; i < want; i++ {
-			inj.fail[i] = rng.Intn(8) == 0
+			errs := rng.Intn(8) == 0
 			op := OpRead
 			count := int64(rng.Intn(32) + 1)
 			if rng.Intn(2) == 1 {
@@ -485,7 +532,7 @@ func TestPropertyHDDAlwaysCompletes(t *testing.T) {
 			// Bursts: a few instants, so writes pile up faster than they destage.
 			at := sim.Time(rng.Intn(4)) * 100 * sim.Millisecond
 			eng.Schedule(at, func() {
-				d.Submit(&Request{Op: op, Block: block, Count: count,
+				d.Submit(&Request{Op: op, Block: block, Count: count, Err: errs,
 					Done: func(sim.Time) { done[i]++ }, Fail: func(sim.Time) { failed[i]++ }})
 			})
 		}

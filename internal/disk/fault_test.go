@@ -6,30 +6,14 @@ import (
 	"craid/internal/sim"
 )
 
-// scriptedInjector replays a fixed verdict script and counts calls.
-type scriptedInjector struct {
-	fail  []bool
-	latX  float64
-	calls int
-}
-
-func (s *scriptedInjector) Verdict(op Op, block, count int64) (bool, float64) {
-	i := s.calls
-	s.calls++
-	if i < len(s.fail) {
-		return s.fail[i], s.latX
-	}
-	return false, s.latX
-}
-
-// runOneFault submits a request with separate Done/Fail callbacks and
-// reports which one fired.
-func runOneFault(t *testing.T, eng *sim.Engine, d Device, op Op, block, count int64) (failed bool, rt sim.Time) {
+// runOneFault submits a request carrying the verdict (errs, latX) with
+// separate Done/Fail callbacks and reports which one fired.
+func runOneFault(t *testing.T, eng *sim.Engine, d Device, op Op, block, count int64, errs bool, latX float64) (failed bool, rt sim.Time) {
 	t.Helper()
 	start := eng.Now()
 	completions := 0
 	d.Submit(&Request{
-		Op: op, Block: block, Count: count,
+		Op: op, Block: block, Count: count, Err: errs, LatencyX: latX,
 		Done: func(at sim.Time) { completions++; rt = at - start },
 		Fail: func(at sim.Time) { completions++; failed = true; rt = at - start },
 	})
@@ -42,7 +26,8 @@ func runOneFault(t *testing.T, eng *sim.Engine, d Device, op Op, block, count in
 
 // TestFailedDeviceRejectsUntilRestored pins the dead-disk contract on
 // every model: a Failed device rejects each submission through Fail,
-// counts it in Rejected, and serves normally once restored.
+// whatever its verdict, counts it in Rejected, and serves normally once
+// restored.
 func TestFailedDeviceRejectsUntilRestored(t *testing.T) {
 	eng := sim.NewEngine()
 	devices := []Device{
@@ -59,18 +44,18 @@ func TestFailedDeviceRejectsUntilRestored(t *testing.T) {
 		if !f.Failed() {
 			t.Fatalf("%s: Failed() false after SetFailed(true)", d.Name())
 		}
-		if failed, _ := runOneFault(t, eng, d, OpRead, 0, 4); !failed {
+		if failed, _ := runOneFault(t, eng, d, OpRead, 0, 4, false, 0); !failed {
 			t.Errorf("%s: read on a Failed device completed through Done", d.Name())
 		}
-		if failed, _ := runOneFault(t, eng, d, OpWrite, 8, 4); !failed {
+		if failed, _ := runOneFault(t, eng, d, OpWrite, 8, 4, true, 0); !failed {
 			t.Errorf("%s: write on a Failed device completed through Done", d.Name())
 		}
 		s := d.Stats()
-		if s.Rejected != 2 || s.Reads != 0 || s.Writes != 0 {
+		if s.Rejected != 2 || s.Errors != 0 || s.Reads != 0 || s.Writes != 0 {
 			t.Errorf("%s: stats after rejections = %+v", d.Name(), s)
 		}
 		f.SetFailed(false)
-		if failed, _ := runOneFault(t, eng, d, OpRead, 0, 4); failed {
+		if failed, _ := runOneFault(t, eng, d, OpRead, 0, 4, false, 0); failed {
 			t.Errorf("%s: restored device still rejecting", d.Name())
 		}
 		if s.Reads != 1 {
@@ -80,8 +65,8 @@ func TestFailedDeviceRejectsUntilRestored(t *testing.T) {
 }
 
 // TestInjectedErrorCompletesThroughFail pins the transient-error path:
-// a fail verdict routes the completion to Fail, counts in Errors, and
-// leaves the success counters alone.
+// a request carrying an error verdict completes through Fail, counts in
+// Errors, and leaves the success counters alone.
 func TestInjectedErrorCompletesThroughFail(t *testing.T) {
 	eng := sim.NewEngine()
 	devices := []Device{
@@ -90,22 +75,16 @@ func TestInjectedErrorCompletesThroughFail(t *testing.T) {
 		NewSSD(eng, MSRSSDConfig("ssd0")),
 	}
 	for _, d := range devices {
-		inj := &scriptedInjector{fail: []bool{true, false}, latX: 1}
-		d.(Faultable).SetInjector(inj)
-		if failed, _ := runOneFault(t, eng, d, OpRead, 0, 4); !failed {
+		if failed, _ := runOneFault(t, eng, d, OpRead, 0, 4, true, 1); !failed {
 			t.Errorf("%s: fail verdict completed through Done", d.Name())
 		}
-		if failed, _ := runOneFault(t, eng, d, OpRead, 0, 4); failed {
+		if failed, _ := runOneFault(t, eng, d, OpRead, 0, 4, false, 1); failed {
 			t.Errorf("%s: pass verdict completed through Fail", d.Name())
 		}
 		s := d.Stats()
 		if s.Errors != 1 || s.Reads != 1 || s.Rejected != 0 {
 			t.Errorf("%s: stats = %+v, want 1 error + 1 read", d.Name(), s)
 		}
-		if inj.calls != 2 {
-			t.Errorf("%s: injector consulted %d times for 2 submissions", d.Name(), inj.calls)
-		}
-		d.(Faultable).SetInjector(nil)
 	}
 }
 
@@ -115,14 +94,12 @@ func TestInjectedErrorCompletesThroughFail(t *testing.T) {
 func TestFaultFallsBackToDone(t *testing.T) {
 	eng := sim.NewEngine()
 	d := NewNullDevice(eng, "null0", 10000)
-	d.SetInjector(&scriptedInjector{fail: []bool{true}, latX: 1})
 	completions := 0
-	d.Submit(&Request{Op: OpRead, Block: 0, Count: 1, Done: func(sim.Time) { completions++ }})
+	d.Submit(&Request{Op: OpRead, Block: 0, Count: 1, Err: true, Done: func(sim.Time) { completions++ }})
 	eng.Run()
 	if completions != 1 {
 		t.Fatalf("error verdict with nil Fail: %d completions through Done, want 1", completions)
 	}
-	d.SetInjector(nil)
 	d.SetFailed(true)
 	d.Submit(&Request{Op: OpRead, Block: 0, Count: 1, Done: func(sim.Time) { completions++ }})
 	eng.Run()
@@ -143,12 +120,11 @@ func TestInjectorLatencyMultiplierScalesService(t *testing.T) {
 		ControllerOver: 20 * sim.Microsecond,
 	}
 	d := NewSSD(eng, cfg)
-	_, base := runOneFault(t, eng, d, OpRead, 0, 1)
+	_, base := runOneFault(t, eng, d, OpRead, 0, 1, false, 0)
 	if base != cfg.ReadLatency+cfg.ControllerOver {
 		t.Fatalf("unscaled read took %v", base)
 	}
-	d.SetInjector(&scriptedInjector{latX: 4})
-	_, scaled := runOneFault(t, eng, d, OpRead, 0, 1)
+	_, scaled := runOneFault(t, eng, d, OpRead, 0, 1, false, 4)
 	if want := 4*cfg.ReadLatency + cfg.ControllerOver; scaled != want {
 		t.Fatalf("latX=4 read took %v, want %v", scaled, want)
 	}
@@ -164,10 +140,7 @@ func TestInjectorLatencyMultiplierSlowsHDD(t *testing.T) {
 	run := func(latX float64) sim.Time {
 		eng := sim.NewEngine()
 		d := NewHDD(eng, cfg)
-		if latX > 1 {
-			d.SetInjector(&scriptedInjector{latX: latX})
-		}
-		_, rt := runOneFault(t, eng, d, OpRead, 4000, 8)
+		_, rt := runOneFault(t, eng, d, OpRead, 4000, 8, false, latX)
 		return rt
 	}
 	base, stretched := run(1), run(4)
@@ -191,8 +164,7 @@ func TestHDDStalledTransientWriteCompletesOnce(t *testing.T) {
 	cfg := smallHDDConfig("hdd0")
 	cfg.WriteCacheBlocks = 128
 	d := NewHDD(eng, cfg)
-	// The 4th submission fails; the rest succeed.
-	d.SetInjector(&scriptedInjector{fail: []bool{false, false, false, true}})
+	// The 4th write fails; the rest succeed.
 	writes := [][2]int64{
 		{100000, 8}, // starts destaging at once, so the next two wait and merge
 		{0, 64}, {0, 16},
@@ -201,7 +173,7 @@ func TestHDDStalledTransientWriteCompletesOnce(t *testing.T) {
 	}
 	done, failed := make([]int, len(writes)), make([]int, len(writes))
 	for i, w := range writes {
-		d.Submit(&Request{Op: OpWrite, Block: w[0], Count: w[1],
+		d.Submit(&Request{Op: OpWrite, Block: w[0], Count: w[1], Err: i == 3,
 			Done: func(sim.Time) { done[i]++ },
 			Fail: func(sim.Time) { failed[i]++ }})
 	}

@@ -147,12 +147,12 @@ type HDD struct {
 // free for reuse as soon as Submit returns.
 type hddReq struct {
 	op    Op
-	fail  bool // verdict drawn at submit: complete with an error
+	fail  bool // the request's Err: complete with an error
 	block int64
 	count int64
 	place                   // of block; set for requests bound for the media only
 	done  func(at sim.Time) // the request's completion(fail)
-	latX  float64           // service-time multiplier drawn at submit (<=1 = none)
+	latX  float64           // the request's LatencyX (<=1 = none)
 }
 
 type segment struct {
@@ -346,10 +346,7 @@ func (d *HDD) Submit(r *Request) {
 		complete(d.eng, d.cfg.ControllerOver, r.completion(true))
 		return
 	}
-	q := hddReq{op: r.Op, block: r.Block, count: r.Count}
-	if d.inj != nil {
-		q.fail, q.latX = d.inj.Verdict(r.Op, r.Block, r.Count)
-	}
+	q := hddReq{op: r.Op, fail: r.Err, block: r.Block, count: r.Count, latX: r.LatencyX}
 	q.done = r.completion(q.fail)
 
 	// A write the cache could never hold (or any write, with no cache)

@@ -106,10 +106,7 @@ func (d *refHDD) Submit(r *Request) {
 		complete(d.eng, d.cfg.ControllerOver, r.completion(true))
 		return
 	}
-	q := refReq{op: r.Op, block: r.Block, count: r.Count}
-	if d.inj != nil {
-		q.fail, q.latX = d.inj.Verdict(r.Op, r.Block, r.Count)
-	}
+	q := refReq{op: r.Op, block: r.Block, count: r.Count, fail: r.Err, latX: r.LatencyX}
 	q.done = r.completion(q.fail)
 	// The fix: a write that can never fit takes the media queue.
 	if q.op == OpWrite && d.cfg.WriteCacheBlocks > 0 && q.count <= int64(d.cfg.WriteCacheBlocks) {

@@ -117,17 +117,11 @@ func (d *SSD) Submit(r *Request) {
 		complete(d.eng, d.cfg.ControllerOver, r.completion(true))
 		return
 	}
-	var fail bool
-	var latX float64
-	if d.inj != nil {
-		fail, latX = d.inj.Verdict(r.Op, r.Block, r.Count)
-	}
-
 	per := d.cfg.ReadLatency
 	if r.Op == OpWrite {
 		per = d.cfg.WriteLatency
 	}
-	per = scaled(per, latX)
+	per = scaled(per, r.LatencyX)
 
 	// Pages per channel: consecutive blocks go round the channels, so
 	// each gets Count/Channels and the Count%Channels channels from the
@@ -156,6 +150,6 @@ func (d *SSD) Submit(r *Request) {
 	}
 	finish := latest + d.cfg.ControllerOver
 	d.stats.BusyTime += finish - now
-	d.stats.count(r.Op, r.Count, fail)
-	complete(d.eng, finish-now, r.completion(fail))
+	d.stats.count(r.Op, r.Count, r.Err)
+	complete(d.eng, finish-now, r.completion(r.Err))
 }

@@ -71,6 +71,29 @@ func TestRunFaultCrashRestart(t *testing.T) {
 	}
 }
 
+// TestTransientDuringRebuildRetries is the regression for errors on a
+// disk being rebuilt: the array routes client I/O around the disk until
+// the walk completes, but the spare accepts I/O, so an error on a
+// rebuild write is retried like any other. A retry used to give up
+// while the disk was routed around, which counted 337 of this plan's
+// 719 transients as permanent at once.
+func TestTransientDuringRebuildRetries(t *testing.T) {
+	res, err := Run(RunConfig{
+		Trace: "wdev", Scale: 0.05, Strategy: CRAID5, PCPct: 0.008, Policy: "WLRU",
+		FaultSpec: "seed=1;fail:3@1h;rebuild:3@2h,rate=64;transient:3@2h-150h,rate=0.05",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := res.Fault
+	if f == nil || f.Transients == 0 || f.RebuildRows == 0 {
+		t.Fatalf("plan did not put errors on the rebuild: %+v", f)
+	}
+	if f.Retries+f.Permanent != f.Transients || f.Permanent != 0 {
+		t.Errorf("%d transients: %d retried, %d permanent; want every one retried", f.Transients, f.Retries, f.Permanent)
+	}
+}
+
 // TestRunFaultRowComparesHealthyBaseline pins FaultRow's shape: the
 // healthy run carries no fault KPIs, the faulted run does, and the
 // interference ratios divide the faulted means by the healthy ones.

@@ -2,12 +2,13 @@
 // simulator: a seeded, declarative Plan of failure events (disk
 // deaths, transient-error windows, crash-restarts, rebuilds) that the
 // core compiles onto the simulation clock, plus the per-device state
-// that realizes transient verdicts through disk.Injector.
+// the core's fault runtime draws each submission attempt's transient
+// verdict from.
 //
 // Determinism is the design center. Verdicts are drawn by hashing
-// (plan seed, device, per-device submission counter) with the
-// splitmix64 finalizer — no shared RNG stream, no wall clock — and the
-// single-threaded engine submits each device's requests in the same
+// (plan seed, device, per-device attempt counter) with the splitmix64
+// finalizer — no shared RNG stream, no wall clock — and the
+// single-threaded engine submits each device's attempts in the same
 // order on every run, so the same plan + seed replays the same failures
 // down to the event.
 package fault
@@ -19,7 +20,6 @@ import (
 	"strings"
 	"time"
 
-	"craid/internal/disk"
 	"craid/internal/sim"
 )
 
@@ -351,11 +351,12 @@ func Mix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Device is one device's injection state, implementing disk.Injector.
-// The submission counter advances on every Verdict call whether or not
-// a transient window is open, so opening one window never shifts the
-// draws of a later one — and per-device submission order is identical
-// on every run, which closes the determinism argument.
+// Device is one device's injection state. Its caller draws one Verdict
+// per submission attempt the device accepts, in submission order. The
+// attempt counter advances on every draw whether or not a transient
+// window is open, so opening one window never shifts the draws of a
+// later one — and per-device submission order is identical on every
+// run, which closes the determinism argument.
 type Device struct {
 	seed uint64
 	n    uint64
@@ -381,8 +382,9 @@ func (d *Device) SetTransient(rate, latencyX float64) {
 // ClearTransient closes the window.
 func (d *Device) ClearTransient() { d.rate, d.latX = 0, 1 }
 
-// Verdict implements disk.Injector.
-func (d *Device) Verdict(op disk.Op, block, count int64) (bool, float64) {
+// Verdict draws the next attempt's fate: whether it completes with an
+// error, and its service-time multiplier.
+func (d *Device) Verdict() (fail bool, latX float64) {
 	d.n++
 	if d.rate <= 0 {
 		return false, d.latX

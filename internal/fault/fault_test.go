@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"craid/internal/disk"
 	"craid/internal/sim"
 )
 
@@ -139,7 +138,7 @@ func TestVerdictDeterministic(t *testing.T) {
 		d.SetTransient(0.3, 2)
 		out := make([]bool, n)
 		for i := range out {
-			out[i], _ = d.Verdict(disk.OpRead, int64(i), 1)
+			out[i], _ = d.Verdict()
 		}
 		return out
 	}
@@ -154,7 +153,7 @@ func TestVerdictDeterministic(t *testing.T) {
 	}
 }
 
-// TestVerdictCounterWindowIndependent pins that the submission counter
+// TestVerdictCounterWindowIndependent pins that the attempt counter
 // advances on every call whether or not a window is open: the draws
 // inside a window depend only on the call index, never on what earlier
 // windows did.
@@ -164,19 +163,19 @@ func TestVerdictCounterWindowIndependent(t *testing.T) {
 		d.SetTransient(0.3, 2)
 		out := make([]bool, n)
 		for i := range out {
-			out[i], _ = d.Verdict(disk.OpRead, 0, 1)
+			out[i], _ = d.Verdict()
 		}
 		return out
 	}
 	// Device 1 warms up with no window; device 2 with an extreme one.
 	d1 := NewDevice(7, 0)
 	for i := 0; i < warm; i++ {
-		d1.Verdict(disk.OpRead, 0, 1)
+		d1.Verdict()
 	}
 	d2 := NewDevice(7, 0)
 	d2.SetTransient(0.999, 8)
 	for i := 0; i < warm; i++ {
-		d2.Verdict(disk.OpWrite, 99, 7)
+		d2.Verdict()
 	}
 	if !reflect.DeepEqual(record(d1), record(d2)) {
 		t.Fatal("earlier window state shifted later verdict draws")
@@ -187,7 +186,7 @@ func TestVerdictRateAndLatency(t *testing.T) {
 	d := NewDevice(11, 2)
 	// Closed window: never fails, multiplier 1.
 	for i := 0; i < 100; i++ {
-		if fail, latX := d.Verdict(disk.OpRead, 0, 1); fail || latX != 1 {
+		if fail, latX := d.Verdict(); fail || latX != 1 {
 			t.Fatalf("closed window drew fail=%v latX=%g", fail, latX)
 		}
 	}
@@ -195,7 +194,7 @@ func TestVerdictRateAndLatency(t *testing.T) {
 	const n = 100000
 	fails := 0
 	for i := 0; i < n; i++ {
-		fail, latX := d.Verdict(disk.OpRead, 0, 1)
+		fail, latX := d.Verdict()
 		if latX != 4 {
 			t.Fatalf("latX = %g, want 4", latX)
 		}
@@ -207,12 +206,12 @@ func TestVerdictRateAndLatency(t *testing.T) {
 		t.Errorf("empirical failure rate %.4f far from configured 0.1", f)
 	}
 	d.ClearTransient()
-	if fail, latX := d.Verdict(disk.OpRead, 0, 1); fail || latX != 1 {
+	if fail, latX := d.Verdict(); fail || latX != 1 {
 		t.Fatal("ClearTransient did not close the window")
 	}
 	// The latency clamp: multipliers below 1 are lifted to 1.
 	d.SetTransient(0, 0.25)
-	if _, latX := d.Verdict(disk.OpRead, 0, 1); latX != 1 {
+	if _, latX := d.Verdict(); latX != 1 {
 		t.Fatalf("latX clamp failed: %g", latX)
 	}
 }
