@@ -170,14 +170,15 @@ func (a *Array) ConcurrencyStats() (mean float64, p99, max int64) { return a.bus
 // submit issues a request on device dev, recording instrumentation.
 func (a *Array) submit(dev int, op disk.Op, block, count int64, done func(sim.Time)) {
 	if f := a.faults; f != nil {
-		f.attempt(nil, dev, op, block, count, done)
+		f.attempt(dev, op, block, count, done)
 		return
 	}
-	a.issue(dev, op, block, count, done, nil, false, 0)
+	a.issue(dev, op, block, count, done, false, false, 0)
 }
 
-// issue performs one submission attempt with its verdict (errs, latX).
-func (a *Array) issue(dev int, op disk.Op, block, count int64, done, fail func(sim.Time), errs bool, latX float64) {
+// issue performs one submission attempt with its fate (reject, errs,
+// latX): the one place a request reaches a device.
+func (a *Array) issue(dev int, op disk.Op, block, count int64, done func(sim.Time), reject, errs bool, latX float64) {
 	if dev < 0 || dev >= len(a.devices) {
 		panic(fmt.Sprintf("core: device index %d out of range (%d devices)", dev, len(a.devices)))
 	}
@@ -191,17 +192,17 @@ func (a *Array) issue(dev int, op disk.Op, block, count int64, done, fail func(s
 	// Field by field: a composite literal is built in a temporary and
 	// copied over.
 	r := &a.scratch
-	r.Op, r.Block, r.Count, r.Done, r.Fail = op, block, count, done, fail
-	r.Err, r.LatencyX = errs, latX
+	r.Op, r.Block, r.Count, r.Done = op, block, count, done
+	r.Reject, r.Err, r.LatencyX = reject, errs, latX
 	a.devices[dev].Submit(r)
 }
 
-// deviceDown reports whether the array routes around dev (failed and
-// not yet rebuilt). One nil test on healthy runs; a device AddDevices
-// attached without the fault runtime knowing is never down.
+// deviceDown reports whether the array routes around dev: it is dead, or
+// a spare. One nil test on healthy runs; a device AddDevices attached
+// without the fault runtime knowing is never down.
 func (a *Array) deviceDown(dev int) bool {
 	f := a.faults
-	return f != nil && dev < len(f.failed) && f.failed[dev]
+	return f != nil && dev < len(f.devs) && f.devs[dev].state != devUp
 }
 
 // lost returns how many extents the array has lost beyond redundancy so
@@ -256,22 +257,25 @@ const (
 	stepMigrate               // likewise, but re-place the run on P_C's new geometry (a retaining Expand)
 	stepDecode                // degraded pre-reads in: wait again, for the reconstruction delay
 	stepCommit                // pre-reads in or delay over: wait again, for the writes to the (surviving) legs
+	stepRetry                 // a doomed device attempt is in: give up, telling fn, or wait again, for the backoff
+	stepReattempt             // backoff over: make the next attempt, and wait again, for it
 )
 
 // then is a join's continuation: the step and the arguments steps read.
 // It is copied out before a firing join recycles, so a step may reclaim
 // the object it came from.
 type then struct {
-	step step
-	fn   func(sim.Time) // whom to tell afterwards; nil for detached work
+	step  step
+	tries uint8          // the retry steps: attempts made so far
+	fn    func(sim.Time) // whom to tell afterwards; nil for detached work
 
 	lat   *latencies // stepRecord: where, and the request's
-	op    disk.Op    // direction,
+	op    disk.Op    // direction (the retry steps': the attempt's),
 	deg   bool       // whether it was submitted in a degraded window,
 	start sim.Time   // and when
 
 	c       *CRAID // stepCopyIn, stepWriteBack, stepMigrate: the controller,
-	orig, n int64  // the run to write (n is also every leg's block count)
+	orig, n int64  // the run to write (n is also every leg's block count, and the attempt's)
 	epoch   uint64 // and the incarnation that issued the chain
 
 	delay sim.Time // stepDecode: the reconstruction compute
@@ -280,7 +284,8 @@ type then struct {
 // legs is the write set of one extent, resolved to array devices and
 // device blocks: the data run first, then its P and Q parity runs as far
 // as the layout has them (and, on a degraded write, as far as they
-// survive).
+// survive). The retry steps keep their attempt's device and block in the
+// first leg.
 type legs struct {
 	dev  [3]int
 	blk  [3]int64
@@ -363,11 +368,19 @@ func (j *join) maybeFire() {
 	case stepCommit:
 		j.commit()
 		return
+	case stepRetry:
+		if a.faults.retry(j) {
+			return
+		}
+	case stepReattempt:
+		a.faults.reattempt(j)
+		return
 	}
-	// Every other step ends the join's life. A fired join can have no
-	// outstanding references: every branch callback has run and seal was
-	// called. Recycle before taking the step — it may submit the next
-	// request and reclaim the object — and never touch j afterwards.
+	// Every other step, and a retry that gives up, ends the join's life. A
+	// fired join can have no outstanding references: every branch callback
+	// has run and seal was called. Recycle before taking the step — it may
+	// submit the next request and reclaim the object — and never touch j
+	// afterwards.
 	t := j.then
 	j.fn = nil
 	j.next = a.joinFree

@@ -42,7 +42,7 @@ func (c *busyCensus) compare() {
 
 // censusHDD and censusSSD are the real models with the comparison in
 // front of Submit; embedding keeps every optional interface the array
-// and the fault runtime look for (queue state, BusyCounter, Faultable).
+// and the fault runtime look for (queue state, BusyCounter).
 type censusHDD struct {
 	*disk.HDD
 	c *busyCensus

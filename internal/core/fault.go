@@ -93,107 +93,110 @@ func (e *LostError) Error() string {
 		e.Op, e.Block, e.Count, e.Extents)
 }
 
-// attempt makes one attempt at a device submission: the first from
-// Array.submit (r nil), each later one from r.retry. Unless the device
-// rejects I/O, it draws the attempt's verdict from the device's
-// fault.Device: one draw per accepted attempt, in submission order. Only
-// a doomed attempt, rejected or drawn to err, is shepherded by a retry
-// op, which always sees it complete through Fail; any other goes out
-// with the caller's done, as with no fault runtime, and frees r.
-func (rt *FaultRuntime) attempt(r *retryOp, dev int, op disk.Op, block, count int64, done func(sim.Time)) {
-	// failDisk fails only a device it routes around, so the routing state
-	// answers for every other device without asking it.
-	doomed := rt.arr.deviceDown(dev) && rt.rejects(dev)
-	var latX float64
-	// A device an Expand is attaching has no fault.Device until the
-	// upgrade returns: its attempts draw nothing.
-	if !doomed && dev < len(rt.devs) {
-		doomed, latX = rt.devs[dev].Verdict()
+// devState is a device's health as the fault runtime keeps it.
+type devState uint8
+
+const (
+	devUp    devState = iota // in service
+	devDead                  // routed around; rejects I/O
+	devSpare                 // routed around; accepts I/O: a rebuild is walking, or a walk lost rows
+)
+
+// devFault is the fault runtime's one record of a device: its health and
+// the stream its attempts draw their verdicts from, nil while an Expand
+// attaches the device (those attempts draw nothing).
+type devFault struct {
+	state devState
+	draws *fault.Device
+}
+
+// dead reports whether dev rejects I/O.
+func (rt *FaultRuntime) dead(dev int) bool {
+	return dev < len(rt.devs) && rt.devs[dev].state == devDead
+}
+
+// draws returns dev's verdict stream, nil for a device the array does
+// not have yet or an Expand is attaching.
+func (rt *FaultRuntime) draws(dev int) *fault.Device {
+	if dev >= len(rt.devs) {
+		return nil
 	}
-	if !doomed {
-		if r != nil {
-			r.release()
-		}
-		rt.arr.issue(dev, op, block, count, done, nil, false, latX)
+	return rt.devs[dev].draws
+}
+
+// fate decides one attempt on dev: a dead device rejects it, and any
+// other draws its verdict — one draw per accepted attempt, in submission
+// order.
+func (rt *FaultRuntime) fate(dev int) (reject, errs bool, latX float64) {
+	if rt.dead(dev) {
+		return true, false, 0
+	}
+	if d := rt.draws(dev); d != nil {
+		errs, latX = d.Verdict()
+	}
+	return false, errs, latX
+}
+
+// attempt makes the first attempt at a device submission, for
+// Array.submit. An attempt its fate dooms, rejected or drawn to err, goes
+// out as the one branch of a pooled join whose stepRetry decides what
+// follows; any other goes out with the caller's done, as with no fault
+// runtime.
+func (rt *FaultRuntime) attempt(dev int, op disk.Op, block, count int64, done func(sim.Time)) {
+	reject, errs, latX := rt.fate(dev)
+	if !reject && !errs {
+		rt.arr.issue(dev, op, block, count, done, false, false, latX)
 		return
 	}
-	if r == nil {
-		if r = rt.retryFree; r != nil {
-			rt.retryFree, r.next = r.next, nil
-		} else {
-			rt.retriesMade++
-			r = &retryOp{rt: rt}
-			r.failFn, r.retryFn = r.fail, r.retry
-		}
-		r.dev, r.op, r.block, r.count, r.done, r.attempt = dev, op, block, count, done, 0
+	j := rt.arr.newJoin(done)
+	j.op, j.n, j.dev[0], j.blk[0] = op, count, dev, block
+	rt.issueOn(j, stepRetry, reject, errs, latX)
+}
+
+// reattempt makes the next attempt at the submission j carries, its
+// backoff over: a doomed one waits for stepRetry again, any other for
+// stepTell.
+func (rt *FaultRuntime) reattempt(j *join) {
+	reject, errs, latX := rt.fate(j.dev[0])
+	next := stepTell
+	if reject || errs {
+		next = stepRetry
 	}
-	rt.arr.issue(dev, op, block, count, nil, r.failFn, true, latX)
+	rt.issueOn(j, next, reject, errs, latX)
 }
 
-// rejects reports whether device dev is Failed: it rejects all I/O.
-func (rt *FaultRuntime) rejects(dev int) bool {
-	fd, ok := rt.arr.devices[dev].(disk.Faultable)
-	return ok && fd.Failed()
+// issueOn re-arms j for next and issues its attempt as j's one branch.
+func (rt *FaultRuntime) issueOn(j *join, next step, reject, errs bool, latX float64) {
+	j.rearm(next)
+	rt.arr.issue(j.dev[0], j.op, j.blk[0], j.n, j.branch(), reject, errs, latX)
+	j.seal(rt.arr.Eng.Now())
 }
 
-// retryOp is one logical device submission being shepherded through
-// transient errors: on an error completion it resubmits after an
-// exponentially growing backoff until the attempt budget runs out.
-// Pooled like the array's joins, but a type of its own: it shepherds one
-// submission, has a Fail edge and a timer, and is not a fan-in.
-type retryOp struct {
-	rt      *FaultRuntime
-	dev     int
-	op      disk.Op
-	block   int64
-	count   int64
-	attempt int
-	done    func(sim.Time)
-	failFn  func(sim.Time)
-	retryFn func()
-	next    *retryOp
-}
-
-// fail runs when an attempt completes with an error (an error verdict
-// or a Failed-device rejection).
-func (r *retryOp) fail(at sim.Time) {
-	rt := r.rt
+// retry is j's stepRetry: its doomed attempt is in. It counts the
+// transient, then gives up when the budget is spent or the device is
+// dead (a spare accepts I/O, so its errors retry), and otherwise waits
+// out an exponentially growing backoff on a timer branch, after which j
+// makes the next attempt. It reports whether j waits again; a join that
+// gave up tells its caller like any other — the simulator models timing
+// — and the loss is in the stats.
+func (rt *FaultRuntime) retry(j *join) bool {
 	rt.stats.Transients++
-	r.attempt++
-	if r.attempt >= maxAttempts || rt.rejects(r.dev) {
-		// Budget exhausted, or the disk died under us (one being rebuilt
-		// accepts I/O, so its errors retry): give up. The caller's join
-		// still completes — the simulator models timing — and the loss is
-		// in the stats. The op recycles first: done may reclaim it.
+	j.tries++
+	if j.tries >= maxAttempts || rt.dead(j.dev[0]) {
 		rt.stats.Permanent++
-		if done := r.release(); done != nil {
-			done(at)
-		}
-		return
+		return false
 	}
 	rt.stats.Retries++
-	rt.arr.Eng.After(retryBase<<uint(r.attempt-1), r.retryFn)
+	j.rearm(stepReattempt)
+	rt.arr.Eng.AfterTimed(retryBase<<(j.tries-1), j.branch())
+	j.seal(rt.arr.Eng.Now())
+	return true
 }
 
-// retry makes the next attempt.
-func (r *retryOp) retry() {
-	r.rt.attempt(r, r.dev, r.op, r.block, r.count, r.done)
-}
-
-// release puts r back on the pool and returns the done it held.
-func (r *retryOp) release() func(sim.Time) {
-	rt := r.rt
-	done := r.done
-	r.done = nil
-	r.next = rt.retryFree
-	rt.retryFree = r
-	return done
-}
-
-// FaultRuntime binds a fault.Plan to a volume: it draws each device
-// attempt's verdict, compiles the plan's events onto the simulation
-// clock, and drives rebuild traffic through the same engine — and the
-// same device queues — the monitor runs on.
+// FaultRuntime binds a fault.Plan to a volume: it keeps each device's
+// health, decides each device attempt's fate, compiles the plan's events
+// onto the simulation clock, and drives rebuild traffic through the same
+// engine — and the same device queues — the monitor runs on.
 //
 // Installed, it is also the array's fault state (Array.faults): every
 // hot-path check on a healthy run is a single nil test.
@@ -201,16 +204,9 @@ type FaultRuntime struct {
 	arr     *Array
 	vol     Volume
 	seed    uint64
-	devs    []*fault.Device
+	devs    []devFault // device index → its one fault record
 	stats   FaultStats
-	failed  []bool // device index → routed around
-	peerBuf []int  // scratch for Redundant.RowPeers
-
-	// retryFree pools the retry ops; retriesMade counts the ops ever
-	// allocated — at most the doomed attempts ever in flight at once —
-	// all of which are back on the list once the engine drains.
-	retryFree   *retryOp
-	retriesMade int
+	peerBuf []int // scratch for Redundant.RowPeers
 
 	rebuilds []*rebuildJob // active jobs, in start order
 
@@ -221,8 +217,8 @@ type FaultRuntime struct {
 	err error
 }
 
-// InstallFaults arms plan on vol's array. Every device gets its verdict
-// state up front — verdict counters advance uniformly from time zero,
+// InstallFaults arms plan on vol's array. Every device gets its fault
+// record up front — verdict counters advance uniformly from time zero,
 // making each draw independent of when transient windows open — and
 // every event schedules its sim-clock callback immediately, before any
 // replay records are scheduled, so same-instant fault transitions
@@ -250,11 +246,10 @@ func InstallFaults(arr *Array, vol Volume, plan fault.Plan) (*FaultRuntime, erro
 	case plan.HasCrash():
 		c.keepLogImage()
 	}
-	rt := &FaultRuntime{arr: arr, vol: vol, seed: plan.Seed, failed: make([]bool, arr.Devices())}
+	rt := &FaultRuntime{arr: arr, vol: vol, seed: plan.Seed, devs: make([]devFault, arr.Devices())}
 	arr.faults = rt
-	rt.devs = make([]*fault.Device, arr.Devices())
 	for i := range rt.devs {
-		rt.devs[i] = fault.NewDevice(plan.Seed, i)
+		rt.devs[i].draws = fault.NewDevice(plan.Seed, i)
 	}
 	for _, ev := range plan.Events {
 		rt.schedule(ev)
@@ -285,14 +280,14 @@ func (rt *FaultRuntime) schedule(ev fault.Event) {
 	case fault.Transient:
 		dev, rate, lat := ev.Dev, ev.Rate, ev.LatencyX
 		eng.Schedule(ev.At, func() {
-			if dev < len(rt.devs) {
-				rt.devs[dev].SetTransient(rate, lat)
+			if d := rt.draws(dev); d != nil {
+				d.SetTransient(rate, lat)
 			}
 		})
 		if ev.Until > ev.At {
 			eng.Schedule(ev.Until, func() {
-				if dev < len(rt.devs) {
-					rt.devs[dev].ClearTransient()
+				if d := rt.draws(dev); d != nil {
+					d.ClearTransient()
 				}
 			})
 		}
@@ -316,7 +311,7 @@ func (rt *FaultRuntime) schedule(ev fault.Event) {
 
 // expand fires an expand@ event: build the new devices, run the online
 // upgrade through the volume, give the added devices their verdict
-// state, and record the upgrade KPIs. The drain callback stamps
+// streams, and record the upgrade KPIs. The drain callback stamps
 // ExpandEnd when the upgrade's background I/O (write-backs or
 // migrations) completes, which together with ExpandStart yields the
 // upgrade-latency KPI.
@@ -336,10 +331,10 @@ func (rt *FaultRuntime) expand(disks int, retain bool) {
 		rt.stats.ExpandStart = rt.arr.Eng.Now()
 	}
 	// The added devices join the fault fabric, so later events may target
-	// them: failure routing state for the array's new width before Expand
-	// issues I/O to them, and deterministic verdict state keyed by their
-	// final indices once they are attached.
-	rt.failed = append(rt.failed, make([]bool, base+disks-len(rt.failed))...)
+	// them: a record each, up, before Expand issues I/O to them, and a
+	// deterministic verdict stream keyed by their final indices once they
+	// are attached.
+	rt.devs = append(rt.devs, make([]devFault, base+disks-len(rt.devs))...)
 	st := c.Expand(newDevs, retain, func(at sim.Time) {
 		if at > rt.stats.ExpandEnd {
 			rt.stats.ExpandEnd = at
@@ -350,18 +345,23 @@ func (rt *FaultRuntime) expand(disks int, retain bool) {
 	rt.stats.ExpandWriteback += st.DirtyWriteback
 	rt.stats.ExpandInvalidated += st.Invalidated
 	for i := base; i < rt.arr.Devices(); i++ {
-		rt.devs = append(rt.devs, fault.NewDevice(rt.seed, i))
+		rt.devs[i].draws = fault.NewDevice(rt.seed, i)
 	}
 }
 
+// failDisk kills dev: from now on it is routed around and rejects I/O.
+// A spare dies too, and the rebuild walking onto it is abandoned: it
+// issues no more I/O, what it has in flight completes as timing only, a
+// crash does not relaunch it, and a later rebuild starts at row zero.
 func (rt *FaultRuntime) failDisk(dev int) {
-	if dev >= len(rt.failed) || rt.failed[dev] {
+	if dev >= len(rt.devs) || rt.devs[dev].state == devDead {
 		return
 	}
-	rt.failed[dev] = true
+	rt.devs[dev].state = devDead
 	rt.stats.Failures++
-	if fd, ok := rt.arr.Device(dev).(disk.Faultable); ok {
-		fd.SetFailed(true)
+	if job := rt.rebuildOf(dev); job != nil {
+		job.abandoned = true
+		rt.unregister(job)
 	}
 	rt.setDegraded()
 }
@@ -370,7 +370,7 @@ func (rt *FaultRuntime) failDisk(dev int) {
 // the window is open while any device is routed around.
 func (rt *FaultRuntime) setDegraded() {
 	if d, ok := rt.vol.(interface{ setDegraded(bool) }); ok {
-		d.setDegraded(slices.Contains(rt.failed, true))
+		d.setDegraded(slices.ContainsFunc(rt.devs, func(d devFault) bool { return d.state != devUp }))
 	}
 }
 
@@ -390,15 +390,17 @@ func (rt *FaultRuntime) spans() []*span {
 // stripe-row walks, paced to the configured rate. The epoch stamp is
 // the controller incarnation that launched the job: a crash-restart
 // bumps the array's epoch and relaunches active jobs from row zero, so a
-// stale job's in-flight chains complete as timing only.
+// stale job's in-flight chains complete as timing only — as do an
+// abandoned job's, whose spare died under it.
 type rebuildJob struct {
-	rt       *FaultRuntime
-	dev      int
-	rateMBps float64
-	epoch    uint64
-	walks    []spanWalk
-	cur      int
-	lostRows int64 // rows this job declared unrecoverable
+	rt        *FaultRuntime
+	dev       int
+	rateMBps  float64
+	epoch     uint64
+	abandoned bool
+	walks     []spanWalk
+	cur       int
+	lostRows  int64 // rows this job declared unrecoverable
 
 	// The batch in flight. A job runs one batch at a time (the write's
 	// completion schedules the next step), so the batch lives in fields
@@ -427,22 +429,21 @@ type spanWalk struct {
 
 // startRebuild brings a spare online for dev and walks its stripe rows
 // at rateMBps: for each row, read the surviving peers, pay the
-// reconstruction compute, write the unit onto the spare. The device's
-// Failed state clears immediately (the spare accepts the rebuild
-// writes) but the array keeps routing client I/O around it — reads
-// still reconstruct — until the walk completes and the device rejoins.
-// Traffic flows through the ordinary submission path, so it contends
-// with the monitor on the same queues.
+// reconstruction compute, write the unit onto the spare. The device
+// turns spare at once (it accepts the rebuild writes) but the array
+// keeps routing client I/O around it — reads still reconstruct — until
+// the walk completes and the device rejoins. Traffic flows through the
+// ordinary submission path, so it contends with the monitor on the same
+// queues. A device that is up, or whose rebuild is still walking, has
+// nothing to start; a spare whose walk lost rows is walked again.
 func (rt *FaultRuntime) startRebuild(dev int, rateMBps float64) {
-	if dev >= len(rt.failed) || !rt.failed[dev] {
+	if dev >= len(rt.devs) || rt.devs[dev].state == devUp || rt.rebuildOf(dev) != nil {
 		return
 	}
 	if rateMBps <= 0 {
 		rateMBps = fault.DefaultRateMBps
 	}
-	if fd, ok := rt.arr.Device(dev).(disk.Faultable); ok {
-		fd.SetFailed(false)
-	}
+	rt.devs[dev].state = devSpare
 	if rt.stats.RebuildStart == 0 {
 		rt.stats.RebuildStart = rt.arr.Eng.Now()
 	}
@@ -476,6 +477,16 @@ func (rt *FaultRuntime) launchRebuild(dev int, rateMBps float64) {
 	job.step()
 }
 
+// rebuildOf returns dev's active rebuild job, nil if none is walking.
+func (rt *FaultRuntime) rebuildOf(dev int) *rebuildJob {
+	for _, j := range rt.rebuilds {
+		if j.dev == dev {
+			return j
+		}
+	}
+	return nil
+}
+
 // unregister drops job from the active-rebuild registry.
 func (rt *FaultRuntime) unregister(job *rebuildJob) {
 	for i, j := range rt.rebuilds {
@@ -495,9 +506,10 @@ func (rt *FaultRuntime) unregister(job *rebuildJob) {
 // second at default rates.
 const rebuildBatchRows = 8
 
-// stale reports that a crash-restart tore down the incarnation that
-// launched the job: the relaunched job owns the walk now.
-func (r *rebuildJob) stale() bool { return r.epoch != r.rt.arr.epoch }
+// stale reports that the job no longer owns its walk: a crash-restart
+// tore down the incarnation that launched it (the relaunched job owns
+// the walk now), or its spare died.
+func (r *rebuildJob) stale() bool { return r.abandoned || r.epoch != r.rt.arr.epoch }
 
 // step launches the next stripe-row batch, or finishes the rebuild when
 // every span walk is exhausted.
@@ -614,7 +626,7 @@ func (r *rebuildJob) finish() {
 	if r.lostRows > 0 {
 		return
 	}
-	rt.failed[r.dev] = false
+	rt.devs[r.dev].state = devUp
 	rt.setDegraded()
 }
 

@@ -413,3 +413,129 @@ func TestExpandInvalidateMidReplayWritesBackDirty(t *testing.T) {
 		t.Fatalf("ExpandEnd = %v, want the crash instant 8ms: stale chains drain as timing only", faults.ExpandEnd)
 	}
 }
+
+// TestFailOnSpareAbandonsRebuild pins a death during the disk's own
+// rebuild: the spare dies — a second failure, and the device rejects I/O
+// again — and its walk is abandoned: no more rebuild I/O, the batch in
+// flight completes as timing only, a crash does not relaunch it, and the
+// next rebuild walks from row zero and rejoins the device.
+func TestFailOnSpareAbandonsRebuild(t *testing.T) {
+	const (
+		rate   = 64.0
+		tBuild = 2 * sim.Millisecond
+		tDeath = 6100 * sim.Microsecond // inside the third batch's decode
+		tCheck = 7500 * sim.Microsecond
+		tAgain = 8 * sim.Millisecond
+	)
+	eng := sim.NewEngine()
+	arr := nullArray(eng, 4, 100000)
+	disks := []int{0, 1, 2, 3}
+	paLayout := raid.NewRAID5(4, 4, 160, 4)
+	c := mustCRAID(arr, Config{Policy: "WLRU", CachePerDisk: 64, ParityGroup: 4, StripeUnit: 4},
+		true, disks, 0, paLayout, disks, 64)
+	plan, err := fault.ParsePlan("seed=1;fail:1@1ms;rebuild:1@2ms,rate=64;fail:1@6100us;crash@7ms;rebuild:1@8ms,rate=64")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := InstallFaults(arr, c, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Progress before the death: batches whose spare write (issued at
+	// start + decode charge, null devices) lands before it; the cache
+	// partition's rows are walked first, then the archive's.
+	pcRows := c.pc.red.BlocksPerDisk() / c.pc.red.StripeUnitBlocks()
+	paRows := paLayout.BlocksPerDisk() / paLayout.StripeUnitBlocks()
+	total := pcRows + paRows
+	pace := sim.Time(float64(int64(rebuildBatchRows)*4*disk.BlockSize) * 1000 / rate)
+	var preRows, preBatches int64
+	start := tBuild
+	for ; preRows < total; start += pace {
+		left := pcRows - preRows
+		if preRows >= pcRows {
+			left = total - preRows
+		}
+		batch := min(int64(rebuildBatchRows), left)
+		if start+reconPerBlock*sim.Time(batch*4) >= tDeath {
+			break
+		}
+		preRows += batch
+		preBatches++
+	}
+	if preRows == 0 || preRows == total || start > tDeath {
+		t.Fatalf("reference degenerate: %d of %d rows before the death, the next batch starting at %v", preRows, total, start)
+	}
+
+	rejected := false
+	eng.Schedule(tCheck, func() {
+		if !arr.deviceDown(1) {
+			t.Error("the dead spare is not routed around")
+		}
+		if st := rt.Stats(); st.RebuildRows != preRows {
+			t.Errorf("%d rows rebuilt by %v, want the %d before the death", st.RebuildRows, tCheck, preRows)
+		}
+		if w := arr.Device(1).Stats().Writes; w != preBatches {
+			t.Errorf("%d writes reached the spare by %v, want the %d batches before the death", w, tCheck, preBatches)
+		}
+		arr.submit(1, disk.OpRead, 0, 1, func(sim.Time) { rejected = true })
+	})
+	eng.Run()
+	if err := rt.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	st := rt.Stats()
+	if st.Failures != 2 || st.Restarts != 1 || st.RebuildRestarts != 0 {
+		t.Fatalf("counters %+v, want 2 failures, 1 restart and no relaunched walk", st)
+	}
+	if s := arr.Device(1).Stats(); !rejected || s.Rejected != 1 || st.Transients != 1 || st.Permanent != 1 {
+		t.Fatalf("a read of the dead spare: told %v, device %+v, fault stats %+v; want one rejection, given up at once",
+			rejected, s, st)
+	}
+	if want := preRows + total; st.RebuildRows != want {
+		t.Fatalf("RebuildRows = %d, want %d before the death + %d from row zero", st.RebuildRows, preRows, total)
+	}
+	batches := (pcRows+rebuildBatchRows-1)/rebuildBatchRows + (paRows+rebuildBatchRows-1)/rebuildBatchRows
+	if want := tAgain + sim.Time(batches)*pace; st.RebuildEnd != want {
+		t.Fatalf("second rebuild finished at %v, want %v", st.RebuildEnd, want)
+	}
+	if arr.deviceDown(1) {
+		t.Fatal("device did not rejoin after the second rebuild")
+	}
+	checkInvariants(t, c)
+}
+
+// TestRebuildOfRebuildingDeviceIsNoOp pins a rebuild event on a device
+// whose rebuild is still walking as a no-op — the run equals the one
+// without it — while a spare whose walk lost rows is walked again.
+func TestRebuildOfRebuildingDeviceIsNoOp(t *testing.T) {
+	run := func(spec string) (FaultStats, []disk.Stats) {
+		eng := sim.NewEngine()
+		arr := nullArray(eng, 4, 10000)
+		ctl := NewRAIDController(arr, raid.NewRAID5(4, 4, 160, 4), []int{0, 1, 2, 3}, 0)
+		rt := installPlan(t, arr, ctl, spec)
+		checkDrained(t, arr)
+		devs := make([]disk.Stats, arr.Devices())
+		for i := range devs {
+			devs[i] = *arr.Device(i).Stats()
+		}
+		return *rt.Stats(), devs
+	}
+	once, onceDevs := run("seed=1;fail:1@1ms;rebuild:1@2ms,rate=64")
+	twice, twiceDevs := run("seed=1;fail:1@1ms;rebuild:1@2ms,rate=64;rebuild:1@3ms,rate=64")
+	if once.RebuildRows == 0 || once.RebuildEnd <= 3*sim.Millisecond {
+		t.Fatalf("the first walk is not walking at 3ms: %+v", once)
+	}
+	if twice != once || !reflect.DeepEqual(twiceDevs, onceDevs) {
+		t.Fatalf("a rebuild of a rebuilding device changed the run:\n got %+v\nwant %+v", twice, once)
+	}
+
+	lost, _ := run("seed=1;fail:1@1ms;rebuild:1@2ms,rate=64;fail:3@5ms")
+	again, _ := run("seed=1;fail:1@1ms;rebuild:1@2ms,rate=64;fail:3@5ms;rebuild:1@40ms,rate=64")
+	rows := raid.NewRAID5(4, 4, 160, 4).BlocksPerDisk() / 4
+	if lost.RebuildLostRows == 0 || again.RebuildLostRows != lost.RebuildLostRows+rows {
+		t.Fatalf("a rebuild of a spare that lost rows lost %d rows in all, want %d + a fresh walk's %d",
+			again.RebuildLostRows, lost.RebuildLostRows, rows)
+	}
+}

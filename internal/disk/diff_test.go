@@ -13,14 +13,13 @@ import (
 // hddModel is what the differential driver needs of HDD and refHDD.
 type hddModel interface {
 	Device
-	Faultable
 	QueueDepth() int
 }
 
 // seededVerdicts draws transient errors (1 in 16) and latency
 // multipliers (1 in 8, between 1 and 4) from its own stream, as a fault
 // runtime would: one draw per request a device accepts, so a caller
-// draws only while the device is not Failed.
+// draws only while it does not reject the device's requests.
 type seededVerdicts struct{ rng *rand.Rand }
 
 // draw sets r's verdict from the next draw.
@@ -34,14 +33,15 @@ func (s *seededVerdicts) draw(r *Request) {
 
 type completion struct {
 	id     int
-	failed bool // through Fail, not Done
+	failed bool // rejected or erring, as submitted
 	at     sim.Time
 }
 
 // runScript drives d with total seeded requests in a closed loop whose
 // window wanders between 1 and 8 outstanding, some resubmitting from the
 // completion callback and some after a think time (so the drive also
-// goes idle, destages, and is found idle by the next request), and
+// goes idle, destages, and is found idle by the next request), and the
+// disk dying and coming back (its requests rejected meanwhile), and
 // returns every completion in order. The script depends on the model
 // only through the order of completions, which is what is compared.
 func runScript(eng *sim.Engine, d hddModel, cfg HDDConfig, edges []int64, seed int64, total int) []completion {
@@ -54,6 +54,7 @@ func runScript(eng *sim.Engine, d hddModel, cfg HDDConfig, edges []int64, seed i
 	}
 	submitted, outstanding, target := 0, 0, 1
 	var hot int64 // start of the latest random read: a read-ahead segment, if it missed
+	down := false // the disk is dead: its requests are rejected
 	var submit func()
 	completed := func(id int, failed bool, at sim.Time) {
 		log = append(log, completion{id, failed, at})
@@ -61,12 +62,10 @@ func runScript(eng *sim.Engine, d hddModel, cfg HDDConfig, edges []int64, seed i
 		if rng.Intn(64) == 0 {
 			target = 1 + rng.Intn(8)
 		}
-		if d.Failed() {
-			if rng.Intn(16) == 0 {
-				d.SetFailed(false)
-			}
-		} else if rng.Intn(1024) == 0 {
-			d.SetFailed(true)
+		if down {
+			down = rng.Intn(16) != 0
+		} else {
+			down = rng.Intn(1024) == 0
 		}
 		if rng.Intn(4) == 0 {
 			eng.After(sim.Time(rng.Intn(5000))*sim.Microsecond, submit)
@@ -102,12 +101,12 @@ func runScript(eng *sim.Engine, d hddModel, cfg HDDConfig, edges []int64, seed i
 				}
 			}
 			block = max(0, min(block, cfg.CapacityBlocks-count))
-			r := &Request{Op: op, Block: block, Count: count,
-				Done: func(at sim.Time) { completed(id, false, at) },
-				Fail: func(at sim.Time) { completed(id, true, at) }}
-			if !d.Failed() {
+			r := &Request{Op: op, Block: block, Count: count, Reject: down}
+			if !down {
 				verdicts.draw(r)
 			}
+			failed := r.Reject || r.Err
+			r.Done = func(at sim.Time) { completed(id, failed, at) }
 			d.Submit(r)
 		}
 	}
@@ -270,27 +269,21 @@ func TestDeviceConstructionAllocs(t *testing.T) {
 	}
 }
 
-// faultyDevice is a model with fault injection, as every model here is.
-type faultyDevice interface {
-	Device
-	Faultable
-}
-
 // TestDeviceStatsMatchCompletions drives each model through a seeded
 // closed loop — one request in 16 failing, the device dying and coming
 // back mid-script — and wants the counters a model bumps where it
-// decides an outcome to equal, once the engine drains, what the Done and
-// Fail callbacks saw.
+// decides an outcome to equal, once the engine drains, what the Done
+// callbacks saw of the fates the requests were submitted with.
 func TestDeviceStatsMatchCompletions(t *testing.T) {
 	cheetah := CheetahConfig("hdd")
 	cheetah.WriteCacheBlocks = 128 // on, and small enough that writes stall
 	for _, tc := range []struct {
 		name  string
-		build func(*sim.Engine) faultyDevice
+		build func(*sim.Engine) Device
 	}{
-		{"hdd", func(eng *sim.Engine) faultyDevice { return NewHDD(eng, cheetah) }},
-		{"ssd", func(eng *sim.Engine) faultyDevice { return NewSSD(eng, MSRSSDConfig("ssd")) }},
-		{"null", func(eng *sim.Engine) faultyDevice { return NewNullDevice(eng, "null", 1<<30) }},
+		{"hdd", func(eng *sim.Engine) Device { return NewHDD(eng, cheetah) }},
+		{"ssd", func(eng *sim.Engine) Device { return NewSSD(eng, MSRSSDConfig("ssd")) }},
+		{"null", func(eng *sim.Engine) Device { return NewNullDevice(eng, "null", 1<<30) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.NewEngine()
@@ -300,15 +293,14 @@ func TestDeviceStatsMatchCompletions(t *testing.T) {
 			var seen Stats
 			const total = 20000
 			submitted, outstanding := 0, 0
+			down := false // the device is dead: its requests are rejected
 			var submit func()
 			completed := func() {
 				outstanding--
-				if d.Failed() {
-					if rng.Intn(16) == 0 {
-						d.SetFailed(false)
-					}
-				} else if rng.Intn(512) == 0 {
-					d.SetFailed(true)
+				if down {
+					down = rng.Intn(16) != 0
+				} else {
+					down = rng.Intn(512) == 0
 				}
 				if rng.Intn(4) == 0 {
 					eng.After(sim.Time(rng.Intn(5000))*sim.Microsecond, submit)
@@ -324,28 +316,25 @@ func TestDeviceStatsMatchCompletions(t *testing.T) {
 					if rng.Intn(5) < 2 {
 						op = OpWrite
 					}
-					rejected := d.Failed()
-					r := &Request{Op: op, Block: rng.Int63n(d.CapacityBlocks() - count), Count: count,
-						Done: func(sim.Time) {
-							if op == OpRead {
-								seen.Reads++
-								seen.BlocksRead += count
-							} else {
-								seen.Writes++
-								seen.BlocksWrite += count
-							}
-							completed()
-						},
-						Fail: func(sim.Time) {
-							if rejected {
-								seen.Rejected++
-							} else {
-								seen.Errors++
-							}
-							completed()
-						}}
-					if !rejected {
+					r := &Request{Op: op, Block: rng.Int63n(d.CapacityBlocks() - count), Count: count, Reject: down}
+					if !down {
 						verdicts.draw(r)
+					}
+					rejected, errs := r.Reject, r.Err
+					r.Done = func(sim.Time) {
+						switch {
+						case rejected:
+							seen.Rejected++
+						case errs:
+							seen.Errors++
+						case op == OpRead:
+							seen.Reads++
+							seen.BlocksRead += count
+						default:
+							seen.Writes++
+							seen.BlocksWrite += count
+						}
+						completed()
 					}
 					d.Submit(r)
 				}

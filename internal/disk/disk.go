@@ -15,10 +15,10 @@
 // and complete requests by invoking a callback on the shared simulation
 // engine; they never block.
 //
-// A device draws no fault verdicts of its own: a request arrives with
-// its verdict (Request.Err, Request.LatencyX) already drawn by whoever
-// submits it, and a model keeps only its Failed state — a dead disk that
-// rejects every submission — and the timing of an error.
+// A device keeps no fault state: a request arrives with its whole fate
+// (Request.Reject, Err and LatencyX) decided by whoever submits it, and
+// the model only times that fate and counts it. Every request completes
+// through Done exactly once, whatever its fate.
 package disk
 
 import (
@@ -56,30 +56,19 @@ type Request struct {
 	Block int64 // first logical block on the device
 	Count int64 // number of consecutive blocks, >= 1
 
-	// Err and LatencyX are the request's fault verdict: Err completes it
-	// with an error, after the time an error takes on the model, and a
-	// LatencyX above 1 stretches its service time. The zero values are a
-	// healthy request. A Failed device rejects the request whatever its
-	// verdict.
+	// Reject, Err and LatencyX are the request's fate. Reject says the
+	// device is dead: the model rejects the request after the time its
+	// controller takes to say so, whatever the rest of the fate. Err
+	// completes it with an error, after the time an error takes on the
+	// model, and a LatencyX above 1 stretches its service time. The zero
+	// values are a healthy request.
+	Reject   bool
 	Err      bool
 	LatencyX float64
 
 	// Done, if non-nil, is invoked exactly once when the request
-	// completes, with the completion time.
+	// completes, with the completion time, whatever its fate.
 	Done func(at sim.Time)
-
-	// Fail, if non-nil, is invoked instead of Done when the request
-	// completes with an error (Err) or is rejected by a Failed device.
-	// When Fail is nil the device falls back to Done, so fault-unaware
-	// callers still observe exactly one completion.
-	Fail func(at sim.Time)
-}
-
-// Faultable is implemented by device models with a Failed state: a dead
-// disk that rejects all I/O.
-type Faultable interface {
-	SetFailed(failed bool)
-	Failed() bool
 }
 
 // Device is a block storage device attached to a simulation engine.
@@ -126,7 +115,7 @@ type Stats struct {
 	CacheHits   int64    // requests served entirely from the on-device cache
 	CacheMisses int64
 	Errors      int64 // requests completed with an error verdict
-	Rejected    int64 // requests rejected because the device was Failed
+	Rejected    int64 // requests rejected: submitted with Reject
 }
 
 // count records the outcome of one request of n blocks: an error, or one
@@ -142,16 +131,6 @@ func (s *Stats) count(op Op, n int64, fail bool) {
 		s.Writes++
 		s.BlocksWrite += n
 	}
-}
-
-// completion is the callback that reports r's outcome: Fail for an error
-// when set, else Done, so fault-unaware callers still observe exactly one
-// completion. It is nil when r has neither.
-func (r *Request) completion(fail bool) func(at sim.Time) {
-	if fail && r.Fail != nil {
-		return r.Fail
-	}
-	return r.Done
 }
 
 // complete schedules done, unless nil, delay from now. A completion
@@ -178,17 +157,6 @@ func outOfRange(r *Request, capacity int64, name string) {
 		r.Block, r.Count, name, capacity))
 }
 
-// faultState is the Failed state embedded by every device model.
-type faultState struct{ failed bool }
-
-// SetFailed implements Faultable. Requests already queued when the
-// device fails complete normally (they were accepted); only subsequent
-// submissions are rejected.
-func (f *faultState) SetFailed(failed bool) { f.failed = failed }
-
-// Failed implements Faultable.
-func (f *faultState) Failed() bool { return f.failed }
-
 // NullDevice completes every request instantly. It realizes the CRAID
 // paper's "simplified disk model that resolves each I/O instantly" used
 // to evaluate cache-policy quality in isolation (§5.1).
@@ -197,7 +165,6 @@ type NullDevice struct {
 	name     string
 	capacity int64
 	stats    Stats
-	faultState
 }
 
 // NewNullDevice returns an instant-service device with the given
@@ -211,16 +178,14 @@ func NewNullDevice(eng *sim.Engine, name string, capacityBlocks int64) *NullDevi
 // ordering guarantees).
 func (d *NullDevice) Submit(r *Request) {
 	checkRange(r, d.capacity, d.name)
-	fail := d.failed
-	if fail {
+	if r.Reject {
 		d.stats.Rejected++
 	} else {
 		// An instant device has no service time to scale, so a latency
 		// multiplier is moot; the error verdict still applies.
-		fail = r.Err
-		d.stats.count(r.Op, r.Count, fail)
+		d.stats.count(r.Op, r.Count, r.Err)
 	}
-	complete(d.eng, 0, r.completion(fail))
+	complete(d.eng, 0, r.Done)
 }
 
 // CapacityBlocks implements Device.

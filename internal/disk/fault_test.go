@@ -6,68 +6,62 @@ import (
 	"craid/internal/sim"
 )
 
-// runOneFault submits a request carrying the verdict (errs, latX) with
-// separate Done/Fail callbacks and reports which one fired.
-func runOneFault(t *testing.T, eng *sim.Engine, d Device, op Op, block, count int64, errs bool, latX float64) (failed bool, rt sim.Time) {
+// runOneFault submits a request with the fate (reject, errs, latX),
+// requires it to complete exactly once, through Done, and returns its
+// response time.
+func runOneFault(t *testing.T, eng *sim.Engine, d Device, op Op, block, count int64, reject, errs bool, latX float64) (rt sim.Time) {
 	t.Helper()
 	start := eng.Now()
 	completions := 0
 	d.Submit(&Request{
-		Op: op, Block: block, Count: count, Err: errs, LatencyX: latX,
+		Op: op, Block: block, Count: count, Reject: reject, Err: errs, LatencyX: latX,
 		Done: func(at sim.Time) { completions++; rt = at - start },
-		Fail: func(at sim.Time) { completions++; failed = true; rt = at - start },
 	})
 	eng.Run()
 	if completions != 1 {
 		t.Fatalf("request (%v %d+%d) completed %d times, want exactly once", op, block, count, completions)
 	}
-	return failed, rt
+	return rt
 }
 
-// TestFailedDeviceRejectsUntilRestored pins the dead-disk contract on
-// every model: a Failed device rejects each submission through Fail,
-// whatever its verdict, counts it in Rejected, and serves normally once
-// restored.
-func TestFailedDeviceRejectsUntilRestored(t *testing.T) {
+// TestRejectedRequestCountsAndTimes pins the dead-disk contract on every
+// model: a request submitted with Reject completes once, after the
+// model's controller time, whatever the rest of its fate, counts in
+// Rejected and in nothing else, and the next request without it is
+// served normally.
+func TestRejectedRequestCountsAndTimes(t *testing.T) {
 	eng := sim.NewEngine()
-	devices := []Device{
-		NewNullDevice(eng, "null0", 10000),
-		NewHDD(eng, smallHDDConfig("hdd0")),
-		NewSSD(eng, MSRSSDConfig("ssd0")),
-	}
-	for _, d := range devices {
-		f, ok := d.(Faultable)
-		if !ok {
-			t.Fatalf("%s does not implement Faultable", d.Name())
+	hdd, ssd := smallHDDConfig("hdd0"), MSRSSDConfig("ssd0")
+	for _, tc := range []struct {
+		d      Device
+		reject sim.Time
+	}{
+		{NewNullDevice(eng, "null0", 10000), 0},
+		{NewHDD(eng, hdd), hdd.ControllerOver},
+		{NewSSD(eng, ssd), ssd.ControllerOver},
+	} {
+		d := tc.d
+		if rt := runOneFault(t, eng, d, OpRead, 0, 4, true, false, 0); rt != tc.reject {
+			t.Errorf("%s: rejected read took %v, want %v", d.Name(), rt, tc.reject)
 		}
-		f.SetFailed(true)
-		if !f.Failed() {
-			t.Fatalf("%s: Failed() false after SetFailed(true)", d.Name())
-		}
-		if failed, _ := runOneFault(t, eng, d, OpRead, 0, 4, false, 0); !failed {
-			t.Errorf("%s: read on a Failed device completed through Done", d.Name())
-		}
-		if failed, _ := runOneFault(t, eng, d, OpWrite, 8, 4, true, 0); !failed {
-			t.Errorf("%s: write on a Failed device completed through Done", d.Name())
+		if rt := runOneFault(t, eng, d, OpWrite, 8, 4, true, true, 4); rt != tc.reject {
+			t.Errorf("%s: rejected erring write took %v, want %v", d.Name(), rt, tc.reject)
 		}
 		s := d.Stats()
-		if s.Rejected != 2 || s.Errors != 0 || s.Reads != 0 || s.Writes != 0 {
+		if s.Rejected != 2 || s.Errors != 0 || s.Reads != 0 || s.Writes != 0 || s.BusyTime != 0 {
 			t.Errorf("%s: stats after rejections = %+v", d.Name(), s)
 		}
-		f.SetFailed(false)
-		if failed, _ := runOneFault(t, eng, d, OpRead, 0, 4, false, 0); failed {
-			t.Errorf("%s: restored device still rejecting", d.Name())
-		}
-		if s.Reads != 1 {
-			t.Errorf("%s: restored read not counted: %+v", d.Name(), s)
+		runOneFault(t, eng, d, OpRead, 0, 4, false, false, 0)
+		if s.Reads != 1 || s.Rejected != 2 {
+			t.Errorf("%s: read after the rejections not served: %+v", d.Name(), s)
 		}
 	}
 }
 
-// TestInjectedErrorCompletesThroughFail pins the transient-error path:
-// a request carrying an error verdict completes through Fail, counts in
-// Errors, and leaves the success counters alone.
-func TestInjectedErrorCompletesThroughFail(t *testing.T) {
+// TestInjectedErrorCompletesThroughDone pins the transient-error path: a
+// request carrying an error verdict completes once, through Done like
+// any other, counts in Errors, and leaves the success counters alone.
+func TestInjectedErrorCompletesThroughDone(t *testing.T) {
 	eng := sim.NewEngine()
 	devices := []Device{
 		NewNullDevice(eng, "null0", 10000),
@@ -75,36 +69,14 @@ func TestInjectedErrorCompletesThroughFail(t *testing.T) {
 		NewSSD(eng, MSRSSDConfig("ssd0")),
 	}
 	for _, d := range devices {
-		if failed, _ := runOneFault(t, eng, d, OpRead, 0, 4, true, 1); !failed {
-			t.Errorf("%s: fail verdict completed through Done", d.Name())
+		runOneFault(t, eng, d, OpRead, 0, 4, false, true, 1)
+		if s := d.Stats(); s.Errors != 1 || s.Reads != 0 {
+			t.Errorf("%s: stats after an error verdict = %+v, want 1 error", d.Name(), s)
 		}
-		if failed, _ := runOneFault(t, eng, d, OpRead, 0, 4, false, 1); failed {
-			t.Errorf("%s: pass verdict completed through Fail", d.Name())
-		}
-		s := d.Stats()
-		if s.Errors != 1 || s.Reads != 1 || s.Rejected != 0 {
+		runOneFault(t, eng, d, OpRead, 0, 4, false, false, 1)
+		if s := d.Stats(); s.Errors != 1 || s.Reads != 1 || s.Rejected != 0 {
 			t.Errorf("%s: stats = %+v, want 1 error + 1 read", d.Name(), s)
 		}
-	}
-}
-
-// TestFaultFallsBackToDone pins that fault-unaware callers (no Fail
-// callback) still observe exactly one completion on errors and
-// rejections.
-func TestFaultFallsBackToDone(t *testing.T) {
-	eng := sim.NewEngine()
-	d := NewNullDevice(eng, "null0", 10000)
-	completions := 0
-	d.Submit(&Request{Op: OpRead, Block: 0, Count: 1, Err: true, Done: func(sim.Time) { completions++ }})
-	eng.Run()
-	if completions != 1 {
-		t.Fatalf("error verdict with nil Fail: %d completions through Done, want 1", completions)
-	}
-	d.SetFailed(true)
-	d.Submit(&Request{Op: OpRead, Block: 0, Count: 1, Done: func(sim.Time) { completions++ }})
-	eng.Run()
-	if completions != 2 {
-		t.Fatalf("rejection with nil Fail: %d total completions, want 2", completions)
 	}
 }
 
@@ -120,11 +92,11 @@ func TestInjectorLatencyMultiplierScalesService(t *testing.T) {
 		ControllerOver: 20 * sim.Microsecond,
 	}
 	d := NewSSD(eng, cfg)
-	_, base := runOneFault(t, eng, d, OpRead, 0, 1, false, 0)
+	base := runOneFault(t, eng, d, OpRead, 0, 1, false, false, 0)
 	if base != cfg.ReadLatency+cfg.ControllerOver {
 		t.Fatalf("unscaled read took %v", base)
 	}
-	_, scaled := runOneFault(t, eng, d, OpRead, 0, 1, false, 4)
+	scaled := runOneFault(t, eng, d, OpRead, 0, 1, false, false, 4)
 	if want := 4*cfg.ReadLatency + cfg.ControllerOver; scaled != want {
 		t.Fatalf("latX=4 read took %v, want %v", scaled, want)
 	}
@@ -140,8 +112,7 @@ func TestInjectorLatencyMultiplierSlowsHDD(t *testing.T) {
 	run := func(latX float64) sim.Time {
 		eng := sim.NewEngine()
 		d := NewHDD(eng, cfg)
-		_, rt := runOneFault(t, eng, d, OpRead, 4000, 8, false, latX)
-		return rt
+		return runOneFault(t, eng, d, OpRead, 4000, 8, false, false, latX)
 	}
 	base, stretched := run(1), run(4)
 	if stretched <= base {
@@ -171,24 +142,18 @@ func TestHDDStalledTransientWriteCompletesOnce(t *testing.T) {
 		{200000, 80}, // stalls; fits only beside the 16 phantom blocks; fails
 		{300000, 70}, // stalls behind it
 	}
-	done, failed := make([]int, len(writes)), make([]int, len(writes))
+	done := make([]int, len(writes))
 	for i, w := range writes {
 		d.Submit(&Request{Op: OpWrite, Block: w[0], Count: w[1], Err: i == 3,
-			Done: func(sim.Time) { done[i]++ },
-			Fail: func(sim.Time) { failed[i]++ }})
+			Done: func(sim.Time) { done[i]++ }})
 	}
 	if d.QueueDepth() != 2 {
 		t.Fatalf("queue depth %d after the burst; the scenario needs the last two writes stalled", d.QueueDepth())
 	}
 	eng.Run()
 	for i, w := range writes {
-		wantDone, wantFail := 1, 0
-		if i == 3 {
-			wantDone, wantFail = 0, 1
-		}
-		if done[i] != wantDone || failed[i] != wantFail {
-			t.Errorf("write %v: Done fired %d times and Fail %d, want %d and %d",
-				w, done[i], failed[i], wantDone, wantFail)
+		if done[i] != 1 {
+			t.Errorf("write %v: Done fired %d times, want once", w, done[i])
 		}
 	}
 	if d.QueueDepth() != 0 {

@@ -138,8 +138,6 @@ type HDD struct {
 	// Destage completion, same single-flight argument via destaging.
 	destageN  int64
 	destageFn func()
-
-	faultState
 }
 
 // hddReq is what the HDD keeps of a submitted request while it waits in
@@ -151,7 +149,7 @@ type hddReq struct {
 	block int64
 	count int64
 	place                   // of block; set for requests bound for the media only
-	done  func(at sim.Time) // the request's completion(fail)
+	done  func(at sim.Time) // the request's Done
 	latX  float64           // the request's LatencyX (<=1 = none)
 }
 
@@ -338,16 +336,15 @@ func (d *HDD) countBusy(delta int) {
 func (d *HDD) Submit(r *Request) {
 	checkRange(r, d.cfg.CapacityBlocks, d.cfg.Name)
 
-	if d.failed {
-		// A dead disk rejects at the controller: bus overhead, then an
-		// error completion. Requests queued before the failure still
-		// drain normally.
+	if r.Reject {
+		// A dead disk rejects at the controller: bus overhead, then the
+		// completion. Requests queued before the failure still drain
+		// normally.
 		d.stats.Rejected++
-		complete(d.eng, d.cfg.ControllerOver, r.completion(true))
+		complete(d.eng, d.cfg.ControllerOver, r.Done)
 		return
 	}
-	q := hddReq{op: r.Op, fail: r.Err, block: r.Block, count: r.Count, latX: r.LatencyX}
-	q.done = r.completion(q.fail)
+	q := hddReq{op: r.Op, fail: r.Err, block: r.Block, count: r.Count, done: r.Done, latX: r.LatencyX}
 
 	// A write the cache could never hold (or any write, with no cache)
 	// goes to the media like a read: stalled, it would wait for room

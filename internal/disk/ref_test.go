@@ -14,7 +14,7 @@ import (
 // an idle drive, the media access searches the zone table again, and all
 // arithmetic is plain / and %. It shares with HDD what did not change —
 // the zone layout and seek calibration (borrowed from a built HDD), the
-// fault state, the stats — and carries the oversized-write fix, so the
+// stats — and carries the oversized-write fix, so the
 // two differ in how they compute, never in what.
 type refHDD struct {
 	eng   *sim.Engine
@@ -38,8 +38,6 @@ type refHDD struct {
 	destaging   bool
 	stalled     []refReq
 	admitting   bool
-
-	faultState
 }
 
 type refReq struct {
@@ -101,13 +99,12 @@ func (d *refHDD) locate(block int64) (zn *zone, cyl, posOnTrack int64) {
 
 func (d *refHDD) Submit(r *Request) {
 	checkRange(r, d.cfg.CapacityBlocks, d.cfg.Name)
-	if d.failed {
+	if r.Reject {
 		d.stats.Rejected++
-		complete(d.eng, d.cfg.ControllerOver, r.completion(true))
+		complete(d.eng, d.cfg.ControllerOver, r.Done)
 		return
 	}
-	q := refReq{op: r.Op, block: r.Block, count: r.Count, fail: r.Err, latX: r.LatencyX}
-	q.done = r.completion(q.fail)
+	q := refReq{op: r.Op, block: r.Block, count: r.Count, done: r.Done, fail: r.Err, latX: r.LatencyX}
 	// The fix: a write that can never fit takes the media queue.
 	if q.op == OpWrite && d.cfg.WriteCacheBlocks > 0 && q.count <= int64(d.cfg.WriteCacheBlocks) {
 		if d.dirty+q.count <= int64(d.cfg.WriteCacheBlocks) {

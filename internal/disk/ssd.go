@@ -51,8 +51,6 @@ type SSD struct {
 	busyUntil sim.Time
 
 	perChannels fastdiv.Divisor // by cfg.Channels
-
-	faultState
 }
 
 // NewSSD builds an SSD from cfg, attached to eng.
@@ -112,9 +110,9 @@ func (d *SSD) Submit(r *Request) {
 	checkRange(r, d.cfg.CapacityBlocks, d.cfg.Name)
 	now := d.eng.Now()
 
-	if d.failed {
+	if r.Reject {
 		d.stats.Rejected++
-		complete(d.eng, d.cfg.ControllerOver, r.completion(true))
+		complete(d.eng, d.cfg.ControllerOver, r.Done)
 		return
 	}
 	per := d.cfg.ReadLatency
@@ -151,5 +149,5 @@ func (d *SSD) Submit(r *Request) {
 	finish := latest + d.cfg.ControllerOver
 	d.stats.BusyTime += finish - now
 	d.stats.count(r.Op, r.Count, r.Err)
-	complete(d.eng, finish-now, r.completion(r.Err))
+	complete(d.eng, finish-now, r.Done)
 }

@@ -27,8 +27,10 @@ import (
 type Kind uint8
 
 const (
-	// DiskFail marks a device Failed at At: every subsequent I/O on it
-	// is rejected until a Rebuild event restores it.
+	// DiskFail kills a device at At: the array routes around it and
+	// rejects every later I/O on it, until a Rebuild event brings a spare
+	// online. A DiskFail on a spare kills it too, abandoning its rebuild:
+	// the next Rebuild walks from the first row.
 	DiskFail Kind = iota
 	// Transient opens an error window [At, Until) on a device: each
 	// request independently errs with probability Rate, and all
@@ -41,6 +43,7 @@ const (
 	// Rebuild brings a spare online for a failed device at At and
 	// reconstructs it stripe row by stripe row, rate-limited to
 	// RateMBps; the device rejoins the array when the walk completes.
+	// A Rebuild of a device whose rebuild is still walking is a no-op.
 	Rebuild
 	// Expand grows the array by Disks devices at At, mid-replay: the
 	// controller performs an online upgrade (core's Expand, retaining
