@@ -6,7 +6,6 @@
 //
 //	craidsim -trace wdev -strategy CRAID-5 -pc 0.008
 //	craidsim -trace cello99 -strategy RAID-5+ -budget 2
-//	craidsim -trace wdev -maplog dirty.log
 //	craidsim -file wdev.trace -format native -dataset-gb 4 -strategy CRAID-5 -pc 0.01
 //	craidsim -file msr.csv -format msr -volume 2 -dataset-gb 4
 //	craidsim -file msr.csv -format msr -pervolume -dataset-gb 4
@@ -19,11 +18,12 @@
 // the replay to one DiskNumber (default: all volumes interleaved).
 // -pervolume splits an MSR file (-format msr) into its volumes and
 // replays each against an independent simulation in parallel, one
-// result row per volume (each row is the run -volume N makes).
+// result row per volume (each row is the run -volume N makes). A flag
+// the chosen source ignores is an error: -trace and -budget with -file,
+// the four file flags without it.
 //
-// -maplog attaches a dirty-translation log written once per apply step
-// (-maplog-sync fsyncs the file after every flushed buffer); the
-// printed map-log line reports its counters.
+// A -fault plan with a crash recovers the controller from its in-memory
+// dirty-translation log; the crash line reports what it recovered.
 //
 // -out writes the full JSON result to a file while the human-readable
 // stats still print to stdout (use -json for JSON on stdout instead);
@@ -66,10 +66,6 @@ func run(args []string, stdout io.Writer) error {
 	policy := fs.String("policy", "WLRU", "monitor policy: LRU|LFUDA|GDSF|ARC|WLRU")
 	budget := fs.Float64("budget", 0.5, "replayed GB (scales the workload)")
 	bursty := fs.Bool("bursty", false, "bursty arrivals")
-	maplog := fs.String("maplog", "",
-		"write the dirty-translation log to this file, one write per apply step")
-	maplogSync := fs.Bool("maplog-sync", false,
-		"fsync the mapping log after every flushed buffer (durable flushes instead of the paper's NVRAM assumption)")
 	file := fs.String("file", "", "replay this trace file instead of the preset")
 	format := fs.String("format", "native", "trace file format: native|msr|blk")
 	volume := fs.Int("volume", -1,
@@ -83,24 +79,25 @@ func run(args []string, stdout io.Writer) error {
 			"compound plans compose, e.g. \"seed=7;fail:2@5s;rebuild:2@10s,rate=64;fail:12@8s;crash@20s\" "+
 			"(second fault mid-rebuild + crash-restart) or \"seed=7;expand@5s,disks=5,retain;storm:crash@10s,n=3,every=5s\"")
 	jsonOut := fs.Bool("json", false,
-		"emit the full result (RunResult with replay, map-log and fault KPIs; with -pervolume one per volume) as JSON")
+		"emit the full result (RunResult with replay and fault KPIs; with -pervolume one per volume) as JSON")
 	outFile := fs.String("out", "",
 		"also write the full JSON result to this file (stdout keeps the human-readable stats)")
 	startProfiles := prof.Flags(fs)
 	fs.Parse(args) // exits on a bad flag
+	if err := checkSource(fs, *file != ""); err != nil {
+		return err
+	}
 
 	cfg := experiments.RunConfig{
-		Trace:      *traceName,
-		Scale:      experiments.ScaleFor(*traceName, *budget),
-		Strategy:   experiments.Strategy(*strategy),
-		PCPct:      *pc,
-		Policy:     *policy,
-		Bursty:     *bursty,
-		MappingLog: *maplog,
-		MapLogSync: *maplogSync,
-		FaultSpec:  *faultSpec,
-		TrackLoad:  true,
-		TrackSeq:   true,
+		Trace:     *traceName,
+		Scale:     experiments.ScaleFor(*traceName, *budget),
+		Strategy:  experiments.Strategy(*strategy),
+		PCPct:     *pc,
+		Policy:    *policy,
+		Bursty:    *bursty,
+		FaultSpec: *faultSpec,
+		TrackLoad: true,
+		TrackSeq:  true,
 	}
 	if *file != "" {
 		cfg.Trace = *file
@@ -114,12 +111,8 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *perVolume {
 		switch {
-		case *file == "":
-			return errors.New("-pervolume needs -file")
 		case strings.ToLower(*format) != "msr":
 			return fmt.Errorf("-pervolume splits MSR volumes; -format %s has none (use -format msr)", *format)
-		case *maplog != "":
-			return errors.New("-maplog logs one simulation; it cannot be shared by -pervolume cells")
 		case *volume >= 0:
 			return errors.New("-pervolume replays every volume; drop -volume or drop -pervolume")
 		}
@@ -138,9 +131,7 @@ func run(args []string, stdout io.Writer) error {
 		vols, err = new(experiments.Runner).RunMSRVolumes(*file, cfg)
 		result = vols
 	} else {
-		// A failure here includes a dying mapping-log device (it
-		// surfaces at the next apply-step flush) and data lost beyond
-		// redundancy.
+		// A failure here includes data lost beyond redundancy.
 		res, err = experiments.Run(cfg)
 		result = res
 	}
@@ -196,11 +187,6 @@ func run(args []string, stdout io.Writer) error {
 	rp := res.Replay
 	fmt.Fprintf(stdout, "replay ring:  high water %d, reader stalls %d, replay stalls %d\n",
 		rp.RingHighWater, rp.ReaderStalls, rp.ReplayStalls)
-	if res.MapLog.Records > 0 {
-		ml := res.MapLog
-		fmt.Fprintf(stdout, "map log:      %d records (%d bytes), %d flushes, %d fsyncs\n",
-			ml.Records, ml.Bytes, ml.Flushes, ml.Syncs)
-	}
 	if res.Fault != nil {
 		f := res.Fault
 		fmt.Fprintf(stdout, "faults:       %d disk failures, %d transients (%d retries, %d permanent), %d lost extents\n",
@@ -232,6 +218,24 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "queues:       mean %.2f, p99 %d, max %d; concurrent devices mean %.1f max %d\n",
 		res.QueueMean, res.QueueP99, res.QueueMax, res.ConcMean, res.ConcMax)
 	return nil
+}
+
+// checkSource rejects a flag given on the command line that the trace
+// source ignores: a -file replay takes neither the preset's name nor
+// its budget, and a preset replay reads no file. fs.Visit sees only the
+// flags that were set, so a default never trips it.
+func checkSource(fs *flag.FlagSet, file bool) (err error) {
+	fileOnly := map[string]bool{"format": true, "volume": true, "dataset-gb": true, "pervolume": true}
+	fs.Visit(func(f *flag.Flag) {
+		switch {
+		case err != nil:
+		case file && (f.Name == "trace" || f.Name == "budget"):
+			err = fmt.Errorf("-%s has no effect with -file, which replaces the preset workload", f.Name)
+		case !file && fileOnly[f.Name]:
+			err = fmt.Errorf("-%s needs -file", f.Name)
+		}
+	})
+	return err
 }
 
 func ratioOf(a, b int64) float64 {

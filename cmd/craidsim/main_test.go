@@ -75,3 +75,35 @@ func TestPerVolumeNeedsMSRFormat(t *testing.T) {
 		}
 	}
 }
+
+// TestFlagsTheSourceIgnoresAreErrors: a preset replay used to run, exit
+// 0 and print the preset's numbers with -volume, -format or -dataset-gb
+// given, and a -file replay dropped -trace and -budget the same way.
+// Each is refused before anything runs, with a message naming the flag.
+func TestFlagsTheSourceIgnoresAreErrors(t *testing.T) {
+	tracePath := filepath.Join(t.TempDir(), "native.trace")
+	if err := os.WriteFile(tracePath, []byte("0 R 0 8\n100 W 8 8\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	preset := []string{"-trace", "wdev", "-budget", "0.05"}
+	file := []string{"-file", tracePath, "-dataset-gb", "0.2"}
+	for _, c := range []struct {
+		flag string
+		args []string
+	}{
+		{"-volume", append(preset, "-volume", "3")},
+		{"-format", append(preset, "-format", "blk")},
+		{"-dataset-gb", append(preset, "-dataset-gb", "7")},
+		{"-trace", append(file, "-trace", "wdev")},
+		{"-budget", append(file, "-budget", "2")},
+	} {
+		var stdout bytes.Buffer
+		err := run(c.args, &stdout)
+		if err == nil || !strings.Contains(err.Error(), c.flag+" ") {
+			t.Errorf("%v: %v, want an error naming %s", c.args, err, c.flag)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v printed a result:\n%s", c.args, stdout.String())
+		}
+	}
+}

@@ -1,13 +1,10 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
-	"fmt"
 	"io"
 
 	"craid/internal/disk"
-	"craid/internal/mapcache"
 	"craid/internal/raid"
 	"craid/internal/sim"
 	"craid/internal/trace"
@@ -61,13 +58,6 @@ type Config struct {
 	StripeUnit int64
 	// Level is the cache partition's redundancy (default RAID-5).
 	Level PCLevel
-	// MapLogSync fsyncs the mapping log after every flushed buffer,
-	// closing the paper's §4.2 NVRAM assumption down to real durable
-	// storage: a flush is then not merely handed to the OS but on
-	// stable media before the next buffer is written. Only effective
-	// when SetMappingLog is given a writer with a Sync() error method;
-	// the recovery byte-stream contract is unchanged either way.
-	MapLogSync bool
 }
 
 func (c Config) withDefaults() Config {
@@ -163,9 +153,12 @@ type CRAID struct {
 
 	mon monitor
 
-	// log, when SetMappingLog attached one, buffers the table's dirty-
-	// log records; flushLog drains it once per apply step.
-	log *mapLog
+	// image is the mapping table's dirty-translation log (paper §4.2),
+	// kept in memory as the controller's NVRAM would keep it: every
+	// record the table appends, in order. InstallFaults attaches it for a
+	// plan that crashes the controller, and a crash recovers from it;
+	// without one nothing is logged.
+	image *bytes.Buffer
 }
 
 // chain issues one background chain: read [from, from+n) on src and,
@@ -242,16 +235,14 @@ func (c *CRAID) DataBlocks() int64 { return c.pa.layout.DataBlocks() }
 // Submit implements Volume, realizing the paper's Fig. 2 control flow:
 // the monitor classifies the request's blocks against the mapping cache
 // into hit and miss extents, the redirector issues the I/O each one
-// needs, and the client completes when all of it has.
+// needs, and the client completes when all of it has. Its one error is
+// a LostError: data beyond the layouts' redundancy.
 func (c *CRAID) Submit(rec trace.Record, done func(sim.Time)) error {
 	now := c.arr.Eng.Now()
 	lost0 := c.arr.lost()
 	j := c.request(c.arr, rec.Op, now, done)
 	c.issue(c.mon.access(rec.Op == disk.OpRead, rec.Block, rec.Count), j, nil)
 	j.seal(now)
-	if err := c.flushLog(); err != nil {
-		return err
-	}
 	return c.arr.lostError(rec, lost0)
 }
 
@@ -294,7 +285,6 @@ func (c *CRAID) copyIn(b, n int64) {
 	detached := c.arr.newJoin(nil)
 	c.issue(c.mon.copyIn(b, n), detached, nil)
 	detached.seal(c.arr.Eng.Now())
-	c.flushLog() // background inserts are an apply step of their own
 }
 
 // Expand performs the online upgrade (paper §4.1): dirty blocks are
@@ -338,7 +328,6 @@ func (c *CRAID) Expand(newDevs []disk.Device, retain bool, done func(sim.Time)) 
 	switch {
 	case !retain:
 		c.mon.regrow(c.buildPC()) // resets policy, allocator and (shared) geometry
-		c.flushLog()
 	case c.sharedPC: // a dedicated cache keeps its geometry: nothing moves
 		st.Migrated = c.migrate(up)
 	}
@@ -366,109 +355,6 @@ func (c *CRAID) migrate(up *join) (moved int64) {
 		i = j
 	}
 	return moved
-}
-
-// MapLogStats counts the mapping log's traffic: the records the table
-// appended that reached the sink, in how many writes (one per drained
-// buffer), and the fsyncs that followed them under Config.MapLogSync.
-type MapLogStats struct {
-	Records int64
-	Bytes   int64
-	Flushes int64
-	Syncs   int64
-}
-
-// mapLogBufBytes holds ~1927 log records; a request that logs more
-// spills to the sink mid-step, in order.
-const mapLogBufBytes = 32 << 10
-
-// mapLog is the controller's end of the dirty-translation log: the
-// mapping table appends records to buf, and buf drains into Write.
-type mapLog struct {
-	buf   *bufio.Writer
-	sink  io.Writer
-	sync  interface{ Sync() error } // nil unless MapLogSync and the sink can
-	stats MapLogStats
-
-	// image, under a fault plan that crashes the controller, holds every
-	// byte written to sink: what the crash recovers from (keepLogImage).
-	image *bytes.Buffer
-}
-
-// Write is what buf flushes into: one call per drained buffer. An
-// error makes buf refuse everything after it, so the first failure is
-// the one every later flush reports.
-func (l *mapLog) Write(p []byte) (int, error) {
-	if l.image != nil {
-		l.image.Write(p)
-	}
-	n, err := l.sink.Write(p)
-	l.stats.Flushes++
-	l.stats.Bytes += int64(n)
-	if err == nil && l.sync != nil {
-		l.stats.Syncs++
-		err = l.sync.Sync()
-	}
-	return n, err
-}
-
-// SetMappingLog enables persistent logging of dirty translations to w
-// (paper §4.2's failure resilience). Call before any I/O.
-//
-// Records are buffered and written to w once per apply step, so the
-// log's durability boundary is the I/O request, not the individual
-// translation; the byte stream (and therefore crash recovery) is the
-// one an unbuffered log would carry. With Config.MapLogSync, a w that
-// has a Sync() error method is fsynced after every write.
-// CloseMappingLog writes out the tail.
-func (c *CRAID) SetMappingLog(w io.Writer) {
-	l := &mapLog{sink: w}
-	if c.cfg.MapLogSync {
-		l.sync, _ = w.(interface{ Sync() error })
-	}
-	l.buf = bufio.NewWriterSize(l, mapLogBufBytes)
-	c.log = l
-	c.mon.table.SetLog(l.buf)
-}
-
-// keepLogImage makes the mapping log keep an in-memory image of every
-// byte it writes, for crash events; without a log it attaches one.
-func (c *CRAID) keepLogImage() {
-	if c.log == nil {
-		c.SetMappingLog(io.Discard)
-	}
-	c.log.image = new(bytes.Buffer)
-}
-
-// flushLog marks an apply-step boundary: what the step logged is
-// written out, and a log device that has failed — now or at an earlier
-// step — fails the run here instead of surfacing as a teardown
-// surprise. Background flush points (copy-ins, expansions) discard the
-// error — it is sticky, so the next Submit returns it.
-func (c *CRAID) flushLog() error {
-	if c.log == nil {
-		return nil
-	}
-	if err := c.log.buf.Flush(); err != nil {
-		return fmt.Errorf("core: mapping log: %w", err)
-	}
-	return nil
-}
-
-// CloseMappingLog writes out what was logged since the last apply step
-// (a crash recovery re-logs the translations it reinstates), detaches
-// the log and reports its counters and its first write or fsync error.
-// Without a log it reports zeros.
-func (c *CRAID) CloseMappingLog() (MapLogStats, error) {
-	if c.log == nil {
-		return MapLogStats{}, nil
-	}
-	err := c.flushLog()
-	st := c.log.stats
-	st.Records = st.Bytes / mapcache.LogRecordSize
-	c.mon.table.SetLog(nil)
-	c.log = nil
-	return st, err
 }
 
 // CrashRestart models the controller dying and coming back mid-run

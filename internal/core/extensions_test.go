@@ -249,8 +249,7 @@ func TestExpandInvalidateThenCrashRecoversDirtySet(t *testing.T) {
 	for _, later := range []bool{false, true} {
 		eng := sim.NewEngine()
 		c, _ := newTestCRAID(eng, 64)
-		var log bytes.Buffer
-		c.SetMappingLog(&log)
+		log := keepImage(c)
 		replayAll(t, eng, c, randomWorkload(23, 2000, 12000))
 		if len(c.mon.table.DirtyMappings()) == 0 {
 			t.Fatal("precondition: the workload left nothing dirty")
@@ -283,12 +282,10 @@ func TestExpandInvalidateThenCrashRecoversDirtySet(t *testing.T) {
 }
 
 func TestCRAIDRecoverRestoresDirtyMappings(t *testing.T) {
-	var log bytes.Buffer
-
 	// First life: write some blocks (dirty), read others (clean).
 	eng := sim.NewEngine()
 	c, _ := newTestCRAID(eng, 64)
-	c.SetMappingLog(&log)
+	log := keepImage(c)
 	submitAndRun(eng, c, disk.OpWrite, 10, 3) // dirty
 	submitAndRun(eng, c, disk.OpRead, 100, 2) // clean
 	wantDirty := c.mon.table.DirtyMappings()
@@ -299,7 +296,7 @@ func TestCRAIDRecoverRestoresDirtyMappings(t *testing.T) {
 	// Crash; second life recovers from the log.
 	eng2 := sim.NewEngine()
 	c2, arr2 := newTestCRAID(eng2, 64)
-	n, err := c2.CrashRestart(&log)
+	n, err := c2.CrashRestart(log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,10 +330,9 @@ func TestCRAIDRecoverRestoresDirtyMappings(t *testing.T) {
 }
 
 func TestCRAIDRecoverRejectsOversizedSlot(t *testing.T) {
-	var log bytes.Buffer
 	eng := sim.NewEngine()
 	big, _ := newTestCRAID(eng, 4096) // large P_C
-	big.SetMappingLog(&log)
+	log := keepImage(big)
 	// Fill enough to use high slot numbers.
 	for i := int64(0); i < 300; i++ {
 		submitAndRun(eng, big, disk.OpWrite, i*10, 1)
@@ -345,7 +341,7 @@ func TestCRAIDRecoverRejectsOversizedSlot(t *testing.T) {
 	// detected rather than silently mis-addressed.
 	eng2 := sim.NewEngine()
 	small, _ := newTinyCRAID(eng2, 2)
-	if _, err := small.CrashRestart(&log); err == nil {
+	if _, err := small.CrashRestart(log); err == nil {
 		t.Error("oversized logged slot not rejected")
 	}
 

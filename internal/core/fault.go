@@ -230,9 +230,9 @@ type FaultRuntime struct {
 // expand events add) is an input error, reported here rather than
 // surfacing as a silent no-op deep in the disk layer. Expand and crash
 // events additionally require a CRAID volume, and expand events a device
-// factory (SetDeviceFactory) before the first event fires. A crash
-// recovers from an in-memory image the CRAID's mapping log keeps from
-// here on, so call SetMappingLog, if at all, before InstallFaults.
+// factory (SetDeviceFactory) before the first event fires. A plan with
+// a crash points the CRAID's mapping table at the in-memory dirty log
+// its crashes recover from (CRAID.image), so it logs from here on.
 func InstallFaults(arr *Array, vol Volume, plan fault.Plan) (*FaultRuntime, error) {
 	if err := plan.Validate(arr.Devices()); err != nil {
 		return nil, err
@@ -244,7 +244,8 @@ func InstallFaults(arr *Array, vol Volume, plan fault.Plan) (*FaultRuntime, erro
 	case plan.HasCrash() && !craid:
 		return nil, fmt.Errorf("fault: crash events require a CRAID volume")
 	case plan.HasCrash():
-		c.keepLogImage()
+		c.image = new(bytes.Buffer)
+		c.mon.table.SetLog(c.image)
 	}
 	rt := &FaultRuntime{arr: arr, vol: vol, seed: plan.Seed, devs: make([]devFault, arr.Devices())}
 	arr.faults = rt
@@ -630,15 +631,12 @@ func (r *rebuildJob) finish() {
 	rt.setDegraded()
 }
 
-// crashRestart restarts the controller from its log image as of this
-// instant, what a recovery re-logged since the last apply step included.
+// crashRestart restarts the controller from its dirty-log image as of
+// this instant. A crash is an engine event, never inside a Submit, so
+// the image holds every record the table has appended.
 func (rt *FaultRuntime) crashRestart() {
 	c := rt.vol.(*CRAID) // InstallFaults checked the volume
-	if err := c.flushLog(); err != nil {
-		rt.fatal(fmt.Errorf("fault: %w", err))
-		return
-	}
-	n, err := c.CrashRestart(bytes.NewReader(c.log.image.Bytes()))
+	n, err := c.CrashRestart(bytes.NewReader(c.image.Bytes()))
 	if err != nil {
 		rt.fatal(fmt.Errorf("fault: crash recovery: %w", err))
 		return

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -619,68 +618,110 @@ func TestFaultRebuildWalksAndRestoresDevice(t *testing.T) {
 // TestCrashRestartLogRingMatchesSyncControl is the crash-recovery e2e
 // (named for the writer it was first written against): a workload
 // replayed with a crash mid-run recovers from the controller's own
-// mapping log, and the image it recovers from is the unbuffered record
-// stream up to the crash.
+// dirty-log image, which is complete at the crash.
 func TestCrashRestartLogRingMatchesSyncControl(t *testing.T) {
-	crashImageMatchesControl(t, randomWorkload(23, 4000, 12000), "seed=5;crash@20ms", 20*sim.Millisecond)
+	st := crashImagesComplete(t, newTestCRAID, randomWorkload(23, 4000, 12000), "seed=5;crash@20ms")
+	if st.Restarts != 1 || st.RecoveredMappings == 0 {
+		t.Fatalf("%d restarts recovering %d mappings; the workload should have dirtied the cache", st.Restarts, st.RecoveredMappings)
+	}
 }
 
-// crashImageMatchesControl replays recs under spec, whose crashes fire
-// at the given instants, with every record the mapping table logs teed
-// into an unbuffered control stream, one Write per record, beside the
-// controller's buffered log. Right after each crash the image it
-// recovered from is the control stream up to the crash, byte for byte
-// (buffering changes when bytes reach the log, never which); what
-// follows in the control is only the recovery re-logging the mappings
-// it reinstated; and those are exactly what the image says is dirty.
-// After the run the image, the log file and the control are one stream.
-func crashImageMatchesControl(t *testing.T, recs []trace.Record, spec string, crashes ...sim.Time) {
+// TestCrashImageCompleteAtEveryCrash holds the dirty-log image to the
+// mapping table at every crash of the plans that crash the controller
+// in the benchmark and in CI, scaled onto the test arrays — the
+// benchmark's crash storm under failures, rebuilds and a transient
+// window; an invalidating expansion followed by a crash, and one at the
+// same instant; crashes through a retaining expansion's migration — and
+// at every crash of the generated plans that draw one.
+func TestCrashImageCompleteAtEveryCrash(t *testing.T) {
+	recs := randomWorkload(37, 4000, 12000) // 40 ms; one hour of a week is 0.25 ms
+	var plans, crashes, recovered int64
+	add := func(st FaultStats) {
+		plans, crashes, recovered = plans+1, crashes+st.Restarts, recovered+st.RecoveredMappings
+	}
+	add(crashImagesComplete(t, newTestCRAID6, recs, "seed=1;fail:2@3ms;fail:4@6ms;rebuild:2@25ms,rate=64;"+
+		"rebuild:4@30ms,rate=64;transient:5@250us-40ms,rate=0.02,lat=4;storm:crash@32500us,n=3,every=2500us"))
+	for _, spec := range []string{
+		"seed=1;expand@10ms,disks=5;crash@15ms",
+		"seed=1;expand@10ms,disks=5;crash@10ms",
+		"seed=2;expand@10ms,disks=1,retain;crash@10ms;storm:crash@20ms,n=3,every=5ms",
+	} {
+		add(crashImagesComplete(t, newTestCRAID, recs, spec))
+	}
+	const span = 20 * sim.Millisecond
+	for seed := int64(1); seed <= 24; seed++ {
+		spec := genPlan(rand.New(rand.NewSource(seed)), 4, true, span)
+		if strings.Contains(spec, "crash@") {
+			add(crashImagesComplete(t, newTestCRAID, randomWorkload(seed, 2000, 12000), spec))
+		}
+	}
+	t.Logf("%d crashes in %d plans, %d mappings recovered", crashes, plans, recovered)
+	if crashes < 20 || recovered == 0 {
+		t.Fatalf("%d crashes recovering %d mappings: the plans should crash a dirty cache often", crashes, recovered)
+	}
+}
+
+// crashImagesComplete replays recs on a controller from rig under spec
+// and checks the controller's dirty-log image at every crash. Right
+// before a crash — from an event scheduled ahead of InstallFaults's at
+// the crash's instant — the image is complete (checkImage); right after
+// it, the controller holds exactly the dirty set it held before. An
+// invalidating expansion at a crash's instant writes every dirty block
+// back whichever of the two fires first, so after that crash nothing is
+// dirty. It returns the runtime's counters.
+func crashImagesComplete(t *testing.T, rig func(*sim.Engine, int64) (*CRAID, *Array),
+	recs []trace.Record, spec string) FaultStats {
 	t.Helper()
 	plan, err := fault.ParsePlan(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var at []sim.Time // crash instants, in plan order
+	for _, ev := range plan.Events {
+		switch ev.Kind {
+		case fault.CrashRestart:
+			at = append(at, ev.At)
+		case fault.Storm:
+			for k := 0; k < ev.N; k++ {
+				at = append(at, ev.At+sim.Time(k)*ev.Every)
+			}
+		}
+	}
 	eng := sim.NewEngine()
-	c, arr := newTestCRAID(eng, 64)
-	var file, control bytes.Buffer
-	c.SetMappingLog(&file)
+	c, arr := rig(eng, 64)
+	before := make([][]mapcache.Mapping, len(at))
+	for i, t0 := range at {
+		eng.Schedule(t0, func() { before[i] = checkImage(t, c, fmt.Sprintf("%q, right before the crash at %v", spec, t0)) })
+	}
 	rt, err := InstallFaults(arr, c, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.mon.table.SetLog(io.MultiWriter(c.log.buf, &control)) // the control: one Write per record
-	var recovered int64
-	for _, at := range crashes {
-		// Same-instant events fire in scheduling order: after the crash.
-		eng.Schedule(at, func() {
-			img := c.log.image.Bytes()
-			n := rt.Stats().RecoveredMappings - recovered
-			recovered += n
-			if !bytes.HasPrefix(control.Bytes(), img) || int64(control.Len()-len(img)) != n*mapcache.LogRecordSize {
-				t.Errorf("crash at %v: image of %d bytes, control of %d, %d mappings recovered", at, len(img), control.Len(), n)
+	if plan.HasExpand() {
+		rt.SetDeviceFactory(nullFactory(eng))
+	}
+	for i, t0 := range at {
+		invalidated := slices.ContainsFunc(plan.Events, func(ev fault.Event) bool {
+			return ev.Kind == fault.Expand && !ev.Retain && ev.At == t0
+		})
+		eng.Schedule(t0, func() {
+			want := before[i]
+			if invalidated {
+				want = nil
 			}
-			ms, err := mapcache.Recover(bytes.NewReader(img))
-			if err != nil || !slices.Equal(ms, c.mon.table.DirtyMappings()) {
-				t.Errorf("crash at %v: the image says %d mappings are dirty (%v), the controller recovered %d",
-					at, len(ms), err, len(c.mon.table.DirtyMappings()))
+			if got := c.mon.table.DirtyMappings(); !slices.Equal(got, want) {
+				t.Fatalf("%q, right after the crash at %v: %d mappings dirty, want %d", spec, t0, len(got), len(want))
 			}
 		})
 	}
 	replayAll(t, eng, c, recs)
 	if err := rt.Err(); err != nil {
-		t.Fatal(err)
+		t.Fatalf("%q: %v", spec, err)
 	}
-	img := c.log.image.Bytes()
-	if _, err := c.CloseMappingLog(); err != nil {
-		t.Fatal(err)
+	if st := rt.Stats(); st.Restarts != int64(len(at)) {
+		t.Fatalf("%q: %d of %d crashes fired", spec, st.Restarts, len(at))
 	}
-	if st := rt.Stats(); st.Restarts != int64(len(crashes)) || st.RecoveredMappings == 0 {
-		t.Fatalf("%d of %d crashes fired, recovering %d mappings; the workload should have dirtied the cache",
-			st.Restarts, len(crashes), st.RecoveredMappings)
-	}
-	if !bytes.Equal(img, control.Bytes()) || !bytes.Equal(file.Bytes(), control.Bytes()) {
-		t.Errorf("after the run: image %d bytes, file %d, control %d, or they differ", len(img), file.Len(), control.Len())
-	}
+	return *rt.Stats()
 }
 
 // TestCrashRecoveryMidExpandRetain kills the controller while a
@@ -691,8 +732,7 @@ func TestCrashRecoveryMidExpandRetain(t *testing.T) {
 	recs := randomWorkload(29, 2500, 12000)
 	eng := sim.NewEngine()
 	c, arr := newTestCRAID(eng, 64)
-	var log bytes.Buffer
-	c.SetMappingLog(&log)
+	log := keepImage(c)
 	replayAll(t, eng, c, recs)
 	logBytes := append([]byte(nil), log.Bytes()...)
 
@@ -752,57 +792,5 @@ func TestCrashRecoveryMidExpandRetain(t *testing.T) {
 	if c.mon.table.Len() != c2.mon.table.Len() ||
 		!reflect.DeepEqual(c.mon.table.DirtyMappings(), c2.mon.table.DirtyMappings()) {
 		t.Fatal("phase-2 mapping state diverged between crash survivor and control")
-	}
-}
-
-// dyingLog is a mapping-log sink that fails every Write once it has
-// been offered more than limit bytes.
-type dyingLog struct {
-	n, limit int
-}
-
-func (w *dyingLog) Write(p []byte) (int, error) {
-	if w.n += len(p); w.n > w.limit {
-		return 0, errors.New("log device gone")
-	}
-	return len(p), nil
-}
-
-// TestMappingLogErrorFailsRun pins that a dying mapping-log device
-// surfaces as the error of the Submit whose flush step hit it, and of
-// every Submit after it, aborting the replay instead of silently
-// dropping durability.
-func TestMappingLogErrorFailsRun(t *testing.T) {
-	recs := randomWorkload(3, 3000, 12000)
-	eng := sim.NewEngine()
-	c, _ := newTestCRAID(eng, 64)
-	sink := &dyingLog{limit: 4096}
-	c.SetMappingLog(sink)
-	st, err := Replay(eng, c, trace.NewSlice(recs))
-	n := st.Records
-	if err == nil {
-		t.Fatal("replay over a dying mapping log reported success")
-	}
-	checkInvariants(t, c)
-	if !strings.Contains(err.Error(), "mapping log") {
-		t.Fatalf("error does not name the mapping log: %v", err)
-	}
-	if n == 0 || n >= int64(len(recs)) {
-		t.Fatalf("replay stopped after %d of %d records, want somewhere inside", n, len(recs))
-	}
-	// The failed write is the first one past the limit, and nothing was
-	// offered to the sink after it.
-	if offered := sink.n; offered <= sink.limit || offered > sink.limit+mapLogBufBytes {
-		t.Fatalf("sink was offered %d bytes around a limit of %d", offered, sink.limit)
-	}
-	offered := sink.n
-	if err := c.Submit(recs[n], nil); err == nil || !strings.Contains(err.Error(), "mapping log") {
-		t.Fatalf("Submit after the failure: %v, want the mapping log's error again", err)
-	}
-	if _, err := c.CloseMappingLog(); err == nil {
-		t.Fatal("CloseMappingLog lost the error")
-	}
-	if sink.n != offered {
-		t.Fatalf("sink was written to after it failed (%d → %d bytes)", offered, sink.n)
 	}
 }

@@ -49,11 +49,10 @@ import (
 //     write-backs are emitted before its placement writes, preserving
 //     order on shared disk queues.
 //
-//  6. A dirty-log append is a copy into a buffer, not an I/O: the
-//     mapping log's records accumulate in memory (mapLog) and are
-//     written out at apply-step boundaries (the end of each Submit,
-//     background copy-in or expansion) — same byte stream, same
-//     recovery, no Write per translation.
+//  6. A dirty-log append is a 17-byte copy into memory, not an I/O:
+//     the mapping table writes each record straight into the image the
+//     CRAID keeps for its crashes (CRAID.image), and a run whose plan
+//     has no crash attaches no log at all.
 
 // monitor is CRAID's I/O monitor (paper Fig. 2): it classifies each
 // request against the mapping cache, runs the replacement policy, places
@@ -364,10 +363,11 @@ func (m *monitor) retain(pcData int64) []int64 {
 // blocks, and reinstates the dirty translations the log image r carries
 // (none if r is nil) for a volume of blocks archive blocks: dirty cached
 // copies are the only ones differing from the archive, clean entries
-// start cold, exactly as §4.2 prescribes. The log is input from outside
-// the program (a -maplog file, a crash image), so every record is
-// checked before any state changes: a bad image is an error, never a
-// panic three requests later.
+// start cold, exactly as §4.2 prescribes. CrashRestart takes any
+// reader, not only the controller's own image (a fresh controller
+// recovers a log another life wrote), so every record is checked
+// before any state changes: a bad log is an error, never a panic three
+// requests later.
 func (m *monitor) recover(pcData int64, r io.Reader, blocks int64) (int, error) {
 	m.table.Clear()
 	m.regrow(pcData)

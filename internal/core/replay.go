@@ -248,9 +248,8 @@ func replay(eng *sim.Engine, vol Volume, r trace.Reader, batchSize, depth int) (
 	pump = func() {
 		if err := vol.Submit(pend, nil); err != nil {
 			// A record the volume could not serve correctly — data lost
-			// beyond redundancy, or a dying mapping log — ends the
-			// replay: the remaining trace would run against a volume
-			// known broken.
+			// beyond redundancy — ends the replay: the remaining trace
+			// would run against a volume known broken.
 			subErr = err
 			eng.Stop()
 			return

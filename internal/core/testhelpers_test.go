@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"craid/internal/disk"
@@ -92,15 +94,40 @@ func outcomeOf(c *CRAID, arr *Array) outcome {
 	}
 }
 
+// keepImage attaches the dirty-log image InstallFaults attaches for a
+// crash plan, for tests that crash the controller by hand, and returns it.
+func keepImage(c *CRAID) *bytes.Buffer {
+	c.image = new(bytes.Buffer)
+	c.mon.table.SetLog(c.image)
+	return c.image
+}
+
 // checkInvariants checks, independently of any other run of the code,
-// that no continuation was lost (checkDrained) and that the monitor's
-// structures agree with each other (checkMonitor). It holds whenever no
-// Submit is on the stack: between direct submissions, after a replay,
-// after Expand/CrashRestart.
+// that no continuation was lost (checkDrained), that the monitor's
+// structures agree with each other (checkMonitor) and, when the
+// controller keeps a dirty-log image, that the image is complete
+// (checkImage). It holds whenever no Submit is on the stack: between
+// direct submissions, after a replay, after Expand/CrashRestart.
 func checkInvariants(t *testing.T, c *CRAID) {
 	t.Helper()
 	checkDrained(t, c.arr)
 	checkMonitor(t, &c.mon)
+	if c.image != nil {
+		checkImage(t, c, "invariant")
+	}
+}
+
+// checkImage checks that c's dirty-log image is complete: replayed, it
+// says exactly the mappings the table holds dirty are dirty, so a crash
+// now would recover the table's dirty set. It returns that set.
+func checkImage(t *testing.T, c *CRAID, when string) []mapcache.Mapping {
+	t.Helper()
+	dirty := c.mon.table.DirtyMappings()
+	ms, err := mapcache.Recover(bytes.NewReader(c.image.Bytes()))
+	if err != nil || !slices.Equal(ms, dirty) {
+		t.Fatalf("%s: the image says %d mappings are dirty (%v), the table holds %d", when, len(ms), err, len(dirty))
+	}
+	return dirty
 }
 
 // checkMonitor checks that the three structures the monitor keeps in

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -193,11 +192,10 @@ func TestCacheColdForwardsEveryCellWarmForwardsNone(t *testing.T) {
 	}
 }
 
-// TestCacheForwardsOnlyUncacheableCellsWhenWarm pins the two kinds of
+// TestCacheForwardsOnlyUncacheableCellsWhenWarm pins the one kind of
 // cell whose result is not a function of the store key alone: a
 // TraceFile is keyed by path and not contents (the file grows a record
-// between the runs here), and a MappingLog hit would skip writing the
-// log.
+// between the runs here).
 func TestCacheForwardsOnlyUncacheableCellsWhenWarm(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "two.trace")
@@ -210,9 +208,7 @@ func TestCacheForwardsOnlyUncacheableCellsWhenWarm(t *testing.T) {
 		Trace: "file-cell", Scale: QuickScale, Strategy: CRAID5, PCPct: 0.02,
 		TraceFile: tracePath, TraceFormat: "native", DatasetBlocks: 50_000,
 	}
-	logCell := RunConfig{Trace: "wdev", Scale: QuickScale, Strategy: CRAID5, PCPct: 0.008,
-		MappingLog: filepath.Join(dir, "dirty.log")}
-	cfgs := []RunConfig{cheapCell("LRU", 500), fileCell, cheapCell("ARC", 500), logCell}
+	cfgs := []RunConfig{cheapCell("LRU", 500), fileCell, cheapCell("ARC", 500)}
 
 	r := &Runner{Store: newTestStore(t)}
 	if _, err := r.RunAll(cfgs); err != nil {
@@ -221,13 +217,6 @@ func TestCacheForwardsOnlyUncacheableCellsWhenWarm(t *testing.T) {
 	if h, c := counts(r); h != 0 || c != int64(len(cfgs)) {
 		t.Fatalf("cold run: %d hits, %d computed, want 0 and %d", h, c, len(cfgs))
 	}
-	coldLog, err := os.ReadFile(logCell.MappingLog)
-	if err != nil || len(coldLog) == 0 {
-		t.Fatalf("cold run's mapping log: %d bytes, %v", len(coldLog), err)
-	}
-	if err := os.Remove(logCell.MappingLog); err != nil {
-		t.Fatal(err)
-	}
 	if err := os.WriteFile(tracePath, []byte(threeRecords), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -235,19 +224,16 @@ func TestCacheForwardsOnlyUncacheableCellsWhenWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h, c := counts(r); h != 2 || c != 2 {
-		t.Fatalf("warm run: %d hits, %d computed, want 2 and exactly the TraceFile and MappingLog cells", h, c)
+	if h, c := counts(r); h != 2 || c != 1 {
+		t.Fatalf("warm run: %d hits, %d computed, want 2 and exactly the TraceFile cell", h, c)
 	}
-	for i, trace := range []string{"webresearch", "file-cell", "webresearch", "wdev"} {
+	for i, trace := range []string{"webresearch", "file-cell", "webresearch"} {
 		if got[i].Cfg.Trace != trace {
 			t.Errorf("result %d is for %q, want %q: config order lost", i, got[i].Cfg.Trace, trace)
 		}
 	}
 	if got[1].Requests != 3 {
 		t.Errorf("warm file cell replayed %d records, want the rewritten file's 3", got[1].Requests)
-	}
-	if warmLog, err := os.ReadFile(logCell.MappingLog); err != nil || !bytes.Equal(warmLog, coldLog) {
-		t.Errorf("warm run did not rewrite the mapping log: %d bytes against %d, %v", len(warmLog), len(coldLog), err)
 	}
 }
 

@@ -182,21 +182,10 @@ type RunConfig struct {
 	// FaultSpec, when non-empty, installs a deterministic failure plan
 	// (fault.ParsePlan syntax: "seed=7;fail:2@5s;rebuild:2@10s,rate=64")
 	// on the run. The same spec replays bit-identically on every run.
-	// Plans with a crash event need a CRAID strategy; its mapping log
-	// (MappingLog's file, or one in memory) then keeps an in-memory image
-	// to recover from.
+	// Plans with a crash event need a CRAID strategy, whose mapping table
+	// then logs its dirty translations into the in-memory image the
+	// crashes recover from.
 	FaultSpec string
-
-	// MappingLog, when non-empty, attaches a persistent dirty-
-	// translation log at this path, written once per apply step
-	// (core.CRAID.SetMappingLog); RunResult.MapLog reports its
-	// counters.
-	MappingLog string
-	// MapLogSync additionally fsyncs the log file after every flushed
-	// buffer (core.Config.MapLogSync): each completed flush is on
-	// stable media instead of merely handed to the OS. The recovery
-	// byte stream is identical at both settings.
-	MapLogSync bool
 
 	Instant  bool  // instant-service devices (§5.1 policy experiments)
 	PCBlocks int64 // Instant mode: direct P_C capacity override
@@ -220,11 +209,8 @@ type RunResult struct {
 
 	CRAID *core.Stats // nil for the plain baselines
 
-	// Replay reports the replay ring's back-pressure counters; MapLog
-	// the dirty log's counters (zero unless MappingLog was set or the
-	// fault plan crashes the controller).
+	// Replay reports the replay ring's back-pressure counters.
 	Replay core.ReplayStats
-	MapLog core.MapLogStats
 
 	// Fault KPIs, populated when FaultSpec installed a plan: the fault
 	// fabric's counters, the response-time distribution of requests
@@ -308,18 +294,6 @@ func Run(cfg RunConfig) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
-	if cfg.MappingLog != "" {
-		c, ok := vol.(*core.CRAID)
-		if !ok {
-			return RunResult{}, fmt.Errorf("experiments: MappingLog needs a CRAID strategy, not %s", cfg.Strategy)
-		}
-		f, err := os.Create(cfg.MappingLog)
-		if err != nil {
-			return RunResult{}, err
-		}
-		defer f.Close()
-		c.SetMappingLog(f)
-	}
 	var faultRT *core.FaultRuntime
 	if cfg.FaultSpec != "" {
 		faultRT, err = core.InstallFaults(arr, vol, plan)
@@ -370,18 +344,11 @@ func Run(cfg RunConfig) (RunResult, error) {
 			return RunResult{}, err
 		}
 	}
-	var logStats core.MapLogStats
-	if c, ok := vol.(*core.CRAID); ok {
-		if logStats, err = c.CloseMappingLog(); err != nil {
-			return RunResult{}, fmt.Errorf("experiments: mapping log %s: %w", cfg.MappingLog, err)
-		}
-	}
 
 	res := RunResult{
 		Cfg:       cfg,
 		Requests:  rst.Records,
 		Replay:    rst,
-		MapLog:    logStats,
 		ReadMean:  vol.ReadLatency().Mean(),
 		ReadP99:   vol.ReadLatency().Percentile(0.99),
 		WriteMean: vol.WriteLatency().Mean(),
@@ -529,7 +496,6 @@ func buildVolume(eng *sim.Engine, cfg RunConfig, dataset int64) (core.Volume, *c
 		ParityGroup:  TestbedParityGroup,
 		StripeUnit:   TestbedStripeUnit,
 		Level:        cfg.PCLevel,
-		MapLogSync:   cfg.MapLogSync,
 	}
 	if cfg.Instant && cfg.PCBlocks > 0 {
 		// Policy-quality experiments size P_C directly in blocks.

@@ -101,10 +101,9 @@ func (r *Runner) cell(cfg RunConfig) (RunResult, error) {
 
 // cacheable reports whether cfg's result is a function of what
 // ConfigHash covers. A TraceFile is keyed by its path, not its
-// contents, so a replaced file would be a stale hit; and a hit for a
-// MappingLog cell would skip writing the log the caller asked for.
+// contents, so a replaced file would be a stale hit.
 func cacheable(cfg RunConfig) bool {
-	return cfg.TraceFile == "" && cfg.MappingLog == ""
+	return cfg.TraceFile == ""
 }
 
 // ConfigHash returns the store key of cfg: the hex SHA-256 of its JSON

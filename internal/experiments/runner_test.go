@@ -102,8 +102,8 @@ func TestConfigHashDistinguishesEveryField(t *testing.T) {
 		t.Fatal("the base config is not cacheable")
 	}
 	typ := reflect.TypeOf(base)
-	if typ.NumField() < 19 {
-		t.Fatalf("RunConfig has %d fields, want at least 19", typ.NumField())
+	if typ.NumField() < 17 {
+		t.Fatalf("RunConfig has %d fields, want at least 17", typ.NumField())
 	}
 	seen := map[string]string{baseHash: "the base config"}
 	for i := 0; i < typ.NumField(); i++ {
@@ -165,25 +165,23 @@ func TestConfigHashStable(t *testing.T) {
 // error, or it has a key the store accepts, the same one every time.
 func FuzzConfigEncode(f *testing.F) {
 	f.Add("wdev", 0.002, int64(0), "CRAID-5", 0.008, "WLRU", "", "", -1, int64(0),
-		"", "", false, false, int64(0), uint8(0), false, false, false)
+		"", false, int64(0), uint8(0), false, false, false)
 	f.Add("", math.NaN(), int64(-5), "RAID-5", math.Inf(1), "p\x00q", "a.trace", "msr", 3, int64(1<<40),
-		"seed=1;crash@2s", "log\n.bin", true, true, int64(77), uint8(255), true, true, false)
+		"seed=1;crash@2s", true, int64(77), uint8(255), true, true, false)
 	f.Add("héllo\xff", -0.0, int64(1<<62), "s=t\n", 1e-300, "LRU", "=", "native", -100, int64(-1),
-		"", "", false, false, int64(0), uint8(3), false, false, true)
+		"", false, int64(0), uint8(3), false, false, true)
 	st, err := OpenStore(f.TempDir())
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, trace string, scale float64, duration int64, strategy string,
 		pcPct float64, policy, traceFile, traceFormat string, traceVolume int, datasetBlocks int64,
-		faultSpec, mappingLog string, mapLogSync bool,
-		instant bool, pcBlocks int64, pcLevel uint8, bursty, trackLoad, trackSeq bool) {
+		faultSpec string, instant bool, pcBlocks int64, pcLevel uint8, bursty, trackLoad, trackSeq bool) {
 		cfg := RunConfig{
 			Trace: trace, Scale: scale, Duration: sim.Time(duration),
 			Strategy: Strategy(strategy), PCPct: pcPct, Policy: policy,
 			TraceFile: traceFile, TraceFormat: traceFormat, DatasetBlocks: datasetBlocks,
-			FaultSpec: faultSpec, MappingLog: mappingLog, MapLogSync: mapLogSync,
-			Instant: instant, PCBlocks: pcBlocks, PCLevel: core.PCLevel(pcLevel),
+			FaultSpec: faultSpec, Instant: instant, PCBlocks: pcBlocks, PCLevel: core.PCLevel(pcLevel),
 			Bursty: bursty, TrackLoad: trackLoad, TrackSeq: trackSeq,
 		}
 		if traceVolume >= 0 {
