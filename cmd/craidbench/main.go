@@ -569,9 +569,11 @@ func (r *runner) rebalance() {
 	fmt.Printf("%-11s %9s %9s %9s %10s %10s %8s %9s\n",
 		"mode", "writeback", "migrated", "dropped", "preRd(ms)", "postRd(ms)", "postHit", "newDiskIO")
 	for _, row := range rows {
-		fmt.Printf("%-11s %9d %9d %9d %10.3f %10.3f %7.1f%% %9d\n",
+		fmt.Printf("%-11s %9d %9d %9d %10.3f %s %s %9d\n",
 			row.Mode, row.Upgrade.DirtyWriteback, row.Upgrade.Migrated, row.Upgrade.Invalidated,
-			row.PreReadMean.Milliseconds(), row.PostReadMean.Milliseconds(),
-			100*row.PostHitRatio, row.NewDiskReads+row.NewDiskWrites)
+			row.PreReadMean.Milliseconds(),
+			cell("%10.3f", row.PostReadMean.Milliseconds(), row.PostReads > 0),
+			cell("%7.1f%%", 100*row.PostHitRatio, row.PostReadBlocks > 0),
+			row.NewDiskReads+row.NewDiskWrites)
 	}
 }

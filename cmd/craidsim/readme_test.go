@@ -175,3 +175,251 @@ func flagNames(words []string) []string {
 	}
 	return names
 }
+
+// TestREADMENamesRealIdentifiers: every backticked README span shaped
+// pkg.Name, pkg.Type.Member or Type.Member (type arguments and a
+// trailing argument list allowed, as in oamap.Map[V] or
+// CRAID.Expand(devs, retain, done)) whose first segment is one of the
+// module's packages or types names something the module's non-test
+// sources declare: a func, method, type, field, const or var. Spans
+// led by anything else (bytes.Buffer, r.Next()) are not checked.
+func TestREADMENamesRealIdentifiers(t *testing.T) {
+	idx := indexModule(t, filepath.Join("..", ".."))
+	// The scan itself must see a stale name, skip the standard library
+	// and resolve a method of a generic type, or a clean README proves
+	// nothing.
+	seeded := "`Engine.Rewind`, `bytes.Buffer`, `oamap.Map[V].Get` and `sim.Engine.Run`"
+	if checked, stale := readmeIdents(seeded, idx); checked != 3 || len(stale) != 1 {
+		t.Fatalf("seeded spans: %d checked, stale %v", checked, stale)
+	}
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked, stale := readmeIdents(string(readme), idx)
+	t.Logf("%d identifier spans in README", checked)
+	if checked < 30 {
+		t.Fatalf("checked %d identifier spans in README; the scan is broken", checked)
+	}
+	for _, s := range stale {
+		t.Errorf("README names what the sources do not declare: `%s`", s)
+	}
+}
+
+// goIndex is what a module's non-test sources declare.
+type goIndex struct {
+	pkgs    map[string]map[string]bool            // package → top-level names (package main excluded)
+	members map[string]map[string]map[string]bool // package → type → its methods and fields
+}
+
+// indexModule parses every non-test Go file of the module rooted at
+// root, leaving out nested modules and testdata.
+func indexModule(t *testing.T, root string) *goIndex {
+	t.Helper()
+	idx := &goIndex{pkgs: map[string]map[string]bool{}, members: map[string]map[string]map[string]bool{}}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root {
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") {
+					return filepath.SkipDir
+				}
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		idx.add(f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idx
+}
+
+// add records f's top-level declarations, struct fields, interface
+// methods and methods.
+func (x *goIndex) add(f *ast.File) {
+	pkg := f.Name.Name
+	if x.members[pkg] == nil {
+		x.members[pkg] = map[string]map[string]bool{}
+	}
+	types := x.members[pkg]
+	member := func(typ, name string) {
+		if types[typ] == nil {
+			types[typ] = map[string]bool{}
+		}
+		types[typ][name] = true
+	}
+	top := func(name string) {
+		if pkg == "main" {
+			return
+		}
+		if x.pkgs[pkg] == nil {
+			x.pkgs[pkg] = map[string]bool{}
+		}
+		x.pkgs[pkg][name] = true
+	}
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				top(d.Name.Name)
+			} else if len(d.Recv.List) == 1 {
+				member(typeName(d.Recv.List[0].Type), d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						top(n.Name)
+					}
+				case *ast.TypeSpec:
+					name := s.Name.Name
+					top(name)
+					if types[name] == nil {
+						types[name] = map[string]bool{}
+					}
+					var fields *ast.FieldList
+					switch tt := s.Type.(type) {
+					case *ast.StructType:
+						fields = tt.Fields
+					case *ast.InterfaceType:
+						fields = tt.Methods
+					}
+					if fields == nil {
+						continue
+					}
+					for _, fl := range fields.List {
+						for _, n := range fl.Names {
+							member(name, n.Name)
+						}
+						if len(fl.Names) == 0 { // embedded: named after its type
+							if n := typeName(fl.Type); n != "" {
+								member(name, n)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// typeName is the name of the type expression e, without pointer,
+// package qualifier or type arguments: Map for *Map[V], Device for
+// disk.Device.
+func typeName(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return x.Name
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			e = x.Sel
+		default:
+			return ""
+		}
+	}
+}
+
+// goIdent matches one Go identifier.
+var goIdent = regexp.MustCompile(`^[A-Za-z_][A-Za-z0-9_]*$`)
+
+// identSegments splits a span shaped a.b or a.b.c, each segment an
+// identifier with optional type arguments and the last with an optional
+// argument list, into its identifiers; any other span yields nil.
+func identSegments(span string) []string {
+	if i := strings.IndexByte(span, '('); i >= 0 && strings.HasSuffix(span, ")") {
+		span = span[:i]
+	}
+	segs := strings.Split(span, ".")
+	if len(segs) < 2 || len(segs) > 3 {
+		return nil
+	}
+	for i, s := range segs {
+		if j := strings.IndexByte(s, '['); j > 0 && strings.HasSuffix(s, "]") {
+			s = s[:j]
+		}
+		if !goIdent.MatchString(s) {
+			return nil
+		}
+		segs[i] = s
+	}
+	return segs
+}
+
+// resolve reports whether segs starts with one of the module's packages
+// or types (known) and, if so, whether the whole path is declared.
+func (x *goIndex) resolve(segs []string) (known, ok bool) {
+	if names, isPkg := x.pkgs[segs[0]]; isPkg {
+		known = true
+		switch len(segs) {
+		case 2:
+			ok = names[segs[1]]
+		case 3:
+			ok = x.members[segs[0]][segs[1]][segs[2]]
+		}
+		if ok {
+			return true, true
+		}
+	}
+	if len(segs) == 2 {
+		for _, types := range x.members {
+			if m, isType := types[segs[0]]; isType {
+				known = true
+				if m[segs[1]] {
+					return true, true
+				}
+			}
+		}
+	}
+	return known, false
+}
+
+// readmeIdents checks the identifier spans of markdown text outside
+// fenced blocks against idx, returning how many it checked and the ones
+// that do not resolve.
+func readmeIdents(text string, idx *goIndex) (checked int, stale []string) {
+	var prose []string
+	fenced := false
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced = !fenced
+		} else if !fenced {
+			prose = append(prose, line)
+		}
+	}
+	for _, m := range backticked.FindAllStringSubmatch(strings.Join(prose, "\n"), -1) {
+		segs := identSegments(m[1])
+		if segs == nil {
+			continue
+		}
+		known, ok := idx.resolve(segs)
+		if !known {
+			continue
+		}
+		checked++
+		if !ok {
+			stale = append(stale, m[1])
+		}
+	}
+	return checked, stale
+}

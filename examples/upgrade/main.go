@@ -13,7 +13,6 @@ package main
 
 import (
 	"fmt"
-	"io"
 
 	"craid/internal/core"
 	"craid/internal/disk"
@@ -76,28 +75,18 @@ func part2() {
 		panic(err)
 	}
 
-	// Replay the first day, expand, replay the second day.
-	expandAt := 24 * sim.Hour
-	expanded := false
-	var upgrade core.ExpandStats
-	for {
-		rec, err := gen.Next()
-		if err == io.EOF {
-			break
-		}
-		if !expanded && rec.Time >= expandAt {
-			eng.RunUntil(expandAt)
-			before := craid.Stats().Writebacks
-			upgrade = craid.Expand([]disk.Device{newHDD(10), newHDD(11), newHDD(12)}, false, nil)
-			expanded = true
-			fmt.Printf("  t=24h: expanded to %d disks: %d mappings invalidated, %d dirty blocks written back (%d total writebacks so far)\n",
-				arr.Devices(), upgrade.Invalidated, upgrade.DirtyWriteback,
-				before+upgrade.DirtyWriteback)
-		}
-		eng.RunUntil(rec.Time)
-		craid.Submit(rec, nil)
+	// Replay the first day, expand, replay the second day: the
+	// expansion is an engine event at t=24h, scheduled before the replay.
+	eng.Schedule(24*sim.Hour, func() {
+		before := craid.Stats().Writebacks
+		upgrade := craid.Expand([]disk.Device{newHDD(10), newHDD(11), newHDD(12)}, false, nil)
+		fmt.Printf("  t=24h: expanded to %d disks: %d mappings invalidated, %d dirty blocks written back (%d total writebacks so far)\n",
+			arr.Devices(), upgrade.Invalidated, upgrade.DirtyWriteback,
+			before+upgrade.DirtyWriteback)
+	})
+	if _, err := core.Replay(eng, craid, gen); err != nil {
+		panic(err)
 	}
-	eng.Run()
 
 	fmt.Printf("  after day 2: read hit ratio %.1f%%, mean read %.3f ms\n",
 		100*craid.Stats().HitRatio(disk.OpRead), craid.ReadLatency().Mean().Milliseconds())

@@ -9,7 +9,6 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"craid/internal/core"
@@ -58,7 +57,6 @@ func main() {
 
 	var lastHits, lastAccesses int64
 	hour := sim.Hour
-	nextReport := hour
 	report := func() {
 		s := craid.Stats()
 		hits := s.ReadHits + s.WriteHits
@@ -73,20 +71,14 @@ func main() {
 			int(eng.Now()/hour), dh, da, 100*ratio, strings.Repeat("#", int(ratio*40)))
 	}
 
-	for {
-		rec, err := gen.Next()
-		if err == io.EOF {
-			break
-		}
-		for rec.Time >= nextReport {
-			eng.RunUntil(nextReport)
-			report()
-			nextReport += 6 * hour
-		}
-		eng.RunUntil(rec.Time)
-		craid.Submit(rec, nil)
+	// A report every 6 h is an engine event, scheduled before the replay;
+	// the closing report after it covers the tail of the trace.
+	for at := hour; at <= params.Duration; at += 6 * hour {
+		eng.Schedule(at, report)
 	}
-	eng.Run()
+	if _, err := core.Replay(eng, craid, gen); err != nil {
+		panic(err)
+	}
 	report()
 
 	s := craid.Stats()

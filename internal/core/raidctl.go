@@ -13,9 +13,9 @@ import (
 type Volume interface {
 	// Submit serves one request; done (optional) fires at completion.
 	// The error reports a request that cannot be served correctly —
-	// data lost beyond the layout's redundancy (LostError), or a dying
-	// mapping-log device — while its timing still completes through
-	// done so the simulation's clocks stay comparable.
+	// data lost beyond the layout's redundancy, always a LostError —
+	// while its timing still completes through done so the simulation's
+	// clocks stay comparable.
 	Submit(rec trace.Record, done func(sim.Time)) error
 	// DataBlocks is the logical capacity.
 	DataBlocks() int64

@@ -204,7 +204,10 @@ func (cu *batchCursor) next() (trace.Record, bool) {
 // pipeline's statistics, whose Records is the number of requests
 // replayed, also when the error is not nil. Records must be
 // time-ordered (all readers in internal/trace and the generators in
-// internal/workload produce ordered streams).
+// internal/workload produce ordered streams). Anything that happens
+// mid-run (an expansion, a periodic report) is an event the caller
+// schedules on eng before calling Replay; it fires ahead of any record
+// due at the same instant.
 //
 // Parsing runs off the simulation path: a reader goroutine pre-parses
 // records into a bounded ring of batches, and the simulation pumps

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"craid/internal/core"
 	"craid/internal/disk"
@@ -36,13 +35,15 @@ func (r *Runner) AblationPCLevel(traceName string, scale, pcPct float64) ([]RunR
 
 // UpgradeRow reports one live-expansion run.
 type UpgradeRow struct {
-	Mode          string // "invalidate" (paper §4.1) or "retain" (§6 extension)
-	Upgrade       core.ExpandStats
-	PreReadMean   sim.Time // mean read response before the expansion
-	PostReadMean  sim.Time // mean read response after it
-	PostHitRatio  float64  // read hit ratio measured after the expansion
-	NewDiskReads  int64    // reads landing on the added disks afterwards
-	NewDiskWrites int64
+	Mode           string // "invalidate" (paper §4.1) or "retain" (§6 extension)
+	Upgrade        core.ExpandStats
+	PreReadMean    sim.Time // mean read response before the expansion
+	PostReadMean   sim.Time // mean read response after it
+	PostHitRatio   float64  // read hit ratio measured after the expansion
+	PostReads      int64    // read responses after the expansion (PostReadMean's samples)
+	PostReadBlocks int64    // blocks read after it (PostHitRatio's denominator)
+	NewDiskReads   int64    // reads landing on the added disks afterwards
+	NewDiskWrites  int64
 }
 
 // AblationRebalance expands a loaded CRAID array mid-trace (38→50
@@ -97,53 +98,39 @@ func upgradeRun(traceName string, scale, pcPct float64, retain bool) (UpgradeRow
 		return UpgradeRow{}, err
 	}
 
-	expandAt := params.Duration / 2
 	row := UpgradeRow{Mode: "invalidate"}
 	if retain {
 		row.Mode = "retain"
 	}
-	var preHits, preAccesses int64
+	// The expansion is an engine event, so it fires ahead of any record
+	// due at the same instant; it snapshots the counters the post-upgrade
+	// columns are measured from.
+	var preHits, preBlocks, preReadN int64
 	var preReadSum float64
-	var preReadN int64
-	expanded := false
-	for {
-		rec, err := gen.Next()
-		if err == io.EOF {
-			break
+	eng.Schedule(params.Duration/2, func() {
+		rd := c.ReadLatency()
+		preReadN, preReadSum = rd.Count(), float64(rd.Mean())*float64(rd.Count())
+		preHits, preBlocks = c.Stats().ReadHits, c.Stats().ReadBlocks
+		var extra []disk.Device
+		for i := startDisks; i < endDisks; i++ {
+			extra = append(extra, testbedDisk(eng, i, scale, false))
 		}
-		if err != nil {
-			return row, err
-		}
-		if !expanded && rec.Time >= expandAt {
-			eng.RunUntil(expandAt)
-			preReadSum = float64(c.ReadLatency().Mean()) * float64(c.ReadLatency().Count())
-			preReadN = c.ReadLatency().Count()
-			preHits = c.Stats().ReadHits
-			preAccesses = c.Stats().ReadBlocks
-			var extra []disk.Device
-			for i := startDisks; i < endDisks; i++ {
-				extra = append(extra, testbedDisk(eng, i, scale, false))
-			}
-			row.Upgrade = c.Expand(extra, retain, nil)
-			expanded = true
-		}
-		eng.RunUntil(rec.Time)
-		c.Submit(rec, nil)
-	}
-	eng.Run()
-	if !expanded {
-		return row, fmt.Errorf("experiments: trace ended before the expansion point")
+		row.Upgrade = c.Expand(extra, retain, nil)
+	})
+	if _, err := core.Replay(eng, c, gen); err != nil {
+		return row, err
 	}
 
 	if preReadN > 0 {
 		row.PreReadMean = sim.Time(preReadSum / float64(preReadN))
 	}
-	if n := c.ReadLatency().Count() - preReadN; n > 0 {
-		postSum := float64(c.ReadLatency().Mean())*float64(c.ReadLatency().Count()) - preReadSum
-		row.PostReadMean = sim.Time(postSum / float64(n))
+	rd := c.ReadLatency()
+	if row.PostReads = rd.Count() - preReadN; row.PostReads > 0 {
+		postSum := float64(rd.Mean())*float64(rd.Count()) - preReadSum
+		row.PostReadMean = sim.Time(postSum / float64(row.PostReads))
 	}
-	if n := c.Stats().ReadBlocks - preAccesses; n > 0 {
-		row.PostHitRatio = float64(c.Stats().ReadHits-preHits) / float64(n)
+	if row.PostReadBlocks = c.Stats().ReadBlocks - preBlocks; row.PostReadBlocks > 0 {
+		row.PostHitRatio = float64(c.Stats().ReadHits-preHits) / float64(row.PostReadBlocks)
 	}
 	for i := startDisks; i < endDisks; i++ {
 		s := arr.Device(i).Stats()

@@ -480,6 +480,22 @@ func TestAblationRebalance(t *testing.T) {
 		t.Errorf("read hit ratio after the upgrade: retain %.4f, invalidate %.4f; retention should keep more hits",
 			ret.PostHitRatio, inv.PostHitRatio)
 	}
+	for _, row := range rows {
+		if row.PostReads <= 0 || row.PostReadBlocks <= 0 {
+			t.Errorf("%s: %d reads, %d read blocks after the upgrade; want some", row.Mode, row.PostReads, row.PostReadBlocks)
+		}
+	}
+	// At craidbench -budget 0.0005 no read follows the upgrade, and the
+	// counts that let craidbench print n/a say so.
+	tiny, err := AblationRebalance("wdev", ScaleFor("wdev", 0.0005), 0.008)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range tiny {
+		if row.PostReads != 0 || row.PostReadBlocks != 0 || row.PostReadMean != 0 || row.PostHitRatio != 0 {
+			t.Errorf("%s at a tiny scale: %+v, want no read after the upgrade", row.Mode, row)
+		}
+	}
 	// It builds its own 38-disk array, under the same geometry rules as
 	// Run (TestRunRejectsBadConfig).
 	if _, err := AblationRebalance("wdev", ScaleFor("wdev", 0.0000001), 0.008); err == nil {

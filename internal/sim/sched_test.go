@@ -86,16 +86,6 @@ func (r *refEngine) Run() {
 	}
 }
 
-func (r *refEngine) RunUntil(deadline Time) {
-	r.stopped = false
-	for !r.stopped && len(r.heap) > 0 && r.heap[0].at <= deadline {
-		r.fire()
-	}
-	if r.now < deadline {
-		r.now = deadline
-	}
-}
-
 // clock is what a script drives: Engine and refEngine both satisfy it.
 type clock interface {
 	Now() Time
@@ -103,7 +93,6 @@ type clock interface {
 	Schedule(at Time, fn func())
 	After(d Time, fn func())
 	Run()
-	RunUntil(deadline Time)
 	Stop()
 }
 
@@ -215,11 +204,11 @@ func TestSchedulerTortureQueueVsHeap(t *testing.T) {
 	}
 }
 
-// TestSchedulerRunUntilBursts interleaves RunUntil deadlines with
-// bursts: each round queues far events, runs to a deadline short of
-// them, then schedules events earlier than everything queued — the
-// insertions that go all the way to the head of the live queue.
-func TestSchedulerRunUntilBursts(t *testing.T) {
+// TestSchedulerStopBursts interleaves stopping events with bursts: each
+// round queues far events, runs to a stop short of them, then schedules
+// events earlier than everything queued — the insertions that go all
+// the way to the head of the live queue.
+func TestSchedulerStopBursts(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		runBoth(t, fmt.Sprintf("seed %d", seed), func(h *harness) {
 			rng := rand.New(rand.NewSource(seed))
@@ -227,13 +216,15 @@ func TestSchedulerRunUntilBursts(t *testing.T) {
 				for i := rng.Intn(20); i >= 0; i-- {
 					h.play(scriptOp{delay: 10*Millisecond + Time(rng.Int63n(int64(10*Millisecond))), nest: rng.Intn(2)})
 				}
-				h.c.RunUntil(h.c.Now() + Time(rng.Int63n(int64(2*Millisecond))))
+				h.after(Time(rng.Int63n(int64(2*Millisecond))), h.c.Stop)
+				h.c.Run()
 				h.mark(-1 - round)
 				for i := rng.Intn(8); i >= 0; i-- {
 					h.after(Time(rng.Int63n(int64(5*Millisecond))), nil)
 				}
 			}
-			h.c.RunUntil(h.c.Now()) // a deadline at the clock fires what is due now
+			h.after(0, h.c.Stop) // a stop at the clock fires what is due now
+			h.c.Run()
 			h.mark(-100)
 			h.c.Run()
 		})
@@ -404,16 +395,17 @@ func TestSchedulerFIFOSameInstant(t *testing.T) {
 	}
 }
 
-// TestSchedulerRunUntilLateInsert: RunUntil stops short of a queued
-// event; events scheduled afterwards for earlier instants must still
-// fire first.
-func TestSchedulerRunUntilLateInsert(t *testing.T) {
+// TestSchedulerStopLateInsert: a stopping event ends the run short of a
+// queued event; events scheduled afterwards for earlier instants must
+// still fire first.
+func TestSchedulerStopLateInsert(t *testing.T) {
 	eng := NewEngine()
 	var log []firing
 	eng.Schedule(5*Millisecond, func() { log = append(log, firing{eng.Now(), 1}) })
-	eng.RunUntil(1 * Millisecond)
-	if len(log) != 0 {
-		t.Fatal("RunUntil fired past its deadline")
+	eng.Schedule(1*Millisecond, eng.Stop)
+	eng.Run()
+	if len(log) != 0 || eng.Now() != 1*Millisecond {
+		t.Fatalf("run past its stop: %d fired, clock at %v", len(log), eng.Now())
 	}
 	eng.Schedule(2*Millisecond, func() { log = append(log, firing{eng.Now(), 2}) })
 	eng.Schedule(5*Millisecond-1, func() { log = append(log, firing{eng.Now(), 3}) })

@@ -92,8 +92,7 @@ var globalFired atomic.Int64
 // GlobalSchedStats returns the process-wide count of events fired — the
 // one counter aggregated across engines (the benchmark divides it by
 // records); Ring and MaxPending are per engine only and zero here.
-// Engines flush when Run/RunUntil returns, so the total is exact between
-// runs.
+// Engines flush when Run returns, so the total is exact between runs.
 func GlobalSchedStats() SchedStats {
 	return SchedStats{Fired: globalFired.Load()}
 }
@@ -206,8 +205,8 @@ func (e *Engine) schedule(ev event) {
 	}
 }
 
-// Stop makes the currently running Run/RunUntil return after the event
-// being processed completes.
+// Stop makes the currently running Run return after the event being
+// processed completes. Pending events stay queued for the next Run.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Step fires the single earliest pending event and returns true, or
@@ -246,28 +245,6 @@ func (e *Engine) Step() bool {
 func (e *Engine) Run() {
 	e.stopped = false
 	for !e.stopped && e.Step() {
-	}
-	e.flushStats()
-}
-
-// RunUntil processes events with timestamps <= deadline, then advances
-// the clock to deadline (if it is in the future) and returns. Events
-// scheduled beyond the deadline stay queued.
-func (e *Engine) RunUntil(deadline Time) {
-	e.stopped = false
-	for !e.stopped {
-		if e.ringHead < len(e.ring) && e.now <= deadline {
-			e.Step()
-			continue
-		}
-		if e.head < len(e.queue) && e.queue[e.head].at <= deadline {
-			e.Step()
-			continue
-		}
-		break
-	}
-	if e.now < deadline {
-		e.now = deadline
 	}
 	e.flushStats()
 }

@@ -87,42 +87,6 @@ func TestNegativeDelayPanics(t *testing.T) {
 	e.After(-1, func() {})
 }
 
-func TestRunUntilStopsAtDeadline(t *testing.T) {
-	e := NewEngine()
-	fired := make(map[Time]bool)
-	for _, at := range []Time{10, 20, 30, 40} {
-		at := at
-		e.Schedule(at, func() { fired[at] = true })
-	}
-	e.RunUntil(25)
-	if !fired[10] || !fired[20] {
-		t.Error("events before deadline did not fire")
-	}
-	if fired[30] || fired[40] {
-		t.Error("events after deadline fired")
-	}
-	if e.Now() != 25 {
-		t.Errorf("Now() = %v after RunUntil(25), want 25", e.Now())
-	}
-	if e.Pending() != 2 {
-		t.Errorf("Pending() = %d, want 2", e.Pending())
-	}
-	e.Run()
-	if !fired[30] || !fired[40] {
-		t.Error("remaining events lost after RunUntil")
-	}
-}
-
-func TestRunUntilDoesNotRewindClock(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(100, func() {})
-	e.Run()
-	e.RunUntil(50)
-	if e.Now() != 100 {
-		t.Fatalf("RunUntil rewound clock to %v", e.Now())
-	}
-}
-
 func TestStop(t *testing.T) {
 	e := NewEngine()
 	count := 0
