@@ -471,7 +471,6 @@ type span struct {
 	// fan-out per stripe-row unit. degN == 0 means no run is pending;
 	// flushDegradedRead drains it.
 	degDisk int   // layout disk index of the run's dead disk
-	degLog  int64 // logical address of the run's first block (geometry probe)
 	degBlk  int64 // device block where the run starts
 	degN    int64 // blocks accumulated
 }
@@ -516,7 +515,7 @@ func (s *span) readExtent(j *join, e *raid.Extent) {
 			}
 			s.flushDegradedRead(j)
 		}
-		s.degDisk, s.degLog, s.degBlk, s.degN = e.Data.Disk, e.Logical, e.Data.Block, e.Count
+		s.degDisk, s.degBlk, s.degN = e.Data.Disk, e.Data.Block, e.Count
 		return
 	}
 	s.arr.submit(dev, disk.OpRead, s.base+e.Data.Block, e.Count, j.branch())
@@ -591,28 +590,23 @@ func (s *span) writeExtent(j *join, e *raid.Extent) {
 // rows at the same device block ranges, the uniform-row invariant of
 // the rotation tables — then pay one aggregated XOR/GF(256)
 // reconstruction charge for the whole run before completing the client
-// branch. The peer set and the erasure count are resolved once from the
-// run's first block: for a fixed dead disk they are the same for every
-// row of its group, and device states cannot change mid-walk (fault
-// events are engine events, never re-entrant into a walk). With more
-// failures than parity units the run is lost: it completes immediately,
-// is counted, and the submission that walked it reports a LostError.
+// branch. The peers are the dead disk's group peers (DiskPeers), the
+// same for every row, and the erasure count is resolved once: device
+// states cannot change mid-walk (fault events are engine events, never
+// re-entrant into a walk). With more failures than parity units the run
+// is lost: it completes immediately, is counted, and the submission that
+// walked it reports a LostError.
 func (s *span) flushDegradedRead(j *join) {
 	f := s.arr.faults
-	count, logical, blk := s.degN, s.degLog, s.base+s.degBlk
+	count, blk := s.degN, s.base+s.degBlk
 	s.degN = 0
 	br := j.branch()
-	missing := 1
 	var peers []int
 	if s.red != nil {
-		peers = s.red.RowPeers(logical, f.peerBuf[:0])
+		peers = s.red.DiskPeers(s.degDisk, f.peerBuf[:0])
 		f.peerBuf = peers[:0]
-		for _, p := range peers {
-			if s.arr.deviceDown(s.disks[p]) {
-				missing++
-			}
-		}
 	}
+	missing := s.erasures(peers)
 	if s.red == nil || missing > s.red.ParityUnits() {
 		f.stats.LostExtents++
 		s.arr.Eng.AfterTimed(0, br)
@@ -629,9 +623,21 @@ func (s *span) flushDegradedRead(j *join) {
 	sub.seal(s.arr.Eng.Now())
 }
 
+// erasures counts the units a decode over peers solves for: the lost one
+// plus every peer that is down too.
+func (s *span) erasures(peers []int) int {
+	n := 1
+	for _, p := range peers {
+		if s.arr.deviceDown(s.disks[p]) {
+			n++
+		}
+	}
+	return n
+}
+
 // readPeers attaches to j one read of device blocks [blk, blk+count) on
-// every surviving peer (layout disk indices, from RowPeers or DiskPeers)
-// other than skipP and skipQ; -1 skips nothing.
+// every surviving peer (layout disk indices, from DiskPeers) other than
+// skipP and skipQ; -1 skips nothing.
 func (s *span) readPeers(j *join, peers []int, skipP, skipQ int, blk, count int64) {
 	for _, p := range peers {
 		dev := s.disks[p]
@@ -671,7 +677,7 @@ func (s *span) degradedWrite(j *join, e *raid.Extent, up legs, n int, deadData b
 		// Reconstruct-write pre-reads: the surviving *data* units of
 		// the row (parity legs are overwritten, their old content is
 		// not needed).
-		peers := s.red.RowPeers(e.Logical, f.peerBuf[:0])
+		peers := s.red.DiskPeers(e.Data.Disk, f.peerBuf[:0])
 		f.peerBuf = peers[:0]
 		s.readPeers(sub, peers, e.Parity.Disk, e.Q.Disk, s.base+e.Data.Block, e.Count)
 	} else {

@@ -7,7 +7,6 @@ import (
 
 	"craid/internal/disk"
 	"craid/internal/fault"
-	"craid/internal/raid"
 	"craid/internal/sim"
 )
 
@@ -206,7 +205,7 @@ type FaultRuntime struct {
 	seed    uint64
 	devs    []devFault // device index → its one fault record
 	stats   FaultStats
-	peerBuf []int // scratch for Redundant.RowPeers
+	peerBuf []int // scratch for a degraded I/O's Redundant.DiskPeers
 
 	rebuilds []*rebuildJob // active jobs, in start order
 
@@ -423,9 +422,13 @@ type rebuildBatch struct {
 	start   sim.Time // batch start, which the rate limit paces from
 }
 
+// spanWalk is a rebuild's walk over one span: the lost device holds one
+// unit of every stripe row at [row*unit, (row+1)*unit), and each is
+// rebuilt from the same peers, the device's group peers in the span.
 type spanWalk struct {
-	s *span
-	w *raid.RebuildWalker
+	s         *span
+	peers     []int // layout disk indices (DiskPeers)
+	row, rows int64 // next row to rebuild, rows the device holds
 }
 
 // startRebuild brings a spare online for dev and walks its stripe rows
@@ -472,7 +475,11 @@ func (rt *FaultRuntime) launchRebuild(dev int, rateMBps float64) {
 		if li < 0 {
 			continue
 		}
-		job.walks = append(job.walks, spanWalk{s: s, w: raid.NewRebuildWalker(s.red, li)})
+		job.walks = append(job.walks, spanWalk{
+			s:     s,
+			peers: s.red.DiskPeers(li, nil),
+			rows:  s.layout.BlocksPerDisk() / s.layout.StripeUnitBlocks(),
+		})
 	}
 	rt.rebuilds = append(rt.rebuilds, job)
 	job.step()
@@ -499,12 +506,13 @@ func (rt *FaultRuntime) unregister(job *rebuildJob) {
 }
 
 // rebuildBatchRows is how many consecutive stripe rows one rebuild step
-// reconstructs as a single device-contiguous run (RebuildWalker.NextRun):
-// one read per surviving peer, one aggregated decode charge and one
-// spare write cover the whole batch, so the per-row join/submission
-// overhead — and the geometry resolution — amortizes 8x while the
-// rate pacing still bounds the burst to a fraction of a stripe-unit
-// second at default rates.
+// reconstructs as a single device-contiguous run — unit r of every group
+// disk is [r*unit, (r+1)*unit) — so one read per surviving peer, one
+// aggregated decode charge and one spare write cover the whole batch:
+// the per-row join/submission overhead amortizes 8x while the rate
+// pacing still bounds the burst to a fraction of a stripe-unit second
+// at default rates. The last batch of a walk is short when the row
+// count is not a multiple of it.
 const rebuildBatchRows = 8
 
 // stale reports that the job no longer owns its walk: a crash-restart
@@ -512,21 +520,17 @@ const rebuildBatchRows = 8
 // the walk now), or its spare died.
 func (r *rebuildJob) stale() bool { return r.abandoned || r.epoch != r.rt.arr.epoch }
 
-// step launches the next stripe-row batch, or finishes the rebuild when
-// every span walk is exhausted.
+// step launches the next batch of up to rebuildBatchRows stripe rows, or
+// finishes the rebuild when every span walk is exhausted.
 func (r *rebuildJob) step() {
 	if r.stale() {
 		return
 	}
-	for r.cur < len(r.walks) {
-		sw := r.walks[r.cur]
-		blk, n, rows, peers, ok := sw.w.NextRun(rebuildBatchRows)
-		if !ok {
-			r.cur++
-			continue
+	for ; r.cur < len(r.walks); r.cur++ {
+		if sw := &r.walks[r.cur]; sw.row < sw.rows {
+			r.run(sw, min(rebuildBatchRows, sw.rows-sw.row))
+			return
 		}
-		r.run(sw, blk, n, rows, peers)
-		return
 	}
 	r.finish()
 }
@@ -537,30 +541,26 @@ func (r *rebuildJob) step() {
 // batch no earlier than the rate limit allows (pacing is by batch
 // start and sized to the batch, so a loaded array that services a
 // batch slowly is simply late, never bursty).
-func (r *rebuildJob) run(sw spanWalk, blk, n, rows int64, peers []int) {
-	rt := r.rt
-	eng := rt.arr.Eng
+func (r *rebuildJob) run(sw *spanWalk, rows int64) {
+	eng := r.rt.arr.Eng
 	s := sw.s
-	dev := r.dev
 	// Re-plan around erasures that arrived since the rebuild began: every
 	// peer of this span's group that is down now is a further missing
 	// unit the decode must solve, on top of the device being rebuilt.
 	// Within the parity budget the batch proceeds with a deeper (and
 	// proportionally costlier) decode over the survivors; beyond it the
 	// rows of this span are unrecoverable and the walk aborts.
-	missing := 1
-	for _, p := range peers {
-		if d := s.disks[p]; d != dev && rt.arr.deviceDown(d) {
-			missing++
-		}
-	}
+	missing := s.erasures(sw.peers)
 	if missing > s.red.ParityUnits() {
-		r.abortWalk(sw, rows)
+		r.abortWalk(sw)
 		return
 	}
+	unit := s.layout.StripeUnitBlocks()
+	blk, n := sw.row*unit, rows*unit
+	sw.row += rows
 	r.batch = rebuildBatch{s: s, blk: blk, n: n, rows: rows, missing: missing, start: eng.Now()}
-	sub := rt.arr.newJoin(r.readFn)
-	s.readPeers(sub, peers, -1, -1, s.base+blk, n)
+	sub := r.rt.arr.newJoin(r.readFn)
+	s.readPeers(sub, sw.peers, -1, -1, s.base+blk, n)
 	sub.seal(eng.Now())
 }
 
@@ -598,19 +598,11 @@ func (r *rebuildJob) written(sim.Time) {
 }
 
 // abortWalk declares the current span walk unrecoverable — a further
-// erasure pushed the group past its parity budget mid-rebuild. The
-// current batch and every row the walk had not reached count as lost,
-// and the job moves on to its remaining spans (whose groups may still
-// be within budget).
-func (r *rebuildJob) abortWalk(sw spanWalk, rows int64) {
-	lost := rows
-	for {
-		_, _, rr, _, ok := sw.w.NextRun(sw.w.Rows())
-		if !ok {
-			break
-		}
-		lost += rr
-	}
+// erasure pushed the group past its parity budget mid-rebuild. Every
+// row the walk had not rebuilt counts as lost, and the job moves on to
+// its remaining spans (whose groups may still be within budget).
+func (r *rebuildJob) abortWalk(sw *spanWalk) {
+	lost := sw.rows - sw.row
 	r.lostRows += lost
 	r.rt.stats.RebuildLostRows += lost
 	r.cur++

@@ -34,7 +34,7 @@ func newTestCRAID6(eng *sim.Engine, cachePerDisk int64) (*CRAID, *Array) {
 // scenario: a second disk dies while the first one's rebuild is
 // walking, a crash-restart tears the rebuild down mid-walk, and a
 // second rebuild overlaps the restarted first. RAID-6 keeps the double
-// erasure within budget, so nothing is lost and the walker re-plans
+// erasure within budget, so nothing is lost and the rebuild re-plans
 // (deeper decode) instead of aborting; the invariants hold afterwards
 // and a second run reproduces the outcome exactly.
 func TestDoubleFaultScenarioDeterministic(t *testing.T) {

@@ -166,8 +166,8 @@ func TestDegradedReadRAID5EveryBlockReadable(t *testing.T) {
 		got := submitAndRun(eng, ctl, disk.OpRead, b, 1)
 		if lay.Locate(b).Disk == dead {
 			wantDeg++
-			wantPeer += int64(len(lay.RowPeers(b, nil))) // all peers survive
-			if got != recon {                            // one block, one erasure
+			wantPeer += int64(len(lay.DiskPeers(dead, nil))) // all peers survive
+			if got != recon {                                // one block, one erasure
 				t.Fatalf("block %d: degraded read took %v, want %v", b, got, recon)
 			}
 		} else if got != 0 {
@@ -222,7 +222,7 @@ func TestDegradedReadCoalescesContiguousRows(t *testing.T) {
 			runLen++
 		} else {
 			wantRuns++
-			wantPeer += int64(len(lay.RowPeers(b, nil)))
+			wantPeer += int64(len(lay.DiskPeers(dead, nil)))
 			nextBlk = p.Block + 1
 			runLen = 1
 		}
@@ -276,7 +276,7 @@ func TestDegradedReadRAID6DoubleFailure(t *testing.T) {
 			wantDeg++
 			// One peer is the other dead disk: both erasures are
 			// solved, and one fewer peer is readable.
-			wantPeer += int64(len(lay.RowPeers(b, nil))) - 1
+			wantPeer += int64(len(lay.DiskPeers(d, nil))) - 1
 			if want := 2 * recon; got != want {
 				t.Fatalf("block %d: double-degraded read took %v, want %v", b, got, want)
 			}
@@ -318,7 +318,7 @@ func TestDegradedWriteRAID5(t *testing.T) {
 			wantDeg++
 			// Surviving data peers: the group minus the dead data disk
 			// and minus the parity disk (overwritten, not read).
-			wantPeer += int64(len(lay.RowPeers(b, nil))) - 1
+			wantPeer += int64(len(lay.DiskPeers(dead, nil))) - 1
 			if got != recon {
 				t.Fatalf("block %d: reconstruct-write took %v, want %v", b, got, recon)
 			}
@@ -567,52 +567,80 @@ func TestEveryDeviceErrorReachesRetry(t *testing.T) {
 // TestFaultRebuildWalksAndRestoresDevice pins the rebuild pipeline on
 // a quiet array: the walk covers every row, batches rebuildBatchRows
 // consecutive rows per step (one read per surviving peer and one spare
-// write per batch), paces each batch to the configured rate, and
-// rejoins the device — after which reads are served natively again.
+// write per batch, the last batch short when the row count is not a
+// multiple of it), writes the spare front to back, paces each batch to
+// the configured rate, and rejoins the device — after which reads are
+// served natively again.
 func TestFaultRebuildWalksAndRestoresDevice(t *testing.T) {
 	const dead = 1
-	eng := sim.NewEngine()
-	arr := nullArray(eng, 4, 10000)
-	lay := raid.NewRAID5(4, 4, 64, 4)
-	ctl := NewRAIDController(arr, lay, []int{0, 1, 2, 3}, 0)
-	plan := fmt.Sprintf("seed=1;fail:%d@1ms;rebuild:%d@2ms,rate=64", dead, dead)
-	rt := installPlan(t, arr, ctl, plan) // installPlan drains: rebuild completes here
-
-	rows := lay.BlocksPerDisk() / lay.StripeUnitBlocks()
-	batches := (rows + rebuildBatchRows - 1) / rebuildBatchRows
-	st := rt.Stats()
-	if st.RebuildRows != rows || st.RebuildBlocks != lay.BlocksPerDisk() {
-		t.Fatalf("rebuild covered %d rows / %d blocks, want %d / %d",
-			st.RebuildRows, st.RebuildBlocks, rows, lay.BlocksPerDisk())
-	}
-	if s := arr.Device(dead).Stats(); s.Writes != batches {
-		t.Fatalf("spare received %d writes, want one per row batch (%d)", s.Writes, batches)
-	}
-	if want := batches * int64(len(lay.DiskPeers(dead, nil))); st.PeerReads != want {
-		t.Fatalf("rebuild issued %d peer reads, want %d (one per peer per batch)", st.PeerReads, want)
-	}
-	// Pacing: batch starts are rate-limited and each full batch's pace
-	// covers its rebuildBatchRows rows, so the span from first to last
-	// completion covers at least batches-1 full-batch gaps.
-	pace := sim.Time(float64(rebuildBatchRows*lay.StripeUnitBlocks()*disk.BlockSize) * 1000 / 64)
-	if d := st.RebuildDuration(); d < sim.Time(batches-1)*pace {
-		t.Fatalf("rebuild duration %v under the rate-limit floor %v", d, sim.Time(batches-1)*pace)
-	}
-	// The device rejoined: reads are native (no reconstruction delay,
-	// no degraded counters moving).
-	deg0 := st.DegradedReads
-	for b := int64(0); b < lay.DataBlocks(); b++ {
-		if lay.Locate(b).Disk == dead {
-			if got := submitAndRun(eng, ctl, disk.OpRead, b, 1); got != 0 {
-				t.Fatalf("post-rebuild read of block %d took %v", b, got)
-			}
-			break
+	for _, blocksPerDisk := range []int64{64, 156} { // 16 and 39 rows
+		eng := sim.NewEngine()
+		var spare [][2]int64 // the spare's writes, in submission order
+		devs := make([]disk.Device, 4)
+		for i := range devs {
+			devs[i] = disk.NewNullDevice(eng, "null", 10000)
 		}
+		devs[dead] = writeLog{devs[dead], &spare}
+		arr := NewArray(eng, devs)
+		lay := raid.NewRAID5(4, 4, blocksPerDisk, 4)
+		ctl := NewRAIDController(arr, lay, []int{0, 1, 2, 3}, 0)
+		plan := fmt.Sprintf("seed=1;fail:%d@1ms;rebuild:%d@2ms,rate=64", dead, dead)
+		rt := installPlan(t, arr, ctl, plan) // installPlan drains: rebuild completes here
+
+		unit := lay.StripeUnitBlocks()
+		rows := lay.BlocksPerDisk() / unit
+		batches := (rows + rebuildBatchRows - 1) / rebuildBatchRows
+		st := rt.Stats()
+		if st.RebuildRows != rows || st.RebuildBlocks != lay.BlocksPerDisk() || st.RebuildLostRows != 0 {
+			t.Fatalf("%d rows: rebuild covered %d rows / %d blocks, lost %d, want %d / %d",
+				rows, st.RebuildRows, st.RebuildBlocks, st.RebuildLostRows, rows, lay.BlocksPerDisk())
+		}
+		var want [][2]int64
+		for r := int64(0); r < rows; r += rebuildBatchRows {
+			want = append(want, [2]int64{r * unit, min(rebuildBatchRows, rows-r) * unit})
+		}
+		if !slices.Equal(spare, want) {
+			t.Fatalf("%d rows: spare writes (block, count) %v, want one per row batch %v", rows, spare, want)
+		}
+		if want := batches * int64(len(lay.DiskPeers(dead, nil))); st.PeerReads != want {
+			t.Fatalf("%d rows: rebuild issued %d peer reads, want %d (one per peer per batch)", rows, st.PeerReads, want)
+		}
+		// Pacing: batch starts are rate-limited and each full batch's pace
+		// covers its rebuildBatchRows rows, so the span from first to last
+		// completion covers at least batches-1 full-batch gaps.
+		pace := sim.Time(float64(rebuildBatchRows*unit*disk.BlockSize) * 1000 / 64)
+		if d := st.RebuildDuration(); d < sim.Time(batches-1)*pace {
+			t.Fatalf("%d rows: rebuild duration %v under the rate-limit floor %v", rows, d, sim.Time(batches-1)*pace)
+		}
+		// The device rejoined: reads are native (no reconstruction delay,
+		// no degraded counters moving).
+		deg0 := st.DegradedReads
+		for b := int64(0); b < lay.DataBlocks(); b++ {
+			if lay.Locate(b).Disk == dead {
+				if got := submitAndRun(eng, ctl, disk.OpRead, b, 1); got != 0 {
+					t.Fatalf("%d rows: post-rebuild read of block %d took %v", rows, b, got)
+				}
+				break
+			}
+		}
+		if st.DegradedReads != deg0 {
+			t.Fatalf("%d rows: post-rebuild read still reconstructed", rows)
+		}
+		checkDrained(t, arr)
 	}
-	if st.DegradedReads != deg0 {
-		t.Fatal("post-rebuild read still reconstructed")
+}
+
+// writeLog is a device that appends each write's (block, count) to runs.
+type writeLog struct {
+	disk.Device
+	runs *[][2]int64
+}
+
+func (d writeLog) Submit(r *disk.Request) {
+	if r.Op == disk.OpWrite {
+		*d.runs = append(*d.runs, [2]int64{r.Block, r.Count})
 	}
-	checkDrained(t, arr)
+	d.Device.Submit(r)
 }
 
 // TestCrashRestartLogRingMatchesSyncControl is the crash-recovery e2e

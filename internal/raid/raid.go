@@ -38,13 +38,13 @@ type PBA struct {
 // Extent is a run of physically contiguous data blocks on one disk
 // together with the parity runs protecting it: Parity.Disk < 0 for
 // layouts without redundancy, Q.Disk < 0 for layouts without a second
-// parity.
+// parity. A walk appends extents in logical order, so an extent starts
+// at the walked run's first block plus the Counts before it.
 type Extent struct {
-	Logical int64 // first logical block of the run
-	Data    PBA
-	Parity  PBA
-	Q       PBA
-	Count   int64
+	Data   PBA
+	Parity PBA
+	Q      PBA
+	Count  int64
 }
 
 // Layout maps logical data blocks to physical locations.
@@ -337,7 +337,7 @@ func (r *Striped) AppendExtents(dst []Extent, block, count int64) []Extent {
 			for slot := int(idx - grp.firstData); slot < len(dd); slot++ {
 				e := &out[i]
 				i++
-				e.Logical, e.Count = block, min(r.unit-off, count)
+				e.Count = min(r.unit-off, count)
 				e.Data = PBA{Disk: first + dd[slot], Block: base + off}
 				e.Parity, e.Q = p, q
 				if r.nParity >= 1 {
@@ -349,7 +349,6 @@ func (r *Striped) AppendExtents(dst []Extent, block, count int64) []Extent {
 				if count -= e.Count; count == 0 {
 					return dst
 				}
-				block += e.Count
 				off = 0
 			}
 			idx = grp.firstData + int64(grp.dataSlots)
@@ -455,7 +454,7 @@ func (r *RAID5Plus) ParityOf(block int64) (PBA, bool) {
 
 // AppendExtents implements Layout: the run is split at member-set
 // boundaries, each segment walked by the owning set and its extents
-// relocated in place by the set's block and disk offsets.
+// relocated in place by the set's disk offset.
 func (r *RAID5Plus) AppendExtents(dst []Extent, block, count int64) []Extent {
 	checkBlock(block, count, r.capacity)
 	for count > 0 {
@@ -465,7 +464,6 @@ func (r *RAID5Plus) AppendExtents(dst []Extent, block, count int64) []Extent {
 		dst = s.layout.AppendExtents(dst, block-s.firstBlock, n)
 		for i := range dst[from:] {
 			e := &dst[from+i]
-			e.Logical += s.firstBlock
 			e.Data.Disk += s.firstDisk
 			e.Parity.Disk += s.firstDisk // every set is RAID-5: P and no Q
 		}

@@ -241,27 +241,24 @@ func TestForEachExtentCoversRun(t *testing.T) {
 		NewRAID5Plus([]int{4, 3}, 1024, 32),
 	}
 	for li, l := range layouts {
-		var covered int64
-		prevEnd := int64(10) // starting block
+		// Extents come in logical order, so each starts where the
+		// previous one's Count left off.
+		start := int64(10)
 		l.ForEachExtent(10, 100, func(e Extent) {
-			if e.Logical != prevEnd {
-				t.Errorf("layout %d: extent starts at %d, want %d (gap/overlap)",
-					li, e.Logical, prevEnd)
-			}
 			if e.Count < 1 || e.Count > l.StripeUnitBlocks() {
 				t.Errorf("layout %d: extent count %d outside (0, unit]", li, e.Count)
 			}
-			// Extent must be physically contiguous: last block of the
-			// extent maps to Data.Block + Count - 1 on the same disk.
-			lastPBA := l.Locate(e.Logical + e.Count - 1)
-			if lastPBA.Disk != e.Data.Disk || lastPBA.Block != e.Data.Block+e.Count-1 {
-				t.Errorf("layout %d: extent at %d not contiguous", li, e.Logical)
+			// Extent must be physically contiguous: its first and last
+			// blocks map to Data.Block and Data.Block + Count - 1 on
+			// its disk.
+			first, last := l.Locate(start), l.Locate(start+e.Count-1)
+			if first != e.Data || last.Disk != e.Data.Disk || last.Block != e.Data.Block+e.Count-1 {
+				t.Errorf("layout %d: extent at %d not contiguous", li, start)
 			}
-			covered += e.Count
-			prevEnd = e.Logical + e.Count
+			start += e.Count
 		})
-		if covered != 100 {
-			t.Errorf("layout %d: extents cover %d blocks, want 100", li, covered)
+		if start != 110 {
+			t.Errorf("layout %d: extents cover %d blocks, want 100", li, start-10)
 		}
 	}
 }

@@ -20,7 +20,7 @@ func forEachUnitRun(l Layout, block, count int64, fn func(Extent)) {
 		if inUnit > count {
 			inUnit = count
 		}
-		e := Extent{Logical: block, Data: l.Locate(block), Parity: PBA{Disk: -1}, Q: PBA{Disk: -1}, Count: inUnit}
+		e := Extent{Data: l.Locate(block), Parity: PBA{Disk: -1}, Q: PBA{Disk: -1}, Count: inUnit}
 		if p, ok := l.ParityOf(block); ok {
 			e.Parity = p
 		}
@@ -90,10 +90,10 @@ func refQ(l Layout, b int64) PBA {
 // reference walk forEachUnitRun emits, each carrying the Q leg
 // QParityOf names for its first block, behind a prefix it leaves as it
 // was; ForEachExtent hands fn the same extents; and a SpreadLayout's
-// extents are its inner layout's for the spread address, with only
-// Logical relocated.
+// extents are its inner layout's for the spread address. An extent's
+// logical start is the run's first block plus the Counts before it.
 func TestForEachExtentMatchesUnitRun(t *testing.T) {
-	sentinel := Extent{Logical: -7, Data: PBA{Disk: 99, Block: -1}, Parity: PBA{Disk: 98}, Q: PBA{Disk: 97}, Count: -3}
+	sentinel := Extent{Data: PBA{Disk: 99, Block: -1}, Parity: PBA{Disk: 98}, Q: PBA{Disk: 97}, Count: -3}
 	for name, l := range rowBatchLayouts() {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(77))
@@ -111,21 +111,22 @@ func TestForEachExtentMatchesUnitRun(t *testing.T) {
 					t.Fatalf("run [%d,+%d): ForEachExtent diverged from AppendExtents\n got %v\nwant %v",
 						block, count, each, got)
 				}
+				starts := make([]int64, len(got))
+				for i, at := 0, block; i < len(got); i++ {
+					starts[i] = at
+					at += got[i].Count
+				}
 				if s, ok := l.(*SpreadLayout); ok {
-					for _, e := range got {
-						addr := s.spreadAddr(e.Logical)
-						in := s.inner.AppendExtents(nil, addr, e.Count)
-						if len(in) != 1 || in[0].Logical != addr {
+					for i, e := range got {
+						addr := s.spreadAddr(starts[i])
+						if in := s.inner.AppendExtents(nil, addr, e.Count); len(in) != 1 || in[0] != e {
 							t.Fatalf("extent %+v: inner walk of [%d,+%d) is %v", e, addr, e.Count, in)
-						}
-						if in[0].Logical = e.Logical; in[0] != e {
-							t.Fatalf("extent %+v: legs differ from the inner layout's %+v", e, in[0])
 						}
 					}
 				}
 				// Q is checked here, then cleared: the reference has none.
 				for i := range got {
-					if want := refQ(l, got[i].Logical); got[i].Q != want {
+					if want := refQ(l, starts[i]); got[i].Q != want {
 						t.Fatalf("extent %+v: Q leg should be %v", got[i], want)
 					}
 					got[i].Q = PBA{Disk: -1}

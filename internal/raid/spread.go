@@ -92,19 +92,13 @@ func (s *SpreadLayout) ParityOf(block int64) (PBA, bool) {
 
 // AppendExtents implements Layout: runs split at granule boundaries
 // first (where physical placement jumps), then at the inner layout's
-// stripe-unit boundaries. Each granule's inner extents are relocated in
-// place back to dataset addresses; their data, P and Q legs pass
-// through untouched.
+// stripe-unit boundaries. Each granule's extents are the inner layout's
+// for its spread address, unchanged.
 func (s *SpreadLayout) AppendExtents(dst []Extent, block, count int64) []Extent {
 	checkBlock(block, count, s.data)
 	for count > 0 {
 		n := min(SpreadGranule-block%SpreadGranule, count)
-		addr := s.spreadAddr(block)
-		from := len(dst)
-		dst = s.inner.AppendExtents(dst, addr, n)
-		for i := range dst[from:] {
-			dst[from+i].Logical += block - addr
-		}
+		dst = s.inner.AppendExtents(dst, s.spreadAddr(block), n)
 		block += n
 		count -= n
 	}

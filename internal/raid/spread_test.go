@@ -81,21 +81,16 @@ func TestSpreadLayoutInjective(t *testing.T) {
 func TestSpreadLayoutExtentsCover(t *testing.T) {
 	inner := NewRAID5(4, 4, 4096, 16)
 	s := NewSpreadLayout(inner, inner.DataBlocks()/4)
-	var covered int64
-	prev := int64(10)
+	start := int64(10) // each extent starts where the previous one's Count left off
 	s.ForEachExtent(10, 200, func(e Extent) {
-		if e.Logical != prev {
-			t.Fatalf("extent at %d, want %d", e.Logical, prev)
+		first, last := s.Locate(start), s.Locate(start+e.Count-1)
+		if first != e.Data || last.Disk != e.Data.Disk || last.Block != e.Data.Block+e.Count-1 {
+			t.Fatalf("extent at %d not physically contiguous", start)
 		}
-		last := s.Locate(e.Logical + e.Count - 1)
-		if last.Disk != e.Data.Disk || last.Block != e.Data.Block+e.Count-1 {
-			t.Fatalf("extent at %d not physically contiguous", e.Logical)
-		}
-		covered += e.Count
-		prev += e.Count
+		start += e.Count
 	})
-	if covered != 200 {
-		t.Errorf("extents cover %d, want 200", covered)
+	if start != 210 {
+		t.Errorf("extents cover %d, want 200", start-10)
 	}
 }
 
