@@ -64,6 +64,9 @@ func main() {
 	if !(*budget > 0) {
 		fatal(fmt.Errorf("-budget %v: want a positive number of GB", *budget))
 	}
+	if *parallel < 1 {
+		fatal(fmt.Errorf("-parallel %d: want at least 1 concurrent simulation", *parallel))
+	}
 	if *traceName != "" {
 		// Every printer below would otherwise show its header, and some
 		// made-up rows, before the first cell for the trace failed.
@@ -71,7 +74,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	cells := &experiments.Runner{Parallel: max(*parallel, 1)}
+	cells := &experiments.Runner{Parallel: *parallel}
 	if *cacheDir != "" {
 		store, err := experiments.OpenStore(*cacheDir)
 		if err != nil {

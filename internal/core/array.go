@@ -4,9 +4,9 @@
 // The pieces map one-to-one onto the paper's design:
 //
 //   - Array: the physical device set plus instrumentation (per-disk
-//     load for workload-distribution analysis, queue/concurrency
-//     sampling), and the pool of joins — the one continuation every set
-//     of in-flight I/Os completes into.
+//     load for workload-distribution analysis, the queue/concurrency
+//     census its devices take), and the pool of joins — the one
+//     continuation every set of in-flight I/Os completes into.
 //   - RAIDController: a plain volume over one raid.Layout (RAID-5 or
 //     RAID-5+), doing read-modify-write parity updates on writes. These
 //     are the paper's RAID-5 / RAID-5+ baselines in their ideal state.
@@ -38,18 +38,9 @@ type Array struct {
 	// Optional instrumentation; nil disables.
 	Load *metrics.LoadTracker // per-disk per-second load (cv analysis)
 
-	queueDepths sampler // the device's queue depth, per submit
-	busyCounts  sampler // concurrently busy devices, per submit
-
-	// queued[i] is device i's queue-state view, nil for models without
-	// one (instant devices). The busy-device census behind busyCounts is
-	// kept incrementally: devices that can push their idle<->busy flips
-	// (disk.BusyCounter) maintain busy; the rest — models whose busy
-	// state is a function of the clock — are in polled and asked per
-	// sample.
-	queued []queuer
-	busy   int
-	polled []queuer
+	// census is Table 5's sample (queue depth and busy devices per
+	// submission), taken by every device that joins it (watch).
+	census disk.Census
 
 	// scratch is the one Request every submission reuses: devices never
 	// retain it (the disk.Device contract).
@@ -76,41 +67,6 @@ type Array struct {
 	epoch uint64
 }
 
-// queuer is implemented by device models that expose queue state.
-type queuer interface {
-	QueueDepth() int
-	Busy() bool
-}
-
-// sampler is a histogram of small counts (sample unit: the count,
-// abusing ns=count), taken twice per submitted I/O: values below
-// len(small) — nearly all of them — are tallied in place and reach the
-// histogram when it is read. The histogram cannot tell: its bucket counts
-// are order-free, and its float64 sum is exact in any order, every sample
-// being an integer and the total staying below 2^53.
-type sampler struct {
-	small [64]int64
-	hist  metrics.LatencyHist
-}
-
-func (s *sampler) add(v int) {
-	if uint(v) < uint(len(s.small)) {
-		s.small[v]++
-		return
-	}
-	s.hist.Add(sim.Time(v))
-}
-
-// stats folds the tallies in and returns mean, 99th percentile and max.
-func (s *sampler) stats() (mean float64, p99, max int64) {
-	// Largest first, so the histogram sizes its buckets once.
-	for v := len(s.small) - 1; v >= 0; v-- {
-		s.hist.AddN(sim.Time(v), s.small[v])
-		s.small[v] = 0
-	}
-	return float64(s.hist.Mean()), int64(s.hist.Percentile(0.99)), int64(s.hist.Max())
-}
-
 // NewArray returns an array over devices.
 func NewArray(eng *sim.Engine, devices []disk.Device) *Array {
 	a := &Array{Eng: eng, devices: devices}
@@ -118,29 +74,14 @@ func NewArray(eng *sim.Engine, devices []disk.Device) *Array {
 	return a
 }
 
-// watch registers newly attached devices with the queue and
-// busy-device instrumentation.
+// watch has newly attached devices join the array's census; devices
+// that take none (instant ones) are not sampled.
 func (a *Array) watch(devs []disk.Device) {
 	for _, d := range devs {
-		q, _ := d.(queuer)
-		a.queued = append(a.queued, q)
-		if bc, ok := d.(disk.BusyCounter); ok {
-			bc.CountBusyIn(&a.busy)
-		} else if q != nil {
-			a.polled = append(a.polled, q)
+		if ct, ok := d.(disk.CensusTaker); ok {
+			ct.JoinCensus(&a.census)
 		}
 	}
-}
-
-// busyDevices returns how many devices are busy right now.
-func (a *Array) busyDevices() int {
-	n := a.busy
-	for _, q := range a.polled {
-		if q.Busy() {
-			n++
-		}
-	}
-	return n
 }
 
 // Devices returns the device count.
@@ -161,11 +102,20 @@ func (a *Array) AddDevices(devs []disk.Device) {
 
 // QueueStats returns mean, 99th-percentile and max sampled I/O queue
 // depth across all submits (Table 5's "Ioq" columns).
-func (a *Array) QueueStats() (mean float64, p99, max int64) { return a.queueDepths.stats() }
+func (a *Array) QueueStats() (mean float64, p99, max int64) {
+	return countStats(a.census.QueueDepths())
+}
 
 // ConcurrencyStats returns mean, 99th-percentile and max concurrently
 // busy devices sampled at submit time (Table 5's "Cdev" columns).
-func (a *Array) ConcurrencyStats() (mean float64, p99, max int64) { return a.busyCounts.stats() }
+func (a *Array) ConcurrencyStats() (mean float64, p99, max int64) {
+	return countStats(a.census.BusyCounts())
+}
+
+// countStats reads a histogram of counts (sample unit: the count).
+func countStats(h *metrics.LatencyHist) (mean float64, p99, max int64) {
+	return float64(h.Mean()), int64(h.Percentile(0.99)), int64(h.Max())
+}
 
 // submit issues a request on device dev, recording instrumentation.
 func (a *Array) submit(dev int, op disk.Op, block, count int64, done func(sim.Time)) {
@@ -184,10 +134,6 @@ func (a *Array) issue(dev int, op disk.Op, block, count int64, done func(sim.Tim
 	}
 	if a.Load != nil {
 		a.Load.Add(a.Eng.Now(), dev, count*disk.BlockSize)
-	}
-	if q := a.queued[dev]; q != nil {
-		a.queueDepths.add(q.QueueDepth())
-		a.busyCounts.add(a.busyDevices())
 	}
 	// Field by field: a composite literal is built in a temporary and
 	// copied over.

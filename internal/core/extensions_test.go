@@ -141,9 +141,9 @@ type ioLog struct {
 	lastWrite sim.Time
 }
 
-// recordingSSD is a timed device that reports into log. Hiding the
-// SSD's queue methods leaves the array's samplers idle; timing is the
-// SSD's own.
+// recordingSSD is a timed device that reports into log. Embedding the
+// interface hides the SSD's census join, so the SSD samples nothing;
+// timing is the SSD's own.
 type recordingSSD struct {
 	disk.Device
 	log *ioLog

@@ -90,17 +90,6 @@ type Device interface {
 	Stats() *Stats
 }
 
-// BusyCounter is implemented by device models whose busy state changes
-// only at their own events (never by the clock merely advancing), so an
-// owner can keep a count of busy devices without polling them.
-type BusyCounter interface {
-	// CountBusyIn makes the device keep *n in step with its busy
-	// state from now on: it adds 1 at once if it is busy, 1 whenever
-	// it turns busy and -1 whenever it turns idle. A device counts in
-	// one place at a time.
-	CountBusyIn(n *int)
-}
-
 // Stats holds per-device counters maintained by every model. A model
 // counts a request where it decides the outcome — when it rejects it,
 // absorbs it into a cache, or starts serving it — so the counters run

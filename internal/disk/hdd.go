@@ -107,11 +107,10 @@ type HDD struct {
 	curCyl  int64
 	sweepUp bool // sweep direction
 
-	// busyDevs, when set by CountBusyIn, is the owner's count of busy
-	// devices: +1 when busy||destaging turns true, -1 when it turns
-	// false. kick starts media service or a destage only from idle, so
-	// the two flags are never set together and each flip is one step.
-	busyDevs *int
+	// census, when joined, is told each flip of busy||destaging: kick
+	// starts media service or a destage only from idle, so the two flags
+	// are never set together and each flip is one step.
+	census *Census
 
 	// Read cache: fixed number of segments, each holding one
 	// contiguous block range; LRU replacement, recency kept as a list
@@ -303,8 +302,8 @@ func (d *HDD) Name() string { return d.cfg.Name }
 // Stats implements Device.
 func (d *HDD) Stats() *Stats { return &d.stats }
 
-// QueueDepth reports requests pending or in service (used by the
-// array-level concurrency metrics).
+// QueueDepth reports requests pending or in service: stalled writes,
+// queued requests and the one on the media.
 func (d *HDD) QueueDepth() int {
 	n := len(d.queue) + len(d.stalled)
 	if d.busy {
@@ -317,24 +316,28 @@ func (d *HDD) QueueDepth() int {
 // destaging its write cache.
 func (d *HDD) Busy() bool { return d.busy || d.destaging }
 
-// CountBusyIn implements BusyCounter.
-func (d *HDD) CountBusyIn(n *int) {
-	d.busyDevs = n
+// JoinCensus implements CensusTaker. The HDD's busy state flips only at
+// its own events, so it pushes each flip into the census's count.
+func (d *HDD) JoinCensus(c *Census) {
+	d.census = c
 	if d.Busy() {
-		*n++
+		c.pushed++
 	}
 }
 
-// countBusy reports one idle<->busy flip to the owner's counter.
+// countBusy reports one idle<->busy flip to the census.
 func (d *HDD) countBusy(delta int) {
-	if d.busyDevs != nil {
-		*d.busyDevs += delta
+	if c := d.census; c != nil {
+		c.pushed += delta
 	}
 }
 
 // Submit implements Device.
 func (d *HDD) Submit(r *Request) {
 	checkRange(r, d.cfg.CapacityBlocks, d.cfg.Name)
+	if c := d.census; c != nil {
+		c.sample(d.QueueDepth(), d.eng.Now())
+	}
 
 	if r.Reject {
 		// A dead disk rejects at the controller: bus overhead, then the

@@ -50,6 +50,11 @@ type SSD struct {
 	// while busyUntil > now.
 	busyUntil sim.Time
 
+	// census, when joined, is told each later busyUntil; slot is the
+	// SSD's index among the census's clocked devices.
+	census *Census
+	slot   int
+
 	perChannels fastdiv.Divisor // by cfg.Channels
 }
 
@@ -104,11 +109,20 @@ func (d *SSD) QueueDepth() int {
 // Busy reports whether any channel is busy.
 func (d *SSD) Busy() bool { return d.busyUntil > d.eng.Now() }
 
+// JoinCensus implements CensusTaker. The SSD's busy spell runs out with
+// the clock, so it tells the census each time it extends the spell.
+func (d *SSD) JoinCensus(c *Census) {
+	d.census, d.slot = c, c.clock(d.busyUntil)
+}
+
 // Submit implements Device. Blocks are spread over channels
 // round-robin; the request completes when its slowest channel finishes.
 func (d *SSD) Submit(r *Request) {
 	checkRange(r, d.cfg.CapacityBlocks, d.cfg.Name)
 	now := d.eng.Now()
+	if c := d.census; c != nil {
+		c.sample(d.QueueDepth(), now)
+	}
 
 	if r.Reject {
 		d.stats.Rejected++
@@ -145,6 +159,9 @@ func (d *SSD) Submit(r *Request) {
 	}
 	if latest > d.busyUntil {
 		d.busyUntil = latest
+		if c := d.census; c != nil {
+			c.extend(d.slot, latest, now)
+		}
 	}
 	finish := latest + d.cfg.ControllerOver
 	d.stats.BusyTime += finish - now

@@ -122,21 +122,38 @@ func lruOracle(recs []trace.Record, capacity int64) (readHits, writeHits, evicti
 
 // TestLRUMatchesStackDistanceOracle holds every preset's LRU cell of
 // Tables 2 and 3 to the stack-distance model above, which shares no
-// code with internal/cache: the cell's own clamped record stream, at its
-// P_C data capacity, must give exactly the cell's read hits, write hits
-// and evictions.
+// code with internal/cache, at 1×, 4× and 16× the cell's P_C: the cell's
+// own clamped record stream, at its P_C data capacity, must give exactly
+// the cell's read hits, write hits and evictions. There is no smaller
+// size to check: every preset's Table 2/3 P_C is already the floor of
+// one block per data disk (45 blocks on the 50-disk testbed), so a ¼×
+// cell would be the 1× cell again.
 func TestLRUMatchesStackDistanceOracle(t *testing.T) {
-	results, err := new(Runner).Tables2and3(0.3) // TestTables2and3PolicyRanking's budget
+	table, err := tables2and3Configs(0.3) // TestTables2and3PolicyRanking's budget
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := 0
-	for _, res := range results {
-		cfg := res.Cfg
+	var cfgs []RunConfig
+	for _, cfg := range table {
 		if cfg.Policy != "LRU" {
 			continue
 		}
-		cells++
+		pc := cfg.PCBlocks
+		for _, blocks := range []int64{pc, 4 * pc, 16 * pc} {
+			cfg.PCBlocks = blocks
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	if want := 3 * len(workload.PresetNames()); len(cfgs) != want {
+		t.Fatalf("%d LRU cells, want three per preset (%d)", len(cfgs), want)
+	}
+	results, err := new(Runner).RunAll(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capacities := map[string][]int64{}
+	for _, res := range results {
+		cfg := res.Cfg
 		p, err := scaledPreset(cfg.Trace, cfg.Scale)
 		if err != nil {
 			t.Fatal(err)
@@ -151,17 +168,21 @@ func TestLRUMatchesStackDistanceOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		capacity := vol.(*core.CRAID).CacheDataBlocks()
+		capacities[cfg.Trace] = append(capacities[cfg.Trace], capacity)
 		rh, wh, ev := lruOracle(recs, capacity)
 		st := res.CRAID
 		t.Logf("%s: %d records, P_C %d blocks: read hits %d, write hits %d, evictions %d",
 			cfg.Trace, len(recs), capacity, rh, wh, ev)
 		if int64(len(recs)) != res.Requests || st.ReadHits != rh || st.WriteHits != wh || st.Evictions != ev {
-			t.Errorf("%s: cell replayed %d records: read hits %d, write hits %d, evictions %d; "+
+			t.Errorf("%s, P_C %d blocks: cell replayed %d records: read hits %d, write hits %d, evictions %d; "+
 				"the stack model of its %d records says %d, %d, %d",
-				cfg.Trace, res.Requests, st.ReadHits, st.WriteHits, st.Evictions, len(recs), rh, wh, ev)
+				cfg.Trace, capacity, res.Requests, st.ReadHits, st.WriteHits, st.Evictions, len(recs), rh, wh, ev)
 		}
 	}
-	if cells != len(workload.PresetNames()) {
-		t.Fatalf("checked %d LRU cells, want one per preset (%d)", cells, len(workload.PresetNames()))
+	// The three sizes must be three caches, or the sweep checks one twice.
+	for name, c := range capacities {
+		if !(c[0] < c[1] && c[1] < c[2]) {
+			t.Errorf("%s: P_C data capacities %v, want three increasing sizes", name, c)
+		}
 	}
 }

@@ -79,6 +79,15 @@ func Figure1(traceName string, scale float64) (Figure1Result, error) {
 // come back trace by trace in PresetNames order, policies in
 // cache.Names order.
 func (r *Runner) Tables2and3(budgetGB float64) ([]RunResult, error) {
+	cfgs, err := tables2and3Configs(budgetGB)
+	if err != nil {
+		return nil, err
+	}
+	return r.RunAll(cfgs)
+}
+
+// tables2and3Configs returns Tables2and3's cells.
+func tables2and3Configs(budgetGB float64) ([]RunConfig, error) {
 	var cfgs []RunConfig
 	for _, traceName := range workload.PresetNames() {
 		scale := ScaleFor(traceName, budgetGB)
@@ -102,7 +111,7 @@ func (r *Runner) Tables2and3(budgetGB float64) ([]RunResult, error) {
 			})
 		}
 	}
-	return r.RunAll(cfgs)
+	return cfgs, nil
 }
 
 // --- Figures 4 & 6 + Table 4: response times over the P_C sweep ---
