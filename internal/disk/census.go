@@ -47,12 +47,12 @@ type CensusTaker interface {
 // at now.
 func (c *Census) sample(depth int, now sim.Time) {
 	c.depths.add(depth)
-	c.busy.add(c.BusyAt(now))
+	c.busy.add(c.busyAt(now))
 }
 
-// BusyAt returns how many of the census's devices are busy at now, which
+// busyAt returns how many of the census's devices are busy at now, which
 // must not precede any instant the census has seen.
-func (c *Census) BusyAt(now sim.Time) int {
+func (c *Census) busyAt(now sim.Time) int {
 	if now >= c.next {
 		c.running, c.next = 0, sim.MaxTime
 		for _, u := range c.until {

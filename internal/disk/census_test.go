@@ -69,7 +69,7 @@ func TestCensusCountsClockedSpells(t *testing.T) {
 			}
 		}
 		if rng.Intn(3) == 0 { // not every step reads
-			if got := c.BusyAt(now); got != want {
+			if got := c.busyAt(now); got != want {
 				t.Fatalf("step %d at %v: census counts %d busy, scanning %v gives %d", step, now, got, ends, want)
 			}
 		}
